@@ -368,7 +368,10 @@ func BenchmarkEngineThroughput(b *testing.B) {
 // agents: 1693 states) across worker-pool sizes, plus one deeper n=7
 // five-agent placement where schedules run long enough that the
 // checkpoint search's O(stride)-per-state cost separates clearly from
-// the old O(depth) replay-from-root. Three metrics feed the benchdiff
+// the old O(depth) replay-from-root, and one LogSpace placement (n=6,
+// five clustered agents: 6796 states) whose message-driven frames —
+// leaders waking suspended followers — go through the same checkpoint
+// search. Three metrics feed the benchdiff
 // gate: ns/state and allocs/state (lower is better — allocs/state is
 // what keeps the pooled checkpoints honest), and speedup over the
 // workers=1 rate of the same sub-benchmark run (higher is better, so
@@ -379,10 +382,12 @@ func BenchmarkEngineThroughput(b *testing.B) {
 func BenchmarkExploreParallel(b *testing.B) {
 	cases := []struct {
 		name string
+		alg  agentring.Algorithm
 		cfg  agentring.Config
 	}{
-		{"n8", agentring.Config{N: 8, Homes: []int{0, 1, 2, 3}}},
-		{"deep-n7", agentring.Config{N: 7, Homes: []int{0, 1, 2, 3, 4}}},
+		{"n8", agentring.Native, agentring.Config{N: 8, Homes: []int{0, 1, 2, 3}}},
+		{"deep-n7", agentring.Native, agentring.Config{N: 7, Homes: []int{0, 1, 2, 3, 4}}},
+		{"logspace-n6", agentring.LogSpace, agentring.Config{N: 6, Homes: []int{0, 1, 2, 3, 4}}},
 	}
 	for _, tc := range cases {
 		// The workers=1 rate of the most recent sequential run, the
@@ -396,7 +401,7 @@ func BenchmarkExploreParallel(b *testing.B) {
 				runtime.ReadMemStats(&ms0)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					r, err := agentring.Explore(context.Background(), agentring.Native, tc.cfg,
+					r, err := agentring.Explore(context.Background(), tc.alg, tc.cfg,
 						agentring.ExploreOptions{Workers: workers})
 					if err != nil {
 						b.Fatal(err)

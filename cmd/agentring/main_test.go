@@ -39,6 +39,20 @@ func startDaemon(t *testing.T) string {
 	return socket
 }
 
+// blockerSpec is the -spec of an exploration far too large to finish
+// within a test (see internal/jobs' blockerSpec). With budgetMS 0 it
+// holds the daemon's single runner until it is cancelled; otherwise it
+// finishes, truncated, after budgetMS milliseconds.
+func blockerSpec(t *testing.T, budgetMS int) string {
+	t.Helper()
+	b, err := json.Marshal(jobs.Spec{Kind: jobs.KindExplore, Algorithm: "native", N: 14, K: 7,
+		Workload: "clustered", MaxDurationMS: budgetMS})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
 var sweepArgs = []string{
 	"-kind", "sweep", "-alg", "native",
 	"-ns", "16,24", "-ks", "2,4", "-seed", "7", "-scheduler", "synchronous",
@@ -126,14 +140,13 @@ func TestSubmitStatusListResult(t *testing.T) {
 }
 
 // TestWatchStreamsToFinal: watch on a queued job streams its lifecycle
-// and terminates at the final state. A slow blocker job keeps the
-// single runner busy so the watched job is still queued when the watch
-// subscribes.
+// and terminates at the final state. A blocker exploration with a 300ms
+// budget keeps the single runner busy so the watched job is still
+// queued when the watch subscribes.
 func TestWatchStreamsToFinal(t *testing.T) {
 	socket := startDaemon(t)
 
-	blocker := []string{"submit", "-socket", socket, "-json", "-kind", "sweep",
-		"-alg", "logspace", "-ns", "128,256", "-ks", "8,16", "-scheduler", "synchronous"}
+	blocker := []string{"submit", "-socket", socket, "-json", "-spec", blockerSpec(t, 300)}
 	var out bytes.Buffer
 	if err := run(blocker, &out); err != nil {
 		t.Fatal(err)
@@ -186,9 +199,11 @@ func TestCancelAndDaemonStatus(t *testing.T) {
 	// Blocker keeps the runner busy so the second job stays queued and
 	// is cancellable deterministically.
 	var out bytes.Buffer
-	blocker := []string{"submit", "-socket", socket, "-json", "-kind", "sweep",
-		"-alg", "logspace", "-ns", "512,1024", "-ks", "8,16", "-scheduler", "synchronous"}
-	if err := run(blocker, &out); err != nil {
+	if err := run([]string{"submit", "-socket", socket, "-json", "-spec", blockerSpec(t, 0)}, &out); err != nil {
+		t.Fatal(err)
+	}
+	var blocker jobs.Snapshot
+	if err := json.Unmarshal(out.Bytes(), &blocker); err != nil {
 		t.Fatal(err)
 	}
 	out.Reset()
@@ -205,12 +220,7 @@ func TestCancelAndDaemonStatus(t *testing.T) {
 	if err := run([]string{"cancel", "-socket", socket, snap.ID}, &out); err != nil {
 		t.Fatal(err)
 	}
-	// The engine is fast enough that the "queued" job may already be
-	// done by the time the cancel lands (cancel of a finished job is a
-	// documented no-op), so accept either final state — the cancel
-	// *semantics* are pinned deterministically in internal/jobs.
-	if !strings.Contains(out.String(), snap.ID) ||
-		(!strings.Contains(out.String(), "cancelled") && !strings.Contains(out.String(), "done")) {
+	if !strings.Contains(out.String(), snap.ID) || !strings.Contains(out.String(), "cancelled") {
 		t.Errorf("cancel output: %q", out.String())
 	}
 
@@ -221,6 +231,11 @@ func TestCancelAndDaemonStatus(t *testing.T) {
 	s := out.String()
 	if !strings.Contains(s, "protocol 1") || !strings.Contains(s, "jobs:") {
 		t.Errorf("daemon-status output: %q", s)
+	}
+
+	out.Reset()
+	if err := run([]string{"cancel", "-socket", socket, blocker.ID}, &out); err != nil {
+		t.Fatal(err)
 	}
 }
 

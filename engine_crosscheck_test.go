@@ -18,8 +18,9 @@ import (
 // two paths promise observational equivalence (see sim.Frame); this
 // test holds them to it on the golden configuration across all
 // schedulers, comparing the full rendered trace, the canonical
-// configuration hash (with per-agent state tracking on), and final
-// positions. Together with TestGoldenDeterminism — which pins the
+// configuration hash (with per-agent state tracking on), final
+// positions, and per-agent reports including metered peak memory.
+// Together with TestGoldenDeterminism — which pins the
 // default path against recorded traces — this keeps both execution
 // forms byte-identical to the pre-frame engine.
 
@@ -92,6 +93,8 @@ func runBoth(t *testing.T, top sim.Topology, alg, sched string, faults sim.Fault
 		key       uint64
 		hashes    []uint64
 		positions []ring.NodeID
+		agents    []sim.AgentReport
+		sent      int
 		steps     int
 		err       error
 	}
@@ -114,6 +117,8 @@ func runBoth(t *testing.T, top sim.Topology, alg, sched string, faults sim.Fault
 			key:       snap.Key(),
 			hashes:    snap.AgentHashes,
 			positions: res.Positions(),
+			agents:    res.Agents,
+			sent:      res.MessagesSent,
 			steps:     res.Steps,
 			err:       err,
 		}
@@ -139,6 +144,12 @@ func runBoth(t *testing.T, top sim.Topology, alg, sched string, faults sim.Fault
 	}
 	if frame.steps != coro.steps {
 		t.Errorf("steps diverge: frame %d, coroutine %d", frame.steps, coro.steps)
+	}
+	// Per-agent moves, statuses and metered peak memory, and the message
+	// count: a frame must meter and broadcast where Run does.
+	if !reflect.DeepEqual(frame.agents, coro.agents) || frame.sent != coro.sent {
+		t.Errorf("agent reports diverge:\nframe:     %+v (%d sent)\ncoroutine: %+v (%d sent)",
+			frame.agents, frame.sent, coro.agents, coro.sent)
 	}
 }
 
@@ -185,7 +196,7 @@ func TestFrameCoroutineCrossCheckFaults(t *testing.T) {
 		},
 	}
 	for name, faults := range schedules {
-		for _, alg := range []string{"native", "relaxed"} {
+		for _, alg := range []string{"native", "logspace", "relaxed"} {
 			t.Run(name+"/"+alg, func(t *testing.T) {
 				runBoth(t, ring.MustNew(crosscheckN), alg, "roundrobin", faults)
 			})
@@ -244,6 +255,11 @@ func TestCheckpointRestoreCrossCheck(t *testing.T) {
 	}{
 		{"native", func() sim.Topology { return ring.MustNew(crosscheckN) }},
 		{"nativeKnowN", func() sim.Topology { return ring.MustNew(crosscheckN) }},
+		// Four nodes more than the golden ring: n mod k = 4, so LogSpace's
+		// target-slot intervals are 7,7,7,7,6,6 and a follower's slot
+		// index must survive a restore.
+		{"logspace", func() sim.Topology { return ring.MustNew(crosscheckN + 4) }},
+		{"relaxed", func() sim.Topology { return ring.MustNew(crosscheckN) }},
 		{"naive", func() sim.Topology { return ring.MustNew(crosscheckN) }},
 		{"firstfit", func() sim.Topology { return ring.MustNew(crosscheckN) }},
 		{"binative", func() sim.Topology {

@@ -77,14 +77,15 @@ func (p *alg2) decided(subPhases int, leader bool) {
 	}
 }
 
+// alg2Words is the working set Algorithm 2+3 meters: the whole
+// algorithm keeps O(1) words — two IDs (4 words), the scratch ID (2), n,
+// k, and a handful of counters. No slice of distances is ever stored;
+// that is the entire point of Section 3.2.
+const alg2Words = 14
+
 // Run implements sim.Program.
 func (p *alg2) Run(api sim.API) error {
-	m := api.Meter()
-	// The whole algorithm keeps O(1) words: two IDs (4 words), the
-	// scratch ID (2), n, k, and a handful of counters. No slice of
-	// distances is ever stored — that is the entire point of Section 3.2.
-	const words = 14
-	m.Set(words)
+	api.Meter().Set(alg2Words)
 
 	api.ReleaseToken()
 
@@ -262,4 +263,250 @@ func (p *alg2) follower(api sim.API) error {
 		}
 	}
 	return fmt.Errorf("%w: follower found no vacant target within (k+4)n moves", ErrInvariant)
+}
+
+// Frame implements sim.Framer: Algorithms 2 and 3 as a resumable state
+// machine making the same API-call sequence as Run, one atomic action
+// per Step.
+func (p *alg2) Frame() sim.Frame { return &alg2Frame{p: p} }
+
+// alg2Frame phases.
+const (
+	alg2Init   = iota // before the first activation
+	alg2Select        // selection: walking to the next active node
+	alg2Lead          // leader: walking to the next token node
+	alg2Await         // follower: suspended until the deploy message
+	alg2ToBase        // follower: passing TBase tokens to the base node
+	alg2Slots         // follower: walking the target-slot schedule
+)
+
+// alg2Frame is the data-oriented execution of Algorithms 2 and 3. The
+// selection state is one nextActive traversal in progress — seg says
+// which: 0 finds the agent's own ID, 1 the next active agent's, 2 and up
+// the rest of the circuit — plus the sub-phase's running verdict. The
+// deployment state is a leader's broadcast count, or a follower's
+// message and slot-walk position.
+type alg2Frame struct {
+	p     *alg2
+	phase int
+
+	subPhase, n, tokensSeen, circuit, seg int
+	cur, own, next                        activeID
+	identical, min                        bool
+
+	msg   deployMsg // follower: the leader's message
+	count int       // leader: followers informed; follower: tokens passed toward the base node
+	slot  int       // follower: current target slot
+	// walked is the follower's slot-walk length so far, including the
+	// interval in progress; left is that interval's remaining moves.
+	walked, left int
+}
+
+func (f *alg2Frame) Step(api sim.API) sim.Action {
+	switch f.phase {
+	case alg2Init:
+		api.Meter().Set(alg2Words)
+		api.ReleaseToken()
+		f.subPhase = 1
+		return f.beginSubPhase()
+	case alg2Select:
+		if api.TokensHere() == 0 {
+			return f.selMove()
+		}
+		f.tokensSeen++
+		if api.AgentsHere() > 0 {
+			f.cur.fNum++
+			return f.selMove()
+		}
+		return f.reachedActive(f.tokensSeen == f.p.k)
+	case alg2Lead:
+		if api.TokensHere() == 0 {
+			return sim.Action{Kind: sim.ActionMove}
+		}
+		if f.count == f.own.fNum {
+			return sim.Action{Kind: sim.ActionDone} // the next base node: this leader's target
+		}
+		fNum := f.own.fNum
+		api.Broadcast(deployMsg{TBase: fNum - f.count, N: f.n, K: f.p.k, B: f.p.baseCount(api, f.n, fNum)})
+		f.count++
+		return sim.Action{Kind: sim.ActionMove}
+	case alg2Await:
+		for _, raw := range api.Messages() {
+			if dm, ok := raw.(deployMsg); ok {
+				return f.deploy(api, dm)
+			}
+		}
+		return sim.Action{Kind: sim.ActionAwait}
+	case alg2ToBase:
+		if api.TokensHere() > 0 {
+			f.count++
+		}
+		if f.count < f.msg.TBase {
+			return sim.Action{Kind: sim.ActionMove}
+		}
+		return f.walkSlots(api, false)
+	default: // alg2Slots
+		if f.left > 0 {
+			f.left--
+			return sim.Action{Kind: sim.ActionMove}
+		}
+		return f.walkSlots(api, true)
+	}
+}
+
+func (f *alg2Frame) beginSubPhase() sim.Action {
+	f.phase = alg2Select
+	f.tokensSeen, f.circuit, f.seg, f.cur = 0, 0, 0, activeID{}
+	return f.selMove()
+}
+
+func (f *alg2Frame) nextTraversal() sim.Action {
+	f.seg++
+	f.cur = activeID{}
+	return f.selMove()
+}
+
+func (f *alg2Frame) selMove() sim.Action {
+	f.cur.d++
+	f.circuit++
+	return sim.Action{Kind: sim.ActionMove}
+}
+
+// reachedActive continues Run where a nextActive traversal returns,
+// inside the activation that found the active node: it folds the
+// traversal's ID into the sub-phase verdict, then starts the next
+// traversal or settles the sub-phase.
+func (f *alg2Frame) reachedActive(wrapped bool) sim.Action {
+	p, id := f.p, f.cur
+	switch f.seg {
+	case 0:
+		f.own = id
+		if wrapped {
+			if f.n == 0 {
+				f.n = f.circuit
+			}
+			p.decided(f.subPhase, true)
+			return f.lead()
+		}
+		return f.nextTraversal()
+	case 1:
+		f.next = id
+		f.identical = f.own.equal(id)
+		f.min = !id.less(f.own)
+	default:
+		if !f.own.equal(id) {
+			f.identical = false
+		}
+		if id.less(f.own) {
+			f.min = false
+		}
+	}
+	if !wrapped && f.tokensSeen < p.k {
+		return f.nextTraversal()
+	}
+	if f.tokensSeen != p.k {
+		return sim.Action{Kind: sim.ActionDone,
+			Err: fmt.Errorf("%w: circuit ended after %d tokens, want %d", ErrInvariant, f.tokensSeen, p.k)}
+	}
+	if f.n == 0 {
+		f.n = f.circuit
+	} else if f.n != f.circuit {
+		return sim.Action{Kind: sim.ActionDone,
+			Err: fmt.Errorf("%w: circuit length changed %d -> %d", ErrInvariant, f.n, f.circuit)}
+	}
+	if f.identical {
+		if f.own.d <= 0 || f.n%f.own.d != 0 {
+			return sim.Action{Kind: sim.ActionDone,
+				Err: fmt.Errorf("%w: base distance %d does not divide n=%d", ErrInvariant, f.own.d, f.n)}
+		}
+		p.decided(f.subPhase, true)
+		return f.lead()
+	}
+	if !f.min || f.own.equal(f.next) {
+		p.decided(f.subPhase, false)
+		// Suspend without reading the inbox: this activation is an
+		// arrival, and an arrival's inbox is always empty, so Run's first
+		// AwaitMessages suspends at once.
+		f.phase = alg2Await
+		return sim.Action{Kind: sim.ActionAwait}
+	}
+	f.subPhase++
+	return f.beginSubPhase()
+}
+
+func (f *alg2Frame) lead() sim.Action {
+	f.phase, f.count = alg2Lead, 0
+	return sim.Action{Kind: sim.ActionMove}
+}
+
+// deploy starts the follower's walk on receipt of the leader's message.
+func (f *alg2Frame) deploy(api sim.API, dm deployMsg) sim.Action {
+	if dm.K != f.p.k {
+		return sim.Action{Kind: sim.ActionDone,
+			Err: fmt.Errorf("%w: deploy message carries k=%d, agent knows %d", ErrInvariant, dm.K, f.p.k)}
+	}
+	f.msg, f.count = dm, 0
+	if dm.TBase > 0 {
+		f.phase = alg2ToBase
+		return sim.Action{Kind: sim.ActionMove}
+	}
+	return f.walkSlots(api, false)
+}
+
+// walkSlots runs Run's slot loop from an interval boundary. With arrived
+// set, the follower has just walked an interval and first checks the
+// slot it reached; then it starts the next interval, or fails once the
+// (k+4)n cap is spent.
+func (f *alg2Frame) walkSlots(api sim.API, arrived bool) sim.Action {
+	m := f.msg
+	for {
+		if arrived {
+			f.slot = (f.slot + 1) % (m.K / m.B)
+			if f.slot != 0 && api.AgentsHere() == 0 {
+				return sim.Action{Kind: sim.ActionDone} // occupy this target and halt
+			}
+		}
+		if f.walked > (m.K+4)*m.N {
+			return sim.Action{Kind: sim.ActionDone,
+				Err: fmt.Errorf("%w: follower found no vacant target within (k+4)n moves", ErrInvariant)}
+		}
+		step, err := SlotInterval(m.N, m.K, m.B, f.slot)
+		if err != nil {
+			return sim.Action{Kind: sim.ActionDone, Err: fmt.Errorf("slot schedule: %w", err)}
+		}
+		f.walked += step
+		arrived = true
+		if step > 0 {
+			f.phase, f.left = alg2Slots, step-1
+			return sim.Action{Kind: sim.ActionMove}
+		}
+	}
+}
+
+// SaveState/LoadState implement sim.FrameSaver (see alg1Frame): the
+// phase, the selection counters and IDs, and the deployment state, all
+// fixed-width — Algorithm 2 keeps no sequence.
+func (f *alg2Frame) SaveState(buf []int) []int {
+	return append(buf, f.phase, f.subPhase, f.n, f.tokensSeen, f.circuit, f.seg,
+		f.cur.d, f.cur.fNum, f.own.d, f.own.fNum, f.next.d, f.next.fNum,
+		boolWord(f.identical), boolWord(f.min),
+		f.msg.TBase, f.msg.N, f.msg.K, f.msg.B, f.count, f.slot, f.walked, f.left)
+}
+
+func (f *alg2Frame) LoadState(buf []int) int {
+	f.phase, f.subPhase, f.n, f.tokensSeen, f.circuit, f.seg = buf[0], buf[1], buf[2], buf[3], buf[4], buf[5]
+	f.cur = activeID{d: buf[6], fNum: buf[7]}
+	f.own = activeID{d: buf[8], fNum: buf[9]}
+	f.next = activeID{d: buf[10], fNum: buf[11]}
+	f.identical, f.min = buf[12] != 0, buf[13] != 0
+	f.msg = deployMsg{TBase: buf[14], N: buf[15], K: buf[16], B: buf[17]}
+	f.count, f.slot, f.walked, f.left = buf[18], buf[19], buf[20], buf[21]
+	return 22
+}
+
+func boolWord(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

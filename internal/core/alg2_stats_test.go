@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"agentring/internal/ring"
@@ -11,27 +12,46 @@ import (
 )
 
 // runAlg2Instrumented runs Algorithm 2+3 collecting per-agent selection
-// statistics.
-func runAlg2Instrumented(t *testing.T, n int, homes []ring.NodeID, sched sim.Scheduler) (sim.Result, []SelectionStats) {
+// statistics, once as frames and once forced onto the coroutine path
+// under a fresh scheduler from sched (nil for the default). The frame
+// must call the selection hook at the same points Run does, so the two
+// runs must report identical SelectionStats sequences and outcomes.
+func runAlg2Instrumented(t *testing.T, n int, homes []ring.NodeID, sched func() sim.Scheduler) (sim.Result, []SelectionStats) {
 	t.Helper()
-	var stats []SelectionStats
-	programs := make([]sim.Program, len(homes))
-	for i := range programs {
-		p, err := NewAlg2Instrumented(len(homes), func(s SelectionStats) {
-			stats = append(stats, s)
-		})
+	run := func(forceCoroutine bool) (sim.Result, []SelectionStats) {
+		var stats []SelectionStats
+		programs := make([]sim.Program, len(homes))
+		for i := range programs {
+			p, err := NewAlg2Instrumented(len(homes), func(s SelectionStats) {
+				stats = append(stats, s)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			programs[i] = p
+		}
+		opts := sim.Options{ForceCoroutine: forceCoroutine}
+		if sched != nil {
+			opts.Scheduler = sched()
+		}
+		e, err := sim.NewEngine(ring.MustNew(n), homes, programs, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		programs[i] = p
+		res, err := e.Run()
+		if err != nil {
+			t.Fatalf("run (coroutine=%v): %v", forceCoroutine, err)
+		}
+		return res, stats
 	}
-	e, err := sim.NewEngine(ring.MustNew(n), homes, programs, sim.Options{Scheduler: sched})
-	if err != nil {
-		t.Fatal(err)
+	res, stats := run(false)
+	coroRes, coroStats := run(true)
+	if !reflect.DeepEqual(stats, coroStats) {
+		t.Fatalf("n=%d homes=%v: selection stats diverge:\nframe:     %+v\ncoroutine: %+v", n, homes, stats, coroStats)
 	}
-	res, err := e.Run()
-	if err != nil {
-		t.Fatalf("run: %v", err)
+	if res.Steps != coroRes.Steps || !reflect.DeepEqual(res.Positions(), coroRes.Positions()) {
+		t.Fatalf("n=%d homes=%v: frame run (%d steps, %v) differs from coroutine run (%d steps, %v)",
+			n, homes, res.Steps, res.Positions(), coroRes.Steps, coroRes.Positions())
 	}
 	return res, stats
 }
@@ -56,7 +76,7 @@ func TestAlg2SubPhaseBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, stats := runAlg2Instrumented(t, n, homes, sim.NewRandom(int64(trial)))
+		res, stats := runAlg2Instrumented(t, n, homes, func() sim.Scheduler { return sim.NewRandom(int64(trial)) })
 		if err := verify.CheckDefinition1(n, res); err != nil {
 			t.Fatalf("n=%d k=%d: %v", n, k, err)
 		}

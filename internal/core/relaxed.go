@@ -62,11 +62,14 @@ func NewRelaxedAblation(repetitions, patrolMultiple int) (sim.Program, error) {
 	return &relaxed{repetitions: repetitions, patrolMultiple: patrolMultiple}, nil
 }
 
+// relaxedScalars is the fixed scalar working set metered by the relaxed
+// algorithm: nPrime, kPrime, nodes, dis, rank, disBase, t, loop counters.
+const relaxedScalars = 8
+
 // Run implements sim.Program.
 func (p *relaxed) Run(api sim.API) error {
 	m := api.Meter()
-	const scalars = 8 // nPrime, kPrime, nodes, dis, rank, disBase, t, loop counters
-	m.Set(scalars)
+	m.Set(relaxedScalars)
 
 	// ---- Estimating phase (Algorithm 4) ----
 	api.ReleaseToken()
@@ -83,7 +86,7 @@ func (p *relaxed) Run(api sim.API) error {
 			}
 		}
 		d = append(d, dis)
-		m.Set(scalars + len(d))
+		m.Set(relaxedScalars + len(d))
 		if seq.RepetitionPrefix(d, p.repetitions) {
 			break
 		}
@@ -145,7 +148,7 @@ func (p *relaxed) Run(api sim.API) error {
 		t, _ := seq.AlignSubsequenceMod(d, upd.D, upd.Nodes-nodes, upd.NPrime)
 		nPrime, kPrime = upd.NPrime, upd.KPrime
 		d = seq.Rotate(upd.D, t)
-		m.Set(scalars + len(d))
+		m.Set(relaxedScalars + len(d))
 
 		// Catch up so that our total moves again equal 12 x n' — the
 		// position congruent to our home 12 estimated circuits along
@@ -159,4 +162,152 @@ func (p *relaxed) Run(api sim.API) error {
 			nodes++
 		}
 	}
+}
+
+// Frame implements sim.Framer: Algorithms 4-6 as a resumable state
+// machine making the same API-call sequence as Run, one atomic action
+// per Step.
+func (p *relaxed) Frame() sim.Frame { return &relaxedFrame{p: p} }
+
+// relaxedFrame phases.
+const (
+	relaxedInit     = iota // before the first activation
+	relaxedEstimate        // walking token to token, recording distances
+	relaxedPatrol          // moving until patrolMultiple x n' total moves
+	relaxedDeploy          // walking to the estimated target
+	relaxedCatchUp         // catching up to patrolMultiple x n' total moves after a restart
+	relaxedSuspend         // suspended at the target until a correction arrives
+)
+
+// relaxedFrame is the data-oriented execution of Algorithms 4-6: the
+// distance sequence and the estimates derived from it, the total move
+// count, and a countdown of the walk in progress.
+type relaxedFrame struct {
+	p              *relaxed
+	phase          int
+	d              []int
+	dis, nodes     int
+	nPrime, kPrime int
+	left           int // moves remaining in the deployment or catch-up walk
+}
+
+func (f *relaxedFrame) Step(api sim.API) sim.Action {
+	switch f.phase {
+	case relaxedInit:
+		api.Meter().Set(relaxedScalars)
+		api.ReleaseToken()
+		f.phase = relaxedEstimate
+		return f.estimateMove()
+	case relaxedEstimate:
+		if api.TokensHere() == 0 {
+			return f.estimateMove()
+		}
+		f.d = append(f.d, f.dis)
+		api.Meter().Set(relaxedScalars + len(f.d))
+		if !seq.RepetitionPrefix(f.d, f.p.repetitions) {
+			f.dis = 0
+			return f.estimateMove()
+		}
+		f.kPrime = len(f.d) / f.p.repetitions
+		f.nPrime = seq.Sum(f.d[:f.kPrime])
+		f.phase = relaxedPatrol
+		return f.patrol()
+	case relaxedPatrol:
+		if api.AgentsHere() > 0 {
+			api.Broadcast(patrolMsg{NPrime: f.nPrime, KPrime: f.kPrime, Nodes: f.nodes, D: append([]int(nil), f.d...)})
+		}
+		return f.patrol()
+	case relaxedDeploy, relaxedCatchUp:
+		return f.walk()
+	default: // relaxedSuspend
+		for _, raw := range api.Messages() {
+			msg, ok := raw.(patrolMsg)
+			if !ok || f.nPrime > msg.NPrime/2 {
+				continue
+			}
+			if t, ok := seq.AlignSubsequenceMod(f.d, msg.D, msg.Nodes-f.nodes, msg.NPrime); ok {
+				return f.restart(api, msg, t)
+			}
+		}
+		return sim.Action{Kind: sim.ActionAwait}
+	}
+}
+
+func (f *relaxedFrame) estimateMove() sim.Action {
+	f.nodes++
+	f.dis++
+	return sim.Action{Kind: sim.ActionMove}
+}
+
+// patrol keeps moving until the patrolling budget is spent, then
+// deploys within the same activation.
+func (f *relaxedFrame) patrol() sim.Action {
+	if f.nodes < f.p.patrolMultiple*f.nPrime {
+		f.nodes++
+		return sim.Action{Kind: sim.ActionMove}
+	}
+	return f.deploy()
+}
+
+// deploy derives the target from the current estimates and starts the
+// walk to it.
+func (f *relaxedFrame) deploy() sim.Action {
+	fund := f.d[:f.kPrime]
+	rank := seq.MinRotation(fund)
+	disBase := seq.Sum(fund[:rank])
+	offset, err := TargetOffset(f.nPrime, f.kPrime, 1, rank)
+	if err != nil {
+		return sim.Action{Kind: sim.ActionDone, Err: fmt.Errorf("relaxed target for rank %d: %w", rank, err)}
+	}
+	f.phase, f.left = relaxedDeploy, disBase+offset
+	return f.walk()
+}
+
+// walk spends the walk in progress. A finished deployment walk suspends,
+// a finished catch-up walk deploys again.
+func (f *relaxedFrame) walk() sim.Action {
+	if f.left > 0 {
+		f.left--
+		f.nodes++
+		return sim.Action{Kind: sim.ActionMove}
+	}
+	if f.phase == relaxedCatchUp {
+		return f.deploy()
+	}
+	// Suspend without reading the inbox: Run's AwaitMessages finds it
+	// empty here, because an arrival's inbox always is and a restart has
+	// just read it.
+	f.phase = relaxedSuspend
+	return sim.Action{Kind: sim.ActionAwait}
+}
+
+// restart adopts an accepted correction (t is its alignment) and starts
+// the catch-up walk.
+func (f *relaxedFrame) restart(api sim.API, upd patrolMsg, t int) sim.Action {
+	f.nPrime, f.kPrime = upd.NPrime, upd.KPrime
+	f.d = seq.Rotate(upd.D, t)
+	api.Meter().Set(relaxedScalars + len(f.d))
+	catchUp := f.p.patrolMultiple*f.nPrime - f.nodes
+	if catchUp < 0 {
+		return sim.Action{Kind: sim.ActionDone,
+			Err: fmt.Errorf("%w: catch-up distance %d is negative", ErrInvariant, catchUp)}
+	}
+	f.phase, f.left = relaxedCatchUp, catchUp
+	return f.walk()
+}
+
+// SaveState/LoadState implement sim.FrameSaver (see alg1Frame): phase,
+// counters, estimates, and the length-prefixed distance sequence. The
+// sequence is frame-owned (Rotate copies, broadcasts copy), so LoadState
+// may overwrite it in place.
+func (f *relaxedFrame) SaveState(buf []int) []int {
+	buf = append(buf, f.phase, f.dis, f.nodes, f.nPrime, f.kPrime, f.left, len(f.d))
+	return append(buf, f.d...)
+}
+
+func (f *relaxedFrame) LoadState(buf []int) int {
+	f.phase, f.dis, f.nodes, f.nPrime, f.kPrime, f.left = buf[0], buf[1], buf[2], buf[3], buf[4], buf[5]
+	n := buf[6]
+	f.d = append(f.d[:0], buf[7:7+n]...)
+	return 7 + n
 }

@@ -51,14 +51,17 @@ func cexString(c *Counterexample) string {
 // modes are fully deterministic and visit items in the same DFS order,
 // so every semantic report field must match exactly; only Replays and
 // StepsReplayed may differ (they measure the cost model, which is the
-// whole point of the change). Alg2 runs as a coroutine, so its "auto"
-// search exercises the probe's fallback: checkpoint mode silently
-// declines and the two runs are the same search twice.
+// whole point of the change). Every grid algorithm runs as a
+// checkpointable frame, including the message-driven alg2 (leaders
+// wake suspended followers) and relaxed (suspended agents restart on a
+// correction); TestCoroutineFallbackReplaysExactly covers programs the
+// probe cannot checkpoint.
 func TestCheckpointReplayCrossCheck(t *testing.T) {
 	algs := map[string]Factory{
-		"alg1":  alg1Factory(2),
-		"naive": naiveFactory(2),
-		"alg2":  alg2Factory(2),
+		"alg1":    alg1Factory(2),
+		"naive":   naiveFactory(2),
+		"alg2":    alg2Factory(2),
+		"relaxed": relaxedFactory(2),
 	}
 	sawCex := false
 	for algName, factory := range algs {

@@ -38,10 +38,14 @@ const DefaultCheckpointStride = 4
 // snapshots; a variable so tests can tighten it.
 var progressInterval = 200 * time.Millisecond
 
-// Factory builds one fresh set of agent programs per replay. It is
-// called once for every expanded prefix, so it must be cheap and must
-// return programs in the same deterministic initial state every time.
-// It is called concurrently from search workers.
+// Factory builds one fresh set of agent programs per engine. A
+// checkpoint-mode search calls it once per worker, for the worker's
+// resident engine, and once per from-root replay confirming a
+// counterexample; a replay-mode search (programs that cannot be
+// checkpointed, or Options.ForceReplay) calls it once for every
+// expanded prefix, so it must be cheap. It must return programs in the
+// same deterministic initial state every time, and is called
+// concurrently from search workers.
 type Factory func() ([]sim.Program, error)
 
 // Setup fixes the system whose schedule space is explored: a substrate

@@ -66,6 +66,16 @@ func naiveFactory(k int) Factory {
 	}
 }
 
+func relaxedFactory(k int) Factory {
+	return func() ([]sim.Program, error) {
+		ps := make([]sim.Program, k)
+		for i := range ps {
+			ps[i] = core.NewRelaxed()
+		}
+		return ps, nil
+	}
+}
+
 // TestExhaustiveCleanAlgorithms model-checks the paper's universally
 // quantified claim head-on: for Algorithm 1 and Algorithms 2+3, *every*
 // asynchronous schedule from *every* initial configuration on rings up

@@ -22,6 +22,26 @@ func sweepSpec() Spec {
 	}
 }
 
+// blockerSpec is an exploration far too large to finish within a test:
+// Native with 7 clustered agents on the 14-ring expands about 45,000
+// states a second on a 2-vCPU VM, so even the default cap of 2^20
+// states takes some 20 s to reach. It holds a runner until the test
+// cancels it.
+func blockerSpec() Spec {
+	return Spec{Kind: KindExplore, Algorithm: "native", N: 14, K: 7, Workload: "clustered"}
+}
+
+// cancelBlocker cancels a blocker job and waits until it has stopped.
+func cancelBlocker(t *testing.T, e *Engine, id string) {
+	t.Helper()
+	if _, err := e.Cancel(id); err != nil {
+		t.Fatal(err)
+	}
+	if snap := waitFinal(t, e, id); snap.State != StateCancelled {
+		t.Fatalf("blocker ended %s, want cancelled", snap.State)
+	}
+}
+
 func waitFinal(t *testing.T, e *Engine, id string) Snapshot {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
@@ -115,11 +135,11 @@ func TestBadSpecRejectedAtSubmit(t *testing.T) {
 }
 
 func TestPriorityOrdersQueue(t *testing.T) {
-	// A single runner busy on a slow-ish first job; then a low and a
-	// high priority job: the high one must run (and finish) first.
+	// A single runner held by a blocker; then a low and a high priority
+	// job: once the blocker is cancelled, the high one must run first.
 	e := New(Options{Runners: 1, Workers: 1})
 	defer e.Close()
-	blocker, err := e.Submit("c1", Spec{Kind: KindSweep, Algorithm: "logspace", Ns: []int{128}, Ks: []int{8, 16}, Seed: 3})
+	blocker, err := e.Submit("c1", blockerSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +151,7 @@ func TestPriorityOrdersQueue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitFinal(t, e, blocker.ID)
+	cancelBlocker(t, e, blocker.ID)
 	hi := waitFinal(t, e, high.ID)
 	lo := waitFinal(t, e, low.ID)
 	if hi.Started == 0 || lo.Started == 0 {
@@ -143,10 +163,10 @@ func TestPriorityOrdersQueue(t *testing.T) {
 }
 
 func TestAdmissionQueueDepthAndQuota(t *testing.T) {
-	// Runners=1 and a long blocker keep everything else queued.
+	// Runners=1 and a blocker keep everything else queued.
 	e := New(Options{Runners: 1, Workers: 1, MaxQueue: 3, ClientQuota: 2})
 	defer e.Close()
-	blocker, err := e.Submit("greedy", Spec{Kind: KindSweep, Algorithm: "logspace", Ns: []int{256}, Ks: []int{16}, Seed: 1})
+	blocker, err := e.Submit("greedy", blockerSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,12 +197,13 @@ func TestAdmissionQueueDepthAndQuota(t *testing.T) {
 	if _, err := e.Submit("other3", sweepSpec()); !errors.Is(err, ErrQueueFull) {
 		t.Errorf("queue overflow: err = %v, want ErrQueueFull", err)
 	}
+	cancelBlocker(t, e, blocker.ID)
 }
 
 func TestCancelQueuedJob(t *testing.T) {
 	e := New(Options{Runners: 1, Workers: 1})
 	defer e.Close()
-	blocker, err := e.Submit("c1", Spec{Kind: KindSweep, Algorithm: "logspace", Ns: []int{256}, Ks: []int{16}, Seed: 2})
+	blocker, err := e.Submit("c1", blockerSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,14 +221,14 @@ func TestCancelQueuedJob(t *testing.T) {
 	if _, err := e.Result(victim.ID); !errors.Is(err, ErrNotFinished) {
 		t.Errorf("result of cancelled job: err = %v, want ErrNotFinished", err)
 	}
-	waitFinal(t, e, blocker.ID)
+	cancelBlocker(t, e, blocker.ID)
 }
 
 func TestCancelRunningJobStopsBetweenCells(t *testing.T) {
 	e := New(Options{Runners: 1, Workers: 1})
 	defer e.Close()
-	// Many cells so the cancel lands mid-job.
-	big := Spec{Kind: KindSweep, Algorithm: "logspace", Ns: []int{64, 96, 128, 160, 192, 224, 256}, Ks: []int{4, 8, 16}, Seed: 5}
+	// Many cells, each a few milliseconds, so the cancel lands mid-job.
+	big := Spec{Kind: KindSweep, Algorithm: "logspace", Ns: []int{1024, 2048, 4096}, Ks: []int{8, 16, 32, 64}, Seed: 5}
 	snap, err := e.Submit("c1", big)
 	if err != nil {
 		t.Fatal(err)
@@ -314,9 +335,12 @@ func TestUnsubscribedChannelCloses(t *testing.T) {
 func TestDrainCancelsQueuedFinishesRunning(t *testing.T) {
 	e := New(Options{Runners: 1, Workers: 1})
 	defer e.Close()
-	// A grid big enough that the second submission is still queued when
-	// the drain lands.
-	running, err := e.Submit("c1", Spec{Kind: KindSweep, Algorithm: "logspace", Ns: []int{128, 256}, Ks: []int{8, 16}, Seed: 4})
+	// An exploration that runs out its 200ms budget, so the second
+	// submission is still queued when the drain lands, and the drain
+	// waits for the first to finish.
+	long := blockerSpec()
+	long.MaxDurationMS = 200
+	running, err := e.Submit("c1", long)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,8 +361,8 @@ func TestDrainCancelsQueuedFinishesRunning(t *testing.T) {
 	e.Drain(ctx)
 	run, _ := e.Status(running.ID)
 	que, _ := e.Status(queued.ID)
-	if run.State != StateDone && run.State != StateCancelled {
-		t.Errorf("running job ended %s", run.State)
+	if run.State != StateDone {
+		t.Errorf("running job ended %s, want done", run.State)
 	}
 	if que.State != StateCancelled {
 		t.Errorf("queued job ended %s, want cancelled", que.State)
@@ -351,9 +375,8 @@ func TestDrainCancelsQueuedFinishesRunning(t *testing.T) {
 func TestDrainDeadlineCancelsRunning(t *testing.T) {
 	e := New(Options{Runners: 1, Workers: 1})
 	defer e.Close()
-	// A grid large enough to outlive the immediate deadline.
-	big := Spec{Kind: KindSweep, Algorithm: "logspace", Ns: []int{64, 128, 192, 256}, Ks: []int{4, 8, 16}, Seed: 9}
-	snap, err := e.Submit("c1", big)
+	// A job that outlives the immediate deadline.
+	snap, err := e.Submit("c1", blockerSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,8 +395,8 @@ func TestDrainDeadlineCancelsRunning(t *testing.T) {
 		t.Fatalf("drain with expired deadline took %v", elapsed)
 	}
 	final, _ := e.Status(snap.ID)
-	if final.State != StateCancelled && final.State != StateDone {
-		t.Errorf("running job ended %s after deadline drain", final.State)
+	if final.State != StateCancelled {
+		t.Errorf("running job ended %s after deadline drain, want cancelled", final.State)
 	}
 }
 

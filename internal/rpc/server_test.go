@@ -182,19 +182,22 @@ func TestErrorCodes(t *testing.T) {
 	err = cl.Call("events.unsubscribe", subscribeResult{Subscription: 42}, nil)
 	check(err, CodeNoSubscription)
 
-	// job.result before the job is done.
-	snap, err := cl.Submit(jobs.Spec{
-		Kind: jobs.KindSweep, Algorithm: "logspace",
-		Ns: []int{128, 256}, Ks: []int{8, 16}, Seed: 1, Scheduler: "synchronous",
-	})
+	// job.result before the job is done: an exploration far too large to
+	// finish within the test (see internal/jobs' blockerSpec) is still
+	// running or queued when the result is asked for; the test then
+	// cancels it.
+	snap, err := cl.Submit(jobs.Spec{Kind: jobs.KindExplore, Algorithm: "native", N: 14, K: 7, Workload: "clustered"})
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
 	_, err = cl.Result(snap.ID)
-	if err != nil {
-		check(err, CodeNotFinished)
+	check(err, CodeNotFinished)
+	if _, err := cl.Cancel(snap.ID); err != nil {
+		t.Fatalf("cancel: %v", err)
 	}
-	waitFinal(t, cl, snap.ID)
+	if got := waitFinal(t, cl, snap.ID); got.State != jobs.StateCancelled {
+		t.Fatalf("job state: %v, want cancelled", got.State)
+	}
 }
 
 func TestDaemonStatusProtocol(t *testing.T) {

@@ -40,11 +40,21 @@ type Action struct {
 //   - Step must not call the blocking methods Move, MoveVia, or
 //     AwaitMessages (they suspend a coroutine that does not exist
 //     here); doing so aborts the agent with a program error.
-//   - Before returning ActionAwait, Step should drain Messages():
-//     AwaitMessages returns already-delivered messages without
-//     suspending, so a frame that suspends instead must first have
-//     observed an empty inbox to match. Messages left unread when Step
-//     returns are dropped, exactly as at the end of a coroutine action.
+//   - ActionAwait stands for AwaitMessages on an empty inbox: the engine
+//     folds opAwait and nothing else. Return it only where the
+//     Program's AwaitMessages would find the inbox empty — in an arrival
+//     (only staying agents receive broadcasts, so an arrival's inbox is
+//     always empty) or after this Step has already called Messages().
+//     Calling Messages() just before suspending from an arrival would
+//     fold an opMessages entry the coroutine never folds. Where the
+//     inbox may hold messages (a wake, before Messages()),
+//     AwaitMessages returns them without suspending, so the frame must
+//     read and act on them as well.
+//   - The Step that resumes a suspended frame must call Messages()
+//     before any other observation, because AwaitMessages reads the
+//     inbox as soon as its coroutine resumes. Messages left unread when
+//     Step returns are dropped, exactly as at the end of a coroutine
+//     action.
 //   - An out-of-range ActionMove port fails the agent with the same
 //     program error an out-of-range MoveVia raises.
 //
