@@ -29,12 +29,6 @@ type BatchOptions struct {
 	// Workers bounds the number of concurrently executing runs. Zero or
 	// negative selects runtime.GOMAXPROCS(0).
 	Workers int
-	// Context is the pre-v2 way to make a batch cancellable.
-	//
-	// Deprecated: pass the context as RunBatch's first parameter; this
-	// field is honored only when that parameter is nil. See
-	// docs/API_V2.md.
-	Context context.Context
 	// OnResult, if non-nil, is invoked once per job as it completes,
 	// before RunBatch returns — the streaming view of the batch, used
 	// for live progress (NDJSON row emission, daemon job progress).
@@ -55,8 +49,7 @@ type BatchOptions struct {
 // Cancellation is checked between jobs — a run already executing
 // finishes normally (individual runs are bounded by Config.MaxSteps,
 // not wall-clock time), so the latency of a cancel is one in-flight run
-// per worker. A nil ctx falls back to the deprecated
-// BatchOptions.Context, then to context.Background().
+// per worker. A nil ctx is treated as context.Background().
 //
 // This is the bulk entry point for parameter sweeps and Monte Carlo
 // workloads: millions of small rings, or thousands of large ones, with
@@ -72,9 +65,6 @@ func RunBatch(ctx context.Context, jobs []Job, opts BatchOptions) []JobResult {
 	}
 	if workers > len(jobs) {
 		workers = len(jobs)
-	}
-	if ctx == nil {
-		ctx = opts.Context
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -116,19 +106,4 @@ func Sweep(ctx context.Context, alg Algorithm, cfgs []Config, opts BatchOptions)
 		jobs[i] = Job{Algorithm: alg, Config: cfg}
 	}
 	return RunBatch(ctx, jobs, opts)
-}
-
-// RunBatchLegacy is the pre-v2 entry point: cancellation only via the
-// deprecated BatchOptions.Context field.
-//
-// Deprecated: use RunBatch with a context.Context. See docs/API_V2.md.
-func RunBatchLegacy(jobs []Job, opts BatchOptions) []JobResult {
-	return RunBatch(nil, jobs, opts)
-}
-
-// SweepLegacy is the pre-v2 Sweep.
-//
-// Deprecated: use Sweep with a context.Context. See docs/API_V2.md.
-func SweepLegacy(alg Algorithm, cfgs []Config, opts BatchOptions) []JobResult {
-	return Sweep(nil, alg, cfgs, opts)
 }

@@ -150,13 +150,6 @@ func TestRunBatchPreCancelledSkipsEverything(t *testing.T) {
 			t.Errorf("job %d err = %v, want context.Canceled", i, res.Err)
 		}
 	}
-	// The deprecated BatchOptions.Context field still works when no
-	// context argument is supplied (the pre-redesign call shape).
-	for i, res := range agentring.RunBatch(nil, jobs, agentring.BatchOptions{Context: ctx}) {
-		if !errors.Is(res.Err, context.Canceled) {
-			t.Errorf("legacy job %d err = %v, want context.Canceled", i, res.Err)
-		}
-	}
 }
 
 func TestRunBatchOnResultStreamsEveryJob(t *testing.T) {

@@ -35,21 +35,6 @@ type Budget struct {
 	MaxDuration time.Duration
 }
 
-// Reduction selects the explorer's partial-order reduction mode.
-type Reduction int
-
-const (
-	// ReductionAuto (the default) applies the sleep-set reduction over
-	// the per-directed-edge independence relation — depth-stratified
-	// around fault boundaries when Config.Faults is non-empty.
-	ReductionAuto Reduction = iota
-	// ReductionOff explores without suppressing commuting reorderings,
-	// leaving only canonical-state caching. The covered state set is
-	// identical; only the work to cover it changes. Used to cross-check
-	// the reduction.
-	ReductionOff
-)
-
 // ExploreProgress is one live snapshot of a running exploration,
 // delivered to ExploreOptions.Progress.
 type ExploreProgress struct {
@@ -71,17 +56,6 @@ type ExploreProgress struct {
 
 // ExploreOptions tunes a schedule-space exploration: a Budget plus
 // search knobs.
-//
-// The pre-v2 flat bound fields remain as deprecated aliases so existing
-// callers keep compiling; each one is honored only when the
-// corresponding Budget field is zero. Migration is mechanical:
-//
-//	MaxDepth      -> Budget.MaxDepth
-//	MaxStates     -> Budget.MaxStates
-//	MaxSteps      -> Budget.MaxSteps
-//	MaxTotalMoves -> Budget.MaxTotalMoves
-//
-// (Workers was and remains a top-level knob.) See docs/API_V2.md.
 type ExploreOptions struct {
 	// Budget bounds the search.
 	Budget Budget
@@ -90,9 +64,6 @@ type ExploreOptions struct {
 	// and reports the same counterexample — parallelism only changes
 	// wall-clock time.
 	Workers int
-	// Reduction selects the partial-order reduction mode (default
-	// ReductionAuto).
-	Reduction Reduction
 	// Adversary, if non-nil, runs the search against an online fault
 	// adversary: link failures and repairs become choices of the
 	// schedule, bounded by the budget, so the exploration quantifies
@@ -107,37 +78,6 @@ type ExploreOptions struct {
 	// dedicated goroutine concurrently with the search; must be cheap
 	// and concurrency-safe. No calls happen after Explore returns.
 	Progress func(ExploreProgress)
-
-	// Deprecated: use Budget.MaxDepth. Honored when Budget.MaxDepth is
-	// zero.
-	MaxDepth int
-	// Deprecated: use Budget.MaxStates. Honored when Budget.MaxStates
-	// is zero.
-	MaxStates int
-	// Deprecated: use Budget.MaxSteps. Honored when Budget.MaxSteps is
-	// zero.
-	MaxSteps int
-	// Deprecated: use Budget.MaxTotalMoves. Honored when
-	// Budget.MaxTotalMoves is zero.
-	MaxTotalMoves int
-}
-
-// effectiveBudget folds the deprecated flat fields into the Budget.
-func (o ExploreOptions) effectiveBudget() Budget {
-	b := o.Budget
-	if b.MaxDepth == 0 {
-		b.MaxDepth = o.MaxDepth
-	}
-	if b.MaxStates == 0 {
-		b.MaxStates = o.MaxStates
-	}
-	if b.MaxSteps == 0 {
-		b.MaxSteps = o.MaxSteps
-	}
-	if b.MaxTotalMoves == 0 {
-		b.MaxTotalMoves = o.MaxTotalMoves
-	}
-	return b
 }
 
 // ExploreCounterexample is a concrete schedule defeating uniform
@@ -272,7 +212,6 @@ func Explore(ctx context.Context, alg Algorithm, cfg Config, opts ExploreOptions
 		}
 		adv = &nb
 	}
-	budget := opts.effectiveBudget()
 	var progress func(explore.Progress)
 	if opts.Progress != nil {
 		emit := opts.Progress
@@ -300,14 +239,13 @@ func Explore(ctx context.Context, alg Algorithm, cfg Config, opts ExploreOptions
 				return buildPrograms(alg, cfg, n, k)
 			},
 		}, explore.Options{
-			MaxDepth:         budget.MaxDepth,
-			MaxStates:        budget.MaxStates,
-			MaxSteps:         budget.MaxSteps,
-			MaxTotalMoves:    budget.MaxTotalMoves,
-			MaxDuration:      budget.MaxDuration,
-			Workers:          opts.Workers,
-			DisableReduction: opts.Reduction == ReductionOff,
-			Progress:         progress,
+			MaxDepth:      opts.Budget.MaxDepth,
+			MaxStates:     opts.Budget.MaxStates,
+			MaxSteps:      opts.Budget.MaxSteps,
+			MaxTotalMoves: opts.Budget.MaxTotalMoves,
+			MaxDuration:   opts.Budget.MaxDuration,
+			Workers:       opts.Workers,
+			Progress:      progress,
 		})
 	}
 	var advSim *sim.AdversaryBudget
@@ -390,13 +328,4 @@ func worstOutageProbe(adv AdversaryBudget, breaks bool, search func(*sim.Adversa
 		}
 	}
 	return wo
-}
-
-// ExploreLegacy is the pre-v2 entry point: no context, flat bound
-// fields only.
-//
-// Deprecated: use Explore with a context.Context; flat bound fields in
-// opts keep working there too. See docs/API_V2.md.
-func ExploreLegacy(alg Algorithm, cfg Config, opts ExploreOptions) (ExploreReport, error) {
-	return Explore(context.Background(), alg, cfg, opts)
 }

@@ -24,27 +24,28 @@ const (
 	DefaultMaxStates = 1 << 20
 )
 
-// DefaultCheckpointStride is the depth interval at which the
-// checkpointed search captures a fresh engine snapshot (see
-// Options.CheckpointStride). Chosen by BenchmarkExploreParallel: small
-// strides buy little (the warm-engine path already makes the common
-// expansion a single applied action) while paying a checkpoint copy
-// per stride levels; large strides lengthen the restore-replay suffix
-// after a steal. 4 sits on the flat part of the curve for every
-// benched workload.
+// DefaultCheckpointStride is the depth interval K at which the search
+// captures a fresh engine checkpoint for the subtree below:
+// backtracking (or stealing) restores the nearest checkpoint and
+// re-applies at most K recorded actions, making per-state cost
+// amortized O(K) instead of O(depth). Chosen by
+// BenchmarkExploreParallel: small strides buy little (the warm-engine
+// path already makes the common expansion a single applied action)
+// while paying a checkpoint copy per stride levels; large strides
+// lengthen the restore-replay suffix after a steal. 4 sits on the flat
+// part of the curve for every benched workload.
 const DefaultCheckpointStride = 4
 
 // progressInterval is how often a running search emits Progress
 // snapshots; a variable so tests can tighten it.
 var progressInterval = 200 * time.Millisecond
 
-// Factory builds one fresh set of agent programs per engine. A
-// checkpoint-mode search calls it once per worker, for the worker's
-// resident engine, and once per from-root replay confirming a
-// counterexample; a replay-mode search (programs that cannot be
-// checkpointed, or Options.ForceReplay) calls it once for every
-// expanded prefix, so it must be cheap. It must return programs in the
-// same deterministic initial state every time, and is called
+// Factory builds one fresh set of agent programs per engine. The search
+// calls it once per worker, for the worker's resident engine, and once
+// per from-root replay confirming a counterexample. Every program must
+// run as a checkpointable frame (sim.FrameSaver); Explore rejects
+// programs that do not with ErrSetup. The factory must return programs
+// in the same deterministic initial state every time, and is called
 // concurrently from search workers.
 type Factory func() ([]sim.Program, error)
 
@@ -57,10 +58,10 @@ type Setup struct {
 	Programs Factory
 	// Topology, if non-nil, replaces the default N-node unidirectional
 	// ring. Topologies must be immutable: one value is shared across
-	// every replay. N is ignored (derived) when Topology is set.
+	// every engine. N is ignored (derived) when Topology is set.
 	Topology sim.Topology
 	// Faults schedules link mutations applied identically in every
-	// replay (sim.Options.Faults), so the checker enumerates all agent
+	// execution (sim.Options.Faults), so the checker enumerates all agent
 	// interleavings around a fixed failure/repair timeline. Fault steps
 	// are indexed by atomic-action count, which equals the decision
 	// depth, making the schedule a deterministic function of depth — and
@@ -126,8 +127,8 @@ type Options struct {
 	// only changes wall-clock time, and is no longer limited by the
 	// root's branching factor.
 	Workers int
-	// MaxSteps is the per-replay engine step bound (0 = engine
-	// default). Replays that hit it produce a counterexample.
+	// MaxSteps is the per-execution engine step bound (0 = engine
+	// default). Schedules that hit it produce a counterexample.
 	MaxSteps int
 	// MaxTotalMoves, if positive, makes any reached state whose total
 	// move count exceeds it a counterexample — a mechanical check of
@@ -143,21 +144,6 @@ type Options struct {
 	// only the work to cover it changes. Used to cross-check the
 	// reduction.
 	DisableReduction bool
-	// CheckpointStride is the depth interval K at which the
-	// checkpoint-driven search captures a new engine snapshot for the
-	// subtree below: backtracking (or stealing) restores the nearest
-	// checkpoint and re-applies at most K recorded actions, making
-	// per-state cost amortized O(K) instead of O(depth). Zero selects
-	// DefaultCheckpointStride. Meaningful only when every agent program
-	// is checkpointable (sim.FrameSaver); otherwise the search replays
-	// from the initial configuration as before.
-	CheckpointStride int
-	// ForceReplay disables the checkpoint/restore fast path, forcing
-	// replay-from-root even for checkpointable programs. Coverage,
-	// verdicts, and counterexamples are identical either way (the
-	// checkpoint cross-check tests pin this); the switch exists for
-	// those tests and for bisecting a suspected checkpoint bug.
-	ForceReplay bool
 	// Progress, if non-nil, receives periodic snapshots of the running
 	// search (roughly every 200ms, plus one final snapshot as the
 	// search finishes). It is called from a dedicated goroutine,
@@ -178,7 +164,8 @@ type Progress struct {
 	States int64
 	// Frontier is the number of work items queued or being expanded.
 	Frontier int64
-	// CacheHits counts replays pruned by the canonical-state cache.
+	// CacheHits counts reached states pruned by the canonical-state
+	// cache.
 	CacheHits int64
 	// SleepSkips counts transitions suppressed by the reduction.
 	SleepSkips int64
@@ -234,14 +221,15 @@ func (c *Counterexample) String() string {
 // Report summarizes one exploration.
 type Report struct {
 	// States counts distinct canonical states expanded; Pruned counts
-	// replays that converged onto an already-explored state.
+	// reached states that converged onto an already-explored one.
 	States int
 	Pruned int
 	// SleepSkips counts transitions suppressed by the sleep-set
 	// reduction.
 	SleepSkips int
-	// Replays counts engine replays; StepsReplayed their total atomic
-	// actions (the search's real cost).
+	// Replays counts expansions plus the from-root replays that confirm
+	// a counterexample; StepsReplayed counts the atomic actions they
+	// executed (the search's real cost).
 	Replays       int
 	StepsReplayed int64
 	// Terminals counts quiescent leaves reached (with repetition);
@@ -262,8 +250,9 @@ type Report struct {
 
 // Explore runs the bounded model checker and returns its report.
 // Property violations are reported in Report.Counterexample; an error
-// is returned for invalid setups, or when ctx is cancelled mid-search
-// (the partial report accompanies ctx's error).
+// is returned for invalid setups (including programs that are not
+// checkpointable frames), or when ctx is cancelled mid-search (the
+// partial report accompanies ctx's error).
 //
 // The report is deterministic: any Workers value covers the same state
 // set (States is the size of the reachable set, independent of visit
@@ -379,41 +368,29 @@ func run(ctx context.Context, setup Setup, opts Options, rankSrc []int32, bounda
 		frontier: newFrontier(workers),
 		loads:    make([]atomic.Int64, workers),
 		start:    time.Now(),
-		stride:   opts.CheckpointStride,
 		wes:      make([]workerEngine, workers),
-	}
-	if x.stride <= 0 {
-		x.stride = DefaultCheckpointStride
 	}
 	x.cpPool.New = func() any { return new(sim.Checkpoint) }
 
-	// Probe for checkpoint mode: when every agent program runs as a
-	// FrameSaver frame, the search drives resident engines through
-	// restore + bounded re-apply instead of replaying every prefix from
-	// the initial configuration. The probe engine is recycled as worker
-	// 0's resident engine, and its capture of the initial configuration
-	// becomes the root checkpoint.
-	rootItem := item{}
-	if !opts.ForceReplay {
-		eng, err := x.newEngine()
-		if err != nil {
-			return Report{}, err
-		}
-		if eng.Checkpointable() {
-			root := x.cpPool.Get().(*sim.Checkpoint)
-			if err := eng.CheckpointTo(root); err != nil {
-				return Report{}, fmt.Errorf("%w: %v", ErrSetup, err)
-			}
-			x.cpMode = true
-			rootRef := &cpRef{cp: root}
-			rootRef.refs.Store(1)
-			rootItem.cp = rootRef
-			x.wes[0] = workerEngine{eng: eng}
-		}
+	// The first engine becomes worker 0's resident engine, and its
+	// capture of the initial configuration the root checkpoint.
+	eng, err := x.newEngine()
+	if err != nil {
+		return Report{}, err
 	}
+	if !eng.Checkpointable() {
+		return Report{}, fmt.Errorf("%w: programs are not checkpointable (every agent must run as a sim.FrameSaver frame)", ErrSetup)
+	}
+	root := x.cpPool.Get().(*sim.Checkpoint)
+	if err := eng.CheckpointTo(root); err != nil {
+		return Report{}, fmt.Errorf("%w: %v", ErrSetup, err)
+	}
+	rootItem := item{cp: &cpRef{cp: root}}
+	rootItem.cp.refs.Store(1)
+	x.wes[0] = workerEngine{eng: eng}
 
 	// Watchdog: a context cancellation or an expired wall-clock budget
-	// stops the frontier; workers then drain within one replay each.
+	// stops the frontier; workers then drain within one expansion each.
 	watchDone := make(chan struct{})
 	var timerC <-chan time.Time
 	var timer *time.Timer
@@ -513,13 +490,10 @@ type explorer struct {
 	abort    atomic.Int32
 	start    time.Time
 
-	// Checkpoint mode (cpMode): every frontier item carries a reference
-	// to a pooled engine checkpoint at most stride levels above it, each
-	// worker owns one resident engine (wes), and expansion restores +
-	// re-applies the suffix instead of replaying from the initial
-	// configuration.
-	cpMode bool
-	stride int
+	// Every frontier item carries a reference to a pooled engine
+	// checkpoint at most DefaultCheckpointStride levels above it, and
+	// each worker owns one resident engine (wes) that expansion restores
+	// and re-applies the missing suffix on.
 	cpPool sync.Pool
 	wes    []workerEngine
 
@@ -533,8 +507,8 @@ type explorer struct {
 // item being expanded descends from the engine's current node — skips
 // the restore entirely; in DFS order that is the overwhelmingly common
 // case, so most states cost a single applied action. It doubles as the
-// worker's per-expansion scratch space (both search modes), which is
-// what keeps the steady-state expansion loop nearly allocation-free.
+// worker's per-expansion scratch space, which is what keeps the
+// steady-state expansion loop nearly allocation-free.
 type workerEngine struct {
 	eng      *sim.Engine
 	node     *prefixNode
@@ -572,17 +546,13 @@ func (x *explorer) work(w int) {
 		if !ok {
 			return
 		}
-		if x.cpMode {
-			x.expandCP(w, it)
-		} else {
-			x.expand(w, it)
-		}
+		x.expand(w, it)
 		x.frontier.finish()
 	}
 }
 
 // newEngine builds a fresh tracked engine over the setup (no scheduler:
-// checkpoint-mode engines are driven through the step API, never Run).
+// resident engines are driven through the step API, never Run).
 func (x *explorer) newEngine() (*sim.Engine, error) {
 	programs, err := x.setup.Programs()
 	if err != nil {
@@ -600,17 +570,15 @@ func (x *explorer) newEngine() (*sim.Engine, error) {
 	return eng, nil
 }
 
-// replay runs the decision prefix on a fresh engine and returns the
-// replay scheduler (whose Record carries the enabled sets), the run
-// result, and the canonical state key of the reached configuration.
-func (x *explorer) replay(prefix []int) (*sim.Controlled, sim.Result, uint64, error) {
+// replay runs the decision prefix from the initial configuration on a
+// fresh engine and returns the replay scheduler (whose Record carries
+// the enabled sets), the run result, and Run's error.
+func (x *explorer) replay(prefix []int) (*sim.Controlled, sim.Result, error) {
 	programs, err := x.setup.Programs()
 	if err != nil {
-		return nil, sim.Result{}, 0, fmt.Errorf("%w: %v", ErrSetup, err)
+		return nil, sim.Result{}, fmt.Errorf("%w: %v", ErrSetup, err)
 	}
 	ctrl := sim.NewControlled(prefix)
-	// The topology is immutable (tokens are engine state), so one
-	// shared value serves every replay.
 	eng, err := sim.NewEngine(x.setup.Topology, x.setup.Homes, programs, sim.Options{
 		Scheduler:  ctrl,
 		MaxSteps:   x.opts.MaxSteps,
@@ -619,27 +587,13 @@ func (x *explorer) replay(prefix []int) (*sim.Controlled, sim.Result, uint64, er
 		TrackState: true,
 	})
 	if err != nil {
-		return nil, sim.Result{}, 0, fmt.Errorf("%w: %v", ErrSetup, err)
+		return nil, sim.Result{}, fmt.Errorf("%w: %v", ErrSetup, err)
 	}
-	res, runErr := eng.Run()
-	key := eng.Snapshot().Key()
+	res, err := eng.Run()
 	x.st.replays.Add(1)
 	x.st.stepsReplayed.Add(int64(res.Steps))
-	if runErr != nil {
-		if errors.Is(runErr, sim.ErrBadSetup) {
-			return nil, res, key, runErr
-		}
-		// Program failures and step-limit overruns are findings, not
-		// search errors: this schedule defeats the algorithm.
-		x.foundCex(prefix, ctrl, res, runErr.Error())
-		return nil, res, key, errReported
-	}
-	return ctrl, res, key, nil
+	return ctrl, res, err
 }
-
-// errReported marks replays whose failure was already converted into a
-// counterexample; the worker just moves on.
-var errReported = errors.New("explore: reported")
 
 // fail records the first setup error and stops the search.
 func (x *explorer) fail(err error) {
@@ -678,67 +632,9 @@ func (x *explorer) foundCex(prefix []int, ctrl *sim.Controlled, res sim.Result, 
 	x.frontier.requestStop()
 }
 
-// expand replays one prefix and, when the reached state is new work,
-// pushes its children onto the expanding worker's deque — in reverse
-// index order, so the owner pops them lexicographically.
-func (x *explorer) expand(w int, it item) {
-	if x.frontier.stopped() {
-		return
-	}
-	x.loads[w].Add(1)
-	ctrl, res, key, err := x.replay(it.prefix)
-	switch {
-	case errors.Is(err, errReported):
-		return
-	case err != nil:
-		x.fail(err)
-		return
-	}
-	depth := len(it.prefix)
-	x.st.observeDepth(depth)
-	if len(x.setup.Faults) > 0 {
-		// With faults, the pending mutation suffix is a function of the
-		// depth; fold it into the key so only equal-length prefixes can
-		// converge (see Setup.Faults).
-		key = mix64(key ^ (uint64(depth) + 1))
-	}
-
-	// Check the move bound before caching: move counts are path-dependent
-	// (excluded from the state key), so the check must see every replayed
-	// state — including quiescent terminals and pruned revisits.
-	if x.opts.MaxTotalMoves > 0 && res.TotalMoves > x.opts.MaxTotalMoves {
-		x.foundCex(it.prefix, ctrl, res,
-			fmt.Sprintf("total moves %d exceed bound %d", res.TotalMoves, x.opts.MaxTotalMoves))
-		return
-	}
-
-	outcome, sleep, firstTerminal := x.cache.visit(key, depth, it.sleep, res.Quiesced, int64(x.opts.MaxStates), &x.st)
-	if outcome != visitExpand {
-		return
-	}
-	if res.Quiesced {
-		if firstTerminal {
-			if why := x.setup.Property(res); why != "" {
-				x.foundCex(it.prefix, ctrl, res, why)
-			}
-		}
-		return
-	}
-	if depth >= x.opts.MaxDepth {
-		x.st.truncated.Add(1)
-		return
-	}
-
-	enabled := ctrl.Record[depth]
-	children := x.makeChildren(w, it, enabled, sleep, depth)
-	slices.Reverse(children)
-	x.frontier.push(w, children)
-}
-
 // makeChildren builds the frontier items for the unsuppressed enabled
 // choices of a node being expanded, applying the sleep-set reduction
-// and its fault-boundary stratification identically for the replay and
-// checkpoint search modes.
+// and its fault-boundary stratification.
 // The children slice and explored scratch are owned by the calling
 // worker and reused across expansions (frontier.push copies items into
 // the deque, so neither outlives the call).
@@ -791,19 +687,12 @@ func (x *explorer) makeChildren(w int, it item, enabled []sim.Choice, sleep slee
 				}
 			}
 		}
-		if x.cpMode {
-			// The path is the shared parent chain plus one edge: O(1)
-			// per child instead of an O(depth) prefix copy.
-			children = append(children, item{
-				node:  &prefixNode{parent: it.node, last: i, depth: depth + 1},
-				sleep: childSleep,
-			})
-		} else {
-			prefix := make([]int, len(it.prefix)+1)
-			copy(prefix, it.prefix)
-			prefix[len(it.prefix)] = i
-			children = append(children, item{prefix: prefix, sleep: childSleep})
-		}
+		// The path is the shared parent chain plus one edge: O(1) per
+		// child instead of an O(depth) prefix copy.
+		children = append(children, item{
+			node:  &prefixNode{parent: it.node, last: i, depth: depth + 1},
+			sleep: childSleep,
+		})
 		if c.Agent >= 0 {
 			// Only agent actions enter the commutation record: an
 			// adversary move is never a sound suppression for a sibling
@@ -817,16 +706,15 @@ func (x *explorer) makeChildren(w int, it item, enabled []sim.Choice, sleep slee
 	return children
 }
 
-// expandCP is expand for the checkpoint-driven search: instead of
-// replaying it.prefix from the initial configuration, it restores the
-// item's checkpoint (at most stride levels up) — or, on the warm path,
-// reuses the worker's resident engine already sitting at an ancestor —
-// and applies only the missing suffix. Everything downstream of
-// reaching the state (state keying, caching, reduction, bounds,
-// verdicts) is shared with the replay mode, and every counterexample is
-// routed through one from-root replay (confirmCex), so reports stay
-// byte-identical between modes and across worker counts.
-func (x *explorer) expandCP(w int, it item) {
+// expand reaches one item's state and, when it is new work, pushes its
+// children onto the expanding worker's deque — in reverse index order,
+// so the owner pops them lexicographically. It restores the item's
+// checkpoint (at most DefaultCheckpointStride levels up) — or, on the
+// warm path, reuses the worker's resident engine already sitting at an
+// ancestor — and applies only the missing suffix. Every counterexample
+// is routed through one from-root replay (confirmCex), so reports stay
+// byte-identical across worker counts.
+func (x *explorer) expand(w int, it item) {
 	defer x.release(it.cp)
 	if x.frontier.stopped() {
 		return
@@ -848,7 +736,8 @@ func (x *explorer) expandCP(w int, it item) {
 	// first) down to the cheapest usable starting point: the worker's
 	// resident engine when it sits at an ancestor (the owner-pops-child
 	// case: exactly the parent), the item's checkpoint otherwise
-	// (backtracks and steals) — at most stride decisions away.
+	// (backtracks and steals) — at most DefaultCheckpointStride
+	// decisions away.
 	suffix := we.suffix[:0]
 	start := -1
 	for n := it.node; ; n = n.parent {
@@ -910,8 +799,14 @@ func (x *explorer) expandCP(w int, it item) {
 
 	key := eng.StateKey()
 	if len(x.setup.Faults) > 0 {
+		// With faults, the pending mutation suffix is a function of the
+		// depth; fold it into the key so only equal-length prefixes can
+		// converge (see Setup.Faults).
 		key = mix64(key ^ (uint64(depth) + 1))
 	}
+	// Check the move bound before caching: move counts are path-dependent
+	// (excluded from the state key), so the check must see every reached
+	// state — including quiescent terminals and pruned revisits.
 	if x.opts.MaxTotalMoves > 0 && eng.TotalMoves() > x.opts.MaxTotalMoves {
 		x.confirmCex(materializePrefix(it.node))
 		return
@@ -941,7 +836,7 @@ func (x *explorer) expandCP(w int, it item) {
 	// levels, the parent's otherwise. References cover every child
 	// before the parent's own is released (deferred above).
 	ref := it.cp
-	if depth-ref.depth >= x.stride {
+	if depth-ref.depth >= DefaultCheckpointStride {
 		cp := x.cpPool.Get().(*sim.Checkpoint)
 		if err := eng.CheckpointTo(cp); err != nil {
 			x.fail(fmt.Errorf("%w: %v", ErrSetup, err))
@@ -957,36 +852,36 @@ func (x *explorer) expandCP(w int, it item) {
 	x.frontier.push(w, children)
 }
 
-// confirmCex converts a violation the checkpoint path detected into the
+// confirmCex converts a violation the search detected into the
 // canonical counterexample by replaying the prefix once from the
 // initial configuration: the replay's Record supplies the schedule (and
 // its truncation on step-limit overruns), so the emitted counterexample
-// is byte-identical to the one the replay-only search reports for the
-// same prefix — regardless of search mode, worker count, or which
-// checkpoint the detection ran from.
+// never depends on the worker count or which checkpoint the detection
+// ran from.
 func (x *explorer) confirmCex(prefix []int) {
-	ctrl, res, _, err := x.replay(prefix)
+	ctrl, res, err := x.replay(prefix)
+	var why string
 	switch {
-	case errors.Is(err, errReported):
-		return // program failure or step limit: replay already reported it
-	case err != nil:
+	case ctrl == nil || errors.Is(err, sim.ErrBadSetup):
 		x.fail(err)
 		return
+	case err != nil:
+		// Program failures and step-limit overruns are findings, not
+		// search errors: this schedule defeats the algorithm.
+		why = err.Error()
+	case x.opts.MaxTotalMoves > 0 && res.TotalMoves > x.opts.MaxTotalMoves:
+		why = fmt.Sprintf("total moves %d exceed bound %d", res.TotalMoves, x.opts.MaxTotalMoves)
+	case res.Quiesced:
+		why = x.setup.Property(res)
 	}
-	if x.opts.MaxTotalMoves > 0 && res.TotalMoves > x.opts.MaxTotalMoves {
-		x.foundCex(prefix, ctrl, res,
-			fmt.Sprintf("total moves %d exceed bound %d", res.TotalMoves, x.opts.MaxTotalMoves))
+	if why == "" {
+		// The confirming replay must reproduce the violation; reaching
+		// here means the checkpointed and from-root executions disagree
+		// on this prefix.
+		x.fail(fmt.Errorf("%w: checkpoint/replay divergence on prefix %v", ErrSetup, prefix))
 		return
 	}
-	if res.Quiesced {
-		if why := x.setup.Property(res); why != "" {
-			x.foundCex(prefix, ctrl, res, why)
-			return
-		}
-	}
-	// The confirming replay must reproduce the violation; reaching here
-	// means checkpoint and replay executions disagree on this prefix.
-	x.fail(fmt.Errorf("%w: checkpoint/replay divergence on prefix %v", ErrSetup, prefix))
+	x.foundCex(prefix, ctrl, res, why)
 }
 
 // snapshot assembles one Progress from the live counters.

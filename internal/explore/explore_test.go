@@ -2,8 +2,10 @@ package explore
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"agentring/internal/core"
 	"agentring/internal/ring"
@@ -74,6 +76,95 @@ func relaxedFactory(k int) Factory {
 		}
 		return ps, nil
 	}
+}
+
+// walker is the scripted test agent the explorer's synthetic scenarios
+// are built from: it moves through route (one port per atomic action,
+// sleeping pause before each move), then releases a token if drop is
+// set, and, if watch is set, takes port back when it finds a token
+// where the route ended. Run is the reference semantics; Frame runs the
+// same script as a checkpointable frame, the only kind of program
+// Explore searches.
+type walker struct {
+	route []int
+	pause time.Duration
+	drop  bool
+	watch bool
+	back  int
+}
+
+func (w walker) Run(api sim.API) error {
+	for _, p := range w.route {
+		time.Sleep(w.pause)
+		api.MoveVia(p)
+	}
+	if w.drop {
+		api.ReleaseToken()
+	}
+	if w.watch && api.TokensHere() > 0 {
+		api.MoveVia(w.back)
+	}
+	return nil
+}
+
+func (w walker) Frame() sim.Frame { return &walkerFrame{w: w} }
+
+// walkerFrame is a walker's script as a frame; moved counts the moves
+// made so far, the frame's whole resumable state.
+type walkerFrame struct {
+	w     walker
+	moved int
+}
+
+func (f *walkerFrame) Step(api sim.API) sim.Action {
+	w := f.w
+	if f.moved < len(w.route) {
+		time.Sleep(w.pause)
+		f.moved++
+		return sim.Action{Kind: sim.ActionMove, Port: w.route[f.moved-1]}
+	}
+	if f.moved == len(w.route) {
+		if w.drop {
+			api.ReleaseToken()
+		}
+		if w.watch && api.TokensHere() > 0 {
+			f.moved++
+			return sim.Action{Kind: sim.ActionMove, Port: w.back}
+		}
+	}
+	return sim.Action{Kind: sim.ActionDone}
+}
+
+func (f *walkerFrame) SaveState(buf []int) []int { return append(buf, f.moved) }
+
+func (f *walkerFrame) LoadState(buf []int) int {
+	f.moved = buf[0]
+	return 1
+}
+
+// walkers returns a factory handing every engine the given scripts
+// (walker values are immutable; each engine builds its own frames).
+func walkers(ws ...walker) Factory {
+	return func() ([]sim.Program, error) {
+		ps := make([]sim.Program, len(ws))
+		for i, w := range ws {
+			ps[i] = w
+		}
+		return ps, nil
+	}
+}
+
+// pausingWalkers is k walkers of steps forward moves each, sleeping
+// 20µs before every move: a search over them stays slow enough for a
+// few-millisecond budget or deadline to fire mid-run, and an expanding
+// worker yields the processor, so a pool of workers really interleaves
+// even on one CPU.
+func pausingWalkers(k, steps int) Factory {
+	ws := make([]walker, k)
+	for i := range ws {
+		ws[i] = walker{route: make([]int, steps), pause: 20 * time.Microsecond}
+	}
+	return walkers(ws...)
 }
 
 // TestExhaustiveCleanAlgorithms model-checks the paper's universally
@@ -265,16 +356,32 @@ func TestMoveBoundCounterexample(t *testing.T) {
 	}
 }
 
-// TestExploreSetupErrors checks setup validation surfaces as errors,
-// not counterexamples.
+// TestExploreSetupErrors checks setup validation surfaces as ErrSetup,
+// not counterexamples. That includes programs running as coroutines:
+// the search reaches states only by checkpoint and restore, so a
+// program without a sim.FrameSaver frame is refused, whether every
+// agent or just one runs that way.
 func TestExploreSetupErrors(t *testing.T) {
-	if _, err := Explore(context.Background(), Setup{N: 4, Homes: []ring.NodeID{0}}, Options{}); err == nil {
-		t.Fatal("nil factory accepted")
+	coroutine := sim.ProgramFunc(func(api sim.API) error {
+		api.Move()
+		return nil
+	})
+	programs := func(ps ...sim.Program) Factory {
+		return func() ([]sim.Program, error) { return ps, nil }
 	}
-	if _, err := Explore(context.Background(), Setup{N: 0, Homes: []ring.NodeID{0}, Programs: alg1Factory(1)}, Options{}); err == nil {
-		t.Fatal("zero-node ring accepted")
+	cases := []struct {
+		name  string
+		setup Setup
+	}{
+		{"nil factory", Setup{N: 4, Homes: []ring.NodeID{0}}},
+		{"zero-node ring", Setup{N: 0, Homes: []ring.NodeID{0}, Programs: alg1Factory(1)}},
+		{"duplicate homes", Setup{N: 4, Homes: []ring.NodeID{0, 0}, Programs: alg1Factory(2)}},
+		{"coroutine programs", Setup{N: 4, Homes: []ring.NodeID{0, 2}, Programs: programs(coroutine, coroutine)}},
+		{"one coroutine program", Setup{N: 4, Homes: []ring.NodeID{0, 2}, Programs: programs(walker{route: []int{0}}, coroutine)}},
 	}
-	if _, err := Explore(context.Background(), Setup{N: 4, Homes: []ring.NodeID{0, 0}, Programs: alg1Factory(2)}, Options{}); err == nil {
-		t.Fatal("duplicate homes accepted")
+	for _, tc := range cases {
+		if _, err := Explore(context.Background(), tc.setup, Options{}); !errors.Is(err, ErrSetup) {
+			t.Errorf("%s: err = %v, want ErrSetup", tc.name, err)
+		}
 	}
 }

@@ -180,21 +180,10 @@ func TestExplorePermanentFaultCounterexampleReplays(t *testing.T) {
 func TestExploreFaultSearchShape(t *testing.T) {
 	// Two independent walkers; the 1 -> 2 edge is down only for a
 	// window in the middle of the run.
-	factory := func() ([]sim.Program, error) {
-		mk := func(steps int) sim.Program {
-			return sim.ProgramFunc(func(api sim.API) error {
-				for i := 0; i < steps; i++ {
-					api.Move()
-				}
-				return nil
-			})
-		}
-		return []sim.Program{mk(2), mk(2)}, nil
-	}
 	setup := Setup{
 		N:        6,
 		Homes:    []ring.NodeID{0, 3},
-		Programs: factory,
+		Programs: walkers(walker{route: []int{0, 0}}, walker{route: []int{0, 0}}),
 		Faults: sim.FaultSchedule{
 			{Step: 2, From: 1, Port: 0, Up: false},
 			{Step: 5, From: 1, Port: 0, Up: true},
@@ -228,7 +217,7 @@ func TestExploreFaultSearchShape(t *testing.T) {
 		Pruned:            3,
 		SleepSkips:        4,
 		Replays:           17,
-		StepsReplayed:     50,
+		StepsReplayed:     24,
 		Terminals:         1,
 		DistinctTerminals: 1,
 		Deepest:           6,
@@ -237,4 +226,7 @@ func TestExploreFaultSearchShape(t *testing.T) {
 	if first != want {
 		t.Fatalf("fault search shape drifted:\ngot  %+v\nwant %+v", first, want)
 	}
+	// The walkers' frames answer to their Run: the from-root referee
+	// executes Run and must find the same space.
+	checkAgainstReferee(t, "fault search", first, fromRootReferee(t, setup))
 }

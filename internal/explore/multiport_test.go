@@ -43,25 +43,7 @@ func searchBoth(t *testing.T, setup Setup, opts Options) (with, without raceResu
 // token. The walk directions are given per agent as port sequences so
 // the same shape runs on any substrate.
 func racyPrograms(route0 []int, route1 []int, back0 int) Factory {
-	return func() ([]sim.Program, error) {
-		a0 := sim.ProgramFunc(func(api sim.API) error {
-			for _, p := range route0 {
-				api.MoveVia(p)
-			}
-			if api.TokensHere() > 0 {
-				api.MoveVia(back0)
-			}
-			return nil
-		})
-		a1 := sim.ProgramFunc(func(api sim.API) error {
-			for _, p := range route1 {
-				api.MoveVia(p)
-			}
-			api.ReleaseToken()
-			return nil
-		})
-		return []sim.Program{a0, a1}, nil
-	}
+	return walkers(walker{route: route0, watch: true, back: back0}, walker{route: route1, drop: true})
 }
 
 // TestSleepSetSoundOnMultiPort is the regression test for the footprint

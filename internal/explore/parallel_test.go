@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"agentring/internal/ring"
-	"agentring/internal/sim"
 	"agentring/internal/topo"
 	"agentring/internal/workload"
 )
@@ -68,26 +67,14 @@ func TestWorkersSpreadBeyondRootBranching(t *testing.T) {
 	//     and barely two work items ever coexist — there would be
 	//     nothing to spread regardless of the frontier design;
 	//   - each program step sleeps briefly, so an expanding worker
-	//     yields the processor mid-replay. On a single-CPU machine a
-	//     pure-CPU replay loop monopolizes the scheduler and the pool
+	//     yields the processor mid-expansion. On a single-CPU machine a
+	//     pure-CPU search loop monopolizes the scheduler and the pool
 	//     never warms up — which says nothing about the frontier.
 	//
 	// The spread is still timing-dependent, so the regression is
 	// probabilistic: the old design could NEVER exceed 2 busy workers
 	// here, the stealing frontier almost always does. Five attempts
 	// make a false negative vanishingly unlikely.
-	yieldingWalkers := func() ([]sim.Program, error) {
-		mk := func(steps int) sim.Program {
-			return sim.ProgramFunc(func(api sim.API) error {
-				for i := 0; i < steps; i++ {
-					time.Sleep(20 * time.Microsecond)
-					api.Move()
-				}
-				return nil
-			})
-		}
-		return []sim.Program{mk(6), mk(6)}, nil
-	}
 	const attempts = 5
 	best := 0
 	for i := 0; i < attempts; i++ {
@@ -95,7 +82,7 @@ func TestWorkersSpreadBeyondRootBranching(t *testing.T) {
 		rep, err := Explore(context.Background(), Setup{
 			N:        13,
 			Homes:    []ring.NodeID{0, 6},
-			Programs: yieldingWalkers,
+			Programs: pausingWalkers(2, 6),
 		}, Options{Workers: 8, DisableReduction: true, loads: &loads})
 		if err != nil {
 			t.Fatal(err)
@@ -114,10 +101,10 @@ func TestWorkersSpreadBeyondRootBranching(t *testing.T) {
 			}
 			total += l
 		}
-		// Every expansion replays a prefix, so the loads must account
-		// for every replay the report counted.
+		// Without a counterexample to confirm, Replays counts exactly
+		// the expansions, so the loads must account for every one.
 		if total != int64(rep.Replays) {
-			t.Fatalf("per-worker loads sum to %d, report counted %d replays", total, rep.Replays)
+			t.Fatalf("per-worker loads sum to %d, report counted %d expansions", total, rep.Replays)
 		}
 		if busy > best {
 			best = busy
@@ -192,20 +179,18 @@ func TestEdgeIndependenceSound(t *testing.T) {
 // search where it is and reports honest partial coverage — truncated
 // branches, no completeness claim, no bogus counterexample, no error.
 func TestMaxDurationTruncates(t *testing.T) {
-	// ForceReplay keeps the search slow enough that a 5ms budget
-	// reliably expires mid-run; the checkpointed search finishes this
-	// whole space faster than that, and the watchdog under test is
-	// shared by both modes.
+	// Pausing walkers keep the search slow enough that a 5ms budget
+	// reliably expires mid-run.
 	rep, err := Explore(context.Background(), Setup{
-		N:        8,
-		Homes:    []ring.NodeID{0, 1, 2, 3},
-		Programs: alg1Factory(4),
-	}, Options{MaxDuration: 5 * time.Millisecond, ForceReplay: true})
+		N:        13,
+		Homes:    []ring.NodeID{0, 4, 8},
+		Programs: pausingWalkers(3, 6),
+	}, Options{MaxDuration: 5 * time.Millisecond, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Complete {
-		t.Fatal("search claims completeness under a 5ms budget on an n=8 k=4 space")
+		t.Fatal("search claims completeness under a 5ms budget")
 	}
 	if rep.Truncated == 0 {
 		t.Error("no truncated branches reported for the abandoned frontier")
@@ -221,13 +206,13 @@ func TestMaxDurationTruncates(t *testing.T) {
 func TestContextCancelAborts(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
-	// ForceReplay for the same reason as TestMaxDurationTruncates: the
-	// search must still be running when the 5ms deadline fires.
+	// Pausing walkers for the same reason as TestMaxDurationTruncates:
+	// the search must still be running when the 5ms deadline fires.
 	rep, err := Explore(ctx, Setup{
-		N:        8,
-		Homes:    []ring.NodeID{0, 1, 2},
-		Programs: alg1Factory(3),
-	}, Options{Workers: 4, ForceReplay: true})
+		N:        13,
+		Homes:    []ring.NodeID{0, 4, 8},
+		Programs: pausingWalkers(3, 6),
+	}, Options{Workers: 4})
 	if err == nil {
 		t.Fatal("cancelled search returned no error")
 	}

@@ -20,8 +20,7 @@ import (
 // behave identically. Frames that cannot promise this (or coroutine
 // programs, which have no frame at all) simply don't implement the
 // interface, and engines running them report Checkpointable() == false;
-// replay-driven tools then fall back to re-executing prefixes from the
-// initial configuration, which is always sound.
+// such engines still Run, but the schedule explorer rejects them.
 type FrameSaver interface {
 	Frame
 	// SaveState appends the frame's resumable state to buf.
@@ -115,10 +114,8 @@ func cloneBitsetInto(dst, src *bitset) *bitset {
 // Checkpointable reports whether the engine's full state can be
 // captured by Checkpoint: every agent must execute as a Frame (not a
 // coroutine) and every frame must implement FrameSaver. Coroutine
-// agents park their state in a goroutine stack, which cannot be copied;
-// engines running any revert replay-driven tools to
-// re-execution-from-initial, cross-checked against the checkpoint path
-// by the explorer's tests.
+// agents park their state in a goroutine stack, which cannot be copied,
+// so the schedule explorer refuses engines running any.
 func (e *Engine) Checkpointable() bool {
 	for i := range e.frame {
 		if e.frame[i] == nil {

@@ -81,11 +81,13 @@
 // whose frames also implement FrameSaver (a save/load of their resumable
 // state as plain ints); Checkpointable reports whether an engine
 // qualifies. Coroutine agents hold their state on a goroutine stack
-// that cannot be copied, so the coroutine fallback stays replay-only —
-// and TestFrameCoroutineCheckpointCrossCheck holds a checkpoint-
-// round-tripped frame engine to the coroutine reference at every
-// decision point, which is the "restore ≡ replay" guarantee the
-// schedule explorer's checkpoint mode builds on.
+// that cannot be copied, so an engine running any cannot be explored:
+// the schedule explorer (internal/explore) searches only by checkpoint
+// and restore and rejects such programs as a setup error. Coroutines
+// remain the reference semantics — TestFrameCoroutineCheckpointCrossCheck
+// holds a checkpoint-round-tripped frame engine to the coroutine
+// reference at every decision point, which is the "restore ≡ replay"
+// guarantee the explorer builds on.
 //
 // Alongside restore sits the step-driven control surface the explorer
 // uses instead of Run: DecisionPoint fires due faults and returns the

@@ -33,9 +33,9 @@ func crosscheckEngine(t *testing.T, forceCoroutine bool) *Engine {
 // one schedule in lockstep and demands they agree at every decision
 // point:
 //
-//   - ref runs the programs as coroutines — the replay-only fallback,
-//     the semantics of record (it is the code path the golden traces
-//     pinned long before frames existed);
+//   - ref runs the programs as coroutines — the semantics of record
+//     (it is the code path the golden traces pinned long before frames
+//     existed);
 //   - frm runs the same programs as frames, straight through;
 //   - cpd runs frames but is forced through Checkpoint/Restore at
 //     every single decision — and every fourth decision is abandoned
@@ -44,7 +44,7 @@ func crosscheckEngine(t *testing.T, forceCoroutine bool) *Engine {
 //
 // Agreement on the enabled sets and the configuration key at every
 // point is the engine-level "restore ≡ replay" guarantee the explorer's
-// checkpoint mode builds on: a checkpointed continuation is
+// checkpoint search builds on: a checkpointed continuation is
 // indistinguishable from the uninterrupted run, which is itself
 // indistinguishable from the coroutine reference.
 func TestFrameCoroutineCheckpointCrossCheck(t *testing.T) {

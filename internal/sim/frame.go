@@ -63,7 +63,9 @@ type Action struct {
 // construction, instead of an iter.Pull goroutine switch per step.
 // Algorithms whose control flow is inconvenient to invert (deep
 // message-driven loops) simply don't implement Framer and keep the
-// coroutine path; the engine mixes both in one run.
+// coroutine path; the engine mixes both in one run, though only
+// engines whose every agent is a checkpointable frame can be explored
+// (see FrameSaver).
 type Frame interface {
 	Step(api API) Action
 }
