@@ -76,6 +76,12 @@ func TestExploreWorkers(t *testing.T) {
 }
 
 func TestExploreConfigErrors(t *testing.T) {
+	// The explorer's sleep sets are agent bitmasks, so it refuses more
+	// than 64 agents; the facade reports that as a configuration error.
+	homes65 := make([]int, 65)
+	for i := range homes65 {
+		homes65[i] = i
+	}
 	cases := []struct {
 		name string
 		alg  agentring.Algorithm
@@ -85,6 +91,7 @@ func TestExploreConfigErrors(t *testing.T) {
 		{"no agents", agentring.Native, agentring.Config{N: 4}},
 		{"duplicate homes", agentring.Native, agentring.Config{N: 4, Homes: []int{1, 1}}},
 		{"unknown algorithm", agentring.Algorithm(99), agentring.Config{N: 4, Homes: []int{0}}},
+		{"65 agents", agentring.Native, agentring.Config{N: 65, Homes: homes65}},
 	}
 	for _, tc := range cases {
 		if _, err := agentring.Explore(context.Background(), tc.alg, tc.cfg, agentring.ExploreOptions{}); !errors.Is(err, agentring.ErrConfig) {

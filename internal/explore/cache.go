@@ -42,22 +42,26 @@ func (s *stats) observeDepth(depth int) {
 const cacheShards = 64
 
 // cacheEntry records how a canonical state was last explored: the
-// shallowest depth it was expanded at, the sleep set in force then, and
-// whether it is a quiescent terminal. A revisit is redundant iff it is
-// no shallower and would explore a subset of the transitions (its sleep
-// set is a superset of the stored one).
+// shallowest depth it was expanded at, the agents asleep in every visit
+// so far (the intersection of their sleep sets), and whether it is a
+// quiescent terminal. A revisit is redundant iff it is no shallower and
+// its sleep set holds every agent the stored one does. The entry packs
+// into 16 bytes, which keeps the cache — the bulk of a large search's
+// memory — small; depth fits in an int32 because Explore caps MaxDepth
+// there.
 type cacheEntry struct {
-	depth    int
 	sleep    sleepSet
+	depth    int32
 	terminal bool
 }
 
 // stateCache is the canonical-state cache, sharded by key so concurrent
 // workers almost never contend: each shard is a plain map behind its own
 // mutex, and a visit touches exactly one shard. Entries are only ever
-// weakened (depth lowered, sleep set shrunk), so two workers racing on
-// the same key converge to the union of their explorations — the race
-// can cost a redundant re-expansion, never a lost state.
+// weakened (depth lowered, sleep set shrunk), and every visit of one key
+// reads and updates its entry under that shard's lock, so the visits of
+// a key are serialized and each transition out of it is handed to
+// exactly one of them (see visit).
 type stateCache struct {
 	shards [cacheShards]struct {
 		mu sync.Mutex
@@ -78,8 +82,8 @@ func newStateCache() *stateCache {
 type visitOutcome int
 
 const (
-	// visitExpand: new or strictly-wider visit — expand children using
-	// the sleep set returned alongside.
+	// visitExpand: a new state, or a revisit that wakes transitions —
+	// expand children using the sleep and awake sets returned alongside.
 	visitExpand visitOutcome = iota
 	// visitPruned: subsumed by a prior visit — unwind.
 	visitPruned
@@ -90,52 +94,60 @@ const (
 
 // visit applies the cache discipline to one replayed state under the
 // owning shard's lock and updates the scoreboard. It returns the
-// outcome, the (possibly intersected) sleep set an expansion must use,
-// and whether this visit is the first to see the key as a terminal —
-// the one visit allowed to run the property check, so each terminal
-// configuration is judged exactly once no matter how many schedules
-// reach it or which worker got there first.
+// outcome, the sleep set the expansion runs under, the awake set that
+// restricts it (zero for an unrestricted expansion), and whether this
+// visit is the first to see the key as a terminal — the one visit
+// allowed to run the property check, so each terminal configuration is
+// judged exactly once no matter how many schedules reach it or which
+// worker got there first.
+//
+// A revisit that is no shallower than the stored entry but does not
+// subsume it (its sleep set Z misses some agents of the stored set H)
+// follows Godefroid's state-caching rule: the earlier visits explored
+// every enabled transition outside H, so this visit owes only the
+// awake set H &^ Z — the transitions all of them slept and this one
+// does not — and runs under the sleep set H & Z, which is also what the
+// entry keeps. Because the visits of one key are serialized, their
+// awake sets are disjoint and each (state, transition) pair is expanded
+// at most once. Shallower revisits, which matter only when MaxDepth cut
+// the earlier subtree, keep the unrestricted expansion under H & Z.
 //
 // MaxStates is enforced against the shared states counter; concurrent
 // inserts on different shards can overshoot it by at most one state per
 // worker, and with Workers <= 1 the bound is exact (which keeps
 // truncated sequential searches deterministic).
-// Sleep sets are frozen once handed in (see sleepSet), so entries store
-// the caller's slice directly — no defensive clone, and entries live in
-// the map by value, so a fresh state costs one map insert and nothing
-// else.
-func (c *stateCache) visit(key uint64, depth int, sleep sleepSet, terminal bool, maxStates int64, st *stats) (visitOutcome, sleepSet, bool) {
+func (c *stateCache) visit(key uint64, depth int, sleep sleepSet, terminal bool, maxStates int64, st *stats) (visitOutcome, sleepSet, sleepSet, bool) {
 	s := &c.shards[key%cacheShards]
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	entry, ok := s.m[key]
-	if ok && entry.depth <= depth && subsetOf(entry.sleep, sleep) {
+	if ok && int(entry.depth) <= depth && entry.sleep&^sleep == 0 {
 		st.pruned.Add(1)
 		if terminal {
 			st.terminals.Add(1)
 		}
-		return visitPruned, nil, false
+		return visitPruned, 0, 0, false
 	}
 	if !ok {
 		if st.states.Load() >= maxStates {
 			st.truncated.Add(1)
-			return visitTruncated, nil, false
+			return visitTruncated, 0, 0, false
 		}
 		st.states.Add(1)
-		s.m[key] = cacheEntry{depth: depth, sleep: sleep, terminal: terminal}
+		s.m[key] = cacheEntry{depth: int32(depth), sleep: sleep, terminal: terminal}
 		if terminal {
 			st.terminals.Add(1)
 			st.distinctTerminals.Add(1)
 		}
-		return visitExpand, sleep, terminal
+		return visitExpand, sleep, 0, terminal
 	}
-	// Seen before, but this visit is shallower or suppresses fewer
-	// transitions: re-explore the union by intersecting sleep sets.
-	sleep = intersectSleep(sleep, entry.sleep)
-	entry.sleep = sleep
-	if depth < entry.depth {
-		entry.depth = depth
+	var awake sleepSet
+	if depth < int(entry.depth) {
+		entry.depth = int32(depth)
+	} else {
+		awake = entry.sleep &^ sleep
 	}
+	entry.sleep &= sleep
 	first := false
 	if terminal {
 		st.terminals.Add(1)
@@ -150,8 +162,5 @@ func (c *stateCache) visit(key uint64, depth int, sleep sleepSet, terminal bool,
 		}
 	}
 	s.m[key] = entry
-	if terminal {
-		return visitExpand, nil, first
-	}
-	return visitExpand, sleep, false
+	return visitExpand, entry.sleep, awake, first
 }

@@ -22,12 +22,56 @@
 //     configuration plus the per-agent observation-history hashes that
 //     Options.TrackState maintains), and a state already explored at
 //     the same or shallower depth with the same or fewer suppressed
-//     transitions is pruned — converged branches are never re-expanded.
-//     The cache is sharded by key hash with per-shard locking, so
-//     workers rarely contend;
+//     transitions is pruned — converged branches are never re-expanded,
+//     and a revisit that does wake suppressed transitions expands only
+//     those (the revisit rule below). The cache is sharded by key hash
+//     with per-shard locking, so workers rarely contend;
 //   - a sleep-set-style partial-order reduction: commuting reorderings
 //     of already-explored siblings are skipped, with commutation
 //     decided by the per-directed-edge independence relation below.
+//
+// Sleep sets are agent bitmasks (one uint64), so Explore refuses
+// setups with more than 64 agents with ErrSetup. An agent has at most
+// one enabled action, and a sleeping action stays enabled and unchanged
+// across the independent moves that carried it, so the agent id names
+// it; the search reads the action itself from the enabled set of the
+// state being expanded. Subset, intersection and the awake set below
+// are single bit operations, and items and cache entries hold their
+// sets by value.
+//
+// # The revisit rule (sleep sets with state caching)
+//
+// A cache entry keeps the intersection H of the sleep sets of every
+// visit so far. A revisit with sleep set Z that is no shallower than
+// the entry is pruned when H ⊆ Z. Otherwise it follows Godefroid's
+// state-caching algorithm (P. Godefroid, Partial-Order Methods for the
+// Verification of Concurrent Systems, LNCS 1032, 1996; P. Godefroid,
+// G. J. Holzmann and D. Pirottin, "State-space caching revisited",
+// FMSD 1995): the entry becomes H ∩ Z, and the visit expands only the
+// awake set H \ Z — the transitions every earlier visit slept and this
+// one does not. Each child's sleep set is built, as on a first visit,
+// from H ∩ Z and the awake siblings pushed before it; the transitions
+// earlier visits explored, agent actions and adversary moves alike, are
+// neither re-pushed nor added to the new children's sleep sets.
+//
+// Soundness: every visit of a key runs its cache step under the key's
+// shard lock, so the visits of one state are serialized and their
+// awake sets are disjoint; across all of them the explored transitions
+// are exactly enabled \ ∩Zᵢ, every transition some visit did not sleep.
+// What the rule changes is the sleep sets below: earlier visits slept
+// the now-awake transitions throughout their children's subtrees, and
+// leaving the earlier-explored transitions out of the new children's
+// sleep sets lets those subtrees take the exchanged orders the earlier
+// ones suppressed, which is Godefroid's argument that every reachable
+// state is still visited. Shallower revisits — which matter only when
+// MaxDepth cut the earlier subtree — keep the unrestricted expansion
+// under H ∩ Z, as first visits do under their own sleep set.
+// Each (state, transition) pair is therefore expanded at most once
+// outside shallower revisits, so at any worker count the reduced search
+// expands no more items than the reduction-free one, which expands
+// every pair of every reachable state; TestReductionConsistency checks
+// that bound together with equal coverage over every small placement,
+// algorithm and fault mode.
 //
 // # Checkpoints
 //
@@ -46,9 +90,9 @@
 // full prefix slice is materialized only when a counterexample needs
 // confirming. The stride default (4) sits on the flat part of the
 // ns/state curve; steady-state expansion is allocation-light by
-// construction (pooled checkpoints, per-worker scratch, slice-backed
-// sleep sets), which BenchmarkExploreParallel's allocs/state metric
-// gates in CI.
+// construction (pooled checkpoints, per-worker scratch, bitmask sleep
+// sets held by value), which BenchmarkExploreParallel's allocs/state
+// metric gates in CI.
 //
 // Soundness reduces to the engine's restore ≡ replay guarantee
 // (sim.Checkpoint; TestFrameCoroutineCheckpointCrossCheck): a restored

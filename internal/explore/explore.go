@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -50,8 +51,9 @@ var progressInterval = 200 * time.Millisecond
 type Factory func() ([]sim.Program, error)
 
 // Setup fixes the system whose schedule space is explored: a substrate
-// (a unidirectional ring of N nodes unless Topology overrides it),
-// agents on the given distinct homes, and a program factory.
+// (a unidirectional ring of N nodes unless Topology overrides it), at
+// most 64 agents on the given distinct homes (sleep sets are agent
+// bitmasks), and a program factory.
 type Setup struct {
 	N        int
 	Homes    []ring.NodeID
@@ -250,9 +252,9 @@ type Report struct {
 
 // Explore runs the bounded model checker and returns its report.
 // Property violations are reported in Report.Counterexample; an error
-// is returned for invalid setups (including programs that are not
-// checkpointable frames), or when ctx is cancelled mid-search (the
-// partial report accompanies ctx's error).
+// is returned for invalid setups (including more than 64 agents and
+// programs that are not checkpointable frames), or when ctx is
+// cancelled mid-search (the partial report accompanies ctx's error).
 //
 // The report is deterministic: any Workers value covers the same state
 // set (States is the size of the reachable set, independent of visit
@@ -273,9 +275,13 @@ func Explore(ctx context.Context, setup Setup, opts Options) (Report, error) {
 	if setup.Programs == nil {
 		return Report{}, fmt.Errorf("%w: nil program factory", ErrSetup)
 	}
+	if len(setup.Homes) > maxAgents {
+		return Report{}, fmt.Errorf("%w: %d agents, at most %d", ErrSetup, len(setup.Homes), maxAgents)
+	}
 	if opts.MaxDepth <= 0 {
 		opts.MaxDepth = DefaultMaxDepth
 	}
+	opts.MaxDepth = min(opts.MaxDepth, math.MaxInt32) // cache entries store depths as int32
 	if opts.MaxStates <= 0 {
 		opts.MaxStates = DefaultMaxStates
 	}
@@ -510,12 +516,11 @@ type explorer struct {
 // worker's per-expansion scratch space, which is what keeps the
 // steady-state expansion loop nearly allocation-free.
 type workerEngine struct {
-	eng      *sim.Engine
-	node     *prefixNode
-	valid    bool
-	suffix   []int        // scratch: decisions between start point and item
-	kids     []item       // scratch: children built by makeChildren
-	explored []sim.Choice // scratch: explored siblings in makeChildren
+	eng    *sim.Engine
+	node   *prefixNode
+	valid  bool
+	suffix []int  // scratch: decisions between start point and item
+	kids   []item // scratch: children built by makeChildren
 }
 
 // cpRef is a reference-counted handle on a pooled checkpoint: every
@@ -634,11 +639,13 @@ func (x *explorer) foundCex(prefix []int, ctrl *sim.Controlled, res sim.Result, 
 
 // makeChildren builds the frontier items for the unsuppressed enabled
 // choices of a node being expanded, applying the sleep-set reduction
-// and its fault-boundary stratification.
-// The children slice and explored scratch are owned by the calling
-// worker and reused across expansions (frontier.push copies items into
-// the deque, so neither outlives the call).
-func (x *explorer) makeChildren(w int, it item, enabled []sim.Choice, sleep sleepSet, depth int) []item {
+// and its fault-boundary stratification. A non-zero awake set restricts
+// the expansion to those agents: the node is a revisit whose other
+// transitions an earlier visit already explored (stateCache.visit).
+// The children slice is owned by the calling worker and reused across
+// expansions (frontier.push copies items into the deque, so it does not
+// outlive the call).
+func (x *explorer) makeChildren(w int, it item, enabled []sim.Choice, sleep, awake sleepSet, depth int) []item {
 	// At a fault boundary the children's executions fire a mutation, so
 	// no commutation across it may be recorded; inherited suppressions
 	// still apply (their exchanges happened at shallower, checked
@@ -661,29 +668,34 @@ func (x *explorer) makeChildren(w int, it item, enabled []sim.Choice, sleep slee
 	}
 	scr := &x.wes[w]
 	children := scr.kids[:0]
-	explored := scr.explored[:0]
+	// done is what a child's sleep set draws on: the agents asleep here
+	// and the siblings this expansion has already pushed. Transitions an
+	// earlier visit explored are deliberately left out — that visit slept
+	// the awake ones below them, and this visit's children must be free
+	// to take the exchanged order (Godefroid's state-caching argument).
+	done := sleep
 	for i, c := range enabled {
 		if c.Agent >= 0 && sleep.has(c.Agent) {
 			x.st.sleepSkips.Add(1)
 			continue
 		}
+		if awake != 0 && (c.Agent < 0 || !awake.has(c.Agent)) {
+			continue // an earlier visit of this state explored c
+		}
 		var childSleep sleepSet
 		if !x.opts.DisableReduction && !boundary && c.Agent >= 0 {
-			// The child inherits every suppressed or already-explored
-			// sibling that commutes with c: executing it before or
-			// after c reaches the same state, and the other order is
-			// (or was) explored from this node. Adversary-move children
-			// (c.Agent < 0) inherit nothing: a fail reshapes which agent
-			// exchanges are sound below it, so their subtrees restart the
-			// reduction from scratch.
-			for _, s := range sleep {
-				if x.independent(s, c) {
-					childSleep = addSleep(childSleep, s)
-				}
-			}
-			for _, s := range explored {
-				if x.independent(s, c) {
-					childSleep = addSleep(childSleep, s)
+			// The child inherits every sleeping or already-pushed sibling
+			// that commutes with c: executing it before or after c reaches
+			// the same state, and the other order is (or was) explored
+			// from this node. A sleeping transition stays enabled and
+			// unchanged across the independent moves that carried it, so
+			// its choice is read from this node's enabled set.
+			// Adversary-move children (c.Agent < 0) inherit nothing: a
+			// fail reshapes which agent exchanges are sound below it, so
+			// their subtrees restart the reduction from scratch.
+			for _, e := range enabled {
+				if e.Agent >= 0 && done.has(e.Agent) && x.independent(e, c) {
+					childSleep = childSleep.with(e.Agent)
 				}
 			}
 		}
@@ -698,11 +710,10 @@ func (x *explorer) makeChildren(w int, it item, enabled []sim.Choice, sleep slee
 			// adversary move is never a sound suppression for a sibling
 			// (its exchange changes the link state between the two
 			// actions).
-			explored = append(explored, c)
+			done = done.with(c.Agent)
 		}
 	}
 	scr.kids = children
-	scr.explored = explored
 	return children
 }
 
@@ -811,7 +822,7 @@ func (x *explorer) expand(w int, it item) {
 		x.confirmCex(materializePrefix(it.node))
 		return
 	}
-	outcome, sleep, firstTerminal := x.cache.visit(key, depth, it.sleep, quiesced, int64(x.opts.MaxStates), &x.st)
+	outcome, sleep, awake, firstTerminal := x.cache.visit(key, depth, it.sleep, quiesced, int64(x.opts.MaxStates), &x.st)
 	if outcome != visitExpand {
 		return
 	}
@@ -828,7 +839,7 @@ func (x *explorer) expand(w int, it item) {
 		return
 	}
 
-	children := x.makeChildren(w, it, enabled, sleep, depth)
+	children := x.makeChildren(w, it, enabled, sleep, awake, depth)
 	if len(children) == 0 {
 		return
 	}
@@ -972,59 +983,19 @@ func (x *explorer) independent(a, b sim.Choice) bool {
 	return true
 }
 
-// sleepSet is a set of suppressed choices keyed by agent id. It holds
-// at most one entry per agent and at most k entries total, so it is a
-// plain slice with linear operations: for the k ≤ 8 agent counts the
-// searches run at, a scan beats a map on every axis and — the reason
-// it replaced one — building a child's set is a single allocation
-// instead of a map header plus buckets, which together with the
-// children it rides on dominated the checkpoint explorer's allocation
-// profile. Entry order is arbitrary; all comparisons are set-wise.
-//
-// A sleepSet is frozen once its owning item is created or it is handed
-// to the state cache: every derivation (inherit, intersect) builds a
-// fresh slice, which is what lets items and cache entries share one
-// backing array without cloning.
-type sleepSet []sim.Choice
+// maxAgents is the largest agent count Explore accepts: one bit of a
+// sleepSet per agent.
+const maxAgents = 64
 
-func (s sleepSet) has(agent int) bool {
-	for i := range s {
-		if s[i].Agent == agent {
-			return true
-		}
-	}
-	return false
-}
+// sleepSet is the set of agents whose enabled actions are suppressed,
+// one bit per agent id. Each agent has at most one enabled action, and a
+// sleeping action stays enabled and unchanged across the independent
+// moves that carried it, so the agent id names the action and its
+// choice is read from the enabled set of the state the set applies to.
+// Subset, intersection and difference are single bit operations, and
+// items and cache entries hold the set by value.
+type sleepSet uint64
 
-func addSleep(s sleepSet, c sim.Choice) sleepSet {
-	for i := range s {
-		if s[i].Agent == c.Agent {
-			s[i] = c
-			return s
-		}
-	}
-	return append(s, c)
-}
+func (s sleepSet) has(agent int) bool { return s&(1<<uint(agent)) != 0 }
 
-// subsetOf reports a ⊆ b by agent id.
-func subsetOf(a, b sleepSet) bool {
-	if len(a) > len(b) {
-		return false
-	}
-	for i := range a {
-		if !b.has(a[i].Agent) {
-			return false
-		}
-	}
-	return true
-}
-
-func intersectSleep(a, b sleepSet) sleepSet {
-	var out sleepSet
-	for i := range a {
-		if b.has(a[i].Agent) {
-			out = append(out, a[i])
-		}
-	}
-	return out
-}
+func (s sleepSet) with(agent int) sleepSet { return s | 1<<uint(agent) }

@@ -3,6 +3,7 @@ package explore
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -269,32 +270,100 @@ func TestNaiveHaltingTheorem5(t *testing.T) {
 	}
 }
 
-// TestReductionConsistency cross-checks the sleep-set reduction: it may
-// only skip redundant interleavings, so the sets of reachable states
-// and of distinct terminal configurations must match an unreduced
-// exploration exactly.
+// TestReductionConsistency cross-checks the sleep-set reduction and the
+// state cache's revisit rule against the reduction-free search. The
+// reduction may only skip redundant interleavings, so the reduced
+// search, at 1 and 4 workers, must reach the same verdict and — where
+// no counterexample stops the searches early — the same reachable
+// states and distinct terminals. And since the revisit rule expands
+// each (state, transition) pair at most once while the reduction-free
+// search expands every pair of every reachable state, the reduced
+// search must not expand more (Replays) — again checked only where no
+// counterexample cuts the searches short.
+//
+// The grid: every placement with an agent on node 0 (so every rotation
+// class) on rings up to n=4, under each of the four algorithms, with
+// each crosscheckTimelines fault timeline whose links exist on the
+// ring, and against a 1/3 adversary; plus three alg2 placements on the
+// 5-ring, which must also be counterexample-free.
 func TestReductionConsistency(t *testing.T) {
-	for _, homes := range [][]ring.NodeID{
-		{0, 2, 4},
-		{0, 1, 2, 3},
-		{0, 1, 4},
-	} {
-		const n = 5
-		base, err := Explore(context.Background(), Setup{N: n, Homes: homes, Programs: alg2Factory(len(homes))},
-			Options{DisableReduction: true})
+	type cell struct {
+		label     string
+		setup     Setup
+		wantClean bool
+	}
+	algs := []struct {
+		name    string
+		factory func(k int) Factory
+	}{
+		{"alg1", alg1Factory},
+		{"alg2", alg2Factory},
+		{"relaxed", relaxedFactory},
+		{"naive", naiveFactory},
+	}
+	adversary := &sim.AdversaryBudget{MaxConcurrent: 1, RepairWithin: 3, MaxTotal: 1}
+	var cells []cell
+	for n := 1; n <= 4; n++ {
+		for _, homes := range subsets(n) {
+			if homes[0] != 0 {
+				continue
+			}
+			for _, alg := range algs {
+				setup := Setup{N: n, Homes: homes, Programs: alg.factory(len(homes))}
+				label := fmt.Sprintf("%s n=%d homes=%v", alg.name, n, homes)
+			timelines:
+				for tl, faults := range crosscheckTimelines() {
+					for _, e := range faults {
+						if int(e.From) >= n {
+							continue timelines
+						}
+					}
+					s := setup
+					s.Faults = faults
+					cells = append(cells, cell{label: label + " " + tl, setup: s})
+				}
+				s := setup
+				s.Adversary = adversary
+				cells = append(cells, cell{label: label + " adversary 1/3", setup: s})
+			}
+		}
+	}
+	for _, homes := range [][]ring.NodeID{{0, 2, 4}, {0, 1, 2, 3}, {0, 1, 4}} {
+		cells = append(cells, cell{
+			label:     fmt.Sprintf("alg2 n=5 homes=%v static", homes),
+			setup:     Setup{N: 5, Homes: homes, Programs: alg2Factory(len(homes))},
+			wantClean: true,
+		})
+	}
+	for _, c := range cells {
+		base, err := Explore(context.Background(), c.setup, Options{DisableReduction: true})
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", c.label, err)
 		}
-		red, err := Explore(context.Background(), Setup{N: n, Homes: homes, Programs: alg2Factory(len(homes))}, Options{})
-		if err != nil {
-			t.Fatal(err)
+		if c.wantClean && base.Counterexample != nil {
+			t.Errorf("%s: unexpected counterexample:\n%s", c.label, base.Counterexample)
 		}
-		if base.States != red.States || base.DistinctTerminals != red.DistinctTerminals {
-			t.Fatalf("homes=%v: reduction changed coverage: states %d->%d, terminals %d->%d",
-				homes, base.States, red.States, base.DistinctTerminals, red.DistinctTerminals)
-		}
-		if base.Counterexample != nil || red.Counterexample != nil {
-			t.Fatalf("homes=%v: unexpected counterexample", homes)
+		for _, workers := range []int{1, 4} {
+			red, err := Explore(context.Background(), c.setup, Options{Workers: workers})
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", c.label, workers, err)
+			}
+			if (red.Counterexample != nil) != (base.Counterexample != nil) {
+				t.Errorf("%s workers=%d: verdicts disagree: reduced cex=%v, reduction-free cex=%v",
+					c.label, workers, red.Counterexample, base.Counterexample)
+				continue
+			}
+			if base.Counterexample != nil {
+				continue
+			}
+			if red.States != base.States || red.DistinctTerminals != base.DistinctTerminals {
+				t.Errorf("%s workers=%d: reduction changed coverage: states %d->%d, terminals %d->%d",
+					c.label, workers, base.States, red.States, base.DistinctTerminals, red.DistinctTerminals)
+			}
+			if red.Replays > base.Replays {
+				t.Errorf("%s workers=%d: reduced search expanded more than the reduction-free one (%d > %d replays)",
+					c.label, workers, red.Replays, base.Replays)
+			}
 		}
 	}
 }
@@ -360,8 +429,13 @@ func TestMoveBoundCounterexample(t *testing.T) {
 // not counterexamples. That includes programs running as coroutines:
 // the search reaches states only by checkpoint and restore, so a
 // program without a sim.FrameSaver frame is refused, whether every
-// agent or just one runs that way.
+// agent or just one runs that way. It also includes more than 64
+// agents, one more than the agent-bitmask sleep sets can name.
 func TestExploreSetupErrors(t *testing.T) {
+	homes65 := make([]ring.NodeID, 65)
+	for i := range homes65 {
+		homes65[i] = ring.NodeID(i)
+	}
 	coroutine := sim.ProgramFunc(func(api sim.API) error {
 		api.Move()
 		return nil
@@ -378,6 +452,7 @@ func TestExploreSetupErrors(t *testing.T) {
 		{"duplicate homes", Setup{N: 4, Homes: []ring.NodeID{0, 0}, Programs: alg1Factory(2)}},
 		{"coroutine programs", Setup{N: 4, Homes: []ring.NodeID{0, 2}, Programs: programs(coroutine, coroutine)}},
 		{"one coroutine program", Setup{N: 4, Homes: []ring.NodeID{0, 2}, Programs: programs(walker{route: []int{0}}, coroutine)}},
+		{"65 agents", Setup{N: 65, Homes: homes65, Programs: alg1Factory(65)}},
 	}
 	for _, tc := range cases {
 		if _, err := Explore(context.Background(), tc.setup, Options{}); !errors.Is(err, ErrSetup) {

@@ -176,7 +176,13 @@ func TestExplorePermanentFaultCounterexampleReplays(t *testing.T) {
 // sleep-set reduction: SleepSkips is nonzero because the reduction now
 // runs under faults, suspended only across the depths where a fault
 // event fires (soundness cross-checked by
-// TestFaultReductionConsistency).
+// TestFaultReductionConsistency). They pin the cache's revisit rule as
+// well: the search revisits one state (via decisions 1 1 0) whose first
+// visit slept agent 0, and the revisit pushes only agent 0's action,
+// because the first visit already explored agent 1's. Re-pushing that
+// one would cost a replay from the root checkpoint (four applied
+// steps) ending in a pruned state, so Pruned, Replays and StepsReplayed
+// count exactly the work the revisit rule leaves.
 func TestExploreFaultSearchShape(t *testing.T) {
 	// Two independent walkers; the 1 -> 2 edge is down only for a
 	// window in the middle of the run.
@@ -214,10 +220,10 @@ func TestExploreFaultSearchShape(t *testing.T) {
 	}
 	want := Report{
 		States:            13,
-		Pruned:            3,
+		Pruned:            2,
 		SleepSkips:        4,
-		Replays:           17,
-		StepsReplayed:     24,
+		Replays:           16,
+		StepsReplayed:     20,
 		Terminals:         1,
 		DistinctTerminals: 1,
 		Deepest:           6,

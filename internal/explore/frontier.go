@@ -6,12 +6,13 @@ import (
 )
 
 // item is one unit of search work: a decision path plus the sleep set
-// in force when it was generated. cp references an engine checkpoint
-// at most DefaultCheckpointStride levels above the path's end: the
-// expanding worker (owner or thief alike) restores it and applies only
-// the missing suffix, so a stolen item never replays from the initial
-// configuration. The checkpoint contents are immutable while
-// referenced; the reference count returns them to the pool.
+// in force when it was generated (an agent bitmask, held by value). cp
+// references an engine checkpoint at most DefaultCheckpointStride
+// levels above the path's end: the expanding worker (owner or thief
+// alike) restores it and applies only the missing suffix, so a stolen
+// item never replays from the initial configuration. The checkpoint
+// contents are immutable while referenced; the reference count returns
+// them to the pool.
 type item struct {
 	sleep sleepSet
 	cp    *cpRef
