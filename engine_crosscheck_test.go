@@ -83,7 +83,8 @@ func crosscheckScheduler(t *testing.T, kind string) sim.Scheduler {
 
 // runBoth executes the same (topology, programs, scheduler, faults)
 // setup twice — frames on, frames forced off — and asserts identical
-// observable behaviour.
+// observable behaviour, and that each engine's incrementally maintained
+// StateKey equals its final snapshot's Key.
 func runBoth(t *testing.T, top sim.Topology, alg, sched string, faults sim.FaultSchedule) {
 	t.Helper()
 	n := top.Size()
@@ -112,6 +113,9 @@ func runBoth(t *testing.T, top sim.Topology, alg, sched string, faults sim.Fault
 		}
 		res, err := e.Run()
 		snap := e.Snapshot()
+		if got, want := e.StateKey(), snap.Key(); got != want {
+			t.Errorf("force coroutine %v: final StateKey %#x, Snapshot().Key %#x", force, got, want)
+		}
 		return outcome{
 			trace:     trace.String(),
 			key:       snap.Key(),
@@ -208,8 +212,9 @@ func TestFrameCoroutineCrossCheckFaults(t *testing.T) {
 // surface (the explorer's interface) with a fixed deterministic pick
 // rule, optionally forcing a Checkpoint/Restore round-trip before every
 // decision — with every third round-trip resuming into a brand-new
-// engine built by fresh. It returns the engine that holds the final
-// state.
+// engine built by fresh. At every decision point, the final one
+// included, the engine's StateKey must equal its Snapshot().Key(). It
+// returns the engine that holds the final state.
 func driveStepwise(t *testing.T, e *sim.Engine, fresh func() *sim.Engine, roundTrip bool) *sim.Engine {
 	t.Helper()
 	cp := &sim.Checkpoint{}
@@ -226,6 +231,9 @@ func driveStepwise(t *testing.T, e *sim.Engine, fresh func() *sim.Engine, roundT
 			}
 		}
 		cs := e.DecisionPoint()
+		if got, want := e.StateKey(), e.Snapshot().Key(); got != want {
+			t.Fatalf("decision %d: StateKey %#x, Snapshot().Key %#x", decision, got, want)
+		}
 		if len(cs) == 0 {
 			return e
 		}

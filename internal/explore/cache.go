@@ -36,46 +36,84 @@ func (s *stats) observeDepth(depth int) {
 
 // cacheShards is the number of independently locked cache partitions.
 // 64 keeps the probability of two of ≤16 workers colliding on a shard
-// low while the per-shard maps stay large enough to amortize; the shard
-// index just takes low key bits, because keys are already avalanche
-// hashes (sim state keys, or mix64-finalized depth tags under faults).
-const cacheShards = 64
+// low; the shard index is the key's low shardBits bits, and a shard's
+// table probes from the bits above them. Keys need no further hashing:
+// they are already avalanche hashes (sim state keys, or mix64-finalized
+// depth tags under faults).
+const (
+	shardBits   = 6
+	cacheShards = 1 << shardBits
+)
+
+// minShardSlots is the size of a shard's first table, allocated on its
+// first insert: small, because a search's fixed cost includes every
+// shard it touches and small searches touch all of them.
+const minShardSlots = 8
 
 // cacheEntry records how a canonical state was last explored: the
 // shallowest depth it was expanded at, the agents asleep in every visit
 // so far (the intersection of their sleep sets), and whether it is a
 // quiescent terminal. A revisit is redundant iff it is no shallower and
 // its sleep set holds every agent the stored one does. The entry packs
-// into 16 bytes, which keeps the cache — the bulk of a large search's
-// memory — small; depth fits in an int32 because Explore caps MaxDepth
-// there.
+// into 16 bytes, used included (it sits in the padding), which keeps
+// the cache — the bulk of a large search's memory — small; depth fits
+// in an int32 because Explore caps MaxDepth there.
 type cacheEntry struct {
 	sleep    sleepSet
 	depth    int32
 	terminal bool
+	used     bool // the slot holds a state, so key 0 needs no sentinel
+}
+
+// cacheSlot is one 24-byte slot of a shard's open-addressed table.
+type cacheSlot struct {
+	key   uint64
+	entry cacheEntry
+}
+
+// cacheShard is a flat open-addressed table with linear probing behind
+// its own mutex. Its length is a power of two that doubles at 3/4
+// load, so its memory is exactly len(slots) × 24 bytes.
+type cacheShard struct {
+	mu    sync.Mutex
+	slots []cacheSlot // nil until the first insert
+	count int
+}
+
+// slot returns the slot holding key, or the empty slot where key
+// belongs. The table must be allocated and below full load.
+func (s *cacheShard) slot(key uint64) *cacheSlot {
+	mask := uint64(len(s.slots) - 1)
+	for i := (key >> shardBits) & mask; ; i = (i + 1) & mask {
+		if sl := &s.slots[i]; !sl.entry.used || sl.key == key {
+			return sl
+		}
+	}
+}
+
+// grow doubles the table (or allocates the first one) and reinserts
+// every entry.
+func (s *cacheShard) grow() {
+	old := s.slots
+	s.slots = make([]cacheSlot, max(minShardSlots, 2*len(old)))
+	for _, sl := range old {
+		if sl.entry.used {
+			*s.slot(sl.key) = sl
+		}
+	}
 }
 
 // stateCache is the canonical-state cache, sharded by key so concurrent
-// workers almost never contend: each shard is a plain map behind its own
-// mutex, and a visit touches exactly one shard. Entries are only ever
-// weakened (depth lowered, sleep set shrunk), and every visit of one key
-// reads and updates its entry under that shard's lock, so the visits of
-// a key are serialized and each transition out of it is handed to
-// exactly one of them (see visit).
+// workers almost never contend: a visit touches exactly one shard.
+// Entries are only ever weakened (depth lowered, sleep set shrunk), and
+// every visit of one key reads and updates its entry under that shard's
+// lock, so the visits of a key are serialized and each transition out
+// of it is handed to exactly one of them (see visit).
 type stateCache struct {
-	shards [cacheShards]struct {
-		mu sync.Mutex
-		m  map[uint64]cacheEntry
-	}
+	shards [cacheShards]cacheShard
 }
 
-func newStateCache() *stateCache {
-	c := &stateCache{}
-	for i := range c.shards {
-		c.shards[i].m = make(map[uint64]cacheEntry)
-	}
-	return c
-}
+func newStateCache() *stateCache { return &stateCache{} }
 
 // visitOutcome says what the expansion loop must do with a replayed
 // state after consulting the cache.
@@ -120,26 +158,36 @@ func (c *stateCache) visit(key uint64, depth int, sleep sleepSet, terminal bool,
 	s := &c.shards[key%cacheShards]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	entry, ok := s.m[key]
-	if ok && int(entry.depth) <= depth && entry.sleep&^sleep == 0 {
-		st.pruned.Add(1)
-		if terminal {
-			st.terminals.Add(1)
-		}
-		return visitPruned, 0, 0, false
+	var sl *cacheSlot
+	if s.slots != nil {
+		sl = s.slot(key)
 	}
-	if !ok {
+	if sl == nil || !sl.entry.used {
 		if st.states.Load() >= maxStates {
 			st.truncated.Add(1)
 			return visitTruncated, 0, 0, false
 		}
 		st.states.Add(1)
-		s.m[key] = cacheEntry{depth: int32(depth), sleep: sleep, terminal: terminal}
+		if 4*(s.count+1) > 3*len(s.slots) {
+			s.grow()
+			sl = s.slot(key)
+		}
+		s.count++
+		sl.key = key
+		sl.entry = cacheEntry{depth: int32(depth), sleep: sleep, terminal: terminal, used: true}
 		if terminal {
 			st.terminals.Add(1)
 			st.distinctTerminals.Add(1)
 		}
 		return visitExpand, sleep, 0, terminal
+	}
+	entry := &sl.entry
+	if int(entry.depth) <= depth && entry.sleep&^sleep == 0 {
+		st.pruned.Add(1)
+		if terminal {
+			st.terminals.Add(1)
+		}
+		return visitPruned, 0, 0, false
 	}
 	var awake sleepSet
 	if depth < int(entry.depth) {
@@ -161,6 +209,5 @@ func (c *stateCache) visit(key uint64, depth int, sleep sleepSet, terminal bool,
 			st.distinctTerminals.Add(1)
 		}
 	}
-	s.m[key] = entry
 	return visitExpand, entry.sleep, awake, first
 }

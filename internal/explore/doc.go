@@ -17,15 +17,21 @@
 // FrameSaver); Explore rejects coroutine programs with ErrSetup. Two
 // reductions keep the tree small:
 //
-//   - canonical-state caching: every reached state is hashed into a
-//     canonical state key (sim.Configuration.Key over the visible
+//   - canonical-state caching: every reached state is identified by
+//     its canonical state key (sim.Configuration.Key over the visible
 //     configuration plus the per-agent observation-history hashes that
-//     Options.TrackState maintains), and a state already explored at
-//     the same or shallower depth with the same or fewer suppressed
-//     transitions is pruned — converged branches are never re-expanded,
-//     and a revisit that does wake suppressed transitions expands only
-//     those (the revisit rule below). The cache is sharded by key hash
-//     with per-shard locking, so workers rarely contend;
+//     Options.TrackState maintains; the engine keeps it current
+//     incrementally, so reading it costs O(1) per expansion), and a
+//     state already explored at the same or shallower depth with the
+//     same or fewer suppressed transitions is pruned — converged
+//     branches are never re-expanded, and a revisit that does wake
+//     suppressed transitions expands only those (the revisit rule
+//     below). The cache is 64 shards chosen by the key's low six bits,
+//     each behind its own lock, so workers rarely contend; a shard is a
+//     flat open-addressed table of 24-byte slots (key plus 16-byte
+//     entry) probed linearly from the key's remaining bits and doubled
+//     at 3/4 load, so the cache's memory is exactly its slot count
+//     times 24 bytes;
 //   - a sleep-set-style partial-order reduction: commuting reorderings
 //     of already-explored siblings are skipped, with commutation
 //     decided by the per-directed-edge independence relation below.

@@ -361,39 +361,10 @@ const (
 
 // run executes one search over the work-stealing frontier.
 func run(ctx context.Context, setup Setup, opts Options, rankSrc []int32, boundary map[int]bool) (Report, error) {
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	x := &explorer{
-		setup:    setup,
-		opts:     opts,
-		rankSrc:  rankSrc,
-		boundary: boundary,
-		cache:    newStateCache(),
-		frontier: newFrontier(workers),
-		loads:    make([]atomic.Int64, workers),
-		start:    time.Now(),
-		wes:      make([]workerEngine, workers),
-	}
-	x.cpPool.New = func() any { return new(sim.Checkpoint) }
-
-	// The first engine becomes worker 0's resident engine, and its
-	// capture of the initial configuration the root checkpoint.
-	eng, err := x.newEngine()
+	x, rootItem, err := newExplorer(setup, opts, rankSrc, boundary)
 	if err != nil {
 		return Report{}, err
 	}
-	if !eng.Checkpointable() {
-		return Report{}, fmt.Errorf("%w: programs are not checkpointable (every agent must run as a sim.FrameSaver frame)", ErrSetup)
-	}
-	root := x.cpPool.Get().(*sim.Checkpoint)
-	if err := eng.CheckpointTo(root); err != nil {
-		return Report{}, fmt.Errorf("%w: %v", ErrSetup, err)
-	}
-	rootItem := item{cp: &cpRef{cp: root}}
-	rootItem.cp.refs.Store(1)
-	x.wes[0] = workerEngine{eng: eng}
 
 	// Watchdog: a context cancellation or an expired wall-clock budget
 	// stops the frontier; workers then drain within one expansion each.
@@ -407,11 +378,9 @@ func run(ctx context.Context, setup Setup, opts Options, rankSrc []int32, bounda
 	go func() {
 		select {
 		case <-ctx.Done():
-			x.abort.CompareAndSwap(abortNone, abortCtx)
-			x.frontier.requestStop()
+			x.stop(abortCtx)
 		case <-timerC:
-			x.abort.CompareAndSwap(abortNone, abortBudget)
-			x.frontier.requestStop()
+			x.stop(abortBudget)
 		case <-watchDone:
 		}
 	}()
@@ -427,7 +396,7 @@ func run(ctx context.Context, setup Setup, opts Options, rankSrc []int32, bounda
 
 	x.frontier.push(0, []item{rootItem})
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := range x.wes {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
@@ -445,7 +414,60 @@ func run(ctx context.Context, setup Setup, opts Options, rankSrc []int32, bounda
 	if x.err != nil {
 		return Report{}, x.err
 	}
+	rep := x.report()
+	if x.abort.Load() == abortCtx {
+		return rep, ctx.Err()
+	}
+	return rep, nil
+}
 
+// newExplorer builds the search state for one run: the cache, the
+// frontier, one worker-engine slot per worker with worker 0's engine
+// built, and the root item holding its capture of the initial
+// configuration.
+func newExplorer(setup Setup, opts Options, rankSrc []int32, boundary map[int]bool) (*explorer, item, error) {
+	workers := max(opts.Workers, 1)
+	x := &explorer{
+		setup:    setup,
+		opts:     opts,
+		rankSrc:  rankSrc,
+		boundary: boundary,
+		cache:    newStateCache(),
+		frontier: newFrontier(workers),
+		loads:    make([]atomic.Int64, workers),
+		start:    time.Now(),
+		wes:      make([]workerEngine, workers),
+	}
+	x.cpPool.New = func() any { return new(sim.Checkpoint) }
+
+	// The first engine becomes worker 0's resident engine, and its
+	// capture of the initial configuration the root checkpoint.
+	eng, err := x.newEngine()
+	if err != nil {
+		return nil, item{}, err
+	}
+	if !eng.Checkpointable() {
+		return nil, item{}, fmt.Errorf("%w: programs are not checkpointable (every agent must run as a sim.FrameSaver frame)", ErrSetup)
+	}
+	root := x.cpPool.Get().(*sim.Checkpoint)
+	if err := eng.CheckpointTo(root); err != nil {
+		return nil, item{}, fmt.Errorf("%w: %v", ErrSetup, err)
+	}
+	rootItem := item{cp: &cpRef{cp: root}}
+	rootItem.cp.refs.Store(1)
+	x.wes[0] = workerEngine{eng: eng}
+	return x, rootItem, nil
+}
+
+// stop records why the search stops — the first reason wins — and
+// makes every worker drain out.
+func (x *explorer) stop(reason int32) {
+	x.abort.CompareAndSwap(abortNone, reason)
+	x.frontier.requestStop()
+}
+
+// report assembles the finished search's Report from the scoreboard.
+func (x *explorer) report() Report {
 	rep := Report{
 		States:            int(x.st.states.Load()),
 		Pruned:            int(x.st.pruned.Load()),
@@ -458,12 +480,12 @@ func run(ctx context.Context, setup Setup, opts Options, rankSrc []int32, bounda
 		Deepest:           int(x.st.deepest.Load()),
 		Counterexample:    x.cex,
 	}
-	if opts.loads != nil {
-		loads := make([]int64, workers)
+	if x.opts.loads != nil {
+		loads := make([]int64, len(x.loads))
 		for w := range loads {
 			loads[w] = x.loads[w].Load()
 		}
-		*opts.loads = loads
+		*x.opts.loads = loads
 	}
 	aborted := x.abort.Load()
 	if aborted == abortBudget {
@@ -472,10 +494,7 @@ func run(ctx context.Context, setup Setup, opts Options, rankSrc []int32, bounda
 		rep.Truncated += int(x.frontier.pending.Load())
 	}
 	rep.Complete = rep.Truncated == 0 && x.cex == nil && aborted == abortNone
-	if aborted == abortCtx {
-		return rep, ctx.Err()
-	}
-	return rep, nil
+	return rep
 }
 
 type explorer struct {
@@ -728,6 +747,11 @@ func (x *explorer) makeChildren(w int, it item, enabled []sim.Choice, sleep, awa
 func (x *explorer) expand(w int, it item) {
 	defer x.release(it.cp)
 	if x.frontier.stopped() {
+		if x.abort.Load() == abortBudget {
+			// Popped before an expired budget stopped the search: cut
+			// search like the still-queued items report counts.
+			x.st.truncated.Add(1)
+		}
 		return
 	}
 	x.loads[w].Add(1)

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"agentring/internal/ring"
+	"agentring/internal/sim"
 	"agentring/internal/topo"
 	"agentring/internal/workload"
 )
@@ -197,6 +198,43 @@ func TestMaxDurationTruncates(t *testing.T) {
 	}
 	if rep.Counterexample != nil {
 		t.Errorf("budget expiry produced a bogus counterexample: %v", rep.Counterexample)
+	}
+}
+
+// TestBudgetStopCountsPoppedItem lands a wall-clock budget stop between
+// a worker's pop and its expansion — here, of the root item, the one
+// case where nothing else is left to count — and requires the dropped
+// item in Truncated: a budget-stopped search must never report
+// Truncated == 0 with Complete == false.
+func TestBudgetStopCountsPoppedItem(t *testing.T) {
+	top := ring.MustNew(5)
+	rankSrc, err := sim.RankSources(top)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, root, err := newExplorer(Setup{
+		N:        5,
+		Topology: top,
+		Homes:    []ring.NodeID{0, 2},
+		Programs: walkers(walker{route: []int{0, 0}}, walker{route: []int{0}}),
+	}, Options{MaxDepth: DefaultMaxDepth, MaxStates: DefaultMaxStates}, rankSrc, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x.frontier.push(0, []item{root})
+	it, ok := x.frontier.next(0)
+	if !ok {
+		t.Fatal("no root item to pop")
+	}
+	x.stop(abortBudget) // what the watchdog does when MaxDuration expires
+	x.expand(0, it)
+	x.frontier.finish()
+	rep := x.report()
+	if rep.Complete || rep.Truncated < 1 {
+		t.Fatalf("budget stop after the pop: Complete=%v Truncated=%d, want false and >= 1", rep.Complete, rep.Truncated)
+	}
+	if rep.States != 0 {
+		t.Fatalf("States = %d, want 0: the stopped expansion must not run", rep.States)
 	}
 }
 

@@ -33,8 +33,10 @@ type FrameSaver interface {
 // Checkpoint is a compact copy of an Engine's mutable state between two
 // atomic actions: the struct-of-arrays agent tables, intrusive queue
 // links, token counts, enabled-set bitsets, init-suppression state, the
-// dynamic-edge mask with its fault cursor, run counters, and every
-// agent frame's resumable state (via FrameSaver).
+// dynamic-edge mask with its fault cursor, run counters, every agent
+// frame's resumable state (via FrameSaver) and, under TrackState, the
+// incrementally maintained configuration key with its k cached agent
+// terms, so a restored engine's StateKey is current without a refold.
 //
 // A Checkpoint is engine-independent: Restore accepts it on any engine
 // built with the same topology, homes, programs, and options — which is
@@ -76,6 +78,8 @@ type Checkpoint struct {
 
 	obsHash  []uint64 // nil when the engine does not track state
 	mailHash []uint64
+	key      uint64
+	aterm    []uint64
 
 	// Mailboxes flattened: mailLen[i] messages of agent i, concatenated
 	// in agent order in mailMsgs. Message values are never mutated after
@@ -184,9 +188,11 @@ func (e *Engine) CheckpointTo(cp *Checkpoint) error {
 	if e.track {
 		cp.obsHash = into(cp.obsHash, e.obsHash)
 		cp.mailHash = into(cp.mailHash, e.mailHash)
+		cp.aterm = into(cp.aterm, e.aterm)
 	} else {
-		cp.obsHash, cp.mailHash = nil, nil
+		cp.obsHash, cp.mailHash, cp.aterm = nil, nil, nil
 	}
+	cp.key = e.key
 
 	cp.mailLen = cp.mailLen[:0]
 	cp.mailMsgs = cp.mailMsgs[:0]
@@ -272,7 +278,9 @@ func (e *Engine) Restore(cp *Checkpoint) error {
 	if e.track {
 		e.obsHash = into(e.obsHash, cp.obsHash)
 		e.mailHash = into(e.mailHash, cp.mailHash)
+		e.aterm = into(e.aterm, cp.aterm)
 	}
+	e.key = cp.key
 
 	moff := 0
 	for i := range e.mailbox {
@@ -369,75 +377,28 @@ func (e *Engine) TotalMoves() int {
 // empty.
 func (e *Engine) ResultNow() Result { return e.result() }
 
-// StateKey returns Snapshot().Key() without materializing the snapshot:
-// the same canonical fold over statuses, tokens, staying sets (in
-// (node, agent) order), per-edge queue contents, agent history hashes,
-// and the down-edge set, straight from the engine's arrays. It
-// allocates nothing beyond a one-time engine-owned scratch buffer,
-// which is what lets the explorer hash every visited state without
-// paying a Configuration build per state.
-// TestStateKeyMatchesSnapshotKey pins the equivalence.
+// StateKey returns Snapshot().Key() without materializing the snapshot.
+// Under Options.TrackState — the only way the explorer builds engines —
+// it is a field read: the engine keeps the XOR of Configuration.Key's
+// terms current as every atomic action, fault and restore mutates the
+// configuration, and folds only the online adversary's term (spent
+// fails and the relative outage ages, which change with every step) at
+// read time, in O(down links). An untracked engine computes
+// Snapshot().Key(). TestStateKeyMatchesSnapshotKey, the root
+// cross-checks and FuzzStateKey pin the equivalence at every decision
+// point.
 func (e *Engine) StateKey() uint64 {
-	h := uint64(0)
-	for _, s := range e.status {
-		h = fold(h, uint64(s))
+	if !e.track {
+		return e.snapshot().Key()
 	}
-	for _, t := range e.tokens {
-		h = fold(h, uint64(t))
+	if e.adv == nil {
+		return e.key
 	}
-	// Staying fold: Configuration.Staying groups staying agents by node
-	// (nodes ascending), each group in agent-index order — i.e. the
-	// staying agents sorted by (node, id). Collect ids ascending, then
-	// stable insertion sort by node (k is small; the scratch is reused).
-	buf := e.keyScratch[:0]
-	for i := range e.status {
-		if e.status[i] == StatusWaiting || e.status[i] == StatusHalted {
-			buf = append(buf, int32(i))
-		}
-	}
-	e.keyScratch = buf
-	for i := 1; i < len(buf); i++ {
-		for j := i; j > 0 && e.node[buf[j]] < e.node[buf[j-1]]; j-- {
-			buf[j], buf[j-1] = buf[j-1], buf[j]
-		}
-	}
-	for _, id := range buf {
-		h = fold(fold(h, uint64(e.node[id])+1), uint64(id))
-	}
-	// Queue fold: Configuration.Key walks EdgeQueues by rank ascending,
-	// folding only non-empty queues — exactly the occupied set. Agents
-	// pending their first home activation are in no edge queue and fold
-	// nothing, matching the snapshot (they appear only in InTransit,
-	// which Key ignores when EdgeQueues is present).
-	n := uint64(e.et.n)
-	for r := e.occupied.next(0); r != -1; r = e.occupied.next(r + 1) {
-		for id := e.qhead[r]; id != -1; id = e.qnext[id] {
-			h = fold(fold(h, uint64(r)+1+n), uint64(id))
-		}
-	}
-	if e.track {
-		for i := range e.obsHash {
-			h = fold(h, fold(e.obsHash[i], e.mailHash[i]))
-		}
-	}
+	a := advTerm(e.advFails)
 	if e.downCount > 0 {
-		h = fold(h, 0xd09e)
 		for r := e.down.next(0); r != -1; r = e.down.next(r + 1) {
-			h = fold(h, uint64(r)+1)
+			a = advAge(a, e.steps-int(e.advDownAt[r]))
 		}
 	}
-	if e.adv != nil {
-		// Adversary state is part of the configuration: the spent fail
-		// budget and each down link's *relative* age (actions since the
-		// fail, not the absolute step stamp), so that equal agent states
-		// reached at different depths still share a key.
-		h = fold(h, 0xadfa)
-		h = fold(h, uint64(e.advFails))
-		if e.downCount > 0 {
-			for r := e.down.next(0); r != -1; r = e.down.next(r + 1) {
-				h = fold(h, uint64(e.steps-int(e.advDownAt[r])))
-			}
-		}
-	}
-	return h
+	return e.key ^ a
 }

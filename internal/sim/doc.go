@@ -91,9 +91,40 @@
 //
 // Alongside restore sits the step-driven control surface the explorer
 // uses instead of Run: DecisionPoint fires due faults and returns the
-// enabled choices, ApplyChoice executes one, and StateKey computes the
+// enabled choices, ApplyChoice executes one, and StateKey returns the
 // canonical configuration key (identical to Snapshot().Key()) without
 // materializing a snapshot.
+//
+// # State identity
+//
+// The configuration key is Zobrist-style: the XOR of one term per
+// component (statehash.go) — per agent its id, status, staying node (-1
+// in transit) and state hash; per queued agent its edge rank, id and
+// the agent ahead of it (-1 at the head); per node holding tokens the
+// node and count; per failed link its rank; and, under an adversary,
+// one term for the spent fails and the relative outage ages. Each term
+// encodes its fields injectively (fold depends only on the sum of its
+// arguments, so fields get their own fold or disjoint bit ranges, never
+// a shared sum), so no two terms of a configuration coincide and XOR
+// never cancels a live component; TestStateKeyTermsInjective checks
+// this exhaustively over small ranges. Configuration.Key computes the
+// sum from scratch and is the oracle. Under TrackState the engine keeps
+// the sum current instead, so StateKey is a field read plus the
+// adversary term (whose ages change every step) folded in O(down
+// links); checkpoints carry the key and the cached agent terms.
+//
+// The rule that keeps the two equal: every site that mutates a keyed
+// component updates the key in the same step. Today those sites are
+// enqueue and dequeue (a pop also changes the new head's predecessor),
+// the end of finishAction on every return path (the actor's status,
+// staying node, observation hash and mailbox), each Broadcast recipient
+// (its mailbox hash), ReleaseToken and SetEdgeState (fixed faults and
+// the adversary alike); NewEngine seeds the agent terms and Restore
+// copies key and terms back. A new mutation site must join the list.
+// TestStateKeyMatchesSnapshotKey, the root cross-checks (at every
+// decision of driveStepwise, after every Run of runBoth) and
+// FuzzStateKey (fuzzed choices, checkpoints, restores and fresh-engine
+// resumes) compare StateKey with Snapshot().Key().
 //
 // # Dynamic topologies
 //

@@ -60,11 +60,13 @@ type Options struct {
 	// TrackState, if set, maintains a per-agent canonical hash of the
 	// agent's complete observation history (every value its program read
 	// through the API) and pending mailbox contents, surfaced as
-	// Configuration.AgentHashes. Programs are deterministic functions of
-	// their observations, so equal hashes identify equal internal
-	// program states; the schedule-space explorer relies on this to
-	// recognize converged branches. Off by default: hashing message
-	// payloads costs a formatting pass per delivery.
+	// Configuration.AgentHashes, and keeps the configuration key
+	// (Configuration.Key) current after every mutation, so StateKey is a
+	// field read. Programs are deterministic functions of their
+	// observations, so equal hashes identify equal internal program
+	// states; the schedule-space explorer relies on this to recognize
+	// converged branches. Off by default: hashing message payloads costs
+	// a formatting pass per delivery.
 	TrackState bool
 	// ForceCoroutine disables the Frame fast path: programs that
 	// implement Framer run their coroutine Run instead. The two paths
@@ -221,7 +223,14 @@ type Engine struct {
 	track     bool // Options.TrackState
 	quiesced  bool // Run ended with no enabled action (vs stopped/error)
 
-	keyScratch []int32 // StateKey's staying-agent sort buffer, reused across calls
+	// The configuration key (Options.TrackState only): the XOR of every
+	// term of Configuration.Key except the adversary's, which StateKey
+	// folds at read time. Every site that mutates a keyed component
+	// updates it in the same step (the list is in doc.go, "State
+	// identity"); aterm caches each agent's current term, so replacing
+	// it needs no recomputation of the old one.
+	key   uint64
+	aterm []uint64
 }
 
 // NewEngine builds an engine for k agents with the given distinct home
@@ -333,6 +342,7 @@ func NewEngine(t Topology, homes []ring.NodeID, programs []Program, opts Options
 	if e.track {
 		e.obsHash = make([]uint64, k)
 		e.mailHash = make([]uint64, k)
+		e.aterm = make([]uint64, k)
 	}
 	for i := range homes {
 		e.home[i] = homes[i]
@@ -355,6 +365,9 @@ func NewEngine(t Topology, homes []ring.NodeID, programs []Program, opts Options
 		// node's single link FIFO.
 		e.initPending[homes[i]] = int32(i)
 		e.initNodes.add(int(homes[i]))
+		if e.track {
+			e.rekeyAgent(i)
+		}
 	}
 	return e, nil
 }
@@ -548,6 +561,9 @@ func (e *Engine) enabledChoices() []Choice {
 // the edge as occupied — and its new head as ready, when the edge is up
 // — if its queue was empty.
 func (e *Engine) enqueue(r, id int) {
+	if e.track {
+		e.key ^= queueTerm(queueSeed(r), id, int(e.qtail[r]))
+	}
 	if e.qhead[r] == -1 {
 		e.qhead[r] = int32(id)
 		e.occupied.add(r)
@@ -567,6 +583,13 @@ func (e *Engine) enqueue(r, id int) {
 // ready set otherwise.
 func (e *Engine) dequeue(r int) int {
 	id := e.qhead[r]
+	if e.track {
+		seed := queueSeed(r)
+		e.key ^= queueTerm(seed, int(id), -1)
+		if next := int(e.qnext[id]); next != -1 {
+			e.key ^= queueTerm(seed, next, int(id)) ^ queueTerm(seed, next, -1)
+		}
+	}
 	e.qhead[r] = e.qnext[id]
 	e.ready.remove(int(id))
 	e.qrank[id] = -1
@@ -665,7 +688,9 @@ func (e *Engine) activateWake(id int) error {
 
 // finishAction is steps 2-4 of the atomic action: deliver all queued
 // messages, resume the program (frame step or coroutine) until it ends
-// the action, and apply the outcome.
+// the action, and apply the outcome. Every return path ends by
+// refreshing the agent's key term: the action changed its observation
+// hash and mailbox, and possibly its status and staying node.
 func (e *Engine) finishAction(id int, wasStaying bool) error {
 	// Step 2: deliver all queued messages. Whatever the program does not
 	// read is consumed anyway. (Arrivals always find an empty mailbox —
@@ -682,10 +707,14 @@ func (e *Engine) finishAction(id int, wasStaying bool) error {
 
 	ev, ok := e.resume(id)
 	if !ok {
+		if e.track {
+			e.rekeyAgent(id)
+		}
 		return fmt.Errorf("%w: agent %d coroutine exhausted", ErrBadSetup, id)
 	}
 	// Unconsumed messages vanish at the end of the atomic action.
 	e.apis[id].inbox = nil
+	var err error
 	switch ev.kind {
 	case yieldMove:
 		// The port was validated inside MoveVia (or the frame dispatch)
@@ -718,12 +747,27 @@ func (e *Engine) finishAction(id int, wasStaying bool) error {
 		}
 		e.traceEvent(id, "halt", "")
 		if ev.err != nil {
-			return fmt.Errorf("agent %d failed: %w", id, ev.err)
+			err = fmt.Errorf("agent %d failed: %w", id, ev.err)
 		}
 	default:
-		return fmt.Errorf("%w: unknown yield kind %d", ErrBadSetup, ev.kind)
+		err = fmt.Errorf("%w: unknown yield kind %d", ErrBadSetup, ev.kind)
 	}
-	return nil
+	if e.track {
+		e.rekeyAgent(id)
+	}
+	return err
+}
+
+// rekeyAgent replaces agent id's term in the configuration key with one
+// computed from its current state.
+func (e *Engine) rekeyAgent(id int) {
+	node := -1
+	if e.status[id] != StatusInTransit {
+		node = int(e.node[id])
+	}
+	t := agentTerm(id, e.status[id], node, fold(e.obsHash[id], e.mailHash[id]))
+	e.key ^= e.aterm[id] ^ t
+	e.aterm[id] = t
 }
 
 // resume runs the agent until it ends the current atomic action: one
@@ -892,10 +936,13 @@ func (p *apiState) ArrivalPort() int {
 
 // ReleaseToken implements API.
 func (p *apiState) ReleaseToken() {
+	v := int(p.e.node[p.id])
 	if p.e.track {
 		p.e.obsHash[p.id] = fold(p.e.obsHash[p.id], opRelease)
+		t := p.e.tokens[v]
+		p.e.key ^= tokenTerm(v, t) ^ tokenTerm(v, t+1)
 	}
-	p.e.tokens[p.e.node[p.id]]++
+	p.e.tokens[v]++
 	p.e.traceEvent(p.id, "token", "")
 }
 
@@ -946,6 +993,7 @@ func (p *apiState) Broadcast(msg Message) {
 			e.mailbox[id] = append(e.mailbox[id], msg)
 			if e.track {
 				e.mailHash[id] = fold(e.mailHash[id], payload)
+				e.rekeyAgent(int(id))
 			}
 		}
 	}

@@ -125,6 +125,9 @@ func (e *Engine) SetEdgeState(from ring.NodeID, port int, up bool) error {
 		}
 	}
 	e.epoch++
+	if e.track {
+		e.key ^= downTerm(r)
+	}
 	if e.sink != nil {
 		kind := "link-down"
 		if up {

@@ -142,55 +142,68 @@ func (e *Engine) Snapshot() Configuration { return e.snapshot() }
 
 // Key canonically hashes the configuration into a single value suitable
 // for state caching: every component that determines future behaviour
-// is folded in — statuses, tokens, staying sets, queue contents and
-// order, and AgentHashes — while Step and Moves (run metrics, not
-// state) are excluded. Two configurations with equal keys are the same
-// global state up to 64-bit collisions, provided both were produced by
-// engines with Options.TrackState set.
+// is included — statuses, tokens, staying sets, queue contents and
+// order, AgentHashes, the down set and the adversary's state — while
+// Step, Moves and Epoch (run metrics, not state) are excluded. Two
+// configurations with equal keys are the same global state up to 64-bit
+// collisions, provided both were produced by engines with
+// Options.TrackState set.
+//
+// The key is the XOR of one term per component (statehash.go):
+//
+//   - per agent: id, status, the node it stays at (-1 in transit) and
+//     its AgentHashes entry (0 without TrackState);
+//   - per queued agent: the edge rank, its id and the agent ahead of it
+//     (-1 at the head), which fixes the queue's order;
+//   - per node holding tokens: the node and its count;
+//   - per failed link: its rank, so all-up keys equal the static
+//     engine's;
+//   - with an adversary: one term folding the spent fails and the down
+//     links' relative ages in DownEdges (rank) order.
+//
+// Key computes the sum from scratch and is the oracle for
+// Engine.StateKey, which maintains the same sum incrementally.
 func (c Configuration) Key() uint64 {
-	h := uint64(0)
-	for _, s := range c.Statuses {
-		h = fold(h, uint64(s))
-	}
-	for _, t := range c.Tokens {
-		h = fold(h, uint64(t))
+	stay := make([]int, len(c.Statuses)) // the node each agent stays at
+	for i := range stay {
+		stay[i] = -1
 	}
 	for v, ids := range c.Staying {
 		for _, id := range ids {
-			h = fold(fold(h, uint64(v)+1), uint64(id))
+			stay[id] = v
 		}
+	}
+	var h uint64
+	for i, s := range c.Statuses {
+		var ah uint64
+		if c.AgentHashes != nil {
+			ah = c.AgentHashes[i]
+		}
+		h ^= agentTerm(i, s, stay[i], ah)
+	}
+	for v, t := range c.Tokens {
+		h ^= tokenTerm(v, t)
 	}
 	queues := c.EdgeQueues
 	if queues == nil {
 		queues = c.InTransit
 	}
 	for r, q := range queues {
+		seed, pred := queueSeed(r), -1
 		for _, id := range q {
-			h = fold(fold(h, uint64(r)+1+uint64(len(c.Staying))), uint64(id))
+			h ^= queueTerm(seed, id, pred)
+			pred = id
 		}
 	}
-	for _, ah := range c.AgentHashes {
-		h = fold(h, ah)
+	for _, r := range c.DownEdges {
+		h ^= downTerm(r)
 	}
-	// The down set is future-determining state: the same visible
-	// configuration behaves differently depending on which links are
-	// usable. The marker keeps all-up keys identical to the static
-	// engine's (nothing is folded when DownEdges is empty). Epoch, like
-	// Step, is a historical metric and is excluded.
-	if len(c.DownEdges) > 0 {
-		h = fold(h, 0xd09e)
-		for _, r := range c.DownEdges {
-			h = fold(h, uint64(r)+1)
-		}
-	}
-	// Adversary state, matching Engine.StateKey: the spent fail budget
-	// and the down links' relative ages in DownEdges (rank) order.
 	if c.AdvActive {
-		h = fold(h, 0xadfa)
-		h = fold(h, uint64(c.AdvFailures))
+		a := advTerm(c.AdvFailures)
 		for _, age := range c.AdvDownAges {
-			h = fold(h, uint64(age))
+			a = advAge(a, age)
 		}
+		h ^= a
 	}
 	return h
 }

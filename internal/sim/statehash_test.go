@@ -1,0 +1,167 @@
+package sim
+
+import (
+	"fmt"
+	"testing"
+
+	"agentring/internal/ring"
+)
+
+// TestStateKeyTermsInjective pins the rule the XOR key rests on: no two
+// terms of one configuration may coincide, or they cancel. Over small
+// exhaustive ranges every term of every family must be distinct from
+// every other; an encoding that adds two fields into one fold argument
+// (fold depends only on h+v) fails here, while a referee comparing whole
+// searches does not notice it.
+func TestStateKeyTermsInjective(t *testing.T) {
+	const lim = 48
+	seen := make(map[uint64]string)
+	add := func(term uint64, format string, args ...any) {
+		t.Helper()
+		what := fmt.Sprintf(format, args...)
+		if prev, dup := seen[term]; dup {
+			t.Fatalf("%s and %s share the term %#x", prev, what, term)
+		}
+		seen[term] = what
+	}
+	for id := 0; id < lim; id++ {
+		for _, st := range []Status{StatusInTransit, StatusWaiting, StatusHalted} {
+			for node := -1; node < lim; node++ {
+				for hash := uint64(0); hash < 3; hash++ {
+					add(agentTerm(id, st, node, hash), "agent(%d,%d,%d,%d)", id, st, node, hash)
+				}
+			}
+		}
+	}
+	for r := 0; r < lim; r++ {
+		for id := 0; id < lim; id++ {
+			for pred := -1; pred < lim; pred++ {
+				add(queueTerm(queueSeed(r), id, pred), "queue(%d,%d,%d)", r, id, pred)
+			}
+		}
+		for tok := 1; tok < lim; tok++ {
+			add(tokenTerm(r, tok), "token(%d,%d)", r, tok)
+		}
+		add(downTerm(r), "down(%d)", r)
+	}
+	if tokenTerm(5, 0) != 0 {
+		t.Error("a node without tokens contributes a term")
+	}
+
+	// Two agents with equal state hashes waiting at nodes 1 and 2 must
+	// not key like the same two agents swapped.
+	swap := func(a, b int) Configuration {
+		staying := make([][]int, 4)
+		staying[a] = append(staying[a], 0)
+		staying[b] = append(staying[b], 1)
+		return Configuration{
+			Statuses:    []Status{StatusWaiting, StatusWaiting},
+			Tokens:      make([]int, 4),
+			Staying:     staying,
+			EdgeQueues:  make([][]int, 4),
+			AgentHashes: []uint64{7, 7},
+		}
+	}
+	if swap(1, 2).Key() == swap(2, 1).Key() {
+		t.Error("swapping two equal-hash agents across nodes leaves the key unchanged")
+	}
+}
+
+// stateKeyFixtures are the engines FuzzStateKey drives: the checkpoint
+// fixture (walkers broadcasting to a listener around a transient link
+// failure) and the adversary fixture.
+var stateKeyFixtures = []func(t *testing.T) *Engine{
+	cpSetup,
+	func(t *testing.T) *Engine {
+		return advSetup(t, AdversaryBudget{MaxConcurrent: 2, RepairWithin: 2, MaxTotal: 3})
+	},
+}
+
+// FuzzStateKey holds the incrementally maintained key to its oracle,
+// Snapshot().Key(), at every decision point of fuzzed schedules. The
+// first byte picks the fixture; each later byte picks one decision: its
+// low six bits the choice, its top two bits whether to CheckpointTo
+// first, Restore the last checkpoint, or resume it in a fresh engine.
+func FuzzStateKey(f *testing.F) {
+	f.Add([]byte{0})
+	f.Add([]byte{1})
+	f.Add([]byte{0, 0x41, 3, 0x85, 2, 0xc1, 7, 0x80, 1, 0x42})
+	f.Add([]byte{1, 0x44, 5, 6, 0xc3, 0x47, 2, 0x81, 9, 0xc0, 4})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		mk := stateKeyFixtures[int(data[0])%len(stateKeyFixtures)]
+		e := mk(t)
+		cp := &Checkpoint{}
+		saved := false
+		check := func(i int) {
+			t.Helper()
+			if got, want := e.StateKey(), e.Snapshot().Key(); got != want {
+				t.Fatalf("decision %d: StateKey = %#x, Snapshot().Key = %#x", i, got, want)
+			}
+		}
+		for i := 1; ; i++ {
+			var b byte
+			if i < len(data) {
+				b = data[i]
+			}
+			switch b >> 6 {
+			case 1:
+				if err := e.CheckpointTo(cp); err != nil {
+					t.Fatal(err)
+				}
+				saved = true
+			case 2, 3:
+				if saved {
+					if b>>6 == 3 {
+						e = mk(t)
+					}
+					if err := e.Restore(cp); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			check(i)
+			cs := e.DecisionPoint()
+			if len(cs) == 0 || e.Steps() >= e.StepLimit() {
+				return
+			}
+			if err := e.ApplyChoice(cs[int(b&63)%len(cs)]); err != nil {
+				t.Fatalf("decision %d: ApplyChoice: %v", i, err)
+			}
+		}
+	})
+}
+
+var stateKeySink uint64
+
+// BenchmarkStateKey times StateKey on a tracked engine halfway through
+// a run of k walkers on an n-ring: a field read, flat across n and k.
+func BenchmarkStateKey(b *testing.B) {
+	for _, c := range []struct{ n, k int }{{8, 4}, {64, 16}, {512, 64}} {
+		b.Run(fmt.Sprintf("n=%d/k=%d", c.n, c.k), func(b *testing.B) {
+			homes := make([]ring.NodeID, c.k)
+			programs := make([]Program, c.k)
+			for i := range homes {
+				homes[i] = ring.NodeID(i * (c.n / c.k))
+				programs[i] = walker(c.n)
+			}
+			e, err := NewEngine(ring.MustNew(c.n), homes, programs, Options{TrackState: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for d := 0; d < c.n*c.k/2; d++ {
+				cs := e.DecisionPoint()
+				if err := e.ApplyChoice(cs[d%len(cs)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				stateKeySink = e.StateKey()
+			}
+		})
+	}
+}
