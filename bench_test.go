@@ -367,13 +367,13 @@ func BenchmarkEngineThroughput(b *testing.B) {
 // a fixed heavy placement (native algorithm, n=8, four clustered
 // agents: 1693 states) across worker-pool sizes, plus one deeper n=7
 // five-agent placement where schedules run long enough that the
-// checkpoint search's O(stride)-per-state cost separates clearly from
-// the old O(depth) replay-from-root, and one LogSpace placement (n=6,
-// five clustered agents: 6796 states) whose message-driven frames —
-// leaders waking suspended followers — go through the same checkpoint
-// search. Three metrics feed the benchdiff
+// checkpoint search's one applied action per expansion separates
+// clearly from the old O(depth) replay-from-root, and one LogSpace
+// placement (n=6, five clustered agents: 6796 states) whose
+// message-driven frames — leaders waking suspended followers — go
+// through the same checkpoint search. Three metrics feed the benchdiff
 // gate: ns/state and allocs/state (lower is better — allocs/state is
-// what keeps the pooled checkpoints honest), and speedup over the
+// what keeps the recycled branches honest), and speedup over the
 // workers=1 rate of the same sub-benchmark run (higher is better, so
 // flat parallel scaling trips the gate rather than hiding behind an
 // unchanged ns/state). states/sec stays the human-facing rate; the

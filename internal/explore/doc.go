@@ -10,12 +10,13 @@
 //
 // A node of the tree is a prefix of scheduling decisions (indices into
 // the engine's deterministic enabled-choice order). Expanding a node
-// reaches its state — by restoring a pooled engine checkpoint at most
-// DefaultCheckpointStride levels up and applying only the missing
-// decisions — and asks the engine for the enabled set there. Every
-// agent program must therefore run as a checkpointable frame (sim's
-// FrameSaver); Explore rejects coroutine programs with ErrSetup. Two
-// reductions keep the tree small:
+// applies exactly one engine action — the decision that leads into it —
+// and asks the engine for the enabled set there: a worker descends into
+// each node's first child on the engine as it stands, and reaches any
+// other child by restoring the checkpoint captured at its parent (see
+// Checkpoints). Every agent program must therefore run as a
+// checkpointable frame (sim's FrameSaver); Explore rejects coroutine
+// programs with ErrSetup. Two reductions keep the tree small:
 //
 //   - canonical-state caching: every reached state is identified by
 //     its canonical state key (sim.Configuration.Key over the visible
@@ -82,23 +83,38 @@
 // # Checkpoints
 //
 // Replaying every prefix from the initial configuration would make a
-// state cost O(depth) engine steps; checkpoints make it amortized
-// O(DefaultCheckpointStride). Each worker owns one resident engine
-// that simply sits wherever its last expansion left it: in DFS order
-// the next item popped is almost always a child of that position, so
-// the warm path applies exactly one decision. Backtracks, steals, and
-// cross-subtree jumps restore the item's checkpoint — a
-// reference-counted, pool-recycled sim.Checkpoint captured at most
-// DefaultCheckpointStride levels above it (every expanded node either
-// inherits its parent's reference or, at stride boundaries, captures a
-// fresh one) — and re-apply the short suffix. An item's path is an immutable parent-chain of one-decision
-// nodes shared with its siblings, so creating a child is O(1) and the
-// full prefix slice is materialized only when a counterexample needs
-// confirming. The stride default (4) sits on the flat part of the
-// ns/state curve; steady-state expansion is allocation-light by
-// construction (pooled checkpoints, per-worker scratch, bitmask sleep
-// sets held by value), which BenchmarkExploreParallel's allocs/state
-// metric gates in CI.
+// state cost O(depth) engine steps; checkpoints make every expansion
+// cost exactly one applied action. Each worker owns one resident
+// engine. Where an expansion fans out — two or more children survive
+// the reduction — it captures a branch: a reference-counted record of
+// the engine checkpoint taken right after DecisionPoint, the enabled
+// set that call returned, and the decision path from the root. It
+// pushes children 2..c as items naming the branch and a choice index,
+// then descends into child 1 in place, on the engine as it stands,
+// with no push, pop or restore; a node with a single child captures
+// nothing. A popped item, owner's or thief's alike, restores its
+// branch and applies the one choice it names: the checkpoint restores
+// the decision point itself (sim.Engine.Restore), so no second
+// DecisionPoint, desynchronization check or step-limit check is
+// needed, and the item's path is the branch's plus one index. The
+// full path is copied only into the worker's scratch, and cloned only
+// when a counterexample needs confirming. A popped item releases its
+// branch as soon as it has restored it; the last release returns the
+// branch to the explorer's free list, which every capture draws on,
+// so steady-state expansion is allocation-light by construction (one
+// list of recycled branches, per-worker scratch, bitmask sleep sets
+// held by value), which BenchmarkExploreParallel's allocs/state metric
+// gates in CI.
+//
+// Memory: a branch lives until the last of its pushed children has
+// been popped and restored. Workers pop depth-first and thieves take
+// the shallowest items, so every live branch a worker captured sits at
+// a fanning-out ancestor of its current state — one per such ancestor
+// at most — except, briefly, one whose item a thief has taken but not
+// yet restored. Each branch holds a checkpoint (about 3.5 KB of heap
+// at n=8 with 8 agents) plus its path and choices. The free list never
+// holds more than the search's peak number of live branches, and is
+// freed with the explorer.
 //
 // Soundness reduces to the engine's restore ≡ replay guarantee
 // (sim.Checkpoint; TestFrameCoroutineCheckpointCrossCheck): a restored
@@ -115,12 +131,15 @@
 //
 // # The parallel frontier
 //
-// Each worker owns a deque of pending prefixes: it pushes and pops at
-// the bottom (depth-first local work, children before uncles, which
-// keeps the frontier small), while idle workers steal from the top of
-// a victim's deque — the shallowest item, the root of the largest
-// pending subtree. With Workers=1 this degenerates to an explicit DFS
-// stack visiting states in exact lexicographic preorder.
+// Each worker owns a deque of pending items (a branch and a choice
+// index each): it pushes and pops at the bottom (depth-first local
+// work, children before uncles, which keeps the frontier small), while
+// idle workers steal from the top of a victim's deque — the shallowest
+// item, the root of the largest pending subtree. A node's first child
+// never enters the deque, since its worker descends into it in place,
+// so thieves take only later siblings. With Workers=1 this degenerates
+// to an explicit DFS stack visiting states in exact lexicographic
+// preorder.
 //
 // Parallel visit order is nondeterministic, but the *verdict* is not:
 // the covered state set is order-independent (it is the reachable set,

@@ -25,18 +25,6 @@ const (
 	DefaultMaxStates = 1 << 20
 )
 
-// DefaultCheckpointStride is the depth interval K at which the search
-// captures a fresh engine checkpoint for the subtree below:
-// backtracking (or stealing) restores the nearest checkpoint and
-// re-applies at most K recorded actions, making per-state cost
-// amortized O(K) instead of O(depth). Chosen by
-// BenchmarkExploreParallel: small strides buy little (the warm-engine
-// path already makes the common expansion a single applied action)
-// while paying a checkpoint copy per stride levels; large strides
-// lengthen the restore-replay suffix after a steal. 4 sits on the flat
-// part of the curve for every benched workload.
-const DefaultCheckpointStride = 4
-
 // progressInterval is how often a running search emits Progress
 // snapshots; a variable so tests can tighten it.
 var progressInterval = 200 * time.Millisecond
@@ -154,7 +142,7 @@ type Options struct {
 	// returns.
 	Progress func(Progress)
 
-	// loads, if non-nil, receives the per-worker expanded-item counts
+	// loads, if non-nil, receives the per-worker expansion counts
 	// when the search finishes (len = effective worker count) — a test
 	// hook observing how the stealing discipline spread the work.
 	loads *[]int64
@@ -438,10 +426,9 @@ func newExplorer(setup Setup, opts Options, rankSrc []int32, boundary map[int]bo
 		start:    time.Now(),
 		wes:      make([]workerEngine, workers),
 	}
-	x.cpPool.New = func() any { return new(sim.Checkpoint) }
 
 	// The first engine becomes worker 0's resident engine, and its
-	// capture of the initial configuration the root checkpoint.
+	// capture of the initial configuration the root branch.
 	eng, err := x.newEngine()
 	if err != nil {
 		return nil, item{}, err
@@ -449,14 +436,12 @@ func newExplorer(setup Setup, opts Options, rankSrc []int32, boundary map[int]bo
 	if !eng.Checkpointable() {
 		return nil, item{}, fmt.Errorf("%w: programs are not checkpointable (every agent must run as a sim.FrameSaver frame)", ErrSetup)
 	}
-	root := x.cpPool.Get().(*sim.Checkpoint)
-	if err := eng.CheckpointTo(root); err != nil {
+	root, err := x.capture(eng, nil, nil, 1)
+	if err != nil {
 		return nil, item{}, fmt.Errorf("%w: %v", ErrSetup, err)
 	}
-	rootItem := item{cp: &cpRef{cp: root}}
-	rootItem.cp.refs.Store(1)
 	x.wes[0] = workerEngine{eng: eng}
-	return x, rootItem, nil
+	return x, item{br: root, idx: -1}, nil
 }
 
 // stop records why the search stops — the first reason wins — and
@@ -493,7 +478,10 @@ func (x *explorer) report() Report {
 		// bound; fold it in so the report owns up to the missing work.
 		rep.Truncated += int(x.frontier.pending.Load())
 	}
-	rep.Complete = rep.Truncated == 0 && x.cex == nil && aborted == abortNone
+	// Every item a budget stop cuts is counted in Truncated, so a budget
+	// that expired after the last expansion cut nothing: that search is
+	// complete.
+	rep.Complete = rep.Truncated == 0 && x.cex == nil && aborted != abortCtx
 	return rep
 }
 
@@ -515,52 +503,66 @@ type explorer struct {
 	abort    atomic.Int32
 	start    time.Time
 
-	// Every frontier item carries a reference to a pooled engine
-	// checkpoint at most DefaultCheckpointStride levels above it, and
-	// each worker owns one resident engine (wes) that expansion restores
-	// and re-applies the missing suffix on.
-	cpPool sync.Pool
+	// Each worker owns one resident engine (wes) that expansion restores
+	// branches into. free holds released branches for the next capture:
+	// a plain free list, not a sync.Pool, whose victim cache would keep
+	// a finished search's branches alive for up to two more GC cycles;
+	// this one is freed with the explorer and never holds more than the
+	// search's peak number of live branches.
 	wes    []workerEngine
+	freeMu sync.Mutex
+	free   []*branch
 
 	mu  sync.Mutex
 	cex *Counterexample
 	err error
 }
 
-// workerEngine is one worker's resident engine together with the
-// decision-tree node the engine currently sits at. The warm path — the
-// item being expanded descends from the engine's current node — skips
-// the restore entirely; in DFS order that is the overwhelmingly common
-// case, so most states cost a single applied action. It doubles as the
-// worker's per-expansion scratch space, which is what keeps the
-// steady-state expansion loop nearly allocation-free.
+// workerEngine is one worker's resident engine together with its
+// per-expansion scratch space, which is what keeps the steady-state
+// expansion loop nearly allocation-free. The engine sits wherever the
+// worker's last expansion left it; every popped item restores its
+// branch, and the in-place descent below it never restores at all.
 type workerEngine struct {
-	eng    *sim.Engine
-	node   *prefixNode
-	valid  bool
-	suffix []int  // scratch: decisions between start point and item
-	kids   []item // scratch: children built by makeChildren
+	eng  *sim.Engine
+	path []int  // scratch: decisions from the root to the engine's state
+	kids []item // scratch: children built by makeChildren
 }
 
-// cpRef is a reference-counted handle on a pooled checkpoint: every
-// frontier item below it holds one reference, released when the item is
-// expanded; the checkpoint returns to the pool when the last drops.
-// Items abandoned by an early stop never release theirs — the handles
-// are then garbage collected with the frontier, which only forgoes
-// reuse, never correctness.
-type cpRef struct {
-	cp    *sim.Checkpoint
-	depth int
-	refs  atomic.Int64
-}
-
-func (x *explorer) release(ref *cpRef) {
-	if ref == nil {
-		return
+// capture records the engine's current decision point as a branch
+// holding refs references: its checkpoint, a copy of the enabled set
+// DecisionPoint just returned there, and the decision path from the
+// root. It draws on the free list, so once the list holds the search's
+// peak number of live branches captures allocate nothing.
+func (x *explorer) capture(eng *sim.Engine, enabled []sim.Choice, path []int, refs int) (*branch, error) {
+	var br *branch
+	x.freeMu.Lock()
+	if n := len(x.free); n > 0 {
+		br = x.free[n-1]
+		x.free = x.free[:n-1]
 	}
-	if ref.refs.Add(-1) == 0 {
-		x.cpPool.Put(ref.cp)
-		ref.cp = nil
+	x.freeMu.Unlock()
+	if br == nil {
+		br = new(branch)
+	}
+	if err := eng.CheckpointTo(&br.cp); err != nil {
+		return nil, err
+	}
+	br.choices = append(br.choices[:0], enabled...)
+	br.path = append(br.path[:0], path...)
+	br.refs.Store(int64(refs))
+	return br, nil
+}
+
+// release drops one reference to br; the last returns it to the free
+// list. Items abandoned by an early stop never release theirs — their
+// branches are garbage collected with the explorer, which only forgoes
+// reuse, never correctness.
+func (x *explorer) release(br *branch) {
+	if br.refs.Add(-1) == 0 {
+		x.freeMu.Lock()
+		x.free = append(x.free, br)
+		x.freeMu.Unlock()
 	}
 }
 
@@ -661,10 +663,11 @@ func (x *explorer) foundCex(prefix []int, ctrl *sim.Controlled, res sim.Result, 
 // and its fault-boundary stratification. A non-zero awake set restricts
 // the expansion to those agents: the node is a revisit whose other
 // transitions an earlier visit already explored (stateCache.visit).
-// The children slice is owned by the calling worker and reused across
-// expansions (frontier.push copies items into the deque, so it does not
-// outlive the call).
-func (x *explorer) makeChildren(w int, it item, enabled []sim.Choice, sleep, awake sleepSet, depth int) []item {
+// Each child names its choice by index into enabled; expand attaches
+// the branch. The children slice is owned by the calling worker and
+// reused across expansions (frontier.push copies items into the deque,
+// so it does not outlive the call).
+func (x *explorer) makeChildren(w int, enabled []sim.Choice, sleep, awake sleepSet, depth int) []item {
 	// At a fault boundary the children's executions fire a mutation, so
 	// no commutation across it may be recorded; inherited suppressions
 	// still apply (their exchanges happened at shallower, checked
@@ -718,12 +721,7 @@ func (x *explorer) makeChildren(w int, it item, enabled []sim.Choice, sleep, awa
 				}
 			}
 		}
-		// The path is the shared parent chain plus one edge: O(1) per
-		// child instead of an O(depth) prefix copy.
-		children = append(children, item{
-			node:  &prefixNode{parent: it.node, last: i, depth: depth + 1},
-			sleep: childSleep,
-		})
+		children = append(children, item{idx: i, sleep: childSleep})
 		if c.Agent >= 0 {
 			// Only agent actions enter the commutation record: an
 			// adversary move is never a sound suppression for a sibling
@@ -736,25 +734,19 @@ func (x *explorer) makeChildren(w int, it item, enabled []sim.Choice, sleep, awa
 	return children
 }
 
-// expand reaches one item's state and, when it is new work, pushes its
-// children onto the expanding worker's deque — in reverse index order,
-// so the owner pops them lexicographically. It restores the item's
-// checkpoint (at most DefaultCheckpointStride levels up) — or, on the
-// warm path, reuses the worker's resident engine already sitting at an
-// ancestor — and applies only the missing suffix. Every counterexample
-// is routed through one from-root replay (confirmCex), so reports stay
-// byte-identical across worker counts.
+// expand runs one item and then keeps descending in place. It restores
+// the item's branch and applies the item's one action; at every state
+// it reaches from there it pushes children 2..c under a fresh branch —
+// in reverse index order, so the owner pops them lexicographically —
+// and continues with child 1 on the engine as it stands, with no push,
+// pop or restore. Every expansion but the root's thus applies exactly
+// one action. Every counterexample is routed through one from-root
+// replay (confirmCex), so reports stay byte-identical across worker
+// counts.
 func (x *explorer) expand(w int, it item) {
-	defer x.release(it.cp)
-	if x.frontier.stopped() {
-		if x.abort.Load() == abortBudget {
-			// Popped before an expired budget stopped the search: cut
-			// search like the still-queued items report counts.
-			x.st.truncated.Add(1)
-		}
+	if x.halted() {
 		return
 	}
-	x.loads[w].Add(1)
 	we := &x.wes[w]
 	if we.eng == nil {
 		eng, err := x.newEngine()
@@ -765,126 +757,121 @@ func (x *explorer) expand(w int, it item) {
 		we.eng = eng
 	}
 	eng := we.eng
-	depth := nodeDepth(it.node)
-
-	// Walk the item's ancestor chain collecting the decisions (newest
-	// first) down to the cheapest usable starting point: the worker's
-	// resident engine when it sits at an ancestor (the owner-pops-child
-	// case: exactly the parent), the item's checkpoint otherwise
-	// (backtracks and steals) — at most DefaultCheckpointStride
-	// decisions away.
-	suffix := we.suffix[:0]
-	start := -1
-	for n := it.node; ; n = n.parent {
-		if we.valid && n == we.node {
-			start = nodeDepth(n)
-			break
-		}
-		if nodeDepth(n) == it.cp.depth {
-			break
-		}
-		suffix = append(suffix, n.last)
+	if err := eng.Restore(&it.br.cp); err != nil {
+		x.fail(fmt.Errorf("%w: %v", ErrSetup, err))
+		return
 	}
-	we.suffix = suffix
-	if start < 0 {
-		we.valid = false
-		if err := eng.Restore(it.cp.cp); err != nil {
-			x.fail(fmt.Errorf("%w: %v", ErrSetup, err))
-			return
-		}
-		start = it.cp.depth
+	// The branch was captured right after its DecisionPoint, so the
+	// restored engine sits at that decision point and br.choices[idx]
+	// applies directly. Nothing of the branch is needed past this point.
+	path := append(we.path[:0], it.br.path...)
+	var c sim.Choice
+	if it.idx >= 0 {
+		c = it.br.choices[it.idx]
+		path = append(path, it.idx)
 	}
-	we.valid = false
-
-	for i := len(suffix) - 1; i >= 0; i-- {
-		cs := eng.DecisionPoint()
-		if suffix[i] >= len(cs) {
-			x.fail(fmt.Errorf("%w: checkpoint replay desynchronized at depth %d", ErrSetup, depth-1-i))
-			return
-		}
-		if eng.Steps() >= eng.StepLimit() {
-			x.confirmCex(materializePrefix(it.node))
-			return
-		}
-		if err := eng.ApplyChoice(cs[suffix[i]]); err != nil {
-			if errors.Is(err, sim.ErrBadSetup) {
-				x.fail(err)
+	x.release(it.br)
+	sleep := it.sleep
+	for {
+		we.path = path
+		depth := len(path)
+		x.loads[w].Add(1)
+		if depth > 0 {
+			if err := eng.ApplyChoice(c); err != nil {
+				if errors.Is(err, sim.ErrBadSetup) {
+					x.fail(err)
+					return
+				}
+				// A program failure: this schedule defeats the algorithm.
+				x.confirmCex(slices.Clone(path))
 				return
 			}
-			// A program failure: this schedule defeats the algorithm.
-			x.confirmCex(materializePrefix(it.node))
+			x.st.stepsReplayed.Add(1)
+		}
+		enabled := eng.DecisionPoint()
+		x.st.replays.Add(1)
+		x.st.observeDepth(depth)
+		quiesced := len(enabled) == 0
+		if !quiesced && eng.Steps() >= eng.StepLimit() {
+			// Run would abort this schedule with ErrStepLimit at the same
+			// decision point.
+			x.confirmCex(slices.Clone(path))
 			return
 		}
-	}
-	enabled := eng.DecisionPoint()
-	x.st.replays.Add(1)
-	x.st.stepsReplayed.Add(int64(depth - start))
-	x.st.observeDepth(depth)
-	quiesced := len(enabled) == 0
-	if !quiesced && eng.Steps() >= eng.StepLimit() {
-		// Run would abort this schedule with ErrStepLimit at the same
-		// decision point.
-		x.confirmCex(materializePrefix(it.node))
-		return
-	}
-	// The engine now sits exactly at the item's node: subsequent items
-	// that descend from it (the owner's next pops) start from here.
-	we.node = it.node
-	we.valid = true
 
-	key := eng.StateKey()
-	if len(x.setup.Faults) > 0 {
-		// With faults, the pending mutation suffix is a function of the
-		// depth; fold it into the key so only equal-length prefixes can
-		// converge (see Setup.Faults).
-		key = mix64(key ^ (uint64(depth) + 1))
-	}
-	// Check the move bound before caching: move counts are path-dependent
-	// (excluded from the state key), so the check must see every reached
-	// state — including quiescent terminals and pruned revisits.
-	if x.opts.MaxTotalMoves > 0 && eng.TotalMoves() > x.opts.MaxTotalMoves {
-		x.confirmCex(materializePrefix(it.node))
-		return
-	}
-	outcome, sleep, awake, firstTerminal := x.cache.visit(key, depth, it.sleep, quiesced, int64(x.opts.MaxStates), &x.st)
-	if outcome != visitExpand {
-		return
-	}
-	if quiesced {
-		if firstTerminal {
-			if why := x.setup.Property(eng.ResultNow()); why != "" {
-				x.confirmCex(materializePrefix(it.node))
+		key := eng.StateKey()
+		if len(x.setup.Faults) > 0 {
+			// With faults, the pending mutation suffix is a function of the
+			// depth; fold it into the key so only equal-length prefixes can
+			// converge (see Setup.Faults).
+			key = mix64(key ^ (uint64(depth) + 1))
+		}
+		// Check the move bound before caching: move counts are
+		// path-dependent (excluded from the state key), so the check must
+		// see every reached state — including quiescent terminals and
+		// pruned revisits.
+		if x.opts.MaxTotalMoves > 0 && eng.TotalMoves() > x.opts.MaxTotalMoves {
+			x.confirmCex(slices.Clone(path))
+			return
+		}
+		outcome, nodeSleep, awake, firstTerminal := x.cache.visit(key, depth, sleep, quiesced, int64(x.opts.MaxStates), &x.st)
+		if outcome != visitExpand {
+			return
+		}
+		if quiesced {
+			if firstTerminal {
+				if why := x.setup.Property(eng.ResultNow()); why != "" {
+					x.confirmCex(slices.Clone(path))
+				}
 			}
-		}
-		return
-	}
-	if depth >= x.opts.MaxDepth {
-		x.st.truncated.Add(1)
-		return
-	}
-
-	children := x.makeChildren(w, it, enabled, sleep, awake, depth)
-	if len(children) == 0 {
-		return
-	}
-	// Attach the subtree's checkpoint: a fresh capture every stride
-	// levels, the parent's otherwise. References cover every child
-	// before the parent's own is released (deferred above).
-	ref := it.cp
-	if depth-ref.depth >= DefaultCheckpointStride {
-		cp := x.cpPool.Get().(*sim.Checkpoint)
-		if err := eng.CheckpointTo(cp); err != nil {
-			x.fail(fmt.Errorf("%w: %v", ErrSetup, err))
 			return
 		}
-		ref = &cpRef{cp: cp, depth: depth}
+		if depth >= x.opts.MaxDepth {
+			x.st.truncated.Add(1)
+			return
+		}
+
+		children := x.makeChildren(w, enabled, nodeSleep, awake, depth)
+		if len(children) == 0 {
+			return
+		}
+		if len(children) > 1 {
+			br, err := x.capture(eng, enabled, path, len(children)-1)
+			if err != nil {
+				x.fail(fmt.Errorf("%w: %v", ErrSetup, err))
+				return
+			}
+			rest := children[1:]
+			for i := range rest {
+				rest[i].br = br
+			}
+			slices.Reverse(rest)
+			x.frontier.push(w, rest)
+		}
+		// Descend into the first child in place. Read its choice now:
+		// enabled is the engine's reusable buffer, rebuilt by the next
+		// DecisionPoint.
+		c = enabled[children[0].idx]
+		sleep = children[0].sleep
+		path = append(path, children[0].idx)
+		if x.halted() {
+			return
+		}
 	}
-	ref.refs.Add(int64(len(children)))
-	for i := range children {
-		children[i].cp = ref
+}
+
+// halted reports whether the search has been stopped. The expansion it
+// cuts off — a popped item, or a first child never queued — is counted
+// as truncated when the stop is an expired budget, like the queued
+// items report counts.
+func (x *explorer) halted() bool {
+	if !x.frontier.stopped() {
+		return false
 	}
-	slices.Reverse(children)
-	x.frontier.push(w, children)
+	if x.abort.Load() == abortBudget {
+		x.st.truncated.Add(1)
+	}
+	return true
 }
 
 // confirmCex converts a violation the search detected into the

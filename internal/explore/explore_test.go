@@ -279,7 +279,10 @@ func TestNaiveHaltingTheorem5(t *testing.T) {
 // each (state, transition) pair at most once while the reduction-free
 // search expands every pair of every reachable state, the reduced
 // search must not expand more (Replays) — again checked only where no
-// counterexample cuts the searches short.
+// counterexample cuts the searches short. On those clean searches every
+// expansion but the root's applies exactly one engine action, in both
+// the reduced and the reduction-free search at any worker count, so
+// StepsReplayed must be Replays - 1.
 //
 // The grid: every placement with an agent on node 0 (so every rotation
 // class) on rings up to n=4, under each of the four algorithms, with
@@ -343,6 +346,10 @@ func TestReductionConsistency(t *testing.T) {
 		if c.wantClean && base.Counterexample != nil {
 			t.Errorf("%s: unexpected counterexample:\n%s", c.label, base.Counterexample)
 		}
+		if base.Counterexample == nil && base.StepsReplayed != int64(base.Replays-1) {
+			t.Errorf("%s reduction-free: %d applied actions for %d expansions, want one per non-root expansion",
+				c.label, base.StepsReplayed, base.Replays)
+		}
 		for _, workers := range []int{1, 4} {
 			red, err := Explore(context.Background(), c.setup, Options{Workers: workers})
 			if err != nil {
@@ -363,6 +370,10 @@ func TestReductionConsistency(t *testing.T) {
 			if red.Replays > base.Replays {
 				t.Errorf("%s workers=%d: reduced search expanded more than the reduction-free one (%d > %d replays)",
 					c.label, workers, red.Replays, base.Replays)
+			}
+			if red.StepsReplayed != int64(red.Replays-1) {
+				t.Errorf("%s workers=%d: %d applied actions for %d expansions, want one per non-root expansion",
+					c.label, workers, red.StepsReplayed, red.Replays)
 			}
 		}
 	}

@@ -180,9 +180,11 @@ func TestExplorePermanentFaultCounterexampleReplays(t *testing.T) {
 // well: the search revisits one state (via decisions 1 1 0) whose first
 // visit slept agent 0, and the revisit pushes only agent 0's action,
 // because the first visit already explored agent 1's. Re-pushing that
-// one would cost a replay from the root checkpoint (four applied
-// steps) ending in a pruned state, so Pruned, Replays and StepsReplayed
-// count exactly the work the revisit rule leaves.
+// one would cost a branch captured at the revisit, its restore and one
+// applied step, ending in a pruned state, so Pruned, Replays and
+// StepsReplayed count exactly the work the revisit rule leaves. Every
+// expansion but the root's applies exactly one action, so
+// StepsReplayed is Replays - 1.
 func TestExploreFaultSearchShape(t *testing.T) {
 	// Two independent walkers; the 1 -> 2 edge is down only for a
 	// window in the middle of the run.
@@ -223,7 +225,7 @@ func TestExploreFaultSearchShape(t *testing.T) {
 		Pruned:            2,
 		SleepSkips:        4,
 		Replays:           16,
-		StepsReplayed:     20,
+		StepsReplayed:     15,
 		Terminals:         1,
 		DistinctTerminals: 1,
 		Deepest:           6,

@@ -3,53 +3,35 @@ package explore
 import (
 	"sync"
 	"sync/atomic"
+
+	"agentring/internal/sim"
 )
 
-// item is one unit of search work: a decision path plus the sleep set
-// in force when it was generated (an agent bitmask, held by value). cp
-// references an engine checkpoint at most DefaultCheckpointStride
-// levels above the path's end: the expanding worker (owner or thief
-// alike) restores it and applies only the missing suffix, so a stolen
-// item never replays from the initial configuration. The checkpoint
-// contents are immutable while referenced; the reference count returns
-// them to the pool.
+// item is one unit of search work: one transition out of a branch —
+// taking choice idx at the branch's decision point — plus the sleep set
+// in force at the state it reaches (an agent bitmask, held by value).
+// The expanding worker, owner or thief alike, restores the branch and
+// applies exactly that one action, so a stolen item never replays from
+// the initial configuration. idx is -1 only for the root item, whose
+// branch is the initial configuration itself.
 type item struct {
+	br    *branch
+	idx   int
 	sleep sleepSet
-	cp    *cpRef
-	// node is the decision path as an immutable parent-chain (one 3-word
-	// node per tree edge, shared by all descendants) instead of one
-	// O(depth) slice per item — which is what makes per-state cost
-	// O(stride) rather than O(depth). Full slices are materialized only
-	// for counterexample confirmation.
-	node *prefixNode
 }
 
-// prefixNode is one edge of the decision tree: taking decision last at
-// the parent's state. The root is nil (depth 0).
-type prefixNode struct {
-	parent *prefixNode
-	last   int
-	depth  int
-}
-
-func nodeDepth(n *prefixNode) int {
-	if n == nil {
-		return 0
-	}
-	return n.depth
-}
-
-// materializePrefix rebuilds the decision-index slice for the path from
-// the root to n.
-func materializePrefix(n *prefixNode) []int {
-	if n == nil {
-		return nil
-	}
-	buf := make([]int, n.depth)
-	for ; n != nil; n = n.parent {
-		buf[n.depth-1] = n.last
-	}
-	return buf
+// branch is a decision point the search fans out at: the engine
+// checkpoint captured right after DecisionPoint, the enabled set that
+// call returned, and the decision path from the root. Expansion
+// captures one only where it pushes two or more children; every pushed
+// child holds one reference, and the last release hands the branch to
+// the explorer's free list. The contents are immutable while
+// referenced.
+type branch struct {
+	cp      sim.Checkpoint
+	choices []sim.Choice
+	path    []int
+	refs    atomic.Int64
 }
 
 // frontier is the work-stealing scheduler of the parallel search. Each
@@ -67,9 +49,10 @@ func materializePrefix(n *prefixNode) []int {
 // save.
 //
 // With Workers=1 the frontier degenerates to an explicit DFS stack:
-// expand pushes children bottom-up in reverse index order, next pops
-// the bottom, so states are visited in exactly the lexicographic
-// depth-first preorder of the recursive search it replaces.
+// expand descends into each state's first child in place and pushes
+// the others bottom-up in reverse index order, next pops the bottom,
+// so states are visited in exactly the lexicographic depth-first
+// preorder of the recursive search it replaces.
 type frontier struct {
 	deques []deque
 

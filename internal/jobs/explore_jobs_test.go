@@ -8,10 +8,12 @@ import (
 	"agentring"
 )
 
-// bigExplore is an n=8 clustered native search: ~27k replays, large
-// enough that a cancel or duration budget reliably lands mid-search.
+// bigExplore is an n=8 k=6 clustered native search: 13,152 states,
+// about 20 ms on a 2-vCPU VM, long enough that a cancel or a 5 ms
+// duration budget lands mid-search even when the budget's timer
+// reaches the busy search several milliseconds late.
 func bigExplore() Spec {
-	return Spec{Kind: KindExplore, Algorithm: "native", N: 8, K: 5, Workload: "clustered"}
+	return Spec{Kind: KindExplore, Algorithm: "native", N: 8, K: 6, Workload: "clustered"}
 }
 
 // TestCancelRunningExploreStopsMidSearch: cancelling a running explore
@@ -74,7 +76,7 @@ func TestExploreDurationBudgetTruncates(t *testing.T) {
 		t.Fatal("no explore report")
 	}
 	if res.Explore.Complete {
-		t.Error("5ms budget on an n=8 k=5 search claims complete coverage")
+		t.Error("5ms budget on an n=8 k=6 search claims complete coverage")
 	}
 	if res.Explore.Truncated == 0 {
 		t.Error("no truncated branches in a budget-expired report")

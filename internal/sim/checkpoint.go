@@ -223,7 +223,9 @@ func (e *Engine) CheckpointTo(cp *Checkpoint) error {
 // DecisionPoint returns exactly the enabled set the source engine saw
 // at capture time, and identical choice sequences lead to byte-
 // identical traces, snapshots, and results (the checkpoint/replay
-// cross-check tests pin this).
+// cross-check tests pin this). A checkpoint captured after
+// DecisionPoint restores that decision point, so ApplyChoice of any
+// choice it returned is valid without calling DecisionPoint again.
 func (e *Engine) Restore(cp *Checkpoint) error {
 	if cp.n != e.et.n || cp.k != len(e.node) || cp.m != e.et.edges() {
 		return fmt.Errorf("%w: checkpoint shape (n=%d k=%d m=%d) does not match engine (n=%d k=%d m=%d)",
@@ -321,10 +323,14 @@ func (e *Engine) Restore(cp *Checkpoint) error {
 // returned slice is the engine's reusable buffer — valid until the next
 // engine call. DecisionPoint is idempotent at a decision point, so
 // restoring a checkpoint taken after one and calling it again returns
-// the same set. The caller is responsible for the step-limit check Run
-// performs (enabled choices with Steps() >= StepLimit() means a
-// livelocked schedule); Observer callbacks and the round-robin fast
-// path are Run-only machinery and do not apply here.
+// the same set. A checkpoint captured after DecisionPoint restores that
+// decision point, so ApplyChoice of any choice it returned is valid
+// without calling DecisionPoint again
+// (TestRestoredDecisionPointAppliesDirectly). The caller is
+// responsible for the step-limit check Run performs (enabled choices
+// with Steps() >= StepLimit() means a livelocked schedule); Observer
+// callbacks and the round-robin fast path are Run-only machinery and do
+// not apply here.
 func (e *Engine) DecisionPoint() []Choice {
 	e.applyDueFaults()
 	choices := e.enabledChoices()

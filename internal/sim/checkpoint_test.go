@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"agentring/internal/ring"
@@ -373,4 +374,121 @@ func TestDecisionPointMatchesRun(t *testing.T) {
 		t.Errorf("ResultNow = steps %d quiesced %v, Run result = steps %d quiesced %v",
 			got.Steps, got.Quiesced, want.Steps, want.Quiesced)
 	}
+}
+
+// TestRestoredDecisionPointAppliesDirectly pins the contract the
+// explorer's branches rely on: a checkpoint captured right after
+// DecisionPoint restores that decision point, so ApplyChoice of any
+// choice it returned is valid without calling DecisionPoint again. At
+// every decision point of a reference walk, each saved choice applied
+// directly to a fresh engine restored from the capture must reach the
+// state an engine walking from the root reaches by calling
+// DecisionPoint before the same choice, and the two must run on alike:
+// state that DecisionPoint changed and the capture missed, such as a
+// fault batch it fired, may show only in later keys. The fixtures
+// reach the two decision points where DecisionPoint does more than
+// list the enabled actions: a fault batch it force-fires because the
+// only agent is frozen, and an overdue link whose repair it offers as
+// the only choice while agent actions are still enabled.
+func TestRestoredDecisionPointAppliesDirectly(t *testing.T) {
+	fixtures := []struct {
+		name    string
+		build   func(t *testing.T) *Engine
+		pick    func(decision, choices int) int
+		special func(e *Engine, cs []Choice) bool
+	}{
+		{
+			name: "forced fault batch",
+			build: func(t *testing.T) *Engine {
+				t.Helper()
+				e, err := NewEngine(ring.MustNew(3), []ring.NodeID{0}, []Program{&chatty{hops: 4}}, Options{
+					TrackState: true,
+					Faults:     FaultSchedule{{Step: 1, From: 0}, {Step: 5, From: 0, Up: true}},
+				})
+				if err != nil {
+					t.Fatalf("NewEngine: %v", err)
+				}
+				return e
+			},
+			pick: func(int, int) int { return 0 },
+			// The walker sits frozen on the link that failed at step 1,
+			// so the repair due at step 5 fires at step 1.
+			special: func(e *Engine, _ []Choice) bool { return e.Steps() == 1 && e.Epoch() == 2 },
+		},
+		{
+			name: "forced repair",
+			build: func(t *testing.T) *Engine {
+				return advSetup(t, AdversaryBudget{MaxConcurrent: 1, RepairWithin: 2, MaxTotal: 1})
+			},
+			// Fail the last-offered link at decision 1, then take agent
+			// actions until the outage is overdue.
+			pick: func(d, n int) int {
+				if d == 1 {
+					return n - 1
+				}
+				return 0
+			},
+			special: func(e *Engine, cs []Choice) bool {
+				return len(cs) == 1 && cs[0].Kind == ChoiceRepair && len(e.enabledChoices()) > 0
+			},
+		},
+	}
+	for _, fx := range fixtures {
+		t.Run(fx.name, func(t *testing.T) {
+			e := fx.build(t)
+			var prefix []int
+			reached := false
+			for d := 0; ; d++ {
+				cs := e.DecisionPoint()
+				if len(cs) == 0 {
+					break
+				}
+				cp, err := e.Checkpoint()
+				if err != nil {
+					t.Fatalf("decision %d: Checkpoint: %v", d, err)
+				}
+				saved := slices.Clone(cs)
+				if fx.special(e, saved) {
+					reached = true
+				}
+				for i, c := range saved {
+					direct := fx.build(t)
+					if err := direct.Restore(cp); err != nil {
+						t.Fatalf("decision %d: Restore: %v", d, err)
+					}
+					if err := direct.ApplyChoice(c); err != nil {
+						t.Fatalf("decision %d choice %d: ApplyChoice after Restore: %v", d, i, err)
+					}
+					ref := walkFromRoot(t, fx.build(t), append(slices.Clip(prefix), i))
+					if direct.StateKey() != ref.StateKey() || direct.Snapshot().Key() != ref.Snapshot().Key() {
+						t.Fatalf("decision %d choice %d (%+v): restored engine reached key %#x (snapshot %#x), the root walk %#x (snapshot %#x)",
+							d, i, c, direct.StateKey(), direct.Snapshot().Key(), ref.StateKey(), ref.Snapshot().Key())
+					}
+					if !slices.Equal(drive(t, direct, 1<<30), drive(t, ref, 1<<30)) {
+						t.Fatalf("decision %d choice %d (%+v): the restored engine's run diverges from the root walk's", d, i, c)
+					}
+				}
+				i := fx.pick(d, len(saved))
+				if err := e.ApplyChoice(saved[i]); err != nil {
+					t.Fatalf("decision %d: ApplyChoice: %v", d, err)
+				}
+				prefix = append(prefix, i)
+			}
+			if !reached {
+				t.Fatal("the walk never reached the fixture's special decision point")
+			}
+		})
+	}
+}
+
+// walkFromRoot drives e through the decision indices in prefix, calling
+// DecisionPoint before every action as Run does.
+func walkFromRoot(t *testing.T, e *Engine, prefix []int) *Engine {
+	t.Helper()
+	for d, i := range prefix {
+		if err := e.ApplyChoice(e.DecisionPoint()[i]); err != nil {
+			t.Fatalf("root walk, decision %d: %v", d, err)
+		}
+	}
+	return e
 }

@@ -93,7 +93,10 @@
 // uses instead of Run: DecisionPoint fires due faults and returns the
 // enabled choices, ApplyChoice executes one, and StateKey returns the
 // canonical configuration key (identical to Snapshot().Key()) without
-// materializing a snapshot.
+// materializing a snapshot. A checkpoint captured after DecisionPoint
+// restores that decision point, so ApplyChoice of any choice it
+// returned is valid without calling DecisionPoint again: the explorer
+// applies exactly one action per restore.
 //
 // # State identity
 //
