@@ -19,6 +19,9 @@ func TestRunConcurrentNative(t *testing.T) {
 	if !rep.Uniform {
 		t.Fatalf("not uniform: %s", rep.Why)
 	}
+	if !rep.Definition1 || rep.Topology != "ring(36)" {
+		t.Errorf("Definition1 = %v, Topology = %q; want true, ring(36)", rep.Definition1, rep.Topology)
+	}
 	for _, a := range rep.Agents {
 		if !a.Halted {
 			t.Error("native agents must halt")
@@ -49,6 +52,12 @@ func TestRunConcurrentLogSpaceAndRelaxed(t *testing.T) {
 		if !rep.Uniform {
 			t.Fatalf("%s: not uniform: %s", alg, rep.Why)
 		}
+		// LogSpace halts (Definition 1); Relaxed ends suspended
+		// (Definition 2 only).
+		wantDef1 := alg == agentring.LogSpace
+		if rep.Definition1 != wantDef1 || rep.Definition2 == wantDef1 {
+			t.Errorf("%s: Definition1 = %v, Definition2 = %v", alg, rep.Definition1, rep.Definition2)
+		}
 		if alg == agentring.Relaxed {
 			for _, a := range rep.Agents {
 				if !a.Suspended {
@@ -60,13 +69,25 @@ func TestRunConcurrentLogSpaceAndRelaxed(t *testing.T) {
 }
 
 func TestRunConcurrentErrors(t *testing.T) {
-	if _, err := agentring.RunConcurrent(agentring.Native, agentring.Config{N: 0, Homes: []int{0}}); !errors.Is(err, agentring.ErrConfig) {
-		t.Errorf("bad n err = %v", err)
+	ring8, err := agentring.NewRingTopology(8)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := agentring.RunConcurrent(agentring.Native, agentring.Config{N: 4}); !errors.Is(err, agentring.ErrConfig) {
-		t.Errorf("no agents err = %v", err)
+	cases := []struct {
+		name string
+		alg  agentring.Algorithm
+		cfg  agentring.Config
+	}{
+		{"bad n", agentring.Native, agentring.Config{N: 0, Homes: []int{0}}},
+		{"no agents", agentring.Native, agentring.Config{N: 4}},
+		{"unsupported algorithm", agentring.FirstFit, agentring.Config{N: 4, Homes: []int{0}}},
+		{"duplicate homes", agentring.Native, agentring.Config{N: 6, Homes: []int{1, 1}}},
+		{"home out of range", agentring.Native, agentring.Config{N: 6, Homes: []int{9}}},
+		{"N disagrees with topology", agentring.Native, agentring.Config{N: 5, Topology: ring8, Homes: []int{0}}},
 	}
-	if _, err := agentring.RunConcurrent(agentring.FirstFit, agentring.Config{N: 4, Homes: []int{0}}); !errors.Is(err, agentring.ErrConfig) {
-		t.Errorf("unsupported algorithm err = %v", err)
+	for _, c := range cases {
+		if _, err := agentring.RunConcurrent(c.alg, c.cfg); !errors.Is(err, agentring.ErrConfig) {
+			t.Errorf("%s: err = %v, want ErrConfig", c.name, err)
+		}
 	}
 }

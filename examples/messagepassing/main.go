@@ -5,10 +5,11 @@
 // deterministic coroutine engine (agentring.Run) and once on the
 // concurrent message-passing substrate (agentring.RunConcurrent), where
 // every ring node is a goroutine, links are FIFO channels, and each
-// agent is a serialized JSON state blob migrating between nodes. The
-// algorithms' decisions depend only on the token geometry, so both
-// substrates land every agent on the same node — which the example
-// verifies.
+// agent migrates between nodes as the saved state words of its
+// algorithm's frame, rebuilt at every node it reaches. The algorithms'
+// decisions depend only on the token geometry, so both substrates land
+// every agent on the same node — which the example verifies, exiting
+// non-zero if they differ.
 package main
 
 import (
@@ -45,5 +46,5 @@ func main() {
 		}
 	}
 	fmt.Println("\nidentical positions: one agent semantics, two runtimes.")
-	fmt.Println("(the concurrent one really runs node-per-goroutine with agents as JSON envelopes)")
+	fmt.Println("(the concurrent one really runs node-per-goroutine with agents as envelopes of saved frame words)")
 }

@@ -1,12 +1,15 @@
 package netsim
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"agentring/internal/memmeter"
+	"agentring/internal/ring"
+	"agentring/internal/sim"
 )
 
 // Errors.
@@ -15,97 +18,23 @@ var (
 	ErrBadSetup = errors.New("netsim: invalid setup")
 	// ErrTimeout means the run did not quiesce within the deadline.
 	ErrTimeout = errors.New("netsim: run timed out before quiescence")
-	// ErrMachine wraps state-machine failures.
-	ErrMachine = errors.New("netsim: machine error")
+	// ErrProgram wraps agent program failures: a panic, a halt with an
+	// error, a blocking API call, or an action the ring cannot carry out.
+	ErrProgram = errors.New("netsim: program error")
 )
 
-// View is what an agent observes during one atomic step at a node.
-type View struct {
-	// Tokens is the token count at the current node.
-	Tokens int
-	// OthersHere is the number of other agents resident (waiting or
-	// halted) at the node.
-	OthersHere int
-	// Inbox holds the messages delivered for this step.
-	Inbox []json.RawMessage
-}
-
-// Action is an agent's decision at the end of one atomic step. At most
-// one of Move and Halt may be set; if neither is set the agent stays
-// resident, waiting for messages.
-type Action struct {
-	// ReleaseToken drops the indelible token at the current node.
-	ReleaseToken bool
-	// Broadcast is delivered to every other resident agent at the node.
-	Broadcast []json.RawMessage
-	// Move forwards the agent to the next node.
-	Move bool
-	// Halt terminates the agent at the current node.
-	Halt bool
-}
-
-// Machine is a serializable agent algorithm: a pure transition function
-// over an opaque JSON state. Implementations must be safe for
-// concurrent use by multiple agents (they should be stateless values;
-// all per-agent data lives in the state blob).
-type Machine interface {
-	// InitialState returns the agent's starting state blob.
-	InitialState() (json.RawMessage, error)
-	// Step consumes the current state and view, returning the next state
-	// and the action to take. It is called once per atomic action:
-	// at the agent's first activation at its home node, at every arrival
-	// after a move, and at every wake by a message.
-	Step(state json.RawMessage, view View) (json.RawMessage, Action, error)
-}
-
-// Options configures a run.
-type Options struct {
-	// Timeout bounds the wall-clock run time. Zero means 30s.
-	Timeout time.Duration
-}
-
-// AgentResult is one agent's final disposition.
-type AgentResult struct {
-	// Node is the final node index.
-	Node int
-	// Halted is true for terminated agents, false for waiting ones.
-	Halted bool
-	// Moves counts link traversals.
-	Moves int
-}
-
-// Result is a completed run's outcome.
-type Result struct {
-	Agents     []AgentResult
-	Tokens     []int
-	TotalMoves int
-}
-
-// Positions returns the final node of each agent.
-func (r Result) Positions() []int {
-	out := make([]int, len(r.Agents))
-	for i, a := range r.Agents {
-		out[i] = a.Node
-	}
-	return out
-}
-
-// envelope is a migrating agent.
+// envelope is a migrating agent: its index and its frame's saved words.
 type envelope struct {
 	id    int
-	state json.RawMessage
+	state []int
 	moves int
 }
 
-// resident is an agent parked at a node (waiting or halted).
+// resident is an agent staying at a node (waiting or halted).
 type resident struct {
 	env     envelope
 	halted  bool
-	mailbox []json.RawMessage
-}
-
-type nodeEvent struct {
-	arrival *envelope
+	mailbox []sim.Message
 }
 
 // tracker is the quiescence credit counter.
@@ -113,7 +42,6 @@ type tracker struct {
 	pending atomic.Int64
 	done    chan struct{}
 	once    sync.Once
-	failed  atomic.Bool
 	errMu   sync.Mutex
 	err     error
 }
@@ -132,7 +60,6 @@ func (t *tracker) fail(err error) {
 		t.err = err
 	}
 	t.errMu.Unlock()
-	t.failed.Store(true)
 	t.once.Do(func() { close(t.done) })
 }
 
@@ -147,54 +74,78 @@ type node struct {
 	idx       int
 	tokens    int
 	residents map[int]*resident
-	incoming  chan nodeEvent
-	next      chan<- nodeEvent
-	machines  []Machine
+	incoming  chan envelope
+	next      chan<- envelope
+	framers   []sim.Framer
 	trk       *tracker
 	stop      <-chan struct{}
+	meter     memmeter.Meter // throwaway: netsim does not report memory
 }
 
-// Run places the agents (one Machine each) at the given distinct homes
-// on an n-node ring and executes until quiescence.
-func Run(n int, homes []int, machines []Machine, opts Options) (Result, error) {
+// Run places one agent per program at the given distinct homes on an
+// n-node unidirectional ring and executes until quiescence, or until
+// timeout elapses (a non-positive timeout expires at once).
+//
+// Every program must be a sim.Framer whose frames are sim.FrameSavers;
+// Run rejects any other with ErrBadSetup. An agent travels as its
+// frame's saved words: the node it reaches rebuilds a fresh frame from
+// them, runs one Step and saves the words again.
+//
+// Node goroutines call Frame on the same program values concurrently,
+// so programs must be immutable, or synchronize any hooks they call.
+//
+// The Result carries each agent's Home, Node, Moves and Status, the
+// final Tokens and TotalMoves, and the quiescence flags; netsim counts
+// no steps, messages or memory.
+func Run(n int, homes []int, programs []sim.Program, timeout time.Duration) (sim.Result, error) {
 	k := len(homes)
 	if n < 1 || k < 1 || k > n {
-		return Result{}, fmt.Errorf("%w: n=%d k=%d", ErrBadSetup, n, k)
+		return sim.Result{}, fmt.Errorf("%w: n=%d k=%d", ErrBadSetup, n, k)
 	}
-	if len(machines) != k {
-		return Result{}, fmt.Errorf("%w: %d machines for %d agents", ErrBadSetup, len(machines), k)
+	if len(programs) != k {
+		return sim.Result{}, fmt.Errorf("%w: %d programs for %d agents", ErrBadSetup, len(programs), k)
 	}
 	seen := make(map[int]bool, k)
 	for _, h := range homes {
 		if h < 0 || h >= n {
-			return Result{}, fmt.Errorf("%w: home %d out of range", ErrBadSetup, h)
+			return sim.Result{}, fmt.Errorf("%w: home %d out of range", ErrBadSetup, h)
 		}
 		if seen[h] {
-			return Result{}, fmt.Errorf("%w: duplicate home %d", ErrBadSetup, h)
+			return sim.Result{}, fmt.Errorf("%w: duplicate home %d", ErrBadSetup, h)
 		}
 		seen[h] = true
 	}
-	timeout := opts.Timeout
-	if timeout == 0 {
-		timeout = 30 * time.Second
+	framers := make([]sim.Framer, k)
+	initial := make([]envelope, k)
+	for id, p := range programs {
+		fr, ok := p.(sim.Framer)
+		if !ok {
+			return sim.Result{}, fmt.Errorf("%w: program %d is not a frame", ErrBadSetup, id)
+		}
+		f, ok := fr.Frame().(sim.FrameSaver)
+		if !ok {
+			return sim.Result{}, fmt.Errorf("%w: program %d's frame cannot save its state", ErrBadSetup, id)
+		}
+		framers[id] = fr
+		initial[id] = envelope{id: id, state: f.SaveState(nil)}
 	}
 
 	trk := &tracker{done: make(chan struct{})}
 	stop := make(chan struct{})
 	// Links: channel i delivers into node i. Capacity k bounds the
 	// agents that can ever be in flight on one link.
-	links := make([]chan nodeEvent, n)
+	links := make([]chan envelope, n)
 	for i := range links {
-		links[i] = make(chan nodeEvent, k+1)
+		links[i] = make(chan envelope, k+1)
 	}
 	nodes := make([]*node, n)
-	for i := 0; i < n; i++ {
+	for i := range nodes {
 		nodes[i] = &node{
 			idx:       i,
 			residents: make(map[int]*resident),
 			incoming:  links[i],
 			next:      links[(i+1)%n],
-			machines:  machines,
+			framers:   framers,
 			trk:       trk,
 			stop:      stop,
 		}
@@ -202,22 +153,17 @@ func Run(n int, homes []int, machines []Machine, opts Options) (Result, error) {
 	// Initial configuration: each agent sits in its home's incoming
 	// buffer, guaranteeing it acts there before any visitor.
 	for id, h := range homes {
-		st, err := machines[id].InitialState()
-		if err != nil {
-			return Result{}, fmt.Errorf("%w: initial state of agent %d: %v", ErrMachine, id, err)
-		}
-		env := envelope{id: id, state: st}
 		trk.add(1)
-		links[h] <- nodeEvent{arrival: &env}
+		links[h] <- initial[id]
 	}
 
 	var wg sync.WaitGroup
-	for i := range nodes {
+	for _, nd := range nodes {
 		wg.Add(1)
-		go func(nd *node) {
+		go func() {
 			defer wg.Done()
 			nd.loop()
-		}(nodes[i])
+		}()
 	}
 
 	var runErr error
@@ -230,21 +176,34 @@ func Run(n int, homes []int, machines []Machine, opts Options) (Result, error) {
 	close(stop)
 	wg.Wait()
 
-	res := Result{Agents: make([]AgentResult, k), Tokens: make([]int, n)}
-	placed := make([]bool, k)
+	quiesced := runErr == nil
+	res := sim.Result{
+		Agents:         make([]sim.AgentReport, k),
+		Tokens:         make([]int, n),
+		Quiesced:       quiesced,
+		QueuesEmpty:    quiesced, // the credit count reached zero: no envelope in flight
+		MailboxesEmpty: true,
+	}
+	for id, h := range homes {
+		res.Agents[id] = sim.AgentReport{Home: ring.NodeID(h), Status: sim.StatusInTransit}
+	}
 	for _, nd := range nodes {
 		res.Tokens[nd.idx] = nd.tokens
 		for id, r := range nd.residents {
-			res.Agents[id] = AgentResult{Node: nd.idx, Halted: r.halted, Moves: r.env.moves}
+			status := sim.StatusWaiting
+			if r.halted {
+				status = sim.StatusHalted
+			} else if len(r.mailbox) > 0 {
+				res.MailboxesEmpty = false
+			}
+			res.Agents[id] = sim.AgentReport{Home: ring.NodeID(homes[id]), Node: ring.NodeID(nd.idx), Moves: r.env.moves, Status: status}
 			res.TotalMoves += r.env.moves
-			placed[id] = true
 		}
 	}
 	if runErr == nil {
-		for id, ok := range placed {
-			if !ok {
-				runErr = fmt.Errorf("%w: agent %d unaccounted for at quiescence", ErrBadSetup, id)
-				break
+		for id, a := range res.Agents {
+			if a.Status == sim.StatusInTransit {
+				return res, fmt.Errorf("netsim: agent %d unaccounted for at quiescence", id)
 			}
 		}
 	}
@@ -258,84 +217,46 @@ func (nd *node) loop() {
 		select {
 		case <-nd.stop:
 			return
-		case ev := <-nd.incoming:
-			nd.handleArrival(*ev.arrival)
+		case env := <-nd.incoming:
+			nd.runStep(env, nil)
+			nd.trk.finish(1)
 		}
 	}
-}
-
-// handleArrival runs the arriving agent's atomic step and any wake
-// cascade it triggers among residents.
-func (nd *node) handleArrival(env envelope) {
-	nd.runStep(env, nil)
-	nd.trk.finish(1)
 }
 
 // runStep executes one atomic action for the agent, with the given
-// delivered inbox.
-func (nd *node) runStep(env envelope, inbox []json.RawMessage) {
-	view := View{
-		Tokens:     nd.tokens,
-		OthersHere: nd.othersHere(env.id),
-		Inbox:      inbox,
-	}
-	next, action, err := nd.machines[env.id].Step(env.state, view)
+// delivered inbox, then steps the residents its broadcasts woke.
+func (nd *node) runStep(env envelope, inbox []sim.Message) {
+	api := &nodeAPI{nd: nd, inbox: inbox}
+	act, err := nd.step(&env, api)
 	if err != nil {
-		nd.trk.fail(fmt.Errorf("%w: agent %d at node %d: %v", ErrMachine, env.id, nd.idx, err))
+		nd.trk.fail(fmt.Errorf("%w: agent %d at node %d: %v", ErrProgram, env.id, nd.idx, err))
 		return
 	}
-	env.state = next
-	if action.Move && action.Halt {
-		nd.trk.fail(fmt.Errorf("%w: agent %d decided to move and halt", ErrMachine, env.id))
-		return
-	}
-	if action.ReleaseToken {
-		nd.tokens++
-	}
-	// Broadcasts go to residents; waiting ones are woken and re-stepped
-	// locally (their wake is local work — no extra credit needed since
-	// we process it synchronously within this event).
-	var woken []*resident
-	if len(action.Broadcast) > 0 {
-		for id, r := range nd.residents {
-			if id == env.id || r.halted {
-				continue
-			}
-			r.mailbox = append(r.mailbox, action.Broadcast...)
-			woken = append(woken, r)
-		}
-	}
-	switch {
-	case action.Move:
+	switch act.Kind {
+	case sim.ActionMove:
 		env.moves++
-		select {
-		case <-nd.stop:
-			return
-		default:
-		}
 		nd.trk.add(1)
 		// The send can block only if the link buffer (capacity k+1) is
 		// full, which a correct run never reaches; selecting on stop
 		// keeps shutdown deadlock-free regardless.
 		select {
-		case nd.next <- nodeEvent{arrival: &env}:
+		case nd.next <- env:
 		case <-nd.stop:
 			nd.trk.finish(1)
 			return
 		}
-	case action.Halt:
-		nd.residents[env.id] = &resident{env: env, halted: true}
-	default:
+	case sim.ActionAwait:
 		nd.residents[env.id] = &resident{env: env}
+	case sim.ActionDone:
+		nd.residents[env.id] = &resident{env: env, halted: true}
 	}
-	// Wake cascade: residents with fresh mail are re-stepped, in id
-	// order for determinism of the cascade itself.
-	for _, r := range woken {
-		if _, still := nd.residents[r.env.id]; !still {
-			continue // departed in a previous wake of this cascade
-		}
+	// Wake cascade: residents with fresh mail are re-stepped on this
+	// goroutine, in whatever order the broadcasts queued them (the
+	// model allows any).
+	for _, r := range api.woken {
 		if len(r.mailbox) == 0 {
-			continue
+			continue // a nested cascade already stepped it
 		}
 		delete(nd.residents, r.env.id)
 		mail := r.mailbox
@@ -344,12 +265,79 @@ func (nd *node) runStep(env envelope, inbox []json.RawMessage) {
 	}
 }
 
-func (nd *node) othersHere(self int) int {
-	count := 0
-	for id := range nd.residents {
-		if id != self {
-			count++
+// step rebuilds the agent's frame from its saved words, runs one Step
+// and saves the words back into the envelope. Failures mirror the
+// engine's frame dispatch: a panic, a halt with an error, an unknown
+// action, or a move through a port the ring lacks.
+func (nd *node) step(env *envelope, api *nodeAPI) (act sim.Action, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("program panic: %v", r)
 		}
+	}()
+	f := nd.framers[env.id].Frame().(sim.FrameSaver)
+	f.LoadState(env.state)
+	act = f.Step(api)
+	env.state = f.SaveState(env.state[:0])
+	switch act.Kind {
+	case sim.ActionMove:
+		if act.Port != 0 {
+			return act, fmt.Errorf("move via port %d at node with out-degree 1", act.Port)
+		}
+	case sim.ActionAwait:
+	case sim.ActionDone:
+		return act, act.Err
+	default:
+		return act, fmt.Errorf("frame returned unknown action kind %d", act.Kind)
 	}
-	return count
+	return act, nil
 }
+
+// nodeAPI is the sim.API an agent sees during one step at a node, with
+// the engine's unidirectional-ring semantics. The acting agent is never
+// among the node's residents while it steps.
+type nodeAPI struct {
+	nd    *node
+	inbox []sim.Message
+	woken []*resident
+}
+
+var _ sim.API = (*nodeAPI)(nil)
+
+func (a *nodeAPI) OutDegree() int   { return 1 }
+func (a *nodeAPI) ArrivalPort() int { return -1 }
+func (a *nodeAPI) ReleaseToken()    { a.nd.tokens++ }
+func (a *nodeAPI) TokensHere() int  { return a.nd.tokens }
+func (a *nodeAPI) AgentsHere() int  { return len(a.nd.residents) }
+
+// Broadcast delivers msg to every waiting resident and queues each
+// newly woken one for the step's wake cascade. Halted agents ignore
+// messages.
+func (a *nodeAPI) Broadcast(msg sim.Message) {
+	for _, r := range a.nd.residents {
+		if r.halted {
+			continue
+		}
+		if len(r.mailbox) == 0 {
+			a.woken = append(a.woken, r)
+		}
+		r.mailbox = append(r.mailbox, msg)
+	}
+}
+
+func (a *nodeAPI) Messages() []sim.Message {
+	msgs := a.inbox
+	a.inbox = nil
+	return msgs
+}
+
+func (a *nodeAPI) Meter() *memmeter.Meter { return &a.nd.meter }
+
+// Move, MoveVia and AwaitMessages would suspend a coroutine that a
+// frame does not have; the step's recover turns the panic into a
+// program error, as in the engine.
+func (a *nodeAPI) Move()                        { a.blocking() }
+func (a *nodeAPI) MoveVia(int)                  { a.blocking() }
+func (a *nodeAPI) AwaitMessages() []sim.Message { a.blocking(); return nil }
+
+func (a *nodeAPI) blocking() { panic("frame agent called a blocking API method") }

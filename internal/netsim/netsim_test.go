@@ -1,87 +1,115 @@
 package netsim
 
 import (
-	"encoding/json"
 	"errors"
-	"fmt"
 	"testing"
 	"time"
+
+	"agentring/internal/ring"
+	"agentring/internal/sim"
 )
 
-// walkMachine moves a fixed number of steps then halts.
-type walkMachine struct {
-	Steps int
+// testTimeout bounds every run in this package's tests.
+const testTimeout = 30 * time.Second
+
+// script is a test program: its frame calls the function with the
+// number of steps the agent has taken so far. The count is the frame's
+// only saved word, so it survives netsim's per-step SaveState/LoadState
+// round trip.
+type script func(api sim.API, count int) sim.Action
+
+func (s script) Run(sim.API) error { return errors.New("script programs run only as frames") }
+func (s script) Frame() sim.Frame  { return &scriptFrame{step: s} }
+
+type scriptFrame struct {
+	step  script
+	count int
 }
 
-var _ Machine = walkMachine{}
-
-func (m walkMachine) InitialState() (json.RawMessage, error) {
-	return json.Marshal(m.Steps)
+func (f *scriptFrame) Step(api sim.API) sim.Action {
+	f.count++
+	return f.step(api, f.count-1)
 }
 
-func (m walkMachine) Step(raw json.RawMessage, _ View) (json.RawMessage, Action, error) {
-	var left int
-	if err := json.Unmarshal(raw, &left); err != nil {
-		return nil, Action{}, err
-	}
-	if left == 0 {
-		return raw, Action{Halt: true}, nil
-	}
-	left--
-	out, _ := json.Marshal(left)
-	return out, Action{Move: true}, nil
+func (f *scriptFrame) SaveState(buf []int) []int { return append(buf, f.count) }
+
+func (f *scriptFrame) LoadState(buf []int) int {
+	f.count = buf[0]
+	return 1
 }
 
-// echoMachine: agent 0 waits for a message then halts; used to test
-// broadcasts and wakes.
-type waitMachine struct{}
+var (
+	move  = sim.Action{Kind: sim.ActionMove}
+	await = sim.Action{Kind: sim.ActionAwait}
+	halt  = sim.Action{Kind: sim.ActionDone}
+)
 
-func (waitMachine) InitialState() (json.RawMessage, error) { return json.Marshal("waiting") }
-func (waitMachine) Step(raw json.RawMessage, view View) (json.RawMessage, Action, error) {
-	if len(view.Inbox) > 0 {
-		return raw, Action{Halt: true}, nil
+// fixed returns act at every step.
+func fixed(act sim.Action) script { return func(sim.API, int) sim.Action { return act } }
+
+// walk moves steps times, then halts.
+func walk(steps int) script {
+	return func(_ sim.API, count int) sim.Action {
+		if count == steps {
+			return halt
+		}
+		return move
 	}
-	return raw, Action{}, nil // stay, wait
 }
 
-// senderMachine walks to the waiter and broadcasts.
-type senderMachine struct {
-	Walk int
+// sendAfter walks steps hops, then broadcasts a ping and halts.
+func sendAfter(steps int) script {
+	return func(api sim.API, count int) sim.Action {
+		if count < steps {
+			return move
+		}
+		api.Broadcast("ping")
+		return halt
+	}
 }
 
-func (m senderMachine) InitialState() (json.RawMessage, error) { return json.Marshal(m.Walk) }
-func (m senderMachine) Step(raw json.RawMessage, view View) (json.RawMessage, Action, error) {
-	var left int
-	if err := json.Unmarshal(raw, &left); err != nil {
-		return nil, Action{}, err
+// waitForMail waits until a message arrives, then halts.
+func waitForMail(api sim.API, _ int) sim.Action {
+	if len(api.Messages()) > 0 {
+		return halt
 	}
-	if left == 0 {
-		payload, _ := json.Marshal("ping")
-		return raw, Action{Halt: true, Broadcast: []json.RawMessage{payload}}, nil
+	return await
+}
+
+// frameOnly is a Framer whose frame cannot save its state.
+type frameOnly struct{ script }
+
+func (p frameOnly) Frame() sim.Frame { return struct{ sim.Frame }{p.script.Frame()} }
+
+func run(t *testing.T, n int, homes []int, programs ...sim.Program) sim.Result {
+	t.Helper()
+	res, err := Run(n, homes, programs, testTimeout)
+	if err != nil {
+		t.Fatal(err)
 	}
-	left--
-	out, _ := json.Marshal(left)
-	return out, Action{Move: true}, nil
+	return res
 }
 
 func TestRunValidation(t *testing.T) {
-	m := walkMachine{Steps: 1}
+	m := walk(1)
 	cases := []struct {
 		name     string
 		n        int
 		homes    []int
-		machines []Machine
+		programs []sim.Program
 	}{
-		{"n too small", 0, []int{0}, []Machine{m}},
+		{"n too small", 0, []int{0}, []sim.Program{m}},
 		{"no agents", 4, nil, nil},
-		{"k exceeds n", 2, []int{0, 1, 0}, []Machine{m, m, m}},
-		{"mismatch", 4, []int{0, 1}, []Machine{m}},
-		{"dup homes", 4, []int{1, 1}, []Machine{m, m}},
-		{"home range", 4, []int{9}, []Machine{m}},
+		{"k exceeds n", 2, []int{0, 1, 0}, []sim.Program{m, m, m}},
+		{"mismatch", 4, []int{0, 1}, []sim.Program{m}},
+		{"dup homes", 4, []int{1, 1}, []sim.Program{m, m}},
+		{"home range", 4, []int{9}, []sim.Program{m}},
+		{"coroutine program", 4, []int{0}, []sim.Program{sim.ProgramFunc(func(sim.API) error { return nil })}},
+		{"frame without saver", 4, []int{0}, []sim.Program{frameOnly{m}}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if _, err := Run(c.n, c.homes, c.machines, Options{}); !errors.Is(err, ErrBadSetup) {
+			if _, err := Run(c.n, c.homes, c.programs, testTimeout); !errors.Is(err, ErrBadSetup) {
 				t.Errorf("err = %v, want ErrBadSetup", err)
 			}
 		})
@@ -89,33 +117,28 @@ func TestRunValidation(t *testing.T) {
 }
 
 func TestWalkersQuiesce(t *testing.T) {
-	res, err := Run(10, []int{0, 3, 7}, []Machine{
-		walkMachine{Steps: 5}, walkMachine{Steps: 0}, walkMachine{Steps: 23},
-	}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, 10, []int{0, 3, 7}, walk(5), walk(0), walk(23))
 	want := []int{5, 3, 0} // (0+5)%10, 3, (7+23)%10
 	for i, a := range res.Agents {
-		if !a.Halted {
-			t.Errorf("agent %d not halted", i)
+		if a.Status != sim.StatusHalted {
+			t.Errorf("agent %d %v, want halted", i, a.Status)
 		}
-		if a.Node != want[i] {
+		if int(a.Node) != want[i] {
 			t.Errorf("agent %d at %d, want %d", i, a.Node, want[i])
 		}
 	}
 	if res.TotalMoves != 28 {
 		t.Errorf("total moves = %d, want 28", res.TotalMoves)
 	}
+	if !res.Quiesced || !res.QueuesEmpty {
+		t.Errorf("quiesced=%v queuesEmpty=%v, want both", res.Quiesced, res.QueuesEmpty)
+	}
 }
 
 func TestBroadcastWakesWaiter(t *testing.T) {
 	// Waiter at node 2; sender at node 0 walks 2 hops then pings.
-	res, err := Run(5, []int{2, 0}, []Machine{waitMachine{}, senderMachine{Walk: 2}}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Agents[0].Halted {
+	res := run(t, 5, []int{2, 0}, script(waitForMail), sendAfter(2))
+	if res.Agents[0].Status != sim.StatusHalted {
 		t.Error("waiter was not woken and halted")
 	}
 	if res.Agents[0].Node != 2 || res.Agents[1].Node != 2 {
@@ -124,62 +147,48 @@ func TestBroadcastWakesWaiter(t *testing.T) {
 }
 
 func TestWaitingAgentsQuiesceWithoutMessages(t *testing.T) {
-	res, err := Run(6, []int{0, 3}, []Machine{waitMachine{}, waitMachine{}}, Options{})
-	if err != nil {
-		t.Fatal(err)
+	res := run(t, 6, []int{0, 3}, script(waitForMail), script(waitForMail))
+	if !res.AllSuspended() || !res.MailboxesEmpty {
+		t.Errorf("agents %v mailboxesEmpty=%v, want all waiting with empty mailboxes", res.Agents, res.MailboxesEmpty)
 	}
-	for i, a := range res.Agents {
-		if a.Halted {
-			t.Errorf("agent %d halted, want waiting", i)
+}
+
+// TestMachineErrorSurfaces checks that every way a frame can fail an
+// agent aborts the run with ErrProgram.
+func TestMachineErrorSurfaces(t *testing.T) {
+	for name, s := range map[string]script{
+		"halt with error": fixed(sim.Action{Kind: sim.ActionDone, Err: errors.New("deliberately broken")}),
+		"panic":           func(sim.API, int) sim.Action { panic("deliberately broken") },
+		"Move":            func(api sim.API, _ int) sim.Action { api.Move(); return halt },
+		"MoveVia":         func(api sim.API, _ int) sim.Action { api.MoveVia(0); return halt },
+		"AwaitMessages":   func(api sim.API, _ int) sim.Action { api.AwaitMessages(); return halt },
+	} {
+		if _, err := Run(4, []int{0}, []sim.Program{s}, testTimeout); !errors.Is(err, ErrProgram) {
+			t.Errorf("%s: err = %v, want ErrProgram", name, err)
 		}
 	}
 }
 
-type brokenMachine struct{}
-
-func (brokenMachine) InitialState() (json.RawMessage, error) { return json.Marshal(0) }
-func (brokenMachine) Step(json.RawMessage, View) (json.RawMessage, Action, error) {
-	return nil, Action{}, fmt.Errorf("deliberately broken")
-}
-
-func TestMachineErrorSurfaces(t *testing.T) {
-	if _, err := Run(4, []int{0}, []Machine{brokenMachine{}}, Options{}); !errors.Is(err, ErrMachine) {
-		t.Errorf("err = %v, want ErrMachine", err)
-	}
-}
-
-type contradictoryMachine struct{}
-
-func (contradictoryMachine) InitialState() (json.RawMessage, error) { return json.Marshal(0) }
-func (contradictoryMachine) Step(raw json.RawMessage, _ View) (json.RawMessage, Action, error) {
-	return raw, Action{Move: true, Halt: true}, nil
-}
-
+// TestMoveAndHaltRejected checks the contradictions a sim.Action can
+// express: a move through a port the unidirectional ring lacks, and an
+// action kind that does not exist.
 func TestMoveAndHaltRejected(t *testing.T) {
-	if _, err := Run(4, []int{0}, []Machine{contradictoryMachine{}}, Options{}); !errors.Is(err, ErrMachine) {
-		t.Errorf("err = %v, want ErrMachine", err)
+	for _, act := range []sim.Action{{Kind: sim.ActionMove, Port: 1}, {}} {
+		if _, err := Run(4, []int{0}, []sim.Program{fixed(act)}, testTimeout); !errors.Is(err, ErrProgram) {
+			t.Errorf("%+v: err = %v, want ErrProgram", act, err)
+		}
 	}
-}
-
-type foreverMachine struct{}
-
-func (foreverMachine) InitialState() (json.RawMessage, error) { return json.Marshal(0) }
-func (foreverMachine) Step(raw json.RawMessage, _ View) (json.RawMessage, Action, error) {
-	return raw, Action{Move: true}, nil
 }
 
 func TestTimeout(t *testing.T) {
-	_, err := Run(4, []int{0}, []Machine{foreverMachine{}}, Options{Timeout: 50 * time.Millisecond})
+	_, err := Run(4, []int{0}, []sim.Program{fixed(move)}, 50*time.Millisecond)
 	if !errors.Is(err, ErrTimeout) {
 		t.Errorf("err = %v, want ErrTimeout", err)
 	}
 }
 
 func TestTokenRelease(t *testing.T) {
-	res, err := Run(5, []int{1, 3}, []Machine{Alg1Machine{K: 2}, Alg1Machine{K: 2}}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runNet(t, 5, []ring.NodeID{1, 3}, alg1(2))
 	if res.Tokens[1] != 1 || res.Tokens[3] != 1 {
 		t.Errorf("tokens = %v", res.Tokens)
 	}

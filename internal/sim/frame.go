@@ -75,7 +75,9 @@ type Frame interface {
 // steps the returned state machine instead of running the coroutine;
 // Run is then never called (it remains the reference semantics, and the
 // cross-check tests execute both forms and compare). Options.
-// ForceCoroutine disables the frame path engine-wide.
+// ForceCoroutine disables the frame path engine-wide. The concurrent
+// substrate (internal/netsim) hosts the same frames on its per-node
+// goroutines, rebuilding each from its FrameSaver words at every step.
 type Framer interface {
 	Program
 	Frame() Frame

@@ -166,14 +166,6 @@ func explainInts(n int, positions []int) string {
 	return verify.ExplainNonUniform(n, ids)
 }
 
-func gapsInts(n int, positions []int) []int {
-	ids := make([]ring.NodeID, len(positions))
-	for i, p := range positions {
-		ids[i] = ring.NodeID(p)
-	}
-	return verify.Gaps(n, ids)
-}
-
 // SymmetryDegree returns the symmetry degree l of an initial placement:
 // the number of times its distance sequence repeats an aperiodic
 // pattern (1 = asymmetric, k = already uniform with n ≡ 0 mod k).
