@@ -130,7 +130,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			}
 		}()
 	}
-	alg, err := parseAlg(*algName)
+	alg, err := experiments.ParseAlgorithm(*algName)
 	if err != nil {
 		return err
 	}
@@ -232,27 +232,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return fmt.Errorf("counterexample found: %s", rep.Counterexample.Reason)
 	}
 	return nil
-}
-
-func parseAlg(name string) (agentring.Algorithm, error) {
-	switch name {
-	case "native":
-		return agentring.Native, nil
-	case "native-n":
-		return agentring.NativeKnowN, nil
-	case "logspace":
-		return agentring.LogSpace, nil
-	case "relaxed":
-		return agentring.Relaxed, nil
-	case "naive":
-		return agentring.NaiveHalting, nil
-	case "firstfit":
-		return agentring.FirstFit, nil
-	case "binative":
-		return agentring.BiNative, nil
-	default:
-		return 0, fmt.Errorf("unknown algorithm %q", name)
-	}
 }
 
 func parseHomes(csv string, n, k int) ([]int, error) {

@@ -13,7 +13,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -22,6 +21,7 @@ import (
 	"strings"
 
 	"agentring"
+	"agentring/internal/experiments"
 )
 
 func main() {
@@ -50,11 +50,11 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	alg, err := parseAlgorithm(*algName)
+	alg, err := experiments.ParseAlgorithm(*algName)
 	if err != nil {
 		return err
 	}
-	schedKind, err := parseScheduler(*sched)
+	schedKind, err := experiments.ParseScheduler(*sched)
 	if err != nil {
 		return err
 	}
@@ -107,27 +107,6 @@ func run(args []string, out io.Writer) error {
 	return nil
 }
 
-func parseAlgorithm(name string) (agentring.Algorithm, error) {
-	switch name {
-	case "native":
-		return agentring.Native, nil
-	case "native-n":
-		return agentring.NativeKnowN, nil
-	case "logspace":
-		return agentring.LogSpace, nil
-	case "relaxed":
-		return agentring.Relaxed, nil
-	case "naive":
-		return agentring.NaiveHalting, nil
-	case "firstfit":
-		return agentring.FirstFit, nil
-	case "binative":
-		return agentring.BiNative, nil
-	default:
-		return 0, fmt.Errorf("unknown algorithm %q", name)
-	}
-}
-
 func dedupInts(v []int) []int {
 	seen := make(map[int]bool, len(v))
 	out := make([]int, 0, len(v))
@@ -138,21 +117,6 @@ func dedupInts(v []int) []int {
 		}
 	}
 	return out
-}
-
-func parseScheduler(name string) (agentring.SchedulerKind, error) {
-	switch name {
-	case "roundrobin":
-		return agentring.RoundRobin, nil
-	case "random":
-		return agentring.RandomSched, nil
-	case "sync":
-		return agentring.Synchronous, nil
-	case "adversarial":
-		return agentring.Adversarial, nil
-	default:
-		return 0, fmt.Errorf("unknown scheduler %q", name)
-	}
 }
 
 func buildHomes(csv, workload string, n, k, degree int, seed int64) ([]int, error) {
@@ -168,16 +132,9 @@ func buildHomes(csv, workload string, n, k, degree int, seed int64) ([]int, erro
 		}
 		return homes, nil
 	}
-	switch workload {
-	case "random":
-		return agentring.RandomHomes(n, k, seed)
-	case "clustered":
-		return agentring.ClusteredHomes(n, k)
-	case "uniform":
-		return agentring.UniformHomes(n, k)
-	case "periodic":
-		return agentring.PeriodicHomes(n, k, degree, seed)
-	default:
-		return nil, errors.New("unknown workload " + workload)
+	wl, err := experiments.ParseWorkload(workload)
+	if err != nil {
+		return nil, err
 	}
+	return experiments.Spec{N: n, K: k, Workload: wl, Degree: degree, Seed: seed}.Homes()
 }

@@ -14,7 +14,7 @@ import (
 
 // The frame-vs-coroutine cross-check: every algorithm whose program
 // implements sim.Framer executes by default as a resumable frame, while
-// sim.Options.ForceCoroutine runs the same program's coroutine Run. The
+// coroutineOnly runs the same program's coroutine Run. The
 // two paths promise observational equivalence (see sim.Frame); this
 // test holds them to it on the golden configuration across all
 // schedulers, comparing the full rendered trace, the canonical
@@ -28,6 +28,15 @@ import (
 const crosscheckN = 36
 
 var crosscheckHomes = []ring.NodeID{0, 3, 4, 11, 17, 25}
+
+// coroutineOnly hides each program's Frame method, so the engine runs
+// its coroutine Run, the reference semantics frames are checked against.
+func coroutineOnly(programs []sim.Program) []sim.Program {
+	for i, p := range programs {
+		programs[i] = sim.ProgramFunc(p.Run)
+	}
+	return programs
+}
 
 // crosscheckPrograms builds one fresh program per agent, mirroring the
 // facade's per-algorithm construction.
@@ -99,14 +108,17 @@ func runBoth(t *testing.T, top sim.Topology, alg, sched string, faults sim.Fault
 		steps     int
 		err       error
 	}
-	exec := func(force bool) outcome {
+	exec := func(coroutines bool) outcome {
 		trace := sim.NewTrace(1 << 20)
-		e, err := sim.NewEngine(top, crosscheckHomes, crosscheckPrograms(t, alg, n, k), sim.Options{
-			Scheduler:      crosscheckScheduler(t, sched),
-			Trace:          trace,
-			TrackState:     true,
-			Faults:         faults,
-			ForceCoroutine: force,
+		programs := crosscheckPrograms(t, alg, n, k)
+		if coroutines {
+			programs = coroutineOnly(programs)
+		}
+		e, err := sim.NewEngine(top, crosscheckHomes, programs, sim.Options{
+			Scheduler:  crosscheckScheduler(t, sched),
+			Trace:      trace,
+			TrackState: true,
+			Faults:     faults,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -114,7 +126,7 @@ func runBoth(t *testing.T, top sim.Topology, alg, sched string, faults sim.Fault
 		res, err := e.Run()
 		snap := e.Snapshot()
 		if got, want := e.StateKey(), snap.Key(); got != want {
-			t.Errorf("force coroutine %v: final StateKey %#x, Snapshot().Key %#x", force, got, want)
+			t.Errorf("coroutines %v: final StateKey %#x, Snapshot().Key %#x", coroutines, got, want)
 		}
 		return outcome{
 			trace:     trace.String(),
@@ -286,11 +298,14 @@ func TestCheckpointRestoreCrossCheck(t *testing.T) {
 		t.Run(tc.alg, func(t *testing.T) {
 			top := tc.top()
 			n, k := top.Size(), len(crosscheckHomes)
-			mk := func(force bool) *sim.Engine {
-				e, err := sim.NewEngine(top, crosscheckHomes, crosscheckPrograms(t, tc.alg, n, k), sim.Options{
-					TrackState:     true,
-					Faults:         faults,
-					ForceCoroutine: force,
+			mk := func(coroutines bool) *sim.Engine {
+				programs := crosscheckPrograms(t, tc.alg, n, k)
+				if coroutines {
+					programs = coroutineOnly(programs)
+				}
+				e, err := sim.NewEngine(top, crosscheckHomes, programs, sim.Options{
+					TrackState: true,
+					Faults:     faults,
 				})
 				if err != nil {
 					t.Fatal(err)

@@ -19,7 +19,7 @@ import (
 // runs must report identical SelectionStats sequences and outcomes.
 func runAlg2Instrumented(t *testing.T, n int, homes []ring.NodeID, sched func() sim.Scheduler) (sim.Result, []SelectionStats) {
 	t.Helper()
-	run := func(forceCoroutine bool) (sim.Result, []SelectionStats) {
+	run := func(coroutines bool) (sim.Result, []SelectionStats) {
 		var stats []SelectionStats
 		programs := make([]sim.Program, len(homes))
 		for i := range programs {
@@ -30,8 +30,11 @@ func runAlg2Instrumented(t *testing.T, n int, homes []ring.NodeID, sched func() 
 				t.Fatal(err)
 			}
 			programs[i] = p
+			if coroutines {
+				programs[i] = sim.ProgramFunc(p.Run) // hides Frame
+			}
 		}
-		opts := sim.Options{ForceCoroutine: forceCoroutine}
+		var opts sim.Options
 		if sched != nil {
 			opts.Scheduler = sched()
 		}
@@ -41,7 +44,7 @@ func runAlg2Instrumented(t *testing.T, n int, homes []ring.NodeID, sched func() 
 		}
 		res, err := e.Run()
 		if err != nil {
-			t.Fatalf("run (coroutine=%v): %v", forceCoroutine, err)
+			t.Fatalf("run (coroutine=%v): %v", coroutines, err)
 		}
 		return res, stats
 	}

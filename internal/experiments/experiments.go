@@ -20,6 +20,60 @@ const (
 	WorkloadPeriodic  WorkloadKind = "periodic"
 )
 
+// The names the CLIs and job specs give algorithms, schedulers and
+// workloads, one table each. An empty scheduler or workload name
+// selects the default, and "sync" is short for "synchronous".
+var (
+	algorithmNames = map[string]agentring.Algorithm{
+		"native":   agentring.Native,
+		"native-n": agentring.NativeKnowN,
+		"logspace": agentring.LogSpace,
+		"relaxed":  agentring.Relaxed,
+		"naive":    agentring.NaiveHalting,
+		"firstfit": agentring.FirstFit,
+		"binative": agentring.BiNative,
+	}
+	schedulerNames = map[string]agentring.SchedulerKind{
+		"":            agentring.RoundRobin,
+		"roundrobin":  agentring.RoundRobin,
+		"random":      agentring.RandomSched,
+		"synchronous": agentring.Synchronous,
+		"sync":        agentring.Synchronous,
+		"adversarial": agentring.Adversarial,
+	}
+	workloadNames = map[string]WorkloadKind{
+		"":          WorkloadRandom,
+		"random":    WorkloadRandom,
+		"clustered": WorkloadClustered,
+		"uniform":   WorkloadUniform,
+		"periodic":  WorkloadPeriodic,
+	}
+)
+
+// ParseAlgorithm resolves an algorithm name.
+func ParseAlgorithm(name string) (agentring.Algorithm, error) {
+	return lookup(algorithmNames, "algorithm", name)
+}
+
+// ParseScheduler resolves a scheduler name.
+func ParseScheduler(name string) (agentring.SchedulerKind, error) {
+	return lookup(schedulerNames, "scheduler", name)
+}
+
+// ParseWorkload resolves a workload name.
+func ParseWorkload(name string) (WorkloadKind, error) {
+	return lookup(workloadNames, "workload", name)
+}
+
+// lookup resolves name in table, saying what it looked up on a miss.
+func lookup[T any](table map[string]T, what, name string) (T, error) {
+	v, ok := table[name]
+	if !ok {
+		return v, fmt.Errorf("unknown %s %q", what, name)
+	}
+	return v, nil
+}
+
 // Spec describes one experimental run.
 type Spec struct {
 	Algorithm agentring.Algorithm

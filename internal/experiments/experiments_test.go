@@ -30,6 +30,26 @@ func TestSpecHomes(t *testing.T) {
 	}
 }
 
+func TestNameTables(t *testing.T) {
+	if alg, err := ParseAlgorithm("native-n"); err != nil || alg != agentring.NativeKnowN {
+		t.Errorf("ParseAlgorithm(native-n) = %v, %v", alg, err)
+	}
+	for _, name := range []string{"synchronous", "sync"} {
+		if s, err := ParseScheduler(name); err != nil || s != agentring.Synchronous {
+			t.Errorf("ParseScheduler(%s) = %v, %v", name, s, err)
+		}
+	}
+	if s, err := ParseScheduler(""); err != nil || s != agentring.RoundRobin {
+		t.Errorf("ParseScheduler(\"\") = %v, %v, want the round-robin default", s, err)
+	}
+	if wl, err := ParseWorkload(""); err != nil || wl != WorkloadRandom {
+		t.Errorf("ParseWorkload(\"\") = %v, %v, want the random default", wl, err)
+	}
+	if _, err := ParseAlgorithm("nope"); err == nil || !strings.Contains(err.Error(), `unknown algorithm "nope"`) {
+		t.Errorf("ParseAlgorithm(nope) error = %v", err)
+	}
+}
+
 func TestRunProducesRow(t *testing.T) {
 	row, err := Run(Spec{
 		Algorithm: agentring.Native, N: 24, K: 6,

@@ -46,18 +46,6 @@ func toJSONRow(r Row) jsonRow {
 	}
 }
 
-// WriteJSON renders rows as an indented JSON array, the machine-readable
-// counterpart of FormatRows for benchmark trend tracking.
-func WriteJSON(w io.Writer, rows []Row) error {
-	out := make([]jsonRow, len(rows))
-	for i, r := range rows {
-		out[i] = toJSONRow(r)
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
-}
-
 // WriteJSONRow renders one row as a single compact line, the NDJSON
 // unit the sweep CLI streams per completed cell (RunAllStream feeds it
 // in grid order while the batch is still running).

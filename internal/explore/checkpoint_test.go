@@ -59,13 +59,15 @@ func replayFromRoot(t *testing.T, setup Setup, prefix []int) (*sim.Controlled, s
 	if topology == nil {
 		topology = ring.MustNew(setup.N)
 	}
+	for i, p := range programs {
+		programs[i] = sim.ProgramFunc(p.Run) // hides Frame: a coroutine
+	}
 	ctrl := sim.NewControlled(prefix)
 	eng, err := sim.NewEngine(topology, setup.Homes, programs, sim.Options{
-		Scheduler:      ctrl,
-		Faults:         setup.Faults,
-		Adversary:      setup.Adversary,
-		TrackState:     true,
-		ForceCoroutine: true,
+		Scheduler:  ctrl,
+		Faults:     setup.Faults,
+		Adversary:  setup.Adversary,
+		TrackState: true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -544,7 +545,7 @@ func (e *Engine) runLoop() {
 		e.publishLocked(Event{Type: "started", JobID: j.id, Job: snapPtr(j)})
 		e.mu.Unlock()
 
-		result, errMsg := e.execute(j, ctx)
+		result, err := run(ctx, j.spec, j.comp, e.opts.Workers, e.hooks(j))
 		cancelled := ctx.Err() != nil
 		cancel()
 
@@ -553,12 +554,12 @@ func (e *Engine) runLoop() {
 		case cancelled:
 			j.state = StateCancelled
 			j.err = "cancelled while running"
-		case errMsg != "":
+		case err != nil:
 			j.state = StateFailed
-			j.err = errMsg
+			j.err = err.Error()
 		default:
 			j.state = StateDone
-			j.result = result
+			j.result = &result
 		}
 		j.finished = time.Now()
 		e.running--
@@ -568,82 +569,94 @@ func (e *Engine) runLoop() {
 	}
 }
 
-// execute runs one job's payload. It returns the result (nil on
-// failure) and a failure message ("" on success); cancellation is
-// detected by the caller through the job context.
-func (e *Engine) execute(j *job, ctx context.Context) (*Result, string) {
-	if j.comp.explore != nil {
-		if ctx.Err() != nil {
-			return nil, ""
-		}
-		// The job context flows into the search, so Cancel interrupts an
-		// exploration mid-flight, and live explorer counters stream to
-		// the bus as "progress" events. Search parallelism comes from the
-		// spec (not e.opts.Workers): the spec is what Execute sees too,
-		// which keeps the daemon-vs-direct byte-identity guarantee
-		// independent of how either process sized its pool.
-		xopts := j.comp.opts
-		xopts.Progress = func(p agentring.ExploreProgress) {
+// hooks are a running job's windows onto the event bus; nil hooks are
+// skipped.
+type hooks struct {
+	// progress is called once per finished cell (concurrently, from the
+	// batch workers) or once after a search.
+	progress func()
+	// explore receives the search's live counters.
+	explore func(agentring.ExploreProgress)
+	// trace receives up to Spec.TraceEvents execution events from the
+	// job's cells.
+	trace func(agentring.TraceEvent)
+}
+
+// hooks publishes job j's progress, live explorer counters and trace
+// events to the bus.
+func (e *Engine) hooks(j *job) hooks {
+	return hooks{
+		progress: func() { e.noteProgress(j) },
+		explore: func(p agentring.ExploreProgress) {
 			e.publish(Event{Type: "progress", JobID: j.id, Explore: &p})
-		}
-		rep, err := agentring.Explore(ctx, j.comp.alg, *j.comp.explore, xopts)
+		},
+		trace: func(ev agentring.TraceEvent) {
+			e.publish(Event{Type: "trace", JobID: j.id, Trace: &ev})
+		},
+	}
+}
+
+// run executes a compiled spec. It is the one path a daemon job and
+// Execute both take, so their results and failures agree byte for
+// byte. A cancelled ctx interrupts a search mid-flight and a batch
+// between cells, and is returned as the error.
+func run(ctx context.Context, spec Spec, comp compiled, workers int, h hooks) (Result, error) {
+	if comp.explore != nil {
+		// Search parallelism comes from the spec, not the worker pool,
+		// so the report does not depend on how either process sized it.
+		opts := comp.opts
+		opts.Progress = h.explore
+		rep, err := agentring.Explore(ctx, comp.alg, *comp.explore, opts)
 		if err != nil {
-			if ctx.Err() != nil {
-				return nil, ""
-			}
-			return nil, err.Error()
+			return Result{}, err
 		}
-		e.noteProgress(j)
-		return &Result{Kind: j.spec.Kind, Explore: &rep}, ""
+		if h.progress != nil {
+			h.progress()
+		}
+		return Result{Kind: spec.Kind, Explore: &rep}, nil
 	}
 
-	cells := j.comp.cells
-	if limit := j.spec.TraceEvents; limit > 0 {
-		// Fan live execution events from the job's cells out to the bus,
-		// bounded by the spec's cap so a million-step sweep cannot flood
+	cells := comp.cells
+	if limit := int64(spec.TraceEvents); limit > 0 && h.trace != nil {
+		// Bounded by the spec's cap so a million-step sweep cannot flood
 		// subscribers. The counter is shared across cells and workers.
 		var emitted atomic.Int64
 		sink := agentring.TraceFunc(func(ev agentring.TraceEvent) {
-			if emitted.Add(1) > int64(limit) {
-				return
+			if emitted.Add(1) <= limit {
+				h.trace(ev)
 			}
-			tr := ev
-			e.publish(Event{Type: "trace", JobID: j.id, Trace: &tr})
 		})
-		cells = make([]agentring.Job, len(j.comp.cells))
-		copy(cells, j.comp.cells)
+		cells = slices.Clone(cells)
 		for i := range cells {
 			cells[i].Config.TraceSink = sink
 		}
 	}
-
-	results := agentring.RunBatch(ctx, cells, agentring.BatchOptions{
-		Workers: e.opts.Workers,
-		OnResult: func(i int, r agentring.JobResult) {
-			e.noteProgress(j)
-		},
-	})
-	out := &Result{Kind: j.spec.Kind, Cells: make([]CellResult, len(results))}
+	bopts := agentring.BatchOptions{Workers: workers}
+	if h.progress != nil {
+		bopts.OnResult = func(int, agentring.JobResult) { h.progress() }
+	}
+	results := agentring.RunBatch(ctx, cells, bopts)
+	if err := ctx.Err(); err != nil {
+		return Result{}, err
+	}
+	out := Result{Kind: spec.Kind, Cells: make([]CellResult, len(results))}
+	var firstErr error
 	failures := 0
-	firstErr := ""
 	for i, r := range results {
 		out.Cells[i] = cellResult(i, r)
 		if r.Err != nil {
 			failures++
-			if firstErr == "" {
-				firstErr = r.Err.Error()
+			if firstErr == nil {
+				firstErr = r.Err
 			}
 		}
-	}
-	if ctx.Err() != nil {
-		return nil, ""
 	}
 	if failures == len(results) {
 		// Every cell failed: the job itself is broken, not just flaky
 		// corners of a grid.
-		return nil, fmt.Sprintf("all %d cells failed: %s", failures, firstErr)
+		return Result{}, fmt.Errorf("all %d cells failed: %w", failures, firstErr)
 	}
-	return out, ""
+	return out, nil
 }
 
 // noteProgress bumps the job's done counter and publishes a progress
@@ -659,23 +672,12 @@ func (e *Engine) noteProgress(j *job) {
 // exact code path a daemon job takes, minus admission and events. The
 // daemon-vs-direct equivalence guarantee rests on this shared path —
 // `agentring submit -local` and the e2e tests both compare a daemon
-// job.result payload against Execute's.
+// job.result payload against Execute's, and a spec whose every cell
+// fails is an error both ways.
 func Execute(spec Spec, workers int) (Result, error) {
 	comp, err := spec.compile()
 	if err != nil {
 		return Result{}, err
 	}
-	if comp.explore != nil {
-		rep, err := agentring.Explore(context.Background(), comp.alg, *comp.explore, comp.opts)
-		if err != nil {
-			return Result{}, err
-		}
-		return Result{Kind: spec.Kind, Explore: &rep}, nil
-	}
-	results := agentring.RunBatch(context.Background(), comp.cells, agentring.BatchOptions{Workers: workers})
-	out := Result{Kind: spec.Kind, Cells: make([]CellResult, len(results))}
-	for i, r := range results {
-		out.Cells[i] = cellResult(i, r)
-	}
-	return out, nil
+	return run(context.Background(), spec, comp, workers, hooks{})
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -95,6 +96,34 @@ func TestSubmitRunsAndMatchesDirectExecute(t *testing.T) {
 		if !c.Uniform {
 			t.Errorf("cell %d not uniform: %s", c.Index, c.Why)
 		}
+	}
+}
+
+// TestAllCellsFailedFailsBothWays holds the daemon and Execute to one
+// verdict on a spec whose every cell fails (BiNative needs a backward
+// port, which the default ring lacks): the job fails, and Execute
+// returns an error with the same message.
+func TestAllCellsFailedFailsBothWays(t *testing.T) {
+	var spec Spec
+	if err := json.Unmarshal([]byte(`{"kind":"run","algorithm":"binative","n":8,"k":2}`), &spec); err != nil {
+		t.Fatal(err)
+	}
+	e := New(Options{Workers: 1})
+	defer e.Close()
+	snap, err := e.Submit("c1", spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	final := waitFinal(t, e, snap.ID)
+	if final.State != StateFailed || !strings.HasPrefix(final.Error, "all 1 cells failed: ") {
+		t.Fatalf("daemon job ended %s with %q, want failed with \"all 1 cells failed: ...\"", final.State, final.Error)
+	}
+	res, err := Execute(spec, 1)
+	if err == nil {
+		t.Fatalf("Execute returned no error and %d cells, want the daemon's failure", len(res.Cells))
+	}
+	if err.Error() != final.Error {
+		t.Errorf("Execute error %q, daemon job error %q", err, final.Error)
 	}
 }
 

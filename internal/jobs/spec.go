@@ -47,7 +47,7 @@ type Spec struct {
 	Degree   int    `json:"degree,omitempty"`   // symmetry degree for the periodic workload
 	Seed     int64  `json:"seed,omitempty"`
 	// Scheduler names the interleaving policy for run/sweep cells:
-	// roundrobin (default) | random | synchronous | adversarial.
+	// roundrobin (default) | random | synchronous (or sync) | adversarial.
 	Scheduler string `json:"scheduler,omitempty"`
 	Faults    string `json:"faults,omitempty"` // named DynRing plan or raw agentring.ParseFaults spec
 	// Adversary attaches an online fault adversary to an explore job, in
@@ -86,54 +86,11 @@ type Spec struct {
 
 // ParseAlgorithm resolves the spec's algorithm name.
 func ParseAlgorithm(name string) (agentring.Algorithm, error) {
-	switch name {
-	case "native":
-		return agentring.Native, nil
-	case "native-n":
-		return agentring.NativeKnowN, nil
-	case "logspace":
-		return agentring.LogSpace, nil
-	case "relaxed":
-		return agentring.Relaxed, nil
-	case "naive":
-		return agentring.NaiveHalting, nil
-	case "firstfit":
-		return agentring.FirstFit, nil
-	case "binative":
-		return agentring.BiNative, nil
-	default:
-		return 0, fmt.Errorf("%w: unknown algorithm %q", ErrSpec, name)
+	alg, err := experiments.ParseAlgorithm(name)
+	if err != nil {
+		return 0, fmt.Errorf("%w: %v", ErrSpec, err)
 	}
-}
-
-func parseScheduler(name string) (agentring.SchedulerKind, error) {
-	switch name {
-	case "", "roundrobin":
-		return agentring.RoundRobin, nil
-	case "random":
-		return agentring.RandomSched, nil
-	case "synchronous":
-		return agentring.Synchronous, nil
-	case "adversarial":
-		return agentring.Adversarial, nil
-	default:
-		return 0, fmt.Errorf("%w: unknown scheduler %q", ErrSpec, name)
-	}
-}
-
-func parseWorkload(name string) (experiments.WorkloadKind, error) {
-	switch name {
-	case "", "random":
-		return experiments.WorkloadRandom, nil
-	case "clustered":
-		return experiments.WorkloadClustered, nil
-	case "uniform":
-		return experiments.WorkloadUniform, nil
-	case "periodic":
-		return experiments.WorkloadPeriodic, nil
-	default:
-		return "", fmt.Errorf("%w: unknown workload %q", ErrSpec, name)
-	}
+	return alg, nil
 }
 
 // compiled is a spec resolved into executable form: the cell list for
@@ -147,13 +104,13 @@ type compiled struct {
 
 // cellConfig materializes one grid cell's configuration.
 func (s Spec) cellConfig(n, k int, seed int64) (agentring.Config, error) {
-	wl, err := parseWorkload(s.Workload)
+	wl, err := experiments.ParseWorkload(s.Workload)
 	if err != nil {
-		return agentring.Config{}, err
+		return agentring.Config{}, fmt.Errorf("%w: %v", ErrSpec, err)
 	}
-	sched, err := parseScheduler(s.Scheduler)
+	sched, err := experiments.ParseScheduler(s.Scheduler)
 	if err != nil {
-		return agentring.Config{}, err
+		return agentring.Config{}, fmt.Errorf("%w: %v", ErrSpec, err)
 	}
 	espec := experiments.Spec{
 		N:         n,
@@ -252,8 +209,9 @@ func (s Spec) compile() (compiled, error) {
 }
 
 // CellResult is one completed cell of a run/sweep job, in the stable
-// JSON shape shared by the daemon's job.result payload, the client's
-// -local path, and the sweep CLI's NDJSON rows.
+// JSON shape shared by the daemon's job.result payload and the client's
+// -local path. (The sweep CLI's NDJSON rows are experiments' own row
+// shape, not this one.)
 type CellResult struct {
 	Index     int    `json:"index"`
 	Algorithm string `json:"algorithm"`

@@ -57,7 +57,11 @@ func runNet(t *testing.T, n int, homeIDs []ring.NodeID, mk factory) sim.Result {
 // on netsim, which steps the same algorithm's frames.
 func runBoth(t *testing.T, n int, homeIDs []ring.NodeID, mk factory) (engine, net sim.Result) {
 	t.Helper()
-	e, err := sim.NewEngine(ring.MustNew(n), homeIDs, build(t, homeIDs, mk), sim.Options{ForceCoroutine: true})
+	programs := build(t, homeIDs, mk)
+	for i, p := range programs {
+		programs[i] = sim.ProgramFunc(p.Run) // hides Frame: a coroutine
+	}
+	e, err := sim.NewEngine(ring.MustNew(n), homeIDs, programs, sim.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,8 @@
 // Package ring models the static substrate of the paper's system model
 // (Section 2.1): an anonymous, unidirectional ring R = (V, E) of n
-// nodes, where each node carries a token count that can only grow
-// (tokens, once released, can never be removed). Agent positions, link
-// FIFO queues, and mailboxes — the dynamic parts of a configuration —
-// live in internal/sim, which drives this substrate.
+// nodes. Token counts, agent positions, link FIFO queues, and
+// mailboxes — the parts of a configuration that change — live in
+// internal/sim, which drives this substrate.
 //
 // # Role in the topology layer
 //
@@ -17,9 +16,9 @@
 // # Invariants
 //
 // NodeID is the canonical 0..n-1 numbering used across the whole
-// module. Distance and DistanceSequence implement the cyclic geometry
-// the algorithms reason with: DistanceSequence sums to n for any
-// placement (TestDistanceSequenceSumsToN), Forward and Distance are
-// inverse (TestDistanceForwardInverse), and token counts never decrease
-// (TestTokens).
+// module. Neighbor's single port wraps from v_{n-1} back to v_0
+// (TestNextWrapsAround), and DistanceSequence implements the cyclic
+// geometry the algorithms reason with: its gaps sum to n for any
+// placement (TestDistanceSequenceSumsToN). Tokens are indelible engine
+// state; the sim package's Auditor checks that counts never decrease.
 package ring

@@ -15,18 +15,19 @@ var (
 	ErrTooSmall = errors.New("ring: size must be at least 1")
 )
 
-// Ring is an n-node unidirectional ring with per-node token counts.
+// Ring is an n-node unidirectional ring. It is pure geometry: token
+// counts, like every other part of a configuration, are engine state
+// (internal/sim).
 type Ring struct {
-	n      int
-	tokens []int
+	n int
 }
 
-// New creates a ring of n nodes with no tokens anywhere.
+// New creates a ring of n nodes.
 func New(n int) (*Ring, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("%w (got %d)", ErrTooSmall, n)
 	}
-	return &Ring{n: n, tokens: make([]int, n)}, nil
+	return &Ring{n: n}, nil
 }
 
 // MustNew is New for callers with statically valid sizes (tests, examples).
@@ -43,72 +44,19 @@ func MustNew(n int) *Ring {
 // Size returns n, the number of nodes.
 func (r *Ring) Size() int { return r.n }
 
-// Next returns the forward neighbour of v (the only direction agents can
-// move in a unidirectional ring).
-func (r *Ring) Next(v NodeID) NodeID {
-	return NodeID((int(v) + 1) % r.n)
-}
-
 // Degree returns the out-degree of v. A unidirectional ring has exactly
 // one outgoing link per node, which makes *Ring the port-0-only instance
 // of the simulator's Topology interface.
 func (r *Ring) Degree(NodeID) int { return 1 }
 
 // Neighbor returns the node reached from v via the given out-port. The
-// only port of a unidirectional ring is 0, the forward link.
+// only port of a unidirectional ring is 0, the forward link to
+// (v+1) mod n (the only direction agents can move in).
 func (r *Ring) Neighbor(v NodeID, port int) NodeID {
 	if port != 0 {
 		return -1 // rejected by the engine's edge validation
 	}
-	return r.Next(v)
-}
-
-// Forward returns the node d hops forward of v. d may be any non-negative
-// integer.
-func (r *Ring) Forward(v NodeID, d int) NodeID {
-	return NodeID((int(v) + d%r.n + r.n) % r.n)
-}
-
-// Distance returns the forward distance from node u to node w, the
-// paper's (j - i) mod n.
-func (r *Ring) Distance(u, w NodeID) int {
-	return ((int(w)-int(u))%r.n + r.n) % r.n
-}
-
-// Tokens returns the token count at node v.
-func (r *Ring) Tokens(v NodeID) int { return r.tokens[v] }
-
-// AddToken releases one token at node v. Tokens are permanent: there is
-// no removal operation, matching the model.
-func (r *Ring) AddToken(v NodeID) { r.tokens[v]++ }
-
-// TotalTokens returns the number of tokens in the whole ring.
-func (r *Ring) TotalTokens() int {
-	total := 0
-	for _, t := range r.tokens {
-		total += t
-	}
-	return total
-}
-
-// TokenNodes returns the IDs of all nodes holding at least one token, in
-// ring order.
-func (r *Ring) TokenNodes() []NodeID {
-	var out []NodeID
-	for i, t := range r.tokens {
-		if t > 0 {
-			out = append(out, NodeID(i))
-		}
-	}
-	return out
-}
-
-// TokenSnapshot returns a copy of the per-node token counts (the T
-// component of a configuration, Table 2).
-func (r *Ring) TokenSnapshot() []int {
-	out := make([]int, r.n)
-	copy(out, r.tokens)
-	return out
+	return NodeID((int(v) + 1) % r.n)
 }
 
 // DistanceSequence returns the gaps between consecutive occupied

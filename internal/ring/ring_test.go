@@ -20,8 +20,8 @@ func TestNewSingleNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Next(0) != 0 {
-		t.Errorf("Next(0) on 1-ring = %d, want 0", r.Next(0))
+	if got := r.Neighbor(0, 0); got != 0 {
+		t.Errorf("Neighbor(0, 0) on 1-ring = %d, want 0", got)
 	}
 }
 
@@ -29,86 +29,12 @@ func TestNextWrapsAround(t *testing.T) {
 	r := MustNew(5)
 	want := []NodeID{1, 2, 3, 4, 0}
 	for i := 0; i < 5; i++ {
-		if got := r.Next(NodeID(i)); got != want[i] {
-			t.Errorf("Next(%d) = %d, want %d", i, got, want[i])
+		if got := r.Neighbor(NodeID(i), 0); got != want[i] {
+			t.Errorf("Neighbor(%d, 0) = %d, want %d", i, got, want[i])
 		}
 	}
-}
-
-func TestForward(t *testing.T) {
-	r := MustNew(7)
-	tests := []struct {
-		v    NodeID
-		d    int
-		want NodeID
-	}{
-		{0, 0, 0}, {0, 3, 3}, {5, 4, 2}, {6, 7, 6}, {6, 15, 0},
-	}
-	for _, tt := range tests {
-		if got := r.Forward(tt.v, tt.d); got != tt.want {
-			t.Errorf("Forward(%d, %d) = %d, want %d", tt.v, tt.d, got, tt.want)
-		}
-	}
-}
-
-func TestDistance(t *testing.T) {
-	r := MustNew(10)
-	tests := []struct {
-		u, w NodeID
-		want int
-	}{
-		{0, 0, 0}, {0, 3, 3}, {3, 0, 7}, {9, 0, 1}, {4, 4, 0},
-	}
-	for _, tt := range tests {
-		if got := r.Distance(tt.u, tt.w); got != tt.want {
-			t.Errorf("Distance(%d, %d) = %d, want %d", tt.u, tt.w, got, tt.want)
-		}
-	}
-}
-
-func TestDistanceForwardInverse(t *testing.T) {
-	f := func(nRaw, vRaw, dRaw uint8) bool {
-		n := int(nRaw%50) + 1
-		r := MustNew(n)
-		v := NodeID(int(vRaw) % n)
-		d := int(dRaw)
-		w := r.Forward(v, d)
-		return r.Distance(v, w) == d%n
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestTokens(t *testing.T) {
-	r := MustNew(4)
-	if r.TotalTokens() != 0 {
-		t.Fatal("new ring must have no tokens")
-	}
-	r.AddToken(2)
-	r.AddToken(2)
-	r.AddToken(0)
-	if got := r.Tokens(2); got != 2 {
-		t.Errorf("Tokens(2) = %d, want 2", got)
-	}
-	if got := r.Tokens(1); got != 0 {
-		t.Errorf("Tokens(1) = %d, want 0", got)
-	}
-	if got := r.TotalTokens(); got != 3 {
-		t.Errorf("TotalTokens = %d, want 3", got)
-	}
-	if got := r.TokenNodes(); !reflect.DeepEqual(got, []NodeID{0, 2}) {
-		t.Errorf("TokenNodes = %v, want [0 2]", got)
-	}
-}
-
-func TestTokenSnapshotIsACopy(t *testing.T) {
-	r := MustNew(3)
-	r.AddToken(1)
-	snap := r.TokenSnapshot()
-	snap[1] = 99
-	if r.Tokens(1) != 1 {
-		t.Error("TokenSnapshot aliased internal state")
+	if got := r.Neighbor(0, 1); got != -1 {
+		t.Errorf("Neighbor(0, 1) = %d, want -1 (no second port)", got)
 	}
 }
 

@@ -1,11 +1,6 @@
 package sim
 
-import (
-	"fmt"
-
-	"agentring/internal/memmeter"
-	"agentring/internal/ring"
-)
+import "fmt"
 
 // FrameSaver is optionally implemented by Frames whose resumable state
 // can be captured into, and restored from, a flat word buffer. It is
@@ -30,13 +25,13 @@ type FrameSaver interface {
 	LoadState(buf []int) int
 }
 
-// Checkpoint is a compact copy of an Engine's mutable state between two
-// atomic actions: the struct-of-arrays agent tables, intrusive queue
-// links, token counts, enabled-set bitsets, init-suppression state, the
-// dynamic-edge mask with its fault cursor, run counters, every agent
-// frame's resumable state (via FrameSaver) and, under TrackState, the
-// incrementally maintained configuration key with its k cached agent
-// terms, so a restored engine's StateKey is current without a refold.
+// Checkpoint is a copy of an Engine's configuration between two atomic
+// actions: its engineState (agent tables, queue links, token counts,
+// enabled-set bitsets, init suppression, the dynamic-edge mask with its
+// fault cursor, adversary state, run counters and, under TrackState,
+// the configuration key with its cached agent terms), plus the
+// mailboxes and every agent frame's resumable state (via FrameSaver),
+// each flattened into one slice.
 //
 // A Checkpoint is engine-independent: Restore accepts it on any engine
 // built with the same topology, homes, programs, and options — which is
@@ -52,34 +47,10 @@ type FrameSaver interface {
 // coroutine stacks (engines with coroutine agents are not
 // checkpointable at all).
 type Checkpoint struct {
-	n, k, m int // shape guard: nodes, agents, directed edges
+	n, k, m int  // shape guard: nodes, agents, directed edges
+	track   bool // the source engine's TrackState
 
-	tokens      []int
-	node        []ring.NodeID
-	status      []Status
-	inRank      []int32
-	qrank       []int32
-	qnext       []int32
-	stayNext    []int32
-	stayPrev    []int32
-	moves       []int32
-	agentErr    []error
-	meter       []memmeter.Meter
-	qhead       []int32
-	qtail       []int32
-	stayHead    []int32
-	initPending []int32
-
-	occupied  *bitset
-	wakeable  *bitset
-	ready     *bitset
-	initNodes *bitset
-	down      *bitset // nil when the engine never materialized the mask
-
-	obsHash  []uint64 // nil when the engine does not track state
-	mailHash []uint64
-	key      uint64
-	aterm    []uint64
+	state engineState
 
 	// Mailboxes flattened: mailLen[i] messages of agent i, concatenated
 	// in agent order in mailMsgs. Message values are never mutated after
@@ -90,25 +61,57 @@ type Checkpoint struct {
 	// frameWords concatenates every agent frame's SaveState output, in
 	// agent order; LoadState consumes the same layout.
 	frameWords []int
+}
 
-	downCount, epoch, faultIdx int
-	steps, sent, delivered     int
-	quiesced                   bool
-
-	// Adversary state (empty when the engine runs without one): spent
-	// fail moves, and the per-rank outage stamps overdue detection and
-	// state keying derive ages from.
-	advFails  int
-	advDownAt []int32
+// copyState makes dst a copy of src that shares no storage with it,
+// reusing dst's slices and bitsets where they fit (so a pooled
+// Checkpoint settles into zero allocations per capture).
+func copyState(dst, src *engineState) {
+	dst.tokens = into(dst.tokens, src.tokens)
+	dst.node = into(dst.node, src.node)
+	dst.status = into(dst.status, src.status)
+	dst.inRank = into(dst.inRank, src.inRank)
+	dst.qrank = into(dst.qrank, src.qrank)
+	dst.qnext = into(dst.qnext, src.qnext)
+	dst.stayNext = into(dst.stayNext, src.stayNext)
+	dst.stayPrev = into(dst.stayPrev, src.stayPrev)
+	dst.moves = into(dst.moves, src.moves)
+	dst.obsHash = into(dst.obsHash, src.obsHash)
+	dst.mailHash = into(dst.mailHash, src.mailHash)
+	dst.meter = into(dst.meter, src.meter)
+	dst.agentErr = into(dst.agentErr, src.agentErr)
+	dst.qhead = into(dst.qhead, src.qhead)
+	dst.qtail = into(dst.qtail, src.qtail)
+	dst.stayHead = into(dst.stayHead, src.stayHead)
+	dst.occupied = copyBitset(dst.occupied, src.occupied)
+	dst.wakeable = copyBitset(dst.wakeable, src.wakeable)
+	dst.ready = copyBitset(dst.ready, src.ready)
+	dst.initPending = into(dst.initPending, src.initPending)
+	dst.initNodes = copyBitset(dst.initNodes, src.initNodes)
+	dst.down = copyBitset(dst.down, src.down)
+	dst.downCount, dst.epoch, dst.faultIdx = src.downCount, src.epoch, src.faultIdx
+	dst.advFails = src.advFails
+	dst.advDownAt = into(dst.advDownAt, src.advDownAt)
+	dst.steps, dst.sent, dst.delivered, dst.quiesced = src.steps, src.sent, src.delivered, src.quiesced
+	dst.key = src.key
+	dst.aterm = into(dst.aterm, src.aterm)
 }
 
 // into replaces dst's contents with a copy of src, reusing capacity.
 func into[T any](dst, src []T) []T { return append(dst[:0], src...) }
 
-// cloneBitsetInto copies src into dst, allocating only when dst is
-// missing or sized for a different universe.
-func cloneBitsetInto(dst, src *bitset) *bitset {
-	if dst == nil || dst.n != src.n {
+// copyBitset makes dst a copy of src, allocating only when dst is
+// missing or sized for a different universe. A nil src (the down mask
+// before the first link mutation) empties dst instead of dropping it,
+// so a restored engine keeps the mask it has already allocated.
+func copyBitset(dst, src *bitset) *bitset {
+	switch {
+	case src == nil:
+		if dst != nil {
+			dst.clear()
+		}
+		return dst
+	case dst == nil || dst.n != src.n:
 		dst = newBitset(src.n)
 	}
 	dst.copyFrom(src)
@@ -148,7 +151,7 @@ func (e *Engine) Checkpoint() (*Checkpoint, error) {
 // Checkpointable. The checkpoint may later be restored into this engine
 // or any identically constructed one.
 func (e *Engine) CheckpointTo(cp *Checkpoint) error {
-	cp.n, cp.k, cp.m = e.et.n, len(e.node), e.et.edges()
+	cp.n, cp.k, cp.m, cp.track = e.et.n, len(e.node), e.et.edges(), e.track
 
 	cp.frameWords = cp.frameWords[:0]
 	for i := range e.frame {
@@ -159,40 +162,7 @@ func (e *Engine) CheckpointTo(cp *Checkpoint) error {
 		cp.frameWords = fs.SaveState(cp.frameWords)
 	}
 
-	cp.tokens = into(cp.tokens, e.tokens)
-	cp.node = into(cp.node, e.node)
-	cp.status = into(cp.status, e.status)
-	cp.inRank = into(cp.inRank, e.inRank)
-	cp.qrank = into(cp.qrank, e.qrank)
-	cp.qnext = into(cp.qnext, e.qnext)
-	cp.stayNext = into(cp.stayNext, e.stayNext)
-	cp.stayPrev = into(cp.stayPrev, e.stayPrev)
-	cp.moves = into(cp.moves, e.moves)
-	cp.agentErr = into(cp.agentErr, e.agentErr)
-	cp.meter = into(cp.meter, e.meter)
-	cp.qhead = into(cp.qhead, e.qhead)
-	cp.qtail = into(cp.qtail, e.qtail)
-	cp.stayHead = into(cp.stayHead, e.stayHead)
-	cp.initPending = into(cp.initPending, e.initPending)
-
-	cp.occupied = cloneBitsetInto(cp.occupied, e.occupied)
-	cp.wakeable = cloneBitsetInto(cp.wakeable, e.wakeable)
-	cp.ready = cloneBitsetInto(cp.ready, e.ready)
-	cp.initNodes = cloneBitsetInto(cp.initNodes, e.initNodes)
-	if e.down != nil {
-		cp.down = cloneBitsetInto(cp.down, e.down)
-	} else {
-		cp.down = nil
-	}
-
-	if e.track {
-		cp.obsHash = into(cp.obsHash, e.obsHash)
-		cp.mailHash = into(cp.mailHash, e.mailHash)
-		cp.aterm = into(cp.aterm, e.aterm)
-	} else {
-		cp.obsHash, cp.mailHash, cp.aterm = nil, nil, nil
-	}
-	cp.key = e.key
+	copyState(&cp.state, &e.engineState)
 
 	cp.mailLen = cp.mailLen[:0]
 	cp.mailMsgs = cp.mailMsgs[:0]
@@ -200,16 +170,6 @@ func (e *Engine) CheckpointTo(cp *Checkpoint) error {
 		cp.mailLen = append(cp.mailLen, int32(len(e.mailbox[i])))
 		cp.mailMsgs = append(cp.mailMsgs, e.mailbox[i]...)
 	}
-
-	cp.downCount = e.downCount
-	cp.epoch = e.epoch
-	cp.faultIdx = e.faultIdx
-	cp.steps = e.steps
-	cp.sent = e.sent
-	cp.delivered = e.delivered
-	cp.quiesced = e.quiesced
-	cp.advFails = e.advFails
-	cp.advDownAt = into(cp.advDownAt, e.advDownAt)
 	return nil
 }
 
@@ -231,7 +191,7 @@ func (e *Engine) Restore(cp *Checkpoint) error {
 		return fmt.Errorf("%w: checkpoint shape (n=%d k=%d m=%d) does not match engine (n=%d k=%d m=%d)",
 			ErrBadSetup, cp.n, cp.k, cp.m, e.et.n, len(e.node), e.et.edges())
 	}
-	if e.track != (cp.obsHash != nil) {
+	if e.track != cp.track {
 		return fmt.Errorf("%w: checkpoint TrackState mismatch", ErrBadSetup)
 	}
 
@@ -247,42 +207,7 @@ func (e *Engine) Restore(cp *Checkpoint) error {
 		return fmt.Errorf("%w: frame state layout mismatch (%d of %d words consumed)", ErrBadSetup, off, len(cp.frameWords))
 	}
 
-	e.tokens = into(e.tokens, cp.tokens)
-	e.node = into(e.node, cp.node)
-	e.status = into(e.status, cp.status)
-	e.inRank = into(e.inRank, cp.inRank)
-	e.qrank = into(e.qrank, cp.qrank)
-	e.qnext = into(e.qnext, cp.qnext)
-	e.stayNext = into(e.stayNext, cp.stayNext)
-	e.stayPrev = into(e.stayPrev, cp.stayPrev)
-	e.moves = into(e.moves, cp.moves)
-	e.agentErr = into(e.agentErr, cp.agentErr)
-	e.meter = into(e.meter, cp.meter)
-	e.qhead = into(e.qhead, cp.qhead)
-	e.qtail = into(e.qtail, cp.qtail)
-	e.stayHead = into(e.stayHead, cp.stayHead)
-	e.initPending = into(e.initPending, cp.initPending)
-
-	e.occupied.copyFrom(cp.occupied)
-	e.wakeable.copyFrom(cp.wakeable)
-	e.ready.copyFrom(cp.ready)
-	e.initNodes.copyFrom(cp.initNodes)
-	switch {
-	case cp.down != nil:
-		if e.down == nil {
-			e.down = newBitset(e.et.edges())
-		}
-		e.down.copyFrom(cp.down)
-	case e.down != nil:
-		e.down.clear()
-	}
-
-	if e.track {
-		e.obsHash = into(e.obsHash, cp.obsHash)
-		e.mailHash = into(e.mailHash, cp.mailHash)
-		e.aterm = into(e.aterm, cp.aterm)
-	}
-	e.key = cp.key
+	copyState(&e.engineState, &cp.state)
 
 	moff := 0
 	for i := range e.mailbox {
@@ -296,32 +221,20 @@ func (e *Engine) Restore(cp *Checkpoint) error {
 		}
 		moff += l
 	}
-
-	e.downCount = cp.downCount
-	e.epoch = cp.epoch
-	e.faultIdx = cp.faultIdx
-	e.steps = cp.steps
-	e.sent = cp.sent
-	e.delivered = cp.delivered
-	e.quiesced = cp.quiesced
-	e.advFails = cp.advFails
-	if e.adv != nil {
-		e.advDownAt = into(e.advDownAt, cp.advDownAt)
-	}
 	return nil
 }
 
 // DecisionPoint advances the engine to its next decision point and
-// returns the enabled atomic actions — exactly the slice Run would hand
-// the scheduler's Pick: due fault events are applied first, and when no
-// action is enabled but fault events are still pending, time passes and
-// the next batch force-fires (repairs need no agent's help). An empty
-// return means the engine has quiesced.
+// returns the enabled atomic actions: due fault events are applied
+// first, and when no action is enabled but fault events are still
+// pending, time passes and the next batch force-fires (repairs need no
+// agent's help); under an adversary its moves follow the agents'. An
+// empty return means the engine has quiesced.
 //
-// DecisionPoint/ApplyChoice are the scheduler-free driving API that
-// replay tools use instead of Run: the caller is the scheduler. The
-// returned slice is the engine's reusable buffer — valid until the next
-// engine call. DecisionPoint is idempotent at a decision point, so
+// DecisionPoint/ApplyChoice are the step API Run's decision loop is
+// built on, and the scheduler-free driving API replay tools use instead
+// of Run: the caller is the scheduler. The returned slice is the
+// engine's reusable buffer — valid until the next engine call. DecisionPoint is idempotent at a decision point, so
 // restoring a checkpoint taken after one and calling it again returns
 // the same set. A checkpoint captured after DecisionPoint restores that
 // decision point, so ApplyChoice of any choice it returned is valid
@@ -329,8 +242,7 @@ func (e *Engine) Restore(cp *Checkpoint) error {
 // (TestRestoredDecisionPointAppliesDirectly). The caller is
 // responsible for the step-limit check Run performs (enabled choices
 // with Steps() >= StepLimit() means a livelocked schedule); Observer
-// callbacks and the round-robin fast path are Run-only machinery and do
-// not apply here.
+// callbacks and the round-robin fast path are Run-only machinery.
 func (e *Engine) DecisionPoint() []Choice {
 	e.applyDueFaults()
 	choices := e.enabledChoices()

@@ -2,9 +2,13 @@ package sim
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	"slices"
 	"testing"
+	"unsafe"
 
+	"agentring/internal/memmeter"
 	"agentring/internal/ring"
 )
 
@@ -261,9 +265,8 @@ func TestCheckpointablePredicate(t *testing.T) {
 	if _, err := plain.Checkpoint(); !errors.Is(err, ErrBadSetup) {
 		t.Errorf("Checkpoint error = %v, want ErrBadSetup", err)
 	}
-	// ForceCoroutine strips the frames entirely.
-	coro, err := NewEngine(ring.MustNew(4), []ring.NodeID{0}, []Program{&chatty{hops: 2}},
-		Options{ForceCoroutine: true})
+	// A program without a Frame method runs as a coroutine.
+	coro, err := NewEngine(ring.MustNew(4), []ring.NodeID{0}, []Program{coroutineOnly(&chatty{hops: 2})}, Options{})
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
@@ -305,12 +308,11 @@ func TestRestoreRejectsShapeMismatch(t *testing.T) {
 // configuration whether the engine drives itself through a Controlled
 // scheduler or the caller drives it through DecisionPoint/ApplyChoice.
 func TestDecisionPointMatchesRun(t *testing.T) {
-	// First pass: record the enabled sets and the picks a deterministic
-	// rule makes, via a Controlled-with-Tail run.
+	// First pass: drive by hand, recording the enabled sets and the
+	// picks a deterministic rule makes.
 	var sets [][]Choice
 	var picks []int
 	recorder := cpSetup(t)
-	// Drive by hand once to learn the full pick sequence.
 	for {
 		cs := recorder.DecisionPoint()
 		if len(cs) == 0 {
@@ -326,6 +328,7 @@ func TestDecisionPointMatchesRun(t *testing.T) {
 
 	// Second pass: a scheduler-driven Run replaying those picks must see
 	// the identical enabled sets and reach the identical configuration.
+	ctrl := NewControlled(picks)
 	e, err := NewEngine(ring.MustNew(6),
 		[]ring.NodeID{0, 2, 4},
 		[]Program{&chatty{hops: 7}, &chatty{hops: 5}, &listener{want: 3}},
@@ -335,27 +338,10 @@ func TestDecisionPointMatchesRun(t *testing.T) {
 				{Step: 3, From: 1},
 				{Step: 9, From: 1, Up: true},
 			},
-			Scheduler: &Controlled{Prefix: picks},
+			Scheduler: ctrl,
 		})
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
-	}
-	seen := 0
-	ctrl := e.sched.(*Controlled)
-	ctrl.OnDecision = func(_ int, cs []Choice) {
-		if seen >= len(sets) {
-			t.Fatalf("Run saw more decision points than the step-driven pass (%d)", len(sets))
-		}
-		want := sets[seen]
-		if len(cs) != len(want) {
-			t.Fatalf("decision %d: %d choices, want %d", seen, len(cs), len(want))
-		}
-		for i := range cs {
-			if cs[i] != want[i] {
-				t.Fatalf("decision %d choice %d: %+v, want %+v", seen, i, cs[i], want[i])
-			}
-		}
-		seen++
 	}
 	res, err := e.Run()
 	if err != nil {
@@ -364,8 +350,13 @@ func TestDecisionPointMatchesRun(t *testing.T) {
 	if !res.Quiesced {
 		t.Error("Run should quiesce on the full pick sequence")
 	}
-	if seen != len(sets) {
-		t.Errorf("Run saw %d decision points, want %d", seen, len(sets))
+	if len(ctrl.Record) != len(sets) {
+		t.Fatalf("Run saw %d decision points, want %d", len(ctrl.Record), len(sets))
+	}
+	for d, cs := range ctrl.Record {
+		if !slices.Equal(cs, sets[d]) {
+			t.Fatalf("decision %d: Run saw %+v, step-driven pass %+v", d, cs, sets[d])
+		}
 	}
 	if e.Snapshot().Key() != recorder.Snapshot().Key() {
 		t.Error("Run and step-driven final configurations differ")
@@ -491,4 +482,117 @@ func walkFromRoot(t *testing.T, e *Engine, prefix []int) *Engine {
 		}
 	}
 	return e
+}
+
+// fillState sets every field of s to a non-zero value by reflection:
+// slices get l elements, bitsets a universe of 64*l+1 with every third
+// member set, scalars a value derived from seed. It fails the test on a
+// field type it does not know, so a new engineState field cannot slip
+// past TestCopyStateCopiesEveryField unfilled.
+func fillState(t *testing.T, s *engineState, l, seed int) {
+	t.Helper()
+	errType := reflect.TypeFor[error]()
+	meterType := reflect.TypeFor[memmeter.Meter]()
+	v := reflect.ValueOf(s).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		name := v.Type().Field(i).Name
+		f := reflect.NewAt(v.Field(i).Type(), unsafe.Pointer(v.Field(i).UnsafeAddr())).Elem()
+		x := seed + i + 1
+		switch {
+		case f.Type() == reflect.TypeFor[*bitset]():
+			b := newBitset(64*l + 1)
+			for j := x % 3; j < b.n; j += 3 {
+				b.add(j)
+			}
+			f.Set(reflect.ValueOf(b))
+		case f.Kind() == reflect.Bool:
+			f.SetBool(true)
+		case f.CanInt():
+			f.SetInt(int64(x))
+		case f.CanUint():
+			f.SetUint(uint64(x))
+		case f.Kind() == reflect.Slice:
+			f.Set(reflect.MakeSlice(f.Type(), l, l))
+			for j := 0; j < l; j++ {
+				el := f.Index(j)
+				switch et := el.Type(); {
+				case el.CanInt():
+					el.SetInt(int64(x*100 + j + 1))
+				case el.CanUint():
+					el.SetUint(uint64(x*100 + j + 1))
+				case et == errType:
+					el.Set(reflect.ValueOf(fmt.Errorf("agent %d", x*100+j)))
+				case et == meterType:
+					el.Addr().Interface().(*memmeter.Meter).Grow(x*100 + j + 1)
+				default:
+					t.Fatalf("fillState: field %s has element type %v the filler does not know", name, et)
+				}
+			}
+		default:
+			t.Fatalf("fillState: field %s has type %v the filler does not know", name, f.Type())
+		}
+	}
+}
+
+// sharedStorage names the first slice or bitset field of a that shares
+// backing storage with the same field of b, or returns "".
+func sharedStorage(a, b *engineState) string {
+	va, vb := reflect.ValueOf(a).Elem(), reflect.ValueOf(b).Elem()
+	same := func(x, y reflect.Value) bool {
+		return x.Len() > 0 && y.Len() > 0 && x.Index(0).Addr().Pointer() == y.Index(0).Addr().Pointer()
+	}
+	for i := 0; i < va.NumField(); i++ {
+		fa, fb := va.Field(i), vb.Field(i)
+		switch fa.Kind() {
+		case reflect.Slice:
+			if same(fa, fb) {
+				return va.Type().Field(i).Name
+			}
+		case reflect.Pointer:
+			if fa.IsNil() || fb.IsNil() {
+				continue
+			}
+			ba, bb := (*bitset)(fa.UnsafePointer()), (*bitset)(fb.UnsafePointer())
+			if ba == bb {
+				return va.Type().Field(i).Name
+			}
+			for l := range ba.level {
+				if l < len(bb.level) && same(reflect.ValueOf(ba.level[l]), reflect.ValueOf(bb.level[l])) {
+					return va.Type().Field(i).Name
+				}
+			}
+		}
+	}
+	return ""
+}
+
+// TestCopyStateCopiesEveryField holds copyState, the one copier behind
+// CheckpointTo and Restore, to an exact copy of every engineState field
+// that shares no storage with its source: into a zero value, and into
+// values whose slices and bitsets have smaller and larger capacities.
+func TestCopyStateCopiesEveryField(t *testing.T) {
+	var src engineState
+	fillState(t, &src, 3, 0)
+	for _, dstLen := range []int{0, 1, 5} {
+		var dst engineState
+		if dstLen > 0 {
+			fillState(t, &dst, dstLen, 1000)
+		}
+		copyState(&dst, &src)
+		if !reflect.DeepEqual(dst, src) {
+			t.Fatalf("destination of length %d: copy differs from source:\n got %+v\nwant %+v", dstLen, dst, src)
+		}
+		if f := sharedStorage(&dst, &src); f != "" {
+			t.Fatalf("destination of length %d: field %s shares storage with the source", dstLen, f)
+		}
+	}
+	// An engine that never mutated a link has no down mask: the copy
+	// keeps the destination's mask but empties it.
+	src.down = nil
+	var dst engineState
+	fillState(t, &dst, 3, 1000)
+	copyState(&dst, &src)
+	if dst.down == nil || dst.down.count != 0 || dst.down.next(0) != -1 {
+		t.Fatalf("nil source mask: destination mask %+v, want an empty one", dst.down)
+	}
 }

@@ -50,31 +50,6 @@ func TestControlledStopsAtDecisionPoint(t *testing.T) {
 	}
 }
 
-// TestControlledRunsToQuiescenceWithTail checks that a Tail scheduler
-// finishes the run past the prefix.
-func TestControlledRunsToQuiescenceWithTail(t *testing.T) {
-	homes := []ring.NodeID{0, 2}
-	ctrl := &Controlled{Prefix: []int{1, 1}, Tail: NewRoundRobin()}
-	e, err := NewEngine(ring.MustNew(4), homes, []Program{walker2(2), walker2(2)}, Options{Scheduler: ctrl})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Quiesced {
-		t.Fatal("run with a tail scheduler did not quiesce")
-	}
-	if !res.AllHalted() {
-		t.Fatal("agents did not halt")
-	}
-	if len(ctrl.Record) != len(ctrl.Prefix)+1 {
-		t.Fatalf("recorded %d decision points, want prefix+1 = %d (tail decisions must not be retained)",
-			len(ctrl.Record), len(ctrl.Prefix)+1)
-	}
-}
-
 // TestControlledReplayDeterminism checks the core replay property: the
 // same prefix always reaches the same configuration and enabled set.
 func TestControlledReplayDeterminism(t *testing.T) {

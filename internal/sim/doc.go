@@ -71,28 +71,34 @@
 //
 // # Checkpoint/restore
 //
-// Engine.Checkpoint / CheckpointTo / Restore capture and reinstate the
-// complete mutable engine state — the SoA agent arrays, per-edge FIFO
-// links, staying lists, hierarchical bitsets, mailboxes, fault
-// epoch/down-mask/cursor, and the agents' program state — as one flat,
-// engine-independent copy (checkpoint.go). CheckpointTo reuses the
-// destination's storage, so a pooled checkpoint costs zero steady-state
-// allocations. Program state is only capturable for Framer programs
-// whose frames also implement FrameSaver (a save/load of their resumable
-// state as plain ints); Checkpointable reports whether an engine
-// qualifies. Coroutine agents hold their state on a goroutine stack
-// that cannot be copied, so an engine running any cannot be explored:
-// the schedule explorer (internal/explore) searches only by checkpoint
-// and restore and rejects such programs as a setup error. Coroutines
-// remain the reference semantics — TestFrameCoroutineCheckpointCrossCheck
-// holds a checkpoint-round-tripped frame engine to the coroutine
-// reference at every decision point, which is the "restore ≡ replay"
-// guarantee the explorer builds on.
+// The engine's mutable state is declared once, in engineState
+// (engine.go): the SoA agent arrays, per-edge FIFO links, staying
+// lists, hierarchical bitsets, fault epoch/down-mask/cursor, adversary
+// state, run counters and the configuration key. Engine embeds it, and
+// a Checkpoint is a copy of it plus the mailboxes and the agents'
+// program state, each flattened into one slice (checkpoint.go).
+// Engine.Checkpoint / CheckpointTo and Restore both copy it with one
+// function, copyState, which reuses the destination's storage, so a
+// pooled checkpoint costs zero steady-state allocations;
+// TestCopyStateCopiesEveryField fills every field by reflection and
+// requires an exact copy that shares no storage. Program state is only
+// capturable for Framer programs whose frames also implement FrameSaver
+// (a save/load of their resumable state as plain ints); Checkpointable
+// reports whether an engine qualifies. Coroutine agents hold their
+// state on a goroutine stack that cannot be copied, so an engine
+// running any cannot be explored: the schedule explorer
+// (internal/explore) searches only by checkpoint and restore and
+// rejects such programs as a setup error. Coroutines remain the
+// reference semantics — TestFrameCoroutineCheckpointCrossCheck holds a
+// checkpoint-round-tripped frame engine to the coroutine reference at
+// every decision point, which is the "restore ≡ replay" guarantee the
+// explorer builds on.
 //
 // Alongside restore sits the step-driven control surface the explorer
-// uses instead of Run: DecisionPoint fires due faults and returns the
-// enabled choices, ApplyChoice executes one, and StateKey returns the
-// canonical configuration key (identical to Snapshot().Key()) without
+// uses instead of Run, and that Run's own decision loop is built on:
+// DecisionPoint fires due faults and returns the enabled choices,
+// ApplyChoice executes one, and StateKey returns the canonical
+// configuration key (identical to Snapshot().Key()) without
 // materializing a snapshot. A checkpoint captured after DecisionPoint
 // restores that decision point, so ApplyChoice of any choice it
 // returned is valid without calling DecisionPoint again: the explorer
@@ -123,7 +129,9 @@
 // staying node, observation hash and mailbox), each Broadcast recipient
 // (its mailbox hash), ReleaseToken and SetEdgeState (fixed faults and
 // the adversary alike); NewEngine seeds the agent terms and Restore
-// copies key and terms back. A new mutation site must join the list.
+// copies key and terms back. A new mutation site must join the list,
+// and a new mutable field joins engineState (and copyState, when it is
+// a slice or bitset), so checkpoints carry it without a second list.
 // TestStateKeyMatchesSnapshotKey, the root cross-checks (at every
 // decision of driveStepwise, after every Run of runBoth) and
 // FuzzStateKey (fuzzed choices, checkpoints, restores and fresh-engine

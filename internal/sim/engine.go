@@ -68,12 +68,6 @@ type Options struct {
 	// converged branches. Off by default: hashing message payloads costs
 	// a formatting pass per delivery.
 	TrackState bool
-	// ForceCoroutine disables the Frame fast path: programs that
-	// implement Framer run their coroutine Run instead. The two paths
-	// are observationally identical (the frame-vs-coroutine cross-check
-	// executes both and compares traces and state hashes); this switch
-	// exists for that test and for bisecting a suspected frame bug.
-	ForceCoroutine bool
 }
 
 type yieldKind int
@@ -126,16 +120,50 @@ type coroState struct {
 // re-adds its queue head in the ready set.
 type Engine struct {
 	et       *edgeTable
-	tokens   []int // per-node indelible token counts (the T component)
 	sched    Scheduler
 	maxStep  int
 	sink     TraceSink
 	observer Observer
+	track    bool // Options.TrackState
+
+	// The configuration itself: everything an atomic action, a fault,
+	// an adversary move or a restore changes. Its fields are promoted,
+	// so the hot loop reads e.node, e.qhead and so on directly.
+	engineState
+
+	// Per-agent tables outside the configuration: fixed at construction
+	// (home, program, frame) or execution machinery (coroutines, the API
+	// arena). Mailboxes change with every broadcast but stay here: a
+	// Checkpoint stores them flattened instead of copying engineState's
+	// way.
+	home    []ring.NodeID
+	mailbox [][]Message
+	program []Program
+	frame   []Frame      // non-nil: the agent steps as a frame
+	coro    []*coroState // lazily created for non-frame agents
+	apis    []apiState   // the per-agent API arena (one backing array)
+	choices []Choice     // the reused buffer enabledChoices returns
+
+	// The step-ordered fault schedule (engineState.faultIdx is its
+	// cursor) and the online adversary's immutable budget with the
+	// rank -> (tail node, out-port) tables its choices are built from.
+	faults  FaultSchedule
+	adv     *AdversaryBudget
+	advSrc  []int32
+	advPort []int32
+}
+
+// engineState is the engine's mutable configuration between atomic
+// actions, declared once: Engine embeds it and a Checkpoint holds a
+// copy, both written by copyState. A new mutable field joins this
+// struct (and copyState, when it is a slice or bitset).
+type engineState struct {
+	tokens []int // per-node indelible token counts (the T component)
 
 	// Agent tables: parallel arrays indexed by agent id. The hot loop
 	// reads node/status/qrank/qnext and the queue links; everything an
-	// activation rarely touches (meter, program, error) sits in separate
-	// arrays so it stays out of the touched cache lines.
+	// activation rarely touches (meter, error) sits in separate arrays
+	// so it stays out of the touched cache lines.
 	node     []ring.NodeID // current (or last) node
 	status   []Status
 	inRank   []int32 // arrival rank of the last traversed edge, -1 before the first move
@@ -143,16 +171,10 @@ type Engine struct {
 	qnext    []int32 // successor in the agent's FIFO queue, -1 at the tail
 	stayNext []int32 // intrusive per-node staying list links
 	stayPrev []int32
-	home     []ring.NodeID
 	moves    []int32
-	mailbox  [][]Message
 	obsHash  []uint64 // folded observation history (Options.TrackState)
 	mailHash []uint64 // folded pending mailbox payloads
 	meter    []memmeter.Meter
-	program  []Program
-	frame    []Frame      // non-nil: the agent steps as a frame
-	coro     []*coroState // lazily created for non-frame agents
-	apis     []apiState   // the per-agent API arena (one backing array)
 	agentErr []error
 
 	// The per-edge link FIFOs are intrusive singly-linked lists over
@@ -177,8 +199,7 @@ type Engine struct {
 	// enabled choice names a distinct agent: arrival heads are
 	// in-transit, wakeable agents are waiting); while init suppression
 	// is active it is a superset, so the fast path stays off until then.
-	ready   *bitset
-	choices []Choice
+	ready *bitset
 
 	// The paper's initial configuration puts each agent in the incoming
 	// buffer of its home node, guaranteeing it takes the first atomic
@@ -197,31 +218,24 @@ type Engine struct {
 	// edge is marked in down (a rank bitset allocated lazily at the
 	// first effective mutation, so static runs never touch it) and its
 	// queue freezes: the head's arrival leaves the enabled set while
-	// pushes still append. epoch counts effective mutations; faults
-	// holds the step-ordered schedule with faultIdx its cursor.
+	// pushes still append. epoch counts effective mutations; faultIdx
+	// is the cursor into the engine's step-ordered fault schedule.
 	down      *bitset
 	downCount int
 	epoch     int
-	faults    FaultSchedule
 	faultIdx  int
 
-	// Online-adversary state (Options.Adversary; nil otherwise). The
-	// budget itself is immutable; the mutable part — how many fails have
-	// been spent and when each down link failed — is configuration
-	// state: it is checkpointed, restored, and folded into StateKey
-	// (fail count plus per-link *relative* outage ages, so states
-	// reached at different depths still converge).
-	adv       *AdversaryBudget
+	// Online-adversary state (Options.Adversary; empty otherwise): how
+	// many fails have been spent and when each down link failed. It is
+	// folded into StateKey as the fail count plus per-link *relative*
+	// outage ages, so states reached at different depths still converge.
 	advFails  int
 	advDownAt []int32 // per rank: step count just after the fail; -1 when up
-	advSrc    []int32 // per rank: tail node of the directed edge
-	advPort   []int32 // per rank: out-port at the tail node
 
 	steps     int
 	sent      int
 	delivered int
-	track     bool // Options.TrackState
-	quiesced  bool // Run ended with no enabled action (vs stopped/error)
+	quiesced  bool // the last decision point had no enabled action
 
 	// The configuration key (Options.TrackState only): the XOR of every
 	// term of Configuration.Key except the adversary's, which StateKey
@@ -285,41 +299,39 @@ func NewEngine(t Topology, homes []ring.NodeID, programs []Program, opts Options
 	m := et.edges()
 	e := &Engine{
 		et:       et,
-		tokens:   make([]int, n),
 		sched:    sched,
 		maxStep:  maxStep,
 		sink:     buildSink(opts),
 		observer: opts.Observer,
 		track:    opts.TrackState,
-
-		node:     make([]ring.NodeID, k),
-		status:   make([]Status, k),
-		inRank:   make([]int32, k),
-		qrank:    make([]int32, k),
-		qnext:    make([]int32, k),
-		stayNext: make([]int32, k),
-		stayPrev: make([]int32, k),
-		home:     make([]ring.NodeID, k),
-		moves:    make([]int32, k),
-		mailbox:  make([][]Message, k),
-		meter:    make([]memmeter.Meter, k),
-		program:  make([]Program, k),
-		frame:    make([]Frame, k),
-		coro:     make([]*coroState, k),
-		apis:     make([]apiState, k),
-		agentErr: make([]error, k),
-
-		qhead:    make([]int32, m),
-		qtail:    make([]int32, m),
-		stayHead: make([]int32, n),
-
-		occupied: newBitset(m),
-		wakeable: newBitset(k),
-		ready:    newBitset(k),
-		choices:  make([]Choice, 0, 2*k),
-
-		initPending: make([]int32, n),
-		initNodes:   newBitset(n),
+		engineState: engineState{
+			tokens:      make([]int, n),
+			node:        make([]ring.NodeID, k),
+			status:      make([]Status, k),
+			inRank:      make([]int32, k),
+			qrank:       make([]int32, k),
+			qnext:       make([]int32, k),
+			stayNext:    make([]int32, k),
+			stayPrev:    make([]int32, k),
+			moves:       make([]int32, k),
+			meter:       make([]memmeter.Meter, k),
+			agentErr:    make([]error, k),
+			qhead:       make([]int32, m),
+			qtail:       make([]int32, m),
+			stayHead:    make([]int32, n),
+			occupied:    newBitset(m),
+			wakeable:    newBitset(k),
+			ready:       newBitset(k),
+			initPending: make([]int32, n),
+			initNodes:   newBitset(n),
+		},
+		home:    make([]ring.NodeID, k),
+		mailbox: make([][]Message, k),
+		program: make([]Program, k),
+		frame:   make([]Frame, k),
+		coro:    make([]*coroState, k),
+		apis:    make([]apiState, k),
+		choices: make([]Choice, 0, 2*k),
 	}
 	if len(opts.Faults) > 0 {
 		if err := opts.Faults.validate(et); err != nil {
@@ -351,10 +363,8 @@ func NewEngine(t Topology, homes []ring.NodeID, programs []Program, opts Options
 		e.inRank[i] = -1
 		e.qrank[i] = -1
 		e.program[i] = programs[i]
-		if !opts.ForceCoroutine {
-			if fr, ok := programs[i].(Framer); ok {
-				e.frame[i] = fr.Frame()
-			}
+		if fr, ok := programs[i].(Framer); ok {
+			e.frame[i] = fr.Frame()
 		}
 		e.apis[i] = apiState{e: e, id: i}
 		// The initial configuration stores each agent in the incoming
@@ -376,49 +386,36 @@ func NewEngine(t Topology, homes []ring.NodeID, programs []Program, opts Options
 // the outcome. It is an error for any agent program to fail or for the
 // step limit to be reached.
 //
-// Under a round-robin scheduler, once every agent has taken its first
-// home activation, Run switches to a fast path that never materializes
-// the choice list: the ready bitset is exactly the enabled-agent set,
-// and the round-robin pick — the minimum cyclic distance from the last
-// scheduled agent — is the cyclic next set bit after it. The fast path
-// falls back to the generic decision loop at every boundary condition
-// (pending faults, step limit, drained ready set), which alone decides
-// quiescence; both paths share the scheduler's cursor, so the
-// interleaving is bit-identical to picking from the materialized list.
+// Each decision goes through the step API: DecisionPoint fires due
+// faults and lists the enabled actions, the scheduler picks one, and
+// ApplyChoice executes it. Under a round-robin scheduler, once every
+// agent has taken its first home activation, Run first takes a fast
+// path that never materializes the choice list: the ready bitset is
+// exactly the enabled-agent set, and the round-robin pick — the minimum
+// cyclic distance from the last scheduled agent — is the cyclic next
+// set bit after it. The fast path hands every boundary condition (a due
+// fault, the step limit, a drained ready set) to the next decision,
+// which alone decides quiescence; both paths share the scheduler's
+// cursor, so the interleaving is bit-identical to picking from the
+// materialized list.
 func (e *Engine) Run() (Result, error) {
 	var runErr error
 	if e.observer != nil {
 		e.observer(e.snapshot())
 	}
 	rr, fast := e.sched.(*RoundRobin)
-	// Adversary engines always take the generic loop: adversary moves
-	// exist only as materialized choices.
-	fast = fast && e.adv == nil
+	// Observers see every step, and adversary moves exist only as
+	// materialized choices: both keep Run on the decision loop.
+	fast = fast && e.observer == nil && e.adv == nil
 	for {
-		e.applyDueFaults()
-		if fast && e.observer == nil && e.initNodes.count == 0 && e.ready.count > 0 && e.steps < e.maxStep {
+		if fast && e.initNodes.count == 0 {
 			if err := e.runFast(rr); err != nil {
 				runErr = err
 				break
 			}
-			// Re-enter the generic loop for whatever stopped the fast
-			// path: a due fault, the step limit, or quiescence.
-			continue
 		}
-		choices := e.enabledChoices()
-		// A blocked configuration with mutations still pending is not
-		// quiescent: time passes, the next scheduled event fires on its
-		// own (repairs need no agent's help), and frozen arrivals may
-		// re-enable.
-		for len(choices) == 0 && e.faultIdx < len(e.faults) {
-			e.applyNextFaultBatch()
-			choices = e.enabledChoices()
-		}
-		if e.adv != nil {
-			choices = e.adversaryChoices(choices)
-		}
+		choices := e.DecisionPoint()
 		if len(choices) == 0 {
-			e.quiesced = true
 			break
 		}
 		if e.steps >= e.maxStep {
@@ -433,11 +430,10 @@ func (e *Engine) Run() (Result, error) {
 			runErr = fmt.Errorf("%w: scheduler picked %d of %d choices", ErrBadSetup, pick, len(choices))
 			break
 		}
-		if err := e.activate(choices[pick]); err != nil {
+		if err := e.ApplyChoice(choices[pick]); err != nil {
 			runErr = err
 			break
 		}
-		e.steps++
 		if e.observer != nil {
 			e.observer(e.snapshot())
 		}

@@ -9,15 +9,18 @@ import (
 
 // crosscheckEngine builds one engine over the checkpoint fixture
 // (chatty walkers + a listener + a transient fault — see cpSetup),
-// optionally forcing the coroutine path.
-func crosscheckEngine(t *testing.T, forceCoroutine bool) *Engine {
+// optionally on the coroutine path.
+func crosscheckEngine(t *testing.T, coroutines bool) *Engine {
 	t.Helper()
-	e, err := NewEngine(ring.MustNew(6),
-		[]ring.NodeID{0, 2, 4},
-		[]Program{&chatty{hops: 7}, &chatty{hops: 5}, &listener{want: 3}},
+	programs := []Program{&chatty{hops: 7}, &chatty{hops: 5}, &listener{want: 3}}
+	if coroutines {
+		for i, p := range programs {
+			programs[i] = coroutineOnly(p)
+		}
+	}
+	e, err := NewEngine(ring.MustNew(6), []ring.NodeID{0, 2, 4}, programs,
 		Options{
-			TrackState:     true,
-			ForceCoroutine: forceCoroutine,
+			TrackState: true,
 			Faults: FaultSchedule{
 				{Step: 3, From: 1},
 				{Step: 9, From: 1, Up: true},

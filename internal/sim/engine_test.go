@@ -10,7 +10,7 @@ import (
 
 // walker moves a fixed number of steps and halts. It implements Framer,
 // so engine tests and benchmarks exercise the frame fast path by
-// default (ForceCoroutine covers the other).
+// default (coroutineOnly covers the other).
 type walkerProgram struct{ left int }
 
 func walker(steps int) Program { return &walkerProgram{left: steps} }
@@ -23,6 +23,11 @@ func (w *walkerProgram) Run(api API) error {
 }
 
 func (w *walkerProgram) Frame() Frame { return w }
+
+// coroutineOnly hides a program's Frame method, so the engine runs the
+// program's coroutine Run, the reference semantics frames are checked
+// against.
+func coroutineOnly(p Program) Program { return ProgramFunc(p.Run) }
 
 func (w *walkerProgram) Step(api API) Action {
 	if w.left == 0 {

@@ -73,11 +73,11 @@ type Frame interface {
 // Framer is optionally implemented by Programs that can execute as a
 // Frame. The engine calls Frame once per agent at construction and
 // steps the returned state machine instead of running the coroutine;
-// Run is then never called (it remains the reference semantics, and the
-// cross-check tests execute both forms and compare). Options.
-// ForceCoroutine disables the frame path engine-wide. The concurrent
-// substrate (internal/netsim) hosts the same frames on its per-node
-// goroutines, rebuilding each from its FrameSaver words at every step.
+// Run is then never called (it remains the reference semantics: the
+// cross-check tests run a program wrapped in ProgramFunc(p.Run), which
+// hides Frame, next to the frame and compare). The concurrent substrate
+// (internal/netsim) hosts the same frames on its per-node goroutines,
+// rebuilding each from its FrameSaver words at every step.
 type Framer interface {
 	Program
 	Frame() Frame

@@ -240,32 +240,18 @@ func (s *Adversarial) Pick(_ int, choices []Choice) int {
 // Controlled replays a fixed prefix of scheduling decisions and records
 // the enabled choice set observed at every decision point. Decision i of
 // the run picks choices[Prefix[i]]; at the decision point just past the
-// prefix the run is handed to Tail, or stopped (PickStop) when Tail is
-// nil. It is the replay primitive of the schedule-space explorer: a
-// prefix of choice indices identifies one node of the schedule tree, and
-// Record carries back the branching structure seen along the way.
+// prefix the run stops (PickStop). It is the replay primitive of the
+// schedule-space explorer: a prefix of choice indices identifies one
+// node of the schedule tree, and Record carries back the branching
+// structure seen along the way.
 type Controlled struct {
 	// Prefix holds the decision indices to replay, in order.
 	Prefix []int
 	// Record accumulates a copy of the enabled choice set at each
-	// decision point through the first one past the prefix — the sets a
-	// Tail scheduler picks from afterwards are not retained, so a
-	// replay-then-finish run stays O(len(Prefix)) in memory. Record[i]
-	// is the set decision i chose from, so len(Record) ==
-	// len(Prefix)+1 exactly when the prefix was exhausted (a run that
-	// quiesces during the prefix records fewer).
+	// decision point: Record[i] is the set decision i chose from, so
+	// len(Record) == len(Prefix)+1 exactly when the prefix was exhausted
+	// (a run that quiesces during the prefix records fewer).
 	Record [][]Choice
-	// OnDecision, if non-nil, is invoked at every decision point with
-	// the step number and enabled choices before the pick is made. The
-	// slice is the engine's reusable buffer: copy it to retain it.
-	OnDecision func(step int, choices []Choice)
-	// Tail, if non-nil, schedules all decisions beyond the prefix
-	// instead of stopping the run.
-	Tail Scheduler
-
-	// decisions counts decision points seen, including the unrecorded
-	// ones a Tail handles past the prefix.
-	decisions int
 }
 
 // NewControlled returns a scheduler replaying the given decision prefix
@@ -275,20 +261,11 @@ func NewControlled(prefix []int) *Controlled {
 }
 
 // Pick implements Scheduler.
-func (c *Controlled) Pick(step int, choices []Choice) int {
-	d := c.decisions
-	c.decisions++
-	if d <= len(c.Prefix) {
-		c.Record = append(c.Record, append([]Choice(nil), choices...))
-	}
-	if c.OnDecision != nil {
-		c.OnDecision(step, choices)
-	}
+func (c *Controlled) Pick(_ int, choices []Choice) int {
+	d := len(c.Record)
+	c.Record = append(c.Record, append([]Choice(nil), choices...))
 	if d < len(c.Prefix) {
 		return c.Prefix[d]
-	}
-	if c.Tail != nil {
-		return c.Tail.Pick(step, choices)
 	}
 	return PickStop
 }
