@@ -225,7 +225,9 @@ func TestFrameCoroutineCrossCheckFaults(t *testing.T) {
 // rule, optionally forcing a Checkpoint/Restore round-trip before every
 // decision — with every third round-trip resuming into a brand-new
 // engine built by fresh. At every decision point, the final one
-// included, the engine's StateKey must equal its Snapshot().Key(). It
+// included, the engine's StateKey must equal its Snapshot().Key(), and
+// exactly the agents offered a wake may hold mail: a checkpoint carries
+// only those agents' mailboxes (LogSpace and Relaxed broadcast). It
 // returns the engine that holds the final state.
 func driveStepwise(t *testing.T, e *sim.Engine, fresh func() *sim.Engine, roundTrip bool) *sim.Engine {
 	t.Helper()
@@ -243,8 +245,20 @@ func driveStepwise(t *testing.T, e *sim.Engine, fresh func() *sim.Engine, roundT
 			}
 		}
 		cs := e.DecisionPoint()
-		if got, want := e.StateKey(), e.Snapshot().Key(); got != want {
+		snap := e.Snapshot()
+		if got, want := e.StateKey(), snap.Key(); got != want {
 			t.Fatalf("decision %d: StateKey %#x, Snapshot().Key %#x", decision, got, want)
+		}
+		wake := make([]bool, len(snap.MailboxSizes))
+		for _, c := range cs {
+			if c.Kind == sim.ChoiceWake {
+				wake[c.Agent] = true
+			}
+		}
+		for id, mail := range snap.MailboxSizes {
+			if (mail > 0) != wake[id] {
+				t.Fatalf("decision %d: agent %d holds %d messages, offered a wake: %v", decision, id, mail, wake[id])
+			}
 		}
 		if len(cs) == 0 {
 			return e

@@ -111,7 +111,7 @@
 // the shallowest items, so every live branch a worker captured sits at
 // a fanning-out ancestor of its current state — one per such ancestor
 // at most — except, briefly, one whose item a thief has taken but not
-// yet restored. Each branch holds a checkpoint (about 3.5 KB of heap
+// yet restored. Each branch holds a checkpoint (about 2.4 KB of heap
 // at n=8 with 8 agents) plus its path and choices. The free list never
 // holds more than the search's peak number of live branches, and is
 // freed with the explorer.

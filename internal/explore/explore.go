@@ -127,7 +127,9 @@ type Options struct {
 	// MaxDuration, if positive, bounds the search's wall-clock time.
 	// Like MaxStates it is a budget, not an error: when it expires the
 	// search stops where it is and reports Complete == false, with the
-	// abandoned frontier counted as truncated branches.
+	// abandoned frontier counted as truncated branches. Workers read
+	// the clock each time they take an item, so the stop lands at the
+	// next one.
 	MaxDuration time.Duration
 	// DisableReduction turns off the sleep-set reduction, leaving only
 	// canonical-state caching. The reachable state set is identical;
@@ -340,7 +342,7 @@ func faultBoundaries(faults sim.FaultSchedule) map[int]bool {
 	return b
 }
 
-// abort reasons, recorded by the watchdog.
+// abort reasons, recorded by stop.
 const (
 	abortNone int32 = iota
 	abortBudget
@@ -354,31 +356,23 @@ func run(ctx context.Context, setup Setup, opts Options, rankSrc []int32, bounda
 		return Report{}, err
 	}
 
-	// Watchdog: a context cancellation or an expired wall-clock budget
-	// stops the frontier; workers then drain within one expansion each.
-	watchDone := make(chan struct{})
-	var timerC <-chan time.Time
-	var timer *time.Timer
-	if opts.MaxDuration > 0 {
-		timer = time.NewTimer(opts.MaxDuration)
-		timerC = timer.C
+	// A context cancellation or an expired deadline — MaxDuration's or
+	// the context's, whichever ends first — stops the search at the next
+	// pop (see pollStop).
+	x.done = ctx.Done()
+	if end, ok := ctx.Deadline(); ok {
+		x.deadline, x.deadlineAbort = end, abortCtx
 	}
-	go func() {
-		select {
-		case <-ctx.Done():
-			x.stop(abortCtx)
-		case <-timerC:
-			x.stop(abortBudget)
-		case <-watchDone:
-		}
-	}()
+	if end := x.start.Add(opts.MaxDuration); opts.MaxDuration > 0 && (x.deadline.IsZero() || end.Before(x.deadline)) {
+		x.deadline, x.deadlineAbort = end, abortBudget
+	}
 
-	var progExit chan struct{}
+	var progDone, progExit chan struct{}
 	if opts.Progress != nil {
-		progExit = make(chan struct{})
+		progDone, progExit = make(chan struct{}), make(chan struct{})
 		go func() {
 			defer close(progExit)
-			x.progressLoop(watchDone)
+			x.progressLoop(progDone)
 		}()
 	}
 
@@ -392,11 +386,8 @@ func run(ctx context.Context, setup Setup, opts Options, rankSrc []int32, bounda
 		}(w)
 	}
 	wg.Wait()
-	close(watchDone)
-	if timer != nil {
-		timer.Stop()
-	}
 	if progExit != nil {
+		close(progDone)
 		<-progExit
 	}
 	if x.err != nil {
@@ -404,6 +395,10 @@ func run(ctx context.Context, setup Setup, opts Options, rankSrc []int32, bounda
 	}
 	rep := x.report()
 	if x.abort.Load() == abortCtx {
+		// A worker can read the context's deadline off the clock before
+		// the context's own timer fires; wait for it, so the caller sees
+		// ctx.Err() set too.
+		<-ctx.Done()
 		return rep, ctx.Err()
 	}
 	return rep, nil
@@ -503,6 +498,12 @@ type explorer struct {
 	abort    atomic.Int32
 	start    time.Time
 
+	// What pollStop watches: the context's done channel, and the search's
+	// deadline (zero when it has none) with the abort reason it stands for.
+	done          <-chan struct{}
+	deadline      time.Time
+	deadlineAbort int32
+
 	// Each worker owns one resident engine (wes) that expansion restores
 	// branches into. free holds released branches for the next capture:
 	// a plain free list, not a sync.Pool, whose victim cache would keep
@@ -572,8 +573,24 @@ func (x *explorer) work(w int) {
 		if !ok {
 			return
 		}
+		x.pollStop()
 		x.expand(w, it)
 		x.frontier.finish()
+	}
+}
+
+// pollStop stops the search when its context is done or its deadline
+// has passed. Every worker calls it at every pop, so a stop lands at
+// the next pop: no timer has to reach a processor the search keeps
+// busy, and a stopping worker's requestStop wakes the parked ones.
+func (x *explorer) pollStop() {
+	select {
+	case <-x.done:
+		x.stop(abortCtx)
+	default:
+		if !x.deadline.IsZero() && !time.Now().Before(x.deadline) {
+			x.stop(x.deadlineAbort)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package explore
 
 import (
 	"context"
+	"errors"
 	"slices"
 	"sync"
 	"testing"
@@ -226,7 +227,7 @@ func TestBudgetStopCountsPoppedItem(t *testing.T) {
 	if !ok {
 		t.Fatal("no root item to pop")
 	}
-	x.stop(abortBudget) // what the watchdog does when MaxDuration expires
+	x.stop(abortBudget) // what a worker's pollStop does once MaxDuration has expired
 	x.expand(0, it)
 	x.frontier.finish()
 	rep := x.report()
@@ -239,9 +240,9 @@ func TestBudgetStopCountsPoppedItem(t *testing.T) {
 }
 
 // TestBudgetStopAfterLastExpansion lands a budget stop after the search
-// ran out of work but before it reports, as a watchdog whose timer
-// reaches a busy processor late does. Nothing was cut, so the report
-// must claim completeness, not Complete == false with Truncated == 0.
+// ran out of work but before it reports, as a stop from outside the
+// workers can. Nothing was cut, so the report must claim completeness,
+// not Complete == false with Truncated == 0.
 func TestBudgetStopAfterLastExpansion(t *testing.T) {
 	top := ring.MustNew(5)
 	rankSrc, err := sim.RankSources(top)
@@ -279,7 +280,7 @@ func TestBudgetStopCountsInPlaceChild(t *testing.T) {
 		t.Fatal(err)
 	}
 	var x *explorer
-	stop := func() { x.stop(abortBudget) } // what the watchdog does when MaxDuration expires
+	stop := func() { x.stop(abortBudget) } // what a worker's pollStop does once MaxDuration has expired
 	x, root, err := newExplorer(Setup{
 		N:        5,
 		Topology: top,
@@ -361,6 +362,54 @@ func TestContextCancelAborts(t *testing.T) {
 	}
 	if rep.Complete {
 		t.Fatal("cancelled search claims completeness")
+	}
+}
+
+// TestCancelFromPropertyStopsAtNextPop cancels the context from inside
+// the search, in the property callback at the cancelAt-th distinct
+// terminal. A one-worker search must notice at its next pop, whatever
+// the scheduler does: every run reports context.Canceled, evaluates no
+// terminal after the cancelling one, and covers the same partial
+// state set.
+func TestCancelFromPropertyStopsAtNextPop(t *testing.T) {
+	// LogSpace on this placement ends in 24 distinct terminals.
+	const cancelAt = 10
+	search := func(ctx context.Context, property func(sim.Result) string) (Report, error) {
+		return Explore(ctx, Setup{
+			N:        8,
+			Homes:    []ring.NodeID{0, 1, 2, 3, 5},
+			Programs: alg2Factory(5),
+			Property: property,
+		}, Options{Workers: 1})
+	}
+	full, err := search(context.Background(), func(sim.Result) string { return "" })
+	if err != nil || !full.Complete {
+		t.Fatalf("uncancelled search: complete %v, err %v", full.Complete, err)
+	}
+	states := -1
+	for run := 0; run < 5; run++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		calls := 0
+		rep, err := search(ctx, func(sim.Result) string {
+			if calls++; calls == cancelAt {
+				cancel()
+			}
+			return ""
+		})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("run %d: err = %v, want context.Canceled", run, err)
+		}
+		if rep.Complete || rep.DistinctTerminals != cancelAt || calls != cancelAt {
+			t.Fatalf("run %d: complete %v, %d distinct terminals, %d property calls; want incomplete, %d and %d",
+				run, rep.Complete, rep.DistinctTerminals, calls, cancelAt, cancelAt)
+		}
+		if states == -1 {
+			states = rep.States
+		}
+		if rep.States != states || rep.States >= full.States {
+			t.Fatalf("run %d: %d states, want %d as in run 0, below the full search's %d", run, rep.States, states, full.States)
+		}
 	}
 }
 

@@ -79,9 +79,9 @@ func (b AdversaryBudget) normalized() (AdversaryBudget, error) {
 func (e *Engine) Adversary() *AdversaryBudget { return e.adv }
 
 // initAdversary wires the adversary state into a freshly constructed
-// engine: the normalized budget, the per-rank outage stamps, and the
-// rank -> (source node, out-port) tables adversary choices are built
-// from.
+// engine, whose layout already holds the per-rank outage stamps: the
+// normalized budget, the stamps' initial -1, and the rank -> (source
+// node, out-port) tables adversary choices are built from.
 func (e *Engine) initAdversary(b AdversaryBudget) error {
 	nb, err := b.normalized()
 	if err != nil {
@@ -92,7 +92,6 @@ func (e *Engine) initAdversary(b AdversaryBudget) error {
 	}
 	m := e.et.edges()
 	e.adv = &nb
-	e.advDownAt = make([]int32, m)
 	e.advSrc = make([]int32, m)
 	e.advPort = make([]int32, m)
 	for i := range e.advDownAt {

@@ -27,21 +27,17 @@ type bitset struct {
 	count int
 }
 
-// newBitset returns an empty set over the universe [0, n).
-func newBitset(n int) *bitset {
-	b := &bitset{n: n}
-	words := (n + 63) >> 6
-	if words < 1 {
-		words = 1
-	}
-	for {
-		b.level = append(b.level, make([]uint64, words))
+// carve makes b an empty set over the universe [0, n) whose levels are
+// the next words of the arena (the engine's layout carves every bitset
+// out of one uint64 arena, so a checkpoint copies them all at once).
+func (b *bitset) carve(n int, arena *carver[uint64]) {
+	b.n, b.count, b.level = n, 0, b.level[:0]
+	for words := max((n+63)>>6, 1); ; words = (words + 63) >> 6 {
+		b.level = append(b.level, arena.take(words))
 		if words == 1 {
-			break
+			return
 		}
-		words = (words + 63) >> 6
 	}
-	return b
 }
 
 // has reports whether i is a member.
@@ -131,26 +127,6 @@ func (b *bitset) next(i int) int {
 		idx = idx<<6 | bits.TrailingZeros64(b.level[l][idx])
 	}
 	return idx
-}
-
-// copyFrom makes b an exact copy of src. Both sets must cover the same
-// universe (callers guarantee this; checkpoints carry shape guards).
-func (b *bitset) copyFrom(src *bitset) {
-	for l := range b.level {
-		copy(b.level[l], src.level[l])
-	}
-	b.count = src.count
-}
-
-// clear empties the set in place.
-func (b *bitset) clear() {
-	for l := range b.level {
-		words := b.level[l]
-		for i := range words {
-			words[i] = 0
-		}
-	}
-	b.count = 0
 }
 
 // nextCyclic returns the smallest member >= i, wrapping around to the

@@ -5,6 +5,17 @@ import (
 	"testing"
 )
 
+// newBitset returns an empty set over the universe [0, n) on words of
+// its own, carved the way layout carves the engine's.
+func newBitset(n int) *bitset {
+	b := &bitset{}
+	var words carver[uint64]
+	b.carve(n, &words)
+	words = carver[uint64]{arena: make([]uint64, words.used)}
+	b.carve(n, &words)
+	return b
+}
+
 // TestBitsetAgainstMap drives a bitset and a reference map through the
 // same random mutation stream over several universe sizes (one, two,
 // and three+ summary levels) and checks membership, count, and

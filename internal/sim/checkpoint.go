@@ -29,16 +29,20 @@ type FrameSaver interface {
 // actions: its engineState (agent tables, queue links, token counts,
 // enabled-set bitsets, init suppression, the dynamic-edge mask with its
 // fault cursor, adversary state, run counters and, under TrackState,
-// the configuration key with its cached agent terms), plus the
-// mailboxes and every agent frame's resumable state (via FrameSaver),
-// each flattened into one slice.
+// the configuration key with its cached agent terms), laid out as the
+// engine's is, so a capture or a restore is one copy per arena and per
+// typed table; plus the wakeable agents' mailboxes and every agent
+// frame's resumable state (via FrameSaver), each flattened into one
+// slice.
 //
 // A Checkpoint is engine-independent: Restore accepts it on any engine
 // built with the same topology, homes, programs, and options — which is
 // how the explorer's work-stealing frontier ships checkpoints between
-// workers, each owning its own engine. All backing slices are reused by
-// CheckpointTo, so a pooled Checkpoint reaches zero steady-state
-// allocations once its capacities have grown to fit.
+// workers, each owning its own engine. CheckpointTo lays a checkpoint
+// out on its first capture (or the first from an engine of another
+// shape) and reuses every backing slice after that, so a pooled
+// Checkpoint reaches zero steady-state allocations once its mail and
+// frame buffers have grown to fit.
 //
 // Not captured (documented limits, all irrelevant to replay-driven
 // search): scheduler state (Controlled/RoundRobin cursors live outside
@@ -47,13 +51,11 @@ type FrameSaver interface {
 // coroutine stacks (engines with coroutine agents are not
 // checkpointable at all).
 type Checkpoint struct {
-	n, k, m int  // shape guard: nodes, agents, directed edges
-	track   bool // the source engine's TrackState
-
 	state engineState
 
-	// Mailboxes flattened: mailLen[i] messages of agent i, concatenated
-	// in agent order in mailMsgs. Message values are never mutated after
+	// Mailboxes flattened: mailLen[j] messages of the j-th agent of
+	// state.wakeable (the agents whose mailboxes are non-nil), ascending,
+	// concatenated in mailMsgs. Message values are never mutated after
 	// Broadcast, so the shallow copy is sound.
 	mailLen  []int32
 	mailMsgs []Message
@@ -63,59 +65,34 @@ type Checkpoint struct {
 	frameWords []int
 }
 
-// copyState makes dst a copy of src that shares no storage with it,
-// reusing dst's slices and bitsets where they fit (so a pooled
-// Checkpoint settles into zero allocations per capture).
+// copyState makes dst a copy of src that shares no storage with it.
+// Both must be laid out alike (layout with the same arguments).
 func copyState(dst, src *engineState) {
-	dst.tokens = into(dst.tokens, src.tokens)
-	dst.node = into(dst.node, src.node)
-	dst.status = into(dst.status, src.status)
-	dst.inRank = into(dst.inRank, src.inRank)
-	dst.qrank = into(dst.qrank, src.qrank)
-	dst.qnext = into(dst.qnext, src.qnext)
-	dst.stayNext = into(dst.stayNext, src.stayNext)
-	dst.stayPrev = into(dst.stayPrev, src.stayPrev)
-	dst.moves = into(dst.moves, src.moves)
-	dst.obsHash = into(dst.obsHash, src.obsHash)
-	dst.mailHash = into(dst.mailHash, src.mailHash)
-	dst.meter = into(dst.meter, src.meter)
-	dst.agentErr = into(dst.agentErr, src.agentErr)
-	dst.qhead = into(dst.qhead, src.qhead)
-	dst.qtail = into(dst.qtail, src.qtail)
-	dst.stayHead = into(dst.stayHead, src.stayHead)
-	dst.occupied = copyBitset(dst.occupied, src.occupied)
-	dst.wakeable = copyBitset(dst.wakeable, src.wakeable)
-	dst.ready = copyBitset(dst.ready, src.ready)
-	dst.initPending = into(dst.initPending, src.initPending)
-	dst.initNodes = copyBitset(dst.initNodes, src.initNodes)
-	dst.down = copyBitset(dst.down, src.down)
+	copy(dst.i32, src.i32)
+	copy(dst.u64, src.u64)
+	copy(dst.tokens, src.tokens)
+	copy(dst.node, src.node)
+	copy(dst.status, src.status)
+	copy(dst.meter, src.meter)
+	if dst.failed > 0 || src.failed > 0 {
+		// The one table of pointers, so its copy pays write barriers:
+		// skipped while both sides hold only nil.
+		copy(dst.agentErr, src.agentErr)
+	}
+	dst.failed = src.failed
+	dst.occupied.count, dst.wakeable.count, dst.ready.count = src.occupied.count, src.wakeable.count, src.ready.count
+	dst.initNodes.count, dst.down.count = src.initNodes.count, src.down.count
 	dst.downCount, dst.epoch, dst.faultIdx = src.downCount, src.epoch, src.faultIdx
 	dst.advFails = src.advFails
-	dst.advDownAt = into(dst.advDownAt, src.advDownAt)
 	dst.steps, dst.sent, dst.delivered, dst.quiesced = src.steps, src.sent, src.delivered, src.quiesced
 	dst.key = src.key
-	dst.aterm = into(dst.aterm, src.aterm)
 }
 
-// into replaces dst's contents with a copy of src, reusing capacity.
-func into[T any](dst, src []T) []T { return append(dst[:0], src...) }
-
-// copyBitset makes dst a copy of src, allocating only when dst is
-// missing or sized for a different universe. A nil src (the down mask
-// before the first link mutation) empties dst instead of dropping it,
-// so a restored engine keeps the mask it has already allocated.
-func copyBitset(dst, src *bitset) *bitset {
-	switch {
-	case src == nil:
-		if dst != nil {
-			dst.clear()
-		}
-		return dst
-	case dst == nil || dst.n != src.n:
-		dst = newBitset(src.n)
-	}
-	dst.copyFrom(src)
-	return dst
+// shape is what a checkpoint must share with an engine to restore into
+// it: n, k, m and the lengths of the two arenas, which also pin
+// TrackState and the adversary, the options that add tables.
+func (s *engineState) shape() [5]int {
+	return [5]int{len(s.tokens), len(s.node), s.occupied.n, len(s.i32), len(s.u64)}
 }
 
 // Checkpointable reports whether the engine's full state can be
@@ -123,17 +100,11 @@ func copyBitset(dst, src *bitset) *bitset {
 // coroutine) and every frame must implement FrameSaver. Coroutine
 // agents park their state in a goroutine stack, which cannot be copied,
 // so the schedule explorer refuses engines running any.
-func (e *Engine) Checkpointable() bool {
-	for i := range e.frame {
-		if e.frame[i] == nil {
-			return false
-		}
-		if _, ok := e.frame[i].(FrameSaver); !ok {
-			return false
-		}
-	}
-	return true
-}
+func (e *Engine) Checkpointable() bool { return e.savers != nil }
+
+// errNotCheckpointable is CheckpointTo's and Restore's refusal of an
+// engine that is not Checkpointable.
+var errNotCheckpointable = fmt.Errorf("%w: engine is not checkpointable (an agent runs as a coroutine or a frame without FrameSaver)", ErrBadSetup)
 
 // Checkpoint captures the engine's state between atomic actions into a
 // fresh Checkpoint. See CheckpointTo for the reuse form.
@@ -151,24 +122,24 @@ func (e *Engine) Checkpoint() (*Checkpoint, error) {
 // Checkpointable. The checkpoint may later be restored into this engine
 // or any identically constructed one.
 func (e *Engine) CheckpointTo(cp *Checkpoint) error {
-	cp.n, cp.k, cp.m, cp.track = e.et.n, len(e.node), e.et.edges(), e.track
-
+	if e.savers == nil {
+		return errNotCheckpointable
+	}
 	cp.frameWords = cp.frameWords[:0]
-	for i := range e.frame {
-		fs, ok := e.frame[i].(FrameSaver)
-		if !ok {
-			return fmt.Errorf("%w: agent %d is not checkpointable (coroutine or frame without FrameSaver)", ErrBadSetup, i)
-		}
+	for _, fs := range e.savers {
 		cp.frameWords = fs.SaveState(cp.frameWords)
 	}
 
+	if cp.state.shape() != e.shape() {
+		cp.state.layout(e.et.n, len(e.node), e.et.edges(), e.track, e.adv != nil)
+	}
 	copyState(&cp.state, &e.engineState)
 
 	cp.mailLen = cp.mailLen[:0]
 	cp.mailMsgs = cp.mailMsgs[:0]
-	for i := range e.mailbox {
-		cp.mailLen = append(cp.mailLen, int32(len(e.mailbox[i])))
-		cp.mailMsgs = append(cp.mailMsgs, e.mailbox[i]...)
+	for id := e.wakeable.next(0); id != -1; id = e.wakeable.next(id + 1) {
+		cp.mailLen = append(cp.mailLen, int32(len(e.mailbox[id])))
+		cp.mailMsgs = append(cp.mailMsgs, e.mailbox[id]...)
 	}
 	return nil
 }
@@ -176,7 +147,7 @@ func (e *Engine) CheckpointTo(cp *Checkpoint) error {
 // Restore rewinds (or fast-forwards) the engine to a previously
 // captured checkpoint. The engine must have the same shape as the one
 // the checkpoint was taken from — same topology, agent count, programs,
-// and TrackState setting — which Restore checks cheaply; restoring a
+// TrackState and adversary — which Restore checks cheaply; restoring a
 // checkpoint into a structurally different engine is a setup error.
 //
 // Restore composes with the step-driven API: after Restore, the next
@@ -187,38 +158,34 @@ func (e *Engine) CheckpointTo(cp *Checkpoint) error {
 // DecisionPoint restores that decision point, so ApplyChoice of any
 // choice it returned is valid without calling DecisionPoint again.
 func (e *Engine) Restore(cp *Checkpoint) error {
-	if cp.n != e.et.n || cp.k != len(e.node) || cp.m != e.et.edges() {
-		return fmt.Errorf("%w: checkpoint shape (n=%d k=%d m=%d) does not match engine (n=%d k=%d m=%d)",
-			ErrBadSetup, cp.n, cp.k, cp.m, e.et.n, len(e.node), e.et.edges())
+	if cp.state.shape() != e.shape() {
+		return fmt.Errorf("%w: checkpoint shape %v does not match engine %v (n, k, m, int32 and uint64 arena words)",
+			ErrBadSetup, cp.state.shape(), e.shape())
 	}
-	if e.track != cp.track {
-		return fmt.Errorf("%w: checkpoint TrackState mismatch", ErrBadSetup)
+	if e.savers == nil {
+		return errNotCheckpointable
 	}
 
 	off := 0
-	for i := range e.frame {
-		fs, ok := e.frame[i].(FrameSaver)
-		if !ok {
-			return fmt.Errorf("%w: agent %d is not checkpointable (coroutine or frame without FrameSaver)", ErrBadSetup, i)
-		}
+	for _, fs := range e.savers {
 		off += fs.LoadState(cp.frameWords[off:])
 	}
 	if off != len(cp.frameWords) {
 		return fmt.Errorf("%w: frame state layout mismatch (%d of %d words consumed)", ErrBadSetup, off, len(cp.frameWords))
 	}
 
-	copyState(&e.engineState, &cp.state)
-
-	moff := 0
-	for i := range e.mailbox {
-		l := int(cp.mailLen[i])
-		if l == 0 {
-			// Keep empty mailboxes nil: finishAction distinguishes nil from
-			// empty when deciding whether a delivery pass happened.
-			e.mailbox[i] = nil
-		} else {
-			e.mailbox[i] = append(e.mailbox[i][:0], cp.mailMsgs[moff:moff+l]...)
+	// Only wakeable agents hold mail, before the copy and after it. A
+	// mailbox the checkpoint refills keeps its backing array.
+	for id := e.wakeable.next(0); id != -1; id = e.wakeable.next(id + 1) {
+		if !cp.state.wakeable.has(id) {
+			e.mailbox[id] = nil
 		}
+	}
+	copyState(&e.engineState, &cp.state)
+	moff := 0
+	for j, id := 0, e.wakeable.next(0); id != -1; j, id = j+1, e.wakeable.next(id+1) {
+		l := int(cp.mailLen[j])
+		e.mailbox[id] = append(e.mailbox[id][:0], cp.mailMsgs[moff:moff+l]...)
 		moff += l
 	}
 	return nil

@@ -303,6 +303,49 @@ func TestRestoreRejectsShapeMismatch(t *testing.T) {
 	}
 }
 
+// TestRestoreRejectsOtherAdversary: a checkpoint holds the adversary's
+// state (spent fails, outage stamps) exactly when its engine has an
+// adversary, so it restores only into an engine that agrees. Restored
+// into a plain engine, a checkpoint taken after a fail would leave a
+// failed link that no choice repairs. One Checkpoint serves both
+// directions: a capture from an engine of another shape lays it out
+// afresh.
+func TestRestoreRejectsOtherAdversary(t *testing.T) {
+	adv := advSetup(t, AdversaryBudget{MaxConcurrent: 1, RepairWithin: 3})
+	plain := func() *Engine {
+		e, err := NewEngine(ring.MustNew(5),
+			[]ring.NodeID{0, 2, 3},
+			[]Program{&chatty{hops: 6}, &chatty{hops: 4}, &listener{want: 3}},
+			Options{TrackState: true})
+		if err != nil {
+			t.Fatalf("NewEngine: %v", err)
+		}
+		return e
+	}
+	cs := adv.DecisionPoint()
+	if c := cs[len(cs)-1]; c.Kind != ChoiceFail {
+		t.Fatalf("last choice %+v, want a fail", c)
+	} else if err := adv.ApplyChoice(c); err != nil {
+		t.Fatalf("ApplyChoice: %v", err)
+	}
+	cp := &Checkpoint{}
+	if err := adv.CheckpointTo(cp); err != nil {
+		t.Fatalf("CheckpointTo: %v", err)
+	}
+	if err := plain().Restore(cp); !errors.Is(err, ErrBadSetup) {
+		t.Errorf("adversary checkpoint into a plain engine: err = %v, want ErrBadSetup", err)
+	}
+	if err := plain().CheckpointTo(cp); err != nil {
+		t.Fatalf("CheckpointTo: %v", err)
+	}
+	if err := adv.Restore(cp); !errors.Is(err, ErrBadSetup) {
+		t.Errorf("plain checkpoint into an adversary engine: err = %v, want ErrBadSetup", err)
+	}
+	if err := plain().Restore(cp); err != nil {
+		t.Errorf("plain checkpoint into a plain engine: %v", err)
+	}
+}
+
 // TestDecisionPointMatchesRun pins the step-driven API to Run: the same
 // decision sequence produces the same enabled sets and the same final
 // configuration whether the engine drives itself through a Controlled
@@ -484,12 +527,15 @@ func walkFromRoot(t *testing.T, e *Engine, prefix []int) *Engine {
 	return e
 }
 
-// fillState sets every field of s to a non-zero value by reflection:
-// slices get l elements, bitsets a universe of 64*l+1 with every third
-// member set, scalars a value derived from seed. It fails the test on a
-// field type it does not know, so a new engineState field cannot slip
-// past TestCopyStateCopiesEveryField unfilled.
-func fillState(t *testing.T, s *engineState, l, seed int) {
+// fillState sets every field of s, which layout has allocated, to a
+// non-zero value by reflection: slice elements (typed tables and arena
+// views alike) a value derived from seed, the field and the index,
+// bitsets every third member, scalars a value derived from seed. The
+// arenas themselves are filled through their views. It fails the test
+// on a field type it does not know, and on a table layout left empty,
+// so a new engineState field cannot slip past
+// TestCopyStateCopiesEveryField unfilled.
+func fillState(t *testing.T, s *engineState, seed int) {
 	t.Helper()
 	errType := reflect.TypeFor[error]()
 	meterType := reflect.TypeFor[memmeter.Meter]()
@@ -499,12 +545,17 @@ func fillState(t *testing.T, s *engineState, l, seed int) {
 		f := reflect.NewAt(v.Field(i).Type(), unsafe.Pointer(v.Field(i).UnsafeAddr())).Elem()
 		x := seed + i + 1
 		switch {
-		case f.Type() == reflect.TypeFor[*bitset]():
-			b := newBitset(64*l + 1)
+		case name == "i32" || name == "u64":
+			continue
+		case f.Type() == reflect.TypeFor[bitset]():
+			b := f.Addr().Interface().(*bitset)
+			for _, words := range b.level {
+				clear(words)
+			}
+			b.count = 0
 			for j := x % 3; j < b.n; j += 3 {
 				b.add(j)
 			}
-			f.Set(reflect.ValueOf(b))
 		case f.Kind() == reflect.Bool:
 			f.SetBool(true)
 		case f.CanInt():
@@ -512,18 +563,20 @@ func fillState(t *testing.T, s *engineState, l, seed int) {
 		case f.CanUint():
 			f.SetUint(uint64(x))
 		case f.Kind() == reflect.Slice:
-			f.Set(reflect.MakeSlice(f.Type(), l, l))
-			for j := 0; j < l; j++ {
+			if f.Len() == 0 {
+				t.Fatalf("fillState: layout left table %s empty", name)
+			}
+			for j := 0; j < f.Len(); j++ {
 				el := f.Index(j)
 				switch et := el.Type(); {
 				case el.CanInt():
-					el.SetInt(int64(x*100 + j + 1))
+					el.SetInt(int64(x*1000 + j + 1))
 				case el.CanUint():
-					el.SetUint(uint64(x*100 + j + 1))
+					el.SetUint(uint64(x*1000 + j + 1))
 				case et == errType:
-					el.Set(reflect.ValueOf(fmt.Errorf("agent %d", x*100+j)))
+					el.Set(reflect.ValueOf(fmt.Errorf("agent %d", x*1000+j)))
 				case et == meterType:
-					el.Addr().Interface().(*memmeter.Meter).Grow(x*100 + j + 1)
+					el.Addr().Interface().(*memmeter.Meter).Grow(x*1000 + j + 1)
 				default:
 					t.Fatalf("fillState: field %s has element type %v the filler does not know", name, et)
 				}
@@ -534,32 +587,38 @@ func fillState(t *testing.T, s *engineState, l, seed int) {
 	}
 }
 
-// sharedStorage names the first slice or bitset field of a that shares
-// backing storage with the same field of b, or returns "".
-func sharedStorage(a, b *engineState) string {
-	va, vb := reflect.ValueOf(a).Elem(), reflect.ValueOf(b).Elem()
-	same := func(x, y reflect.Value) bool {
-		return x.Len() > 0 && y.Len() > 0 && x.Index(0).Addr().Pointer() == y.Index(0).Addr().Pointer()
+// stateSlices lists every slice of s by field name: the arenas, every
+// table, and each level of every bitset.
+func stateSlices(s *engineState) map[string]reflect.Value {
+	out := make(map[string]reflect.Value)
+	v := reflect.ValueOf(s).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		name, f := v.Type().Field(i).Name, v.Field(i)
+		switch {
+		case f.Kind() == reflect.Slice:
+			out[name] = reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem()
+		case f.Type() == reflect.TypeFor[bitset]():
+			for l, words := range (*bitset)(unsafe.Pointer(f.UnsafeAddr())).level {
+				out[fmt.Sprintf("%s.level[%d]", name, l)] = reflect.ValueOf(words)
+			}
+		}
 	}
-	for i := 0; i < va.NumField(); i++ {
-		fa, fb := va.Field(i), vb.Field(i)
-		switch fa.Kind() {
-		case reflect.Slice:
-			if same(fa, fb) {
-				return va.Type().Field(i).Name
-			}
-		case reflect.Pointer:
-			if fa.IsNil() || fb.IsNil() {
-				continue
-			}
-			ba, bb := (*bitset)(fa.UnsafePointer()), (*bitset)(fb.UnsafePointer())
-			if ba == bb {
-				return va.Type().Field(i).Name
-			}
-			for l := range ba.level {
-				if l < len(bb.level) && same(reflect.ValueOf(ba.level[l]), reflect.ValueOf(bb.level[l])) {
-					return va.Type().Field(i).Name
-				}
+	return out
+}
+
+// sharedStorage names a slice of a (an arena, a table or a bitset
+// level) whose elements overlap those of any slice of b, or returns "".
+func sharedStorage(a, b *engineState) string {
+	span := func(x reflect.Value) (lo, hi uintptr) {
+		lo = x.Pointer()
+		return lo, lo + uintptr(x.Len())*x.Type().Elem().Size()
+	}
+	bs := stateSlices(b)
+	for name, x := range stateSlices(a) {
+		alo, ahi := span(x)
+		for _, y := range bs {
+			if blo, bhi := span(y); x.Len() > 0 && y.Len() > 0 && alo < bhi && blo < ahi {
+				return name
 			}
 		}
 	}
@@ -568,31 +627,98 @@ func sharedStorage(a, b *engineState) string {
 
 // TestCopyStateCopiesEveryField holds copyState, the one copier behind
 // CheckpointTo and Restore, to an exact copy of every engineState field
-// that shares no storage with its source: into a zero value, and into
-// values whose slices and bitsets have smaller and larger capacities.
+// that shares no storage with its source, into a freshly laid-out
+// destination and into one holding another state, and to clearing the
+// program errors a destination holds when the source holds none.
 func TestCopyStateCopiesEveryField(t *testing.T) {
-	var src engineState
-	fillState(t, &src, 3, 0)
-	for _, dstLen := range []int{0, 1, 5} {
-		var dst engineState
-		if dstLen > 0 {
-			fillState(t, &dst, dstLen, 1000)
+	// Over 64 agents, nodes and edges, so every bitset has two levels;
+	// TrackState and an adversary, so every optional table exists.
+	const n, k, m = 70, 65, 140
+	laidOut := func() *engineState {
+		s := &engineState{}
+		s.layout(n, k, m, true, true)
+		return s
+	}
+	src := laidOut()
+	fillState(t, src, 0)
+	for _, filled := range []bool{false, true} {
+		dst := laidOut()
+		if filled {
+			fillState(t, dst, 1000)
 		}
-		copyState(&dst, &src)
+		copyState(dst, src)
 		if !reflect.DeepEqual(dst, src) {
-			t.Fatalf("destination of length %d: copy differs from source:\n got %+v\nwant %+v", dstLen, dst, src)
+			t.Fatalf("filled destination %v: copy differs from source:\n got %+v\nwant %+v", filled, dst, src)
 		}
-		if f := sharedStorage(&dst, &src); f != "" {
-			t.Fatalf("destination of length %d: field %s shares storage with the source", dstLen, f)
+		if f := sharedStorage(dst, src); f != "" {
+			t.Fatalf("filled destination %v: %s shares storage with the source", filled, f)
 		}
 	}
-	// An engine that never mutated a link has no down mask: the copy
-	// keeps the destination's mask but empties it.
-	src.down = nil
-	var dst engineState
-	fillState(t, &dst, 3, 1000)
-	copyState(&dst, &src)
-	if dst.down == nil || dst.down.count != 0 || dst.down.next(0) != -1 {
-		t.Fatalf("nil source mask: destination mask %+v, want an empty one", dst.down)
+	clean, dst := laidOut(), laidOut()
+	fillState(t, dst, 1000)
+	copyState(dst, clean)
+	if !reflect.DeepEqual(dst, clean) {
+		t.Fatalf("error-free source: copy differs: agentErr %v, failed %d", dst.agentErr, dst.failed)
+	}
+}
+
+// TestLayoutCarvesDisjointViews writes a distinct value through every
+// view layout carves — the int32 and uint64 tables and every bitset
+// level — and requires each arena slot to be written exactly once: the
+// views tile their arenas, so copying an arena copies every table and
+// nothing twice. Each view must also be capped at its own length, so an
+// append can never spill into its neighbour.
+func TestLayoutCarvesDisjointViews(t *testing.T) {
+	for _, sh := range []struct {
+		n, k, m    int
+		track, adv bool
+	}{
+		{1, 1, 1, false, false},
+		{6, 3, 6, true, false},
+		{7, 4, 7, false, true},
+		{70, 65, 140, true, true},
+		{4100, 100, 8200, true, true},
+	} {
+		var s engineState
+		s.layout(sh.n, sh.k, sh.m, sh.track, sh.adv)
+		arenas := map[reflect.Type]reflect.Value{
+			reflect.TypeFor[[]int32]():  reflect.ValueOf(s.i32),
+			reflect.TypeFor[[]uint64](): reflect.ValueOf(s.u64),
+		}
+		views := stateSlices(&s)
+		delete(views, "i32")
+		delete(views, "u64")
+		next, carved := 0, 0
+		for _, x := range views {
+			if _, ok := arenas[x.Type()]; !ok {
+				continue // a typed table with its own allocation
+			}
+			if x.Cap() != x.Len() {
+				t.Errorf("%+v: view of %d elements has capacity %d", sh, x.Len(), x.Cap())
+			}
+			for j := 0; j < x.Len(); j++ {
+				next++
+				x.Index(j).Set(reflect.ValueOf(next).Convert(x.Type().Elem()))
+			}
+			carved += x.Len()
+		}
+		written := make(map[int64]bool)
+		for _, a := range arenas {
+			for j := 0; j < a.Len(); j++ {
+				var w int64
+				if a.Index(j).CanInt() {
+					w = a.Index(j).Int()
+				} else {
+					w = int64(a.Index(j).Uint())
+				}
+				if w == 0 || written[w] {
+					t.Fatalf("%+v: arena slot %d of %v holds %d: written by no view or by two", sh, j, a.Type(), w)
+				}
+				written[w] = true
+			}
+		}
+		if total := len(s.i32) + len(s.u64); carved != total || next != total {
+			t.Fatalf("%+v: views hold %d elements, arenas %d", sh, carved, total)
+		}
 	}
 }

@@ -75,15 +75,26 @@
 // (engine.go): the SoA agent arrays, per-edge FIFO links, staying
 // lists, hierarchical bitsets, fault epoch/down-mask/cursor, adversary
 // state, run counters and the configuration key. Engine embeds it, and
-// a Checkpoint is a copy of it plus the mailboxes and the agents'
-// program state, each flattened into one slice (checkpoint.go).
-// Engine.Checkpoint / CheckpointTo and Restore both copy it with one
-// function, copyState, which reuses the destination's storage, so a
-// pooled checkpoint costs zero steady-state allocations;
-// TestCopyStateCopiesEveryField fills every field by reflection and
-// requires an exact copy that shares no storage. Program state is only
-// capturable for Framer programs whose frames also implement FrameSaver
-// (a save/load of their resumable state as plain ints); Checkpointable
+// a Checkpoint is a copy of it plus the wakeable agents' mailboxes and
+// the agents' program state, each flattened into one slice
+// (checkpoint.go). One function, layout, allocates engineState for both:
+// every int32 table is a view into one []int32 arena, and every uint64
+// table and the words of every bitset views into one []uint64 arena, so
+// copyState, the one copier behind Engine.Checkpoint / CheckpointTo and
+// Restore, is a copy per arena, one per remaining typed table (tokens,
+// nodes, statuses, meters, and program errors only while either side
+// holds one) and the scalars. A checkpoint is laid out on its first
+// capture and reused after that, so a pooled checkpoint costs zero
+// steady-state allocations, and Restore accepts only a checkpoint of
+// the engine's shape: n, k, m and both arena lengths, which pin
+// TrackState and the adversary too. TestCopyStateCopiesEveryField fills
+// every field of a laid-out state by reflection and requires an exact
+// copy that shares no storage; TestLayoutCarvesDisjointViews requires
+// the views to tile their arenas. Mail is flattened for the wakeable
+// agents only: a mailbox is non-nil exactly while its agent is
+// wakeable. Program state is only capturable for Framer programs whose
+// frames also implement FrameSaver (a save/load of their resumable
+// state as plain ints), resolved once by NewEngine; Checkpointable
 // reports whether an engine qualifies. Coroutine agents hold their
 // state on a goroutine stack that cannot be copied, so an engine
 // running any cannot be explored: the schedule explorer
@@ -130,8 +141,8 @@
 // (its mailbox hash), ReleaseToken and SetEdgeState (fixed faults and
 // the adversary alike); NewEngine seeds the agent terms and Restore
 // copies key and terms back. A new mutation site must join the list,
-// and a new mutable field joins engineState (and copyState, when it is
-// a slice or bitset), so checkpoints carry it without a second list.
+// and a new mutable field joins engineState and layout (a table) or
+// copyState (a scalar), so checkpoints carry it without a second list.
 // TestStateKeyMatchesSnapshotKey, the root cross-checks (at every
 // decision of driveStepwise, after every Run of runBoth) and
 // FuzzStateKey (fuzzed choices, checkpoints, restores and fresh-engine

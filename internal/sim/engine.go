@@ -115,9 +115,9 @@ type coroState struct {
 // The edge set can be made dynamic: Options.Faults (or SetEdgeState)
 // fails and repairs individual directed edges between atomic actions,
 // with the frozen-FIFO semantics documented on FaultSchedule. The
-// static tables never rebuild — a failed edge is a bit in a lazily
-// allocated rank bitset, and freezing/repairing an edge just removes or
-// re-adds its queue head in the ready set.
+// static tables never rebuild — a failed edge is a bit in a rank
+// bitset, and freezing/repairing an edge just removes or re-adds its
+// queue head in the ready set.
 type Engine struct {
 	et       *edgeTable
 	sched    Scheduler
@@ -135,11 +135,13 @@ type Engine struct {
 	// (home, program, frame) or execution machinery (coroutines, the API
 	// arena). Mailboxes change with every broadcast but stay here: a
 	// Checkpoint stores them flattened instead of copying engineState's
-	// way.
+	// way. A mailbox is non-nil exactly while its agent is in wakeable:
+	// Broadcast sets both, a wake clears both, and arrivals carry no mail.
 	home    []ring.NodeID
 	mailbox [][]Message
 	program []Program
 	frame   []Frame      // non-nil: the agent steps as a frame
+	savers  []FrameSaver // the frames as FrameSavers; nil unless every agent has one
 	coro    []*coroState // lazily created for non-frame agents
 	apis    []apiState   // the per-agent API arena (one backing array)
 	choices []Choice     // the reused buffer enabledChoices returns
@@ -155,9 +157,16 @@ type Engine struct {
 
 // engineState is the engine's mutable configuration between atomic
 // actions, declared once: Engine embeds it and a Checkpoint holds a
-// copy, both written by copyState. A new mutable field joins this
-// struct (and copyState, when it is a slice or bitset).
+// copy, both allocated by layout and written by copyState. Every int32
+// table is a view into one arena (i32), and every uint64 table and
+// every bitset's words a view into another (u64), so copyState copies
+// each arena whole. A new table joins layout: as a view when its
+// elements are int32 or uint64 words, otherwise as its own allocation,
+// which copyState then copies by name; a new scalar joins copyState.
 type engineState struct {
+	i32 []int32  // backs every []int32 table below
+	u64 []uint64 // backs every []uint64 table and every bitset below
+
 	tokens []int // per-node indelible token counts (the T component)
 
 	// Agent tables: parallel arrays indexed by agent id. The hot loop
@@ -176,6 +185,7 @@ type engineState struct {
 	mailHash []uint64 // folded pending mailbox payloads
 	meter    []memmeter.Meter
 	agentErr []error
+	failed   int // how many agentErr entries are non-nil (copyState skips the table while both sides have none)
 
 	// The per-edge link FIFOs are intrusive singly-linked lists over
 	// agent ids, indexed by the edge's arrival rank: qhead/qtail per
@@ -191,15 +201,15 @@ type engineState struct {
 	// the per-node footprint drops to one int32.
 	stayHead []int32
 
-	occupied *bitset // edge ranks with non-empty queues
-	wakeable *bitset // waiting agents with non-empty mailboxes
+	occupied bitset // edge ranks with non-empty queues
+	wakeable bitset // waiting agents with non-empty mailboxes
 	// ready holds the agent ids the round-robin fast path picks from:
 	// the heads of occupied *up* edges plus the wakeable agents. Once
 	// initNodes drains this is exactly the enabled-agent set (each
 	// enabled choice names a distinct agent: arrival heads are
 	// in-transit, wakeable agents are waiting); while init suppression
 	// is active it is a superset, so the fast path stays off until then.
-	ready *bitset
+	ready bitset
 
 	// The paper's initial configuration puts each agent in the incoming
 	// buffer of its home node, guaranteeing it takes the first atomic
@@ -212,15 +222,15 @@ type engineState struct {
 	// the pending home nodes; once it drains (after at most k steps)
 	// enabledChoices takes the init-free fast path.
 	initPending []int32 // per node: resident agent awaiting first activation, -1 if none
-	initNodes   *bitset // nodes with a pending resident
+	initNodes   bitset  // nodes with a pending resident
 
 	// Dynamic-edge state. The edge table itself is immutable; a failed
-	// edge is marked in down (a rank bitset allocated lazily at the
-	// first effective mutation, so static runs never touch it) and its
-	// queue freezes: the head's arrival leaves the enabled set while
-	// pushes still append. epoch counts effective mutations; faultIdx
-	// is the cursor into the engine's step-ordered fault schedule.
-	down      *bitset
+	// edge is marked in down (a rank bitset that edgeDown reads only
+	// while downCount > 0, so static runs never touch it) and its queue
+	// freezes: the head's arrival leaves the enabled set while pushes
+	// still append. epoch counts effective mutations; faultIdx is the
+	// cursor into the engine's step-ordered fault schedule.
+	down      bitset
 	downCount int
 	epoch     int
 	faultIdx  int
@@ -245,6 +255,62 @@ type engineState struct {
 	// it needs no recomputation of the old one.
 	key   uint64
 	aterm []uint64
+}
+
+// layout allocates s's tables for n nodes, k agents and m edges: the
+// int32 and uint64 tables and the words of every bitset as views into
+// the two arenas, the typed tables on their own. The state-tracking
+// tables exist only under track, the adversary's only under adv.
+// NewEngine lays out the engine, CheckpointTo a checkpoint of another
+// shape, so layout starts from the zero state. The views are cut twice:
+// the first pass, without arenas, only measures them.
+func (s *engineState) layout(n, k, m int, track, adv bool) {
+	*s = engineState{}
+	var a32 carver[int32]
+	var a64 carver[uint64]
+	for measured := false; ; measured = true {
+		s.inRank, s.qrank, s.qnext = a32.take(k), a32.take(k), a32.take(k)
+		s.stayNext, s.stayPrev, s.moves = a32.take(k), a32.take(k), a32.take(k)
+		s.qhead, s.qtail = a32.take(m), a32.take(m)
+		s.stayHead, s.initPending = a32.take(n), a32.take(n)
+		if adv {
+			s.advDownAt = a32.take(m)
+		}
+		if track {
+			s.obsHash, s.mailHash, s.aterm = a64.take(k), a64.take(k), a64.take(k)
+		}
+		s.occupied.carve(m, &a64)
+		s.wakeable.carve(k, &a64)
+		s.ready.carve(k, &a64)
+		s.initNodes.carve(n, &a64)
+		s.down.carve(m, &a64)
+		if measured {
+			break
+		}
+		a32 = carver[int32]{arena: make([]int32, a32.used)}
+		a64 = carver[uint64]{arena: make([]uint64, a64.used)}
+	}
+	s.i32, s.u64 = a32.arena, a64.arena
+	s.tokens = make([]int, n)
+	s.node = make([]ring.NodeID, k)
+	s.status = make([]Status, k)
+	s.meter = make([]memmeter.Meter, k)
+	s.agentErr = make([]error, k)
+}
+
+// carver cuts consecutive views out of an arena, each capped at its own
+// length. Without an arena it hands out nil views and only counts.
+type carver[T any] struct {
+	arena []T
+	used  int
+}
+
+func (c *carver[T]) take(l int) []T {
+	c.used += l
+	if c.arena == nil {
+		return nil
+	}
+	return c.arena[c.used-l : c.used : c.used]
 }
 
 // NewEngine builds an engine for k agents with the given distinct home
@@ -304,35 +370,16 @@ func NewEngine(t Topology, homes []ring.NodeID, programs []Program, opts Options
 		sink:     buildSink(opts),
 		observer: opts.Observer,
 		track:    opts.TrackState,
-		engineState: engineState{
-			tokens:      make([]int, n),
-			node:        make([]ring.NodeID, k),
-			status:      make([]Status, k),
-			inRank:      make([]int32, k),
-			qrank:       make([]int32, k),
-			qnext:       make([]int32, k),
-			stayNext:    make([]int32, k),
-			stayPrev:    make([]int32, k),
-			moves:       make([]int32, k),
-			meter:       make([]memmeter.Meter, k),
-			agentErr:    make([]error, k),
-			qhead:       make([]int32, m),
-			qtail:       make([]int32, m),
-			stayHead:    make([]int32, n),
-			occupied:    newBitset(m),
-			wakeable:    newBitset(k),
-			ready:       newBitset(k),
-			initPending: make([]int32, n),
-			initNodes:   newBitset(n),
-		},
-		home:    make([]ring.NodeID, k),
-		mailbox: make([][]Message, k),
-		program: make([]Program, k),
-		frame:   make([]Frame, k),
-		coro:    make([]*coroState, k),
-		apis:    make([]apiState, k),
-		choices: make([]Choice, 0, 2*k),
+		home:     make([]ring.NodeID, k),
+		mailbox:  make([][]Message, k),
+		program:  make([]Program, k),
+		frame:    make([]Frame, k),
+		savers:   make([]FrameSaver, k),
+		coro:     make([]*coroState, k),
+		apis:     make([]apiState, k),
+		choices:  make([]Choice, 0, 2*k),
 	}
+	e.layout(n, k, m, opts.TrackState, opts.Adversary != nil)
 	if len(opts.Faults) > 0 {
 		if err := opts.Faults.validate(et); err != nil {
 			return nil, err
@@ -351,11 +398,6 @@ func NewEngine(t Topology, homes []ring.NodeID, programs []Program, opts Options
 		e.initPending[v] = -1
 		e.stayHead[v] = -1
 	}
-	if e.track {
-		e.obsHash = make([]uint64, k)
-		e.mailHash = make([]uint64, k)
-		e.aterm = make([]uint64, k)
-	}
 	for i := range homes {
 		e.home[i] = homes[i]
 		e.node[i] = homes[i]
@@ -365,6 +407,11 @@ func NewEngine(t Topology, homes []ring.NodeID, programs []Program, opts Options
 		e.program[i] = programs[i]
 		if fr, ok := programs[i].(Framer); ok {
 			e.frame[i] = fr.Frame()
+		}
+		if fs, ok := e.frame[i].(FrameSaver); ok && e.savers != nil {
+			e.savers[i] = fs
+		} else {
+			e.savers = nil
 		}
 		e.apis[i] = apiState{e: e, id: i}
 		// The initial configuration stores each agent in the incoming
@@ -737,12 +784,13 @@ func (e *Engine) finishAction(id int, wasStaying bool) error {
 		e.traceEvent(id, "await", "")
 	case yieldDone:
 		e.status[id] = StatusHalted
-		e.agentErr[id] = ev.err
 		if !wasStaying {
 			e.addStaying(id)
 		}
 		e.traceEvent(id, "halt", "")
 		if ev.err != nil {
+			e.agentErr[id] = ev.err
+			e.failed++
 			err = fmt.Errorf("agent %d failed: %w", id, ev.err)
 		}
 	default:

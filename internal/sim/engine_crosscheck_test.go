@@ -32,6 +32,18 @@ func crosscheckEngine(t *testing.T, coroutines bool) *Engine {
 	return e
 }
 
+// mailOutsideWakeable returns an agent whose mailbox is nil while it is
+// wakeable or non-nil while it is not, or -1: checkpoints flatten the
+// wakeable agents' mailboxes only, so the two must agree.
+func mailOutsideWakeable(e *Engine) int {
+	for id := range e.mailbox {
+		if (e.mailbox[id] != nil) != e.wakeable.has(id) {
+			return id
+		}
+	}
+	return -1
+}
+
 // TestFrameCoroutineCheckpointCrossCheck drives three engines through
 // one schedule in lockstep and demands they agree at every decision
 // point:
@@ -44,6 +56,9 @@ func crosscheckEngine(t *testing.T, coroutines bool) *Engine {
 //     every single decision — and every fourth decision is abandoned
 //     entirely and replaced by a fresh engine restored from the
 //     checkpoint.
+//
+// The frame engines must also hold mail exactly in their wakeable
+// agents at every point (the listener waits on the walkers' broadcasts).
 //
 // Agreement on the enabled sets and the configuration key at every
 // point is the engine-level "restore ≡ replay" guarantee the explorer's
@@ -88,6 +103,11 @@ func TestFrameCoroutineCheckpointCrossCheck(t *testing.T) {
 		}
 		if got, want := cpd.StateKey(), ref.Snapshot().Key(); got != want {
 			t.Fatalf("decision %d: checkpointed key %x, coroutine %x", decision, got, want)
+		}
+		for _, e := range []*Engine{frm, cpd} {
+			if id := mailOutsideWakeable(e); id != -1 {
+				t.Fatalf("decision %d: agent %d has mailbox %v but wakeable %v", decision, id, e.mailbox[id], e.wakeable.has(id))
+			}
 		}
 		if len(want) == 0 {
 			break

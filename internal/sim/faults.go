@@ -103,12 +103,6 @@ func (e *Engine) SetEdgeState(from ring.NodeID, port int, up bool) error {
 	if e.edgeDown(r) == !up {
 		return nil // already in the requested state
 	}
-	if e.down == nil {
-		// First effective mutation: materialize the per-rank state mask.
-		// Engines that never mutate never allocate it, keeping the
-		// static steady-state loop untouched.
-		e.down = newBitset(e.et.edges())
-	}
 	if up {
 		e.down.remove(r)
 		e.downCount--
@@ -156,10 +150,10 @@ func (e *Engine) EdgeUp(from ring.NodeID, port int) (bool, error) {
 // Zero means the engine has run on the static topology throughout.
 func (e *Engine) Epoch() int { return e.epoch }
 
-// edgeDown reports whether the rank-r edge is failed. The nil check
-// keeps the all-up fast path free of any per-edge state: engines
-// without mutations never allocate the mask.
-func (e *Engine) edgeDown(r int) bool { return e.down != nil && e.down.has(r) }
+// edgeDown reports whether the rank-r edge is failed. Testing downCount
+// first keeps the all-up fast path free of any per-edge state: engines
+// without mutations never read the mask.
+func (e *Engine) edgeDown(r int) bool { return e.downCount > 0 && e.down.has(r) }
 
 // applyDueFaults applies every scheduled event whose step has been
 // reached. Called before each decision point, so mutations land between

@@ -165,3 +165,167 @@ func BenchmarkStateKey(b *testing.B) {
 		})
 	}
 }
+
+// savingWalker is walker as a FrameSaver, the checkpointable stand-in
+// for Native's walkers in the step-API layer benchmarks below.
+type savingWalker struct{ walkerProgram }
+
+func (w *savingWalker) Frame() Frame { return w }
+
+func (w *savingWalker) SaveState(buf []int) []int { return append(buf, w.left) }
+
+func (w *savingWalker) LoadState(buf []int) int {
+	w.left = buf[0]
+	return 1
+}
+
+// stepAPICases are the shapes the explorer's benchmark workloads search:
+// the 8-ring with 4 and 8 agents, and the 7-ring with 4 agents against a
+// 1/3 link adversary.
+var stepAPICases = []struct {
+	name string
+	n, k int
+	adv  *AdversaryBudget
+}{
+	{"n=8/k=4", 8, 4, nil},
+	{"n=8/k=8", 8, 8, nil},
+	{"n=7/k=4/adv=1-3", 7, 4, &AdversaryBudget{MaxConcurrent: 1, RepairWithin: 3}},
+}
+
+// stepAPIEngine builds a tracked engine of k walkers that each circle
+// an n-ring once, drives it through the first decisions of a
+// deterministic schedule (under an adversary, one that fails a link on
+// the way) and returns it at a decision point. Half of the schedule,
+// n*k/2 decisions, leaves links in transit and walkers halted.
+func stepAPIEngine(b *testing.B, n, k int, adv *AdversaryBudget, decisions int) *Engine {
+	b.Helper()
+	homes := make([]ring.NodeID, k)
+	programs := make([]Program, k)
+	for i := range homes {
+		homes[i] = ring.NodeID(i * n / k)
+		programs[i] = &savingWalker{walkerProgram{left: n}}
+	}
+	e, err := NewEngine(ring.MustNew(n), homes, programs, Options{TrackState: true, Adversary: adv})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for d := 0; d < decisions; d++ {
+		cs := e.DecisionPoint()
+		if len(cs) == 0 {
+			b.Fatalf("quiesced after %d decisions", d)
+		}
+		if err := e.ApplyChoice(cs[(d*5)%len(cs)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	e.DecisionPoint()
+	return e
+}
+
+// BenchmarkCheckpointTo times one capture into a pooled checkpoint: the
+// explorer's cost per branch.
+func BenchmarkCheckpointTo(b *testing.B) {
+	for _, c := range stepAPICases {
+		b.Run(c.name, func(b *testing.B) {
+			e := stepAPIEngine(b, c.n, c.k, c.adv, c.n*c.k/2)
+			cp := &Checkpoint{}
+			if err := e.CheckpointTo(cp); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := e.CheckpointTo(cp); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkRestore times one restore, alternating between the halfway
+// state and the initial configuration so every call rewrites the
+// engine: the explorer's cost per popped item.
+func BenchmarkRestore(b *testing.B) {
+	for _, c := range stepAPICases {
+		b.Run(c.name, func(b *testing.B) {
+			e := stepAPIEngine(b, c.n, c.k, c.adv, c.n*c.k/2)
+			var cps [2]Checkpoint
+			if err := e.CheckpointTo(&cps[0]); err != nil {
+				b.Fatal(err)
+			}
+			if err := stepAPIEngine(b, c.n, c.k, c.adv, 0).CheckpointTo(&cps[1]); err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < 2; i++ {
+				if err := e.Restore(&cps[i]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := e.Restore(&cps[i&1]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkApplyChoice times one atomic action along the rest of the
+// deterministic schedule from the halfway state. When the walk
+// quiesces the benchmark restores the halfway state and starts over; the
+// restore is timed with the actions, one per walk of tens of actions.
+func BenchmarkApplyChoice(b *testing.B) {
+	for _, c := range stepAPICases {
+		b.Run(c.name, func(b *testing.B) {
+			e := stepAPIEngine(b, c.n, c.k, c.adv, c.n*c.k/2)
+			cp, err := e.Checkpoint()
+			if err != nil {
+				b.Fatal(err)
+			}
+			var walk []Choice
+			for d := 0; ; d++ {
+				cs := e.DecisionPoint()
+				if len(cs) == 0 {
+					break
+				}
+				walk = append(walk, cs[(d*5)%len(cs)])
+				if err := e.ApplyChoice(walk[d]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				j := i % len(walk)
+				if j == 0 {
+					if err := e.Restore(cp); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if err := e.ApplyChoice(walk[j]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+var choicesSink []Choice
+
+// BenchmarkDecisionPoint times the enabled-set listing at the halfway
+// state; DecisionPoint is idempotent at a decision point.
+func BenchmarkDecisionPoint(b *testing.B) {
+	for _, c := range stepAPICases {
+		b.Run(c.name, func(b *testing.B) {
+			e := stepAPIEngine(b, c.n, c.k, c.adv, c.n*c.k/2)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				choicesSink = e.DecisionPoint()
+			}
+		})
+	}
+}
