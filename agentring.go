@@ -233,21 +233,28 @@ func Run(alg Algorithm, cfg Config) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
+	// The buffered trace and the public stream share the engine's one
+	// sink, the trace first, so the stream cannot change what it records.
 	var trace *sim.Trace
+	var sink sim.TraceSink
 	if cfg.TraceCapacity > 0 {
 		trace = sim.NewTrace(cfg.TraceCapacity)
+		sink = trace
 	}
-	var sink sim.TraceSink
 	if cfg.TraceSink != nil {
 		public := cfg.TraceSink
-		sink = sim.FuncSink(func(ev sim.Event) {
+		stream := sim.FuncSink(func(ev sim.Event) {
 			public.Record(TraceEvent{Step: ev.Step, Agent: ev.Agent, Node: int(ev.Node), Kind: ev.Kind, Detail: ev.Detail})
 		})
+		if trace != nil {
+			sink = sim.TeeSink{trace, stream}
+		} else {
+			sink = stream
+		}
 	}
 	engine, err := sim.NewEngine(st, homes, programs, sim.Options{
 		Scheduler: sched,
 		MaxSteps:  cfg.MaxSteps,
-		Trace:     trace,
 		Sink:      sink,
 		Faults:    faultSchedule(cfg.Faults),
 	})

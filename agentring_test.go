@@ -2,6 +2,7 @@ package agentring_test
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -115,6 +116,38 @@ func TestRunTrace(t *testing.T) {
 	}
 	if !strings.Contains(rep.Trace, "token") {
 		t.Error("trace must include token releases")
+	}
+}
+
+// TestRunTraceSinkBesideTrace: Report.Trace and Config.TraceSink share
+// the engine's one sink (a tee, trace first, when both are set), so a
+// stream changes nothing the trace records, sees one event per trace
+// line, and sees the same events with or without the buffer.
+func TestRunTraceSinkBesideTrace(t *testing.T) {
+	run := func(capacity int, stream bool) (string, []agentring.TraceEvent) {
+		t.Helper()
+		var events []agentring.TraceEvent
+		cfg := agentring.Config{N: 8, Homes: []int{0, 4}, TraceCapacity: capacity}
+		if stream {
+			cfg.TraceSink = agentring.TraceFunc(func(ev agentring.TraceEvent) { events = append(events, ev) })
+		}
+		rep, err := agentring.Run(agentring.Native, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep.Trace, events
+	}
+	alone, _ := run(1<<10, false)
+	both, streamed := run(1<<10, true)
+	_, streamOnly := run(0, true)
+	if both != alone {
+		t.Error("a TraceSink changed Report.Trace")
+	}
+	if lines := strings.Count(alone, "\n"); lines == 0 || len(streamed) != lines {
+		t.Errorf("streamed %d events beside a %d-line trace", len(streamed), lines)
+	}
+	if !slices.Equal(streamed, streamOnly) {
+		t.Error("the stream differs with and without a trace buffer")
 	}
 }
 

@@ -72,8 +72,9 @@ import (
 )
 
 func main() {
-	// Interrupts cancel the context, which reaches mid-search: a ^C
-	// aborts a long exploration within about one replay per worker.
+	// Interrupts cancel the context, which reaches mid-search: every
+	// worker polls it at each frontier pop, so a ^C stops a long
+	// exploration after at most one expansion per worker.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if err := run(ctx, os.Args[1:], os.Stdout); err != nil {

@@ -116,7 +116,7 @@ func runBoth(t *testing.T, top sim.Topology, alg, sched string, faults sim.Fault
 		}
 		e, err := sim.NewEngine(top, crosscheckHomes, programs, sim.Options{
 			Scheduler:  crosscheckScheduler(t, sched),
-			Trace:      trace,
+			Sink:       trace,
 			TrackState: true,
 			Faults:     faults,
 		})

@@ -303,9 +303,10 @@ func (e *Engine) Result(id string) (Result, error) {
 
 // Cancel cancels a job: a queued job turns cancelled immediately, a
 // running job's context is cancelled (run/sweep jobs stop between
-// cells; an exploration finishes its search first and is then marked
-// cancelled). Cancelling a finished job is a no-op. The returned
-// snapshot is the state as of the call.
+// cells; an exploration stops its search at the next frontier pop of
+// any worker, after at most one expansion per worker, and is marked
+// cancelled without a result). Cancelling a finished job is a no-op.
+// The returned snapshot is the state as of the call.
 func (e *Engine) Cancel(id string) (Snapshot, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()

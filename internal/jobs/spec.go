@@ -24,9 +24,10 @@ const (
 	KindSweep Kind = "sweep"
 	// KindExplore model-checks one configuration's schedule space
 	// (agentring.Explore). Explorations are single-cell; the job context
-	// reaches into the search, so job.cancel interrupts an exploration
-	// mid-flight (within roughly one replay per worker), and the search
-	// streams "progress" events carrying live explorer counters.
+	// reaches into the search, so job.cancel stops an exploration at the
+	// next frontier pop of any worker (after at most one expansion per
+	// worker), and the search streams "progress" events carrying live
+	// explorer counters.
 	KindExplore Kind = "explore"
 )
 

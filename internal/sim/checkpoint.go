@@ -12,10 +12,11 @@ import "fmt"
 // the extended slice; LoadState reads the same words back from the
 // front of buf and returns how many it consumed. The two must be exact
 // inverses: after LoadState(SaveState(nil)) the frame's next Step must
-// behave identically. Frames that cannot promise this (or coroutine
-// programs, which have no frame at all) simply don't implement the
-// interface, and engines running them report Checkpointable() == false;
-// such engines still Run, but the schedule explorer rejects them.
+// behave identically. Frames that cannot promise this (and the
+// coroutine adapter that hosts a plain Program) simply don't implement
+// the interface, and engines running them report
+// Checkpointable() == false; such engines still Run, but the schedule
+// explorer rejects them.
 type FrameSaver interface {
 	Frame
 	// SaveState appends the frame's resumable state to buf.
@@ -96,10 +97,10 @@ func (s *engineState) shape() [5]int {
 }
 
 // Checkpointable reports whether the engine's full state can be
-// captured by Checkpoint: every agent must execute as a Frame (not a
-// coroutine) and every frame must implement FrameSaver. Coroutine
-// agents park their state in a goroutine stack, which cannot be copied,
-// so the schedule explorer refuses engines running any.
+// captured by Checkpoint: every agent must be a Framer whose frame
+// implements FrameSaver. A plain Program's coroutine adapter parks its
+// state in a goroutine stack, which cannot be copied, so the schedule
+// explorer refuses engines running any.
 func (e *Engine) Checkpointable() bool { return e.savers != nil }
 
 // errNotCheckpointable is CheckpointTo's and Restore's refusal of an

@@ -8,12 +8,19 @@
 //
 // Each agent executes a Program against the API, one agent at a time,
 // so executions are deterministic given a scheduler, yet the agent code
-// reads like the paper's sequential pseudocode. Programs that implement
-// Framer run as resumable frames — a Step call per activation, no
-// goroutine, no stack — while plain Programs fall back to a coroutine
-// (iter.Pull) with identical observable behaviour (the contract on
-// Frame; TestFrameCoroutineCrossCheck holds every algorithm to it). An
-// activation is one atomic action:
+// reads like the paper's sequential pseudocode. The engine executes one
+// agent form, the Frame: an activation is one Step call, which returns
+// how the action ends. A Framer program supplies its own frame — no
+// goroutine, no stack — and a plain Program runs behind a coroutine
+// adapter whose Step resumes Run through iter.Pull until its next
+// blocking call (Move, MoveVia, AwaitMessages) yields the Action a
+// frame would return. One step function vets every returned Action: it
+// checks a move's out-port, folds the action's opcode into the agent's
+// state hash, turns a panic into a program error and rejects an unknown
+// kind. Both forms therefore share one error contract
+// (TestOneErrorContract), and a Framer's frame behaves exactly as its
+// Run (the contract on Frame; TestFrameCoroutineCrossCheck holds every
+// algorithm to it). An activation is one atomic action:
 //
 //  1. the agent arrives at a node (popped from the head of one incoming
 //     FIFO link queue) or is woken while staying at a node,
@@ -95,15 +102,16 @@
 // wakeable. Program state is only capturable for Framer programs whose
 // frames also implement FrameSaver (a save/load of their resumable
 // state as plain ints), resolved once by NewEngine; Checkpointable
-// reports whether an engine qualifies. Coroutine agents hold their
-// state on a goroutine stack that cannot be copied, so an engine
-// running any cannot be explored: the schedule explorer
-// (internal/explore) searches only by checkpoint and restore and
-// rejects such programs as a setup error. Coroutines remain the
-// reference semantics — TestFrameCoroutineCheckpointCrossCheck holds a
-// checkpoint-round-tripped frame engine to the coroutine reference at
-// every decision point, which is the "restore ≡ replay" guarantee the
-// explorer builds on.
+// reports whether an engine qualifies. A plain Program keeps its state
+// on the adapter's goroutine stack, which cannot be copied (the adapter
+// is no FrameSaver), so an engine running any cannot be explored: the
+// schedule explorer (internal/explore) searches only by checkpoint and
+// restore and rejects such programs as a setup error. Program.Run,
+// behind the adapter, remains the reference semantics —
+// TestFrameCoroutineCheckpointCrossCheck holds a checkpoint-round-
+// tripped frame engine to the coroutine reference at every decision
+// point, which is the "restore ≡ replay" guarantee the explorer builds
+// on.
 //
 // Alongside restore sits the step-driven control surface the explorer
 // uses instead of Run, and that Run's own decision loop is built on:
@@ -136,9 +144,9 @@
 // The rule that keeps the two equal: every site that mutates a keyed
 // component updates the key in the same step. Today those sites are
 // enqueue and dequeue (a pop also changes the new head's predecessor),
-// the end of finishAction on every return path (the actor's status,
-// staying node, observation hash and mailbox), each Broadcast recipient
-// (its mailbox hash), ReleaseToken and SetEdgeState (fixed faults and
+// the end of finishAction (the actor's status, staying node,
+// observation hash and mailbox), each Broadcast recipient (its mailbox
+// hash), ReleaseToken and SetEdgeState (fixed faults and
 // the adversary alike); NewEngine seeds the agent terms and Restore
 // copies key and terms back. A new mutation site must join the list,
 // and a new mutable field joins engineState and layout (a table) or

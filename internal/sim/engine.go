@@ -3,7 +3,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"iter"
 	"reflect"
 
 	"agentring/internal/memmeter"
@@ -20,7 +19,7 @@ var (
 )
 
 // errStopped is the sentinel panic raised inside blocked API calls when
-// the engine shuts down after quiescence; the agent coroutine wrapper
+// the engine shuts down after quiescence; the coroutine adapter
 // recovers it and treats the agent as cleanly retired while suspended.
 var errStopped = errors.New("sim: engine stopped")
 
@@ -31,15 +30,9 @@ type Options struct {
 	// MaxSteps bounds the number of atomic actions. Zero selects a
 	// generous default proportional to n*k.
 	MaxSteps int
-	// Trace, if non-nil, records execution events into its bounded
-	// in-memory buffer (one TraceSink implementation kept as a named
-	// field for convenience and compatibility).
-	Trace *Trace
-	// Sink, if non-nil, receives every execution event as it happens —
-	// the streaming counterpart of Trace, for live subscribers that must
-	// not buffer a whole run. When both Trace and Sink are set the
-	// engine tees events to both, Trace first, so Trace's contents are
-	// unchanged by the presence of a streaming sink.
+	// Sink, if non-nil, receives every execution event as it happens:
+	// a *Trace to buffer a bounded tail, a FuncSink to stream to a live
+	// subscriber, a TeeSink for both.
 	Sink TraceSink
 	// Observer, if non-nil, receives a full configuration snapshot
 	// before the first atomic action and after every one. Snapshots are
@@ -68,28 +61,6 @@ type Options struct {
 	// converged branches. Off by default: hashing message payloads costs
 	// a formatting pass per delivery.
 	TrackState bool
-}
-
-type yieldKind int
-
-const (
-	yieldMove yieldKind = iota + 1
-	yieldAwait
-	yieldDone
-)
-
-type yieldEvent struct {
-	kind yieldKind
-	port int // out-port for yieldMove
-	err  error
-}
-
-// coroState is the lazily created coroutine of one non-frame agent.
-type coroState struct {
-	// next resumes the coroutine until its next yield; stop retires it.
-	next  func() (yieldEvent, bool)
-	stop  func()
-	yield func(yieldEvent) bool
 }
 
 // Engine drives one execution of a set of agent programs on a topology
@@ -132,17 +103,15 @@ type Engine struct {
 	engineState
 
 	// Per-agent tables outside the configuration: fixed at construction
-	// (home, program, frame) or execution machinery (coroutines, the API
-	// arena). Mailboxes change with every broadcast but stay here: a
-	// Checkpoint stores them flattened instead of copying engineState's
-	// way. A mailbox is non-nil exactly while its agent is in wakeable:
-	// Broadcast sets both, a wake clears both, and arrivals carry no mail.
+	// (home, frame) or execution machinery (the API arena). Mailboxes
+	// change with every broadcast but stay here: a Checkpoint stores
+	// them flattened instead of copying engineState's way. A mailbox is
+	// non-nil exactly while its agent is in wakeable: Broadcast sets
+	// both, a wake clears both, and arrivals carry no mail.
 	home    []ring.NodeID
 	mailbox [][]Message
-	program []Program
-	frame   []Frame      // non-nil: the agent steps as a frame
+	frame   []Frame      // every agent's frame: a Framer's own or a coroutine adapter
 	savers  []FrameSaver // the frames as FrameSavers; nil unless every agent has one
-	coro    []*coroState // lazily created for non-frame agents
 	apis    []apiState   // the per-agent API arena (one backing array)
 	choices []Choice     // the reused buffer enabledChoices returns
 
@@ -367,15 +336,13 @@ func NewEngine(t Topology, homes []ring.NodeID, programs []Program, opts Options
 		et:       et,
 		sched:    sched,
 		maxStep:  maxStep,
-		sink:     buildSink(opts),
+		sink:     opts.Sink,
 		observer: opts.Observer,
 		track:    opts.TrackState,
 		home:     make([]ring.NodeID, k),
 		mailbox:  make([][]Message, k),
-		program:  make([]Program, k),
 		frame:    make([]Frame, k),
 		savers:   make([]FrameSaver, k),
-		coro:     make([]*coroState, k),
 		apis:     make([]apiState, k),
 		choices:  make([]Choice, 0, 2*k),
 	}
@@ -404,16 +371,18 @@ func NewEngine(t Topology, homes []ring.NodeID, programs []Program, opts Options
 		e.status[i] = StatusInTransit // in the home node's incoming buffer
 		e.inRank[i] = -1
 		e.qrank[i] = -1
-		e.program[i] = programs[i]
+		e.apis[i] = apiState{e: e, id: i}
 		if fr, ok := programs[i].(Framer); ok {
 			e.frame[i] = fr.Frame()
+		} else {
+			c := &coroFrame{run: programs[i].Run}
+			e.frame[i], e.apis[i].coro = c, c
 		}
 		if fs, ok := e.frame[i].(FrameSaver); ok && e.savers != nil {
 			e.savers[i] = fs
 		} else {
 			e.savers = nil
 		}
-		e.apis[i] = apiState{e: e, id: i}
 		// The initial configuration stores each agent in the incoming
 		// buffer of its home node, which blocks link arrivals into that
 		// node until the resident has taken its first atomic action —
@@ -730,10 +699,10 @@ func (e *Engine) activateWake(id int) error {
 }
 
 // finishAction is steps 2-4 of the atomic action: deliver all queued
-// messages, resume the program (frame step or coroutine) until it ends
-// the action, and apply the outcome. Every return path ends by
-// refreshing the agent's key term: the action changed its observation
-// hash and mailbox, and possibly its status and staying node.
+// messages, run one Step of the agent's frame (stepAgent), and apply
+// the outcome. It ends by refreshing the agent's key term: the action
+// changed its observation hash and mailbox, and possibly its status and
+// staying node.
 func (e *Engine) finishAction(id int, wasStaying bool) error {
 	// Step 2: deliver all queued messages. Whatever the program does not
 	// read is consumed anyway. (Arrivals always find an empty mailbox —
@@ -748,21 +717,15 @@ func (e *Engine) finishAction(id int, wasStaying bool) error {
 		}
 	}
 
-	ev, ok := e.resume(id)
-	if !ok {
-		if e.track {
-			e.rekeyAgent(id)
-		}
-		return fmt.Errorf("%w: agent %d coroutine exhausted", ErrBadSetup, id)
-	}
+	act := e.stepAgent(id)
 	// Unconsumed messages vanish at the end of the atomic action.
 	e.apis[id].inbox = nil
 	var err error
-	switch ev.kind {
-	case yieldMove:
-		// The port was validated inside MoveVia (or the frame dispatch)
-		// before yielding, so the lookup cannot go out of bounds.
-		r := int(e.et.rank[int(e.et.start[e.node[id]])+ev.port])
+	switch act.Kind {
+	case ActionMove:
+		// stepAgent validated the port, so the lookup cannot go out of
+		// bounds.
+		r := int(e.et.rank[int(e.et.start[e.node[id]])+act.Port])
 		e.moves[id]++
 		e.status[id] = StatusInTransit
 		if wasStaying {
@@ -771,30 +734,28 @@ func (e *Engine) finishAction(id int, wasStaying bool) error {
 		e.enqueue(r, id)
 		if e.sink != nil {
 			detail := ""
-			if ev.port != 0 {
-				detail = fmt.Sprintf("via port %d", ev.port)
+			if act.Port != 0 {
+				detail = fmt.Sprintf("via port %d", act.Port)
 			}
 			e.traceEvent(id, "move", detail)
 		}
-	case yieldAwait:
+	case ActionAwait:
 		e.status[id] = StatusWaiting
 		if !wasStaying {
 			e.addStaying(id)
 		}
 		e.traceEvent(id, "await", "")
-	case yieldDone:
+	default: // ActionDone: stepAgent returns no other kind
 		e.status[id] = StatusHalted
 		if !wasStaying {
 			e.addStaying(id)
 		}
 		e.traceEvent(id, "halt", "")
-		if ev.err != nil {
-			e.agentErr[id] = ev.err
+		if act.Err != nil {
+			e.agentErr[id] = act.Err
 			e.failed++
-			err = fmt.Errorf("agent %d failed: %w", id, ev.err)
+			err = fmt.Errorf("agent %d failed: %w", id, act.Err)
 		}
-	default:
-		err = fmt.Errorf("%w: unknown yield kind %d", ErrBadSetup, ev.kind)
 	}
 	if e.track {
 		e.rekeyAgent(id)
@@ -814,100 +775,48 @@ func (e *Engine) rekeyAgent(id int) {
 	e.aterm[id] = t
 }
 
-// resume runs the agent until it ends the current atomic action: one
-// Step of its frame when it has one, else its coroutine until the next
-// yield. The coroutine is created lazily on the first activation;
-// iter.Pull's runtime-backed goroutine switch makes the engine↔agent
-// handoff a direct transfer of control instead of two channel
-// round-trips through the Go scheduler.
-func (e *Engine) resume(id int) (yieldEvent, bool) {
-	if f := e.frame[id]; f != nil {
-		return e.stepFrame(id, f), true
-	}
-	c := e.coro[id]
-	if c == nil {
-		c = &coroState{}
-		e.coro[id] = c
-		api := &e.apis[id]
-		c.next, c.stop = iter.Pull(func(yield func(yieldEvent) bool) {
-			c.yield = yield
-			defer func() {
-				if r := recover(); r != nil {
-					if err, ok := r.(error); ok && errors.Is(err, errStopped) {
-						// Clean retirement at engine shutdown; the agent stays
-						// in whatever suspended state it was in.
-						return
-					}
-					yield(yieldEvent{kind: yieldDone, err: fmt.Errorf("program panic: %v", r)})
-				}
-			}()
-			err := e.program[id].Run(api)
-			yield(yieldEvent{kind: yieldDone, err: err})
-		})
-	}
-	return c.next()
-}
-
-// stepFrame advances a frame agent by one atomic action and translates
-// the returned Action into the engine's yield form, folding the
-// opMove/opAwait observation opcodes exactly where the blocking API
-// calls fold them on the coroutine path (after every in-action
-// observation, before the action ends).
-func (e *Engine) stepFrame(id int, f Frame) (ev yieldEvent) {
+// stepAgent runs one Step of agent id's frame and vets the Action it
+// returns. It is the one place an action's end is checked and hashed,
+// for a Framer's frame and the coroutine adapter alike: a panic (which
+// the adapter's next re-raises from Run), an out-of-range port and an
+// unknown kind each become ActionDone with a program error, and a move
+// or a wait folds its opMove/opAwait opcode after every observation the
+// action made.
+func (e *Engine) stepAgent(id int) (act Action) {
 	defer func() {
 		if r := recover(); r != nil {
-			ev = yieldEvent{kind: yieldDone, err: fmt.Errorf("program panic: %v", r)}
+			act = Action{Kind: ActionDone, Err: fmt.Errorf("program panic: %v", r)}
 		}
 	}()
-	act := f.Step(&e.apis[id])
+	act = e.frame[id].Step(&e.apis[id])
 	switch act.Kind {
 	case ActionMove:
 		if deg := e.et.outDegree(e.node[id]); act.Port < 0 || act.Port >= deg {
-			// The same program error an out-of-range MoveVia raises
-			// through the coroutine recover wrapper.
-			return yieldEvent{kind: yieldDone, err: fmt.Errorf("program panic: %v",
-				fmt.Errorf("move via port %d at node with out-degree %d", act.Port, deg))}
+			return Action{Kind: ActionDone, Err: fmt.Errorf("program panic: move via port %d at node with out-degree %d", act.Port, deg)}
 		}
 		if e.track {
 			e.obsHash[id] = fold(fold(e.obsHash[id], opMove), uint64(act.Port))
 		}
-		return yieldEvent{kind: yieldMove, port: act.Port}
 	case ActionAwait:
 		if e.track {
 			e.obsHash[id] = fold(e.obsHash[id], opAwait)
 		}
-		return yieldEvent{kind: yieldAwait}
 	case ActionDone:
-		return yieldEvent{kind: yieldDone, err: act.Err}
 	default:
-		return yieldEvent{kind: yieldDone, err: fmt.Errorf("frame returned unknown action kind %d", act.Kind)}
+		return Action{Kind: ActionDone, Err: fmt.Errorf("frame returned unknown action kind %d", act.Kind)}
 	}
+	return act
 }
 
-// shutdown retires all agent coroutines (those parked in a yield at
-// quiescence unwind via the errStopped sentinel). Frame agents have
+// shutdown stops every started coroutine adapter: a Run parked in a
+// blocking call at quiescence unwinds via the errStopped sentinel, and
+// the agent keeps the state it was suspended in. Framer frames have
 // nothing to unwind.
 func (e *Engine) shutdown() {
-	for _, c := range e.coro {
-		if c != nil {
+	for i := range e.apis {
+		if c := e.apis[i].coro; c != nil && c.stop != nil {
 			c.stop()
 		}
-	}
-}
-
-// buildSink resolves Options' trace destinations into the engine's
-// single sink: nil when tracing is off, the buffer or stream alone when
-// only one is set, a tee (buffer first) when both are.
-func buildSink(opts Options) TraceSink {
-	switch {
-	case opts.Trace != nil && opts.Sink != nil:
-		return TeeSink{opts.Trace, opts.Sink}
-	case opts.Trace != nil:
-		return opts.Trace
-	case opts.Sink != nil:
-		return opts.Sink
-	default:
-		return nil
 	}
 }
 
@@ -924,19 +833,20 @@ type apiState struct {
 	e     *Engine
 	id    int
 	inbox []Message
+	coro  *coroFrame // the agent's coroutine adapter; nil for a Framer's frame
 }
 
 var _ API = (*apiState)(nil)
 
-func (p *apiState) yieldAndWait(ev yieldEvent) {
-	c := p.e.coro[p.id]
-	if c == nil {
+// suspend ends a coroutine agent's action with act: the adapter's Step
+// returns act, and suspend returns when the next Step resumes Run.
+func (p *apiState) suspend(act Action) {
+	if p.coro == nil {
 		// A Frame called a blocking API method: there is no coroutine to
-		// suspend. Abort the agent with a program error (the frame
-		// dispatch recovers this panic).
+		// suspend. stepAgent recovers this panic as a program error.
 		panic(fmt.Errorf("frame agent called a blocking API method"))
 	}
-	if !c.yield(ev) {
+	if !p.coro.yield(act) {
 		panic(errStopped)
 	}
 }
@@ -944,18 +854,8 @@ func (p *apiState) yieldAndWait(ev yieldEvent) {
 // Move implements API.
 func (p *apiState) Move() { p.MoveVia(0) }
 
-// MoveVia implements API.
-func (p *apiState) MoveVia(port int) {
-	if deg := p.e.et.outDegree(p.e.node[p.id]); port < 0 || port >= deg {
-		// Unwinds the coroutine; the resume wrapper converts the panic
-		// into a program failure for this agent.
-		panic(fmt.Errorf("move via port %d at node with out-degree %d", port, deg))
-	}
-	if p.e.track {
-		p.e.obsHash[p.id] = fold(fold(p.e.obsHash[p.id], opMove), uint64(port))
-	}
-	p.yieldAndWait(yieldEvent{kind: yieldMove, port: port})
-}
+// MoveVia implements API. stepAgent checks the port.
+func (p *apiState) MoveVia(port int) { p.suspend(Action{Kind: ActionMove, Port: port}) }
 
 // OutDegree implements API.
 func (p *apiState) OutDegree() int {
@@ -1063,10 +963,7 @@ func (p *apiState) AwaitMessages() []Message {
 	if len(p.inbox) > 0 {
 		return p.Messages()
 	}
-	if p.e.track {
-		p.e.obsHash[p.id] = fold(p.e.obsHash[p.id], opAwait)
-	}
-	p.yieldAndWait(yieldEvent{kind: yieldAwait})
+	p.suspend(Action{Kind: ActionAwait})
 	return p.Messages()
 }
 

@@ -151,7 +151,7 @@ func TestFIFONoOvertaking(t *testing.T) {
 	trace := NewTrace(10000)
 	res, _ := run(t, 8, []ring.NodeID{0, 1},
 		[]Program{walker(20), walker(20)},
-		Options{Scheduler: NewRandom(42), Trace: trace})
+		Options{Scheduler: NewRandom(42), Sink: trace})
 	if res.TotalMoves != 40 {
 		t.Fatalf("total moves = %d, want 40", res.TotalMoves)
 	}
@@ -490,7 +490,7 @@ func TestMeterSurfacesInResult(t *testing.T) {
 func TestTraceRecordsAndBounds(t *testing.T) {
 	trace := NewTrace(8)
 	r := ring.MustNew(4)
-	e, err := NewEngine(r, []ring.NodeID{0}, []Program{walker(10)}, Options{Trace: trace})
+	e, err := NewEngine(r, []ring.NodeID{0}, []Program{walker(10)}, Options{Sink: trace})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -170,7 +170,7 @@ func TestNoOpMutationsAreInvisible(t *testing.T) {
 		t.Helper()
 		tr := NewTrace(1 << 16)
 		e, err := NewEngine(ring.MustNew(n), homes, []Program{walker(6), walker(6)}, Options{
-			Faults: faults, Trace: tr,
+			Faults: faults, Sink: tr,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -208,7 +208,7 @@ func TestLinkEventsTraced(t *testing.T) {
 			{Step: 1, From: 2, Port: 0, Up: false},
 			{Step: 2, From: 2, Port: 0, Up: true},
 		},
-		Trace: tr,
+		Sink: tr,
 	})
 	if err != nil {
 		t.Fatal(err)

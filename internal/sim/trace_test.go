@@ -29,7 +29,7 @@ func TestSinkSeesWhatTraceRecords(t *testing.T) {
 	}
 
 	trace := NewTrace(10000)
-	run(Options{Trace: trace})
+	run(Options{Sink: trace})
 	buffered := trace.Events()
 	if len(buffered) == 0 {
 		t.Fatal("buffered trace is empty")
@@ -47,8 +47,8 @@ func TestSinkSeesWhatTraceRecords(t *testing.T) {
 	}
 }
 
-// TestTeeSinkFeedsBoth checks that Options carrying both a Trace and a
-// Sink records into both, Trace first, with identical contents.
+// TestTeeSinkFeedsBoth checks that a TeeSink of a Trace and a stream
+// records into both, Trace first, with identical contents.
 func TestTeeSinkFeedsBoth(t *testing.T) {
 	r, err := ring.New(6)
 	if err != nil {
@@ -57,7 +57,7 @@ func TestTeeSinkFeedsBoth(t *testing.T) {
 	trace := NewTrace(10000)
 	var streamed []Event
 	e, err := NewEngine(r, []ring.NodeID{0}, []Program{walker(4)},
-		Options{Trace: trace, Sink: FuncSink(func(ev Event) { streamed = append(streamed, ev) })})
+		Options{Sink: TeeSink{trace, FuncSink(func(ev Event) { streamed = append(streamed, ev) })}})
 	if err != nil {
 		t.Fatal(err)
 	}
