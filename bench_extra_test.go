@@ -9,7 +9,7 @@ import (
 )
 
 // BenchmarkSubstrateComparison compares the two substrates on the same
-// workload: the deterministic coroutine engine vs the concurrent
+// workload: the deterministic engine vs the concurrent
 // message-passing runtime (agents as serialized messages).
 func BenchmarkSubstrateComparison(b *testing.B) {
 	const n, k = 128, 16
@@ -17,7 +17,7 @@ func BenchmarkSubstrateComparison(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("coroutine", func(b *testing.B) {
+	b.Run("engine", func(b *testing.B) {
 		var rep agentring.Report
 		for i := 0; i < b.N; i++ {
 			rep, err = agentring.Run(agentring.Native, agentring.Config{N: n, Homes: homes})

@@ -1,7 +1,8 @@
 // Benchmarks regenerating every table and figure claim of the paper.
 // Each benchmark reports the paper's own metrics (total moves, ideal
 // time in rounds, peak memory in words) via b.ReportMetric, so
-// `go test -bench=. -benchmem` prints the rows EXPERIMENTS.md records.
+// `go test -bench=. -benchmem` prints one row per table cell and figure
+// point.
 package agentring_test
 
 import (

@@ -72,6 +72,11 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	switch *algName {
+	case "native", "logspace", "relaxed", "binative", "all":
+	default:
+		return fmt.Errorf("unknown -alg %q: want native, logspace, relaxed, binative or all", *algName)
+	}
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {

@@ -84,6 +84,22 @@ func TestSweepBadFlag(t *testing.T) {
 	}
 }
 
+// TestSweepRejectsUnknownAlgorithm: an -alg value that names no sweep
+// is an error naming the accepted values, not an empty run. naive is a
+// facade algorithm the sweep has no grid for.
+func TestSweepRejectsUnknownAlgorithm(t *testing.T) {
+	for _, alg := range []string{"bogus", "naive"} {
+		var out bytes.Buffer
+		err := run(context.Background(), []string{"-alg", alg}, &out)
+		if err == nil || !strings.Contains(err.Error(), "native, logspace, relaxed, binative or all") {
+			t.Errorf("-alg %s: error %v, want one naming the accepted values", alg, err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("-alg %s printed %q", alg, out.String())
+		}
+	}
+}
+
 func TestSweepExitCodes(t *testing.T) {
 	// All shipped sweeps are expected uniform, so a healthy run exits
 	// cleanly...

@@ -9,13 +9,11 @@ import (
 	"testing"
 )
 
-// TestEveryPackageHasPackageDocs is the docs gate: every package in the
-// module — the facade, every internal package, every command, every
-// example — must carry package-level documentation (a doc comment on
-// its package clause in at least one non-test file). New packages fail
-// this test, and therefore CI, until they are documented.
-func TestEveryPackageHasPackageDocs(t *testing.T) {
-	pkgDirs := map[string][]string{} // dir -> non-test .go files
+// nonTestGoFiles maps every package directory of the module to its
+// non-test .go files.
+func nonTestGoFiles(t *testing.T) map[string][]string {
+	t.Helper()
+	pkgDirs := map[string][]string{}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -40,8 +38,17 @@ func TestEveryPackageHasPackageDocs(t *testing.T) {
 	if len(pkgDirs) < 20 {
 		t.Fatalf("found only %d package directories; the walk looks broken", len(pkgDirs))
 	}
+	return pkgDirs
+}
+
+// TestEveryPackageHasPackageDocs is the docs gate: every package in the
+// module — the facade, every internal package, every command, every
+// example — must carry package-level documentation (a doc comment on
+// its package clause in at least one non-test file). New packages fail
+// this test, and therefore CI, until they are documented.
+func TestEveryPackageHasPackageDocs(t *testing.T) {
 	fset := token.NewFileSet()
-	for dir, files := range pkgDirs {
+	for dir, files := range nonTestGoFiles(t) {
 		documented := false
 		for _, file := range files {
 			f, err := parser.ParseFile(fset, file, nil, parser.ParseComments|parser.PackageClauseOnly)
@@ -56,6 +63,32 @@ func TestEveryPackageHasPackageDocs(t *testing.T) {
 		}
 		if !documented {
 			t.Errorf("package %s has no package documentation: add a doc.go or a doc comment on the package clause", dir)
+		}
+	}
+}
+
+// TestReferenceIsTestOnly keeps the paper-shaped reference forms and
+// their coroutine adapter (internal/reference) out of every program:
+// only _test.go files may import the package, so production code runs
+// each algorithm in one form, its frame.
+func TestReferenceIsTestOnly(t *testing.T) {
+	const ref = "agentring/internal/reference"
+	fset := token.NewFileSet()
+	for dir, files := range nonTestGoFiles(t) {
+		if filepath.ToSlash(dir) == "internal/reference" {
+			continue
+		}
+		for _, file := range files {
+			f, err := parser.ParseFile(fset, file, nil, parser.ImportsOnly)
+			if err != nil {
+				t.Errorf("%s: %v", file, err)
+				continue
+			}
+			for _, imp := range f.Imports {
+				if imp.Path.Value == `"`+ref+`"` {
+					t.Errorf("%s imports %s, which only tests may import", file, ref)
+				}
+			}
 		}
 	}
 }

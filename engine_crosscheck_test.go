@@ -7,36 +7,28 @@ import (
 
 	"agentring/internal/baseline"
 	"agentring/internal/core"
+	"agentring/internal/reference"
 	"agentring/internal/ring"
 	"agentring/internal/sim"
 	"agentring/internal/topo"
 )
 
-// The frame-vs-coroutine cross-check: every algorithm whose program
-// implements sim.Framer executes by default as a resumable frame, while
-// coroutineOnly runs the same program's coroutine Run. The
-// two paths promise observational equivalence (see sim.Frame); this
-// test holds them to it on the golden configuration across all
-// schedulers, comparing the full rendered trace, the canonical
-// configuration hash (with per-agent state tracking on), final
-// positions, and per-agent reports including metered peak memory.
-// Together with TestGoldenDeterminism — which pins the
-// default path against recorded traces — this keeps both execution
-// forms byte-identical to the pre-frame engine.
+// The frame-vs-coroutine cross-check: every algorithm executes as a
+// resumable frame, and internal/reference keeps its paper-shaped body,
+// which the reference package's coroutine adapter hosts on the same
+// engine. The two forms promise observational equivalence (the
+// contract in internal/reference's package doc); this test holds them
+// to it on the golden configuration across all schedulers, comparing
+// the full rendered trace, the canonical configuration hash (with
+// per-agent state tracking on), final positions, and per-agent reports
+// including metered peak memory. Together with TestGoldenDeterminism —
+// which pins the frames against recorded traces — this keeps both
+// execution forms byte-identical to the pre-frame engine.
 
 // crosscheckConfig is the golden configuration of TestGoldenDeterminism.
 const crosscheckN = 36
 
 var crosscheckHomes = []ring.NodeID{0, 3, 4, 11, 17, 25}
-
-// coroutineOnly hides each program's Frame method, so the engine runs
-// its coroutine Run, the reference semantics frames are checked against.
-func coroutineOnly(programs []sim.Program) []sim.Program {
-	for i, p := range programs {
-		programs[i] = sim.ProgramFunc(p.Run)
-	}
-	return programs
-}
 
 // crosscheckPrograms builds one fresh program per agent, mirroring the
 // facade's per-algorithm construction.
@@ -73,6 +65,36 @@ func crosscheckPrograms(t *testing.T, alg string, n, k int) []sim.Program {
 	return programs
 }
 
+// referencePrograms builds the reference form of crosscheckPrograms'
+// algorithm: its paper-shaped body, hosted once per agent.
+func referencePrograms(t *testing.T, alg string, n, k int) []sim.Program {
+	t.Helper()
+	var body reference.Func
+	switch alg {
+	case "native":
+		body = reference.Alg1(core.KnowAgents, k)
+	case "nativeKnowN":
+		body = reference.Alg1(core.KnowNodes, n)
+	case "logspace":
+		body = reference.Alg2(k, nil)
+	case "relaxed":
+		body = reference.Relaxed()
+	case "naive":
+		body = reference.Naive()
+	case "firstfit":
+		body = reference.FirstFit(n, k)
+	case "binative":
+		body = reference.BiNative(k)
+	default:
+		t.Fatalf("unknown algorithm %q", alg)
+	}
+	programs := make([]sim.Program, k)
+	for i := range programs {
+		programs[i] = reference.Program(t, body)
+	}
+	return programs
+}
+
 func crosscheckScheduler(t *testing.T, kind string) sim.Scheduler {
 	t.Helper()
 	switch kind {
@@ -90,8 +112,8 @@ func crosscheckScheduler(t *testing.T, kind string) sim.Scheduler {
 	}
 }
 
-// runBoth executes the same (topology, programs, scheduler, faults)
-// setup twice — frames on, frames forced off — and asserts identical
+// runBoth executes the same (topology, algorithm, scheduler, faults)
+// setup twice — as frames and as the reference — and asserts identical
 // observable behaviour, and that each engine's incrementally maintained
 // StateKey equals its final snapshot's Key.
 func runBoth(t *testing.T, top sim.Topology, alg, sched string, faults sim.FaultSchedule) {
@@ -110,11 +132,11 @@ func runBoth(t *testing.T, top sim.Topology, alg, sched string, faults sim.Fault
 	}
 	exec := func(coroutines bool) outcome {
 		trace := sim.NewTrace(1 << 20)
-		programs := crosscheckPrograms(t, alg, n, k)
+		programs := crosscheckPrograms
 		if coroutines {
-			programs = coroutineOnly(programs)
+			programs = referencePrograms
 		}
-		e, err := sim.NewEngine(top, crosscheckHomes, programs, sim.Options{
+		e, err := sim.NewEngine(top, crosscheckHomes, programs(t, alg, n, k), sim.Options{
 			Scheduler:  crosscheckScheduler(t, sched),
 			Sink:       trace,
 			TrackState: true,
@@ -273,13 +295,12 @@ func driveStepwise(t *testing.T, e *sim.Engine, fresh func() *sim.Engine, roundT
 }
 
 // TestCheckpointRestoreCrossCheck holds the checkpoint layer to the
-// frame/coroutine equivalence on the production algorithms: for every
-// frame-capable algorithm on the golden configuration (plus binative on
+// frame/reference equivalence on the production algorithms: for every
+// algorithm on the golden configuration (plus binative on
 // the bidirectional ring), a step-driven run that round-trips through
 // Checkpoint/Restore at every decision — periodically abandoning the
 // engine for a fresh one resumed from the checkpoint — must finish in
-// exactly the configuration the uninterrupted coroutine reference
-// reaches. This is the whole-algorithm version of the lockstep check in
+// exactly the configuration the uninterrupted reference reaches. This is the whole-algorithm version of the lockstep check in
 // internal/sim (TestFrameCoroutineCheckpointCrossCheck) and the ground
 // the explorer's checkpoint mode stands on.
 func TestCheckpointRestoreCrossCheck(t *testing.T) {
@@ -313,11 +334,11 @@ func TestCheckpointRestoreCrossCheck(t *testing.T) {
 			top := tc.top()
 			n, k := top.Size(), len(crosscheckHomes)
 			mk := func(coroutines bool) *sim.Engine {
-				programs := crosscheckPrograms(t, tc.alg, n, k)
+				programs := crosscheckPrograms
 				if coroutines {
-					programs = coroutineOnly(programs)
+					programs = referencePrograms
 				}
-				e, err := sim.NewEngine(top, crosscheckHomes, programs, sim.Options{
+				e, err := sim.NewEngine(top, crosscheckHomes, programs(t, tc.alg, n, k), sim.Options{
 					TrackState: true,
 					Faults:     faults,
 				})
@@ -326,12 +347,8 @@ func TestCheckpointRestoreCrossCheck(t *testing.T) {
 				}
 				return e
 			}
-			cpd := mk(false)
-			if !cpd.Checkpointable() {
-				t.Fatalf("%s frames do not checkpoint", tc.alg)
-			}
 			ref := driveStepwise(t, mk(true), nil, false)
-			cpd = driveStepwise(t, cpd, func() *sim.Engine { return mk(false) }, true)
+			cpd := driveStepwise(t, mk(false), func() *sim.Engine { return mk(false) }, true)
 
 			refSnap, cpdSnap := ref.Snapshot(), cpd.Snapshot()
 			if refSnap.Key() != cpdSnap.Key() {

@@ -2,7 +2,7 @@
 // says mobile agents are realized in practice.
 //
 // This example runs the same deployment twice: once on the
-// deterministic coroutine engine (agentring.Run) and once on the
+// deterministic engine (agentring.Run) and once on the
 // concurrent message-passing substrate (agentring.RunConcurrent), where
 // every ring node is a goroutine, links are FIFO channels, and each
 // agent migrates between nodes as the saved state words of its
@@ -31,7 +31,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("coroutine engine:     positions %v (%d moves)\n", serial.Positions, serial.TotalMoves)
+	fmt.Printf("deterministic engine: positions %v (%d moves)\n", serial.Positions, serial.TotalMoves)
 
 	concurrent, err := agentring.RunConcurrent(agentring.Native, agentring.Config{N: n, Homes: homes})
 	if err != nil {

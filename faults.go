@@ -31,7 +31,7 @@ type FaultEvent struct {
 	// Step is the atomic-action count at which the event fires.
 	Step int `json:"step"`
 	// From and Port name the directed edge by its tail node and
-	// out-port — the same addressing a program's MoveVia(Port) uses.
+	// out-port — the same addressing an agent's move through a port uses.
 	// On the default unidirectional ring every node has the single
 	// out-port 0.
 	From int `json:"from"`

@@ -7,48 +7,28 @@ import (
 )
 
 type firstFit struct {
-	n, k int
+	n, k  int
+	words int // the memory meter's reading: 4 for FirstFit, 0 for NoToken
 }
 
 var _ sim.Program = (*firstFit)(nil)
 
-// NewFirstFit returns the uncoordinated strawman. maxLaps bounds how
-// long an agent hunts for a vacant stride point before giving up and
-// halting wherever it stands (the heuristic has no termination
-// guarantee of its own).
+// NewFirstFit returns the uncoordinated strawman. A budget of 2k hops
+// bounds how long an agent hunts for a vacant stride point before
+// giving up and halting wherever it stands (the heuristic has no
+// termination guarantee of its own).
 func NewFirstFit(n, k int) (sim.Program, error) {
 	if n < 1 || k < 1 || k > n {
 		return nil, fmt.Errorf("baseline: invalid n=%d k=%d", n, k)
 	}
-	return &firstFit{n: n, k: k}, nil
+	return &firstFit{n: n, k: k, words: 4}, nil
 }
 
-// Run implements sim.Program.
-func (p *firstFit) Run(api sim.API) error {
-	m := api.Meter()
-	m.Set(4)
-	stride := p.n / p.k
-	if stride == 0 {
-		stride = 1
-	}
-	// Hunt stride points for at most 2 laps, then give up in place. The
-	// agent always strides at least once so the heuristic actually
-	// scatters instead of trivially declaring its own home a stride
-	// point.
-	maxHops := 2 * p.k
-	for hop := 0; hop < maxHops; hop++ {
-		for i := 0; i < stride; i++ {
-			api.Move()
-		}
-		if api.AgentsHere() == 0 {
-			return nil
-		}
-	}
-	return nil // park wherever we are; likely not uniform
-}
-
-// Frame implements sim.Framer: the strawman as a resumable state
-// machine making the same API-call sequence as Run.
+// Frame implements sim.Program: the strawman as a resumable state
+// machine, one atomic action per Step. It hunts stride points for at
+// most 2k hops, then gives up in place; it always strides at least
+// once, so the heuristic actually scatters instead of trivially
+// declaring its own home a stride point.
 func (p *firstFit) Frame() sim.Frame { return &firstFitFrame{p: p} }
 
 type firstFitFrame struct {
@@ -62,7 +42,7 @@ type firstFitFrame struct {
 func (f *firstFitFrame) Step(api sim.API) sim.Action {
 	if !f.started {
 		f.started = true
-		api.Meter().Set(4)
+		api.Meter().Set(f.p.words)
 		f.stride = f.p.n / f.p.k
 		if f.stride == 0 {
 			f.stride = 1
@@ -87,7 +67,7 @@ func (f *firstFitFrame) Step(api sim.API) sim.Action {
 	return sim.Action{Kind: sim.ActionMove}
 }
 
-// SaveState/LoadState implement sim.FrameSaver: the frame's resumable
+// SaveState/LoadState implement sim.Frame: the frame's resumable
 // state is four scalars (started encoded as 0/1).
 func (f *firstFitFrame) SaveState(buf []int) []int {
 	started := 0

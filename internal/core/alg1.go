@@ -22,10 +22,12 @@ const (
 	KnowNodes
 )
 
-// alg1 is the native O(k log n)-memory algorithm of Section 3.1.
+// alg1 is the native O(k log n)-memory algorithm of Section 3.1, or,
+// with bi set, its bidirectional variant (NewBiNative).
 type alg1 struct {
 	know  Knowledge
-	value int // k if KnowAgents, n if KnowNodes
+	value int  // k if KnowAgents, n if KnowNodes
+	bi    bool // deploy the short way round a bidirectional ring
 }
 
 var _ sim.Program = (*alg1)(nil)
@@ -44,66 +46,13 @@ func NewAlg1(know Knowledge, value int) (sim.Program, error) {
 	return &alg1{know: know, value: value}, nil
 }
 
-// alg1Scalars is the fixed scalar working set metered by Algorithm 1:
-// j, dis, n, rank, disBase, moved.
-const alg1Scalars = 6
-
-// Run implements sim.Program. It follows the paper's Algorithm 1:
-// selection phase (one circuit collecting the distance sequence D), then
-// deployment phase (move to the base node, then to the rank-th target).
-func (p *alg1) Run(api sim.API) error {
-	m := api.Meter()
-	const scalars = alg1Scalars
-	m.Set(scalars)
-
-	// Selection phase: release the token, travel once around the ring,
-	// recording the distance between consecutive token nodes.
-	api.ReleaseToken()
-	var d []int
-	moved := 0
-	for {
-		dis := 0
-		for {
-			api.Move()
-			moved++
-			dis++
-			if api.TokensHere() > 0 {
-				break
-			}
-		}
-		d = append(d, dis)
-		m.Set(scalars + len(d))
-		if p.circuitDone(len(d), moved) {
-			break
-		}
+// scalars is the fixed scalar working set Algorithm 1 meters: j, dis,
+// n, rank, disBase, moved, and delta for the bidirectional variant.
+func (p *alg1) scalars() int {
+	if p.bi {
+		return 7
 	}
-	n := moved // one full circuit
-	k := len(d)
-	if p.know == KnowNodes && n != p.value {
-		return fmt.Errorf("%w: moved %d nodes, expected circuit of %d", ErrInvariant, n, p.value)
-	}
-	if p.know == KnowAgents && k != p.value {
-		return fmt.Errorf("%w: observed %d tokens, expected %d", ErrInvariant, k, p.value)
-	}
-	if seq.Sum(d) != n {
-		return fmt.Errorf("%w: distance sequence sums to %d, circuit length %d", ErrInvariant, seq.Sum(d), n)
-	}
-
-	// Deployment phase: the agent whose distance sequence is the
-	// lexicographic minimum marks the base node; rank is the shift
-	// reaching that minimum.
-	rank := seq.MinRotation(d)
-	disBase := seq.Sum(d[:rank])
-	b := seq.SymmetryDegree(d) // number of base nodes (Section 3.1: all rotation minima)
-	offset, err := TargetOffset(n, k, b, rank)
-	if err != nil {
-		return fmt.Errorf("target for rank %d: %w", rank, err)
-	}
-	for i := 0; i < disBase+offset; i++ {
-		api.Move()
-	}
-	// Returning enters the halt state: termination detection achieved.
-	return nil
+	return 6
 }
 
 // circuitDone reports whether the selection-phase traversal has
@@ -115,33 +64,43 @@ func (p *alg1) circuitDone(tokensSeen, moved int) bool {
 	return moved >= p.value
 }
 
-// Frame implements sim.Framer: Algorithm 1 as a resumable state machine
-// making the same API-call sequence as Run, one atomic action per Step.
+// Frame implements sim.Program: Algorithm 1 as a resumable state
+// machine, one atomic action per Step.
 func (p *alg1) Frame() sim.Frame { return &alg1Frame{p: p} }
 
 // alg1Frame is the data-oriented execution of Algorithm 1. Selection
 // state is the distance sequence under construction; deployment is a
-// countdown of forward moves.
+// countdown of moves through one port.
 type alg1Frame struct {
 	p     *alg1
 	phase int // 0 init, 1 selection circuit, 2 deployment
 	d     []int
 	dis   int
 	moved int
+	port  int // deployment direction: 0 forward, 1 backward (bi only)
 	left  int // deployment moves remaining
 }
 
 func (f *alg1Frame) Step(api sim.API) sim.Action {
 	switch f.phase {
 	case 0:
-		api.Meter().Set(alg1Scalars)
+		if f.p.bi {
+			if deg := api.OutDegree(); deg < 2 {
+				return sim.Action{Kind: sim.ActionDone,
+					Err: fmt.Errorf("%w: bidirectional algorithm on out-degree-%d node", ErrBadParam, deg)}
+			}
+		}
+		// Selection phase: release the token, then travel once (forward)
+		// around the ring, recording the distance between consecutive
+		// token nodes.
+		api.Meter().Set(f.p.scalars())
 		api.ReleaseToken()
 		f.phase = 1
 		return f.selMove()
 	case 1:
 		if api.TokensHere() > 0 {
 			f.d = append(f.d, f.dis)
-			api.Meter().Set(alg1Scalars + len(f.d))
+			api.Meter().Set(f.p.scalars() + len(f.d))
 			if f.p.circuitDone(len(f.d), f.moved) {
 				return f.deployStart()
 			}
@@ -149,11 +108,13 @@ func (f *alg1Frame) Step(api sim.API) sim.Action {
 		}
 		return f.selMove()
 	default:
+		// Deployment phase: walk to the target, then halt — returning
+		// ActionDone enters the halt state, so termination is detected.
 		if f.left == 0 {
 			return sim.Action{Kind: sim.ActionDone}
 		}
 		f.left--
-		return sim.Action{Kind: sim.ActionMove}
+		return sim.Action{Kind: sim.ActionMove, Port: f.port}
 	}
 }
 
@@ -164,7 +125,11 @@ func (f *alg1Frame) selMove() sim.Action {
 }
 
 // deployStart runs the between-phases computation inside the activation
-// that observed the final token, exactly where Run performs it.
+// that observed the final token: one circuit gives n (or k), and the
+// deployment phase starts. The agent whose distance sequence is the
+// lexicographic minimum marks the base node; rank is the shift reaching
+// that minimum, and the b rotation minima are the base nodes (Section
+// 3.1).
 func (f *alg1Frame) deployStart() sim.Action {
 	p, n, k, d := f.p, f.moved, len(f.d), f.d
 	if p.know == KnowNodes && n != p.value {
@@ -188,25 +153,34 @@ func (f *alg1Frame) deployStart() sim.Action {
 	}
 	f.phase = 2
 	f.left = disBase + offset
+	if p.bi {
+		// Back at its home node, the agent finds the target delta nodes
+		// ahead: it takes the short way around.
+		if delta := f.left % n; delta <= n-delta {
+			f.left = delta
+		} else {
+			f.port, f.left = 1, n-delta
+		}
+	}
 	if f.left == 0 {
 		return sim.Action{Kind: sim.ActionDone}
 	}
 	f.left--
-	return sim.Action{Kind: sim.ActionMove}
+	return sim.Action{Kind: sim.ActionMove, Port: f.port}
 }
 
-// SaveState/LoadState implement sim.FrameSaver: the frame's resumable
+// SaveState/LoadState implement sim.Frame: the frame's resumable
 // state is its phase tag, scalar counters, and the distance sequence
 // under construction, flattened length-prefixed. The alg1 program value
 // itself is immutable configuration and is not serialized.
 func (f *alg1Frame) SaveState(buf []int) []int {
-	buf = append(buf, f.phase, f.dis, f.moved, f.left, len(f.d))
+	buf = append(buf, f.phase, f.dis, f.moved, f.port, f.left, len(f.d))
 	return append(buf, f.d...)
 }
 
 func (f *alg1Frame) LoadState(buf []int) int {
-	f.phase, f.dis, f.moved, f.left = buf[0], buf[1], buf[2], buf[3]
-	n := buf[4]
-	f.d = append(f.d[:0], buf[5:5+n]...)
-	return 5 + n
+	f.phase, f.dis, f.moved, f.port, f.left = buf[0], buf[1], buf[2], buf[3], buf[4]
+	n := buf[5]
+	f.d = append(f.d[:0], buf[6:6+n]...)
+	return 6 + n
 }

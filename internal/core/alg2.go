@@ -21,12 +21,15 @@ func (a activeID) less(b activeID) bool {
 
 func (a activeID) equal(b activeID) bool { return a == b }
 
-// deployMsg is the message a leader broadcasts to each follower at the
+// DeployMsg is the message a leader broadcasts to each follower at the
 // start of the deployment phase (Algorithm 3): how many tokens the
 // follower must observe to reach the nearest base node, plus the global
 // quantities it needs to walk the target schedule. Messages may be of
-// any size in the model; this one is O(log n) bits.
-type deployMsg struct {
+// any size in the model; this one is O(log n) bits. It is exported for
+// the algorithm's reference form (internal/reference), which must
+// broadcast the very type the frame does: state hashes fold a payload
+// with its type name.
+type DeployMsg struct {
 	TBase int // tokens to observe before reaching the base node
 	N     int // ring size, learned by leaders in the first sub-phase
 	K     int // number of agents
@@ -49,9 +52,8 @@ type SelectionStats struct {
 type alg2 struct {
 	k int
 	// onDecide, when set, is invoked once as the agent leaves the
-	// selection phase. It runs on the agent's goroutine during its
-	// atomic action (the engine serializes activations, so plain shared
-	// state is safe for collectors).
+	// selection phase, inside that atomic action (the engine serializes
+	// activations, so plain shared state is safe for collectors).
 	onDecide func(SelectionStats)
 }
 
@@ -83,191 +85,13 @@ func (p *alg2) decided(subPhases int, leader bool) {
 // that is the entire point of Section 3.2.
 const alg2Words = 14
 
-// Run implements sim.Program.
-func (p *alg2) Run(api sim.API) error {
-	api.Meter().Set(alg2Words)
-
-	api.ReleaseToken()
-
-	n := 0 // learned during the first sub-phase circuit
-	// Selection phase (Algorithm 2): repeat sub-phases while active.
-	for subPhase := 1; ; subPhase++ {
-		tokensSeen := 0
-		circuit := 0
-		own, wrapped := p.nextActive(api, &tokensSeen, &circuit)
-		if wrapped {
-			// The agent walked the whole ring without meeting another
-			// active node: it is the unique active agent; its home is the
-			// unique base node. (Algorithm 2 line 6.)
-			if n == 0 {
-				n = circuit
-			}
-			p.decided(subPhase, true)
-			return p.leader(api, n, own.fNum)
-		}
-		next, wrapped := p.nextActive(api, &tokensSeen, &circuit)
-		identical := own.equal(next)
-		min := !next.less(own)
-		for !wrapped && tokensSeen < p.k {
-			var other activeID
-			other, wrapped = p.nextActive(api, &tokensSeen, &circuit)
-			if !own.equal(other) {
-				identical = false
-			}
-			if other.less(own) {
-				min = false
-			}
-		}
-		if tokensSeen != p.k {
-			return fmt.Errorf("%w: circuit ended after %d tokens, want %d", ErrInvariant, tokensSeen, p.k)
-		}
-		if n == 0 {
-			n = circuit
-		} else if n != circuit {
-			return fmt.Errorf("%w: circuit length changed %d -> %d", ErrInvariant, n, circuit)
-		}
-		if identical {
-			// All remaining active agents share the same ID: their homes
-			// satisfy the base-node conditions; everyone becomes a leader.
-			// own.d is the distance between adjacent base nodes, so the
-			// number of base nodes is n / own.d.
-			if own.d <= 0 || n%own.d != 0 {
-				return fmt.Errorf("%w: base distance %d does not divide n=%d", ErrInvariant, own.d, n)
-			}
-			p.decided(subPhase, true)
-			return p.leader(api, n, own.fNum)
-		}
-		if !min || own.equal(next) {
-			// Some agent has a strictly smaller ID, or the next active
-			// agent ties us: become a follower (Algorithm 2 line 16).
-			p.decided(subPhase, false)
-			return p.follower(api)
-		}
-		// Remain active: immediately begin the next sub-phase (the first
-		// move happens in this same atomic action, so no visitor can ever
-		// observe this agent staying at its home).
-	}
-}
-
-// nextActive moves forward to the next active node — the next node
-// holding a token with no agent staying — returning the distance
-// travelled and the number of follower nodes (token + staying agent)
-// passed. wrapped is true when the traversal has seen all k tokens,
-// i.e. the stop is the agent's own home.
-func (p *alg2) nextActive(api sim.API, tokensSeen, circuit *int) (activeID, bool) {
-	var id activeID
-	for {
-		api.Move()
-		id.d++
-		*circuit++
-		if api.TokensHere() == 0 {
-			continue
-		}
-		*tokensSeen++
-		if api.AgentsHere() == 0 {
-			return id, *tokensSeen == p.k
-		}
-		id.fNum++
-	}
-}
-
-// leader executes the leader side of the deployment phase (Algorithm 3):
-// walk to the next base node, handing each follower on the way the
-// count of tokens separating it from that base node, then halt there.
-func (p *alg2) leader(api sim.API, n, fNum int) error {
-	b := p.baseCount(api, n, fNum)
-	for t := 0; t < fNum; t++ {
-		p.moveToNextToken(api)
-		api.Broadcast(deployMsg{TBase: fNum - t, N: n, K: p.k, B: b})
-	}
-	p.moveToNextToken(api) // the next base node: this leader's target
-	return nil
-}
-
 // baseCount derives the number of base nodes. Between two adjacent base
 // nodes there are fNum follower homes, so each of the b segments holds
 // fNum+1 of the k homes.
-func (p *alg2) baseCount(api sim.API, n, fNum int) int {
-	_ = api
-	return p.k / (fNum + 1)
-}
+func (p *alg2) baseCount(fNum int) int { return p.k / (fNum + 1) }
 
-// moveToNextToken advances to the next node holding a token.
-func (p *alg2) moveToNextToken(api sim.API) {
-	for {
-		api.Move()
-		if api.TokensHere() > 0 {
-			return
-		}
-	}
-}
-
-// follower executes the follower side of the deployment phase
-// (Algorithm 3): wait for the leader's message, walk to the nearest
-// base node, then advance target slot by target slot until a vacant one
-// is found.
-func (p *alg2) follower(api sim.API) error {
-	var msg deployMsg
-	for {
-		msgs := api.AwaitMessages()
-		found := false
-		for _, raw := range msgs {
-			if dm, ok := raw.(deployMsg); ok {
-				msg, found = dm, true
-				break
-			}
-		}
-		if found {
-			break
-		}
-	}
-	if msg.K != p.k {
-		return fmt.Errorf("%w: deploy message carries k=%d, agent knows %d", ErrInvariant, msg.K, p.k)
-	}
-	// Walk to the nearest base node: pass TBase tokens.
-	for seen := 0; seen < msg.TBase; {
-		api.Move()
-		if api.TokensHere() > 0 {
-			seen++
-		}
-	}
-	// Walk the target schedule: slot 0 is the base node itself (taken by
-	// its leader); check slots 1..k/b-1, wrapping across segments.
-	//
-	// Asynchrony caveat (a reproduction finding, see EXPERIMENTS.md):
-	// the paper's Theorem 4 bounds each follower at 2n moves, but a
-	// target slot can coincide with the home of a follower that has been
-	// informed yet not scheduled; a passing follower then skips the slot
-	// and may need extra laps until the squatter departs. Uniform
-	// deployment is still always reached; only the per-follower constant
-	// grows. We therefore cap the walk at (k+4)*n and flag anything
-	// beyond as a genuine invariant violation.
-	perSeg := msg.K / msg.B
-	slot := 0
-	for walked := 0; walked <= (msg.K+4)*msg.N; {
-		step, err := SlotInterval(msg.N, msg.K, msg.B, slot)
-		if err != nil {
-			return fmt.Errorf("slot schedule: %w", err)
-		}
-		for i := 0; i < step; i++ {
-			api.Move()
-		}
-		walked += step
-		slot = (slot + 1) % perSeg
-		if slot == 0 {
-			// Arrived at a base node: reserved for its leader, keep going.
-			continue
-		}
-		if api.AgentsHere() == 0 {
-			return nil // occupy this target and halt
-		}
-	}
-	return fmt.Errorf("%w: follower found no vacant target within (k+4)n moves", ErrInvariant)
-}
-
-// Frame implements sim.Framer: Algorithms 2 and 3 as a resumable state
-// machine making the same API-call sequence as Run, one atomic action
-// per Step.
+// Frame implements sim.Program: Algorithms 2 and 3 as a resumable state
+// machine, one atomic action per Step.
 func (p *alg2) Frame() sim.Frame { return &alg2Frame{p: p} }
 
 // alg2Frame phases.
@@ -294,7 +118,7 @@ type alg2Frame struct {
 	cur, own, next                        activeID
 	identical, min                        bool
 
-	msg   deployMsg // follower: the leader's message
+	msg   DeployMsg // follower: the leader's message
 	count int       // leader: followers informed; follower: tokens passed toward the base node
 	slot  int       // follower: current target slot
 	// walked is the follower's slot-walk length so far, including the
@@ -310,6 +134,9 @@ func (f *alg2Frame) Step(api sim.API) sim.Action {
 		f.subPhase = 1
 		return f.beginSubPhase()
 	case alg2Select:
+		// Selection (Algorithm 2): walk to the next active node — the
+		// next token node with no agent staying — counting the follower
+		// nodes (token and staying agent) passed.
 		if api.TokensHere() == 0 {
 			return f.selMove()
 		}
@@ -320,6 +147,9 @@ func (f *alg2Frame) Step(api sim.API) sim.Action {
 		}
 		return f.reachedActive(f.tokensSeen == f.p.k)
 	case alg2Lead:
+		// The leader side of Algorithm 3: walk to the next base node,
+		// handing each follower on the way the count of tokens
+		// separating it from that base node, then halt there.
 		if api.TokensHere() == 0 {
 			return sim.Action{Kind: sim.ActionMove}
 		}
@@ -327,12 +157,15 @@ func (f *alg2Frame) Step(api sim.API) sim.Action {
 			return sim.Action{Kind: sim.ActionDone} // the next base node: this leader's target
 		}
 		fNum := f.own.fNum
-		api.Broadcast(deployMsg{TBase: fNum - f.count, N: f.n, K: f.p.k, B: f.p.baseCount(api, f.n, fNum)})
+		api.Broadcast(DeployMsg{TBase: fNum - f.count, N: f.n, K: f.p.k, B: f.p.baseCount(fNum)})
 		f.count++
 		return sim.Action{Kind: sim.ActionMove}
 	case alg2Await:
+		// The follower side of Algorithm 3: wait for the leader's
+		// message, walk to the nearest base node (passing TBase tokens),
+		// then advance target slot by target slot to a vacant one.
 		for _, raw := range api.Messages() {
-			if dm, ok := raw.(deployMsg); ok {
+			if dm, ok := raw.(DeployMsg); ok {
 				return f.deploy(api, dm)
 			}
 		}
@@ -372,16 +205,18 @@ func (f *alg2Frame) selMove() sim.Action {
 	return sim.Action{Kind: sim.ActionMove}
 }
 
-// reachedActive continues Run where a nextActive traversal returns,
-// inside the activation that found the active node: it folds the
-// traversal's ID into the sub-phase verdict, then starts the next
-// traversal or settles the sub-phase.
+// reachedActive runs inside the activation that found the next active
+// node: it folds the traversal's ID into the sub-phase verdict, then
+// starts the next traversal or settles the sub-phase.
 func (f *alg2Frame) reachedActive(wrapped bool) sim.Action {
 	p, id := f.p, f.cur
 	switch f.seg {
 	case 0:
 		f.own = id
 		if wrapped {
+			// The agent walked the whole ring without meeting another
+			// active node: it is the unique active agent, and its home is
+			// the unique base node (Algorithm 2 line 6).
 			if f.n == 0 {
 				f.n = f.circuit
 			}
@@ -415,6 +250,10 @@ func (f *alg2Frame) reachedActive(wrapped bool) sim.Action {
 			Err: fmt.Errorf("%w: circuit length changed %d -> %d", ErrInvariant, f.n, f.circuit)}
 	}
 	if f.identical {
+		// All remaining active agents share the same ID: their homes
+		// satisfy the base-node conditions, and everyone becomes a
+		// leader. own.d is the distance between adjacent base nodes, so
+		// there are n / own.d of them.
 		if f.own.d <= 0 || f.n%f.own.d != 0 {
 			return sim.Action{Kind: sim.ActionDone,
 				Err: fmt.Errorf("%w: base distance %d does not divide n=%d", ErrInvariant, f.own.d, f.n)}
@@ -423,13 +262,17 @@ func (f *alg2Frame) reachedActive(wrapped bool) sim.Action {
 		return f.lead()
 	}
 	if !f.min || f.own.equal(f.next) {
+		// Some agent has a strictly smaller ID, or the next active agent
+		// ties us: become a follower (Algorithm 2 line 16). Suspend
+		// without reading the inbox: this activation is an arrival, and
+		// an arrival's inbox is always empty.
 		p.decided(f.subPhase, false)
-		// Suspend without reading the inbox: this activation is an
-		// arrival, and an arrival's inbox is always empty, so Run's first
-		// AwaitMessages suspends at once.
 		f.phase = alg2Await
 		return sim.Action{Kind: sim.ActionAwait}
 	}
+	// Remain active: the next sub-phase's first move happens in this
+	// same atomic action, so no visitor ever sees this agent staying at
+	// its home.
 	f.subPhase++
 	return f.beginSubPhase()
 }
@@ -440,7 +283,7 @@ func (f *alg2Frame) lead() sim.Action {
 }
 
 // deploy starts the follower's walk on receipt of the leader's message.
-func (f *alg2Frame) deploy(api sim.API, dm deployMsg) sim.Action {
+func (f *alg2Frame) deploy(api sim.API, dm DeployMsg) sim.Action {
 	if dm.K != f.p.k {
 		return sim.Action{Kind: sim.ActionDone,
 			Err: fmt.Errorf("%w: deploy message carries k=%d, agent knows %d", ErrInvariant, dm.K, f.p.k)}
@@ -453,10 +296,20 @@ func (f *alg2Frame) deploy(api sim.API, dm deployMsg) sim.Action {
 	return f.walkSlots(api, false)
 }
 
-// walkSlots runs Run's slot loop from an interval boundary. With arrived
-// set, the follower has just walked an interval and first checks the
-// slot it reached; then it starts the next interval, or fails once the
-// (k+4)n cap is spent.
+// walkSlots walks the target schedule from an interval boundary: slot 0
+// is the base node itself (taken by its leader), and the follower
+// checks slots 1..k/b-1, wrapping across segments. With arrived set, it
+// has just walked an interval and first checks the slot it reached;
+// then it starts the next interval, or fails once the (k+4)n cap is
+// spent.
+//
+// Asynchrony caveat (a reproduction finding): the paper's Theorem 4
+// bounds each follower at 2n moves, but a target slot can coincide with
+// the home of a follower that has been informed yet not scheduled; a
+// passing follower then skips the slot and may need extra laps until
+// the squatter departs. Uniform deployment is still always reached;
+// only the per-follower constant grows. Hence the (k+4)n cap, beyond
+// which a walk is a genuine invariant violation.
 func (f *alg2Frame) walkSlots(api sim.API, arrived bool) sim.Action {
 	m := f.msg
 	for {
@@ -483,7 +336,7 @@ func (f *alg2Frame) walkSlots(api sim.API, arrived bool) sim.Action {
 	}
 }
 
-// SaveState/LoadState implement sim.FrameSaver (see alg1Frame): the
+// SaveState/LoadState implement sim.Frame (see alg1Frame): the
 // phase, the selection counters and IDs, and the deployment state, all
 // fixed-width — Algorithm 2 keeps no sequence.
 func (f *alg2Frame) SaveState(buf []int) []int {
@@ -499,7 +352,7 @@ func (f *alg2Frame) LoadState(buf []int) int {
 	f.own = activeID{d: buf[8], fNum: buf[9]}
 	f.next = activeID{d: buf[10], fNum: buf[11]}
 	f.identical, f.min = buf[12] != 0, buf[13] != 0
-	f.msg = deployMsg{TBase: buf[14], N: buf[15], K: buf[16], B: buf[17]}
+	f.msg = DeployMsg{TBase: buf[14], N: buf[15], K: buf[16], B: buf[17]}
 	f.count, f.slot, f.walked, f.left = buf[18], buf[19], buf[20], buf[21]
 	return 22
 }

@@ -1,11 +1,12 @@
-package core
+package core_test
 
 import (
 	"math/rand"
 	"reflect"
-	"slices"
 	"testing"
 
+	"agentring/internal/core"
+	"agentring/internal/reference"
 	"agentring/internal/ring"
 	"agentring/internal/sim"
 	"agentring/internal/verify"
@@ -13,26 +14,27 @@ import (
 )
 
 // runAlg2Instrumented runs Algorithm 2+3 collecting per-agent selection
-// statistics, once as frames and once forced onto the coroutine path
-// under a fresh scheduler from sched (nil for the default). The frame
-// must call the selection hook at the same points Run does, so the two
-// runs must report identical SelectionStats sequences and outcomes.
-func runAlg2Instrumented(t *testing.T, n int, homes []ring.NodeID, sched func() sim.Scheduler) (sim.Result, []SelectionStats) {
+// statistics, once as frames and once as the reference body
+// (internal/reference), each under a fresh scheduler from sched (nil
+// for the default). The frame must call the selection hook at the same
+// points the reference does, so the two runs must report identical
+// SelectionStats sequences and outcomes.
+func runAlg2Instrumented(t *testing.T, n int, homes []ring.NodeID, sched func() sim.Scheduler) (sim.Result, []core.SelectionStats) {
 	t.Helper()
-	run := func(coroutines bool) (sim.Result, []SelectionStats) {
-		var stats []SelectionStats
+	run := func(coroutines bool) (sim.Result, []core.SelectionStats) {
+		var stats []core.SelectionStats
+		collect := func(s core.SelectionStats) { stats = append(stats, s) }
 		programs := make([]sim.Program, len(homes))
 		for i := range programs {
-			p, err := NewAlg2Instrumented(len(homes), func(s SelectionStats) {
-				stats = append(stats, s)
-			})
+			if coroutines {
+				programs[i] = reference.Program(t, reference.Alg2(len(homes), collect))
+				continue
+			}
+			p, err := core.NewAlg2Instrumented(len(homes), collect)
 			if err != nil {
 				t.Fatal(err)
 			}
 			programs[i] = p
-			if coroutines {
-				programs[i] = sim.ProgramFunc(p.Run) // hides Frame
-			}
 		}
 		var opts sim.Options
 		if sched != nil {
@@ -124,110 +126,5 @@ func TestAlg2SymmetricAllLeadersInOneSubPhase(t *testing.T) {
 		if s.SubPhases != 1 {
 			t.Errorf("agent decision %d: %d sub-phases, want 1", i, s.SubPhases)
 		}
-	}
-}
-
-// alg2Spy runs Algorithm 2+3 like the program it embeds, but keeps the
-// frame the engine runs it as, so a test can read the frame's state.
-type alg2Spy struct {
-	*alg2
-	frame *alg2Frame
-}
-
-func (s *alg2Spy) Frame() sim.Frame {
-	s.frame = &alg2Frame{p: s.alg2}
-	return s.frame
-}
-
-// TestAlg2CheckpointRestoresSubPhase holds alg2Frame's sub-phase
-// counter to the checkpoint contract. The counter feeds only the
-// SelectionStats hook, so a restore that lost it would leave positions,
-// state keys and traces intact and misreport nothing but how many
-// sub-phases an agent took. The test drives one instrumented run choice
-// by choice, checkpoints it at the first decision point where an agent
-// is in its second or later sub-phase, restores the checkpoint into a
-// fresh instrumented engine, continues that engine with the same
-// choices, and requires the two halves together to report the
-// uninterrupted run's SelectionStats sequence.
-func TestAlg2CheckpointRestoresSubPhase(t *testing.T) {
-	// On the 8-ring, agent 0's first sub-phase ID (distance 1 to the
-	// next active node) is the unique minimum, so it stays active into
-	// sub-phase 2 while the others become followers.
-	const n = 8
-	homes := []ring.NodeID{0, 1, 3}
-	type run struct {
-		eng   *sim.Engine
-		spies []*alg2Spy
-		stats []SelectionStats
-	}
-	newRun := func() *run {
-		r := &run{}
-		programs := make([]sim.Program, len(homes))
-		for i := range programs {
-			p, err := NewAlg2Instrumented(len(homes), func(s SelectionStats) { r.stats = append(r.stats, s) })
-			if err != nil {
-				t.Fatal(err)
-			}
-			spy := &alg2Spy{alg2: p.(*alg2)}
-			r.spies = append(r.spies, spy)
-			programs[i] = spy
-		}
-		eng, err := sim.NewEngine(ring.MustNew(n), homes, programs, sim.Options{TrackState: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !eng.Checkpointable() {
-			t.Fatal("alg2 frames do not checkpoint")
-		}
-		r.eng = eng
-		return r
-	}
-	// step applies the first enabled choice, reporting false at
-	// quiescence.
-	step := func(r *run) bool {
-		cs := r.eng.DecisionPoint()
-		if len(cs) == 0 {
-			return false
-		}
-		if err := r.eng.ApplyChoice(cs[0]); err != nil {
-			t.Fatal(err)
-		}
-		return true
-	}
-	inLaterSubPhase := func(r *run) bool {
-		for _, s := range r.spies {
-			if s.frame.phase == alg2Select && s.frame.subPhase >= 2 {
-				return true
-			}
-		}
-		return false
-	}
-
-	whole := newRun()
-	for step(whole) {
-	}
-	if len(whole.stats) != len(homes) {
-		t.Fatalf("uninterrupted run made %d decisions for %d agents", len(whole.stats), len(homes))
-	}
-
-	first := newRun()
-	for !inLaterSubPhase(first) {
-		if !step(first) {
-			t.Fatal("no decision point with an agent in sub-phase 2 or later")
-		}
-	}
-	cp, err := first.eng.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	second := newRun()
-	if err := second.eng.Restore(cp); err != nil {
-		t.Fatal(err)
-	}
-	for step(second) {
-	}
-	if got := slices.Concat(first.stats, second.stats); !reflect.DeepEqual(got, whole.stats) {
-		t.Fatalf("selection stats after a restore in sub-phase 2: %+v before and %+v after, uninterrupted run %+v",
-			first.stats, second.stats, whole.stats)
 	}
 }

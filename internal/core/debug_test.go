@@ -9,9 +9,9 @@ import (
 )
 
 // TestRelaxedNearlyFullRingRegression pins the configuration that
-// exposed reproduction finding F2 (see EXPERIMENTS.md): a nearly full
-// 29-node ring where many agents estimate n'=1 from an all-ones gap
-// window and suspend after 12 moves. Under the paper's literal
+// called for the modular acceptance test (seq.AlignSubsequenceMod): a
+// nearly full 29-node ring where many agents estimate n'=1 from an
+// all-ones gap window and suspend after 12 moves. Under the paper's literal
 // prefix-sum equality these agents reject every correction whose sender
 // is deep into its patrol; the modular acceptance restores Lemma 5.
 func TestRelaxedNearlyFullRingRegression(t *testing.T) {

@@ -19,6 +19,13 @@
 // Native's; audit_test.go and the root tree_crossvalidate tests pin
 // the equivalences).
 //
+// Each algorithm exists here in one form, a sim.Frame: a resumable
+// state machine stepped once per atomic action, whose comments name the
+// paper's phases, lines and lemmas at the steps that implement them.
+// The same algorithms written as the paper's sequential pseudocode live
+// in internal/reference, which only tests import; the cross-checks hold
+// every frame to them.
+//
 // # Invariants
 //
 // All programs are anonymous: they never see node or agent identifiers,
@@ -26,10 +33,10 @@
 // allows. They interact with the world solely through sim.API and
 // account their live state through sim.API's Meter, so the memory
 // claims of Table 1 are measured, not asserted (alg2_stats_test.go,
-// matrix_test.go). The paper's algorithms move only via port 0
-// (api.Move()), which is what lets them run unchanged on every shipped
-// substrate — including dynamic rings, where a failed link merely
-// delays a move the asynchronous model already allows to be arbitrarily
-// slow. exhaustive_test.go checks every small-ring placement;
-// internal/explore re-checks them against every schedule.
+// matrix_test.go). The paper's algorithms move only via port 0 (an
+// ActionMove with the zero Port), which is what lets them run unchanged
+// on every shipped substrate — including dynamic rings, where a failed
+// link merely delays a move the asynchronous model already allows to be
+// arbitrarily slow. exhaustive_test.go checks every small-ring
+// placement; internal/explore re-checks them against every schedule.
 package core

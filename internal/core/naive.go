@@ -32,48 +32,8 @@ func NewNaiveEstimator() sim.Program { return naiveEstimator{} }
 // naiveScalars is the fixed scalar working set the estimator meters.
 const naiveScalars = 6
 
-// Run implements sim.Program.
-func (naiveEstimator) Run(api sim.API) error {
-	m := api.Meter()
-	const scalars = naiveScalars
-	m.Set(scalars)
-
-	api.ReleaseToken()
-	var d []int
-	for {
-		dis := 0
-		for {
-			api.Move()
-			dis++
-			if api.TokensHere() > 0 {
-				break
-			}
-		}
-		d = append(d, dis)
-		m.Set(scalars + len(d))
-		if seq.FourfoldPrefix(d) {
-			break
-		}
-	}
-	kPrime := len(d) / 4
-	nPrime := seq.Sum(d[:kPrime])
-
-	fund := d[:kPrime]
-	rank := seq.MinRotation(fund)
-	disBase := seq.Sum(fund[:rank])
-	offset, err := TargetOffset(nPrime, kPrime, 1, rank)
-	if err != nil {
-		return fmt.Errorf("naive target: %w", err)
-	}
-	for i := 0; i < disBase+offset; i++ {
-		api.Move()
-	}
-	// Halting here is exactly the sin Theorem 5 proves fatal.
-	return nil
-}
-
-// Frame implements sim.Framer: the estimator as a resumable state
-// machine making the same API-call sequence as Run.
+// Frame implements sim.Program: the estimator as a resumable state
+// machine, one atomic action per Step.
 func (naiveEstimator) Frame() sim.Frame { return &naiveFrame{} }
 
 type naiveFrame struct {
@@ -104,6 +64,7 @@ func (f *naiveFrame) Step(api sim.API) sim.Action {
 		return sim.Action{Kind: sim.ActionMove}
 	default:
 		if f.left == 0 {
+			// Halting here is exactly the sin Theorem 5 proves fatal.
 			return sim.Action{Kind: sim.ActionDone}
 		}
 		f.left--
@@ -111,6 +72,9 @@ func (f *naiveFrame) Step(api sim.API) sim.Action {
 	}
 }
 
+// deployStart takes the fourfold-repetition estimate (k' = |D|/4, n' the
+// sum of one quarter) as if it were knowledge and walks to the target
+// Algorithm 1 would pick on a ring of n' nodes.
 func (f *naiveFrame) deployStart() sim.Action {
 	kPrime := len(f.d) / 4
 	nPrime := seq.Sum(f.d[:kPrime])
@@ -130,7 +94,7 @@ func (f *naiveFrame) deployStart() sim.Action {
 	return sim.Action{Kind: sim.ActionMove}
 }
 
-// SaveState/LoadState implement sim.FrameSaver (see alg1Frame): phase,
+// SaveState/LoadState implement sim.Frame (see alg1Frame): phase,
 // counters, and the length-prefixed distance sequence.
 func (f *naiveFrame) SaveState(buf []int) []int {
 	buf = append(buf, f.phase, f.dis, f.left, len(f.d))

@@ -7,10 +7,13 @@ import (
 	"agentring/internal/sim"
 )
 
-// patrolMsg is the correction message of the patrolling phase
+// PatrolMsg is the correction message of the patrolling phase
 // (Algorithm 5, line 5): the sender's estimates, its total move count,
-// and its full observed distance sequence.
-type patrolMsg struct {
+// and its full observed distance sequence. It is exported for the
+// algorithm's reference form (internal/reference), which must broadcast
+// the very type the frame does: state hashes fold a payload with its
+// type name.
+type PatrolMsg struct {
 	NPrime int   // estimated ring size n'
 	KPrime int   // estimated agent count k'
 	Nodes  int   // sender's total moves when it sent the message
@@ -66,107 +69,8 @@ func NewRelaxedAblation(repetitions, patrolMultiple int) (sim.Program, error) {
 // algorithm: nPrime, kPrime, nodes, dis, rank, disBase, t, loop counters.
 const relaxedScalars = 8
 
-// Run implements sim.Program.
-func (p *relaxed) Run(api sim.API) error {
-	m := api.Meter()
-	m.Set(relaxedScalars)
-
-	// ---- Estimating phase (Algorithm 4) ----
-	api.ReleaseToken()
-	var d []int
-	nodes := 0
-	for {
-		dis := 0
-		for {
-			api.Move()
-			nodes++
-			dis++
-			if api.TokensHere() > 0 {
-				break
-			}
-		}
-		d = append(d, dis)
-		m.Set(relaxedScalars + len(d))
-		if seq.RepetitionPrefix(d, p.repetitions) {
-			break
-		}
-	}
-	kPrime := len(d) / p.repetitions
-	nPrime := seq.Sum(d[:kPrime])
-
-	// ---- Patrolling phase (Algorithm 5) ----
-	// Move until the total move count reaches patrolMultiple * n',
-	// correcting every suspended agent encountered.
-	for nodes < p.patrolMultiple*nPrime {
-		api.Move()
-		nodes++
-		if api.AgentsHere() > 0 {
-			api.Broadcast(patrolMsg{NPrime: nPrime, KPrime: kPrime, Nodes: nodes, D: append([]int(nil), d...)})
-		}
-	}
-
-	// ---- Deployment phase (Algorithm 6) ----
-	for {
-		fund := d[:kPrime]
-		rank := seq.MinRotation(fund)
-		disBase := seq.Sum(fund[:rank])
-		offset, err := TargetOffset(nPrime, kPrime, 1, rank)
-		if err != nil {
-			return fmt.Errorf("relaxed target for rank %d: %w", rank, err)
-		}
-		for i := 0; i < disBase+offset; i++ {
-			api.Move()
-			nodes++
-		}
-
-		// Suspended state: wait for a message proving a bigger ring.
-		accepted := false
-		var upd patrolMsg
-		for !accepted {
-			for _, raw := range api.AwaitMessages() {
-				msg, ok := raw.(patrolMsg)
-				if !ok {
-					continue
-				}
-				if nPrime > msg.NPrime/2 {
-					continue // sender's estimate is not at least double ours
-				}
-				// The sender must have recorded our whole distance sequence
-				// as a sub-block of its own, offset so that the prefix of
-				// its sequence covers the gap between our move counts
-				// (Algorithm 6, line 14). The gap is positional, hence
-				// checked modulo the sender's ring estimate — see
-				// seq.AlignSubsequenceMod and EXPERIMENTS.md finding F2.
-				if _, ok := seq.AlignSubsequenceMod(d, msg.D, msg.Nodes-nodes, msg.NPrime); ok {
-					upd, accepted = msg, true
-					break
-				}
-			}
-		}
-		// Adopt the sender's estimates; re-anchor the distance sequence to
-		// start from our own (virtual) home.
-		t, _ := seq.AlignSubsequenceMod(d, upd.D, upd.Nodes-nodes, upd.NPrime)
-		nPrime, kPrime = upd.NPrime, upd.KPrime
-		d = seq.Rotate(upd.D, t)
-		m.Set(relaxedScalars + len(d))
-
-		// Catch up so that our total moves again equal 12 x n' — the
-		// position congruent to our home 12 estimated circuits along
-		// (always ahead of us: Lemma 5 shows 12 n'new - nodes > 0).
-		catchUp := p.patrolMultiple*nPrime - nodes
-		if catchUp < 0 {
-			return fmt.Errorf("%w: catch-up distance %d is negative", ErrInvariant, catchUp)
-		}
-		for i := 0; i < catchUp; i++ {
-			api.Move()
-			nodes++
-		}
-	}
-}
-
-// Frame implements sim.Framer: Algorithms 4-6 as a resumable state
-// machine making the same API-call sequence as Run, one atomic action
-// per Step.
+// Frame implements sim.Program: Algorithms 4-6 as a resumable state
+// machine, one atomic action per Step.
 func (p *relaxed) Frame() sim.Frame { return &relaxedFrame{p: p} }
 
 // relaxedFrame phases.
@@ -194,6 +98,7 @@ type relaxedFrame struct {
 func (f *relaxedFrame) Step(api sim.API) sim.Action {
 	switch f.phase {
 	case relaxedInit:
+		// ---- Estimating phase (Algorithm 4) ----
 		api.Meter().Set(relaxedScalars)
 		api.ReleaseToken()
 		f.phase = relaxedEstimate
@@ -208,20 +113,31 @@ func (f *relaxedFrame) Step(api sim.API) sim.Action {
 			f.dis = 0
 			return f.estimateMove()
 		}
+		// The sequence is a fourfold repetition: k' = |D|/4 and n' is
+		// the sum of one quarter.
 		f.kPrime = len(f.d) / f.p.repetitions
 		f.nPrime = seq.Sum(f.d[:f.kPrime])
 		f.phase = relaxedPatrol
 		return f.patrol()
 	case relaxedPatrol:
+		// ---- Patrolling phase (Algorithm 5) ----
+		// Hand every agent met a correction message.
 		if api.AgentsHere() > 0 {
-			api.Broadcast(patrolMsg{NPrime: f.nPrime, KPrime: f.kPrime, Nodes: f.nodes, D: append([]int(nil), f.d...)})
+			api.Broadcast(PatrolMsg{NPrime: f.nPrime, KPrime: f.kPrime, Nodes: f.nodes, D: append([]int(nil), f.d...)})
 		}
 		return f.patrol()
 	case relaxedDeploy, relaxedCatchUp:
+		// ---- Deployment phase (Algorithm 6) ----
 		return f.walk()
 	default: // relaxedSuspend
+		// Suspended at the target (Algorithm 6): accept a message only
+		// if the sender's estimate is at least double ours and it
+		// recorded our whole distance sequence as a sub-block of its
+		// own, offset by the gap between our move counts (Algorithm 6,
+		// line 14). The gap is positional, hence checked modulo the
+		// sender's ring estimate (seq.AlignSubsequenceMod).
 		for _, raw := range api.Messages() {
-			msg, ok := raw.(patrolMsg)
+			msg, ok := raw.(PatrolMsg)
 			if !ok || f.nPrime > msg.NPrime/2 {
 				continue
 			}
@@ -239,8 +155,8 @@ func (f *relaxedFrame) estimateMove() sim.Action {
 	return sim.Action{Kind: sim.ActionMove}
 }
 
-// patrol keeps moving until the patrolling budget is spent, then
-// deploys within the same activation.
+// patrol keeps moving until the total move count reaches 12 n' (the
+// patrolling budget), then deploys within the same activation.
 func (f *relaxedFrame) patrol() sim.Action {
 	if f.nodes < f.p.patrolMultiple*f.nPrime {
 		f.nodes++
@@ -249,8 +165,8 @@ func (f *relaxedFrame) patrol() sim.Action {
 	return f.deploy()
 }
 
-// deploy derives the target from the current estimates and starts the
-// walk to it.
+// deploy starts the deployment phase (Algorithm 6): it derives the
+// target from the current estimates and starts the walk to it.
 func (f *relaxedFrame) deploy() sim.Action {
 	fund := f.d[:f.kPrime]
 	rank := seq.MinRotation(fund)
@@ -274,16 +190,19 @@ func (f *relaxedFrame) walk() sim.Action {
 	if f.phase == relaxedCatchUp {
 		return f.deploy()
 	}
-	// Suspend without reading the inbox: Run's AwaitMessages finds it
-	// empty here, because an arrival's inbox always is and a restart has
-	// just read it.
+	// Suspend without reading the inbox: it is empty here, because an
+	// arrival's inbox always is and a restart has just read it.
 	f.phase = relaxedSuspend
 	return sim.Action{Kind: sim.ActionAwait}
 }
 
-// restart adopts an accepted correction (t is its alignment) and starts
-// the catch-up walk.
-func (f *relaxedFrame) restart(api sim.API, upd patrolMsg, t int) sim.Action {
+// restart adopts an accepted correction (t is its alignment): the
+// sender's estimates, and its distance sequence re-anchored to start
+// from our own (virtual) home. Then it starts the catch-up walk, so that
+// our total moves again equal 12 n' — the position congruent to our home
+// 12 estimated circuits along, always ahead of us (Lemma 5 shows
+// 12 n'new - nodes > 0).
+func (f *relaxedFrame) restart(api sim.API, upd PatrolMsg, t int) sim.Action {
 	f.nPrime, f.kPrime = upd.NPrime, upd.KPrime
 	f.d = seq.Rotate(upd.D, t)
 	api.Meter().Set(relaxedScalars + len(f.d))
@@ -296,7 +215,7 @@ func (f *relaxedFrame) restart(api sim.API, upd patrolMsg, t int) sim.Action {
 	return f.walk()
 }
 
-// SaveState/LoadState implement sim.FrameSaver (see alg1Frame): phase,
+// SaveState/LoadState implement sim.Frame (see alg1Frame): phase,
 // counters, estimates, and the length-prefixed distance sequence. The
 // sequence is frame-owned (Rotate copies, broadcasts copy), so LoadState
 // may overwrite it in place.

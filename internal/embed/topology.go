@@ -10,7 +10,7 @@ import (
 // every directed tree edge is its own FIFO link. Port-local traversal
 // rules (the Euler tour an agent realizes by leaving via the port after
 // its arrival port, cyclically) are expressible against it through the
-// engine's MoveVia/ArrivalPort API.
+// engine's ArrivalPort and port-addressed moves (sim.ActionMove).
 //
 // Note the deployment algorithms themselves still run on the Euler-tour
 // virtual ring (RingTopology): tokens released at a tree node are

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 
+	"agentring/internal/core"
+	"agentring/internal/reference"
 	"agentring/internal/ring"
 	"agentring/internal/sim"
 	"agentring/internal/workload"
@@ -190,7 +192,8 @@ func TestAdversaryReductionAndModeConsistency(t *testing.T) {
 				{"no-reduction", Options{DisableReduction: true}},
 				{"workers4", Options{Workers: 4}},
 			}
-			ref := fromRootReferee(t, setup)
+			k := len(sc.homes)
+			ref := fromRootReferee(t, setup, refFactory(t, k, reference.Alg1(core.KnowAgents, k)))
 			var base Report
 			for i, v := range variants {
 				rep, err := Explore(context.Background(), setup, v.opts)

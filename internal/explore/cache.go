@@ -50,6 +50,11 @@ const (
 // shard it touches and small searches touch all of them.
 const minShardSlots = 8
 
+// mapMinSlots is the smallest table newTable maps outside the Go heap
+// (table_linux.go); smaller caches, under 3 MiB in all, fit the
+// collector's 4 MB minimum heap goal, where mapping adds resident pages.
+const mapMinSlots = 2048
+
 // cacheEntry records how a canonical state was last explored: the
 // shallowest depth it was expanded at, the agents asleep in every visit
 // so far (the intersection of their sleep sets), and whether it is a
@@ -77,6 +82,7 @@ type cacheSlot struct {
 type cacheShard struct {
 	mu    sync.Mutex
 	slots []cacheSlot // nil until the first insert
+	mem   []byte      // the mapping behind slots (newTable), nil for a heap table
 	count int
 }
 
@@ -91,16 +97,17 @@ func (s *cacheShard) slot(key uint64) *cacheSlot {
 	}
 }
 
-// grow doubles the table (or allocates the first one) and reinserts
-// every entry.
+// grow doubles the table (or allocates the first one), reinserts every
+// entry and frees the old table.
 func (s *cacheShard) grow() {
-	old := s.slots
-	s.slots = make([]cacheSlot, max(minShardSlots, 2*len(old)))
+	old, oldMem := s.slots, s.mem
+	s.slots, s.mem = newTable(max(minShardSlots, 2*len(old)))
 	for _, sl := range old {
 		if sl.entry.used {
 			*s.slot(sl.key) = sl
 		}
 	}
+	freeTable(oldMem)
 }
 
 // stateCache is the canonical-state cache, sharded by key so concurrent
@@ -114,6 +121,15 @@ type stateCache struct {
 }
 
 func newStateCache() *stateCache { return &stateCache{} }
+
+// release unmaps the mapped tables at the end of a search; the cache
+// must not be visited afterwards.
+func (c *stateCache) release() {
+	for i := range c.shards {
+		freeTable(c.shards[i].mem)
+		c.shards[i] = cacheShard{}
+	}
+}
 
 // visitOutcome says what the expansion loop must do with a replayed
 // state after consulting the cache.

@@ -5,6 +5,8 @@ import (
 	"slices"
 	"testing"
 
+	"agentring/internal/core"
+	"agentring/internal/reference"
 	"agentring/internal/ring"
 	"agentring/internal/sim"
 	"agentring/internal/verify"
@@ -44,23 +46,33 @@ func cexString(c *Counterexample) string {
 	return c.String()
 }
 
+// refFactory hands every engine k agents running body, the
+// paper-shaped reference form of an algorithm, on internal/reference's
+// coroutine adapter (stopped when t ends).
+func refFactory(t testing.TB, k int, body reference.Func) Factory {
+	return func() ([]sim.Program, error) {
+		ps := make([]sim.Program, k)
+		for i := range ps {
+			ps[i] = reference.Program(t, body)
+		}
+		return ps, nil
+	}
+}
+
 // replayFromRoot runs the decision prefix from the initial
-// configuration on a fresh engine whose agents run as coroutines
-// (Program.Run, not their frames), and returns the scheduler — whose
-// Record holds the enabled set at each decision — the run's outcome,
-// and the Snapshot().Key() of the state it reached.
-func replayFromRoot(t *testing.T, setup Setup, prefix []int) (*sim.Controlled, sim.Result, uint64, error) {
+// configuration on a fresh engine whose agents are ref's reference
+// programs (not the frames setup.Programs builds), and returns the
+// scheduler — whose Record holds the enabled set at each decision — the
+// run's outcome, and the Snapshot().Key() of the state it reached.
+func replayFromRoot(t *testing.T, setup Setup, ref Factory, prefix []int) (*sim.Controlled, sim.Result, uint64, error) {
 	t.Helper()
-	programs, err := setup.Programs()
+	programs, err := ref()
 	if err != nil {
 		t.Fatal(err)
 	}
 	topology := setup.Topology
 	if topology == nil {
 		topology = ring.MustNew(setup.N)
-	}
-	for i, p := range programs {
-		programs[i] = sim.ProgramFunc(p.Run) // hides Frame: a coroutine
 	}
 	ctrl := sim.NewControlled(prefix)
 	eng, err := sim.NewEngine(topology, setup.Homes, programs, sim.Options{
@@ -86,13 +98,14 @@ type refereeReport struct {
 // fromRootReferee searches the setup's schedule space the slow, obvious
 // way, as the independent referee for the explorer: a depth-first
 // search in decision-index order that reaches every state by replaying
-// its whole prefix from the initial configuration (replayFromRoot), and
+// its whole prefix from the initial configuration on ref's reference
+// programs (replayFromRoot), and
 // identifies states by Snapshot().Key() — plus the depth under fixed
 // faults, whose pending suffix depends on it. It has no checkpoints, no
 // cache subsumption and no sleep sets. Terminals are judged by the
 // paper's predicate (empty links, uniform positions), and like the
 // explorer it stops at the first violation.
-func fromRootReferee(t *testing.T, setup Setup) refereeReport {
+func fromRootReferee(t *testing.T, setup Setup, ref Factory) refereeReport {
 	t.Helper()
 	type stateID struct {
 		key   uint64
@@ -106,7 +119,7 @@ func fromRootReferee(t *testing.T, setup Setup) refereeReport {
 	var rep refereeReport
 	var visit func(prefix []int) bool // false stops the search
 	visit = func(prefix []int) bool {
-		ctrl, res, key, err := replayFromRoot(t, setup, prefix)
+		ctrl, res, key, err := replayFromRoot(t, setup, ref, prefix)
 		if err != nil {
 			// A program failure or step-limit overrun defeats the schedule.
 			rep.violation = true
@@ -159,24 +172,27 @@ func checkAgainstReferee(t *testing.T, label string, got Report, ref refereeRepo
 // referee on the reachable state count, the distinct terminal count
 // and the verdict, and report byte-identical counterexamples at both
 // worker counts. The referee shares no search machinery with the
-// explorer and runs the programs' coroutine reference (Run), so the
-// grid also holds every frame to it. Every grid algorithm runs as a
+// explorer and runs each algorithm's paper-shaped reference
+// (internal/reference), so the grid also holds every frame to it. Every grid algorithm runs as a
 // checkpointable frame, including the message-driven alg2 (leaders
 // wake suspended followers) and relaxed (suspended agents restart on a
 // correction).
 func TestCheckpointReplayCrossCheck(t *testing.T) {
-	algs := map[string]Factory{
-		"alg1":    alg1Factory(2),
-		"naive":   naiveFactory(2),
-		"alg2":    alg2Factory(2),
-		"relaxed": relaxedFactory(2),
+	algs := map[string]struct {
+		frames Factory
+		ref    reference.Func
+	}{
+		"alg1":    {alg1Factory(2), reference.Alg1(core.KnowAgents, 2)},
+		"naive":   {naiveFactory(2), reference.Naive()},
+		"alg2":    {alg2Factory(2), reference.Alg2(2, nil)},
+		"relaxed": {relaxedFactory(2), reference.Relaxed()},
 	}
 	sawCex := false
-	for algName, factory := range algs {
+	for algName, alg := range algs {
 		for tlName, faults := range crosscheckTimelines() {
 			t.Run(algName+"/"+tlName, func(t *testing.T) {
-				setup := Setup{N: 4, Homes: []ring.NodeID{0, 1}, Programs: factory, Faults: faults}
-				ref := fromRootReferee(t, setup)
+				setup := Setup{N: 4, Homes: []ring.NodeID{0, 1}, Programs: alg.frames, Faults: faults}
+				ref := fromRootReferee(t, setup, refFactory(t, 2, alg.ref))
 				seq, err := Explore(context.Background(), setup, Options{})
 				if err != nil {
 					t.Fatal(err)
@@ -231,7 +247,7 @@ func TestCheckpointReplayCrossCheckPumped(t *testing.T) {
 		} else if got := cexString(cex); got != want {
 			t.Errorf("workers=%d: counterexample differs from workers=1:\n%s\nvs\n%s", workers, got, want)
 		}
-		ctrl, res, _, err := replayFromRoot(t, setup, cex.Prefix)
+		ctrl, res, _, err := replayFromRoot(t, setup, refFactory(t, len(homes), reference.Naive()), cex.Prefix)
 		if err != nil {
 			t.Fatalf("workers=%d: replaying the counterexample: %v", workers, err)
 		}

@@ -14,9 +14,8 @@
 // and asks the engine for the enabled set there: a worker descends into
 // each node's first child on the engine as it stands, and reaches any
 // other child by restoring the checkpoint captured at its parent (see
-// Checkpoints). Every agent program must therefore run as a
-// checkpointable frame (sim's FrameSaver); Explore rejects coroutine
-// programs with ErrSetup. Two reductions keep the tree small:
+// Checkpoints), which every agent's frame supports by saving its own
+// state. Two reductions keep the tree small:
 //
 //   - canonical-state caching: every reached state is identified by
 //     its canonical state key (sim.Configuration.Key over the visible
@@ -32,7 +31,11 @@
 //     flat open-addressed table of 24-byte slots (key plus 16-byte
 //     entry) probed linearly from the key's remaining bits and doubled
 //     at 3/4 load, so the cache's memory is exactly its slot count
-//     times 24 bytes;
+//     times 24 bytes. On Linux a table of 2,048 slots or more is mapped
+//     outside the Go heap and unmapped as soon as it doubles or the
+//     search ends, so a large search's resident memory is its tables
+//     plus a small heap, not whatever the collector's timing lets the
+//     heap reach;
 //   - a sleep-set-style partial-order reduction: commuting reorderings
 //     of already-explored siblings are skipped, with commutation
 //     decided by the per-directed-edge independence relation below.
@@ -121,8 +124,9 @@
 // engine is indistinguishable from one that executed the prefix.
 // TestCheckpointReplayCrossCheck holds the whole search to a from-root
 // referee — a plain depth-first search, written in the test, that
-// reaches every state by replaying its prefix on coroutine agents and
-// has no checkpoints, cache subsumption or sleep sets — on the state
+// reaches every state by replaying its prefix on engines running the
+// paper-shaped reference bodies (internal/reference) and has no
+// checkpoints, cache subsumption or sleep sets — on the state
 // count, distinct terminals and verdict, per algorithm and fault
 // timeline. Every violation the search detects is confirmed by one
 // sequential from-root replay before being reported, so the emitted

@@ -31,11 +31,10 @@ var progressInterval = 200 * time.Millisecond
 
 // Factory builds one fresh set of agent programs per engine. The search
 // calls it once per worker, for the worker's resident engine, and once
-// per from-root replay confirming a counterexample. Every program must
-// run as a checkpointable frame (sim.FrameSaver); Explore rejects
-// programs that do not with ErrSetup. The factory must return programs
-// in the same deterministic initial state every time, and is called
-// concurrently from search workers.
+// per from-root replay confirming a counterexample; every agent's frame
+// saves its state, so each engine checkpoints. The factory must return
+// programs in the same deterministic initial state every time, and is
+// called concurrently from search workers.
 type Factory func() ([]sim.Program, error)
 
 // Setup fixes the system whose schedule space is explored: a substrate
@@ -355,6 +354,7 @@ func run(ctx context.Context, setup Setup, opts Options, rankSrc []int32, bounda
 	if err != nil {
 		return Report{}, err
 	}
+	defer x.cache.release() // every worker has returned by then
 
 	// A context cancellation or an expired deadline — MaxDuration's or
 	// the context's, whichever ends first — stops the search at the next
@@ -428,15 +428,8 @@ func newExplorer(setup Setup, opts Options, rankSrc []int32, boundary map[int]bo
 	if err != nil {
 		return nil, item{}, err
 	}
-	if !eng.Checkpointable() {
-		return nil, item{}, fmt.Errorf("%w: programs are not checkpointable (every agent must run as a sim.FrameSaver frame)", ErrSetup)
-	}
-	root, err := x.capture(eng, nil, nil, 1)
-	if err != nil {
-		return nil, item{}, fmt.Errorf("%w: %v", ErrSetup, err)
-	}
 	x.wes[0] = workerEngine{eng: eng}
-	return x, item{br: root, idx: -1}, nil
+	return x, item{br: x.capture(eng, nil, nil, 1), idx: -1}, nil
 }
 
 // stop records why the search stops — the first reason wins — and
@@ -535,7 +528,7 @@ type workerEngine struct {
 // DecisionPoint just returned there, and the decision path from the
 // root. It draws on the free list, so once the list holds the search's
 // peak number of live branches captures allocate nothing.
-func (x *explorer) capture(eng *sim.Engine, enabled []sim.Choice, path []int, refs int) (*branch, error) {
+func (x *explorer) capture(eng *sim.Engine, enabled []sim.Choice, path []int, refs int) *branch {
 	var br *branch
 	x.freeMu.Lock()
 	if n := len(x.free); n > 0 {
@@ -546,13 +539,11 @@ func (x *explorer) capture(eng *sim.Engine, enabled []sim.Choice, path []int, re
 	if br == nil {
 		br = new(branch)
 	}
-	if err := eng.CheckpointTo(&br.cp); err != nil {
-		return nil, err
-	}
+	_ = eng.CheckpointTo(&br.cp) // every engine checkpoints: the error is always nil
 	br.choices = append(br.choices[:0], enabled...)
 	br.path = append(br.path[:0], path...)
 	br.refs.Store(int64(refs))
-	return br, nil
+	return br
 }
 
 // release drops one reference to br; the last returns it to the free
@@ -853,11 +844,7 @@ func (x *explorer) expand(w int, it item) {
 			return
 		}
 		if len(children) > 1 {
-			br, err := x.capture(eng, enabled, path, len(children)-1)
-			if err != nil {
-				x.fail(fmt.Errorf("%w: %v", ErrSetup, err))
-				return
-			}
+			br := x.capture(eng, enabled, path, len(children)-1)
 			rest := children[1:]
 			for i := range rest {
 				rest[i].br = br

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"agentring/internal/core"
+	"agentring/internal/reference"
 	"agentring/internal/ring"
 	"agentring/internal/sim"
 	"agentring/internal/verify"
@@ -83,9 +84,9 @@ func relaxedFactory(k int) Factory {
 // are built from: it moves through route (one port per atomic action,
 // sleeping pause before each move), then releases a token if drop is
 // set, and, if watch is set, takes port back when it finds a token
-// where the route ended. Run is the reference semantics; Frame runs the
-// same script as a checkpointable frame, the only kind of program
-// Explore searches.
+// where the route ended. Frame runs the script as a checkpointable
+// frame, the form Explore searches; ref is the same script as a
+// reference body, the form the from-root referee replays.
 type walker struct {
 	route []int
 	pause time.Duration
@@ -94,7 +95,7 @@ type walker struct {
 	back  int
 }
 
-func (w walker) Run(api sim.API) error {
+func (w walker) ref(api reference.API) error {
 	for _, p := range w.route {
 		time.Sleep(w.pause)
 		api.MoveVia(p)
@@ -150,6 +151,18 @@ func walkers(ws ...walker) Factory {
 		ps := make([]sim.Program, len(ws))
 		for i, w := range ws {
 			ps[i] = w
+		}
+		return ps, nil
+	}
+}
+
+// walkerRefs is walkers' reference form: the same scripts as bodies on
+// internal/reference's coroutine adapter (stopped when t ends).
+func walkerRefs(t testing.TB, ws ...walker) Factory {
+	return func() ([]sim.Program, error) {
+		ps := make([]sim.Program, len(ws))
+		for i, w := range ws {
+			ps[i] = reference.Program(t, w.ref)
 		}
 		return ps, nil
 	}
@@ -437,22 +450,12 @@ func TestMoveBoundCounterexample(t *testing.T) {
 }
 
 // TestExploreSetupErrors checks setup validation surfaces as ErrSetup,
-// not counterexamples. That includes programs running as coroutines:
-// the search reaches states only by checkpoint and restore, so a
-// program without a sim.FrameSaver frame is refused, whether every
-// agent or just one runs that way. It also includes more than 64
-// agents, one more than the agent-bitmask sleep sets can name.
+// not counterexamples. That includes more than 64 agents, one more than
+// the agent-bitmask sleep sets can name.
 func TestExploreSetupErrors(t *testing.T) {
 	homes65 := make([]ring.NodeID, 65)
 	for i := range homes65 {
 		homes65[i] = ring.NodeID(i)
-	}
-	coroutine := sim.ProgramFunc(func(api sim.API) error {
-		api.Move()
-		return nil
-	})
-	programs := func(ps ...sim.Program) Factory {
-		return func() ([]sim.Program, error) { return ps, nil }
 	}
 	cases := []struct {
 		name  string
@@ -461,8 +464,6 @@ func TestExploreSetupErrors(t *testing.T) {
 		{"nil factory", Setup{N: 4, Homes: []ring.NodeID{0}}},
 		{"zero-node ring", Setup{N: 0, Homes: []ring.NodeID{0}, Programs: alg1Factory(1)}},
 		{"duplicate homes", Setup{N: 4, Homes: []ring.NodeID{0, 0}, Programs: alg1Factory(2)}},
-		{"coroutine programs", Setup{N: 4, Homes: []ring.NodeID{0, 2}, Programs: programs(coroutine, coroutine)}},
-		{"one coroutine program", Setup{N: 4, Homes: []ring.NodeID{0, 2}, Programs: programs(walker{route: []int{0}}, coroutine)}},
 		{"65 agents", Setup{N: 65, Homes: homes65, Programs: alg1Factory(65)}},
 	}
 	for _, tc := range cases {

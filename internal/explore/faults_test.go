@@ -188,10 +188,11 @@ func TestExplorePermanentFaultCounterexampleReplays(t *testing.T) {
 func TestExploreFaultSearchShape(t *testing.T) {
 	// Two independent walkers; the 1 -> 2 edge is down only for a
 	// window in the middle of the run.
+	ws := []walker{{route: []int{0, 0}}, {route: []int{0, 0}}}
 	setup := Setup{
 		N:        6,
 		Homes:    []ring.NodeID{0, 3},
-		Programs: walkers(walker{route: []int{0, 0}}, walker{route: []int{0, 0}}),
+		Programs: walkers(ws...),
 		Faults: sim.FaultSchedule{
 			{Step: 2, From: 1, Port: 0, Up: false},
 			{Step: 5, From: 1, Port: 0, Up: true},
@@ -234,7 +235,7 @@ func TestExploreFaultSearchShape(t *testing.T) {
 	if first != want {
 		t.Fatalf("fault search shape drifted:\ngot  %+v\nwant %+v", first, want)
 	}
-	// The walkers' frames answer to their Run: the from-root referee
-	// executes Run and must find the same space.
-	checkAgainstReferee(t, "fault search", first, fromRootReferee(t, setup))
+	// The walkers' frames answer to their reference bodies: the from-root
+	// referee replays those and must find the same space.
+	checkAgainstReferee(t, "fault search", first, fromRootReferee(t, setup, walkerRefs(t, ws...)))
 }

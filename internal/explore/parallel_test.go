@@ -306,16 +306,6 @@ func TestBudgetStopCountsInPlaceChild(t *testing.T) {
 // its second move.
 type stoppingWalker struct{ stop func() }
 
-func (s stoppingWalker) Run(api sim.API) error {
-	for moved := 1; moved <= 3; moved++ {
-		if moved == 2 {
-			s.stop()
-		}
-		api.Move()
-	}
-	return nil
-}
-
 func (s stoppingWalker) Frame() sim.Frame { return &stoppingFrame{stop: s.stop} }
 
 type stoppingFrame struct {

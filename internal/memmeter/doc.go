@@ -15,6 +15,6 @@
 //
 // Peak never decreases and tracks the running live-word count exactly;
 // metering is engine-agnostic state owned by the agent, so it survives
-// coroutine suspension and costs the stepping loop nothing when
-// untouched.
+// suspension and checkpoints (the engine copies it with the agent
+// tables) and costs the stepping loop nothing when untouched.
 package memmeter

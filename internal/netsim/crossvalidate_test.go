@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"agentring/internal/core"
+	"agentring/internal/reference"
 	"agentring/internal/ring"
 	"agentring/internal/sim"
 	"agentring/internal/verify"
@@ -52,14 +53,14 @@ func runNet(t *testing.T, n int, homeIDs []ring.NodeID, mk factory) sim.Result {
 	return res
 }
 
-// runBoth runs one program from mk per home on the engine, which
-// executes each program's coroutine Run (the reference semantics), and
-// on netsim, which steps the same algorithm's frames.
-func runBoth(t *testing.T, n int, homeIDs []ring.NodeID, mk factory) (engine, net sim.Result) {
+// runBoth runs the algorithm's reference body ref per home on the
+// engine (internal/reference, the semantics of record), and one program
+// from mk per home on netsim, which steps the algorithm's frames.
+func runBoth(t *testing.T, n int, homeIDs []ring.NodeID, ref reference.Func, mk factory) (engine, net sim.Result) {
 	t.Helper()
-	programs := build(t, homeIDs, mk)
-	for i, p := range programs {
-		programs[i] = sim.ProgramFunc(p.Run) // hides Frame: a coroutine
+	programs := make([]sim.Program, len(homeIDs))
+	for i := range programs {
+		programs[i] = reference.Program(t, ref)
 	}
 	e, err := sim.NewEngine(ring.MustNew(n), homeIDs, programs, sim.Options{})
 	if err != nil {
@@ -86,7 +87,7 @@ func TestCrossValidateAgainstCoroutineEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		simRes, netRes := runBoth(t, n, homeIDs, alg1(k))
+		simRes, netRes := runBoth(t, n, homeIDs, reference.Alg1(core.KnowAgents, k), alg1(k))
 		for i := range homeIDs {
 			if simRes.Agents[i].Node != netRes.Agents[i].Node || simRes.Agents[i].Moves != netRes.Agents[i].Moves {
 				t.Fatalf("n=%d k=%d agent %d: sim node %d (%d moves) != netsim node %d (%d moves) (homes %v)",
@@ -143,7 +144,7 @@ func TestAlg2MachineCrossValidation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		simRes, netRes := runBoth(t, n, homeIDs, alg2(k))
+		simRes, netRes := runBoth(t, n, homeIDs, reference.Alg2(k, nil), alg2(k))
 		if err := verify.CheckDefinition1(n, netRes); err != nil {
 			t.Fatalf("netsim alg2 n=%d k=%d homes=%v: %v", n, k, homeIDs, err)
 		}
@@ -170,7 +171,7 @@ func TestRelaxedMachineCrossValidation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		simRes, netRes := runBoth(t, n, homeIDs, relaxed)
+		simRes, netRes := runBoth(t, n, homeIDs, reference.Relaxed(), relaxed)
 		if err := verify.CheckDefinition2(n, netRes); err != nil {
 			t.Fatalf("netsim relaxed n=%d k=%d homes=%v: %v", n, k, homeIDs, err)
 		}

@@ -4,8 +4,8 @@
 //
 // Each ring node runs as its own goroutine; each unidirectional link is
 // a FIFO Go channel. An agent is the saved state of its algorithm's
-// resumable frame (sim.FrameSaver's words) and migrates from node to
-// node inside an envelope, the "agents are implemented as messages"
+// resumable frame (its sim.Frame's SaveState words) and migrates from
+// node to node inside an envelope, the "agents are implemented as messages"
 // realization the paper's model section appeals to. The node an agent
 // reaches rebuilds a fresh frame from those words, runs one Step
 // against a node-local sim.API, and saves the words again, so every
@@ -33,7 +33,8 @@
 // geometry, so both runtimes must produce the same final positions
 // despite completely different concurrency structures
 // (crossvalidate_test.go sweeps placements against the engine running
-// each algorithm's coroutine Program.Run, the reference semantics). It
+// each algorithm's paper-shaped reference body from internal/reference,
+// the semantics of record). It
 // deliberately supports neither alternative topologies nor fault
 // schedules — it is the ring-only referee, and the public RunConcurrent
 // rejects configurations it cannot express.

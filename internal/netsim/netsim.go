@@ -76,7 +76,7 @@ type node struct {
 	residents map[int]*resident
 	incoming  chan envelope
 	next      chan<- envelope
-	framers   []sim.Framer
+	programs  []sim.Program
 	trk       *tracker
 	stop      <-chan struct{}
 	meter     memmeter.Meter // throwaway: netsim does not report memory
@@ -86,10 +86,9 @@ type node struct {
 // n-node unidirectional ring and executes until quiescence, or until
 // timeout elapses (a non-positive timeout expires at once).
 //
-// Every program must be a sim.Framer whose frames are sim.FrameSavers;
-// Run rejects any other with ErrBadSetup. An agent travels as its
-// frame's saved words: the node it reaches rebuilds a fresh frame from
-// them, runs one Step and saves the words again.
+// An agent travels as its frame's saved words: the node it reaches
+// builds a fresh frame from its program, loads the words, runs one Step
+// and saves the words again.
 //
 // Node goroutines call Frame on the same program values concurrently,
 // so programs must be immutable, or synchronize any hooks they call.
@@ -115,19 +114,12 @@ func Run(n int, homes []int, programs []sim.Program, timeout time.Duration) (sim
 		}
 		seen[h] = true
 	}
-	framers := make([]sim.Framer, k)
 	initial := make([]envelope, k)
 	for id, p := range programs {
-		fr, ok := p.(sim.Framer)
-		if !ok {
-			return sim.Result{}, fmt.Errorf("%w: program %d is not a frame", ErrBadSetup, id)
+		if p == nil {
+			return sim.Result{}, fmt.Errorf("%w: nil program for agent %d", ErrBadSetup, id)
 		}
-		f, ok := fr.Frame().(sim.FrameSaver)
-		if !ok {
-			return sim.Result{}, fmt.Errorf("%w: program %d's frame cannot save its state", ErrBadSetup, id)
-		}
-		framers[id] = fr
-		initial[id] = envelope{id: id, state: f.SaveState(nil)}
+		initial[id] = envelope{id: id, state: p.Frame().SaveState(nil)}
 	}
 
 	trk := &tracker{done: make(chan struct{})}
@@ -145,7 +137,7 @@ func Run(n int, homes []int, programs []sim.Program, timeout time.Duration) (sim
 			residents: make(map[int]*resident),
 			incoming:  links[i],
 			next:      links[(i+1)%n],
-			framers:   framers,
+			programs:  programs,
 			trk:       trk,
 			stop:      stop,
 		}
@@ -275,7 +267,7 @@ func (nd *node) step(env *envelope, api *nodeAPI) (act sim.Action, err error) {
 			err = fmt.Errorf("program panic: %v", r)
 		}
 	}()
-	f := nd.framers[env.id].Frame().(sim.FrameSaver)
+	f := nd.programs[env.id].Frame()
 	f.LoadState(env.state)
 	act = f.Step(api)
 	env.state = f.SaveState(env.state[:0])
@@ -332,12 +324,3 @@ func (a *nodeAPI) Messages() []sim.Message {
 }
 
 func (a *nodeAPI) Meter() *memmeter.Meter { return &a.nd.meter }
-
-// Move, MoveVia and AwaitMessages would suspend a coroutine that a
-// frame does not have; the step's recover turns the panic into a
-// program error, as in the engine.
-func (a *nodeAPI) Move()                        { a.blocking() }
-func (a *nodeAPI) MoveVia(int)                  { a.blocking() }
-func (a *nodeAPI) AwaitMessages() []sim.Message { a.blocking(); return nil }
-
-func (a *nodeAPI) blocking() { panic("frame agent called a blocking API method") }

@@ -18,8 +18,7 @@ const testTimeout = 30 * time.Second
 // round trip.
 type script func(api sim.API, count int) sim.Action
 
-func (s script) Run(sim.API) error { return errors.New("script programs run only as frames") }
-func (s script) Frame() sim.Frame  { return &scriptFrame{step: s} }
+func (s script) Frame() sim.Frame { return &scriptFrame{step: s} }
 
 type scriptFrame struct {
 	step  script
@@ -76,11 +75,6 @@ func waitForMail(api sim.API, _ int) sim.Action {
 	return await
 }
 
-// frameOnly is a Framer whose frame cannot save its state.
-type frameOnly struct{ script }
-
-func (p frameOnly) Frame() sim.Frame { return struct{ sim.Frame }{p.script.Frame()} }
-
 func run(t *testing.T, n int, homes []int, programs ...sim.Program) sim.Result {
 	t.Helper()
 	res, err := Run(n, homes, programs, testTimeout)
@@ -104,8 +98,7 @@ func TestRunValidation(t *testing.T) {
 		{"mismatch", 4, []int{0, 1}, []sim.Program{m}},
 		{"dup homes", 4, []int{1, 1}, []sim.Program{m, m}},
 		{"home range", 4, []int{9}, []sim.Program{m}},
-		{"coroutine program", 4, []int{0}, []sim.Program{sim.ProgramFunc(func(sim.API) error { return nil })}},
-		{"frame without saver", 4, []int{0}, []sim.Program{frameOnly{m}}},
+		{"nil program", 4, []int{0}, []sim.Program{nil}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -159,9 +152,6 @@ func TestMachineErrorSurfaces(t *testing.T) {
 	for name, s := range map[string]script{
 		"halt with error": fixed(sim.Action{Kind: sim.ActionDone, Err: errors.New("deliberately broken")}),
 		"panic":           func(sim.API, int) sim.Action { panic("deliberately broken") },
-		"Move":            func(api sim.API, _ int) sim.Action { api.Move(); return halt },
-		"MoveVia":         func(api sim.API, _ int) sim.Action { api.MoveVia(0); return halt },
-		"AwaitMessages":   func(api sim.API, _ int) sim.Action { api.AwaitMessages(); return halt },
 	} {
 		if _, err := Run(4, []int{0}, []sim.Program{s}, testTimeout); !errors.Is(err, ErrProgram) {
 			t.Errorf("%s: err = %v, want ErrProgram", name, err)

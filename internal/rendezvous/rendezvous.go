@@ -26,35 +26,65 @@ func New(k int) (sim.Program, error) {
 	return &program{k: k}, nil
 }
 
-// Run implements sim.Program: collect the distance sequence, elect the
-// unique minimal rotation's home node, walk there and halt. Fails with
-// ErrSymmetric on periodic rings.
-func (p *program) Run(api sim.API) error {
-	m := api.Meter()
-	const scalars = 5
-	m.Set(scalars)
+// scalars is the fixed scalar working set the program meters.
+const scalars = 5
 
-	api.ReleaseToken()
-	var d []int
-	for len(d) < p.k {
-		dis := 0
-		for {
-			api.Move()
-			dis++
-			if api.TokensHere() > 0 {
-				break
-			}
+// Frame implements sim.Program: collect the distance sequence over one
+// circuit, elect the unique minimal rotation's home node, walk there
+// and halt. It fails with ErrSymmetric on periodic rings.
+func (p *program) Frame() sim.Frame { return &frame{p: p} }
+
+type frame struct {
+	p     *program
+	phase int // 0 init, 1 circuit, 2 walk to the elected node
+	d     []int
+	dis   int
+	left  int // moves remaining to the elected node
+}
+
+func (f *frame) Step(api sim.API) sim.Action {
+	switch f.phase {
+	case 0:
+		api.Meter().Set(scalars)
+		api.ReleaseToken()
+		f.phase, f.dis = 1, 1
+		return sim.Action{Kind: sim.ActionMove}
+	case 1:
+		if api.TokensHere() == 0 {
+			f.dis++
+			return sim.Action{Kind: sim.ActionMove}
 		}
-		d = append(d, dis)
-		m.Set(scalars + len(d))
+		f.d = append(f.d, f.dis)
+		api.Meter().Set(scalars + len(f.d))
+		if len(f.d) < f.p.k {
+			f.dis = 1
+			return sim.Action{Kind: sim.ActionMove}
+		}
+		// The circuit is complete: a periodic sequence has no unique
+		// minimal rotation, so no node can be elected.
+		if seq.IsPeriodic(f.d) {
+			return sim.Action{Kind: sim.ActionDone, Err: ErrSymmetric}
+		}
+		rank := seq.MinRotation(f.d)
+		f.phase, f.left = 2, seq.Sum(f.d[:rank])
 	}
-	if seq.IsPeriodic(d) {
-		return ErrSymmetric
+	if f.left == 0 {
+		return sim.Action{Kind: sim.ActionDone}
 	}
-	rank := seq.MinRotation(d)
-	disBase := seq.Sum(d[:rank])
-	for i := 0; i < disBase; i++ {
-		api.Move()
-	}
-	return nil
+	f.left--
+	return sim.Action{Kind: sim.ActionMove}
+}
+
+// SaveState/LoadState implement sim.Frame: phase, counters, and the
+// length-prefixed distance sequence.
+func (f *frame) SaveState(buf []int) []int {
+	buf = append(buf, f.phase, f.dis, f.left, len(f.d))
+	return append(buf, f.d...)
+}
+
+func (f *frame) LoadState(buf []int) int {
+	f.phase, f.dis, f.left = buf[0], buf[1], buf[2]
+	n := buf[3]
+	f.d = append(f.d[:0], buf[4:4+n]...)
+	return 4 + n
 }

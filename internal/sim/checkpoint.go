@@ -2,30 +2,6 @@ package sim
 
 import "fmt"
 
-// FrameSaver is optionally implemented by Frames whose resumable state
-// can be captured into, and restored from, a flat word buffer. It is
-// the last ingredient of engine checkpointing: the engine's own state
-// lives in flat arrays that copy mechanically, while a frame's state is
-// algorithm-specific, so each frame serializes itself.
-//
-// SaveState appends every word of resumable state to buf and returns
-// the extended slice; LoadState reads the same words back from the
-// front of buf and returns how many it consumed. The two must be exact
-// inverses: after LoadState(SaveState(nil)) the frame's next Step must
-// behave identically. Frames that cannot promise this (and the
-// coroutine adapter that hosts a plain Program) simply don't implement
-// the interface, and engines running them report
-// Checkpointable() == false; such engines still Run, but the schedule
-// explorer rejects them.
-type FrameSaver interface {
-	Frame
-	// SaveState appends the frame's resumable state to buf.
-	SaveState(buf []int) []int
-	// LoadState restores the frame from the front of buf, returning the
-	// number of words consumed.
-	LoadState(buf []int) int
-}
-
 // Checkpoint is a copy of an Engine's configuration between two atomic
 // actions: its engineState (agent tables, queue links, token counts,
 // enabled-set bitsets, init suppression, the dynamic-edge mask with its
@@ -33,7 +9,7 @@ type FrameSaver interface {
 // the configuration key with its cached agent terms), laid out as the
 // engine's is, so a capture or a restore is one copy per arena and per
 // typed table; plus the wakeable agents' mailboxes and every agent
-// frame's resumable state (via FrameSaver), each flattened into one
+// frame's resumable state (Frame.SaveState), each flattened into one
 // slice.
 //
 // A Checkpoint is engine-independent: Restore accepts it on any engine
@@ -48,9 +24,7 @@ type FrameSaver interface {
 // Not captured (documented limits, all irrelevant to replay-driven
 // search): scheduler state (Controlled/RoundRobin cursors live outside
 // the engine; the step-driven DecisionPoint/ApplyChoice API needs no
-// scheduler), trace sinks and observers (streams, not state), and
-// coroutine stacks (engines with coroutine agents are not
-// checkpointable at all).
+// scheduler), and trace sinks and observers (streams, not state).
 type Checkpoint struct {
 	state engineState
 
@@ -96,16 +70,11 @@ func (s *engineState) shape() [5]int {
 	return [5]int{len(s.tokens), len(s.node), s.occupied.n, len(s.i32), len(s.u64)}
 }
 
-// Checkpointable reports whether the engine's full state can be
-// captured by Checkpoint: every agent must be a Framer whose frame
-// implements FrameSaver. A plain Program's coroutine adapter parks its
-// state in a goroutine stack, which cannot be copied, so the schedule
-// explorer refuses engines running any.
-func (e *Engine) Checkpointable() bool { return e.savers != nil }
-
-// errNotCheckpointable is CheckpointTo's and Restore's refusal of an
-// engine that is not Checkpointable.
-var errNotCheckpointable = fmt.Errorf("%w: engine is not checkpointable (an agent runs as a coroutine or a frame without FrameSaver)", ErrBadSetup)
+// Checkpointable reports true: every agent is a Frame that saves its
+// own state, so every engine can be captured. It stays only for the
+// repository benchmark's step-API probe (bench/probe.go), which still
+// asks.
+func (e *Engine) Checkpointable() bool { return true }
 
 // Checkpoint captures the engine's state between atomic actions into a
 // fresh Checkpoint. See CheckpointTo for the reuse form.
@@ -119,16 +88,13 @@ func (e *Engine) Checkpoint() (*Checkpoint, error) {
 
 // CheckpointTo captures the engine's state between atomic actions into
 // cp, reusing cp's backing storage (a pooled Checkpoint settles into
-// zero per-capture allocations). It fails if the engine is not
-// Checkpointable. The checkpoint may later be restored into this engine
-// or any identically constructed one.
+// zero per-capture allocations). The checkpoint may later be restored
+// into this engine or any identically constructed one. Every engine
+// checkpoints, so the error is always nil.
 func (e *Engine) CheckpointTo(cp *Checkpoint) error {
-	if e.savers == nil {
-		return errNotCheckpointable
-	}
 	cp.frameWords = cp.frameWords[:0]
-	for _, fs := range e.savers {
-		cp.frameWords = fs.SaveState(cp.frameWords)
+	for _, f := range e.frame {
+		cp.frameWords = f.SaveState(cp.frameWords)
 	}
 
 	if cp.state.shape() != e.shape() {
@@ -163,13 +129,9 @@ func (e *Engine) Restore(cp *Checkpoint) error {
 		return fmt.Errorf("%w: checkpoint shape %v does not match engine %v (n, k, m, int32 and uint64 arena words)",
 			ErrBadSetup, cp.state.shape(), e.shape())
 	}
-	if e.savers == nil {
-		return errNotCheckpointable
-	}
-
 	off := 0
-	for _, fs := range e.savers {
-		off += fs.LoadState(cp.frameWords[off:])
+	for _, f := range e.frame {
+		off += f.LoadState(cp.frameWords[off:])
 	}
 	if off != len(cp.frameWords) {
 		return fmt.Errorf("%w: frame state layout mismatch (%d of %d words consumed)", ErrBadSetup, off, len(cp.frameWords))

@@ -12,22 +12,10 @@ import (
 	"agentring/internal/ring"
 )
 
-// chatty is a FrameSaver test program exercising every checkpointed
-// component: it releases a token at home, hops around broadcasting its
-// progress, reads tokens and co-location on the way, and halts.
+// chatty is a test program exercising every checkpointed component: it
+// releases a token at home, hops around broadcasting its progress,
+// reads tokens and co-location on the way, and halts.
 type chatty struct{ hops int }
-
-func (p *chatty) Run(api API) error {
-	api.Meter().Set(2)
-	api.ReleaseToken()
-	for left := p.hops; left > 0; left-- {
-		api.Broadcast(left)
-		api.Move()
-		api.TokensHere()
-		api.AgentsHere()
-	}
-	return nil
-}
 
 func (p *chatty) Frame() Frame { return &chattyFrame{p: p} }
 
@@ -61,19 +49,11 @@ func (f *chattyFrame) LoadState(buf []int) int {
 	return 2
 }
 
-// listener is a FrameSaver test program that suspends on the mailbox:
-// it awaits until it has heard want messages, then halts. It keeps an
-// agent in the waiting state with pending broadcasts in flight, so
-// checkpoints cover mailboxes and the wakeable set.
+// listener is a test program that suspends on the mailbox: it awaits
+// until it has heard want messages, then halts. It keeps an agent in
+// the waiting state with pending broadcasts in flight, so checkpoints
+// cover mailboxes and the wakeable set.
 type listener struct{ want int }
-
-func (p *listener) Run(api API) error {
-	got := 0
-	for got < p.want {
-		got += len(api.AwaitMessages())
-	}
-	return nil
-}
 
 func (p *listener) Frame() Frame { return &listenerFrame{p: p} }
 
@@ -249,29 +229,23 @@ func TestStateKeyAllocationFree(t *testing.T) {
 	}
 }
 
+// TestCheckpointablePredicate: every agent is a frame that saves its
+// state, so every engine checkpoints, including one without TrackState
+// whose agents save no more than a counter.
 func TestCheckpointablePredicate(t *testing.T) {
-	cpable := cpSetup(t)
-	if !cpable.Checkpointable() {
-		t.Error("FrameSaver engine should be checkpointable")
-	}
-	// walker implements Framer but not FrameSaver.
-	plain, err := NewEngine(ring.MustNew(4), []ring.NodeID{0}, []Program{walker(3)}, Options{})
-	if err != nil {
-		t.Fatalf("NewEngine: %v", err)
-	}
-	if plain.Checkpointable() {
-		t.Error("frame without FrameSaver should not be checkpointable")
-	}
-	if _, err := plain.Checkpoint(); !errors.Is(err, ErrBadSetup) {
-		t.Errorf("Checkpoint error = %v, want ErrBadSetup", err)
-	}
-	// A program without a Frame method runs as a coroutine.
-	coro, err := NewEngine(ring.MustNew(4), []ring.NodeID{0}, []Program{coroutineOnly(&chatty{hops: 2})}, Options{})
-	if err != nil {
-		t.Fatalf("NewEngine: %v", err)
-	}
-	if coro.Checkpointable() {
-		t.Error("coroutine engine should not be checkpointable")
+	for _, e := range []*Engine{cpSetup(t), func() *Engine {
+		e, err := NewEngine(ring.MustNew(4), []ring.NodeID{0}, []Program{walker(3)}, Options{})
+		if err != nil {
+			t.Fatalf("NewEngine: %v", err)
+		}
+		return e
+	}()} {
+		if !e.Checkpointable() {
+			t.Error("engine is not checkpointable")
+		}
+		if _, err := e.Checkpoint(); err != nil {
+			t.Errorf("Checkpoint: %v", err)
+		}
 	}
 }
 

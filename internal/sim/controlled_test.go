@@ -6,23 +6,13 @@ import (
 	"agentring/internal/ring"
 )
 
-// walker2 moves the given number of times, then halts.
-func walker2(moves int) Program {
-	return ProgramFunc(func(api API) error {
-		for i := 0; i < moves; i++ {
-			api.Move()
-		}
-		return nil
-	})
-}
-
 // TestControlledStopsAtDecisionPoint checks that an exhausted prefix
 // stops the run exactly at the next decision point, records the enabled
 // set there, and leaves the configuration inspectable.
 func TestControlledStopsAtDecisionPoint(t *testing.T) {
 	homes := []ring.NodeID{0, 2}
 	ctrl := NewControlled([]int{0, 1, 1})
-	e, err := NewEngine(ring.MustNew(4), homes, []Program{walker2(3), walker2(3)}, Options{Scheduler: ctrl})
+	e, err := NewEngine(ring.MustNew(4), homes, []Program{walker(3), walker(3)}, Options{Scheduler: ctrl})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +47,7 @@ func TestControlledReplayDeterminism(t *testing.T) {
 	run := func(prefix []int) (Configuration, []Choice) {
 		ctrl := NewControlled(prefix)
 		e, err := NewEngine(ring.MustNew(6), homes,
-			[]Program{walker2(4), walker2(4), walker2(4)},
+			[]Program{walker(4), walker(4), walker(4)},
 			Options{Scheduler: ctrl, TrackState: true})
 		if err != nil {
 			t.Fatal(err)
@@ -98,7 +88,7 @@ func TestTrackStateDistinguishesHistories(t *testing.T) {
 		prefix := make([]int, steps)
 		ctrl := NewControlled(prefix)
 		e, err := NewEngine(ring.MustNew(n), []ring.NodeID{0},
-			[]Program{walker2(3 * n)}, Options{Scheduler: ctrl, TrackState: true})
+			[]Program{walker(3 * n)}, Options{Scheduler: ctrl, TrackState: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,7 +109,7 @@ func TestTrackStateDistinguishesHistories(t *testing.T) {
 // TestTrackStateOffByDefault pins that the hashes stay out of snapshots
 // unless requested.
 func TestTrackStateOffByDefault(t *testing.T) {
-	e, err := NewEngine(ring.MustNew(4), []ring.NodeID{0}, []Program{walker2(2)}, Options{})
+	e, err := NewEngine(ring.MustNew(4), []ring.NodeID{0}, []Program{walker(2)}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

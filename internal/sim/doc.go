@@ -7,20 +7,19 @@
 // # Execution model
 //
 // Each agent executes a Program against the API, one agent at a time,
-// so executions are deterministic given a scheduler, yet the agent code
-// reads like the paper's sequential pseudocode. The engine executes one
-// agent form, the Frame: an activation is one Step call, which returns
-// how the action ends. A Framer program supplies its own frame — no
-// goroutine, no stack — and a plain Program runs behind a coroutine
-// adapter whose Step resumes Run through iter.Pull until its next
-// blocking call (Move, MoveVia, AwaitMessages) yields the Action a
-// frame would return. One step function vets every returned Action: it
-// checks a move's out-port, folds the action's opcode into the agent's
-// state hash, turns a panic into a program error and rejects an unknown
-// kind. Both forms therefore share one error contract
-// (TestOneErrorContract), and a Framer's frame behaves exactly as its
-// Run (the contract on Frame; TestFrameCoroutineCrossCheck holds every
-// algorithm to it). An activation is one atomic action:
+// so executions are deterministic given a scheduler. The engine
+// executes one agent form, the Frame: each Program builds its agent's
+// frame once, at construction, and an activation is one Step call,
+// which performs the action's local computation and returns how the
+// action ends. There is no goroutine and no stack per agent: an agent's
+// whole state is its frame's, which saves and loads itself as plain
+// ints (Frame.SaveState, Frame.LoadState). One step function vets every
+// returned Action: it checks a move's out-port, folds the action's
+// opcode into the agent's state hash, turns a panic into a program
+// error and rejects an unknown kind (TestOneErrorContract). The
+// paper-shaped, sequential form of each production algorithm lives in
+// internal/reference, which only tests import, and the cross-checks
+// hold every frame to it. An activation is one atomic action:
 //
 //  1. the agent arrives at a node (popped from the head of one incoming
 //     FIFO link queue) or is woken while staying at a node,
@@ -30,7 +29,8 @@
 //  3. the agent performs local computation (token release, broadcasts
 //     to co-located staying agents), and
 //  4. it either moves (appending itself to the tail of an outgoing FIFO
-//     link), suspends awaiting a message, or halts (its Run returns).
+//     link), suspends awaiting a message, or halts (ActionMove,
+//     ActionAwait, ActionDone).
 //
 // # Invariants
 //
@@ -68,7 +68,7 @@
 // bitsets (bitset.go) maintained incrementally; under the round-robin
 // scheduler the engine picks the next enabled action branch-free with a
 // cyclic next-set-bit scan and never materializes a choice slice at
-// all. Framer agents resume without any goroutine hand-off. The result
+// all. Agents resume without any goroutine hand-off. The result
 // is a steady-state loop with no allocation, no interface calls, and
 // tens of nanoseconds per atomic action up to million-node rings
 // (~45 retained bytes per node). BenchmarkSteadyState — now spanning
@@ -99,19 +99,13 @@
 // copy that shares no storage; TestLayoutCarvesDisjointViews requires
 // the views to tile their arenas. Mail is flattened for the wakeable
 // agents only: a mailbox is non-nil exactly while its agent is
-// wakeable. Program state is only capturable for Framer programs whose
-// frames also implement FrameSaver (a save/load of their resumable
-// state as plain ints), resolved once by NewEngine; Checkpointable
-// reports whether an engine qualifies. A plain Program keeps its state
-// on the adapter's goroutine stack, which cannot be copied (the adapter
-// is no FrameSaver), so an engine running any cannot be explored: the
-// schedule explorer (internal/explore) searches only by checkpoint and
-// restore and rejects such programs as a setup error. Program.Run,
-// behind the adapter, remains the reference semantics —
-// TestFrameCoroutineCheckpointCrossCheck holds a checkpoint-round-
-// tripped frame engine to the coroutine reference at every decision
-// point, which is the "restore ≡ replay" guarantee the explorer builds
-// on.
+// wakeable. Program state is each frame's SaveState words, concatenated
+// in agent order, so every engine checkpoints.
+// TestCheckpointRestoreContinuesIdentically holds a checkpoint-round-
+// tripped engine to the uninterrupted one, and
+// TestFrameCoroutineCheckpointCrossCheck holds both to the reference at
+// every decision point, which is the "restore ≡ replay" guarantee the
+// explorer builds on.
 //
 // Alongside restore sits the step-driven control surface the explorer
 // uses instead of Run, and that Run's own decision loop is built on:

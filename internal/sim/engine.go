@@ -18,11 +18,6 @@ var (
 	ErrBadSetup = errors.New("sim: invalid setup")
 )
 
-// errStopped is the sentinel panic raised inside blocked API calls when
-// the engine shuts down after quiescence; the coroutine adapter
-// recovers it and treats the agent as cleanly retired while suspended.
-var errStopped = errors.New("sim: engine stopped")
-
 // Options configures an Engine.
 type Options struct {
 	// Scheduler decides the interleaving. Defaults to round-robin.
@@ -110,10 +105,9 @@ type Engine struct {
 	// both, a wake clears both, and arrivals carry no mail.
 	home    []ring.NodeID
 	mailbox [][]Message
-	frame   []Frame      // every agent's frame: a Framer's own or a coroutine adapter
-	savers  []FrameSaver // the frames as FrameSavers; nil unless every agent has one
-	apis    []apiState   // the per-agent API arena (one backing array)
-	choices []Choice     // the reused buffer enabledChoices returns
+	frame   []Frame    // every agent's frame, built by its Program
+	apis    []apiState // the per-agent API arena (one backing array)
+	choices []Choice   // the reused buffer enabledChoices returns
 
 	// The step-ordered fault schedule (engineState.faultIdx is its
 	// cursor) and the online adversary's immutable budget with the
@@ -342,7 +336,6 @@ func NewEngine(t Topology, homes []ring.NodeID, programs []Program, opts Options
 		home:     make([]ring.NodeID, k),
 		mailbox:  make([][]Message, k),
 		frame:    make([]Frame, k),
-		savers:   make([]FrameSaver, k),
 		apis:     make([]apiState, k),
 		choices:  make([]Choice, 0, 2*k),
 	}
@@ -372,17 +365,7 @@ func NewEngine(t Topology, homes []ring.NodeID, programs []Program, opts Options
 		e.inRank[i] = -1
 		e.qrank[i] = -1
 		e.apis[i] = apiState{e: e, id: i}
-		if fr, ok := programs[i].(Framer); ok {
-			e.frame[i] = fr.Frame()
-		} else {
-			c := &coroFrame{run: programs[i].Run}
-			e.frame[i], e.apis[i].coro = c, c
-		}
-		if fs, ok := e.frame[i].(FrameSaver); ok && e.savers != nil {
-			e.savers[i] = fs
-		} else {
-			e.savers = nil
-		}
+		e.frame[i] = programs[i].Frame()
 		// The initial configuration stores each agent in the incoming
 		// buffer of its home node, which blocks link arrivals into that
 		// node until the resident has taken its first atomic action —
@@ -454,7 +437,6 @@ func (e *Engine) Run() (Result, error) {
 			e.observer(e.snapshot())
 		}
 	}
-	e.shutdown()
 	res := e.result()
 	if runErr == nil {
 		for id, err := range e.agentErr {
@@ -776,12 +758,10 @@ func (e *Engine) rekeyAgent(id int) {
 }
 
 // stepAgent runs one Step of agent id's frame and vets the Action it
-// returns. It is the one place an action's end is checked and hashed,
-// for a Framer's frame and the coroutine adapter alike: a panic (which
-// the adapter's next re-raises from Run), an out-of-range port and an
-// unknown kind each become ActionDone with a program error, and a move
-// or a wait folds its opMove/opAwait opcode after every observation the
-// action made.
+// returns. It is the one place an action's end is checked and hashed: a
+// panic, an out-of-range port and an unknown kind each become
+// ActionDone with a program error, and a move or a wait folds its
+// opMove/opAwait opcode after every observation the action made.
 func (e *Engine) stepAgent(id int) (act Action) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -808,18 +788,6 @@ func (e *Engine) stepAgent(id int) (act Action) {
 	return act
 }
 
-// shutdown stops every started coroutine adapter: a Run parked in a
-// blocking call at quiescence unwinds via the errStopped sentinel, and
-// the agent keeps the state it was suspended in. Framer frames have
-// nothing to unwind.
-func (e *Engine) shutdown() {
-	for i := range e.apis {
-		if c := e.apis[i].coro; c != nil && c.stop != nil {
-			c.stop()
-		}
-	}
-}
-
 func (e *Engine) traceEvent(id int, kind, detail string) {
 	if e.sink != nil {
 		e.sink.Record(Event{Step: e.steps, Agent: id, Node: e.node[id], Kind: kind, Detail: detail})
@@ -827,35 +795,15 @@ func (e *Engine) traceEvent(id int, kind, detail string) {
 }
 
 // apiState implements API for one agent. The engine allocates all k of
-// them in one backing array (the API arena): frame agents carry no
-// other per-activation state, so the steady-state loop creates nothing.
+// them in one backing array (the API arena): agents carry no other
+// per-activation state, so the steady-state loop creates nothing.
 type apiState struct {
 	e     *Engine
 	id    int
 	inbox []Message
-	coro  *coroFrame // the agent's coroutine adapter; nil for a Framer's frame
 }
 
 var _ API = (*apiState)(nil)
-
-// suspend ends a coroutine agent's action with act: the adapter's Step
-// returns act, and suspend returns when the next Step resumes Run.
-func (p *apiState) suspend(act Action) {
-	if p.coro == nil {
-		// A Frame called a blocking API method: there is no coroutine to
-		// suspend. stepAgent recovers this panic as a program error.
-		panic(fmt.Errorf("frame agent called a blocking API method"))
-	}
-	if !p.coro.yield(act) {
-		panic(errStopped)
-	}
-}
-
-// Move implements API.
-func (p *apiState) Move() { p.MoveVia(0) }
-
-// MoveVia implements API. stepAgent checks the port.
-func (p *apiState) MoveVia(port int) { p.suspend(Action{Kind: ActionMove, Port: port}) }
 
 // OutDegree implements API.
 func (p *apiState) OutDegree() int {
@@ -956,15 +904,6 @@ func (p *apiState) Messages() []Message {
 		p.e.obsHash[p.id] = h
 	}
 	return out
-}
-
-// AwaitMessages implements API.
-func (p *apiState) AwaitMessages() []Message {
-	if len(p.inbox) > 0 {
-		return p.Messages()
-	}
-	p.suspend(Action{Kind: ActionAwait})
-	return p.Messages()
 }
 
 // Meter implements API.

@@ -225,13 +225,6 @@ func BenchmarkSteadyStateBiRing(b *testing.B) {
 // number of moves, as a frame.
 type diagWalker struct{ walk, i int }
 
-func (d *diagWalker) Run(api API) error {
-	for ; d.i < d.walk; d.i++ {
-		api.MoveVia(d.i % 2)
-	}
-	return nil
-}
-
 func (d *diagWalker) Frame() Frame { return d }
 
 func (d *diagWalker) Step(api API) Action {
@@ -241,6 +234,13 @@ func (d *diagWalker) Step(api API) Action {
 	port := d.i % 2
 	d.i++
 	return Action{Kind: ActionMove, Port: port}
+}
+
+func (d *diagWalker) SaveState(buf []int) []int { return append(buf, d.i) }
+
+func (d *diagWalker) LoadState(buf []int) int {
+	d.i = buf[0]
+	return 1
 }
 
 // BenchmarkSteadyStateTorus walks agents diagonally (alternating east

@@ -1,27 +1,57 @@
-package sim
+package sim_test
 
 import (
 	"slices"
 	"testing"
 
+	"agentring/internal/reference"
 	"agentring/internal/ring"
+	"agentring/internal/sim"
 )
 
-// crosscheckEngine builds one engine over the checkpoint fixture
-// (chatty walkers + a listener + a transient fault — see cpSetup),
-// optionally on the coroutine path.
-func crosscheckEngine(t *testing.T, coroutines bool) *Engine {
+// chattyRef and listenerRef are the reference forms of the checkpoint
+// fixture's programs (sim.Chatty, sim.Listener).
+func chattyRef(hops int) reference.Func {
+	return func(api reference.API) error {
+		api.Meter().Set(2)
+		api.ReleaseToken()
+		for left := hops; left > 0; left-- {
+			api.Broadcast(left)
+			api.Move()
+			api.TokensHere()
+			api.AgentsHere()
+		}
+		return nil
+	}
+}
+
+func listenerRef(want int) reference.Func {
+	return func(api reference.API) error {
+		got := 0
+		for got < want {
+			got += len(api.AwaitMessages())
+		}
+		return nil
+	}
+}
+
+// crosscheckEngine builds one engine over the checkpoint fixture (two
+// chatty walkers, a listener and a transient fault — see cpSetup), as
+// frames or as their reference forms.
+func crosscheckEngine(t *testing.T, ref bool) *sim.Engine {
 	t.Helper()
-	programs := []Program{&chatty{hops: 7}, &chatty{hops: 5}, &listener{want: 3}}
-	if coroutines {
-		for i, p := range programs {
-			programs[i] = coroutineOnly(p)
+	programs := []sim.Program{sim.Chatty(7), sim.Chatty(5), sim.Listener(3)}
+	if ref {
+		programs = []sim.Program{
+			reference.Program(t, chattyRef(7)),
+			reference.Program(t, chattyRef(5)),
+			reference.Program(t, listenerRef(3)),
 		}
 	}
-	e, err := NewEngine(ring.MustNew(6), []ring.NodeID{0, 2, 4}, programs,
-		Options{
+	e, err := sim.NewEngine(ring.MustNew(6), []ring.NodeID{0, 2, 4}, programs,
+		sim.Options{
 			TrackState: true,
-			Faults: FaultSchedule{
+			Faults: sim.FaultSchedule{
 				{Step: 3, From: 1},
 				{Step: 9, From: 1, Up: true},
 			},
@@ -32,26 +62,13 @@ func crosscheckEngine(t *testing.T, coroutines bool) *Engine {
 	return e
 }
 
-// mailOutsideWakeable returns an agent whose mailbox is nil while it is
-// wakeable or non-nil while it is not, or -1: checkpoints flatten the
-// wakeable agents' mailboxes only, so the two must agree.
-func mailOutsideWakeable(e *Engine) int {
-	for id := range e.mailbox {
-		if (e.mailbox[id] != nil) != e.wakeable.has(id) {
-			return id
-		}
-	}
-	return -1
-}
-
 // TestFrameCoroutineCheckpointCrossCheck drives three engines through
 // one schedule in lockstep and demands they agree at every decision
 // point:
 //
-//   - ref runs the programs as coroutines — the semantics of record
-//     (it is the code path the golden traces pinned long before frames
-//     existed);
-//   - frm runs the same programs as frames, straight through;
+//   - ref runs the reference forms of the programs on the coroutine
+//     adapter — the semantics of record;
+//   - frm runs the programs' frames, straight through;
 //   - cpd runs frames but is forced through Checkpoint/Restore at
 //     every single decision — and every fourth decision is abandoned
 //     entirely and replaced by a fresh engine restored from the
@@ -64,19 +81,13 @@ func mailOutsideWakeable(e *Engine) int {
 // point is the engine-level "restore ≡ replay" guarantee the explorer's
 // checkpoint search builds on: a checkpointed continuation is
 // indistinguishable from the uninterrupted run, which is itself
-// indistinguishable from the coroutine reference.
+// indistinguishable from the reference.
 func TestFrameCoroutineCheckpointCrossCheck(t *testing.T) {
 	ref := crosscheckEngine(t, true)
 	frm := crosscheckEngine(t, false)
 	cpd := crosscheckEngine(t, false)
-	if ref.Checkpointable() {
-		t.Fatal("coroutine engine claims to be checkpointable")
-	}
-	if !cpd.Checkpointable() {
-		t.Fatal("frame engine is not checkpointable")
-	}
 
-	cp := &Checkpoint{}
+	cp := &sim.Checkpoint{}
 	for decision := 0; ; decision++ {
 		want := ref.DecisionPoint()
 		if got := frm.DecisionPoint(); !slices.Equal(got, want) {
@@ -104,16 +115,16 @@ func TestFrameCoroutineCheckpointCrossCheck(t *testing.T) {
 		if got, want := cpd.StateKey(), ref.Snapshot().Key(); got != want {
 			t.Fatalf("decision %d: checkpointed key %x, coroutine %x", decision, got, want)
 		}
-		for _, e := range []*Engine{frm, cpd} {
-			if id := mailOutsideWakeable(e); id != -1 {
-				t.Fatalf("decision %d: agent %d has mailbox %v but wakeable %v", decision, id, e.mailbox[id], e.wakeable.has(id))
+		for _, e := range []*sim.Engine{frm, cpd} {
+			if id := sim.MailOutsideWakeable(e); id != -1 {
+				t.Fatalf("decision %d: agent %d's mailbox and wakeable bit disagree", decision, id)
 			}
 		}
 		if len(want) == 0 {
 			break
 		}
 		pick := (decision*5 + 2) % len(want)
-		for _, e := range []*Engine{ref, frm, cpd} {
+		for _, e := range []*sim.Engine{ref, frm, cpd} {
 			if err := e.ApplyChoice(want[pick]); err != nil {
 				t.Fatalf("decision %d: ApplyChoice: %v", decision, err)
 			}

@@ -2,32 +2,18 @@ package sim
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 
 	"agentring/internal/ring"
 )
 
-// walker moves a fixed number of steps and halts. It implements Framer,
-// so engine tests and benchmarks exercise the frame fast path by
-// default (coroutineOnly covers the other).
+// walkerProgram moves a fixed number of steps and halts. It is its own
+// frame, so a walker value serves exactly one agent.
 type walkerProgram struct{ left int }
 
 func walker(steps int) Program { return &walkerProgram{left: steps} }
 
-func (w *walkerProgram) Run(api API) error {
-	for ; w.left > 0; w.left-- {
-		api.Move()
-	}
-	return nil
-}
-
 func (w *walkerProgram) Frame() Frame { return w }
-
-// coroutineOnly hides a program's Frame method, so the engine runs the
-// program's coroutine Run, the reference semantics frames are checked
-// against.
-func coroutineOnly(p Program) Program { return ProgramFunc(p.Run) }
 
 func (w *walkerProgram) Step(api API) Action {
 	if w.left == 0 {
@@ -35,6 +21,13 @@ func (w *walkerProgram) Step(api API) Action {
 	}
 	w.left--
 	return Action{Kind: ActionMove, Port: 0}
+}
+
+func (w *walkerProgram) SaveState(buf []int) []int { return append(buf, w.left) }
+
+func (w *walkerProgram) LoadState(buf []int) int {
+	w.left = buf[0]
+	return 1
 }
 
 func run(t *testing.T, n int, homes []ring.NodeID, programs []Program, opts Options) (Result, *ring.Ring) {
@@ -53,7 +46,7 @@ func run(t *testing.T, n int, homes []ring.NodeID, programs []Program, opts Opti
 
 func TestNewEngineValidation(t *testing.T) {
 	r := ring.MustNew(4)
-	noop := ProgramFunc(func(API) error { return nil })
+	noop := walker(0)
 	tests := []struct {
 		name     string
 		ring     *ring.Ring
@@ -92,51 +85,6 @@ func TestSingleAgentWalksAndHalts(t *testing.T) {
 	}
 	if !res.AllHalted() || !res.QueuesEmpty {
 		t.Error("expected clean halted quiescence")
-	}
-}
-
-func TestTokenReleaseIsPermanentAndCounted(t *testing.T) {
-	prog := ProgramFunc(func(api API) error {
-		api.ReleaseToken()
-		if api.TokensHere() != 1 {
-			return fmt.Errorf("tokens here = %d, want 1", api.TokensHere())
-		}
-		api.Move()
-		if api.TokensHere() != 0 {
-			return fmt.Errorf("tokens at next node = %d, want 0", api.TokensHere())
-		}
-		return nil
-	})
-	res, _ := run(t, 3, []ring.NodeID{0}, []Program{prog}, Options{})
-	if res.Tokens[0] != 1 || res.Tokens[1] != 0 || res.Tokens[2] != 0 {
-		t.Errorf("result tokens = %v", res.Tokens)
-	}
-}
-
-func TestHomeNodeFirstAction(t *testing.T) {
-	// Agent 0 sprints one full circle; agent 1's very first action must
-	// still happen at its own home before agent 0's token-drop there can
-	// be missed. We verify agent 1 sees no token before it drops its own:
-	// agent 0 drops a token only at node 1 (agent 1's home) after
-	// arriving there. If agent 1 had not acted first, it would observe
-	// agent 0's token.
-	var sawToken bool
-	fast := ProgramFunc(func(api API) error {
-		api.Move() // 0 -> 1
-		api.ReleaseToken()
-		return nil
-	})
-	slow := ProgramFunc(func(api API) error {
-		sawToken = api.TokensHere() > 0
-		api.Move()
-		return nil
-	})
-	// Adversarial scheduler tries hard to run agent 1 late; the incoming
-	// home buffer must still order agent 1's start before agent 0's
-	// arrival at node 1 (FIFO on the link into node 1).
-	run(t, 4, []ring.NodeID{0, 1}, []Program{fast, slow}, Options{Scheduler: NewAdversarial(3)})
-	if sawToken {
-		t.Error("agent 1 was not first to act at its own home node")
 	}
 }
 
@@ -190,197 +138,6 @@ func TestFIFONoOvertaking(t *testing.T) {
 	}
 }
 
-func TestBroadcastAndAwait(t *testing.T) {
-	// Agent 0 waits at home for a message; agent 1 walks to it and
-	// broadcasts a payload.
-	var got Message
-	waiter := ProgramFunc(func(api API) error {
-		msgs := api.AwaitMessages()
-		if len(msgs) != 1 {
-			return fmt.Errorf("got %d messages, want 1", len(msgs))
-		}
-		got = msgs[0]
-		return nil
-	})
-	sender := ProgramFunc(func(api API) error {
-		api.Move()
-		api.Move() // node 4 -> 0 on a 5-ring? homes: waiter at 1, sender at 4: 4->0->1
-		api.Move()
-		if api.AgentsHere() != 1 {
-			return fmt.Errorf("agents here = %d, want 1", api.AgentsHere())
-		}
-		api.Broadcast("hello")
-		return nil
-	})
-	res, _ := run(t, 5, []ring.NodeID{1, 3}, []Program{waiter, sender}, Options{})
-	if got != "hello" {
-		t.Errorf("message = %v, want hello", got)
-	}
-	if res.MessagesSent != 1 || res.MessagesDelivered != 1 {
-		t.Errorf("sent=%d delivered=%d, want 1,1", res.MessagesSent, res.MessagesDelivered)
-	}
-}
-
-func TestBroadcastDoesNotReachInTransitAgents(t *testing.T) {
-	// Agent 1 is in transit (in the link queue toward node 1) when agent
-	// 0 broadcasts at node 1; the message must not be delivered.
-	received := false
-	bystander := ProgramFunc(func(api API) error {
-		api.Move() // enters transit toward node 1... then arrives
-		if len(api.Messages()) > 0 {
-			received = true
-		}
-		return nil
-	})
-	broadcaster := ProgramFunc(func(api API) error {
-		api.Broadcast("ghost")
-		return nil
-	})
-	// Homes: broadcaster at 1; bystander at 0 moving toward 1.
-	// Adversarial scheduling can interleave arbitrarily; in no
-	// interleaving may the bystander receive: while staying it is never
-	// co-located pre-halt... Use round-robin for determinism: bystander
-	// yields Move (into queue to node 1), broadcaster broadcasts at node
-	// 1 with nobody staying there.
-	sched := NewRoundRobin()
-	res, _ := run(t, 3, []ring.NodeID{0, 1}, []Program{bystander, broadcaster}, Options{Scheduler: sched})
-	if received {
-		t.Error("in-transit agent received a broadcast")
-	}
-	if res.MessagesDelivered != 0 {
-		t.Errorf("delivered = %d, want 0", res.MessagesDelivered)
-	}
-}
-
-func TestUnreadMessagesAreConsumed(t *testing.T) {
-	// A mover that ignores messages must still end with an empty mailbox
-	// ("after taking an atomic action, the agent has no message").
-	mover := ProgramFunc(func(api API) error {
-		for i := 0; i < 3; i++ {
-			api.Move()
-		}
-		msgs := api.Messages()
-		if len(msgs) != 0 {
-			return fmt.Errorf("stale messages leaked across actions: %d", len(msgs))
-		}
-		return nil
-	})
-	pesterer := ProgramFunc(func(api API) error {
-		// Stays at the mover's home and broadcasts whenever co-located.
-		api.Broadcast("noise")
-		return nil
-	})
-	res, _ := run(t, 4, []ring.NodeID{0, 1}, []Program{mover, pesterer}, Options{})
-	if !res.MailboxesEmpty {
-		t.Error("mailboxes not empty at quiescence")
-	}
-}
-
-func TestAwaitReturnsCurrentActionMessagesWithoutSuspending(t *testing.T) {
-	// If messages were already delivered in this atomic action,
-	// AwaitMessages must return them immediately.
-	woke := make(chan struct{}, 1)
-	waiter := ProgramFunc(func(api API) error {
-		first := api.AwaitMessages() // suspends; woken by sender
-		second := api.AwaitMessages()
-		// first wake delivered both messages at once (sender broadcast
-		// twice in one action), so second must not block: it returns the
-		// leftover... both were drained by the first call, so this one
-		// suspends again and is woken by the second sender action.
-		_ = first
-		_ = second
-		woke <- struct{}{}
-		return nil
-	})
-	sender := ProgramFunc(func(api API) error {
-		api.Move() // 1 -> 0? homes sender 1 on ring of 2: 1 -> 0
-		api.Broadcast("a")
-		api.Broadcast("b")
-		api.Move() // 0 -> 1
-		api.Move() // 1 -> 0
-		api.Broadcast("c")
-		return nil
-	})
-	res, _ := run(t, 2, []ring.NodeID{0, 1}, []Program{waiter, sender}, Options{})
-	select {
-	case <-woke:
-	default:
-		t.Fatal("waiter did not complete")
-	}
-	if res.MessagesSent != 3 {
-		t.Errorf("sent = %d, want 3", res.MessagesSent)
-	}
-}
-
-func TestSuspendedQuiescence(t *testing.T) {
-	// All agents suspend forever: the run must end with AllSuspended and
-	// empty queues/mailboxes (Definition 2 shape).
-	suspend := ProgramFunc(func(api API) error {
-		api.Move()
-		api.AwaitMessages() // never woken
-		return nil
-	})
-	res, _ := run(t, 6, []ring.NodeID{0, 3}, []Program{suspend, suspend}, Options{})
-	if !res.AllSuspended() {
-		t.Error("expected all agents suspended")
-	}
-	if !res.QueuesEmpty || !res.MailboxesEmpty {
-		t.Error("expected empty queues and mailboxes")
-	}
-	if res.AllHalted() {
-		t.Error("AllHalted must be false")
-	}
-}
-
-func TestProgramErrorAbortsRun(t *testing.T) {
-	boom := errors.New("boom")
-	bad := ProgramFunc(func(api API) error {
-		api.Move()
-		return boom
-	})
-	r := ring.MustNew(3)
-	e, err := NewEngine(r, []ring.NodeID{0}, []Program{bad}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = e.Run()
-	if !errors.Is(err, boom) {
-		t.Errorf("Run error = %v, want boom", err)
-	}
-}
-
-func TestProgramPanicBecomesError(t *testing.T) {
-	bad := ProgramFunc(func(api API) error {
-		panic("kaboom")
-	})
-	r := ring.MustNew(3)
-	e, err := NewEngine(r, []ring.NodeID{0}, []Program{bad}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err = e.Run(); err == nil {
-		t.Error("Run must surface program panics as errors")
-	}
-}
-
-func TestStepLimit(t *testing.T) {
-	// Two agents forever bouncing messages never quiesce; the engine
-	// must stop at MaxSteps with ErrStepLimit.
-	pingpong := ProgramFunc(func(api API) error {
-		for {
-			api.Move()
-		}
-	})
-	r := ring.MustNew(4)
-	e, err := NewEngine(r, []ring.NodeID{0}, []Program{pingpong}, Options{MaxSteps: 50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err = e.Run(); !errors.Is(err, ErrStepLimit) {
-		t.Errorf("error = %v, want ErrStepLimit", err)
-	}
-}
-
 func TestMoveCountingPerAgent(t *testing.T) {
 	res, _ := run(t, 10, []ring.NodeID{0, 5, 7},
 		[]Program{walker(3), walker(0), walker(11)}, Options{Scheduler: NewRandom(7)})
@@ -430,60 +187,6 @@ func TestSchedulersAllQuiesce(t *testing.T) {
 				t.Errorf("total moves = %d, want 44", res.TotalMoves)
 			}
 		})
-	}
-}
-
-func TestAgentsHereSeesWaitingAndHalted(t *testing.T) {
-	counts := make([]int, 0, 2)
-	// halted-at-home agent
-	sitter := ProgramFunc(func(api API) error { return nil })
-	// waiting agent one hop later
-	waiterDone := ProgramFunc(func(api API) error {
-		api.AwaitMessages()
-		return nil
-	})
-	observer := ProgramFunc(func(api API) error {
-		api.Move() // to node 1 (sitter halted)
-		counts = append(counts, api.AgentsHere())
-		api.Move() // to node 2 (waiter suspended)
-		counts = append(counts, api.AgentsHere())
-		return nil
-	})
-	// Round-robin: agents 0(sitter@1),1(waiter@2),2(observer@0).
-	run(t, 5, []ring.NodeID{1, 2, 0}, []Program{sitter, waiterDone, observer}, Options{})
-	if len(counts) != 2 || counts[0] != 1 || counts[1] != 1 {
-		t.Errorf("observer counts = %v, want [1 1]", counts)
-	}
-}
-
-func TestHaltedAgentsIgnoreBroadcasts(t *testing.T) {
-	sitter := ProgramFunc(func(api API) error { return nil })
-	sender := ProgramFunc(func(api API) error {
-		api.Move()
-		api.Broadcast("wake up")
-		return nil
-	})
-	res, _ := run(t, 3, []ring.NodeID{1, 0}, []Program{sitter, sender}, Options{})
-	if res.MessagesDelivered != 0 {
-		t.Errorf("delivered = %d, want 0 (recipient halted)", res.MessagesDelivered)
-	}
-	if !res.MailboxesEmpty {
-		t.Error("mailboxes must be empty")
-	}
-}
-
-func TestMeterSurfacesInResult(t *testing.T) {
-	prog := ProgramFunc(func(api API) error {
-		api.Meter().Grow(17)
-		api.Meter().Shrink(10)
-		return nil
-	})
-	res, _ := run(t, 2, []ring.NodeID{0}, []Program{prog}, Options{})
-	if res.Agents[0].PeakWords != 17 {
-		t.Errorf("peak words = %d, want 17", res.Agents[0].PeakWords)
-	}
-	if res.MaxPeakWords() != 17 {
-		t.Errorf("MaxPeakWords = %d, want 17", res.MaxPeakWords())
 	}
 }
 

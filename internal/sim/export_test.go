@@ -1,0 +1,28 @@
+package sim
+
+// Exports for the external test package (sim_test), whose tests host
+// internal/reference bodies: that package imports sim, so those tests
+// cannot live in package sim.
+
+// Walker is the walker test program.
+func Walker(steps int) Program { return walker(steps) }
+
+// RunRing runs programs from homes on an n-ring to quiescence, failing
+// the test on any error.
+var RunRing = run
+
+// Chatty and Listener are the checkpoint fixture's test programs.
+func Chatty(hops int) Program   { return &chatty{hops: hops} }
+func Listener(want int) Program { return &listener{want: want} }
+
+// MailOutsideWakeable returns an agent whose mailbox is nil while it is
+// wakeable or non-nil while it is not, or -1: checkpoints flatten the
+// wakeable agents' mailboxes only, so the two must agree.
+func MailOutsideWakeable(e *Engine) int {
+	for id := range e.mailbox {
+		if (e.mailbox[id] != nil) != e.wakeable.has(id) {
+			return id
+		}
+	}
+	return -1
+}

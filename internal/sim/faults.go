@@ -22,7 +22,7 @@ type FaultEvent struct {
 	// event applies once the engine has executed at least Step actions.
 	Step int
 	// From and Port name the directed edge (the out-port at its tail),
-	// exactly as a program's MoveVia(Port) at From would select it.
+	// exactly as an ActionMove through Port at From would select it.
 	From ring.NodeID
 	Port int
 	// Up is the edge's new state: false fails the link, true repairs it.

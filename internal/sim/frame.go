@@ -1,27 +1,26 @@
 package sim
 
-import (
-	"fmt"
-	"iter"
-)
-
 // ActionKind is how a Frame ends one atomic action.
 type ActionKind int
 
-// Frame actions, mirroring the three ways a coroutine Program yields.
+// Frame actions: the three ways an atomic action ends (step 4 of the
+// model's atomic action, see the package doc).
 const (
-	// ActionMove moves the agent along Port (Move() is ActionMove with
-	// Port 0).
+	// ActionMove moves the agent along Port, an out-port of its current
+	// node (0 <= Port < OutDegree()). Port 0 is the forward direction of
+	// a ring and by convention the primary direction of every topology,
+	// so port-0-only frames (the paper's unidirectional algorithms) run
+	// unchanged on any topology. An out-of-range port is a program error.
 	ActionMove ActionKind = iota + 1
-	// ActionAwait suspends the agent until a message arrives.
+	// ActionAwait suspends the agent at its node until a message
+	// arrives; the Step of its wake reads the delivered messages through
+	// Messages().
 	ActionAwait
 	// ActionDone halts the agent; Err, if non-nil, aborts the run.
 	ActionDone
 )
 
-// Action is the batched outcome of one Frame step: everything a
-// coroutine program communicates by blocking in Move/MoveVia or
-// AwaitMessages, returned as a value instead.
+// Action is the outcome of one Frame step: how the atomic action ends.
 type Action struct {
 	Kind ActionKind
 	Port int   // out-port for ActionMove
@@ -31,96 +30,33 @@ type Action struct {
 // Frame is the one agent form the engine executes: a small resumable
 // state machine the engine steps once per activation. Step performs the
 // local computation of one atomic action — reading observations and
-// broadcasting through api exactly as a Program would — and returns how
-// the action ends. The engine vets every returned Action in one place:
-// it checks a move's out-port, folds the opMove/opAwait observation
-// opcodes, turns a panic into a program error and rejects an unknown
-// kind. A plain Program (one that does not implement Framer) is hosted
-// behind Frame too, by a coroutine adapter whose Step resumes Run until
-// its next blocking call.
+// broadcasting through api — and returns how the action ends. The
+// engine vets every returned Action in one place: it checks a move's
+// out-port, folds the opMove/opAwait observation opcodes, turns a panic
+// into a program error and rejects an unknown kind.
 //
-// Equivalence contract (what keeps a Framer's frame and its Program's
-// Run byte-identical in traces and state hashes):
+// The Step of a wake (the first after an ActionAwait) should read the
+// delivered messages with Messages() before any other observation;
+// messages left unread when Step returns are dropped, as the model
+// drops them at the end of every atomic action. An arrival's inbox is
+// always empty, since only staying agents receive broadcasts.
 //
-//   - Step must make the same API call sequence the Program's Run makes
-//     between two consecutive blocking calls. Where the action's own
-//     opcode lands needs no care: the engine folds opMove/opAwait for
-//     every returned Action, the adapter's included, so both forms fold
-//     it after the action's last observation by construction.
-//   - Step must not call the blocking methods Move, MoveVia, or
-//     AwaitMessages (they suspend a coroutine that does not exist
-//     here); doing so aborts the agent with a program error.
-//   - ActionAwait stands for AwaitMessages on an empty inbox: the engine
-//     folds opAwait and nothing else. Return it only where the
-//     Program's AwaitMessages would find the inbox empty — in an arrival
-//     (only staying agents receive broadcasts, so an arrival's inbox is
-//     always empty) or after this Step has already called Messages().
-//     Calling Messages() just before suspending from an arrival would
-//     fold an opMessages entry the coroutine never folds. Where the
-//     inbox may hold messages (a wake, before Messages()),
-//     AwaitMessages returns them without suspending, so the frame must
-//     read and act on them as well.
-//   - The Step that resumes a suspended frame must call Messages()
-//     before any other observation, because AwaitMessages reads the
-//     inbox as soon as its coroutine resumes. Messages left unread when
-//     Step returns are dropped, exactly as at the end of a coroutine
-//     action.
+// SaveState appends every word of the frame's resumable state to buf
+// and returns the extended slice; LoadState reads the same words back
+// from the front of buf and returns how many it consumed. The two must
+// be exact inverses: after LoadState(SaveState(nil)) the frame's next
+// Step must behave identically. They are how a Checkpoint captures an
+// agent, and how netsim migrates one from node to node.
 //
-// A Framer's own frame exists for speed: its steady-state loop is a
-// plain method call into per-agent state allocated once at engine
-// construction, instead of an iter.Pull goroutine switch per step.
-// Algorithms whose control flow is inconvenient to invert (deep
-// message-driven loops) simply don't implement Framer and run through
-// the adapter, though only engines whose every agent is a
-// checkpointable frame can be explored (see FrameSaver).
+// The production algorithms keep a paper-shaped reference form in
+// internal/reference, which only tests import; its package doc states
+// the contract that keeps a frame byte-identical to its reference in
+// traces and state hashes.
 type Frame interface {
 	Step(api API) Action
-}
-
-// Framer is optionally implemented by Programs that can execute as a
-// Frame of their own. The engine calls Frame once per agent at
-// construction and steps the returned state machine; Run is then never
-// called (it remains the reference semantics: the cross-check tests run
-// a program wrapped in ProgramFunc(p.Run), which hides Frame, next to
-// the frame and compare). The concurrent substrate (internal/netsim)
-// hosts the same frames on its per-node goroutines, rebuilding each
-// from its FrameSaver words at every step.
-type Framer interface {
-	Program
-	Frame() Frame
-}
-
-// coroFrame hosts a plain Program behind Frame. Its first Step starts
-// Run on an iter.Pull coroutine; every Step resumes Run until a
-// blocking API call suspends it with the Action a frame would return
-// (apiState.suspend), or until Run returns. A panic in Run comes back
-// out of next with its value, where the engine recovers it as it
-// recovers a frame's.
-type coroFrame struct {
-	run   func(API) error
-	next  func() (Action, bool)
-	stop  func()
-	yield func(Action) bool
-}
-
-// Step implements Frame.
-func (c *coroFrame) Step(api API) Action {
-	if c.next == nil {
-		c.next, c.stop = iter.Pull(func(yield func(Action) bool) {
-			c.yield = yield
-			defer func() {
-				// Engine shutdown unwinds a parked Run through errStopped:
-				// a clean retirement, not a program panic.
-				if r := recover(); r != nil && r != errStopped {
-					panic(r)
-				}
-			}()
-			yield(Action{Kind: ActionDone, Err: c.run(api)})
-		})
-	}
-	act, ok := c.next()
-	if !ok {
-		return Action{Kind: ActionDone, Err: fmt.Errorf("%w: coroutine exhausted", ErrBadSetup)}
-	}
-	return act
+	// SaveState appends the frame's resumable state to buf.
+	SaveState(buf []int) []int
+	// LoadState restores the frame from the front of buf, returning the
+	// number of words consumed.
+	LoadState(buf []int) int
 }

@@ -7,13 +7,14 @@ import (
 	"agentring/internal/ring"
 )
 
-// stepFrame is a test-local Framer whose frame runs one function per
-// Step.
+// stepFrame is a test-local frame that runs one function per Step and
+// has no state to save.
 type stepFrame func(api API) Action
 
-func (f stepFrame) Run(API) error       { panic("stepFrame runs as a frame") }
-func (f stepFrame) Frame() Frame        { return f }
-func (f stepFrame) Step(api API) Action { return f(api) }
+func (f stepFrame) Frame() Frame              { return f }
+func (f stepFrame) Step(api API) Action       { return f(api) }
+func (f stepFrame) SaveState(buf []int) []int { return buf }
+func (f stepFrame) LoadState([]int) int       { return 0 }
 
 // runFailing runs prog alone on a 4-ring under TrackState, requires Run
 // to fail, and returns its error text, the agent's final status and the
@@ -35,50 +36,31 @@ func runFailing(t *testing.T, prog Program) (string, Status, uint64) {
 }
 
 // TestOneErrorContract: the engine ends every agent's action in one
-// place, for a coroutine Program and a frame alike. A failure the two
-// forms can share (a panic after an observation, an out-of-range port)
-// gives the same Run error text and halted status in both. A frame that
-// calls a blocking API method or returns an unknown kind fails with the
-// engine's own program error. Every failure folds the action's
-// observations and nothing else, so the agent's key is that of a frame
-// that makes the same observations and halts with an error; a blocking
-// call from a frame ends no action and folds no opcode.
+// place. A panic after an observation, an out-of-range port and an
+// unknown kind each fail the run with the engine's own program error
+// and halt the agent. Every failure folds the action's observations and
+// nothing else, so the agent's key is that of a frame that makes the
+// same observations and halts with an error. (internal/reference's
+// TestOneErrorContract holds the reference adapter to the same error
+// texts and keys.)
 func TestOneErrorContract(t *testing.T) {
 	cases := []struct {
 		name  string
-		reads func(API)   // the observations made before the failure; nil for none
-		coro  ProgramFunc // the Program form; nil for a frame-only case
+		reads func(API) // the observations made before the failure; nil for none
 		frame stepFrame
 		want  string
 	}{
 		{
 			name:  "panic after an observation",
 			reads: func(api API) { api.TokensHere() },
-			coro:  func(api API) error { api.TokensHere(); panic("boom") },
 			frame: func(api API) Action { api.TokensHere(); panic("boom") },
 			want:  "agent 0 failed: program panic: boom",
 		},
 		{
 			name:  "out-of-range port",
 			reads: func(api API) { api.OutDegree() },
-			coro:  func(api API) error { api.OutDegree(); api.MoveVia(5); return nil },
 			frame: func(api API) Action { api.OutDegree(); return Action{Kind: ActionMove, Port: 5} },
 			want:  "agent 0 failed: program panic: move via port 5 at node with out-degree 1",
-		},
-		{
-			name:  "frame calls Move",
-			frame: func(api API) Action { api.Move(); return Action{Kind: ActionDone} },
-			want:  "agent 0 failed: program panic: frame agent called a blocking API method",
-		},
-		{
-			name:  "frame calls MoveVia",
-			frame: func(api API) Action { api.MoveVia(0); return Action{Kind: ActionDone} },
-			want:  "agent 0 failed: program panic: frame agent called a blocking API method",
-		},
-		{
-			name:  "frame calls AwaitMessages",
-			frame: func(api API) Action { api.AwaitMessages(); return Action{Kind: ActionDone} },
-			want:  "agent 0 failed: program panic: frame agent called a blocking API method",
 		},
 		{
 			name:  "frame returns an unknown kind",
@@ -94,21 +76,15 @@ func TestOneErrorContract(t *testing.T) {
 				}
 				return Action{Kind: ActionDone, Err: errors.New("halt")}
 			}))
-			forms := map[string]Program{"frame": tc.frame}
-			if tc.coro != nil {
-				forms["coroutine"] = tc.coro
+			msg, status, key := runFailing(t, tc.frame)
+			if msg != tc.want {
+				t.Errorf("error %q, want %q", msg, tc.want)
 			}
-			for form, prog := range forms {
-				msg, status, key := runFailing(t, prog)
-				if msg != tc.want {
-					t.Errorf("%s: error %q, want %q", form, msg, tc.want)
-				}
-				if status != StatusHalted {
-					t.Errorf("%s: status %v, want halted", form, status)
-				}
-				if key != wantKey {
-					t.Errorf("%s: StateKey %#x, want %#x", form, key, wantKey)
-				}
+			if status != StatusHalted {
+				t.Errorf("status %v, want halted", status)
+			}
+			if key != wantKey {
+				t.Errorf("StateKey %#x, want %#x", key, wantKey)
 			}
 		})
 	}

@@ -1,4 +1,4 @@
-package sim
+package sim_test
 
 import (
 	"fmt"
@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"agentring/internal/embed"
+	"agentring/internal/reference"
 	"agentring/internal/ring"
+	"agentring/internal/sim"
 	"agentring/internal/topo"
 )
 
@@ -21,11 +23,11 @@ func mustBiRing(t *testing.T, n int) *topo.BiRing {
 }
 
 func TestMoveViaInvalidPortFailsAgent(t *testing.T) {
-	bad := ProgramFunc(func(api API) error {
+	bad := reference.Program(t, func(api reference.API) error {
 		api.MoveVia(1) // the ring has only port 0
 		return nil
 	})
-	e, err := NewEngine(ring.MustNew(4), []ring.NodeID{0}, []Program{bad}, Options{})
+	e, err := sim.NewEngine(ring.MustNew(4), []ring.NodeID{0}, []sim.Program{bad}, sim.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +40,7 @@ func TestBiRingZigzagAndArrivalPort(t *testing.T) {
 	// Walk forward then backward twice; check OutDegree and that
 	// ArrivalPort always names the port leading back where we came from
 	// (forward arrival ⇒ back-port 1, backward arrival ⇒ back-port 0).
-	prog := ProgramFunc(func(api API) error {
+	prog := reference.Program(t, func(api reference.API) error {
 		if api.ArrivalPort() != -1 {
 			return fmt.Errorf("initial ArrivalPort = %d, want -1", api.ArrivalPort())
 		}
@@ -57,7 +59,7 @@ func TestBiRingZigzagAndArrivalPort(t *testing.T) {
 		}
 		return nil
 	})
-	e, err := NewEngine(mustBiRing(t, 5), []ring.NodeID{2}, []Program{prog}, Options{})
+	e, err := sim.NewEngine(mustBiRing(t, 5), []ring.NodeID{2}, []sim.Program{prog}, sim.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +83,7 @@ func TestRotorWalkTraversesTreeEulerCircuit(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := tree.Size()
-	rotor := ProgramFunc(func(api API) error {
+	rotor := reference.Program(t, func(api reference.API) error {
 		for i := 0; i < 2*(n-1); i++ {
 			next := 0 // first departure: port 0
 			if p := api.ArrivalPort(); p >= 0 {
@@ -92,14 +94,14 @@ func TestRotorWalkTraversesTreeEulerCircuit(t *testing.T) {
 		return nil
 	})
 	visited := make(map[ring.NodeID]bool)
-	obs := func(cfg Configuration) {
+	obs := func(cfg sim.Configuration) {
 		for v, q := range cfg.InTransit {
 			if len(q) > 0 {
 				visited[ring.NodeID(v)] = true
 			}
 		}
 	}
-	e, err := NewEngine(tree.Topology(), []ring.NodeID{0}, []Program{rotor}, Options{Observer: obs})
+	e, err := sim.NewEngine(tree.Topology(), []ring.NodeID{0}, []sim.Program{rotor}, sim.Options{Observer: obs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,13 +127,13 @@ func TestRotorWalkTraversesTreeEulerCircuit(t *testing.T) {
 // enabled — the per-directed-edge FIFO generalization (a single
 // per-node queue would serialize them behind one head).
 func TestPerEdgeQueuesAreIndependent(t *testing.T) {
-	fwd := ProgramFunc(func(api API) error { api.Move(); return nil })
-	bwd := ProgramFunc(func(api API) error { api.MoveVia(1); return nil })
+	fwd := reference.Program(t, func(api reference.API) error { api.Move(); return nil })
+	bwd := reference.Program(t, func(api reference.API) error { api.MoveVia(1); return nil })
 	// Agents at 0 and 2 both move into node 1 (forward resp. backward):
 	// decision 0 starts agent 0, decision 1 starts agent 1 (its home
 	// activation sits at index 1 of the merged choice list).
-	ctrl := NewControlled([]int{0, 1})
-	e, err := NewEngine(mustBiRing(t, 3), []ring.NodeID{0, 2}, []Program{fwd, bwd}, Options{Scheduler: ctrl})
+	ctrl := sim.NewControlled([]int{0, 1})
+	e, err := sim.NewEngine(mustBiRing(t, 3), []ring.NodeID{0, 2}, []sim.Program{fwd, bwd}, sim.Options{Scheduler: ctrl})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +150,7 @@ func TestPerEdgeQueuesAreIndependent(t *testing.T) {
 		t.Fatalf("enabled choices = %v, want two simultaneous arrivals at node 1", last)
 	}
 	for _, c := range last {
-		if c.Kind != ChoiceArrival || c.Node != 1 {
+		if c.Kind != sim.ChoiceArrival || c.Node != 1 {
 			t.Errorf("choice %+v, want arrival at node 1", c)
 		}
 	}
@@ -169,11 +171,11 @@ func TestPerEdgeQueuesAreIndependent(t *testing.T) {
 // bidirectional ring could slip past an unstarted agent's home and miss
 // its token.)
 func TestHomeBufferBlocksMultiPortVisitors(t *testing.T) {
-	resident := ProgramFunc(func(api API) error {
+	resident := reference.Program(t, func(api reference.API) error {
 		api.ReleaseToken()
 		return nil
 	})
-	visitor := ProgramFunc(func(api API) error {
+	visitor := reference.Program(t, func(api reference.API) error {
 		api.Move() // 1 -> 2
 		api.Move() // 2 -> 0
 		if api.TokensHere() == 0 {
@@ -183,7 +185,7 @@ func TestHomeBufferBlocksMultiPortVisitors(t *testing.T) {
 	})
 	// A scheduler that always prefers the visitor (agent 1): the
 	// strongest attempt to race it past agent 0's home.
-	prefer := ProgramFuncScheduler(func(choices []Choice) int {
+	prefer := pickFunc(func(choices []sim.Choice) int {
 		for i, c := range choices {
 			if c.Agent == 1 {
 				return i
@@ -191,7 +193,7 @@ func TestHomeBufferBlocksMultiPortVisitors(t *testing.T) {
 		}
 		return 0
 	})
-	e, err := NewEngine(mustBiRing(t, 3), []ring.NodeID{0, 1}, []Program{resident, visitor}, Options{Scheduler: prefer})
+	e, err := sim.NewEngine(mustBiRing(t, 3), []ring.NodeID{0, 1}, []sim.Program{resident, visitor}, sim.Options{Scheduler: prefer})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,9 +202,8 @@ func TestHomeBufferBlocksMultiPortVisitors(t *testing.T) {
 	}
 }
 
-// ProgramFuncScheduler adapts a pick function to the Scheduler
-// interface for tests.
-type ProgramFuncScheduler func(choices []Choice) int
+// pickFunc adapts a pick function to the sim.Scheduler interface.
+type pickFunc func(choices []sim.Choice) int
 
-// Pick implements Scheduler.
-func (f ProgramFuncScheduler) Pick(_ int, choices []Choice) int { return f(choices) }
+// Pick implements sim.Scheduler.
+func (f pickFunc) Pick(_ int, choices []sim.Choice) int { return f(choices) }

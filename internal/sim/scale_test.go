@@ -1,49 +1,11 @@
 package sim
 
 import (
-	"runtime"
 	"testing"
 	"time"
 
 	"agentring/internal/ring"
 )
-
-// TestNoGoroutineLeak verifies that every agent goroutine exits after a
-// run, including suspended agents retired at shutdown.
-func TestNoGoroutineLeak(t *testing.T) {
-	before := runtime.NumGoroutine()
-	for round := 0; round < 10; round++ {
-		progs := []Program{
-			walker(20),
-			ProgramFunc(func(api API) error {
-				api.AwaitMessages() // suspended forever
-				return nil
-			}),
-			ProgramFunc(func(api API) error {
-				api.Move()
-				api.AwaitMessages()
-				return nil
-			}),
-		}
-		r := ring.MustNew(9)
-		e, err := NewEngine(r, []ring.NodeID{0, 3, 6}, progs, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Give retired goroutines a moment to unwind.
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= before+2 {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Fatalf("goroutines: before %d, after %d", before, runtime.NumGoroutine())
-}
 
 // TestEngineScale runs a large instance end to end to guard against
 // quadratic blowups in the engine's bookkeeping.

@@ -8,38 +8,21 @@ import (
 // The model allows messages of any size.
 type Message any
 
-// Program is the algorithm one agent executes. Run is invoked on the
-// agent's own goroutine once the agent is first activated at its home
-// node, and must interact with the ring exclusively through api.
-// Returning from Run puts the agent in the halt state (Definition 1);
-// blocking forever in AwaitMessages leaves it in a suspended state
-// (Definition 2). A non-nil error aborts the whole run.
+// Program is the algorithm one agent executes, as a factory of its
+// resumable state machine. NewEngine calls Frame once per agent at
+// construction and steps the returned Frame once per activation; the
+// concurrent substrate (internal/netsim) calls it at every step and
+// loads the agent's saved words into the fresh frame. A Program value
+// is immutable configuration: everything an agent changes lives in its
+// Frame.
 type Program interface {
-	Run(api API) error
+	Frame() Frame
 }
 
-// ProgramFunc adapts a function to the Program interface.
-type ProgramFunc func(api API) error
-
-// Run implements Program.
-func (f ProgramFunc) Run(api API) error { return f(api) }
-
-// API is the world as one anonymous agent sees it. All methods must be
-// called from the agent's own Run goroutine.
+// API is the world as one anonymous agent sees it during one atomic
+// action. A Frame calls it only from within Step; how the action ends
+// (move, suspend, halt) is the Action that Step returns.
 type API interface {
-	// Move ends the current atomic action by moving the agent along
-	// port 0 — the forward direction of a ring, and by convention the
-	// primary direction of every topology. It returns when the agent
-	// has arrived and its next atomic action begins. Move is exactly
-	// MoveVia(0), so port-0-only programs (the paper's unidirectional
-	// algorithms) run unchanged on any topology.
-	Move()
-
-	// MoveVia ends the current atomic action by moving the agent along
-	// the given out-port of the current node (0 <= port < OutDegree()).
-	// An out-of-range port is a program error and aborts the agent.
-	MoveVia(port int)
-
 	// OutDegree returns the number of outgoing ports at the current
 	// node. It is 1 everywhere on a unidirectional ring.
 	OutDegree() int
@@ -74,15 +57,10 @@ type API interface {
 	Broadcast(msg Message)
 
 	// Messages drains and returns the messages delivered at the start of
-	// this atomic action, without blocking. Unread messages are consumed
-	// (dropped) when the action ends.
+	// this atomic action: empty on an arrival, and on a wake everything
+	// broadcast to the agent since it suspended. Unread messages are
+	// consumed (dropped) when the action ends.
 	Messages() []Message
-
-	// AwaitMessages suspends the agent (ending the current atomic action)
-	// until at least one message arrives, then returns all delivered
-	// messages. If messages delivered in the current action are still
-	// unread it returns those immediately without suspending.
-	AwaitMessages() []Message
 
 	// Meter is the agent's memory meter; algorithms account their live
 	// state through it so memory claims can be measured.
@@ -97,11 +75,11 @@ const (
 	// StatusInTransit means the agent is inside a link's FIFO queue
 	// (including the initial home-node incoming buffer).
 	StatusInTransit Status = iota + 1
-	// StatusWaiting means the agent stays at a node blocked in
-	// AwaitMessages — the paper's suspended state.
+	// StatusWaiting means the agent stays at a node, suspended by
+	// ActionAwait until a message arrives — the paper's suspended state.
 	StatusWaiting
-	// StatusHalted means the agent's Run returned — the paper's halt
-	// state.
+	// StatusHalted means the agent's frame returned ActionDone — the
+	// paper's halt state.
 	StatusHalted
 )
 

@@ -166,19 +166,6 @@ func BenchmarkStateKey(b *testing.B) {
 	}
 }
 
-// savingWalker is walker as a FrameSaver, the checkpointable stand-in
-// for Native's walkers in the step-API layer benchmarks below.
-type savingWalker struct{ walkerProgram }
-
-func (w *savingWalker) Frame() Frame { return w }
-
-func (w *savingWalker) SaveState(buf []int) []int { return append(buf, w.left) }
-
-func (w *savingWalker) LoadState(buf []int) int {
-	w.left = buf[0]
-	return 1
-}
-
 // stepAPICases are the shapes the explorer's benchmark workloads search:
 // the 8-ring with 4 and 8 agents, and the 7-ring with 4 agents against a
 // 1/3 link adversary.
@@ -203,7 +190,7 @@ func stepAPIEngine(b *testing.B, n, k int, adv *AdversaryBudget, decisions int) 
 	programs := make([]Program, k)
 	for i := range homes {
 		homes[i] = ring.NodeID(i * n / k)
-		programs[i] = &savingWalker{walkerProgram{left: n}}
+		programs[i] = walker(n)
 	}
 	e, err := NewEngine(ring.MustNew(n), homes, programs, Options{TrackState: true, Adversary: adv})
 	if err != nil {
