@@ -852,9 +852,9 @@ func (x *explorer) expand(w int, it item) {
 			slices.Reverse(rest)
 			x.frontier.push(w, rest)
 		}
-		// Descend into the first child in place. Read its choice now:
-		// enabled is the engine's reusable buffer, rebuilt by the next
-		// DecisionPoint.
+		// Descend into the first child in place. Copy its choice now:
+		// enabled is the engine's own choice list, which the next
+		// ApplyChoice edits in place.
 		c = enabled[children[0].idx]
 		sleep = children[0].sleep
 		path = append(path, children[0].idx)

@@ -87,7 +87,7 @@ func TestMeterPeakNeverDecreases(t *testing.T) {
 			if op >= 0 {
 				m.Grow(int(op))
 			} else {
-				m.Shrink(int(-op))
+				m.Shrink(-int(op))
 			}
 			if m.Peak() < prevPeak {
 				return false

@@ -107,11 +107,13 @@ func (e *Engine) initAdversary(b AdversaryBudget) error {
 	return nil
 }
 
-// adversaryChoices extends the agent-action choice list with the
-// adversary's enabled moves, in the deterministic order replay tools
-// depend on: agent actions first (their existing order), then repairs
-// by edge rank ascending, then fails by edge rank ascending. The slice
-// aliases the engine's reusable choice buffer, like enabledChoices.
+// adversaryChoices returns the agent-action choice list extended with
+// the adversary's enabled moves, in the deterministic order replay
+// tools depend on: agent actions first (their existing order), then
+// repairs by edge rank ascending, then fails by edge rank ascending.
+// The moves are written past the list's length into its backing array,
+// so they never enter the list the engine patches; a forced repair is
+// returned alone, from the same spare capacity.
 //
 // Three rules shape the offer:
 //
@@ -132,16 +134,13 @@ func (e *Engine) initAdversary(b AdversaryBudget) error {
 //     agent action reaches exactly the states that failing it at the
 //     next decision point reaches, with a strictly earlier repair
 //     deadline. Deferring is never worse for the adversary.
-func (e *Engine) adversaryChoices(agents []Choice) []Choice {
-	out := agents
-	nAgents := len(agents)
+func (e *Engine) adversaryChoices() []Choice {
+	out := e.choices
+	nAgents := len(out)
 	if e.downCount > 0 {
 		for r := e.down.next(0); r != -1; r = e.down.next(r + 1) {
 			if e.steps-int(e.advDownAt[r]) >= e.adv.RepairWithin {
-				out = out[:0]
-				out = append(out, Choice{Kind: ChoiceRepair, Agent: -1, Node: ring.NodeID(e.advSrc[r]), Edge: r})
-				e.choices = out
-				return out
+				return append(out[nAgents:], Choice{Kind: ChoiceRepair, Agent: -1, Node: ring.NodeID(e.advSrc[r]), Edge: r})
 			}
 		}
 		for r := e.down.next(0); r != -1; r = e.down.next(r + 1) {
@@ -155,7 +154,7 @@ func (e *Engine) adversaryChoices(agents []Choice) []Choice {
 			}
 		}
 	}
-	e.choices = out
+	e.choices = out[:nAgents] // keeps the backing array the moves grew into
 	return out
 }
 

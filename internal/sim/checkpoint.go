@@ -137,6 +137,8 @@ func (e *Engine) Restore(cp *Checkpoint) error {
 		return fmt.Errorf("%w: frame state layout mismatch (%d of %d words consumed)", ErrBadSetup, off, len(cp.frameWords))
 	}
 
+	// The choice list is rebuilt, once, by the next DecisionPoint.
+	e.listed = false
 	// Only wakeable agents hold mail, before the copy and after it. A
 	// mailbox the checkpoint refills keeps its backing array.
 	for id := e.wakeable.next(0); id != -1; id = e.wakeable.next(id + 1) {
@@ -164,7 +166,13 @@ func (e *Engine) Restore(cp *Checkpoint) error {
 // DecisionPoint/ApplyChoice are the step API Run's decision loop is
 // built on, and the scheduler-free driving API replay tools use instead
 // of Run: the caller is the scheduler. The returned slice is the
-// engine's reusable buffer — valid until the next engine call. DecisionPoint is idempotent at a decision point, so
+// engine's own enabled list, which the engine keeps current in place:
+// ApplyChoice, Restore and SetEdgeState change it, so it is valid only
+// until the next engine call, and a caller that needs a choice or the
+// set afterwards copies it first; it must not be modified. A repeat
+// call at the same decision point returns the list as it stands, and
+// the first call after a Restore or a round-robin Run rebuilds it from
+// the bitsets. DecisionPoint is idempotent at a decision point, so
 // restoring a checkpoint taken after one and calling it again returns
 // the same set. A checkpoint captured after DecisionPoint restores that
 // decision point, so ApplyChoice of any choice it returned is valid
@@ -175,13 +183,16 @@ func (e *Engine) Restore(cp *Checkpoint) error {
 // callbacks and the round-robin fast path are Run-only machinery.
 func (e *Engine) DecisionPoint() []Choice {
 	e.applyDueFaults()
-	choices := e.enabledChoices()
-	for len(choices) == 0 && e.faultIdx < len(e.faults) {
-		e.applyNextFaultBatch()
-		choices = e.enabledChoices()
+	if !e.listed {
+		e.choices = e.enabledChoices(e.choices[:0])
+		e.listed = true
 	}
+	for len(e.choices) == 0 && e.faultIdx < len(e.faults) {
+		e.applyNextFaultBatch()
+	}
+	choices := e.choices
 	if e.adv != nil {
-		choices = e.adversaryChoices(choices)
+		choices = e.adversaryChoices()
 	}
 	if len(choices) == 0 {
 		e.quiesced = true

@@ -437,7 +437,7 @@ func TestRestoredDecisionPointAppliesDirectly(t *testing.T) {
 				return 0
 			},
 			special: func(e *Engine, cs []Choice) bool {
-				return len(cs) == 1 && cs[0].Kind == ChoiceRepair && len(e.enabledChoices()) > 0
+				return len(cs) == 1 && cs[0].Kind == ChoiceRepair && len(e.choices) > 0
 			},
 		},
 	}

@@ -71,10 +71,28 @@
 // all. Agents resume without any goroutine hand-off. The result
 // is a steady-state loop with no allocation, no interface calls, and
 // tens of nanoseconds per atomic action up to million-node rings
-// (~45 retained bytes per node). BenchmarkSteadyState — now spanning
+// (~48 retained bytes per node). BenchmarkSteadyState — now spanning
 // n=1e3..1e6, with a separate 1e7 XL row — and its BiRing / Torus /
 // DynRing variants measure this; the committed BENCH_baseline.json
 // gates ns/step, B/op, allocs/op, and bytes/node in CI.
+//
+// Every other scheduler picks from the enabled-choice list, which the
+// engine keeps current across atomic actions rather than rebuilding it
+// at each decision point. The list is ordered by one integer key per
+// choice (choiceKey: home activations and arrivals by destination node,
+// then in-edge, then wakes by agent), and each of the six places that
+// change what is enabled — an enqueue onto an empty link, a dequeue, a
+// resident's first home activation, a wake, a broadcast that makes an
+// agent wakeable, and SetEdgeState — finds its one entry by binary
+// search and inserts, removes or re-heads it. An arrival that drains
+// its link leaves its entry's slot to the rest of its action, so an
+// agent moving on to the next empty link re-keys that slot in place.
+// A decision therefore costs O(log k) to find, plus at most a move of
+// the list's tail, not the O(k) bitset walk a rebuild takes, and a
+// repeat DecisionPoint is a slice return. Restore and the round-robin fast path do not patch: they
+// mark the list stale, and the next DecisionPoint rebuilds it once
+// (enabledChoices, which TestChoiceListMatchesRebuild also uses as the
+// oracle of every patch). BenchmarkSteadyStateRandom gates this path.
 //
 // # Checkpoint/restore
 //

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 
 	"agentring/internal/memmeter"
 	"agentring/internal/ring"
@@ -71,12 +72,16 @@ type Options struct {
 // construction (edgeTable), so the steady-state loop performs no
 // Topology interface calls and allocates nothing.
 //
-// Under the default round-robin scheduler the engine additionally skips
-// choice-list materialization entirely: the ready bitset holds exactly
-// the enabled agents once every agent has started, and the round-robin
-// pick is a cyclic next-set-bit query (see Run). Other schedulers get
-// the same deterministic choice list as before, rebuilt per step from
-// the bitsets into a reused buffer.
+// Other schedulers pick from the enabled-choice list, which the engine
+// keeps current across atomic actions instead of rebuilding it: each
+// action changes at most a few entries, and every site that changes
+// what is enabled patches its entry in place, found by binary search on
+// the list's ordering key (choiceKey). Under the default round-robin
+// scheduler the engine skips the list entirely: the ready bitset holds
+// exactly the enabled agents once every agent has started, and the
+// round-robin pick is a cyclic next-set-bit query (see Run). After that
+// fast path, and after a Restore, the list is stale and the next
+// DecisionPoint rebuilds it once from the bitsets.
 //
 // The edge set can be made dynamic: Options.Faults (or SetEdgeState)
 // fails and repairs individual directed edges between atomic actions,
@@ -107,7 +112,18 @@ type Engine struct {
 	mailbox [][]Message
 	frame   []Frame    // every agent's frame, built by its Program
 	apis    []apiState // the per-agent API arena (one backing array)
-	choices []Choice   // the reused buffer enabledChoices returns
+
+	// choices lists the enabled agent actions in choiceKey order. While
+	// listed is set, every change to what is enabled patches it in place
+	// (enqueue, dequeue, a home activation, activateWake, Broadcast and
+	// SetEdgeState), so DecisionPoint returns it as it stands. Restore
+	// and the round-robin fast path change the configuration without
+	// patching and clear listed; the next DecisionPoint then rebuilds
+	// the list from the bitsets (enabledChoices). It is not part of
+	// engineState: a checkpoint restores the bitsets it is rebuilt from.
+	choices []Choice
+	listed  bool
+	vacated int // the slot of the executing arrival's entry, -1 when none (see dequeue)
 
 	// The step-ordered fault schedule (engineState.faultIdx is its
 	// cursor) and the online adversary's immutable budget with the
@@ -182,8 +198,8 @@ type engineState struct {
 	// slip past, so the home buffer is modeled explicitly: initPending
 	// holds each node's not-yet-activated resident, and arrivals into a
 	// node are suppressed until its resident has acted. initNodes keeps
-	// the pending home nodes; once it drains (after at most k steps)
-	// enabledChoices takes the init-free fast path.
+	// the pending home nodes; once it drains (after at most k steps) no
+	// arrival is suppressed, and Run's round-robin fast path can start.
 	initPending []int32 // per node: resident agent awaiting first activation, -1 if none
 	initNodes   bitset  // nodes with a pending resident
 
@@ -338,6 +354,7 @@ func NewEngine(t Topology, homes []ring.NodeID, programs []Program, opts Options
 		frame:    make([]Frame, k),
 		apis:     make([]apiState, k),
 		choices:  make([]Choice, 0, 2*k),
+		vacated:  -1,
 	}
 	e.layout(n, k, m, opts.TrackState, opts.Adversary != nil)
 	if len(opts.Faults) > 0 {
@@ -455,6 +472,7 @@ func (e *Engine) Run() (Result, error) {
 // before any decision point where a fault is due, the step limit is
 // reached, or no agent is enabled.
 func (e *Engine) runFast(rr *RoundRobin) error {
+	e.listed = false // the loop below does not patch the list
 	for e.ready.count > 0 && e.steps < e.maxStep {
 		if e.faultIdx < len(e.faults) && e.faults[e.faultIdx].Step <= e.steps {
 			return nil
@@ -475,85 +493,138 @@ func (e *Engine) runFast(rr *RoundRobin) error {
 	return nil
 }
 
-// enabledChoices rebuilds the enabled-action list from the incremental
-// bitsets in the same deterministic order the schedulers are specified
-// against: arrivals (and initial home activations, which displace the
-// arrivals into their node) by destination node ascending — with ties
-// among a node's several in-edges broken by edge id — then wakes by
-// agent index ascending. The backing array is reused across steps, and
-// the init merge disappears entirely once every agent has started.
-//
+// enabledChoices appends the enabled agent actions to out, rebuilt from
+// the incremental bitsets in the deterministic order the schedulers are
+// specified against, which choiceKey encodes: arrivals (and initial
+// home activations, which displace the arrivals into their node) by
+// destination node ascending — with ties among a node's several
+// in-edges broken by edge id — then wakes by agent index ascending.
 // Failed edges are skipped: their heads stay frozen in the queue and
-// re-enter the enabled set, in the same rank position, when the edge is
-// repaired.
-func (e *Engine) enabledChoices() []Choice {
-	out := e.choices[:0]
-	if e.initNodes.count == 0 {
-		if e.downCount == 0 {
-			for r := e.occupied.next(0); r != -1; r = e.occupied.next(r + 1) {
-				out = append(out, Choice{
-					Kind:  ChoiceArrival,
-					Agent: int(e.qhead[r]),
-					Node:  ring.NodeID(e.et.rankDest[r]),
-					Edge:  r,
-				})
-			}
-		} else {
-			for r := e.occupied.next(0); r != -1; r = e.occupied.next(r + 1) {
-				if e.down.has(r) {
-					continue
-				}
-				out = append(out, Choice{
-					Kind:  ChoiceArrival,
-					Agent: int(e.qhead[r]),
-					Node:  ring.NodeID(e.et.rankDest[r]),
-					Edge:  r,
-				})
-			}
+// re-enter the list, in the same rank position, when the edge is
+// repaired. DecisionPoint calls it only when the patched list is stale;
+// it is also the oracle the patches are tested against
+// (TestChoiceListMatchesRebuild).
+func (e *Engine) enabledChoices(out []Choice) []Choice {
+	v := e.initNodes.next(0)
+	for r := e.occupied.next(0); r != -1; r = e.occupied.next(r + 1) {
+		c := Choice{Kind: ChoiceArrival, Agent: int(e.qhead[r]), Node: ring.NodeID(e.et.rankDest[r]), Edge: r}
+		for ; v != -1 && e.homeKey(v) < e.choiceKey(&c); v = e.initNodes.next(v + 1) {
+			out = append(out, e.homeChoice(v))
 		}
-	} else {
-		r := e.occupied.next(0)
-		for v := e.initNodes.next(0); v != -1; v = e.initNodes.next(v + 1) {
-			for r != -1 && int(e.et.rankDest[r]) < v {
-				if !e.edgeDown(r) {
-					out = append(out, Choice{
-						Kind:  ChoiceArrival,
-						Agent: int(e.qhead[r]),
-						Node:  ring.NodeID(e.et.rankDest[r]),
-						Edge:  r,
-					})
-				}
-				r = e.occupied.next(r + 1)
-			}
-			// The resident's first activation is the node's only enabled
-			// action: link arrivals into v stay suppressed behind it.
-			out = append(out, Choice{Kind: ChoiceArrival, Agent: int(e.initPending[v]), Node: ring.NodeID(v), Edge: -1})
-			for r != -1 && int(e.et.rankDest[r]) == v {
-				r = e.occupied.next(r + 1)
-			}
+		if !e.edgeDown(r) && !e.homePending(c.Node) {
+			out = append(out, c)
 		}
-		for ; r != -1; r = e.occupied.next(r + 1) {
-			if e.edgeDown(r) {
-				continue
-			}
-			out = append(out, Choice{
-				Kind:  ChoiceArrival,
-				Agent: int(e.qhead[r]),
-				Node:  ring.NodeID(e.et.rankDest[r]),
-				Edge:  r,
-			})
-		}
+	}
+	for ; v != -1; v = e.initNodes.next(v + 1) {
+		out = append(out, e.homeChoice(v))
 	}
 	for id := e.wakeable.next(0); id != -1; id = e.wakeable.next(id + 1) {
 		out = append(out, Choice{Kind: ChoiceWake, Agent: id, Node: e.node[id], Edge: -1})
 	}
-	e.choices = out
 	return out
 }
 
+// choiceKey is c's position in the canonical choice order, one integer
+// per enabled agent action: for the home activation pending at node v,
+// inStart[v] + v; for an arrival on rank r into v, r + v + 1, which
+// places it after v's home activation and, through the rank, after the
+// arrivals on v's lower in-edges; for a wake of agent id, n + m + id.
+// Every node thus owns the keys inStart[v]+v .. inStart[v+1]+v, which
+// keeps the keys distinct even across nodes without in-edges.
+func (e *Engine) choiceKey(c *Choice) int {
+	switch {
+	case c.Kind == ChoiceWake:
+		return e.wakeKey(c.Agent)
+	case c.Edge < 0:
+		return e.homeKey(int(c.Node))
+	default:
+		return c.Edge + int(c.Node) + 1
+	}
+}
+
+// homeKey is choiceKey of the home activation at node v, arrivalKey
+// that of the arrival on rank r.
+func (e *Engine) homeKey(v int) int    { return int(e.et.inStart[v]) + v }
+func (e *Engine) arrivalKey(r int) int { return r + int(e.et.rankDest[r]) + 1 }
+
+// wakeKey is choiceKey of agent id's wake.
+func (e *Engine) wakeKey(id int) int { return e.et.n + e.et.edges() + id }
+
+// homeChoice is the first activation of the resident pending at node v.
+func (e *Engine) homeChoice(v int) Choice {
+	return Choice{Kind: ChoiceArrival, Agent: int(e.initPending[v]), Node: ring.NodeID(v), Edge: -1}
+}
+
+// homePending reports whether node v's resident has yet to act, which
+// suppresses the link arrivals into v.
+func (e *Engine) homePending(v ring.NodeID) bool {
+	return e.initNodes.count > 0 && e.initPending[v] != -1
+}
+
+// listFind returns the index of the first listed choice whose key is at
+// least key, and whether that choice's key is key.
+func (e *Engine) listFind(key int) (int, bool) {
+	lo, hi := 0, len(e.choices)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if e.choiceKey(&e.choices[mid]) < key {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(e.choices) && e.choiceKey(&e.choices[lo]) == key
+}
+
+// listInsert adds c to the list at its key's position. The list never
+// outgrows its capacity: each agent has at most one enabled action.
+// While an arrival executes, its own entry's slot is vacated instead of
+// deleted (see dequeue), and the first insert takes it over: in place
+// when c's key falls between the slot's neighbours, as it does when the
+// agent moves on to the next empty link, and otherwise by shifting the
+// entries in between by one.
+func (e *Engine) listInsert(c Choice) {
+	key := e.choiceKey(&c)
+	s, i := e.choices, e.vacated
+	if i < 0 {
+		j, _ := e.listFind(key)
+		e.choices = slices.Insert(s, j, c)
+		return
+	}
+	e.vacated = -1
+	j := i
+	if i > 0 && key < e.choiceKey(&s[i-1]) || i+1 < len(s) && e.choiceKey(&s[i+1]) < key {
+		// The stale entry keeps its old key, so the search still sees a
+		// sorted list.
+		if j, _ = e.listFind(key); j > i {
+			j--
+			copy(s[i:j], s[i+1:j+1])
+		} else {
+			copy(s[j+1:i+1], s[j:i])
+		}
+	}
+	s[j] = c
+}
+
+// listRemove drops the choice with the given key, if it is listed.
+func (e *Engine) listRemove(key int) {
+	if i, ok := e.listFind(key); ok {
+		e.choices = slices.Delete(e.choices, i, i+1)
+	}
+}
+
+// listArrival lists the arrival of the rank-r edge's head, unless the
+// edge is down or a resident pending at its destination suppresses it.
+func (e *Engine) listArrival(r int) {
+	c := Choice{Kind: ChoiceArrival, Agent: int(e.qhead[r]), Node: ring.NodeID(e.et.rankDest[r]), Edge: r}
+	if !e.edgeDown(r) && !e.homePending(c.Node) {
+		e.listInsert(c)
+	}
+}
+
 // enqueue appends agent id to the FIFO of the rank-r edge, registering
-// the edge as occupied — and its new head as ready, when the edge is up
-// — if its queue was empty.
+// the edge as occupied — and its new head as ready and listed, when the
+// edge is up — if its queue was empty.
 func (e *Engine) enqueue(r, id int) {
 	if e.track {
 		e.key ^= queueTerm(queueSeed(r), id, int(e.qtail[r]))
@@ -563,6 +634,9 @@ func (e *Engine) enqueue(r, id int) {
 		e.occupied.add(r)
 		if !e.edgeDown(r) {
 			e.ready.add(id)
+		}
+		if e.listed {
+			e.listArrival(r)
 		}
 	} else {
 		e.qnext[e.qtail[r]] = int32(id)
@@ -574,7 +648,7 @@ func (e *Engine) enqueue(r, id int) {
 
 // dequeue pops the head of the FIFO of the rank-r edge, deregistering
 // the edge when its queue drains and promoting the next agent into the
-// ready set otherwise.
+// ready set and the edge's listed arrival otherwise.
 func (e *Engine) dequeue(r int) int {
 	id := e.qhead[r]
 	if e.track {
@@ -592,6 +666,20 @@ func (e *Engine) dequeue(r int) int {
 		e.occupied.remove(r)
 	} else if !e.edgeDown(r) {
 		e.ready.add(int(e.qhead[r]))
+	}
+	if e.listed {
+		if i, ok := e.listFind(e.arrivalKey(r)); ok {
+			if h := e.qhead[r]; h == -1 {
+				// The entry leaves the list, but its slot stays until the
+				// action ends (activateArrival): a move onto an empty
+				// link takes it over (listInsert) instead of shifting
+				// the list's tail out and back. Nothing is removed from
+				// the list in between.
+				e.vacated = i
+			} else {
+				e.choices[i].Agent = int(h)
+			}
+		}
 	}
 	return int(id)
 }
@@ -645,6 +733,17 @@ func (e *Engine) activate(c Choice) error {
 			}
 			e.initPending[c.Node] = -1
 			e.initNodes.remove(int(c.Node))
+			if e.listed {
+				// The home activation leaves the list, and the arrivals
+				// it suppressed take its place.
+				v := int(c.Node)
+				e.listRemove(e.homeKey(v))
+				for r := int(e.et.inStart[v]); r < int(e.et.inStart[v+1]); r++ {
+					if e.qhead[r] != -1 {
+						e.listArrival(r)
+					}
+				}
+			}
 			e.traceEvent(c.Agent, "arrive", "")
 			return e.finishAction(c.Agent, false)
 		}
@@ -668,7 +767,12 @@ func (e *Engine) activateArrival(id, r int) error {
 	e.node[id] = ring.NodeID(e.et.rankDest[r])
 	e.inRank[id] = int32(r)
 	e.traceEvent(id, "arrive", "")
-	return e.finishAction(id, false)
+	err := e.finishAction(id, false)
+	if i := e.vacated; i >= 0 { // the agent did not take its slot over
+		e.vacated = -1
+		e.choices = slices.Delete(e.choices, i, i+1)
+	}
+	return err
 }
 
 // activateWake delivers a staying agent's mailbox and runs one atomic
@@ -676,6 +780,9 @@ func (e *Engine) activateArrival(id, r int) error {
 func (e *Engine) activateWake(id int) error {
 	e.wakeable.remove(id)
 	e.ready.remove(id)
+	if e.listed {
+		e.listRemove(e.wakeKey(id))
+	}
 	e.traceEvent(id, "wake", "")
 	return e.finishAction(id, true)
 }
@@ -881,6 +988,9 @@ func (p *apiState) Broadcast(msg Message) {
 			if len(e.mailbox[id]) == 0 {
 				e.wakeable.add(int(id))
 				e.ready.add(int(id))
+				if e.listed {
+					e.listInsert(Choice{Kind: ChoiceWake, Agent: int(id), Node: e.node[id], Edge: -1})
+				}
 			}
 			e.mailbox[id] = append(e.mailbox[id], msg)
 			if e.track {

@@ -80,6 +80,24 @@ func BenchmarkSteadyState(b *testing.B) {
 	}
 }
 
+// BenchmarkSteadyStateRandom is BenchmarkSteadyState under the Random
+// scheduler, which the fast path does not serve: every step goes
+// through DecisionPoint, the scheduler's Pick and ApplyChoice, so its
+// ns/step gates the generic decision loop and the patched choice list.
+// k = 256 makes a list eight times as long as k = 32.
+func BenchmarkSteadyStateRandom(b *testing.B) {
+	for _, n := range []int{10000, 100000} {
+		for _, k := range []int{32, 256} {
+			walk := 2 * n / k
+			b.Run(fmt.Sprintf("n=%d/k=%d", n, k), func(b *testing.B) {
+				steadyState(b, ring.MustNew(n), k,
+					func(i int) Scheduler { return NewRandom(int64(i)) },
+					func() Program { return walker(walk) })
+			})
+		}
+	}
+}
+
 // BenchmarkSteadyStateXL is the ten-million-node row, separated from
 // BenchmarkSteadyState so its construction cost (hundreds of MB of edge
 // tables and queues) does not slow the smaller rows' iteration count.
@@ -123,12 +141,13 @@ func BenchmarkSteadyStateXL(b *testing.B) {
 	})
 }
 
-// steadyState runs k walkers across the given substrate and reports
-// ns/step, the shared harness of the topology steady-state benchmarks.
-func steadyState(b *testing.B, t Topology, mkProgram func() Program) {
+// steadyState runs k agents spread evenly across the given substrate,
+// under the scheduler mkSched builds for iteration i, and reports
+// ns/step: the shared harness of the topology and scheduler
+// steady-state benchmarks.
+func steadyState(b *testing.B, t Topology, k int, mkSched func(i int) Scheduler, mkProgram func() Program) {
 	b.Helper()
 	n := t.Size()
-	const k = 100
 	homes := make([]ring.NodeID, k)
 	for i := range homes {
 		homes[i] = ring.NodeID(i * (n / k))
@@ -142,7 +161,7 @@ func steadyState(b *testing.B, t Topology, mkProgram func() Program) {
 		for j := range programs {
 			programs[j] = mkProgram()
 		}
-		e, err := NewEngine(t, homes, programs, Options{Scheduler: NewRoundRobin()})
+		e, err := NewEngine(t, homes, programs, Options{Scheduler: mkSched(i)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -156,6 +175,8 @@ func steadyState(b *testing.B, t Topology, mkProgram func() Program) {
 	b.ReportMetric(float64(steps), "steps/op")
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*steps), "ns/step")
 }
+
+func roundRobin(int) Scheduler { return NewRoundRobin() }
 
 // BenchmarkSteadyStateDynRing is BenchmarkSteadyState with a fault
 // schedule attached: one link fails early and is repaired shortly
@@ -216,7 +237,7 @@ func BenchmarkSteadyStateBiRing(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			steadyState(b, bi, func() Program { return walker(walk) })
+			steadyState(b, bi, 100, roundRobin, func() Program { return walker(walk) })
 		})
 	}
 }
@@ -255,7 +276,7 @@ func BenchmarkSteadyStateTorus(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			steadyState(b, tor, func() Program { return &diagWalker{walk: walk} })
+			steadyState(b, tor, 100, roundRobin, func() Program { return &diagWalker{walk: walk} })
 		})
 	}
 }

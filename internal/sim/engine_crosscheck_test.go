@@ -123,9 +123,11 @@ func TestFrameCoroutineCheckpointCrossCheck(t *testing.T) {
 		if len(want) == 0 {
 			break
 		}
-		pick := (decision*5 + 2) % len(want)
+		// Copy the choice: ref.ApplyChoice edits the list want points
+		// into before frm and cpd apply it.
+		c := want[(decision*5+2)%len(want)]
 		for _, e := range []*sim.Engine{ref, frm, cpd} {
-			if err := e.ApplyChoice(want[pick]); err != nil {
+			if err := e.ApplyChoice(c); err != nil {
 				t.Fatalf("decision %d: ApplyChoice: %v", decision, err)
 			}
 		}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 
 	"agentring/internal/ring"
@@ -166,6 +167,48 @@ func TestSynchronousRoundsMatchLongestWalk(t *testing.T) {
 	// rounds must be within [12, 14].
 	if res.Rounds < 12 || res.Rounds > 14 {
 		t.Errorf("rounds = %d, want about 13", res.Rounds)
+	}
+}
+
+// TestSynchronousMatchesMapForm holds Synchronous to its former form,
+// a map from agent id to pending, over random decision sequences in
+// which agents leave and rejoin the enabled set and adversary moves
+// (agent -1) take part: every pick and the round count must agree.
+func TestSynchronousMatchesMapForm(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	pending := map[int]bool{}
+	rounds := 0
+	mapPick := func(choices []Choice) int {
+		for i, c := range choices {
+			if pending[c.Agent] {
+				delete(pending, c.Agent)
+				return i
+			}
+		}
+		rounds++
+		for _, c := range choices {
+			pending[c.Agent] = true
+		}
+		delete(pending, choices[0].Agent)
+		return 0
+	}
+	s := NewSynchronous()
+	for d := 0; d < 20000; d++ {
+		var choices []Choice
+		for id := -1; id < 12; id++ {
+			if rng.Intn(3) > 0 {
+				choices = append(choices, Choice{Agent: id})
+			}
+		}
+		if len(choices) == 0 {
+			continue
+		}
+		if got, want := s.Pick(d, choices), mapPick(choices); got != want {
+			t.Fatalf("decision %d: picked %d, the map form %d", d, got, want)
+		}
+	}
+	if s.Rounds() != rounds {
+		t.Fatalf("%d rounds, the map form %d", s.Rounds(), rounds)
 	}
 }
 

@@ -26,3 +26,10 @@ func MailOutsideWakeable(e *Engine) int {
 	}
 	return -1
 }
+
+// ChoiceList returns the engine's kept enabled-choice list and whether
+// it is current; RebuiltChoices rebuilds the list from the bitsets into
+// a fresh slice. They are the two sides TestChoiceListMatchesRebuild
+// compares.
+func ChoiceList(e *Engine) ([]Choice, bool) { return e.choices, e.listed }
+func RebuiltChoices(e *Engine) []Choice     { return e.enabledChoices(nil) }

@@ -109,6 +109,9 @@ func (e *Engine) SetEdgeState(from ring.NodeID, port int, up bool) error {
 		// Repairing re-enables the frozen head's arrival.
 		if h := e.qhead[r]; h != -1 {
 			e.ready.add(int(h))
+			if e.listed {
+				e.listArrival(r)
+			}
 		}
 	} else {
 		e.down.add(r)
@@ -116,6 +119,9 @@ func (e *Engine) SetEdgeState(from ring.NodeID, port int, up bool) error {
 		// Failing freezes the queue: the head leaves the enabled set.
 		if h := e.qhead[r]; h != -1 {
 			e.ready.remove(int(h))
+			if e.listed {
+				e.listRemove(e.arrivalKey(r))
+			}
 		}
 	}
 	e.epoch++

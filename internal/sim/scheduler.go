@@ -122,20 +122,22 @@ func (s *Random) Pick(_ int, choices []Choice) int {
 // reports how many rounds elapsed, which is the ideal time complexity
 // (an agent moving continuously takes one move per round).
 type Synchronous struct {
-	pending map[int]bool
+	// pending is indexed by agent id + 1 (grown on demand), so the -1 of
+	// adversary moves has a slot too. A round set is never cleared: an
+	// agent that leaves the enabled set before its turn (its link failed)
+	// keeps its turn until it is enabled again.
+	pending []bool
 	rounds  int
 }
 
 // NewSynchronous returns a round-synchronous scheduler.
-func NewSynchronous() *Synchronous {
-	return &Synchronous{pending: make(map[int]bool)}
-}
+func NewSynchronous() *Synchronous { return &Synchronous{} }
 
 // Pick implements Scheduler.
 func (s *Synchronous) Pick(_ int, choices []Choice) int {
 	for i, c := range choices {
-		if s.pending[c.Agent] {
-			delete(s.pending, c.Agent)
+		if j := c.Agent + 1; j < len(s.pending) && s.pending[j] {
+			s.pending[j] = false
 			return i
 		}
 	}
@@ -143,9 +145,13 @@ func (s *Synchronous) Pick(_ int, choices []Choice) int {
 	// round with the currently enabled agents.
 	s.rounds++
 	for _, c := range choices {
-		s.pending[c.Agent] = true
+		j := c.Agent + 1
+		if j >= len(s.pending) {
+			s.pending = append(s.pending, make([]bool, j+1-len(s.pending))...)
+		}
+		s.pending[j] = true
 	}
-	delete(s.pending, choices[0].Agent)
+	s.pending[choices[0].Agent+1] = false
 	return 0
 }
 

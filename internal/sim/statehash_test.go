@@ -261,9 +261,11 @@ func BenchmarkRestore(b *testing.B) {
 }
 
 // BenchmarkApplyChoice times one atomic action along the rest of the
-// deterministic schedule from the halfway state. When the walk
-// quiesces the benchmark restores the halfway state and starts over; the
-// restore is timed with the actions, one per walk of tens of actions.
+// deterministic schedule from the halfway state, patches of the kept
+// choice list included. When the walk quiesces the benchmark restores
+// the halfway state and starts over, and a DecisionPoint rebuilds the
+// list the restore left stale; both are timed with the actions, once
+// per walk of tens of actions.
 func BenchmarkApplyChoice(b *testing.B) {
 	for _, c := range stepAPICases {
 		b.Run(c.name, func(b *testing.B) {
@@ -291,6 +293,7 @@ func BenchmarkApplyChoice(b *testing.B) {
 					if err := e.Restore(cp); err != nil {
 						b.Fatal(err)
 					}
+					choicesSink = e.DecisionPoint()
 				}
 				if err := e.ApplyChoice(walk[j]); err != nil {
 					b.Fatal(err)
@@ -303,7 +306,11 @@ func BenchmarkApplyChoice(b *testing.B) {
 var choicesSink []Choice
 
 // BenchmarkDecisionPoint times the enabled-set listing at the halfway
-// state; DecisionPoint is idempotent at a decision point.
+// state. DecisionPoint is idempotent at a decision point, and a repeat
+// call returns the kept list as it stands (under the adversary, with its
+// moves appended). The after-restore rows time a Restore followed by the
+// DecisionPoint that rebuilds the list, the explorer's cost per popped
+// item: their excess over BenchmarkRestore is the rebuild.
 func BenchmarkDecisionPoint(b *testing.B) {
 	for _, c := range stepAPICases {
 		b.Run(c.name, func(b *testing.B) {
@@ -311,6 +318,23 @@ func BenchmarkDecisionPoint(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				choicesSink = e.DecisionPoint()
+			}
+		})
+	}
+	for _, c := range stepAPICases {
+		b.Run(c.name+"/after-restore", func(b *testing.B) {
+			e := stepAPIEngine(b, c.n, c.k, c.adv, c.n*c.k/2)
+			cp, err := e.Checkpoint()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := e.Restore(cp); err != nil {
+					b.Fatal(err)
+				}
 				choicesSink = e.DecisionPoint()
 			}
 		})

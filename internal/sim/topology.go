@@ -43,10 +43,11 @@ type Topology interface {
 // edge ids appear only on the move path (source-port arithmetic) and
 // are translated via rank[] once per move.
 type edgeTable struct {
-	n     int
-	start []int32 // per node: first out-edge id (len n+1; prefix sums)
-	dest  []int32 // per edge id: destination node
-	rank  []int32 // per edge id: arrival rank
+	n       int
+	start   []int32 // per node: first out-edge id (len n+1; prefix sums)
+	inStart []int32 // per node: first arrival rank into it (len n+1; prefix sums)
+	dest    []int32 // per edge id: destination node
+	rank    []int32 // per edge id: arrival rank
 	// Rank-parallel views of the edge set, hot-loop friendly.
 	rankDest []int32 // per rank: destination node
 	rankRev  []int32 // per rank, for edge u->v: port at v back to u, or -1
@@ -80,17 +81,17 @@ func buildEdgeTable(t Topology) (*edgeTable, error) {
 		}
 	}
 	// Arrival ranks: counting sort of edges by (dest, edge id).
-	inDeg := make([]int32, n+1)
+	et.inStart = make([]int32, n+1)
 	for _, w := range et.dest {
-		inDeg[w+1]++
+		et.inStart[w+1]++
 	}
 	for v := 0; v < n; v++ {
-		inDeg[v+1] += inDeg[v]
+		et.inStart[v+1] += et.inStart[v]
 	}
 	et.rank = make([]int32, m)
 	et.rankDest = make([]int32, m)
 	et.rankRev = make([]int32, m)
-	fill := append([]int32(nil), inDeg[:n]...)
+	fill := append([]int32(nil), et.inStart[:n]...)
 	for e := 0; e < m; e++ {
 		w := et.dest[e]
 		r := fill[w]
