@@ -12,30 +12,38 @@ import (
 	"testing"
 
 	"agentring"
-	"agentring/internal/experiments"
+	"agentring/internal/jobs"
 )
 
-func reportRow(b *testing.B, row experiments.Row) {
+func reportRow(b *testing.B, row jobs.CellResult) {
 	b.Helper()
 	if !row.Uniform {
 		b.Fatalf("run not uniform: %+v", row)
 	}
-	b.ReportMetric(float64(row.TotalMoves), "moves")
+	b.ReportMetric(float64(row.Moves), "moves")
 	b.ReportMetric(float64(row.MaxMoves), "moves/agent")
 	b.ReportMetric(float64(row.Rounds), "rounds")
 	b.ReportMetric(float64(row.PeakWords), "memwords")
 	b.ReportMetric(float64(row.Messages), "msgs")
 }
 
-func benchSpec(b *testing.B, spec experiments.Spec) {
+// runSpec executes one run spec through the job executor and returns
+// its cell.
+func runSpec(b *testing.B, spec jobs.Spec) jobs.CellResult {
 	b.Helper()
-	var last experiments.Row
+	spec.Kind = jobs.KindRun
+	res, err := jobs.Execute(spec, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res.Cells[0]
+}
+
+func benchSpec(b *testing.B, spec jobs.Spec) {
+	b.Helper()
+	var last jobs.CellResult
 	for i := 0; i < b.N; i++ {
-		row, err := experiments.Run(spec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = row
+		last = runSpec(b, spec)
 	}
 	reportRow(b, last)
 }
@@ -46,10 +54,10 @@ func BenchmarkTable1Alg1(b *testing.B) {
 	for _, n := range []int{64, 256, 1024} {
 		for _, k := range []int{4, 16, 64} {
 			b.Run(fmt.Sprintf("n=%d/k=%d", n, k), func(b *testing.B) {
-				benchSpec(b, experiments.Spec{
-					Algorithm: agentring.Native, N: n, K: k,
-					Workload: experiments.WorkloadRandom, Seed: int64(n + k),
-					Scheduler: agentring.Synchronous,
+				benchSpec(b, jobs.Spec{
+					Algorithm: "native", N: n, K: k,
+					Workload: "random", Seed: int64(n + k),
+					Scheduler: "synchronous",
 				})
 			})
 		}
@@ -62,10 +70,10 @@ func BenchmarkTable1Alg2(b *testing.B) {
 	for _, n := range []int{64, 256, 1024} {
 		for _, k := range []int{4, 16, 64} {
 			b.Run(fmt.Sprintf("n=%d/k=%d", n, k), func(b *testing.B) {
-				benchSpec(b, experiments.Spec{
-					Algorithm: agentring.LogSpace, N: n, K: k,
-					Workload: experiments.WorkloadRandom, Seed: int64(n + k),
-					Scheduler: agentring.Synchronous,
+				benchSpec(b, jobs.Spec{
+					Algorithm: "logspace", N: n, K: k,
+					Workload: "random", Seed: int64(n + k),
+					Scheduler: "synchronous",
 				})
 			})
 		}
@@ -79,10 +87,10 @@ func BenchmarkTable1Relaxed(b *testing.B) {
 	const n, k = 512, 16
 	for _, l := range []int{1, 2, 4, 8, 16} {
 		b.Run(fmt.Sprintf("n=%d/k=%d/l=%d", n, k, l), func(b *testing.B) {
-			benchSpec(b, experiments.Spec{
-				Algorithm: agentring.Relaxed, N: n, K: k,
-				Workload: experiments.WorkloadPeriodic, Degree: l, Seed: 9,
-				Scheduler: agentring.Synchronous,
+			benchSpec(b, jobs.Spec{
+				Algorithm: "relaxed", N: n, K: k,
+				Workload: "periodic", Degree: l, Seed: 9,
+				Scheduler: "synchronous",
 			})
 		})
 	}
@@ -92,22 +100,19 @@ func BenchmarkTable1Relaxed(b *testing.B) {
 // agents clustered in a quarter arc, forcing >= kn/16 total moves for
 // every algorithm.
 func BenchmarkFig3LowerBound(b *testing.B) {
-	const n, k = 256, 32
-	algs := []agentring.Algorithm{agentring.Native, agentring.LogSpace, agentring.Relaxed}
-	for _, alg := range algs {
-		b.Run(alg.String(), func(b *testing.B) {
-			var moves, floor int
+	const n, k, floor = 256, 32, 32 * 256 / 16
+	for _, alg := range []string{"native", "logspace", "relaxed"} {
+		b.Run(alg, func(b *testing.B) {
+			var row jobs.CellResult
 			for i := 0; i < b.N; i++ {
-				var err error
-				moves, floor, err = experiments.LowerBound(alg, n, k)
-				if err != nil {
-					b.Fatal(err)
-				}
+				row = runSpec(b, jobs.Spec{
+					Algorithm: alg, N: n, K: k, Workload: "clustered", Scheduler: "synchronous",
+				})
 			}
-			if moves < floor {
-				b.Fatalf("moves %d below Theorem 1 floor %d", moves, floor)
+			if !row.Uniform || row.Moves < floor {
+				b.Fatalf("moves %d (uniform %v) below Theorem 1 floor %d", row.Moves, row.Uniform, floor)
 			}
-			b.ReportMetric(float64(moves), "moves")
+			b.ReportMetric(float64(row.Moves), "moves")
 			b.ReportMetric(float64(floor), "floor")
 		})
 	}

@@ -29,8 +29,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	"agentring/internal/jobs"
@@ -150,15 +148,15 @@ func cmdSubmit(args []string, out io.Writer) error {
 			return fmt.Errorf("-spec: %w", err)
 		}
 	} else {
-		nsList, err := parseIntList(*ns)
+		nsList, err := jobs.ParseInts(*ns)
 		if err != nil {
 			return fmt.Errorf("-ns: %w", err)
 		}
-		ksList, err := parseIntList(*ks)
+		ksList, err := jobs.ParseInts(*ks)
 		if err != nil {
 			return fmt.Errorf("-ks: %w", err)
 		}
-		homesList, err := parseIntList(*homes)
+		homesList, err := jobs.ParseInts(*homes)
 		if err != nil {
 			return fmt.Errorf("-homes: %w", err)
 		}
@@ -443,23 +441,6 @@ func oneArg(fs *flag.FlagSet, what string) (string, error) {
 		return "", fmt.Errorf("expected exactly one %s argument", what)
 	}
 	return fs.Arg(0), nil
-}
-
-// parseIntList parses "64,128,256" (empty string = nil).
-func parseIntList(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	parts := strings.Split(s, ",")
-	out := make([]int, 0, len(parts))
-	for _, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil {
-			return nil, fmt.Errorf("bad integer %q", p)
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }
 
 // printJSONRaw emits the daemon's bytes verbatim with -json (the

@@ -278,17 +278,17 @@ func TestErrorsSurface(t *testing.T) {
 }
 
 func TestParseIntList(t *testing.T) {
-	got, err := parseIntList("16, 24,32")
+	got, err := jobs.ParseInts("16, 24,32")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 3 || got[0] != 16 || got[1] != 24 || got[2] != 32 {
-		t.Fatalf("parseIntList = %v", got)
+		t.Fatalf("ParseInts = %v", got)
 	}
-	if nilList, err := parseIntList(""); err != nil || nilList != nil {
+	if nilList, err := jobs.ParseInts(""); err != nil || nilList != nil {
 		t.Fatalf("empty list = %v, %v", nilList, err)
 	}
-	if _, err := parseIntList("16,x"); err == nil {
+	if _, err := jobs.ParseInts("16,x"); err == nil {
 		t.Error("bad element must error")
 	}
 }

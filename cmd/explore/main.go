@@ -62,13 +62,13 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
-	"strings"
 	"sync"
 	"syscall"
+	"time"
 
 	"agentring"
 	"agentring/internal/experiments"
+	"agentring/internal/jobs"
 )
 
 func main() {
@@ -131,37 +131,31 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			}
 		}()
 	}
-	alg, err := experiments.ParseAlgorithm(*algName)
-	if err != nil {
-		return err
+	spec := jobs.Spec{
+		Kind:          jobs.KindExplore,
+		Algorithm:     *algName,
+		Topology:      *topoSpec,
+		N:             *n,
+		K:             1, // -all supplies its own placements
+		Workload:      "clustered",
+		Faults:        *faultStr,
+		Adversary:     *advStr,
+		MaxDepth:      *depth,
+		MaxStates:     *states,
+		MaxTotalMoves: *moves,
+		MaxDurationMS: int((*duration + time.Millisecond - 1) / time.Millisecond), // rounded up: a positive budget stays on
+		Workers:       *workers,
 	}
-	opts := agentring.ExploreOptions{
-		Budget: agentring.Budget{
-			MaxDepth:      *depth,
-			MaxStates:     *states,
-			MaxTotalMoves: *moves,
-			MaxDuration:   *duration,
-		},
-		Workers: *workers,
-	}
-
-	topo, err := agentring.ParseTopology(*topoSpec, *n)
-	if err != nil {
-		return err
-	}
-	faults, err := experiments.ResolveFaults(*faultStr, topo.Size())
-	if err != nil {
-		return err
-	}
-	if *advStr != "" {
-		if *faultStr != "" {
-			return fmt.Errorf("-adversary and -faults are mutually exclusive")
-		}
-		budget, err := agentring.ParseAdversary(*advStr)
+	if !*all {
+		homes, err := jobs.ParseInts(*homesCSV)
 		if err != nil {
 			return err
 		}
-		opts.Adversary = &budget
+		spec.K, spec.Homes = *k, homes
+	}
+	plan, err := jobs.Compile(spec)
+	if err != nil {
+		return err
 	}
 
 	// In -json mode, searches stream NDJSON progress rows (type
@@ -169,10 +163,13 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	// mutex keeps concurrent emissions line-atomic. Report rows keep
 	// their pre-progress shapes (no "type" field), so existing consumers
 	// can filter on the field's presence.
-	var encMu sync.Mutex
-	enc := json.NewEncoder(out)
+	var (
+		encMu    sync.Mutex
+		enc      = json.NewEncoder(out)
+		progress func(agentring.ExploreProgress)
+	)
 	if *jsonFlag {
-		opts.Progress = func(p agentring.ExploreProgress) {
+		progress = func(p agentring.ExploreProgress) {
 			encMu.Lock()
 			defer encMu.Unlock()
 			enc.Encode(progressJSON{
@@ -187,36 +184,39 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 
 	if *all {
+		opts := plan.Options
+		opts.Progress = progress
+		var (
+			emit   func(experiments.ExploreRow)
+			encErr error
+		)
 		if *jsonFlag {
 			// Stream one NDJSON line per explored placement, so long
 			// enumerations report progress as they go instead of buffering
 			// everything into one array.
-			var encErr error
-			_, exploreErr := experiments.ExploreAllStream(ctx, alg, *topoSpec, *n, faults, opts, func(r experiments.ExploreRow) {
+			emit = func(r experiments.ExploreRow) {
 				encMu.Lock()
 				defer encMu.Unlock()
 				if encErr == nil {
 					encErr = enc.Encode(exploreJSONRow(r))
 				}
-			})
-			if encErr != nil {
-				return encErr
 			}
-			return exploreErr
 		}
-		rows, exploreErr := experiments.ExploreAllUnderFaults(ctx, alg, *topoSpec, *n, faults, opts)
-		fmt.Fprint(out, experiments.FormatExploreRows(rows))
+		rows, exploreErr := experiments.ExploreAllStream(ctx, plan.Algorithm, *topoSpec, *n, plan.Explore.Faults, opts, emit)
+		if !*jsonFlag {
+			fmt.Fprint(out, experiments.FormatExploreRows(rows))
+		}
+		if encErr != nil {
+			return encErr
+		}
 		return exploreErr
 	}
 
-	homes, err := parseHomes(*homesCSV, topo.Size(), *k)
+	res, err := jobs.Run(ctx, plan, 0, jobs.Hooks{Explore: progress})
 	if err != nil {
 		return err
 	}
-	rep, err := agentring.Explore(ctx, alg, agentring.Config{Topology: topo, Homes: homes, Faults: faults}, opts)
-	if err != nil {
-		return err
-	}
+	rep := *res.Explore
 	if *jsonFlag {
 		// One compact line, the single-report degenerate case of the
 		// -all NDJSON stream.
@@ -227,35 +227,12 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			return err
 		}
 	} else {
-		printReport(out, homes, rep)
+		printReport(out, plan.Explore.Homes, rep)
 	}
 	if rep.Counterexample != nil {
 		return fmt.Errorf("counterexample found: %s", rep.Counterexample.Reason)
 	}
 	return nil
-}
-
-func parseHomes(csv string, n, k int) ([]int, error) {
-	if csv == "" {
-		if k < 1 || k > n {
-			return nil, fmt.Errorf("need 1 <= k <= n, got k=%d n=%d", k, n)
-		}
-		homes := make([]int, k)
-		for i := range homes {
-			homes[i] = i
-		}
-		return homes, nil
-	}
-	parts := strings.Split(csv, ",")
-	homes := make([]int, 0, len(parts))
-	for _, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil {
-			return nil, fmt.Errorf("bad home %q: %v", p, err)
-		}
-		homes = append(homes, v)
-	}
-	return homes, nil
 }
 
 func printReport(out io.Writer, homes []int, rep agentring.ExploreReport) {

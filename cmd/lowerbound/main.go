@@ -10,8 +10,7 @@ import (
 	"io"
 	"os"
 
-	"agentring"
-	"agentring/internal/experiments"
+	"agentring/internal/jobs"
 )
 
 func main() {
@@ -33,14 +32,26 @@ func run(args []string, out io.Writer) error {
 	if *k > *n/4 {
 		return fmt.Errorf("k=%d exceeds n/4=%d; the Fig 3 argument needs a quarter arc", *k, *n/4)
 	}
-	fmt.Fprintf(out, "Theorem 1 (Fig 3): clustered quarter-arc on n=%d, k=%d — floor kn/16 = %d\n\n", *n, *k, *k**n/16)
+	floor := *k * *n / 16
+	fmt.Fprintf(out, "Theorem 1 (Fig 3): clustered quarter-arc on n=%d, k=%d — floor kn/16 = %d\n\n", *n, *k, floor)
 	fmt.Fprintf(out, "%-12s %12s %12s %8s\n", "algorithm", "moves", "floor", "ratio")
-	for _, alg := range []agentring.Algorithm{agentring.Native, agentring.LogSpace, agentring.Relaxed} {
-		moves, floor, err := experiments.LowerBound(alg, *n, *k)
+	for _, alg := range []string{"native", "logspace", "relaxed"} {
+		res, err := jobs.Execute(jobs.Spec{
+			Kind:      jobs.KindRun,
+			Algorithm: alg,
+			N:         *n,
+			K:         *k,
+			Workload:  "clustered",
+			Scheduler: "synchronous",
+		}, 1)
 		if err != nil {
 			return fmt.Errorf("%s: %w", alg, err)
 		}
-		fmt.Fprintf(out, "%-12s %12d %12d %8.2f\n", alg, moves, floor, float64(moves)/float64(floor))
+		c := res.Cells[0]
+		if !c.Uniform {
+			return fmt.Errorf("%s: lower-bound run not uniform", c.Algorithm)
+		}
+		fmt.Fprintf(out, "%-12s %12d %12d %8.2f\n", c.Algorithm, c.Moves, floor, float64(c.Moves)/float64(floor))
 	}
 	return nil
 }

@@ -1,9 +1,10 @@
 // Command sweep regenerates the empirical content of the paper's
 // Table 1: for each algorithm it sweeps (n, k) grids — and symmetry
 // degrees for the relaxed algorithm — and prints measured total moves,
-// ideal time (rounds), and peak per-agent memory. Runs execute batched
-// across a bounded worker pool (agentring.RunBatch), so large grids
-// scale with the machine.
+// ideal time (rounds), and peak per-agent memory. Each table is a set
+// of job specs run through the same executor as an agentringd job
+// (internal/jobs), so the grids run batched across a bounded worker
+// pool and a sweep row is exactly a daemon cell.
 //
 // The substrate defaults to the paper's unidirectional ring; -topology
 // runs the same grids on a bidirectional ring (which also unlocks the
@@ -17,7 +18,7 @@
 //	sweep                 # all algorithms, default grid
 //	sweep -alg relaxed    # only the relaxed-algorithm degree sweep
 //	sweep -big -workers 4 # larger grid on a 4-worker pool
-//	sweep -json           # NDJSON: one row per completed cell, streamed
+//	sweep -json           # NDJSON: one job cell per line, streamed
 //	sweep -topology biring -alg binative   # bidirectional shortcut grid
 //	sweep -topology torus=8x8              # all algorithms on one torus
 //	sweep -faults transient                # DynRing: links fail and recover
@@ -31,6 +32,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -38,11 +40,12 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"syscall"
 
 	"agentring"
-	"agentring/internal/experiments"
+	"agentring/internal/jobs"
 )
 
 func main() {
@@ -53,6 +56,22 @@ func main() {
 		fmt.Fprintln(os.Stderr, "sweep:", err)
 		os.Exit(1)
 	}
+}
+
+// A preset is one table of the sweep, named by its -alg value.
+type preset struct {
+	alg    string
+	header string
+	biring bool // runs only on -topology biring
+	degree bool // the relaxed algorithm's symmetry-degree column
+}
+
+// presets are the sweep's tables in print order.
+var presets = []preset{
+	{alg: "native", header: "== Table 1, column 1: Algorithm 1 (knows k) — O(k log n) memory, O(n) time, O(kn) moves =="},
+	{alg: "logspace", header: "== Table 1, column 2: Algorithms 2+3 (knows k) — O(log n) memory, O(n log k) time, O(kn) moves =="},
+	{alg: "binative", header: "== Bidirectional variant: Algorithm 1 with shortest-way deployment — same targets, fewer moves ==", biring: true},
+	{alg: "relaxed", header: "== Table 1, column 4: relaxed algorithm (no knowledge) — everything scales with 1/l ==", degree: true},
 }
 
 func run(ctx context.Context, args []string, out io.Writer) error {
@@ -72,10 +91,16 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	switch *algName {
-	case "native", "logspace", "relaxed", "binative", "all":
-	default:
-		return fmt.Errorf("unknown -alg %q: want native, logspace, relaxed, binative or all", *algName)
+	selected := presets
+	if *algName != "all" {
+		i := slices.IndexFunc(presets, func(p preset) bool { return p.alg == *algName })
+		if i < 0 {
+			return fmt.Errorf("unknown -alg %q: want native, logspace, relaxed, binative or all", *algName)
+		}
+		if presets[i].biring && *topoSpec != "biring" {
+			return fmt.Errorf("-alg %s requires -topology biring", *algName)
+		}
+		selected = presets[i : i+1]
 	}
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
@@ -105,12 +130,11 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 
 	ns := []int{64, 128, 256}
 	ks := []int{4, 8, 16, 32}
+	n, k := 256, 16 // the degree column's ring
 	if *big {
 		ns = []int{64, 256, 1024, 4096}
 		ks = []int{4, 16, 64, 256}
-	}
-	if *algName == "binative" && *topoSpec != "biring" {
-		return fmt.Errorf("-alg binative requires -topology biring")
+		n, k = 1024, 32
 	}
 	// Fixed-size substrates (torus=RxC, tree=...) pin the (n) axis to
 	// their own size; the ring families take their sizes from the grid.
@@ -119,110 +143,68 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		ns = []int{probe.Size()}
-		var fit []int
-		for _, k := range ks {
-			if k <= probe.Size()/2 {
-				fit = append(fit, k)
-			}
-		}
+		fit := slices.DeleteFunc(slices.Clone(ks), func(agents int) bool { return agents > probe.Size()/2 })
 		if len(fit) == 0 {
 			return fmt.Errorf("substrate %s too small for the k grid %v", probe, ks)
 		}
-		ks = fit
+		ns, ks = []int{probe.Size()}, fit
+		n, k = ns[0], ks[len(ks)-1]
 	}
-	withTopology := func(specs []experiments.Spec) []experiments.Spec {
-		for i := range specs {
-			if *topoSpec != "ring" {
-				specs[i].Topology = *topoSpec
-			}
-			specs[i].Faults = *faults
-		}
-		return specs
+	base := jobs.Spec{
+		Topology:  *topoSpec,
+		Workload:  "random",
+		Seed:      *seed,
+		Scheduler: "synchronous",
+		Faults:    *faults,
 	}
 
 	// In JSON mode each completed cell streams out immediately as one
 	// NDJSON line (in grid order), so long sweeps can be watched and
 	// piped instead of buffering the whole run into one array.
-	var jsonErr error
-	runSpecs := func(specs []experiments.Spec) ([]experiments.Row, error) {
-		if !*jsonFlag {
-			return experiments.RunAll(ctx, specs, *workers)
-		}
-		return experiments.RunAllStream(ctx, specs, *workers, func(r experiments.Row) {
-			if jsonErr == nil {
-				jsonErr = experiments.WriteJSONRow(out, r)
+	var (
+		hooks  jobs.Hooks
+		encErr error
+		failed []string
+	)
+	if *jsonFlag {
+		enc := json.NewEncoder(out)
+		hooks.Cell = func(c jobs.CellResult) {
+			if encErr == nil {
+				encErr = enc.Encode(c)
 			}
-		})
+		}
 	}
-
-	var failed []string
-	emit := func(header string, rows []experiments.Row, chartTitle string) {
+	for _, p := range selected {
+		if p.biring && *topoSpec != "biring" {
+			continue
+		}
+		var rows []row
+		for _, spec := range p.specs(base, ns, ks, n, k) {
+			plan, err := jobs.Compile(spec)
+			if err != nil {
+				return err
+			}
+			res, err := jobs.Run(ctx, plan, *workers, hooks)
+			if err != nil {
+				return err
+			}
+			for _, c := range res.Cells {
+				rows = append(rows, row{spec, c})
+			}
+		}
 		failed = append(failed, nonUniform(rows)...)
 		if *jsonFlag {
-			return // rows already streamed by runSpecs
+			continue // rows already streamed
 		}
-		fmt.Fprintln(out, header)
-		fmt.Fprint(out, experiments.FormatRows(rows))
-		if *chart && chartTitle != "" {
-			fmt.Fprint(out, experiments.MovesChart(chartTitle, rows))
+		fmt.Fprintln(out, p.header)
+		fmt.Fprint(out, formatRows(rows))
+		if *chart && p.degree {
+			fmt.Fprint(out, movesChart("total moves vs symmetry degree (the 1/l adaptivity):", rows))
 		}
 		fmt.Fprintln(out)
 	}
-
-	if *algName == "native" || *algName == "all" {
-		rows, err := runSpecs(withTopology(experiments.Table1Specs(agentring.Native, ns, ks, *seed)))
-		if err != nil {
-			return err
-		}
-		emit("== Table 1, column 1: Algorithm 1 (knows k) — O(k log n) memory, O(n) time, O(kn) moves ==", rows, "")
-	}
-	if *algName == "logspace" || *algName == "all" {
-		rows, err := runSpecs(withTopology(experiments.Table1Specs(agentring.LogSpace, ns, ks, *seed)))
-		if err != nil {
-			return err
-		}
-		emit("== Table 1, column 2: Algorithms 2+3 (knows k) — O(log n) memory, O(n log k) time, O(kn) moves ==", rows, "")
-	}
-	if *topoSpec == "biring" && (*algName == "binative" || *algName == "all") {
-		rows, err := runSpecs(withTopology(experiments.Table1Specs(agentring.BiNative, ns, ks, *seed)))
-		if err != nil {
-			return err
-		}
-		emit("== Bidirectional variant: Algorithm 1 with shortest-way deployment — same targets, fewer moves ==", rows, "")
-	}
-	if *algName == "relaxed" || *algName == "all" {
-		n, k := 256, 16
-		if *big {
-			n, k = 1024, 32
-		}
-		if len(ns) == 1 { // fixed-size substrate
-			n = ns[0]
-			k = ks[len(ks)-1]
-		}
-		degrees := divisorsUpTo(k)
-		specs := experiments.DegreeSpecs(n, k, degrees, *seed)
-		if *topoSpec != "ring" {
-			// Periodic placements need l | n; fixed-size substrates may
-			// not admit every divisor of k, so keep only those that fit.
-			var kept []experiments.Spec
-			for _, s := range specs {
-				if n%s.Degree == 0 {
-					kept = append(kept, s)
-				}
-			}
-			specs = kept
-		}
-		specs = withTopology(specs)
-		rows, err := runSpecs(specs)
-		if err != nil {
-			return err
-		}
-		emit("== Table 1, column 4: relaxed algorithm (no knowledge) — everything scales with 1/l ==", rows,
-			"total moves vs symmetry degree (the 1/l adaptivity):")
-	}
-	if jsonErr != nil {
-		return jsonErr
+	if encErr != nil {
+		return encErr
 	}
 	// A non-uniform row means a configuration failed deployment: exit
 	// non-zero (after emitting every row) so CI scripting can gate on
@@ -234,12 +216,43 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	return nil
 }
 
+// specs are the job specs that fill a preset's table: one sweep over
+// the (n, k) grid for a Table 1 column, with the paper's synchronous
+// scheduler so rounds are ideal time, or for the degree column one run
+// per symmetry degree l | k that the n-node substrate admits.
+func (p preset) specs(base jobs.Spec, ns, ks []int, n, k int) []jobs.Spec {
+	base.Algorithm = p.alg
+	if !p.degree {
+		base.Kind, base.Ns, base.Ks = jobs.KindSweep, ns, ks
+		return []jobs.Spec{base}
+	}
+	var specs []jobs.Spec
+	for _, l := range divisorsUpTo(k) {
+		if n%l == 0 {
+			s := base
+			s.Kind, s.N, s.K, s.Workload, s.Degree = jobs.KindRun, n, k, "periodic", l
+			specs = append(specs, s)
+		}
+	}
+	return specs
+}
+
+// row is one table line: a finished cell and the spec that produced it.
+type row struct {
+	spec jobs.Spec
+	jobs.CellResult
+}
+
 // nonUniform describes every row that failed uniform deployment.
-func nonUniform(rows []experiments.Row) []string {
+func nonUniform(rows []row) []string {
 	var out []string
 	for _, r := range rows {
 		if !r.Uniform {
-			out = append(out, fmt.Sprintf("%s n=%d k=%d %s", r.Algorithm, r.N, r.K, r.Workload))
+			line := fmt.Sprintf("%s n=%d k=%d %s", r.Algorithm, r.N, r.K, r.spec.Workload)
+			if r.Error != "" {
+				line += ": " + r.Error
+			}
+			out = append(out, line)
 		}
 	}
 	return out

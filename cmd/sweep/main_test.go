@@ -7,8 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	"agentring"
-	"agentring/internal/experiments"
+	"agentring/internal/jobs"
 )
 
 func TestSweepNative(t *testing.T) {
@@ -109,9 +108,9 @@ func TestSweepExitCodes(t *testing.T) {
 	}
 	// ...and the failure detector that feeds the non-zero exit flags
 	// exactly the non-uniform rows.
-	rows := []experiments.Row{
-		{Spec: experiments.Spec{Algorithm: agentring.Native, N: 8, K: 2, Workload: experiments.WorkloadRandom}, Uniform: true},
-		{Spec: experiments.Spec{Algorithm: agentring.LogSpace, N: 6, K: 3, Workload: experiments.WorkloadClustered}, Uniform: false},
+	rows := []row{
+		{jobs.Spec{Workload: "random"}, jobs.CellResult{Algorithm: "native(k)", N: 8, K: 2, Uniform: true}},
+		{jobs.Spec{Workload: "clustered"}, jobs.CellResult{Algorithm: "logspace", N: 6, K: 3, Uniform: false}},
 	}
 	failed := nonUniform(rows)
 	if len(failed) != 1 || !strings.Contains(failed[0], "logspace n=6 k=3") {
@@ -140,5 +139,53 @@ func TestSweepFixedSubstrates(t *testing.T) {
 	out.Reset()
 	if err := run(context.Background(), []string{"-topology", "tree=0-1,1-2,2-3,3-4,4-5,5-6,6-7,7-8", "-alg", "logspace"}, &out); err != nil {
 		t.Fatalf("tree sweep failed: %v\n%s", err, out.String())
+	}
+}
+
+// TestSweepJSONRowsMatchExecute holds a CLI row to a daemon cell: the
+// -json lines of the native Table 1 column are, byte for byte,
+// json.Marshal of each cell jobs.Execute returns for the equivalent
+// sweep spec (so each row is also one compact NDJSON line).
+func TestSweepJSONRowsMatchExecute(t *testing.T) {
+	var out bytes.Buffer
+	if err := run(context.Background(), []string{"-alg", "native", "-json"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	res, err := jobs.Execute(jobs.Spec{
+		Kind: jobs.KindSweep, Algorithm: "native",
+		Ns: []int{64, 128, 256}, Ks: []int{4, 8, 16, 32},
+		Workload: "random", Seed: 1, Scheduler: "synchronous",
+	}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
+	if len(lines) != len(res.Cells) {
+		t.Fatalf("%d NDJSON lines, %d cells", len(lines), len(res.Cells))
+	}
+	for i, c := range res.Cells {
+		want, err := json.Marshal(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lines[i] != string(want) {
+			t.Errorf("line %d:\n got %s\nwant %s", i, lines[i], want)
+		}
+	}
+}
+
+// TestSweepJSONSameAcrossWorkers: rows stream in grid order whatever
+// order the worker pool finishes them in, so -json output does not
+// depend on the pool size.
+func TestSweepJSONSameAcrossWorkers(t *testing.T) {
+	var one, four bytes.Buffer
+	if err := run(context.Background(), []string{"-json", "-workers", "1"}, &one); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(context.Background(), []string{"-json", "-workers", "4"}, &four); err != nil {
+		t.Fatal(err)
+	}
+	if one.Len() == 0 || !bytes.Equal(one.Bytes(), four.Bytes()) {
+		t.Errorf("-json output differs between -workers 1 and 4:\n%s\n---\n%s", one.String(), four.String())
 	}
 }

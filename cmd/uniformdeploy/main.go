@@ -17,11 +17,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
-	"strings"
 
 	"agentring"
-	"agentring/internal/experiments"
+	"agentring/internal/jobs"
 )
 
 func main() {
@@ -50,33 +48,35 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	alg, err := experiments.ParseAlgorithm(*algName)
+	homes, err := jobs.ParseInts(*homesCSV)
 	if err != nil {
 		return err
 	}
-	schedKind, err := experiments.ParseScheduler(*sched)
-	if err != nil {
-		return err
-	}
-	topo, err := agentring.ParseTopology(*topoSpec, *n)
-	if err != nil {
-		return err
-	}
-	homes, err := buildHomes(*homesCSV, *workload, topo.Size(), *k, *degree, *seed)
-	if err != nil {
-		return err
-	}
-
-	rep, err := agentring.Run(alg, agentring.Config{
-		Topology:      topo,
-		Homes:         homes,
-		Scheduler:     schedKind,
-		Seed:          *seed,
-		TraceCapacity: *trace,
+	plan, err := jobs.Compile(jobs.Spec{
+		Kind:      jobs.KindRun,
+		Algorithm: *algName,
+		Topology:  *topoSpec,
+		N:         *n,
+		K:         *k,
+		Homes:     homes,
+		Workload:  *workload,
+		Degree:    *degree,
+		Seed:      *seed,
+		Scheduler: *sched,
 	})
 	if err != nil {
 		return err
 	}
+	// The per-agent table, the tree coverage line and the trace need the
+	// full report, which a job cell does not carry: run the one compiled
+	// cell directly.
+	job := plan.Cells[0]
+	job.Config.TraceCapacity = *trace
+	rep, err := agentring.Run(job.Algorithm, job.Config)
+	if err != nil {
+		return err
+	}
+	topo := job.Config.Topology
 	fmt.Fprintln(out, rep.Summary())
 	if topo.Kind() == agentring.KindTree {
 		// Project virtual-ring positions back onto the tree and report
@@ -117,24 +117,4 @@ func dedupInts(v []int) []int {
 		}
 	}
 	return out
-}
-
-func buildHomes(csv, workload string, n, k, degree int, seed int64) ([]int, error) {
-	if csv != "" {
-		parts := strings.Split(csv, ",")
-		homes := make([]int, 0, len(parts))
-		for _, p := range parts {
-			v, err := strconv.Atoi(strings.TrimSpace(p))
-			if err != nil {
-				return nil, fmt.Errorf("bad home %q: %w", p, err)
-			}
-			homes = append(homes, v)
-		}
-		return homes, nil
-	}
-	wl, err := experiments.ParseWorkload(workload)
-	if err != nil {
-		return nil, err
-	}
-	return experiments.Spec{N: n, K: k, Workload: wl, Degree: degree, Seed: seed}.Homes()
 }

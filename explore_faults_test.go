@@ -7,6 +7,7 @@ import (
 
 	"agentring"
 	"agentring/internal/experiments"
+	"agentring/internal/jobs"
 )
 
 // TestExploreNativeTransientFaultEveryPlacement is the dynamic-topology
@@ -91,12 +92,19 @@ func TestExplorePermanentFaultFindsFrozenSchedule(t *testing.T) {
 // tolerate. (The sweep-level counterpart of the exhaustive exploration
 // above, on real Table 1 sizes.)
 func TestDynRingSweepTransientUniform(t *testing.T) {
-	for _, plan := range []string{experiments.FaultPlanTransient, experiments.FaultPlanChurn} {
-		rows, err := experiments.DynRingSweep(agentring.Native, []int{32, 64}, []int{4, 8}, plan, 1)
+	sweep := func(ns, ks []int, plan string) []jobs.CellResult {
+		t.Helper()
+		res, err := jobs.Execute(jobs.Spec{
+			Kind: jobs.KindSweep, Algorithm: "native", Ns: ns, Ks: ks,
+			Seed: 1, Scheduler: "synchronous", Faults: plan,
+		}, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", plan, err)
 		}
-		for _, r := range rows {
+		return res.Cells
+	}
+	for _, plan := range []string{experiments.FaultPlanTransient, experiments.FaultPlanChurn} {
+		for _, r := range sweep([]int{32, 64}, []int{4, 8}, plan) {
 			if !r.Uniform {
 				t.Errorf("%s: n=%d k=%d not uniform under eventually-repaired faults", plan, r.N, r.K)
 			}
@@ -104,12 +112,8 @@ func TestDynRingSweepTransientUniform(t *testing.T) {
 	}
 	// The permanent plan must break at least the configurations whose
 	// deployment needs the dead link — and must never panic or error.
-	rows, err := experiments.DynRingSweep(agentring.Native, []int{32}, []int{4}, experiments.FaultPlanPermanent, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	broken := 0
-	for _, r := range rows {
+	for _, r := range sweep([]int{32}, []int{4}, experiments.FaultPlanPermanent) {
 		if !r.Uniform {
 			broken++
 		}

@@ -43,19 +43,3 @@ func BarChart(title string, labels []string, values []float64, width int) string
 	}
 	return b.String()
 }
-
-// MovesChart charts TotalMoves across rows, labeling each row by its
-// parameters.
-func MovesChart(title string, rows []Row) string {
-	labels := make([]string, len(rows))
-	values := make([]float64, len(rows))
-	for i, r := range rows {
-		if r.Workload == WorkloadPeriodic {
-			labels[i] = fmt.Sprintf("l=%d", r.Degree)
-		} else {
-			labels[i] = fmt.Sprintf("n=%d k=%d", r.N, r.K)
-		}
-		values[i] = float64(r.TotalMoves)
-	}
-	return BarChart(title, labels, values, 48)
-}

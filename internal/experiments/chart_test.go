@@ -3,8 +3,6 @@ package experiments
 import (
 	"strings"
 	"testing"
-
-	"agentring"
 )
 
 func TestBarChart(t *testing.T) {
@@ -46,24 +44,5 @@ func TestBarChartEdgeCases(t *testing.T) {
 	// Narrow widths are clamped.
 	if out := BarChart("", []string{"w"}, []float64{5}, 1); !strings.Contains(out, "#") {
 		t.Errorf("clamped width chart broken: %q", out)
-	}
-}
-
-func TestMovesChart(t *testing.T) {
-	rows, err := DegreeSweep(24, 4, []int{1, 2, 4}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := MovesChart("adaptivity", rows)
-	if !strings.Contains(out, "l=1") || !strings.Contains(out, "l=4") {
-		t.Errorf("labels missing:\n%s", out)
-	}
-	grid, err := Table1Sweep(agentring.Native, []int{24}, []int{4}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out = MovesChart("grid", grid)
-	if !strings.Contains(out, "n=24 k=4") {
-		t.Errorf("grid labels missing:\n%s", out)
 	}
 }

@@ -1,38 +1,29 @@
-// Package experiments contains the harness that regenerates every
-// table and figure claim of the paper and drives the scaling and
-// robustness studies grown on top of it. It is shared by the cmd/
-// tools (sweep, explore, lowerbound) and the root bench tests.
+// Package experiments holds the pieces of the paper's experiments that
+// are not a job: placements, fault plans, names, exhaustive placement
+// sweeps and the shape-checking statistics. Runs and sweeps themselves
+// are job specs, compiled and executed by internal/jobs, which every
+// CLI and the daemon share; this package no longer runs batches.
 //
-// # Workload families
+// # Contents
 //
-//   - Spec / Run / RunAll: one measured run per Spec — algorithm,
-//     (n, k), workload placement (random, clustered, uniform,
-//     periodic), scheduler, substrate (Spec.Topology, a
-//     agentring.ParseTopology spec), and, since the dynamic-topology
-//     layer, a fault plan (Spec.Faults). RunAll executes across
-//     agentring.RunBatch's bounded worker pool with deterministic,
-//     input-ordered rows.
-//   - Table1Specs / Table1Sweep, DegreeSpecs / DegreeSweep: the paper's
-//     Table 1 grids (shape-checked by shape_test.go: O(n) time for
-//     Algorithm 1, O(n log k) for 2+3, 1/l adaptivity for the relaxed
-//     algorithm).
-//   - DynRingSpecs / DynRingSweep (dynring.go): the dynamic-ring family
-//     — named fault plans (transient, churn, permanent) resolved
-//     against each grid size by ResolveFaults. The eventually-repaired
-//     plans must leave every row uniform; the permanent plan documents
-//     blocked deployments.
-//   - ExploreAll / ExploreAllOn / ExploreAllUnderFaults: exhaustive
-//     schedule-space sweeps over every initial placement, deduplicated
-//     up to rotation exactly when that is sound (rotation-symmetric
-//     substrates, no faults — a fault schedule names a concrete edge
-//     and breaks the symmetry).
+//   - Spec / Homes: one workload placement (random, clustered, uniform,
+//     periodic) of K agents on N nodes. The job compiler places every
+//     cell without explicit homes through it.
+//   - The name tables (ParseAlgorithm, ParseScheduler, ParseWorkload):
+//     the strings the CLIs and job specs name algorithms, schedulers and
+//     workloads by.
+//   - ResolveFaults (dynring.go): the DynRing fault plans (transient,
+//     churn, permanent) scaled to a substrate size, or a raw
+//     agentring.ParseFaults schedule.
+//   - AllPlacements / ExploreAllStream: exhaustive schedule-space
+//     sweeps over every initial placement, deduplicated up to rotation
+//     exactly when that is sound, streaming one row per placement
+//     (cmd/explore -all). FormatExploreRows renders them.
+//   - FitLinear / Correlation: the helpers the shape tests use to check
+//     that measured complexities grow as Table 1 predicts, rather than
+//     asserting constants; BarChart draws the sweep CLI's moves chart.
 //
-// # Invariants
-//
-// LowerBound checks measured moves against the Theorem 1 kn/16 floor;
-// FitLinear/Correlation are the shape-checking helpers the tests use to
-// verify that measured complexities grow as predicted rather than
-// asserting constants. JSON output (json.go) is the stable machine
-// shape for trend tracking; FormatRows/FormatExploreRows the aligned
-// human tables.
+// The Table 1 claims are pinned by this package's tests, which run job
+// specs: O(n) time for Algorithm 1, O(n log k) for Algorithms 2+3, the
+// relaxed algorithm's 1/l adaptivity, and the Theorem 1 kn/16 floor.
 package experiments

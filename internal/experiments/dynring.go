@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"agentring"
@@ -71,24 +70,4 @@ func ResolveFaults(plan string, n int) ([]agentring.FaultEvent, error) {
 		}
 		return events, nil
 	}
-}
-
-// DynRingSpecs enumerates the dynamic-ring workload family: the
-// Table1Specs (n, k) grid with a fault plan attached to every run.
-func DynRingSpecs(alg agentring.Algorithm, ns, ks []int, plan string, seed int64) []Spec {
-	specs := Table1Specs(alg, ns, ks, seed)
-	for i := range specs {
-		specs[i].Faults = plan
-	}
-	return specs
-}
-
-// DynRingSweep measures one algorithm across an (n, k) grid under the
-// given fault plan. With the eventually-repaired plans (transient,
-// churn) every row must still deploy uniformly — asynchrony already
-// permits arbitrarily long link delays, so a bounded outage changes
-// nothing the algorithms can observe. The permanent plan documents the
-// converse: rows whose deployment needs the dead link fail.
-func DynRingSweep(alg agentring.Algorithm, ns, ks []int, plan string, seed int64) ([]Row, error) {
-	return RunAll(context.Background(), DynRingSpecs(alg, ns, ks, plan, seed), 0)
 }

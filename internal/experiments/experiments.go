@@ -1,10 +1,7 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
-	"strings"
-	"sync"
 
 	"agentring"
 )
@@ -74,37 +71,15 @@ func lookup[T any](table map[string]T, what, name string) (T, error) {
 	return v, nil
 }
 
-// Spec describes one experimental run.
+// Spec is one placement: K agents on an N-node substrate, placed by a
+// workload generator. It is the typed form the job compiler
+// (internal/jobs) uses for every cell whose spec names no explicit
+// homes.
 type Spec struct {
-	Algorithm agentring.Algorithm
-	N, K      int
-	Workload  WorkloadKind
-	Degree    int   // symmetry degree for WorkloadPeriodic
-	Seed      int64 // workload + scheduler seed
-	Scheduler agentring.SchedulerKind
-	// Topology is an agentring.ParseTopology spec selecting the
-	// substrate ("", "ring" = the default N-node unidirectional ring;
-	// "biring", "torus=RxC", "tree=<edges>"). For fixed-size specs
-	// (torus, tree) N must equal the substrate size.
-	Topology string
-	// Faults makes the substrate dynamic: a named DynRing plan
-	// (transient | churn | permanent, resolved against the substrate
-	// size by ResolveFaults) or a raw agentring.ParseFaults spec. Empty
-	// means the static topology.
-	Faults string
-}
-
-// Row is one measured table row.
-type Row struct {
-	Spec
-	SymmetryDegree int
-	Uniform        bool
-	TotalMoves     int
-	MaxMoves       int
-	Rounds         int
-	PeakWords      int
-	PeakBits       int
-	Messages       int
+	N, K     int
+	Workload WorkloadKind
+	Degree   int   // symmetry degree for WorkloadPeriodic
+	Seed     int64 // workload seed
 }
 
 // Homes materializes the Spec's initial configuration.
@@ -123,228 +98,14 @@ func (s Spec) Homes() ([]int, error) {
 	}
 }
 
-// Config materializes the Spec's agentring configuration (homes
-// included), ready for Run or RunBatch.
+// Config materializes the placement as a run configuration on the
+// default N-node ring, seeded with Seed.
 func (s Spec) Config() (agentring.Config, error) {
 	homes, err := s.Homes()
 	if err != nil {
 		return agentring.Config{}, err
 	}
-	cfg := agentring.Config{
-		N:         s.N,
-		Homes:     homes,
-		Scheduler: s.Scheduler,
-		Seed:      s.Seed,
-	}
-	if s.Topology != "" && s.Topology != "ring" {
-		topo, err := agentring.ParseTopology(s.Topology, s.N)
-		if err != nil {
-			return agentring.Config{}, err
-		}
-		cfg.Topology = topo
-	}
-	if s.Faults != "" {
-		size := cfg.N
-		if cfg.Topology != nil {
-			size = cfg.Topology.Size()
-		}
-		faults, err := ResolveFaults(s.Faults, size)
-		if err != nil {
-			return agentring.Config{}, err
-		}
-		cfg.Faults = faults
-	}
-	return cfg, nil
-}
-
-func rowFrom(spec Spec, rep agentring.Report) Row {
-	return Row{
-		Spec:           spec,
-		SymmetryDegree: rep.SymmetryDegree,
-		Uniform:        rep.Uniform,
-		TotalMoves:     rep.TotalMoves,
-		MaxMoves:       rep.MaxMoves,
-		Rounds:         rep.Rounds,
-		PeakWords:      rep.PeakWords,
-		PeakBits:       rep.PeakBits,
-		Messages:       rep.MessagesSent,
-	}
-}
-
-// Run executes the spec once and returns the measured row.
-func Run(spec Spec) (Row, error) {
-	cfg, err := spec.Config()
-	if err != nil {
-		return Row{}, err
-	}
-	rep, err := agentring.Run(spec.Algorithm, cfg)
-	if err != nil {
-		return Row{}, fmt.Errorf("run %s n=%d k=%d: %w", spec.Algorithm, spec.N, spec.K, err)
-	}
-	return rowFrom(spec, rep), nil
-}
-
-// RunAll executes the specs across agentring.RunBatch's bounded worker
-// pool and returns their rows in input order. workers <= 0 selects the
-// batch default (GOMAXPROCS). The first failed spec is reported as the
-// error, after every spec has run. Cancelling ctx stops the sweep
-// between runs (RunBatch semantics); nil ctx means Background.
-func RunAll(ctx context.Context, specs []Spec, workers int) ([]Row, error) {
-	return RunAllStream(ctx, specs, workers, nil)
-}
-
-// RunAllStream is RunAll with ordered streaming: every successful row
-// is additionally handed to emit as soon as it and all earlier rows
-// have completed, so a consumer (the sweep CLI's NDJSON mode) sees
-// rows trickle out in grid order while the batch is still running,
-// instead of waiting for the whole sweep. emit is called from a worker
-// goroutine but never concurrently; nil emit degrades to RunAll.
-func RunAllStream(ctx context.Context, specs []Spec, workers int, emit func(Row)) ([]Row, error) {
-	jobs := make([]agentring.Job, len(specs))
-	for i, spec := range specs {
-		cfg, err := spec.Config()
-		if err != nil {
-			return nil, err
-		}
-		jobs[i] = agentring.Job{Algorithm: spec.Algorithm, Config: cfg}
-	}
-	opts := agentring.BatchOptions{Workers: workers}
-	if emit != nil {
-		var (
-			mu      sync.Mutex
-			pending = make([]Row, len(specs))
-			done    = make([]bool, len(specs))
-			ok      = make([]bool, len(specs))
-			next    int
-		)
-		opts.OnResult = func(i int, res agentring.JobResult) {
-			mu.Lock()
-			defer mu.Unlock()
-			if res.Err == nil {
-				pending[i] = rowFrom(specs[i], res.Report)
-				ok[i] = true
-			}
-			done[i] = true
-			// Flush the completed prefix: rows stream strictly in input
-			// order, failed specs yield no row (the error surfaces below).
-			for next < len(specs) && done[next] {
-				if ok[next] {
-					emit(pending[next])
-				}
-				next++
-			}
-		}
-	}
-	results := agentring.RunBatch(ctx, jobs, opts)
-	rows := make([]Row, len(specs))
-	var firstErr error
-	for i, res := range results {
-		if res.Err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("run %s n=%d k=%d: %w",
-					specs[i].Algorithm, specs[i].N, specs[i].K, res.Err)
-			}
-			continue
-		}
-		rows[i] = rowFrom(specs[i], res.Report)
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return rows, nil
-}
-
-// Table1Specs enumerates the grid Table1Sweep measures.
-func Table1Specs(alg agentring.Algorithm, ns, ks []int, seed int64) []Spec {
-	var specs []Spec
-	for _, n := range ns {
-		for _, k := range ks {
-			if k > n/2 { // keep configurations scatterable
-				continue
-			}
-			specs = append(specs, Spec{
-				Algorithm: alg,
-				N:         n,
-				K:         k,
-				Workload:  WorkloadRandom,
-				Seed:      seed + int64(n*1000+k),
-				Scheduler: agentring.Synchronous,
-			})
-		}
-	}
-	return specs
-}
-
-// Table1Sweep measures one algorithm across a grid of (n, k) pairs with
-// the synchronous scheduler (so Rounds is the paper's ideal time). This
-// regenerates the corresponding column of Table 1 empirically. Runs
-// execute batched across all cores.
-func Table1Sweep(alg agentring.Algorithm, ns, ks []int, seed int64) ([]Row, error) {
-	return RunAll(context.Background(), Table1Specs(alg, ns, ks, seed), 0)
-}
-
-// DegreeSpecs enumerates the symmetry-degree sweep DegreeSweep measures.
-func DegreeSpecs(n, k int, degrees []int, seed int64) []Spec {
-	specs := make([]Spec, len(degrees))
-	for i, l := range degrees {
-		specs[i] = Spec{
-			Algorithm: agentring.Relaxed,
-			N:         n,
-			K:         k,
-			Workload:  WorkloadPeriodic,
-			Degree:    l,
-			Seed:      seed,
-			Scheduler: agentring.Synchronous,
-		}
-	}
-	return specs
-}
-
-// DegreeSweep measures the relaxed algorithm across symmetry degrees
-// for a fixed (n, k), regenerating Table 1 column 4's l-dependence.
-// Runs execute batched across all cores.
-func DegreeSweep(n, k int, degrees []int, seed int64) ([]Row, error) {
-	return RunAll(context.Background(), DegreeSpecs(n, k, degrees, seed), 0)
-}
-
-// LowerBound runs the Fig 3 clustered configuration and returns the
-// measured total moves together with the theorem's kn/16 floor.
-func LowerBound(alg agentring.Algorithm, n, k int) (moves int, floor int, err error) {
-	row, err := Run(Spec{
-		Algorithm: alg,
-		N:         n,
-		K:         k,
-		Workload:  WorkloadClustered,
-		Scheduler: agentring.Synchronous,
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	if !row.Uniform {
-		return 0, 0, fmt.Errorf("lower-bound run not uniform")
-	}
-	return row.TotalMoves, k * n / 16, nil
-}
-
-// FormatRows renders rows as an aligned text table.
-func FormatRows(rows []Row) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-12s %6s %5s %10s %4s %3s %9s %9s %7s %7s %6s %8s\n",
-		"algorithm", "n", "k", "workload", "l", "ok", "moves", "max/agent", "rounds", "words", "bits", "messages")
-	for _, r := range rows {
-		ok := "yes"
-		if !r.Uniform {
-			ok = "NO"
-		}
-		wl := string(r.Workload)
-		if r.Workload == WorkloadPeriodic {
-			wl = fmt.Sprintf("periodic/%d", r.Degree)
-		}
-		fmt.Fprintf(&b, "%-12s %6d %5d %10s %4d %3s %9d %9d %7d %7d %6d %8d\n",
-			r.Algorithm, r.N, r.K, wl, r.SymmetryDegree, ok,
-			r.TotalMoves, r.MaxMoves, r.Rounds, r.PeakWords, r.PeakBits, r.Messages)
-	}
-	return b.String()
+	return agentring.Config{N: s.N, Homes: homes, Seed: s.Seed}, nil
 }
 
 // FitLinear returns the least-squares slope and intercept of y against

@@ -91,42 +91,26 @@ func AllPlacementsDihedral(n int) [][]int {
 	return out
 }
 
-// ExploreAll model-checks one algorithm over the complete schedule
-// space of every initial configuration (up to rotation) of an n-node
-// ring. It returns one row per placement; the first counterexample or
-// setup error aborts the sweep, because a single failing schedule
+// ExploreAllStream model-checks one algorithm over the complete
+// schedule space of every initial configuration of a substrate, given
+// as an agentring.ParseTopology spec ("ring", "biring", "torus=RxC",
+// "tree=<edges>"; n sizes the ring families), around an optional fault
+// schedule. It returns one row per placement; the first counterexample
+// or setup error aborts the sweep, because a single failing schedule
 // already refutes the universally quantified claim under test.
-func ExploreAll(ctx context.Context, alg agentring.Algorithm, n int, opts agentring.ExploreOptions) ([]ExploreRow, error) {
-	return ExploreAllOn(ctx, alg, "ring", n, opts)
-}
-
-// ExploreAllOn is ExploreAll on an arbitrary substrate, given as an
-// agentring.ParseTopology spec ("ring", "biring", "torus=RxC",
-// "tree=<edges>"; n sizes the ring families). Placements are still
-// deduplicated up to rotation of the node numbering, which is sound
-// exactly for the rotation-symmetric substrates (ring, biring); for
-// tori and trees every placement is explored.
-func ExploreAllOn(ctx context.Context, alg agentring.Algorithm, topology string, n int, opts agentring.ExploreOptions) ([]ExploreRow, error) {
-	return ExploreAllUnderFaults(ctx, alg, topology, n, nil, opts)
-}
-
-// ExploreAllUnderFaults is ExploreAllOn with a fault schedule attached
-// to every exploration: each placement's schedule space is enumerated
-// around the same fixed failure/repair timeline. Note that a non-empty
-// schedule breaks the rotation symmetry the ring-family deduplication
-// relies on (the failed edge names a concrete node), so placements are
-// then enumerated exhaustively on every substrate.
-func ExploreAllUnderFaults(ctx context.Context, alg agentring.Algorithm, topology string, n int, faults []agentring.FaultEvent, opts agentring.ExploreOptions) ([]ExploreRow, error) {
-	return ExploreAllStream(ctx, alg, topology, n, faults, opts, nil)
-}
-
-// ExploreAllStream is ExploreAllUnderFaults with per-placement
-// streaming: each finished row is also handed to emit before the next
-// placement's exploration starts, so a consumer (the explore CLI's
-// NDJSON mode) reports progress on searches that take minutes instead
-// of going silent until the end. nil emit just collects. Cancelling
-// ctx aborts the sweep mid-search; the rows finished so far are
-// returned alongside the context's error.
+//
+// Placements are deduplicated up to rotation of the node numbering
+// (AllPlacements) exactly when that is sound: on the rotation-symmetric
+// substrates (ring, biring) without faults. A fault schedule names a
+// concrete edge and breaks the symmetry, and tori and trees have none
+// to begin with, so those placements are enumerated exhaustively.
+//
+// Each finished row is also handed to emit before the next placement's
+// exploration starts, so a consumer (the explore CLI's NDJSON mode)
+// reports progress on searches that take minutes instead of going
+// silent until the end. nil emit just collects. Cancelling ctx aborts
+// the sweep mid-search; the rows finished so far are returned
+// alongside the context's error.
 func ExploreAllStream(ctx context.Context, alg agentring.Algorithm, topology string, n int, faults []agentring.FaultEvent, opts agentring.ExploreOptions, emit func(ExploreRow)) ([]ExploreRow, error) {
 	if ctx == nil {
 		ctx = context.Background()

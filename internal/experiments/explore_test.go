@@ -28,7 +28,7 @@ func TestAllPlacementsRotationDedup(t *testing.T) {
 }
 
 func TestExploreAllNativeSmallRing(t *testing.T) {
-	rows, err := ExploreAll(context.Background(), agentring.Native, 5, agentring.ExploreOptions{})
+	rows, err := ExploreAllStream(context.Background(), agentring.Native, "ring", 5, nil, agentring.ExploreOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestExploreAllSurfacesCounterexample(t *testing.T) {
 	// The pumped 8-ring contains the clustered placement {0..4} whose
 	// naive-halting run is the Theorem 5 violation, so the sweep must
 	// abort with a counterexample error.
-	_, err := ExploreAll(context.Background(), agentring.NaiveHalting, 8, agentring.ExploreOptions{})
+	_, err := ExploreAllStream(context.Background(), agentring.NaiveHalting, "ring", 8, nil, agentring.ExploreOptions{}, nil)
 	if err == nil || !strings.Contains(err.Error(), "counterexample") {
 		t.Fatalf("err = %v, want a counterexample abort", err)
 	}
@@ -146,14 +146,14 @@ func TestBiNativeChirality(t *testing.T) {
 // pool, and the sweep agrees with a sequential one placement by
 // placement on the covered state sets.
 func TestExploreAllBiNativeBiring6(t *testing.T) {
-	par, err := ExploreAllOn(context.Background(), agentring.BiNative, "biring", 6, agentring.ExploreOptions{Workers: 4})
+	par, err := ExploreAllStream(context.Background(), agentring.BiNative, "biring", 6, nil, agentring.ExploreOptions{Workers: 4}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(par) != len(AllPlacements(6)) {
 		t.Fatalf("%d rows for %d placements", len(par), len(AllPlacements(6)))
 	}
-	seq, err := ExploreAllOn(context.Background(), agentring.BiNative, "biring", 6, agentring.ExploreOptions{})
+	seq, err := ExploreAllStream(context.Background(), agentring.BiNative, "biring", 6, nil, agentring.ExploreOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

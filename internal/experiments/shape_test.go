@@ -1,10 +1,10 @@
-package experiments
+package experiments_test
 
 import (
 	"math"
 	"testing"
 
-	"agentring"
+	"agentring/internal/jobs"
 )
 
 // TestAlg1TimeIsLinearInN checks the O(n) ideal-time shape of
@@ -13,13 +13,10 @@ import (
 func TestAlg1TimeIsLinearInN(t *testing.T) {
 	var ratios []float64
 	for _, n := range []int{64, 128, 256, 512} {
-		row, err := Run(Spec{
-			Algorithm: agentring.Native, N: n, K: 8,
-			Workload: WorkloadClustered, Scheduler: agentring.Synchronous,
+		row := runCell(t, jobs.Spec{
+			Algorithm: "native", N: n, K: 8,
+			Workload: "clustered", Scheduler: "synchronous",
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		ratios = append(ratios, float64(row.Rounds)/float64(n))
 	}
 	for _, r := range ratios {
@@ -50,13 +47,10 @@ func TestAlg2TimeGrowsWithLogK(t *testing.T) {
 	}
 	var pts []point
 	for _, k := range []int{4, 16, 64} {
-		row, err := Run(Spec{
-			Algorithm: agentring.LogSpace, N: n, K: k,
-			Workload: WorkloadClustered, Scheduler: agentring.Synchronous,
+		row := runCell(t, jobs.Spec{
+			Algorithm: "logspace", N: n, K: k,
+			Workload: "clustered", Scheduler: "synchronous",
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		pts = append(pts, point{k, row.Rounds})
 	}
 	for i := 1; i < len(pts); i++ {
@@ -79,14 +73,11 @@ func TestAlg2TimeGrowsWithLogK(t *testing.T) {
 // worst, and far less on symmetric configurations.
 func TestRelaxedMessagesBounded(t *testing.T) {
 	for _, c := range []struct{ n, k, l int }{{128, 8, 1}, {128, 8, 8}} {
-		row, err := Run(Spec{
-			Algorithm: agentring.Relaxed, N: c.n, K: c.k,
-			Workload: WorkloadPeriodic, Degree: c.l, Seed: 3,
-			Scheduler: agentring.Synchronous,
+		row := runCell(t, jobs.Spec{
+			Algorithm: "relaxed", N: c.n, K: c.k,
+			Workload: "periodic", Degree: c.l, Seed: 3,
+			Scheduler: "synchronous",
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		if row.Messages > 4*c.k*c.k {
 			t.Errorf("n=%d k=%d l=%d: %d messages exceed 4k^2", c.n, c.k, c.l, row.Messages)
 		}
@@ -100,16 +91,10 @@ func TestMemoryShapeContrast(t *testing.T) {
 	var alg1Words, alg2Words []int
 	for _, k := range []int{8, 32} {
 		n := 8 * k
-		r1, err := Run(Spec{Algorithm: agentring.Native, N: n, K: k,
-			Workload: WorkloadRandom, Seed: 5, Scheduler: agentring.RoundRobin})
-		if err != nil {
-			t.Fatal(err)
-		}
-		r2, err := Run(Spec{Algorithm: agentring.LogSpace, N: n, K: k,
-			Workload: WorkloadRandom, Seed: 5, Scheduler: agentring.RoundRobin})
-		if err != nil {
-			t.Fatal(err)
-		}
+		r1 := runCell(t, jobs.Spec{Algorithm: "native", N: n, K: k,
+			Workload: "random", Seed: 5, Scheduler: "roundrobin"})
+		r2 := runCell(t, jobs.Spec{Algorithm: "logspace", N: n, K: k,
+			Workload: "random", Seed: 5, Scheduler: "roundrobin"})
 		alg1Words = append(alg1Words, r1.PeakWords)
 		alg2Words = append(alg2Words, r2.PeakWords)
 	}

@@ -103,7 +103,7 @@ type job struct {
 	id       string
 	client   string
 	spec     Spec
-	comp     compiled
+	plan     Plan
 	state    State
 	priority int
 	seq      int
@@ -210,12 +210,12 @@ func New(opts Options) *Engine {
 // returning its initial snapshot. The spec is compiled eagerly so a bad
 // spec is rejected here instead of failing later in the queue.
 func (e *Engine) Submit(client string, spec Spec) (Snapshot, error) {
-	comp, err := spec.compile()
+	plan, err := Compile(spec)
 	if err != nil {
 		return Snapshot{}, err
 	}
-	total := len(comp.cells)
-	if comp.explore != nil {
+	total := len(plan.Cells)
+	if plan.Explore != nil {
 		total = 1
 	}
 	e.mu.Lock()
@@ -234,7 +234,7 @@ func (e *Engine) Submit(client string, spec Spec) (Snapshot, error) {
 		id:        fmt.Sprintf("j%d", e.seq),
 		client:    client,
 		spec:      spec,
-		comp:      comp,
+		plan:      plan,
 		state:     StateQueued,
 		priority:  spec.Priority,
 		seq:       e.seq,
@@ -331,6 +331,7 @@ func (e *Engine) finishQueuedLocked(j *job, state State, msg string) {
 	j.state = state
 	j.err = msg
 	j.finished = time.Now()
+	j.plan = Plan{}
 	e.queued--
 	e.publishLocked(Event{Type: string(state), JobID: j.id, Job: snapPtr(j)})
 	e.cond.Broadcast()
@@ -546,7 +547,7 @@ func (e *Engine) runLoop() {
 		e.publishLocked(Event{Type: "started", JobID: j.id, Job: snapPtr(j)})
 		e.mu.Unlock()
 
-		result, err := run(ctx, j.spec, j.comp, e.opts.Workers, e.hooks(j))
+		result, err := Run(ctx, j.plan, e.opts.Workers, e.hooks(j))
 		cancelled := ctx.Err() != nil
 		cancel()
 
@@ -563,6 +564,7 @@ func (e *Engine) runLoop() {
 			j.result = &result
 		}
 		j.finished = time.Now()
+		j.plan = Plan{} // a finished job keeps its result, not its configurations
 		e.running--
 		e.publishLocked(Event{Type: string(j.state), JobID: j.id, Job: snapPtr(j)})
 		e.cond.Broadcast()
@@ -570,61 +572,67 @@ func (e *Engine) runLoop() {
 	}
 }
 
-// hooks are a running job's windows onto the event bus; nil hooks are
+// Hooks are a running plan's windows onto its progress; nil hooks are
 // skipped.
-type hooks struct {
-	// progress is called once per finished cell (concurrently, from the
+type Hooks struct {
+	// Progress is called once per finished cell (concurrently, from the
 	// batch workers) or once after a search.
-	progress func()
-	// explore receives the search's live counters.
-	explore func(agentring.ExploreProgress)
-	// trace receives up to Spec.TraceEvents execution events from the
-	// job's cells.
-	trace func(agentring.TraceEvent)
+	Progress func()
+	// Cell receives every finished run/sweep cell in grid order, as
+	// soon as it and all cells before it have finished, so a consumer
+	// sees rows stream out while the batch is still running. It is
+	// never called concurrently.
+	Cell func(CellResult)
+	// Explore receives the search's live counters.
+	Explore func(agentring.ExploreProgress)
+	// Trace receives up to Spec.TraceEvents execution events from the
+	// plan's cells.
+	Trace func(agentring.TraceEvent)
 }
 
 // hooks publishes job j's progress, live explorer counters and trace
 // events to the bus.
-func (e *Engine) hooks(j *job) hooks {
-	return hooks{
-		progress: func() { e.noteProgress(j) },
-		explore: func(p agentring.ExploreProgress) {
+func (e *Engine) hooks(j *job) Hooks {
+	return Hooks{
+		Progress: func() { e.noteProgress(j) },
+		Explore: func(p agentring.ExploreProgress) {
 			e.publish(Event{Type: "progress", JobID: j.id, Explore: &p})
 		},
-		trace: func(ev agentring.TraceEvent) {
+		Trace: func(ev agentring.TraceEvent) {
 			e.publish(Event{Type: "trace", JobID: j.id, Trace: &ev})
 		},
 	}
 }
 
-// run executes a compiled spec. It is the one path a daemon job and
-// Execute both take, so their results and failures agree byte for
-// byte. A cancelled ctx interrupts a search mid-flight and a batch
-// between cells, and is returned as the error.
-func run(ctx context.Context, spec Spec, comp compiled, workers int, h hooks) (Result, error) {
-	if comp.explore != nil {
-		// Search parallelism comes from the spec, not the worker pool,
-		// so the report does not depend on how either process sized it.
-		opts := comp.opts
-		opts.Progress = h.explore
-		rep, err := agentring.Explore(ctx, comp.alg, *comp.explore, opts)
+// Run executes a compiled plan. It is the one path a daemon job,
+// Execute and the CLIs take, so their results and failures agree byte
+// for byte. workers bounds the run/sweep batch pool (zero selects
+// GOMAXPROCS); an exploration's parallelism comes from its spec
+// instead, so its report does not depend on how the caller sized the
+// pool. A cancelled ctx interrupts a search mid-flight and a batch
+// between cells, and is returned as the batch's error.
+func Run(ctx context.Context, p Plan, workers int, h Hooks) (Result, error) {
+	if p.Explore != nil {
+		opts := p.Options
+		opts.Progress = h.Explore
+		rep, err := agentring.Explore(ctx, p.Algorithm, *p.Explore, opts)
 		if err != nil {
 			return Result{}, err
 		}
-		if h.progress != nil {
-			h.progress()
+		if h.Progress != nil {
+			h.Progress()
 		}
-		return Result{Kind: spec.Kind, Explore: &rep}, nil
+		return Result{Kind: p.kind, Explore: &rep}, nil
 	}
 
-	cells := comp.cells
-	if limit := int64(spec.TraceEvents); limit > 0 && h.trace != nil {
+	cells := p.Cells
+	if limit := int64(p.traceEvents); limit > 0 && h.Trace != nil {
 		// Bounded by the spec's cap so a million-step sweep cannot flood
 		// subscribers. The counter is shared across cells and workers.
 		var emitted atomic.Int64
 		sink := agentring.TraceFunc(func(ev agentring.TraceEvent) {
 			if emitted.Add(1) <= limit {
-				h.trace(ev)
+				h.Trace(ev)
 			}
 		})
 		cells = slices.Clone(cells)
@@ -632,19 +640,38 @@ func run(ctx context.Context, spec Spec, comp compiled, workers int, h hooks) (R
 			cells[i].Config.TraceSink = sink
 		}
 	}
-	bopts := agentring.BatchOptions{Workers: workers}
-	if h.progress != nil {
-		bopts.OnResult = func(int, agentring.JobResult) { h.progress() }
-	}
-	results := agentring.RunBatch(ctx, cells, bopts)
+	out := Result{Kind: p.kind, Cells: make([]CellResult, len(cells))}
+	var (
+		mu   sync.Mutex
+		done = make([]bool, len(cells))
+		next int
+	)
+	results := agentring.RunBatch(ctx, cells, agentring.BatchOptions{
+		Workers: workers,
+		OnResult: func(i int, r agentring.JobResult) {
+			if h.Progress != nil {
+				h.Progress()
+			}
+			// The lock is held across Cell so that calls come strictly
+			// in grid order, whatever order the pool finishes cells in,
+			// and never concurrently.
+			mu.Lock()
+			defer mu.Unlock()
+			out.Cells[i] = cellResult(i, r)
+			done[i] = true
+			for ; next < len(done) && done[next]; next++ {
+				if h.Cell != nil {
+					h.Cell(out.Cells[next])
+				}
+			}
+		},
+	})
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
-	out := Result{Kind: spec.Kind, Cells: make([]CellResult, len(results))}
 	var firstErr error
 	failures := 0
-	for i, r := range results {
-		out.Cells[i] = cellResult(i, r)
+	for _, r := range results {
 		if r.Err != nil {
 			failures++
 			if firstErr == nil {
@@ -676,9 +703,9 @@ func (e *Engine) noteProgress(j *job) {
 // job.result payload against Execute's, and a spec whose every cell
 // fails is an error both ways.
 func Execute(spec Spec, workers int) (Result, error) {
-	comp, err := spec.compile()
+	p, err := Compile(spec)
 	if err != nil {
 		return Result{}, err
 	}
-	return run(context.Background(), spec, comp, workers, hooks{})
+	return Run(context.Background(), p, workers, Hooks{})
 }

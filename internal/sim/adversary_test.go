@@ -242,10 +242,7 @@ func TestAdversaryCheckpointRestoreContinuesIdentically(t *testing.T) {
 	for at := 0; at <= len(refKeys); at += 3 {
 		e := advSetup(t, budget)
 		advDrive(t, e, at)
-		cp, err := e.Checkpoint()
-		if err != nil {
-			t.Fatalf("Checkpoint at %d: %v", at, err)
-		}
+		cp := e.Checkpoint()
 		advDrive(t, e, 4)
 		if err := e.Restore(cp); err != nil {
 			t.Fatalf("Restore at %d: %v", at, err)
@@ -310,6 +307,42 @@ func TestAdversaryRunScheduler(t *testing.T) {
 		}
 		if down := e.Snapshot().DownEdges; len(down) != 0 {
 			t.Fatalf("seed %d: links left down: %v", seed, down)
+		}
+	}
+}
+
+// TestAdversaryUnderEveryScheduler runs two walkers on a 6-ring
+// against a 1/3 online adversary under each scheduler until the step
+// limit. The adversary's moves carry Agent -1, which the Adversarial
+// scheduler's per-agent skip counters must leave alone.
+func TestAdversaryUnderEveryScheduler(t *testing.T) {
+	const limit = 16
+	for _, sc := range []struct {
+		name string
+		s    Scheduler
+	}{
+		{"roundrobin", NewRoundRobin()},
+		{"random", NewRandom(1)},
+		{"synchronous", NewSynchronous()},
+		{"adversarial", NewAdversarial(DefaultAdversaryBound)},
+	} {
+		e, err := NewEngine(ring.MustNew(6),
+			[]ring.NodeID{0, 3},
+			[]Program{walker(1 << 20), walker(1 << 20)},
+			Options{
+				Scheduler: sc.s,
+				MaxSteps:  limit,
+				Adversary: &AdversaryBudget{MaxConcurrent: 1, RepairWithin: 3},
+			})
+		if err != nil {
+			t.Fatalf("%s: NewEngine: %v", sc.name, err)
+		}
+		res, err := e.Run()
+		if !errors.Is(err, ErrStepLimit) {
+			t.Errorf("%s: Run error = %v, want the step limit", sc.name, err)
+		}
+		if res.Steps != limit {
+			t.Errorf("%s: ran %d steps, want %d", sc.name, res.Steps, limit)
 		}
 	}
 }

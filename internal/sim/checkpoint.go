@@ -78,12 +78,10 @@ func (e *Engine) Checkpointable() bool { return true }
 
 // Checkpoint captures the engine's state between atomic actions into a
 // fresh Checkpoint. See CheckpointTo for the reuse form.
-func (e *Engine) Checkpoint() (*Checkpoint, error) {
+func (e *Engine) Checkpoint() *Checkpoint {
 	cp := &Checkpoint{}
-	if err := e.CheckpointTo(cp); err != nil {
-		return nil, err
-	}
-	return cp, nil
+	_ = e.CheckpointTo(cp) // every engine checkpoints: the error is always nil
+	return cp
 }
 
 // CheckpointTo captures the engine's state between atomic actions into

@@ -189,10 +189,10 @@ func NewAdversarial(maxSkip int) *Adversarial {
 	return &Adversarial{maxSkip: maxSkip}
 }
 
-// skipsFor returns the skip counter of agent id, growing the table on
-// first sight (new agents start at zero, exactly as the map did).
+// skipsFor returns the skip counter of agent id; agents not yet in the
+// table, and the online fault adversary's moves (Agent -1), have none.
 func (s *Adversarial) skipsFor(id int) int {
-	if id >= len(s.skips) {
+	if id < 0 || id >= len(s.skips) {
 		return 0
 	}
 	return s.skips[id]
@@ -201,7 +201,9 @@ func (s *Adversarial) skipsFor(id int) int {
 // Pick implements Scheduler. One fused pass finds both candidates — the
 // longest-starved agent at or beyond the bound (latest wins ties, as
 // before) and the highest-index agent — and the forced half of the scan
-// only runs while someone is actually starved.
+// only runs while someone is actually starved. The online fault
+// adversary's moves stay out of the skip bookkeeping: they are never
+// starved, and the engine itself forces a repair that falls due.
 func (s *Adversarial) Pick(_ int, choices []Choice) int {
 	pick := 0
 	forced, forcedSkips := -1, 0
@@ -225,6 +227,9 @@ func (s *Adversarial) Pick(_ int, choices []Choice) int {
 		pick = forced
 	}
 	for i, c := range choices {
+		if c.Agent < 0 {
+			continue
+		}
 		if c.Agent >= len(s.skips) {
 			s.skips = append(s.skips, make([]int, c.Agent+1-len(s.skips))...)
 		}

@@ -270,10 +270,7 @@ func BenchmarkApplyChoice(b *testing.B) {
 	for _, c := range stepAPICases {
 		b.Run(c.name, func(b *testing.B) {
 			e := stepAPIEngine(b, c.n, c.k, c.adv, c.n*c.k/2)
-			cp, err := e.Checkpoint()
-			if err != nil {
-				b.Fatal(err)
-			}
+			cp := e.Checkpoint()
 			var walk []Choice
 			for d := 0; ; d++ {
 				cs := e.DecisionPoint()
@@ -325,10 +322,7 @@ func BenchmarkDecisionPoint(b *testing.B) {
 	for _, c := range stepAPICases {
 		b.Run(c.name+"/after-restore", func(b *testing.B) {
 			e := stepAPIEngine(b, c.n, c.k, c.adv, c.n*c.k/2)
-			cp, err := e.Checkpoint()
-			if err != nil {
-				b.Fatal(err)
-			}
+			cp := e.Checkpoint()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -3,6 +3,7 @@ package topo
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"agentring/internal/ring"
 )
@@ -64,9 +65,10 @@ type Torus struct {
 	rows, cols int
 }
 
-// NewTorus returns a rows x cols twisted torus.
+// NewTorus returns a rows x cols twisted torus. Its node count
+// rows*cols must fit an int.
 func NewTorus(rows, cols int) (*Torus, error) {
-	if rows < 1 || cols < 1 {
+	if rows < 1 || cols < 1 || rows > math.MaxInt/cols {
 		return nil, fmt.Errorf("%w: torus %dx%d", ErrBadShape, rows, cols)
 	}
 	return &Torus{rows: rows, cols: cols}, nil

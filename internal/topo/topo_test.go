@@ -85,4 +85,7 @@ func TestTorusSouthPort(t *testing.T) {
 	if _, err := NewTorus(0, 3); err == nil {
 		t.Error("expected error for empty torus")
 	}
+	if _, err := NewTorus(1<<32, 1<<32); err == nil {
+		t.Error("expected error for a torus whose node count overflows int")
+	}
 }

@@ -134,7 +134,7 @@ func TestExploreBiNativeExhaustiveSmallRings(t *testing.T) {
 		t.Skip("exhaustive search")
 	}
 	for n := 1; n <= 5; n++ {
-		rows, err := experiments.ExploreAllOn(context.Background(), agentring.BiNative, "biring", n, agentring.ExploreOptions{})
+		rows, err := experiments.ExploreAllStream(context.Background(), agentring.BiNative, "biring", n, nil, agentring.ExploreOptions{}, nil)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
