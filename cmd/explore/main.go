@@ -18,17 +18,20 @@
 //	explore -n 4 -k 2 -faults permanent       # never repaired: finds the frozen-agent schedule
 //	explore -n 4 -k 2 -adversary 1/3          # online adversary: branch over every 1-link outage
 //	explore -n 8 -homes 0,1,2,3,4 -alg naive -adversary 1/3 # minimal breaking budget (WorstOutage)
-//	explore -n 8 -all -workers 4              # exhaustive n=8 on the work-stealing pool
+//	explore -n 8 -all -workers 4              # exhaustive n=8, four placements at a time
 //	explore -n 8 -k 5 -duration 10s           # wall-clock budget: honest partial report
 //
-// -workers sizes the search's work-stealing worker pool; every worker
-// count covers the same states and reports the same counterexample.
+// -workers sets how many placements an -all sweep explores at once;
+// each search runs on one goroutine, and every value prints the same
+// rows, reports and exit status (a single exploration ignores it).
 // -duration bounds wall-clock time: on expiry the report says
 // complete=false rather than erroring. Ctrl-C aborts the search and
 // still prints the partial report. Under -json, running searches also
 // stream progress rows ({"type":"progress",...}) interleaved with the
 // report lines, one compact JSON object per line; report lines carry
-// no "type" field, so consumers filter on its presence.
+// no "type" field, so consumers filter on its presence. With -all and
+// -workers above 1, progress rows of the placements being explored
+// interleave.
 //
 // -faults attaches a link failure/repair timeline (a named DynRing plan
 // — transient | churn | permanent — or a raw
@@ -72,9 +75,9 @@ import (
 )
 
 func main() {
-	// Interrupts cancel the context, which reaches mid-search: every
-	// worker polls it at each frontier pop, so a ^C stops a long
-	// exploration after at most one expansion per worker.
+	// Interrupts cancel the context, which reaches mid-search: a search
+	// polls it at each pop, so a ^C stops a long exploration after at
+	// most one more expansion of each placement being explored.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if err := run(ctx, os.Args[1:], os.Stdout); err != nil {
@@ -96,7 +99,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		all      = fs.Bool("all", false, "explore every initial configuration of the substrate (up to rotation on ring families; ignores -k and -homes)")
 		depth    = fs.Int("depth", 0, "schedule depth bound (0 = default)")
 		states   = fs.Int("states", 0, "distinct-state bound (0 = default)")
-		workers  = fs.Int("workers", 0, "work-stealing search workers (<=1 = sequential; any value covers the same space)")
+		workers  = fs.Int("workers", 0, "placements an -all sweep explores at once (<=1 = one at a time; every value prints the same)")
 		moves    = fs.Int("moves", 0, "total-move bound; exceeding it is a counterexample (0 = off)")
 		duration = fs.Duration("duration", 0, "wall-clock budget per exploration; expiring truncates the search (0 = off)")
 		jsonFlag = fs.Bool("json", false, "emit the report(s) as JSON (NDJSON stream with -all; includes progress rows)")
@@ -160,7 +163,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 
 	// In -json mode, searches stream NDJSON progress rows (type
 	// "progress") interleaved with the report rows; the shared encoder
-	// mutex keeps concurrent emissions line-atomic. Report rows keep
+	// mutex keeps the emissions of concurrently explored placements
+	// line-atomic. Report rows keep
 	// their pre-progress shapes (no "type" field), so existing consumers
 	// can filter on the field's presence.
 	var (

@@ -40,8 +40,8 @@ type Budget struct {
 type ExploreProgress struct {
 	// States is the number of distinct global states expanded so far.
 	States int64 `json:"states"`
-	// Frontier is the number of schedule prefixes queued or being
-	// expanded across the worker pool.
+	// Frontier is the number of schedule prefixes waiting on the
+	// search's stack.
 	Frontier int64 `json:"frontier"`
 	// CacheHits counts replays that converged onto an already-explored
 	// state.
@@ -59,10 +59,11 @@ type ExploreProgress struct {
 type ExploreOptions struct {
 	// Budget bounds the search.
 	Budget Budget
-	// Workers sizes the search's work-stealing worker pool; values <= 1
-	// run sequentially. Every worker count covers the same state set
-	// and reports the same counterexample — parallelism only changes
-	// wall-clock time.
+	// Workers is how many placements a sweep over placements
+	// (experiments.ExploreAllStream) explores at once; values <= 1
+	// sweep them one at a time. Explore ignores it: one search runs on
+	// the calling goroutine. Every value yields the same rows, reports
+	// and error.
 	Workers int
 	// Adversary, if non-nil, runs the search against an online fault
 	// adversary: link failures and repairs become choices of the
@@ -74,9 +75,11 @@ type ExploreOptions struct {
 	// budget that already breaks the algorithm.
 	Adversary *AdversaryBudget
 	// Progress, if non-nil, receives periodic snapshots of the running
-	// search (roughly every 200ms, plus a final one). Called from a
-	// dedicated goroutine concurrently with the search; must be cheap
-	// and concurrency-safe. No calls happen after Explore returns.
+	// search (at the first expansion after every 200ms, plus a final
+	// one). It is called on the searching goroutine, between
+	// expansions, so it should be cheap. A sweep exploring several
+	// placements at once (Workers > 1) calls it from each of their
+	// searches, concurrently. No calls happen after Explore returns.
 	Progress func(ExploreProgress)
 }
 
@@ -151,13 +154,12 @@ type ExploreReport struct {
 // is a mechanically checked proof that the algorithm deploys uniformly
 // under every asynchronous schedule from this configuration.
 //
-// The search runs on a work-stealing worker pool (ExploreOptions.
-// Workers) and its report is deterministic for any worker count: the
-// covered state set is visit-order independent, and a parallel search
-// that finds a violation re-runs sequentially to pin the canonical
-// (lexicographically least) counterexample. Config.Topology selects the
-// substrate (default: the unidirectional ring of Config.N nodes); the
-// partial-order reduction commutes actions per directed-edge FIFO.
+// The search runs on the calling goroutine and visits schedules in one
+// fixed order, so its report is deterministic, visit-order counters
+// included, and its counterexample is the lexicographically least one
+// explored. Config.Topology selects the substrate (default: the
+// unidirectional ring of Config.N nodes); the partial-order reduction
+// commutes actions per directed-edge FIFO.
 //
 // Config.Faults makes the substrate dynamic: the search enumerates
 // every agent interleaving around the fixed failure/repair timeline,
@@ -244,7 +246,6 @@ func Explore(ctx context.Context, alg Algorithm, cfg Config, opts ExploreOptions
 			MaxSteps:      opts.Budget.MaxSteps,
 			MaxTotalMoves: opts.Budget.MaxTotalMoves,
 			MaxDuration:   opts.Budget.MaxDuration,
-			Workers:       opts.Workers,
 			Progress:      progress,
 		})
 	}

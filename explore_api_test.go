@@ -59,22 +59,6 @@ func TestExploreTheorem5Counterexample(t *testing.T) {
 	}
 }
 
-func TestExploreWorkers(t *testing.T) {
-	seq, err := agentring.Explore(context.Background(), agentring.LogSpace, agentring.Config{N: 5, Homes: []int{0, 2}},
-		agentring.ExploreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := agentring.Explore(context.Background(), agentring.LogSpace, agentring.Config{N: 5, Homes: []int{0, 2}},
-		agentring.ExploreOptions{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.States != par.States || seq.DistinctTerminals != par.DistinctTerminals {
-		t.Fatalf("worker pool changed coverage: %+v vs %+v", seq, par)
-	}
-}
-
 func TestExploreConfigErrors(t *testing.T) {
 	// The explorer's sleep sets are agent bitmasks, so it refuses more
 	// than 64 agents; the facade reports that as a configuration error.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync"
 
 	"agentring"
 )
@@ -96,8 +97,9 @@ func AllPlacementsDihedral(n int) [][]int {
 // as an agentring.ParseTopology spec ("ring", "biring", "torus=RxC",
 // "tree=<edges>"; n sizes the ring families), around an optional fault
 // schedule. It returns one row per placement; the first counterexample
-// or setup error aborts the sweep, because a single failing schedule
-// already refutes the universally quantified claim under test.
+// or setup error in placement order aborts the sweep, because a single
+// failing schedule already refutes the universally quantified claim
+// under test.
 //
 // Placements are deduplicated up to rotation of the node numbering
 // (AllPlacements) exactly when that is sound: on the rotation-symmetric
@@ -105,11 +107,19 @@ func AllPlacementsDihedral(n int) [][]int {
 // concrete edge and breaks the symmetry, and tori and trees have none
 // to begin with, so those placements are enumerated exhaustively.
 //
-// Each finished row is also handed to emit before the next placement's
-// exploration starts, so a consumer (the explore CLI's NDJSON mode)
-// reports progress on searches that take minutes instead of going
-// silent until the end. nil emit just collects. Cancelling ctx aborts
-// the sweep mid-search; the rows finished so far are returned
+// opts.Workers placements are explored at once, by the calling
+// goroutine and opts.Workers-1 more, each running one search at a
+// time; values <= 1 explore them one at a time on the calling
+// goroutine. Each finished row is handed to emit in placement order, as
+// soon as it and every row before it have finished, so a consumer (the
+// explore CLI's NDJSON mode) reports progress on sweeps that take
+// minutes instead of going silent until the end; emit is never called
+// concurrently, and nil emit just collects. A counterexample's row is
+// emitted and returned before the error. When a placement fails, the
+// placements before it still finish and those after it are cancelled
+// and never emitted, so every Workers value returns the same rows and
+// the same error. Cancelling ctx aborts the sweep mid-search; the rows
+// finished so far, a contiguous prefix in placement order, are returned
 // alongside the context's error.
 func ExploreAllStream(ctx context.Context, alg agentring.Algorithm, topology string, n int, faults []agentring.FaultEvent, opts agentring.ExploreOptions, emit func(ExploreRow)) ([]ExploreRow, error) {
 	if ctx == nil {
@@ -141,23 +151,106 @@ func ExploreAllStream(ctx context.Context, alg agentring.Algorithm, topology str
 			placements = append(placements, homes)
 		}
 	}
-	rows := make([]ExploreRow, 0, len(placements))
-	for _, homes := range placements {
-		rep, err := agentring.Explore(ctx, alg, agentring.Config{Topology: topo, Homes: homes, Faults: faults}, opts)
-		if err != nil {
-			return rows, fmt.Errorf("explore %s on %s homes=%v: %w", alg, topo, homes, err)
-		}
-		row := ExploreRow{Algorithm: alg, N: n, Homes: homes, Report: rep}
-		rows = append(rows, row)
-		if emit != nil {
-			emit(row)
-		}
-		if rep.Counterexample != nil {
-			return rows, fmt.Errorf("explore %s on %s homes=%v: counterexample: %s",
-				alg, topo, homes, rep.Counterexample.Reason)
-		}
+	sw := &sweep{
+		placements: placements,
+		results:    make([]placementResult, len(placements)),
+		cancels:    make([]context.CancelFunc, len(placements)),
+		limit:      len(placements),
+		emit:       emit,
+		rows:       make([]ExploreRow, 0, len(placements)),
+		explore: func(ctx context.Context, homes []int) (*ExploreRow, error) {
+			rep, err := agentring.Explore(ctx, alg, agentring.Config{Topology: topo, Homes: homes, Faults: faults}, opts)
+			if err != nil {
+				return nil, fmt.Errorf("explore %s on %s homes=%v: %w", alg, topo, homes, err)
+			}
+			row := &ExploreRow{Algorithm: alg, N: n, Homes: homes, Report: rep}
+			if rep.Counterexample != nil {
+				return row, fmt.Errorf("explore %s on %s homes=%v: counterexample: %s",
+					alg, topo, homes, rep.Counterexample.Reason)
+			}
+			return row, nil
+		},
 	}
-	return rows, nil
+	var wg sync.WaitGroup
+	for range min(opts.Workers, len(placements)) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sw.work(ctx)
+		}()
+	}
+	sw.work(ctx)
+	wg.Wait()
+	return sw.rows, sw.err
+}
+
+// sweep is the placement pool behind ExploreAllStream. Its fields past
+// explore are guarded by mu.
+type sweep struct {
+	placements [][]int
+	explore    func(context.Context, []int) (*ExploreRow, error)
+
+	mu      sync.Mutex
+	next    int // the next placement to start
+	limit   int // placements from limit on are never started
+	results []placementResult
+	cancels []context.CancelFunc
+	emitted int // placements handed to emit (or failed) so far
+	emit    func(ExploreRow)
+	rows    []ExploreRow
+	err     error
+}
+
+// placementResult is one finished placement: its row (nil when the
+// search failed or was cancelled) and its error (a counterexample, a
+// failed search or a cancellation; nil otherwise).
+type placementResult struct {
+	row  *ExploreRow
+	err  error
+	done bool
+}
+
+// work starts placements in order until none is left below the limit.
+// A failed placement lowers the limit to just past itself and cancels
+// the later placements already running.
+func (sw *sweep) work(ctx context.Context) {
+	for {
+		sw.mu.Lock()
+		i := sw.next
+		if i >= sw.limit {
+			sw.mu.Unlock()
+			return
+		}
+		sw.next++
+		pctx, cancel := context.WithCancel(ctx)
+		sw.cancels[i] = cancel
+		sw.mu.Unlock()
+
+		row, err := sw.explore(pctx, sw.placements[i])
+		cancel()
+
+		sw.mu.Lock()
+		sw.results[i] = placementResult{row: row, err: err, done: true}
+		if err != nil && i+1 < sw.limit {
+			sw.limit = i + 1
+			for _, c := range sw.cancels[i+1 : sw.next] {
+				c()
+			}
+		}
+		// The lock is held across emit so that rows go out strictly in
+		// placement order and never concurrently.
+		for ; sw.emitted < sw.limit && sw.results[sw.emitted].done; sw.emitted++ {
+			r := sw.results[sw.emitted]
+			if r.row != nil {
+				sw.rows = append(sw.rows, *r.row)
+				if sw.emit != nil {
+					sw.emit(*r.row)
+				}
+			}
+			sw.err = r.err
+		}
+		sw.mu.Unlock()
+	}
 }
 
 // FormatExploreRows renders exploration rows as an aligned text table.

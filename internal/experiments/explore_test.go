@@ -2,12 +2,31 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
 	"agentring"
 )
+
+// sweepAt runs ExploreAllStream at the given worker count and checks
+// that emit received exactly the returned rows, in order.
+func sweepAt(t *testing.T, ctx context.Context, alg agentring.Algorithm, topology string, n, workers int, emit func(ExploreRow)) ([]ExploreRow, error) {
+	t.Helper()
+	var emitted []ExploreRow
+	rows, err := ExploreAllStream(ctx, alg, topology, n, nil, agentring.ExploreOptions{Workers: workers}, func(r ExploreRow) {
+		emitted = append(emitted, r)
+		if emit != nil {
+			emit(r)
+		}
+	})
+	if !reflect.DeepEqual(emitted, rows) {
+		t.Fatalf("workers=%d: emitted %d rows that differ from the %d returned", workers, len(emitted), len(rows))
+	}
+	return rows, err
+}
 
 func TestAllPlacementsRotationDedup(t *testing.T) {
 	// Binary necklaces of length 4, excluding the empty one: 0001,
@@ -49,13 +68,61 @@ func TestExploreAllNativeSmallRing(t *testing.T) {
 	}
 }
 
+// TestExploreAllSurfacesCounterexample: the pumped 8-ring contains the
+// clustered placement {0..4} whose naive-halting run is the Theorem 5
+// violation, so the sweep must abort with a counterexample error, after
+// emitting the failing placement's row. Placements after the first
+// failing one are cancelled and never emitted, so the rows and the
+// error are the same at every worker count.
 func TestExploreAllSurfacesCounterexample(t *testing.T) {
-	// The pumped 8-ring contains the clustered placement {0..4} whose
-	// naive-halting run is the Theorem 5 violation, so the sweep must
-	// abort with a counterexample error.
-	_, err := ExploreAllStream(context.Background(), agentring.NaiveHalting, "ring", 8, nil, agentring.ExploreOptions{}, nil)
-	if err == nil || !strings.Contains(err.Error(), "counterexample") {
-		t.Fatalf("err = %v, want a counterexample abort", err)
+	var want []ExploreRow
+	var wantErr string
+	for _, workers := range []int{1, 2, 4} {
+		rows, err := sweepAt(t, context.Background(), agentring.NaiveHalting, "ring", 8, workers, nil)
+		if err == nil || !strings.Contains(err.Error(), "counterexample") {
+			t.Fatalf("workers=%d: err = %v, want a counterexample abort", workers, err)
+		}
+		if len(rows) == 0 || rows[len(rows)-1].Report.Counterexample == nil {
+			t.Fatalf("workers=%d: the last of %d rows is not the counterexample's", workers, len(rows))
+		}
+		if workers == 1 {
+			want, wantErr = rows, err.Error()
+			continue
+		}
+		if !reflect.DeepEqual(rows, want) {
+			t.Errorf("workers=%d: %d rows differ from the %d of workers=1", workers, len(rows), len(want))
+		}
+		if err.Error() != wantErr {
+			t.Errorf("workers=%d: err %q, workers=1 %q", workers, err, wantErr)
+		}
+	}
+}
+
+// TestExploreAllCancelReturnsPrefix cancels a two-worker sweep from its
+// emit hook: the sweep must return the context's error together with a
+// contiguous prefix of the full sweep's rows.
+func TestExploreAllCancelReturnsPrefix(t *testing.T) {
+	full, err := sweepAt(t, context.Background(), agentring.Native, "ring", 7, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const cancelAt = 3
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	seen := 0
+	rows, err := sweepAt(t, ctx, agentring.Native, "ring", 7, 2, func(ExploreRow) {
+		if seen++; seen == cancelAt {
+			cancel()
+		}
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if len(rows) < cancelAt || len(rows) >= len(full) {
+		t.Fatalf("%d rows after cancelling at row %d of %d", len(rows), cancelAt, len(full))
+	}
+	if !reflect.DeepEqual(rows, full[:len(rows)]) {
+		t.Fatalf("the %d rows are not a prefix of the full sweep's", len(rows))
 	}
 }
 
@@ -142,31 +209,32 @@ func TestBiNativeChirality(t *testing.T) {
 
 // TestExploreAllBiNativeBiring6 is the bidirectional coverage
 // acceptance check: BiNative verifies on every placement of the
-// 6-node bidirectional ring (up to rotation), with a parallel worker
-// pool, and the sweep agrees with a sequential one placement by
-// placement on the covered state sets.
+// 6-node bidirectional ring (up to rotation), and sweeps exploring 2
+// and 4 placements at once return exactly the rows of the one-at-a-time
+// sweep, every report field included.
 func TestExploreAllBiNativeBiring6(t *testing.T) {
-	par, err := ExploreAllStream(context.Background(), agentring.BiNative, "biring", 6, nil, agentring.ExploreOptions{Workers: 4}, nil)
+	seq, err := sweepAt(t, context.Background(), agentring.BiNative, "biring", 6, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(par) != len(AllPlacements(6)) {
-		t.Fatalf("%d rows for %d placements", len(par), len(AllPlacements(6)))
+	if len(seq) != len(AllPlacements(6)) {
+		t.Fatalf("%d rows for %d placements", len(seq), len(AllPlacements(6)))
 	}
-	seq, err := ExploreAllStream(context.Background(), agentring.BiNative, "biring", 6, nil, agentring.ExploreOptions{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range par {
+	for _, r := range seq {
 		if !r.Report.Complete {
 			t.Errorf("homes=%v: incomplete exploration", r.Homes)
 		}
 		if r.Report.Counterexample != nil {
 			t.Errorf("homes=%v: counterexample: %s", r.Homes, r.Report.Counterexample.Reason)
 		}
-		if s := seq[i].Report; s.States != r.Report.States || s.DistinctTerminals != r.Report.DistinctTerminals {
-			t.Errorf("homes=%v: parallel covers %d states / %d terminals, sequential %d / %d",
-				r.Homes, r.Report.States, r.Report.DistinctTerminals, s.States, s.DistinctTerminals)
+	}
+	for _, workers := range []int{2, 4} {
+		par, err := sweepAt(t, context.Background(), agentring.BiNative, "biring", 6, workers, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(par, seq) {
+			t.Errorf("workers=%d: rows differ from the one-at-a-time sweep's", workers)
 		}
 	}
 }

@@ -67,8 +67,7 @@ func equalStrings(a, b []string) bool {
 // budget — one {fail edge at step s, repair at step s+w} timeline per
 // (edge, s, w ≤ RepairWithin), plus the fault-free schedule. Both must
 // in turn equal the static terminal set (an eventually-repaired
-// adversary is invisible to the agents, so it adds no terminals), and
-// the adversary search must report identically at workers 1 and 4.
+// adversary is invisible to the agents, so it adds no terminals).
 func TestAdversaryCrossCheckBruteForce(t *testing.T) {
 	const repairWithin = 2
 	budget := &sim.AdversaryBudget{MaxConcurrent: 1, RepairWithin: repairWithin, MaxTotal: 1}
@@ -102,29 +101,19 @@ func TestAdversaryCrossCheckBruteForce(t *testing.T) {
 			}
 			want := static.sorted()
 
-			// Adversary mode at workers 1 and 4: identical reports,
-			// terminal set equal to the static one.
-			var advReports []Report
-			for _, workers := range []int{1, 4} {
-				adv := newTerminalCollector()
-				arep, err := Explore(context.Background(),
-					Setup{N: tc.n, Homes: tc.homes, Programs: factory, Adversary: budget, Property: adv.property},
-					Options{Workers: workers})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !arep.Complete || arep.Counterexample != nil {
-					t.Fatalf("workers=%d: adversary search complete=%v cex=%v", workers, arep.Complete, arep.Counterexample)
-				}
-				if got := adv.sorted(); !equalStrings(got, want) {
-					t.Fatalf("workers=%d: adversary terminal positions %v, want static %v", workers, got, want)
-				}
-				advReports = append(advReports, arep)
+			// Adversary mode: terminal set equal to the static one.
+			adv := newTerminalCollector()
+			arep, err := Explore(context.Background(),
+				Setup{N: tc.n, Homes: tc.homes, Programs: factory, Adversary: budget, Property: adv.property},
+				Options{})
+			if err != nil {
+				t.Fatal(err)
 			}
-			if a, b := advReports[0], advReports[1]; a.States != b.States ||
-				a.Terminals != b.Terminals || a.DistinctTerminals != b.DistinctTerminals ||
-				a.Deepest != b.Deepest || a.Complete != b.Complete {
-				t.Fatalf("adversary reports diverge across workers:\n  w1: %+v\n  w4: %+v", a, b)
+			if !arep.Complete || arep.Counterexample != nil {
+				t.Fatalf("adversary search complete=%v cex=%v", arep.Complete, arep.Counterexample)
+			}
+			if got := adv.sorted(); !equalStrings(got, want) {
+				t.Fatalf("adversary terminal positions %v, want static %v", got, want)
 			}
 
 			// Brute force: enumerate every fixed single-outage timeline
@@ -164,10 +153,10 @@ func TestAdversaryCrossCheckBruteForce(t *testing.T) {
 }
 
 // TestAdversaryReductionAndModeConsistency re-argues the searches'
-// reductions under the online adversary by cross-checking every
-// combination that must agree: sleep sets on vs off, sequential vs
-// parallel. All must report the same state count, terminal counts,
-// verdict and coverage — and agree with the from-root referee, which
+// reductions under the online adversary by cross-checking the searches
+// that must agree: sleep sets on vs off. Both must report the same
+// state count, terminal counts, verdict and coverage — and agree with
+// the from-root referee, which
 // reaches every state by replay with no checkpoints, cache subsumption
 // or sleep sets.
 func TestAdversaryReductionAndModeConsistency(t *testing.T) {
@@ -190,7 +179,6 @@ func TestAdversaryReductionAndModeConsistency(t *testing.T) {
 			}{
 				{"baseline", Options{}},
 				{"no-reduction", Options{DisableReduction: true}},
-				{"workers4", Options{Workers: 4}},
 			}
 			k := len(sc.homes)
 			ref := fromRootReferee(t, setup, refFactory(t, k, reference.Alg1(core.KnowAgents, k)))
@@ -220,10 +208,9 @@ func TestAdversaryReductionAndModeConsistency(t *testing.T) {
 	}
 }
 
-// TestAdversaryCounterexampleDeterministic pins that a breaking
-// adversary search reports the same canonical counterexample for every
-// worker count, with adversary moves rendered in the schedule listing
-// when they occur. NaiveHalting on the pumped ring is the known
+// TestAdversaryCounterexampleDeterministic pins the counterexample a
+// breaking adversary search reports. NaiveHalting on the pumped ring is
+// the known
 // breaking instance (Theorem 5); it breaks without faults, so the
 // lexicographically least counterexample is fault-free — the adversary
 // search must converge on exactly the static one.
@@ -241,29 +228,18 @@ func TestAdversaryCounterexampleDeterministic(t *testing.T) {
 	if static.Counterexample == nil {
 		t.Fatal("static naive search found no counterexample")
 	}
-	var first *Counterexample
-	for _, opts := range []Options{{}, {Workers: 4}} {
-		rep, err := Explore(context.Background(),
-			Setup{N: n, Homes: homes, Programs: naiveFactory(len(homes)), Adversary: budget}, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cex := rep.Counterexample
-		if cex == nil {
-			t.Fatalf("opts %+v: no counterexample", opts)
-		}
-		if first == nil {
-			first = cex
-			continue
-		}
-		if fmt.Sprint(cex.Prefix) != fmt.Sprint(first.Prefix) || cex.Reason != first.Reason {
-			t.Fatalf("counterexample diverges across worker counts:\n  first: %v %s\n  got:   %v %s",
-				first.Prefix, first.Reason, cex.Prefix, cex.Reason)
-		}
+	rep, err := Explore(context.Background(),
+		Setup{N: n, Homes: homes, Programs: naiveFactory(len(homes)), Adversary: budget}, Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if fmt.Sprint(first.Prefix) != fmt.Sprint(static.Counterexample.Prefix) {
+	cex := rep.Counterexample
+	if cex == nil {
+		t.Fatal("adversary search found no counterexample")
+	}
+	if fmt.Sprint(cex.Prefix) != fmt.Sprint(static.Counterexample.Prefix) {
 		t.Fatalf("adversary counterexample %v is not the static canonical one %v",
-			first.Prefix, static.Counterexample.Prefix)
+			cex.Prefix, static.Counterexample.Prefix)
 	}
 }
 

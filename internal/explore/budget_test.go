@@ -3,120 +3,13 @@ package explore
 import (
 	"context"
 	"errors"
-	"slices"
-	"sync"
 	"testing"
 	"time"
 
 	"agentring/internal/ring"
 	"agentring/internal/sim"
 	"agentring/internal/topo"
-	"agentring/internal/workload"
 )
-
-// TestCexDeterministicAcrossWorkers pins the deterministic-verdict
-// contract: the counterexample reported for a fixed setup is
-// byte-identical for every worker count (the parallel search keeps the
-// lexicographically least candidate prefix and then confirms it with a
-// sequential pass), and repeated parallel runs agree with themselves.
-func TestCexDeterministicAcrossWorkers(t *testing.T) {
-	n, homes, err := workload.Pumped(1, []ring.NodeID{0}, 5, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	setup := Setup{N: n, Homes: homes, Programs: naiveFactory(len(homes))}
-
-	explore := func(workers int) Counterexample {
-		t.Helper()
-		rep, err := Explore(context.Background(), setup, Options{Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if rep.Counterexample == nil {
-			t.Fatalf("workers=%d: no counterexample on the pumped ring", workers)
-		}
-		return *rep.Counterexample
-	}
-
-	want := explore(1)
-	for _, workers := range []int{2, 8, 8, 8} {
-		got := explore(workers)
-		if !slices.Equal(got.Prefix, want.Prefix) {
-			t.Fatalf("workers=%d: prefix %v, sequential search found %v", workers, got.Prefix, want.Prefix)
-		}
-		if !slices.Equal(got.Schedule, want.Schedule) {
-			t.Fatalf("workers=%d: schedule drifted:\n%v\nvs\n%v", workers, got.Schedule, want.Schedule)
-		}
-		if !slices.Equal(got.Positions, want.Positions) || got.Reason != want.Reason {
-			t.Fatalf("workers=%d: terminal drifted: %v %q vs %v %q",
-				workers, got.Positions, got.Reason, want.Positions, want.Reason)
-		}
-	}
-}
-
-// TestWorkersSpreadBeyondRootBranching is the regression test for the
-// old frontier's ceiling: it split work only at the root, so a root
-// with two enabled actions kept at most two workers busy no matter the
-// pool size. The work-stealing frontier redistributes interior
-// subtrees, so on a 2-child root (two agents, each with exactly one
-// wake action) an 8-worker pool must still get more than two workers
-// expanding states.
-func TestWorkersSpreadBeyondRootBranching(t *testing.T) {
-	// Two design choices make the test meaningful:
-	//
-	//   - the reduction is disabled, because a reduced 2-agent space is
-	//     nearly path-shaped (sleep sets suppress most second children)
-	//     and barely two work items ever coexist — there would be
-	//     nothing to spread regardless of the frontier design;
-	//   - each program step sleeps briefly, so an expanding worker
-	//     yields the processor mid-expansion. On a single-CPU machine a
-	//     pure-CPU search loop monopolizes the scheduler and the pool
-	//     never warms up — which says nothing about the frontier.
-	//
-	// The spread is still timing-dependent, so the regression is
-	// probabilistic: the old design could NEVER exceed 2 busy workers
-	// here, the stealing frontier almost always does. Five attempts
-	// make a false negative vanishingly unlikely.
-	const attempts = 5
-	best := 0
-	for i := 0; i < attempts; i++ {
-		var loads []int64
-		rep, err := Explore(context.Background(), Setup{
-			N:        13,
-			Homes:    []ring.NodeID{0, 6},
-			Programs: pausingWalkers(2, 6),
-		}, Options{Workers: 8, DisableReduction: true, loads: &loads})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !rep.Complete || rep.Counterexample != nil {
-			t.Fatalf("bad search: %+v", rep)
-		}
-		if len(loads) != 8 {
-			t.Fatalf("loads for %d workers, want 8", len(loads))
-		}
-		busy := 0
-		var total int64
-		for _, l := range loads {
-			if l > 0 {
-				busy++
-			}
-			total += l
-		}
-		// Without a counterexample to confirm, Replays counts exactly
-		// the expansions, so the loads must account for every one.
-		if total != int64(rep.Replays) {
-			t.Fatalf("per-worker loads sum to %d, report counted %d expansions", total, rep.Replays)
-		}
-		if busy > best {
-			best = busy
-		}
-		if best > 2 {
-			return
-		}
-	}
-	t.Errorf("at most %d workers ever expanded states on a 2-child root across %d attempts; stealing is not redistributing subtrees", best, attempts)
-}
 
 // TestEdgeIndependenceSound cross-checks the per-directed-edge
 // independence relation (see independent) on a substrate where it is
@@ -187,7 +80,7 @@ func TestMaxDurationTruncates(t *testing.T) {
 		N:        13,
 		Homes:    []ring.NodeID{0, 4, 8},
 		Programs: pausingWalkers(3, 6),
-	}, Options{MaxDuration: 5 * time.Millisecond, Workers: 4})
+	}, Options{MaxDuration: 5 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +96,7 @@ func TestMaxDurationTruncates(t *testing.T) {
 }
 
 // TestBudgetStopCountsPoppedItem lands a wall-clock budget stop between
-// a worker's pop and its expansion — here, of the root item, the one
+// the search's pop and its expansion — here, of the root item, the one
 // case where nothing else is left to count — and requires the dropped
 // item in Truncated: a budget-stopped search must never report
 // Truncated == 0 with Complete == false.
@@ -222,14 +115,8 @@ func TestBudgetStopCountsPoppedItem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x.frontier.push(0, []item{root})
-	it, ok := x.frontier.next(0)
-	if !ok {
-		t.Fatal("no root item to pop")
-	}
-	x.stop(abortBudget) // what a worker's pollStop does once MaxDuration has expired
-	x.expand(0, it)
-	x.frontier.finish()
+	x.stop(abortBudget) // what poll does once MaxDuration has expired
+	x.expand(root)
 	rep := x.report()
 	if rep.Complete || rep.Truncated < 1 {
 		t.Fatalf("budget stop after the pop: Complete=%v Truncated=%d, want false and >= 1", rep.Complete, rep.Truncated)
@@ -240,9 +127,8 @@ func TestBudgetStopCountsPoppedItem(t *testing.T) {
 }
 
 // TestBudgetStopAfterLastExpansion lands a budget stop after the search
-// ran out of work but before it reports, as a stop from outside the
-// workers can. Nothing was cut, so the report must claim completeness,
-// not Complete == false with Truncated == 0.
+// ran out of work but before it reports. Nothing was cut, so the report
+// must claim completeness, not Complete == false with Truncated == 0.
 func TestBudgetStopAfterLastExpansion(t *testing.T) {
 	top := ring.MustNew(5)
 	rankSrc, err := sim.RankSources(top)
@@ -259,8 +145,8 @@ func TestBudgetStopAfterLastExpansion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x.frontier.push(0, []item{root})
-	x.work(0)
+	x.stack = append(x.stack, root)
+	x.search()
 	x.stop(abortBudget)
 	rep := x.report()
 	if !rep.Complete || rep.Truncated != 0 || rep.States == 0 {
@@ -271,8 +157,8 @@ func TestBudgetStopAfterLastExpansion(t *testing.T) {
 // TestBudgetStopCountsInPlaceChild lands a budget stop in the middle of
 // an in-place descent. One agent on a 5-ring gives every state exactly
 // one child, so the whole search runs inside the root item's expansion
-// and nothing is ever queued: the child the stop cuts off was never in
-// the frontier, and expand must count it itself.
+// and nothing is ever pushed: the child the stop cuts off was never on
+// the stack, and expand must count it itself.
 func TestBudgetStopCountsInPlaceChild(t *testing.T) {
 	top := ring.MustNew(5)
 	rankSrc, err := sim.RankSources(top)
@@ -280,7 +166,7 @@ func TestBudgetStopCountsInPlaceChild(t *testing.T) {
 		t.Fatal(err)
 	}
 	var x *explorer
-	stop := func() { x.stop(abortBudget) } // what a worker's pollStop does once MaxDuration has expired
+	stop := func() { x.stop(abortBudget) } // what poll does once MaxDuration has expired
 	x, root, err := newExplorer(Setup{
 		N:        5,
 		Topology: top,
@@ -290,7 +176,7 @@ func TestBudgetStopCountsInPlaceChild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x.expand(0, root)
+	x.expand(root)
 	rep := x.report()
 	if rep.Complete || rep.Truncated < 1 {
 		t.Fatalf("budget stop mid-descent: Complete=%v Truncated=%d, want false and >= 1", rep.Complete, rep.Truncated)
@@ -343,7 +229,7 @@ func TestContextCancelAborts(t *testing.T) {
 		N:        13,
 		Homes:    []ring.NodeID{0, 4, 8},
 		Programs: pausingWalkers(3, 6),
-	}, Options{Workers: 4})
+	}, Options{})
 	if err == nil {
 		t.Fatal("cancelled search returned no error")
 	}
@@ -357,8 +243,8 @@ func TestContextCancelAborts(t *testing.T) {
 
 // TestCancelFromPropertyStopsAtNextPop cancels the context from inside
 // the search, in the property callback at the cancelAt-th distinct
-// terminal. A one-worker search must notice at its next pop, whatever
-// the scheduler does: every run reports context.Canceled, evaluates no
+// terminal. The search must notice at its next pop, whatever the
+// scheduler does: every run reports context.Canceled, evaluates no
 // terminal after the cancelling one, and covers the same partial
 // state set.
 func TestCancelFromPropertyStopsAtNextPop(t *testing.T) {
@@ -370,7 +256,7 @@ func TestCancelFromPropertyStopsAtNextPop(t *testing.T) {
 			Homes:    []ring.NodeID{0, 1, 2, 3, 5},
 			Programs: alg2Factory(5),
 			Property: property,
-		}, Options{Workers: 1})
+		}, Options{})
 	}
 	full, err := search(context.Background(), func(sim.Result) string { return "" })
 	if err != nil || !full.Complete {
@@ -411,22 +297,15 @@ func TestProgressSnapshots(t *testing.T) {
 	progressInterval = time.Millisecond
 	defer func() { progressInterval = saved }()
 
-	var mu sync.Mutex
 	var snaps []Progress
 	rep, err := Explore(context.Background(), Setup{
 		N:        6,
 		Homes:    []ring.NodeID{0, 2, 4},
 		Programs: alg1Factory(3),
-	}, Options{Progress: func(p Progress) {
-		mu.Lock()
-		snaps = append(snaps, p)
-		mu.Unlock()
-	}})
+	}, Options{Progress: func(p Progress) { snaps = append(snaps, p) }})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mu.Lock()
-	defer mu.Unlock()
 	if len(snaps) == 0 {
 		t.Fatal("no progress snapshots delivered")
 	}
@@ -439,37 +318,5 @@ func TestProgressSnapshots(t *testing.T) {
 	if final.States != int64(rep.States) || final.Replays != int64(rep.Replays) {
 		t.Errorf("final snapshot %+v disagrees with report states=%d replays=%d",
 			final, rep.States, rep.Replays)
-	}
-}
-
-// TestParallelParityLargeRing is the scale acceptance check: on a
-// heavy n=8 clustered placement (5090 states — the n=8 exhaustive
-// sweep's heaviest searches are the large-k clusters) the parallel
-// search covers exactly the sequential state set. The full k=8
-// placement (44k states, ~13s sequential) stays out of the unit suite
-// and is covered by the explore-scale CI smoke instead.
-func TestParallelParityLargeRing(t *testing.T) {
-	homes := []ring.NodeID{0, 1, 2, 3, 4}
-	if testing.Short() {
-		homes = homes[:4]
-	}
-	setup := Setup{N: 8, Homes: homes, Programs: alg1Factory(len(homes))}
-	seq, err := Explore(context.Background(), setup, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := Explore(context.Background(), setup, Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !seq.Complete || !par.Complete {
-		t.Fatalf("incomplete: seq=%+v par=%+v", seq, par)
-	}
-	if seq.States != par.States || seq.DistinctTerminals != par.DistinctTerminals {
-		t.Fatalf("parallel coverage differs at n=8: states %d vs %d, terminals %d vs %d",
-			seq.States, par.States, seq.DistinctTerminals, par.DistinctTerminals)
-	}
-	if seq.Counterexample != nil || par.Counterexample != nil {
-		t.Fatal("unexpected counterexample at n=8")
 	}
 }

@@ -1,44 +1,21 @@
 package explore
 
-import (
-	"sync"
-	"sync/atomic"
-)
-
-// stats is the search's shared scoreboard. Every counter is atomic so
-// workers update it without serializing on a global lock; all counters
-// are monotone sums (or maxes), so the totals are independent of the
-// order workers happened to interleave in — which is what lets the
-// Workers=1 and Workers=8 runs of a complete search report identical
-// States, Terminals and DistinctTerminals.
+// stats is the search's scoreboard, the counters Report and Progress
+// read.
 type stats struct {
-	states            atomic.Int64
-	pruned            atomic.Int64
-	sleepSkips        atomic.Int64
-	replays           atomic.Int64
-	stepsReplayed     atomic.Int64
-	terminals         atomic.Int64
-	distinctTerminals atomic.Int64
-	truncated         atomic.Int64
-	deepest           atomic.Int64
+	states, pruned, sleepSkips, replays int
+	terminals, distinctTerminals        int
+	truncated, deepest                  int
+	stepsReplayed                       int64
 }
 
-// observeDepth folds one replayed depth into the running maximum.
-func (s *stats) observeDepth(depth int) {
-	d := int64(depth)
-	for {
-		cur := s.deepest.Load()
-		if d <= cur || s.deepest.CompareAndSwap(cur, d) {
-			return
-		}
-	}
-}
-
-// cacheShards is the number of independently locked cache partitions.
-// 64 keeps the probability of two of ≤16 workers colliding on a shard
-// low; the shard index is the key's low shardBits bits, and a shard's
-// table probes from the bits above them. Keys need no further hashing:
-// they are already avalanche hashes (sim state keys, or mix64-finalized
+// cacheShards is the number of cache partitions. A shard doubles on its
+// own, so a growing cache copies 1/64 of itself at a time and never
+// holds a whole old table next to its doubled successor, which at the
+// last doubling of one flat table would be half as much memory again.
+// The shard index is the key's low shardBits bits, and a shard's table
+// probes from the bits above them. Keys need no further hashing: they
+// are already avalanche hashes (sim state keys, or mix64-finalized
 // depth tags under faults).
 const (
 	shardBits   = 6
@@ -76,11 +53,10 @@ type cacheSlot struct {
 	entry cacheEntry
 }
 
-// cacheShard is a flat open-addressed table with linear probing behind
-// its own mutex. Its length is a power of two that doubles at 3/4
-// load, so its memory is exactly len(slots) × 24 bytes.
+// cacheShard is a flat open-addressed table with linear probing. Its
+// length is a power of two that doubles at 3/4 load, so its memory is
+// exactly len(slots) × 24 bytes.
 type cacheShard struct {
-	mu    sync.Mutex
 	slots []cacheSlot // nil until the first insert
 	mem   []byte      // the mapping behind slots (newTable), nil for a heap table
 	count int
@@ -110,12 +86,11 @@ func (s *cacheShard) grow() {
 	freeTable(oldMem)
 }
 
-// stateCache is the canonical-state cache, sharded by key so concurrent
-// workers almost never contend: a visit touches exactly one shard.
-// Entries are only ever weakened (depth lowered, sleep set shrunk), and
-// every visit of one key reads and updates its entry under that shard's
-// lock, so the visits of a key are serialized and each transition out
-// of it is handed to exactly one of them (see visit).
+// stateCache is the canonical-state cache, sharded by key: a visit
+// touches exactly one shard. Entries are only ever weakened (depth
+// lowered, sleep set shrunk), and the visits of a key run one after
+// another, so each transition out of it is handed to exactly one of
+// them (see visit).
 type stateCache struct {
 	shards [cacheShards]cacheShard
 }
@@ -146,14 +121,13 @@ const (
 	visitTruncated
 )
 
-// visit applies the cache discipline to one replayed state under the
-// owning shard's lock and updates the scoreboard. It returns the
-// outcome, the sleep set the expansion runs under, the awake set that
-// restricts it (zero for an unrestricted expansion), and whether this
-// visit is the first to see the key as a terminal — the one visit
-// allowed to run the property check, so each terminal configuration is
-// judged exactly once no matter how many schedules reach it or which
-// worker got there first.
+// visit applies the cache discipline to one replayed state and updates
+// the scoreboard. It returns the outcome, the sleep set the expansion
+// runs under, the awake set that restricts it (zero for an unrestricted
+// expansion), and whether this visit is the first to see the key as a
+// terminal — the one visit allowed to run the property check, so each
+// terminal configuration is judged exactly once no matter how many
+// schedules reach it.
 //
 // A revisit that is no shallower than the stored entry but does not
 // subsume it (its sleep set Z misses some agents of the stored set H)
@@ -161,29 +135,24 @@ const (
 // every enabled transition outside H, so this visit owes only the
 // awake set H &^ Z — the transitions all of them slept and this one
 // does not — and runs under the sleep set H & Z, which is also what the
-// entry keeps. Because the visits of one key are serialized, their
+// entry keeps. The visits of one key run one after another, so their
 // awake sets are disjoint and each (state, transition) pair is expanded
 // at most once. Shallower revisits, which matter only when MaxDepth cut
 // the earlier subtree, keep the unrestricted expansion under H & Z.
 //
-// MaxStates is enforced against the shared states counter; concurrent
-// inserts on different shards can overshoot it by at most one state per
-// worker, and with Workers <= 1 the bound is exact (which keeps
-// truncated sequential searches deterministic).
-func (c *stateCache) visit(key uint64, depth int, sleep sleepSet, terminal bool, maxStates int64, st *stats) (visitOutcome, sleepSet, sleepSet, bool) {
+// MaxStates is an exact bound on the states counter.
+func (c *stateCache) visit(key uint64, depth int, sleep sleepSet, terminal bool, maxStates int, st *stats) (visitOutcome, sleepSet, sleepSet, bool) {
 	s := &c.shards[key%cacheShards]
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	var sl *cacheSlot
 	if s.slots != nil {
 		sl = s.slot(key)
 	}
 	if sl == nil || !sl.entry.used {
-		if st.states.Load() >= maxStates {
-			st.truncated.Add(1)
+		if st.states >= maxStates {
+			st.truncated++
 			return visitTruncated, 0, 0, false
 		}
-		st.states.Add(1)
+		st.states++
 		if 4*(s.count+1) > 3*len(s.slots) {
 			s.grow()
 			sl = s.slot(key)
@@ -192,16 +161,16 @@ func (c *stateCache) visit(key uint64, depth int, sleep sleepSet, terminal bool,
 		sl.key = key
 		sl.entry = cacheEntry{depth: int32(depth), sleep: sleep, terminal: terminal, used: true}
 		if terminal {
-			st.terminals.Add(1)
-			st.distinctTerminals.Add(1)
+			st.terminals++
+			st.distinctTerminals++
 		}
 		return visitExpand, sleep, 0, terminal
 	}
 	entry := &sl.entry
 	if int(entry.depth) <= depth && entry.sleep&^sleep == 0 {
-		st.pruned.Add(1)
+		st.pruned++
 		if terminal {
-			st.terminals.Add(1)
+			st.terminals++
 		}
 		return visitPruned, 0, 0, false
 	}
@@ -214,7 +183,7 @@ func (c *stateCache) visit(key uint64, depth int, sleep sleepSet, terminal bool,
 	entry.sleep &= sleep
 	first := false
 	if terminal {
-		st.terminals.Add(1)
+		st.terminals++
 		// The key determines the configuration, so a revisited terminal
 		// key was terminal on first visit too; first stays false and the
 		// property is not re-checked. The defensive update keeps the
@@ -222,7 +191,7 @@ func (c *stateCache) visit(key uint64, depth int, sleep sleepSet, terminal bool,
 		first = !entry.terminal
 		if first {
 			entry.terminal = true
-			st.distinctTerminals.Add(1)
+			st.distinctTerminals++
 		}
 	}
 	return visitExpand, entry.sleep, awake, first

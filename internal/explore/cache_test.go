@@ -17,7 +17,7 @@ func BenchmarkCacheVisit(b *testing.B) {
 	for _, entries := range []int{1_000, 100_000, 1_000_000} {
 		fill := func(c *stateCache, st *stats, from, to int) {
 			for i := from; i < to; i++ {
-				c.visit(mix64(uint64(i)+1), 1, 0, false, math.MaxInt64, st)
+				c.visit(mix64(uint64(i)+1), 1, 0, false, math.MaxInt, st)
 			}
 		}
 		b.Run(fmt.Sprintf("hit/entries=%d", entries), func(b *testing.B) {
@@ -27,7 +27,7 @@ func BenchmarkCacheVisit(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c.visit(mix64(uint64(i%entries)+1), 2, 0, false, math.MaxInt64, st)
+				c.visit(mix64(uint64(i%entries)+1), 2, 0, false, math.MaxInt, st)
 			}
 		})
 		b.Run(fmt.Sprintf("miss/entries=%d", entries), func(b *testing.B) {
@@ -46,7 +46,7 @@ func BenchmarkCacheVisit(b *testing.B) {
 					next = entries
 					b.StartTimer()
 				}
-				c.visit(mix64(uint64(next)+1), 1, 0, false, math.MaxInt64, st)
+				c.visit(mix64(uint64(next)+1), 1, 0, false, math.MaxInt, st)
 				next++
 			}
 		})
@@ -61,7 +61,7 @@ func TestCacheGrowsIntoMappedTables(t *testing.T) {
 	const keys = 80_000 // about 1,250 a shard, past 3/4 of 1,024 slots in each
 	for pass, want := range []visitOutcome{visitExpand, visitPruned} {
 		for i := range keys {
-			if out, _, _, _ := c.visit(mix64(uint64(i)+1), 1, 0, false, math.MaxInt64, st); out != want {
+			if out, _, _, _ := c.visit(mix64(uint64(i)+1), 1, 0, false, math.MaxInt, st); out != want {
 				t.Fatalf("pass %d, key %d: outcome %v, want %v", pass, i, out, want)
 			}
 		}

@@ -11,11 +11,16 @@
 // A node of the tree is a prefix of scheduling decisions (indices into
 // the engine's deterministic enabled-choice order). Expanding a node
 // applies exactly one engine action — the decision that leads into it —
-// and asks the engine for the enabled set there: a worker descends into
-// each node's first child on the engine as it stands, and reaches any
-// other child by restoring the checkpoint captured at its parent (see
-// Checkpoints), which every agent's frame supports by saving its own
-// state. Two reductions keep the tree small:
+// and asks the engine for the enabled set there: the search descends
+// into each node's first child on the engine as it stands, and reaches
+// any other child by restoring the checkpoint captured at its parent
+// (see Checkpoints), which every agent's frame supports by saving its
+// own state. One search runs on the calling goroutine over a LIFO
+// stack, so it visits states in the lexicographic depth-first preorder
+// of decision prefixes, and every field of its report, visit-order
+// counters included, is reproducible. Parallelism lives one level up,
+// in sweeps over many placements, whose searches are independent.
+// Two reductions keep the tree small:
 //
 //   - canonical-state caching: every reached state is identified by
 //     its canonical state key (sim.Configuration.Key over the visible
@@ -26,12 +31,13 @@
 //     same or fewer suppressed transitions is pruned — converged
 //     branches are never re-expanded, and a revisit that does wake
 //     suppressed transitions expands only those (the revisit rule
-//     below). The cache is 64 shards chosen by the key's low six bits,
-//     each behind its own lock, so workers rarely contend; a shard is a
-//     flat open-addressed table of 24-byte slots (key plus 16-byte
-//     entry) probed linearly from the key's remaining bits and doubled
-//     at 3/4 load, so the cache's memory is exactly its slot count
-//     times 24 bytes. On Linux a table of 2,048 slots or more is mapped
+//     below). The cache is 64 shards chosen by the key's low six bits;
+//     a shard is a flat open-addressed table of 24-byte slots (key plus
+//     16-byte entry) probed linearly from the key's remaining bits and
+//     doubled at 3/4 load, so the cache's memory is exactly its slot
+//     count times 24 bytes. Shards double one at a time, so a growing
+//     cache never holds a whole old table next to its doubled
+//     successor. On Linux a table of 2,048 slots or more is mapped
 //     outside the Go heap and unmapped as soon as it doubles or the
 //     search ends, so a large search's resident memory is its tables
 //     plus a small heap, not whatever the collector's timing lets the
@@ -64,8 +70,7 @@
 // earlier visits explored, agent actions and adversary moves alike, are
 // neither re-pushed nor added to the new children's sleep sets.
 //
-// Soundness: every visit of a key runs its cache step under the key's
-// shard lock, so the visits of one state are serialized and their
+// Soundness: the visits of one state run one after another, so their
 // awake sets are disjoint; across all of them the explored transitions
 // are exactly enabled \ ∩Zᵢ, every transition some visit did not sleep.
 // What the rule changes is the sleep sets below: earlier visits slept
@@ -77,8 +82,8 @@
 // MaxDepth cut the earlier subtree — keep the unrestricted expansion
 // under H ∩ Z, as first visits do under their own sleep set.
 // Each (state, transition) pair is therefore expanded at most once
-// outside shallower revisits, so at any worker count the reduced search
-// expands no more items than the reduction-free one, which expands
+// outside shallower revisits, so the reduced search expands no more
+// items than the reduction-free one, which expands
 // every pair of every reachable state; TestReductionConsistency checks
 // that bound together with equal coverage over every small placement,
 // algorithm and fault mode.
@@ -87,37 +92,35 @@
 //
 // Replaying every prefix from the initial configuration would make a
 // state cost O(depth) engine steps; checkpoints make every expansion
-// cost exactly one applied action. Each worker owns one resident
+// cost exactly one applied action. The search owns one resident
 // engine. Where an expansion fans out — two or more children survive
-// the reduction — it captures a branch: a reference-counted record of
-// the engine checkpoint taken right after DecisionPoint, the enabled
-// set that call returned, and the decision path from the root. It
-// pushes children 2..c as items naming the branch and a choice index,
-// then descends into child 1 in place, on the engine as it stands,
-// with no push, pop or restore; a node with a single child captures
-// nothing. A popped item, owner's or thief's alike, restores its
-// branch and applies the one choice it names: the checkpoint restores
-// the decision point itself (sim.Engine.Restore), so no second
+// the reduction — it captures a branch: a record of the engine
+// checkpoint taken right after DecisionPoint, the enabled set that call
+// returned, and the decision path from the root. It pushes children
+// 2..c as items naming the branch and a choice index, in reverse order
+// so they pop lexicographically, then descends into child 1 in place,
+// on the engine as it stands, with no push, pop or restore; a node with
+// a single child captures nothing. A popped item restores its branch
+// and applies the one choice it names: the checkpoint restores the
+// decision point itself (sim.Engine.Restore), so no second
 // DecisionPoint, desynchronization check or step-limit check is
-// needed, and the item's path is the branch's plus one index. The
-// full path is copied only into the worker's scratch, and cloned only
-// when a counterexample needs confirming. A popped item releases its
-// branch as soon as it has restored it; the last release returns the
-// branch to the explorer's free list, which every capture draws on,
+// needed, and the item's path is the branch's plus one index. The full
+// path is copied only into scratch space, and cloned only when a
+// counterexample needs confirming. The branch's last item, pushed
+// first and so popped last, returns the branch to the explorer's free
+// list once it has restored it, and every capture draws on that list,
 // so steady-state expansion is allocation-light by construction (one
-// list of recycled branches, per-worker scratch, bitmask sleep sets
-// held by value), which BenchmarkExploreParallel's allocs/state metric
-// gates in CI.
+// list of recycled branches, reused scratch, bitmask sleep sets held by
+// value), which BenchmarkExploreParallel's allocs/state metric gates in
+// CI.
 //
-// Memory: a branch lives until the last of its pushed children has
-// been popped and restored. Workers pop depth-first and thieves take
-// the shallowest items, so every live branch a worker captured sits at
-// a fanning-out ancestor of its current state — one per such ancestor
-// at most — except, briefly, one whose item a thief has taken but not
-// yet restored. Each branch holds a checkpoint (about 2.4 KB of heap
-// at n=8 with 8 agents) plus its path and choices. The free list never
-// holds more than the search's peak number of live branches, and is
-// freed with the explorer.
+// Memory: a branch lives until its last item has been popped and
+// restored. The stack pops depth-first, so every live branch sits at a
+// fanning-out ancestor of the current state, one per such ancestor at
+// most. Each branch holds a checkpoint (about 2.4 KB of heap at n=8
+// with 8 agents) plus its path and choices. The free list never holds
+// more than the search's peak number of live branches, and is freed
+// with the explorer.
 //
 // Soundness reduces to the engine's restore ≡ replay guarantee
 // (sim.Checkpoint; TestFrameCoroutineCheckpointCrossCheck): a restored
@@ -129,31 +132,11 @@
 // checkpoints, cache subsumption or sleep sets — on the state
 // count, distinct terminals and verdict, per algorithm and fault
 // timeline. Every violation the search detects is confirmed by one
-// sequential from-root replay before being reported, so the emitted
-// counterexample never depends on the worker count or which checkpoint
-// the detection ran from.
-//
-// # The parallel frontier
-//
-// Each worker owns a deque of pending items (a branch and a choice
-// index each): it pushes and pops at the bottom (depth-first local
-// work, children before uncles, which keeps the frontier small), while
-// idle workers steal from the top of a victim's deque — the shallowest
-// item, the root of the largest pending subtree. A node's first child
-// never enters the deque, since its worker descends into it in place,
-// so thieves take only later siblings. With Workers=1 this degenerates
-// to an explicit DFS stack visiting states in exact lexicographic
-// preorder.
-//
-// Parallel visit order is nondeterministic, but the *verdict* is not:
-// the covered state set is order-independent (it is the reachable set,
-// bounded only by the budgets), and when any worker finds a
-// counterexample the search keeps the lexicographically least
-// candidate prefix and then confirms the verdict with a sequential
-// rerun, so the reported counterexample is byte-identical for every
-// worker count (TestCexDeterministicAcrossWorkers). Work-dependent
-// statistics (Pruned, Replays, SleepSkips, Deepest) do vary with the
-// visit order; only the sequential default pins them.
+// from-root replay before being reported: the replay builds the
+// reported schedule, so the emitted counterexample never depends on
+// which checkpoint the detection ran from, and a replay that does not
+// reproduce the violation is a checkpoint/replay divergence, reported
+// as an error.
 //
 // # Independence (soundness of the reduction)
 //
@@ -220,9 +203,8 @@
 //     independence argument applies unchanged; the incoming sleep set
 //     at a boundary is empty by construction because sleep entries
 //     only propagate along agent actions out of all-links-up states.
-//     TestAdversaryReductionAndModeConsistency cross-checks reduced,
-//     reduction-free and parallel searches against the from-root
-//     referee;
+//     TestAdversaryReductionAndModeConsistency cross-checks reduced and
+//     reduction-free searches against the from-root referee;
 //   - cache keys: there is no pending timeline, so nothing depends on
 //     absolute depth. A state's future is the visible configuration
 //     plus the adversary's relative state, which sim.Engine.StateKey
@@ -235,7 +217,7 @@
 // against brute force: the adversary search's set of reachable
 // terminal position vectors must equal the union over an explicit
 // enumeration of every fixed single-outage FaultSchedule within the
-// budget, at 1 and 4 workers alike.
+// budget.
 //
 // # Verdicts
 //

@@ -7,8 +7,6 @@ import (
 	"math"
 	"slices"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"agentring/internal/ring"
@@ -30,11 +28,10 @@ const (
 var progressInterval = 200 * time.Millisecond
 
 // Factory builds one fresh set of agent programs per engine. The search
-// calls it once per worker, for the worker's resident engine, and once
-// per from-root replay confirming a counterexample; every agent's frame
-// saves its state, so each engine checkpoints. The factory must return
-// programs in the same deterministic initial state every time, and is
-// called concurrently from search workers.
+// calls it once for its resident engine and once per from-root replay
+// confirming a counterexample; every agent's frame saves its state, so
+// each engine checkpoints. The factory must return programs in the same
+// deterministic initial state every time.
 type Factory func() ([]sim.Program, error)
 
 // Setup fixes the system whose schedule space is explored: a substrate
@@ -110,12 +107,6 @@ type Options struct {
 	// MaxStates bounds the number of distinct states expanded. Zero
 	// selects DefaultMaxStates.
 	MaxStates int
-	// Workers sizes the work-stealing worker pool; values <= 1 run
-	// sequentially. Any worker count yields the same covered state set
-	// and the same reported counterexample (see Explore); parallelism
-	// only changes wall-clock time, and is no longer limited by the
-	// root's branching factor.
-	Workers int
 	// MaxSteps is the per-execution engine step bound (0 = engine
 	// default). Schedules that hit it produce a counterexample.
 	MaxSteps int
@@ -126,9 +117,9 @@ type Options struct {
 	// MaxDuration, if positive, bounds the search's wall-clock time.
 	// Like MaxStates it is a budget, not an error: when it expires the
 	// search stops where it is and reports Complete == false, with the
-	// abandoned frontier counted as truncated branches. Workers read
-	// the clock each time they take an item, so the stop lands at the
-	// next one.
+	// abandoned frontier counted as truncated branches. The search
+	// reads the clock each time it pops an item, so the stop lands at
+	// the next pop.
 	MaxDuration time.Duration
 	// DisableReduction turns off the sleep-set reduction, leaving only
 	// canonical-state caching. The reachable state set is identical;
@@ -136,24 +127,19 @@ type Options struct {
 	// reduction.
 	DisableReduction bool
 	// Progress, if non-nil, receives periodic snapshots of the running
-	// search (roughly every 200ms, plus one final snapshot as the
-	// search finishes). It is called from a dedicated goroutine,
-	// concurrently with the search, and must be cheap and
-	// concurrency-safe. No snapshots are delivered after Explore
-	// returns.
+	// search (at the first pop after every 200ms, plus one final
+	// snapshot as the search finishes). It is called on the searching
+	// goroutine, between expansions, so a slow callback stalls the
+	// search. No snapshots are delivered after Explore returns.
 	Progress func(Progress)
-
-	// loads, if non-nil, receives the per-worker expansion counts
-	// when the search finishes (len = effective worker count) — a test
-	// hook observing how the stealing discipline spread the work.
-	loads *[]int64
 }
 
 // Progress is one live snapshot of a running search.
 type Progress struct {
 	// States is the number of distinct canonical states expanded so far.
 	States int64
-	// Frontier is the number of work items queued or being expanded.
+	// Frontier is the number of work items waiting on the search's
+	// stack.
 	Frontier int64
 	// CacheHits counts reached states pruned by the canonical-state
 	// cache.
@@ -239,24 +225,18 @@ type Report struct {
 	Counterexample *Counterexample
 }
 
-// Explore runs the bounded model checker and returns its report.
-// Property violations are reported in Report.Counterexample; an error
-// is returned for invalid setups (including more than 64 agents and
-// programs that are not checkpointable frames), or when ctx is
-// cancelled mid-search (the partial report accompanies ctx's error).
+// Explore runs the bounded model checker on the calling goroutine and
+// returns its report. Property violations are reported in
+// Report.Counterexample; an error is returned for invalid setups
+// (including more than 64 agents and programs that are not
+// checkpointable frames), or when ctx is cancelled mid-search (the
+// partial report accompanies ctx's error).
 //
-// The report is deterministic: any Workers value covers the same state
-// set (States is the size of the reachable set, independent of visit
-// order), and the reported counterexample is identical for every worker
-// count. Parallel searches guarantee the latter with a confirming pass:
-// when workers racing through the space find a violation, the search
-// restarts sequentially — which stops early at the canonical
-// (lexicographically least explored) counterexample — and that report
-// is returned. Violation-free searches, the expensive case that
-// parallelism exists for, pay nothing. If the confirming pass is itself
-// cut short (cancellation, MaxDuration — which restarts for the pass),
-// the parallel run's lexicographically least finding is returned
-// instead, without an error: a genuine violation beats an abort.
+// The report is deterministic: the search visits states in one fixed
+// order, the lexicographic depth-first preorder of decision prefixes,
+// so every field — visit-order counters included — is reproducible, and
+// the reported counterexample is the first (lexicographically least)
+// one explored.
 func Explore(ctx context.Context, setup Setup, opts Options) (Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -308,19 +288,7 @@ func Explore(ctx context.Context, setup Setup, opts Options) (Report, error) {
 	if err != nil {
 		return Report{}, fmt.Errorf("%w: %v", ErrSetup, err)
 	}
-	boundary := faultBoundaries(setup.Faults)
-
-	rep, err := run(ctx, setup, opts, rankSrc, boundary)
-	if err != nil || rep.Counterexample == nil || opts.Workers <= 1 {
-		return rep, err
-	}
-	// Deterministic counterexample: rerun sequentially with early stop.
-	seq := opts
-	seq.Workers = 1
-	if srep, serr := run(ctx, setup, seq, rankSrc, boundary); serr == nil && srep.Counterexample != nil {
-		return srep, nil
-	}
-	return rep, nil
+	return run(ctx, setup, opts, rankSrc, faultBoundaries(setup.Faults))
 }
 
 // faultBoundaries returns the set of step counts at which a scheduled
@@ -343,22 +311,23 @@ func faultBoundaries(faults sim.FaultSchedule) map[int]bool {
 
 // abort reasons, recorded by stop.
 const (
-	abortNone int32 = iota
+	abortNone = iota
 	abortBudget
 	abortCtx
 )
 
-// run executes one search over the work-stealing frontier.
+// run executes one search: it pops items off a LIFO stack until the
+// stack is empty or the search stops.
 func run(ctx context.Context, setup Setup, opts Options, rankSrc []int32, boundary map[int]bool) (Report, error) {
 	x, rootItem, err := newExplorer(setup, opts, rankSrc, boundary)
 	if err != nil {
 		return Report{}, err
 	}
-	defer x.cache.release() // every worker has returned by then
+	defer x.cache.release()
 
 	// A context cancellation or an expired deadline — MaxDuration's or
 	// the context's, whichever ends first — stops the search at the next
-	// pop (see pollStop).
+	// pop (see poll).
 	x.done = ctx.Done()
 	if end, ok := ctx.Deadline(); ok {
 		x.deadline, x.deadlineAbort = end, abortCtx
@@ -366,36 +335,23 @@ func run(ctx context.Context, setup Setup, opts Options, rankSrc []int32, bounda
 	if end := x.start.Add(opts.MaxDuration); opts.MaxDuration > 0 && (x.deadline.IsZero() || end.Before(x.deadline)) {
 		x.deadline, x.deadlineAbort = end, abortBudget
 	}
-
-	var progDone, progExit chan struct{}
 	if opts.Progress != nil {
-		progDone, progExit = make(chan struct{}), make(chan struct{})
-		go func() {
-			defer close(progExit)
-			x.progressLoop(progDone)
-		}()
+		t := time.NewTicker(progressInterval)
+		defer t.Stop()
+		x.tick = t.C
 	}
 
-	x.frontier.push(0, []item{rootItem})
-	var wg sync.WaitGroup
-	for w := range x.wes {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			x.work(w)
-		}(w)
-	}
-	wg.Wait()
-	if progExit != nil {
-		close(progDone)
-		<-progExit
+	x.stack = append(x.stack, rootItem)
+	x.search()
+	if opts.Progress != nil {
+		opts.Progress(x.snapshot())
 	}
 	if x.err != nil {
 		return Report{}, x.err
 	}
 	rep := x.report()
-	if x.abort.Load() == abortCtx {
-		// A worker can read the context's deadline off the clock before
+	if x.abort == abortCtx {
+		// The search can read the context's deadline off the clock before
 		// the context's own timer fires; wait for it, so the caller sees
 		// ctx.Err() set too.
 		<-ctx.Done()
@@ -405,71 +361,57 @@ func run(ctx context.Context, setup Setup, opts Options, rankSrc []int32, bounda
 }
 
 // newExplorer builds the search state for one run: the cache, the
-// frontier, one worker-engine slot per worker with worker 0's engine
-// built, and the root item holding its capture of the initial
+// resident engine, and the root item holding its capture of the initial
 // configuration.
 func newExplorer(setup Setup, opts Options, rankSrc []int32, boundary map[int]bool) (*explorer, item, error) {
-	workers := max(opts.Workers, 1)
 	x := &explorer{
 		setup:    setup,
 		opts:     opts,
 		rankSrc:  rankSrc,
 		boundary: boundary,
 		cache:    newStateCache(),
-		frontier: newFrontier(workers),
-		loads:    make([]atomic.Int64, workers),
 		start:    time.Now(),
-		wes:      make([]workerEngine, workers),
 	}
-
-	// The first engine becomes worker 0's resident engine, and its
-	// capture of the initial configuration the root branch.
 	eng, err := x.newEngine()
 	if err != nil {
 		return nil, item{}, err
 	}
-	x.wes[0] = workerEngine{eng: eng}
-	return x, item{br: x.capture(eng, nil, nil, 1), idx: -1}, nil
+	x.eng = eng
+	return x, item{br: x.capture(eng, nil, nil), idx: -1, last: true}, nil
 }
 
-// stop records why the search stops — the first reason wins — and
-// makes every worker drain out.
-func (x *explorer) stop(reason int32) {
-	x.abort.CompareAndSwap(abortNone, reason)
-	x.frontier.requestStop()
+// stop records why the search stops — the first reason wins — and makes
+// the search unwind.
+func (x *explorer) stop(reason int) {
+	if x.abort == abortNone {
+		x.abort = reason
+	}
+	x.stopped = true
 }
 
 // report assembles the finished search's Report from the scoreboard.
 func (x *explorer) report() Report {
 	rep := Report{
-		States:            int(x.st.states.Load()),
-		Pruned:            int(x.st.pruned.Load()),
-		SleepSkips:        int(x.st.sleepSkips.Load()),
-		Replays:           int(x.st.replays.Load()),
-		StepsReplayed:     x.st.stepsReplayed.Load(),
-		Terminals:         int(x.st.terminals.Load()),
-		DistinctTerminals: int(x.st.distinctTerminals.Load()),
-		Truncated:         int(x.st.truncated.Load()),
-		Deepest:           int(x.st.deepest.Load()),
+		States:            x.st.states,
+		Pruned:            x.st.pruned,
+		SleepSkips:        x.st.sleepSkips,
+		Replays:           x.st.replays,
+		StepsReplayed:     x.st.stepsReplayed,
+		Terminals:         x.st.terminals,
+		DistinctTerminals: x.st.distinctTerminals,
+		Truncated:         x.st.truncated,
+		Deepest:           x.st.deepest,
 		Counterexample:    x.cex,
 	}
-	if x.opts.loads != nil {
-		loads := make([]int64, len(x.loads))
-		for w := range loads {
-			loads[w] = x.loads[w].Load()
-		}
-		*x.opts.loads = loads
-	}
-	aborted := x.abort.Load()
-	if aborted == abortBudget {
-		// The abandoned frontier is cut search, same as a depth or state
+	if x.abort == abortBudget {
+		// The abandoned stack is cut search, same as a depth or state
 		// bound; fold it in so the report owns up to the missing work.
-		rep.Truncated += int(x.frontier.pending.Load())
+		rep.Truncated += len(x.stack)
 	}
 	// Every item a budget stop cuts is counted in Truncated, so a budget
 	// that expired after the last expansion cut nothing: that search is
 	// complete.
-	rep.Complete = rep.Truncated == 0 && x.cex == nil && aborted != abortCtx
+	rep.Complete = rep.Truncated == 0 && x.cex == nil && x.abort != abortCtx
 	return rep
 }
 
@@ -484,103 +426,119 @@ type explorer struct {
 	// the reduction stratifies around them (see Setup.Faults).
 	boundary map[int]bool
 
-	cache    *stateCache
-	frontier *frontier
-	st       stats
-	loads    []atomic.Int64
-	abort    atomic.Int32
-	start    time.Time
+	cache *stateCache
+	st    stats
+	start time.Time
 
-	// What pollStop watches: the context's done channel, and the search's
-	// deadline (zero when it has none) with the abort reason it stands for.
+	// What poll watches: the context's done channel, the search's
+	// deadline (zero when it has none) with the abort reason it stands
+	// for, and the Progress ticker (nil without Progress).
 	done          <-chan struct{}
 	deadline      time.Time
-	deadlineAbort int32
+	deadlineAbort int
+	tick          <-chan time.Time
 
-	// Each worker owns one resident engine (wes) that expansion restores
-	// branches into. free holds released branches for the next capture:
-	// a plain free list, not a sync.Pool, whose victim cache would keep
-	// a finished search's branches alive for up to two more GC cycles;
-	// this one is freed with the explorer and never holds more than the
-	// search's peak number of live branches.
-	wes    []workerEngine
-	freeMu sync.Mutex
-	free   []*branch
+	// stopped makes the search unwind at its next check; abort says why
+	// when the reason is a budget or the context.
+	stopped bool
+	abort   int
 
-	mu  sync.Mutex
+	// The resident engine sits wherever the last expansion left it;
+	// every popped item restores its branch, and the in-place descent
+	// below it never restores at all. path and kids are per-expansion
+	// scratch space, which keeps the steady-state loop nearly
+	// allocation-free.
+	eng   *sim.Engine
+	path  []int  // decisions from the root to the engine's state
+	kids  []item // children built by makeChildren
+	stack []item
+
+	// free holds released branches for the next capture: a plain free
+	// list, not a sync.Pool, whose victim cache would keep a finished
+	// search's branches alive for up to two more GC cycles; this one is
+	// freed with the explorer and never holds more than the search's
+	// peak number of live branches.
+	free []*branch
+
 	cex *Counterexample
 	err error
 }
 
-// workerEngine is one worker's resident engine together with its
-// per-expansion scratch space, which is what keeps the steady-state
-// expansion loop nearly allocation-free. The engine sits wherever the
-// worker's last expansion left it; every popped item restores its
-// branch, and the in-place descent below it never restores at all.
-type workerEngine struct {
-	eng  *sim.Engine
-	path []int  // scratch: decisions from the root to the engine's state
-	kids []item // scratch: children built by makeChildren
+// item is one unit of search work: one transition out of a branch —
+// taking choice idx at the branch's decision point — plus the sleep set
+// in force at the state it reaches (an agent bitmask, held by value).
+// Expanding it restores the branch and applies exactly that one action.
+// idx is -1 only for the root item, whose branch is the initial
+// configuration itself. last marks the branch's final item on the
+// stack: popping it frees the branch.
+type item struct {
+	br    *branch
+	idx   int
+	sleep sleepSet
+	last  bool
 }
 
-// capture records the engine's current decision point as a branch
-// holding refs references: its checkpoint, a copy of the enabled set
-// DecisionPoint just returned there, and the decision path from the
-// root. It draws on the free list, so once the list holds the search's
-// peak number of live branches captures allocate nothing.
-func (x *explorer) capture(eng *sim.Engine, enabled []sim.Choice, path []int, refs int) *branch {
+// branch is a decision point the search fans out at: the engine
+// checkpoint captured right after DecisionPoint, the enabled set that
+// call returned, and the decision path from the root. Expansion
+// captures one only where it pushes two or more children. The contents
+// are immutable until the branch's last item is popped.
+type branch struct {
+	cp      sim.Checkpoint
+	choices []sim.Choice
+	path    []int
+}
+
+// capture records the engine's current decision point as a branch: its
+// checkpoint, a copy of the enabled set DecisionPoint just returned
+// there, and the decision path from the root. It draws on the free
+// list, so once the list holds the search's peak number of live
+// branches captures allocate nothing.
+func (x *explorer) capture(eng *sim.Engine, enabled []sim.Choice, path []int) *branch {
 	var br *branch
-	x.freeMu.Lock()
 	if n := len(x.free); n > 0 {
 		br = x.free[n-1]
 		x.free = x.free[:n-1]
-	}
-	x.freeMu.Unlock()
-	if br == nil {
+	} else {
 		br = new(branch)
 	}
 	_ = eng.CheckpointTo(&br.cp) // every engine checkpoints: the error is always nil
 	br.choices = append(br.choices[:0], enabled...)
 	br.path = append(br.path[:0], path...)
-	br.refs.Store(int64(refs))
 	return br
 }
 
-// release drops one reference to br; the last returns it to the free
-// list. Items abandoned by an early stop never release theirs — their
-// branches are garbage collected with the explorer, which only forgoes
-// reuse, never correctness.
-func (x *explorer) release(br *branch) {
-	if br.refs.Add(-1) == 0 {
-		x.freeMu.Lock()
-		x.free = append(x.free, br)
-		x.freeMu.Unlock()
+// search pops and expands items, lexicographically least first, until
+// the stack is empty or the search stops. Items abandoned by a stop
+// never free their branches, which are garbage collected with the
+// explorer instead.
+func (x *explorer) search() {
+	for !x.stopped && len(x.stack) > 0 {
+		it := x.stack[len(x.stack)-1]
+		x.stack = x.stack[:len(x.stack)-1]
+		x.poll()
+		x.expand(it)
 	}
 }
 
-func (x *explorer) work(w int) {
-	for {
-		it, ok := x.frontier.next(w)
-		if !ok {
-			return
-		}
-		x.pollStop()
-		x.expand(w, it)
-		x.frontier.finish()
-	}
-}
-
-// pollStop stops the search when its context is done or its deadline
-// has passed. Every worker calls it at every pop, so a stop lands at
-// the next pop: no timer has to reach a processor the search keeps
-// busy, and a stopping worker's requestStop wakes the parked ones.
-func (x *explorer) pollStop() {
+// poll stops the search when its context is done or its deadline has
+// passed, and emits a Progress snapshot when one is due. The search
+// calls it at every pop, so a stop lands at the next pop without a
+// timer or a second goroutine.
+func (x *explorer) poll() {
 	select {
 	case <-x.done:
 		x.stop(abortCtx)
 	default:
 		if !x.deadline.IsZero() && !time.Now().Before(x.deadline) {
 			x.stop(x.deadlineAbort)
+		}
+	}
+	if x.tick != nil {
+		select {
+		case <-x.tick:
+			x.opts.Progress(x.snapshot())
+		default:
 		}
 	}
 }
@@ -624,25 +582,20 @@ func (x *explorer) replay(prefix []int) (*sim.Controlled, sim.Result, error) {
 		return nil, sim.Result{}, fmt.Errorf("%w: %v", ErrSetup, err)
 	}
 	res, err := eng.Run()
-	x.st.replays.Add(1)
-	x.st.stepsReplayed.Add(int64(res.Steps))
+	x.st.replays++
+	x.st.stepsReplayed += int64(res.Steps)
 	return ctrl, res, err
 }
 
-// fail records the first setup error and stops the search.
+// fail records a setup error and stops the search.
 func (x *explorer) fail(err error) {
-	x.mu.Lock()
-	if x.err == nil {
-		x.err = err
-	}
-	x.mu.Unlock()
-	x.frontier.requestStop()
+	x.err = err
+	x.stopped = true
 }
 
-// foundCex records a violation and stops the search. Concurrent finders
-// keep the lexicographically least prefix, so the parallel phase's
-// candidate is already canonical among the violations it happened to
-// reach (Explore's sequential confirming pass pins full determinism).
+// foundCex records a violation and stops the search. The search visits
+// prefixes in lexicographic order, so the first violation it finds is
+// the least.
 func (x *explorer) foundCex(prefix []int, ctrl *sim.Controlled, res sim.Result, reason string) {
 	schedule := make([]sim.Choice, 0, len(prefix))
 	for i, pick := range prefix {
@@ -651,31 +604,26 @@ func (x *explorer) foundCex(prefix []int, ctrl *sim.Controlled, res sim.Result, 
 		}
 		schedule = append(schedule, ctrl.Record[i][pick])
 	}
-	cex := &Counterexample{
+	x.cex = &Counterexample{
 		Prefix:    slices.Clone(prefix[:len(schedule)]),
 		Schedule:  schedule,
 		Reason:    reason,
 		Positions: res.Positions(),
 		Result:    res,
 	}
-	x.mu.Lock()
-	if x.cex == nil || slices.Compare(cex.Prefix, x.cex.Prefix) < 0 {
-		x.cex = cex
-	}
-	x.mu.Unlock()
-	x.frontier.requestStop()
+	x.stopped = true
 }
 
-// makeChildren builds the frontier items for the unsuppressed enabled
+// makeChildren builds the stack items for the unsuppressed enabled
 // choices of a node being expanded, applying the sleep-set reduction
 // and its fault-boundary stratification. A non-zero awake set restricts
 // the expansion to those agents: the node is a revisit whose other
 // transitions an earlier visit already explored (stateCache.visit).
 // Each child names its choice by index into enabled; expand attaches
-// the branch. The children slice is owned by the calling worker and
-// reused across expansions (frontier.push copies items into the deque,
-// so it does not outlive the call).
-func (x *explorer) makeChildren(w int, enabled []sim.Choice, sleep, awake sleepSet, depth int) []item {
+// the branch. The children slice is scratch reused across expansions
+// (expand copies the items onto the stack, so it does not outlive the
+// call).
+func (x *explorer) makeChildren(enabled []sim.Choice, sleep, awake sleepSet, depth int) []item {
 	// At a fault boundary the children's executions fire a mutation, so
 	// no commutation across it may be recorded; inherited suppressions
 	// still apply (their exchanges happened at shallower, checked
@@ -696,8 +644,7 @@ func (x *explorer) makeChildren(w int, enabled []sim.Choice, sleep, awake sleepS
 			}
 		}
 	}
-	scr := &x.wes[w]
-	children := scr.kids[:0]
+	children := x.kids[:0]
 	// done is what a child's sleep set draws on: the agents asleep here
 	// and the siblings this expansion has already pushed. Transitions an
 	// earlier visit explored are deliberately left out — that visit slept
@@ -706,7 +653,7 @@ func (x *explorer) makeChildren(w int, enabled []sim.Choice, sleep, awake sleepS
 	done := sleep
 	for i, c := range enabled {
 		if c.Agent >= 0 && sleep.has(c.Agent) {
-			x.st.sleepSkips.Add(1)
+			x.st.sleepSkips++
 			continue
 		}
 		if awake != 0 && (c.Agent < 0 || !awake.has(c.Agent)) {
@@ -738,33 +685,23 @@ func (x *explorer) makeChildren(w int, enabled []sim.Choice, sleep, awake sleepS
 			done = done.with(c.Agent)
 		}
 	}
-	scr.kids = children
+	x.kids = children
 	return children
 }
 
 // expand runs one item and then keeps descending in place. It restores
 // the item's branch and applies the item's one action; at every state
 // it reaches from there it pushes children 2..c under a fresh branch —
-// in reverse index order, so the owner pops them lexicographically —
-// and continues with child 1 on the engine as it stands, with no push,
-// pop or restore. Every expansion but the root's thus applies exactly
-// one action. Every counterexample is routed through one from-root
-// replay (confirmCex), so reports stay byte-identical across worker
-// counts.
-func (x *explorer) expand(w int, it item) {
+// in reverse index order, so they pop lexicographically — and continues
+// with child 1 on the engine as it stands, with no push, pop or
+// restore. Every expansion but the root's thus applies exactly one
+// action. Every counterexample is routed through one from-root replay
+// (confirmCex), which builds the reported schedule.
+func (x *explorer) expand(it item) {
 	if x.halted() {
 		return
 	}
-	we := &x.wes[w]
-	if we.eng == nil {
-		eng, err := x.newEngine()
-		if err != nil {
-			x.fail(err)
-			return
-		}
-		we.eng = eng
-	}
-	eng := we.eng
+	eng := x.eng
 	if err := eng.Restore(&it.br.cp); err != nil {
 		x.fail(fmt.Errorf("%w: %v", ErrSetup, err))
 		return
@@ -772,18 +709,19 @@ func (x *explorer) expand(w int, it item) {
 	// The branch was captured right after its DecisionPoint, so the
 	// restored engine sits at that decision point and br.choices[idx]
 	// applies directly. Nothing of the branch is needed past this point.
-	path := append(we.path[:0], it.br.path...)
+	path := append(x.path[:0], it.br.path...)
 	var c sim.Choice
 	if it.idx >= 0 {
 		c = it.br.choices[it.idx]
 		path = append(path, it.idx)
 	}
-	x.release(it.br)
+	if it.last {
+		x.free = append(x.free, it.br)
+	}
 	sleep := it.sleep
 	for {
-		we.path = path
+		x.path = path
 		depth := len(path)
-		x.loads[w].Add(1)
 		if depth > 0 {
 			if err := eng.ApplyChoice(c); err != nil {
 				if errors.Is(err, sim.ErrBadSetup) {
@@ -794,11 +732,11 @@ func (x *explorer) expand(w int, it item) {
 				x.confirmCex(slices.Clone(path))
 				return
 			}
-			x.st.stepsReplayed.Add(1)
+			x.st.stepsReplayed++
 		}
 		enabled := eng.DecisionPoint()
-		x.st.replays.Add(1)
-		x.st.observeDepth(depth)
+		x.st.replays++
+		x.st.deepest = max(x.st.deepest, depth)
 		quiesced := len(enabled) == 0
 		if !quiesced && eng.Steps() >= eng.StepLimit() {
 			// Run would abort this schedule with ErrStepLimit at the same
@@ -822,7 +760,7 @@ func (x *explorer) expand(w int, it item) {
 			x.confirmCex(slices.Clone(path))
 			return
 		}
-		outcome, nodeSleep, awake, firstTerminal := x.cache.visit(key, depth, sleep, quiesced, int64(x.opts.MaxStates), &x.st)
+		outcome, nodeSleep, awake, firstTerminal := x.cache.visit(key, depth, sleep, quiesced, x.opts.MaxStates, &x.st)
 		if outcome != visitExpand {
 			return
 		}
@@ -835,22 +773,23 @@ func (x *explorer) expand(w int, it item) {
 			return
 		}
 		if depth >= x.opts.MaxDepth {
-			x.st.truncated.Add(1)
+			x.st.truncated++
 			return
 		}
 
-		children := x.makeChildren(w, enabled, nodeSleep, awake, depth)
+		children := x.makeChildren(enabled, nodeSleep, awake, depth)
 		if len(children) == 0 {
 			return
 		}
 		if len(children) > 1 {
-			br := x.capture(eng, enabled, path, len(children)-1)
+			br := x.capture(eng, enabled, path)
 			rest := children[1:]
 			for i := range rest {
 				rest[i].br = br
 			}
 			slices.Reverse(rest)
-			x.frontier.push(w, rest)
+			rest[0].last = true // pushed first, popped last
+			x.stack = append(x.stack, rest...)
 		}
 		// Descend into the first child in place. Copy its choice now:
 		// enabled is the engine's own choice list, which the next
@@ -865,25 +804,26 @@ func (x *explorer) expand(w int, it item) {
 }
 
 // halted reports whether the search has been stopped. The expansion it
-// cuts off — a popped item, or a first child never queued — is counted
-// as truncated when the stop is an expired budget, like the queued
-// items report counts.
+// cuts off — a popped item, or a first child never pushed — is counted
+// as truncated when the stop is an expired budget, like the items left
+// on the stack.
 func (x *explorer) halted() bool {
-	if !x.frontier.stopped() {
+	if !x.stopped {
 		return false
 	}
-	if x.abort.Load() == abortBudget {
-		x.st.truncated.Add(1)
+	if x.abort == abortBudget {
+		x.st.truncated++
 	}
 	return true
 }
 
-// confirmCex converts a violation the search detected into the
-// canonical counterexample by replaying the prefix once from the
-// initial configuration: the replay's Record supplies the schedule (and
-// its truncation on step-limit overruns), so the emitted counterexample
-// never depends on the worker count or which checkpoint the detection
-// ran from.
+// confirmCex converts a violation the search detected into the reported
+// counterexample by replaying the prefix once from the initial
+// configuration: the replay's Record supplies the schedule (and its
+// truncation on step-limit overruns), so the emitted counterexample
+// never depends on which checkpoint the detection ran from, and a
+// replay that does not reproduce the violation exposes a
+// checkpoint/replay divergence.
 func (x *explorer) confirmCex(prefix []int) {
 	ctrl, res, err := x.replay(prefix)
 	var why string
@@ -913,29 +853,13 @@ func (x *explorer) confirmCex(prefix []int) {
 // snapshot assembles one Progress from the live counters.
 func (x *explorer) snapshot() Progress {
 	return Progress{
-		States:        x.st.states.Load(),
-		Frontier:      x.frontier.pending.Load(),
-		CacheHits:     x.st.pruned.Load(),
-		SleepSkips:    x.st.sleepSkips.Load(),
-		Replays:       x.st.replays.Load(),
-		StepsReplayed: x.st.stepsReplayed.Load(),
+		States:        int64(x.st.states),
+		Frontier:      int64(len(x.stack)),
+		CacheHits:     int64(x.st.pruned),
+		SleepSkips:    int64(x.st.sleepSkips),
+		Replays:       int64(x.st.replays),
+		StepsReplayed: x.st.stepsReplayed,
 		Elapsed:       time.Since(x.start),
-	}
-}
-
-// progressLoop emits snapshots until done closes, then emits one final
-// snapshot so every search delivers at least one.
-func (x *explorer) progressLoop(done <-chan struct{}) {
-	t := time.NewTicker(progressInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-done:
-			x.opts.Progress(x.snapshot())
-			return
-		case <-t.C:
-			x.opts.Progress(x.snapshot())
-		}
 	}
 }
 

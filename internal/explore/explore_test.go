@@ -286,7 +286,7 @@ func TestNaiveHaltingTheorem5(t *testing.T) {
 // TestReductionConsistency cross-checks the sleep-set reduction and the
 // state cache's revisit rule against the reduction-free search. The
 // reduction may only skip redundant interleavings, so the reduced
-// search, at 1 and 4 workers, must reach the same verdict and — where
+// search must reach the same verdict and — where
 // no counterexample stops the searches early — the same reachable
 // states and distinct terminals. And since the revisit rule expands
 // each (state, transition) pair at most once while the reduction-free
@@ -294,8 +294,8 @@ func TestNaiveHaltingTheorem5(t *testing.T) {
 // search must not expand more (Replays) — again checked only where no
 // counterexample cuts the searches short. On those clean searches every
 // expansion but the root's applies exactly one engine action, in both
-// the reduced and the reduction-free search at any worker count, so
-// StepsReplayed must be Replays - 1.
+// the reduced and the reduction-free search, so StepsReplayed must be
+// Replays - 1.
 //
 // The grid: every placement with an agent on node 0 (so every rotation
 // class) on rings up to n=4, under each of the four algorithms, with
@@ -363,54 +363,30 @@ func TestReductionConsistency(t *testing.T) {
 			t.Errorf("%s reduction-free: %d applied actions for %d expansions, want one per non-root expansion",
 				c.label, base.StepsReplayed, base.Replays)
 		}
-		for _, workers := range []int{1, 4} {
-			red, err := Explore(context.Background(), c.setup, Options{Workers: workers})
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", c.label, workers, err)
-			}
-			if (red.Counterexample != nil) != (base.Counterexample != nil) {
-				t.Errorf("%s workers=%d: verdicts disagree: reduced cex=%v, reduction-free cex=%v",
-					c.label, workers, red.Counterexample, base.Counterexample)
-				continue
-			}
-			if base.Counterexample != nil {
-				continue
-			}
-			if red.States != base.States || red.DistinctTerminals != base.DistinctTerminals {
-				t.Errorf("%s workers=%d: reduction changed coverage: states %d->%d, terminals %d->%d",
-					c.label, workers, base.States, red.States, base.DistinctTerminals, red.DistinctTerminals)
-			}
-			if red.Replays > base.Replays {
-				t.Errorf("%s workers=%d: reduced search expanded more than the reduction-free one (%d > %d replays)",
-					c.label, workers, red.Replays, base.Replays)
-			}
-			if red.StepsReplayed != int64(red.Replays-1) {
-				t.Errorf("%s workers=%d: %d applied actions for %d expansions, want one per non-root expansion",
-					c.label, workers, red.StepsReplayed, red.Replays)
-			}
+		red, err := Explore(context.Background(), c.setup, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", c.label, err)
 		}
-	}
-}
-
-// TestParallelWorkersCoverage checks that distributing subtrees over a
-// worker pool covers exactly the same state space.
-func TestParallelWorkersCoverage(t *testing.T) {
-	homes := []ring.NodeID{0, 2, 4}
-	const n = 6
-	seq, err := Explore(context.Background(), Setup{N: n, Homes: homes, Programs: alg1Factory(len(homes))}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := Explore(context.Background(), Setup{N: n, Homes: homes, Programs: alg1Factory(len(homes))}, Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.States != par.States || seq.DistinctTerminals != par.DistinctTerminals {
-		t.Fatalf("parallel coverage differs: states %d vs %d, terminals %d vs %d",
-			seq.States, par.States, seq.DistinctTerminals, par.DistinctTerminals)
-	}
-	if !par.Complete || par.Counterexample != nil {
-		t.Fatalf("parallel run: complete=%v cex=%v", par.Complete, par.Counterexample)
+		if (red.Counterexample != nil) != (base.Counterexample != nil) {
+			t.Errorf("%s: verdicts disagree: reduced cex=%v, reduction-free cex=%v",
+				c.label, red.Counterexample, base.Counterexample)
+			continue
+		}
+		if base.Counterexample != nil {
+			continue
+		}
+		if red.States != base.States || red.DistinctTerminals != base.DistinctTerminals {
+			t.Errorf("%s: reduction changed coverage: states %d->%d, terminals %d->%d",
+				c.label, base.States, red.States, base.DistinctTerminals, red.DistinctTerminals)
+		}
+		if red.Replays > base.Replays {
+			t.Errorf("%s: reduced search expanded more than the reduction-free one (%d > %d replays)",
+				c.label, red.Replays, base.Replays)
+		}
+		if red.StepsReplayed != int64(red.Replays-1) {
+			t.Errorf("%s: %d applied actions for %d expansions, want one per non-root expansion",
+				c.label, red.StepsReplayed, red.Replays)
+		}
 	}
 }
 

@@ -166,19 +166,24 @@ type subscriber struct {
 type Engine struct {
 	opts Options
 
-	mu       sync.Mutex
-	cond     *sync.Cond
-	seq      int
-	jobs     map[string]*job
-	order    []*job
-	queue    jobHeap
-	queued   int
-	running  int
-	draining bool
-	closed   bool
-	subs     map[int]*subscriber
-	subSeq   int
-	runners  sync.WaitGroup
+	mu      sync.Mutex
+	cond    *sync.Cond
+	seq     int
+	jobs    map[string]*job
+	order   []*job
+	queue   jobHeap
+	queued  int
+	running int
+	// unfinished counts each client's queued and running jobs (a client
+	// with none has no entry); final counts the jobs in each final
+	// state. Both change only where a job is submitted or turns final.
+	unfinished map[string]int
+	final      map[State]int
+	draining   bool
+	closed     bool
+	subs       map[int]*subscriber
+	subSeq     int
+	runners    sync.WaitGroup
 }
 
 // New starts an engine with Options.Runners executor goroutines.
@@ -193,9 +198,11 @@ func New(opts Options) *Engine {
 		opts.Runners = 1
 	}
 	e := &Engine{
-		opts: opts,
-		jobs: make(map[string]*job),
-		subs: make(map[int]*subscriber),
+		opts:       opts,
+		jobs:       make(map[string]*job),
+		subs:       make(map[int]*subscriber),
+		unfinished: make(map[string]int),
+		final:      make(map[State]int),
 	}
 	e.cond = sync.NewCond(&e.mu)
 	for i := 0; i < opts.Runners; i++ {
@@ -205,11 +212,20 @@ func New(opts Options) *Engine {
 	return e
 }
 
-// Submit validates the spec, applies admission control (drain state,
-// queue depth, the submitting client's quota) and enqueues the job,
-// returning its initial snapshot. The spec is compiled eagerly so a bad
-// spec is rejected here instead of failing later in the queue.
+// Submit applies admission control (drain state, queue depth, the
+// submitting client's quota), validates the spec and enqueues the job,
+// returning its initial snapshot. Admission comes first, so a rejected
+// submission costs nothing however large its spec; the spec is then
+// compiled eagerly so a bad spec is rejected here instead of failing
+// later in the queue. Admission is checked again at enqueue, since the
+// engine may have changed while the spec compiled.
 func (e *Engine) Submit(client string, spec Spec) (Snapshot, error) {
+	e.mu.Lock()
+	err := e.admitLocked(client)
+	e.mu.Unlock()
+	if err != nil {
+		return Snapshot{}, err
+	}
 	plan, err := Compile(spec)
 	if err != nil {
 		return Snapshot{}, err
@@ -220,14 +236,8 @@ func (e *Engine) Submit(client string, spec Spec) (Snapshot, error) {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.draining || e.closed {
-		return Snapshot{}, ErrDraining
-	}
-	if e.queued >= e.opts.MaxQueue {
-		return Snapshot{}, fmt.Errorf("%w (%d queued)", ErrQueueFull, e.queued)
-	}
-	if load := e.clientLoadLocked(client); load >= e.opts.ClientQuota {
-		return Snapshot{}, fmt.Errorf("%w (%d unfinished)", ErrQuota, load)
+	if err := e.admitLocked(client); err != nil {
+		return Snapshot{}, err
 	}
 	e.seq++
 	j := &job{
@@ -245,19 +255,37 @@ func (e *Engine) Submit(client string, spec Spec) (Snapshot, error) {
 	e.order = append(e.order, j)
 	heap.Push(&e.queue, j)
 	e.queued++
+	e.unfinished[client]++
 	e.publishLocked(Event{Type: "queued", JobID: j.id, Job: snapPtr(j)})
 	e.cond.Signal()
 	return j.snapshot(), nil
 }
 
-func (e *Engine) clientLoadLocked(client string) int {
-	load := 0
-	for _, j := range e.order {
-		if j.client == client && !j.state.Final() {
-			load++
-		}
+// admitLocked returns why a submission from client would be refused
+// now, or nil.
+func (e *Engine) admitLocked(client string) error {
+	if e.draining || e.closed {
+		return ErrDraining
 	}
-	return load
+	if e.queued >= e.opts.MaxQueue {
+		return fmt.Errorf("%w (%d queued)", ErrQueueFull, e.queued)
+	}
+	if load := e.unfinished[client]; load >= e.opts.ClientQuota {
+		return fmt.Errorf("%w (%d unfinished)", ErrQuota, load)
+	}
+	return nil
+}
+
+// finishLocked moves j into the final state and its client's and the
+// census's counts with it.
+func (e *Engine) finishLocked(j *job, state State) {
+	j.state = state
+	j.finished = time.Now()
+	j.plan = Plan{} // a finished job keeps its result, not its configurations
+	e.final[state]++
+	if e.unfinished[j.client]--; e.unfinished[j.client] == 0 {
+		delete(e.unfinished, j.client)
+	}
 }
 
 // Status returns the job's snapshot.
@@ -303,9 +331,9 @@ func (e *Engine) Result(id string) (Result, error) {
 
 // Cancel cancels a job: a queued job turns cancelled immediately, a
 // running job's context is cancelled (run/sweep jobs stop between
-// cells; an exploration stops its search at the next frontier pop of
-// any worker, after at most one expansion per worker, and is marked
-// cancelled without a result). Cancelling a finished job is a no-op.
+// cells; an exploration stops its search at its next pop, after at
+// most one expansion, and is marked cancelled without a result).
+// Cancelling a finished job is a no-op.
 // The returned snapshot is the state as of the call.
 func (e *Engine) Cancel(id string) (Snapshot, error) {
 	e.mu.Lock()
@@ -328,10 +356,8 @@ func (e *Engine) Cancel(id string) (Snapshot, error) {
 // finishQueuedLocked retires a job straight out of the queue (cancel or
 // drain): the heap entry is removed lazily by the runner loop.
 func (e *Engine) finishQueuedLocked(j *job, state State, msg string) {
-	j.state = state
+	e.finishLocked(j, state)
 	j.err = msg
-	j.finished = time.Now()
-	j.plan = Plan{}
 	e.queued--
 	e.publishLocked(Event{Type: string(state), JobID: j.id, Job: snapPtr(j)})
 	e.cond.Broadcast()
@@ -417,18 +443,11 @@ func (e *Engine) Stats() Stats {
 	st := Stats{
 		Queued:      e.queued,
 		Running:     e.running,
+		Done:        e.final[StateDone],
+		Failed:      e.final[StateFailed],
+		Cancelled:   e.final[StateCancelled],
 		Subscribers: len(e.subs),
 		Draining:    e.draining,
-	}
-	for _, j := range e.order {
-		switch j.state {
-		case StateDone:
-			st.Done++
-		case StateFailed:
-			st.Failed++
-		case StateCancelled:
-			st.Cancelled++
-		}
 	}
 	for _, s := range e.subs {
 		st.Dropped += s.dropped
@@ -554,17 +573,15 @@ func (e *Engine) runLoop() {
 		e.mu.Lock()
 		switch {
 		case cancelled:
-			j.state = StateCancelled
+			e.finishLocked(j, StateCancelled)
 			j.err = "cancelled while running"
 		case err != nil:
-			j.state = StateFailed
+			e.finishLocked(j, StateFailed)
 			j.err = err.Error()
 		default:
-			j.state = StateDone
+			e.finishLocked(j, StateDone)
 			j.result = &result
 		}
-		j.finished = time.Now()
-		j.plan = Plan{} // a finished job keeps its result, not its configurations
 		e.running--
 		e.publishLocked(Event{Type: string(j.state), JobID: j.id, Job: snapPtr(j)})
 		e.cond.Broadcast()
@@ -607,9 +624,8 @@ func (e *Engine) hooks(j *job) Hooks {
 // Run executes a compiled plan. It is the one path a daemon job,
 // Execute and the CLIs take, so their results and failures agree byte
 // for byte. workers bounds the run/sweep batch pool (zero selects
-// GOMAXPROCS); an exploration's parallelism comes from its spec
-// instead, so its report does not depend on how the caller sized the
-// pool. A cancelled ctx interrupts a search mid-flight and a batch
+// GOMAXPROCS); an exploration is one search on the calling goroutine,
+// so its report does not depend on workers. A cancelled ctx interrupts a search mid-flight and a batch
 // between cells, and is returned as the batch's error.
 func Run(ctx context.Context, p Plan, workers int, h Hooks) (Result, error) {
 	if p.Explore != nil {

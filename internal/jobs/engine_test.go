@@ -4,7 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"maps"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -30,6 +32,23 @@ func sweepSpec() Spec {
 // cancels it.
 func blockerSpec() Spec {
 	return Spec{Kind: KindExplore, Algorithm: "native", N: 14, K: 7, Workload: "clustered"}
+}
+
+// startBlocker submits a blocker for client and waits until it holds a
+// runner, so it no longer counts against the queue depth.
+func startBlocker(t *testing.T, e *Engine, client string) string {
+	t.Helper()
+	blocker, err := e.Submit(client, blockerSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		s, _ := e.Status(blocker.ID)
+		if s.State != StateQueued {
+			return blocker.ID
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // cancelBlocker cancels a blocker job and waits until it has stopped.
@@ -195,19 +214,7 @@ func TestAdmissionQueueDepthAndQuota(t *testing.T) {
 	// Runners=1 and a blocker keep everything else queued.
 	e := New(Options{Runners: 1, Workers: 1, MaxQueue: 3, ClientQuota: 2})
 	defer e.Close()
-	blocker, err := e.Submit("greedy", blockerSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Wait until the blocker occupies the runner so it no longer counts
-	// against the queue depth.
-	for {
-		s, _ := e.Status(blocker.ID)
-		if s.State != StateQueued {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
+	blocker := startBlocker(t, e, "greedy")
 	if _, err := e.Submit("greedy", sweepSpec()); err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +233,133 @@ func TestAdmissionQueueDepthAndQuota(t *testing.T) {
 	if _, err := e.Submit("other3", sweepSpec()); !errors.Is(err, ErrQueueFull) {
 		t.Errorf("queue overflow: err = %v, want ErrQueueFull", err)
 	}
-	cancelBlocker(t, e, blocker.ID)
+	cancelBlocker(t, e, blocker)
+}
+
+// TestRejectedSubmitCompilesNothing: admission runs before the spec is
+// compiled, so a draining engine, a full queue and an over-quota client
+// each refuse a spec at the node bound with their own error, without
+// building its 2^24-node placement (about 134 MB).
+func TestRejectedSubmitCompilesNothing(t *testing.T) {
+	big := Spec{Kind: KindRun, Algorithm: "native", N: 1 << 24, K: 2}
+	cases := []struct {
+		name   string
+		opts   Options
+		setup  func(t *testing.T, e *Engine)
+		client string
+		want   error
+	}{
+		{"draining", Options{Workers: 1}, func(t *testing.T, e *Engine) {
+			e.Drain(context.Background())
+		}, "c1", ErrDraining},
+		{"full queue", Options{Runners: 1, Workers: 1, MaxQueue: 1}, func(t *testing.T, e *Engine) {
+			startBlocker(t, e, "c1")
+			if _, err := e.Submit("c1", sweepSpec()); err != nil {
+				t.Fatal(err)
+			}
+		}, "c2", ErrQueueFull},
+		{"over quota", Options{Runners: 1, Workers: 1, ClientQuota: 1}, func(t *testing.T, e *Engine) {
+			startBlocker(t, e, "greedy")
+		}, "greedy", ErrQuota},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := New(tc.opts)
+			defer e.Close()
+			tc.setup(t, e)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := e.Submit(tc.client, big)
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, tc.want) {
+				t.Errorf("err = %v, want %v", err, tc.want)
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
+				t.Errorf("rejecting the spec allocated %d bytes", grew)
+			}
+		})
+	}
+}
+
+// TestStatsAndQuotaMatchList: the engine's kept counts — Stats' census
+// and each client's unfinished jobs, which the quota reads — agree with
+// a count over List() after submits, cancels, a failing job and a
+// drain.
+func TestStatsAndQuotaMatchList(t *testing.T) {
+	e := New(Options{Runners: 1, Workers: 1, ClientQuota: 3})
+	defer e.Close()
+	check := func(when string) {
+		t.Helper()
+		var want Stats
+		unfinished := map[string]int{}
+		for _, s := range e.List() {
+			switch s.State {
+			case StateQueued:
+				want.Queued++
+			case StateRunning:
+				want.Running++
+			case StateDone:
+				want.Done++
+			case StateFailed:
+				want.Failed++
+			case StateCancelled:
+				want.Cancelled++
+			}
+			if !s.State.Final() {
+				unfinished[s.Client]++
+			}
+		}
+		got := e.Stats()
+		want.Subscribers, want.Dropped, want.Draining = got.Subscribers, got.Dropped, got.Draining
+		if got != want {
+			t.Errorf("%s: Stats %+v, List counts %+v", when, got, want)
+		}
+		e.mu.Lock()
+		kept := maps.Clone(e.unfinished)
+		e.mu.Unlock()
+		if !maps.Equal(kept, unfinished) {
+			t.Errorf("%s: unfinished jobs per client %v, List counts %v", when, kept, unfinished)
+		}
+	}
+	var failing Spec
+	if err := json.Unmarshal([]byte(`{"kind":"run","algorithm":"binative","n":8,"k":2}`), &failing); err != nil {
+		t.Fatal(err)
+	}
+	blocker := startBlocker(t, e, "c1")
+	var ids []string
+	for _, sub := range []struct {
+		client string
+		spec   Spec
+	}{{"c1", sweepSpec()}, {"c2", sweepSpec()}, {"c2", failing}, {"c2", sweepSpec()}} {
+		snap, err := e.Submit(sub.client, sub.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, snap.ID)
+	}
+	if _, err := e.Submit("c2", sweepSpec()); !errors.Is(err, ErrQuota) {
+		t.Errorf("c2's fourth unfinished job: err = %v, want ErrQuota", err)
+	}
+	if _, err := e.Cancel(ids[3]); err != nil {
+		t.Fatal(err)
+	}
+	check("queued behind the blocker")
+	cancelBlocker(t, e, blocker)
+	for _, id := range ids {
+		waitFinal(t, e, id)
+	}
+	check("all finished")
+	if got := e.Stats(); got.Done != 2 || got.Failed != 1 || got.Cancelled != 2 {
+		t.Errorf("census %+v, want 2 done, 1 failed and 2 cancelled", got)
+	}
+	startBlocker(t, e, "c1")
+	if _, err := e.Submit("c1", sweepSpec()); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	e.Drain(ctx)
+	check("drained")
 }
 
 func TestCancelQueuedJob(t *testing.T) {

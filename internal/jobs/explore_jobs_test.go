@@ -2,6 +2,7 @@ package jobs
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -86,9 +87,9 @@ func TestExploreDurationBudgetTruncates(t *testing.T) {
 	}
 }
 
-// TestExploreWorkersSpecCoversSameSpace: the workers knob changes only
-// the search's wall clock; the covered state set in the result is the
-// worker-count-invariant part of the report.
+// TestExploreWorkersSpecCoversSameSpace: a spec carrying workers is
+// still accepted and echoed in its snapshot, and the search reports the
+// same as without it, every field included.
 func TestExploreWorkersSpecCoversSameSpace(t *testing.T) {
 	e := New(Options{Runners: 2})
 	defer e.Close()
@@ -103,6 +104,9 @@ func TestExploreWorkersSpecCoversSameSpace(t *testing.T) {
 		if final.State != StateDone {
 			t.Fatalf("workers=%d: ended %s: %s", workers, final.State, final.Error)
 		}
+		if final.Spec.Workers != workers {
+			t.Fatalf("snapshot echoes workers=%d, submitted %d", final.Spec.Workers, workers)
+		}
 		res, err := e.Result(snap.ID)
 		if err != nil {
 			t.Fatal(err)
@@ -114,9 +118,8 @@ func TestExploreWorkersSpecCoversSameSpace(t *testing.T) {
 	}
 	seq := run(0)
 	par := run(4)
-	if seq.States != par.States || seq.DistinctTerminals != par.DistinctTerminals {
-		t.Errorf("worker pool changed coverage: states %d vs %d, terminals %d vs %d",
-			seq.States, par.States, seq.DistinctTerminals, par.DistinctTerminals)
+	if !reflect.DeepEqual(seq, par) {
+		t.Errorf("workers changed the report:\n%+v\n%+v", seq, par)
 	}
 	if !seq.Complete || !par.Complete {
 		t.Errorf("incomplete: seq=%v par=%v", seq.Complete, par.Complete)

@@ -76,12 +76,11 @@ type Spec struct {
 	MaxStates     int `json:"max_states,omitempty"`
 	MaxTotalMoves int `json:"max_total_moves,omitempty"`
 	MaxDurationMS int `json:"max_duration_ms,omitempty"`
-	// Workers sizes the explorer's work-stealing pool (KindExplore
-	// only; run/sweep parallelism is the engine's worker pool). The
-	// covered state set and any counterexample are identical for every
-	// value — but effort diagnostics (pruned, replays, sleep_skips,
-	// deepest) are visit-order dependent and so only reproducible
-	// run-to-run at the default of sequential search.
+	// Workers is accepted and echoed for KindExplore specs but has no
+	// effect: a job explores one placement, and one search runs on one
+	// goroutine, so its report is the same for every value. (Run/sweep
+	// parallelism is the engine's worker pool; sweeps over placements
+	// parallelize across them in experiments.ExploreAllStream.)
 	Workers int `json:"workers,omitempty"`
 	// Priority orders the queue: higher runs earlier, FIFO within a
 	// priority.
