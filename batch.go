@@ -3,8 +3,8 @@ package agentring
 import (
 	"context"
 	"runtime"
-	"sync"
-	"sync/atomic"
+
+	"agentring/internal/pool"
 )
 
 // Job pairs an algorithm with one run configuration inside a batch.
@@ -29,13 +29,12 @@ type BatchOptions struct {
 	// Workers bounds the number of concurrently executing runs. Zero or
 	// negative selects runtime.GOMAXPROCS(0).
 	Workers int
-	// OnResult, if non-nil, is invoked once per job as it completes,
-	// before RunBatch returns — the streaming view of the batch, used
-	// for live progress (NDJSON row emission, daemon job progress).
-	// Calls come from the worker goroutines, so completion order is
-	// nondeterministic and the callback must be safe for concurrent use;
-	// i is the job's input index, identical to its slot in the returned
-	// slice. Skipped (cancelled) jobs are reported through OnResult too.
+	// OnResult, if non-nil, is invoked once per job before RunBatch
+	// returns — the streaming view of the batch, used for live
+	// progress. Calls come in input order, as soon as a job and every
+	// job before it have finished, and never concurrently; i is the
+	// job's input index, identical to its slot in the returned slice.
+	// Skipped (cancelled) jobs are reported through OnResult too.
 	OnResult func(i int, r JobResult)
 }
 
@@ -56,54 +55,26 @@ type BatchOptions struct {
 // the pool keeping every core busy while results stay addressable.
 func RunBatch(ctx context.Context, jobs []Job, opts BatchOptions) []JobResult {
 	results := make([]JobResult, len(jobs))
-	if len(jobs) == 0 {
-		return results
-	}
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(jobs) {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					results[i] = JobResult{Job: jobs[i], Err: err}
-				} else {
-					rep, err := Run(jobs[i].Algorithm, jobs[i].Config)
-					results[i] = JobResult{Job: jobs[i], Report: rep, Err: err}
-				}
-				if opts.OnResult != nil {
-					opts.OnResult(i, results[i])
-				}
-			}
-		}()
-	}
-	wg.Wait()
+	// No task fails: a failed or skipped job is a result, not a stop.
+	pool.Run(ctx, len(jobs), workers, func(ctx context.Context, i int) error {
+		if err := ctx.Err(); err != nil {
+			results[i] = JobResult{Job: jobs[i], Err: err}
+		} else {
+			rep, err := Run(jobs[i].Algorithm, jobs[i].Config)
+			results[i] = JobResult{Job: jobs[i], Report: rep, Err: err}
+		}
+		return nil
+	}, func(i int) {
+		if opts.OnResult != nil {
+			opts.OnResult(i, results[i])
+		}
+	})
 	return results
-}
-
-// Sweep runs one algorithm over many configurations, a convenience
-// wrapper over RunBatch for the common "same algorithm, varied
-// parameters" shape. Results are in input order; ctx behaves as in
-// RunBatch.
-func Sweep(ctx context.Context, alg Algorithm, cfgs []Config, opts BatchOptions) []JobResult {
-	jobs := make([]Job, len(cfgs))
-	for i, cfg := range cfgs {
-		jobs[i] = Job{Algorithm: alg, Config: cfg}
-	}
-	return RunBatch(ctx, jobs, opts)
 }

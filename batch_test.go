@@ -4,9 +4,8 @@ import (
 	"context"
 	"errors"
 	"reflect"
-	"sync"
-	"sync/atomic"
 	"testing"
+	"time"
 
 	"agentring"
 )
@@ -84,44 +83,35 @@ func TestRunBatchEmpty(t *testing.T) {
 	}
 }
 
-func TestSweepOrdersByConfig(t *testing.T) {
-	var cfgs []agentring.Config
-	for _, n := range []int{16, 24, 32} {
-		homes, err := agentring.UniformHomes(n, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfgs = append(cfgs, agentring.Config{N: n, Homes: homes})
-	}
-	results := agentring.Sweep(context.Background(), agentring.Native, cfgs, agentring.BatchOptions{Workers: 2})
-	for i, res := range results {
-		if res.Err != nil {
-			t.Fatalf("sweep %d: %v", i, res.Err)
-		}
-		if res.Job.Config.N != cfgs[i].N {
-			t.Errorf("result %d is for n=%d, want n=%d", i, res.Job.Config.N, cfgs[i].N)
-		}
-		if !res.Report.Uniform {
-			t.Errorf("n=%d not uniform: %s", res.Job.Config.N, res.Report.Why)
-		}
-	}
-}
-
+// TestRunBatchContextCancel cancels a two-worker batch from OnResult
+// after job 0: only runs already in flight finish, at most one per
+// worker, and every later job is skipped with the context error. Jobs
+// past 0 wait at their first trace event until the cancel, so no worker
+// can run ahead of it.
 func TestRunBatchContextCancel(t *testing.T) {
+	const workers = 2
 	jobs := batchJobs(t, 30)
 	ctx, cancel := context.WithCancel(context.Background())
-	var fired atomic.Bool
+	defer cancel()
+	for i := 1; i < len(jobs); i++ {
+		jobs[i].Config.TraceSink = agentring.TraceFunc(func(agentring.TraceEvent) {
+			select {
+			case <-ctx.Done():
+			case <-time.After(10 * time.Second):
+				t.Errorf("job %d ran without the cancel", i)
+			}
+		})
+	}
 	results := agentring.RunBatch(ctx, jobs, agentring.BatchOptions{
-		Workers: 2,
+		Workers: workers,
 		OnResult: func(i int, r agentring.JobResult) {
-			// Cancel after the first completion: later jobs must be
+			// Cancel once job 0 is reported: later jobs must be
 			// skipped with the context error instead of running.
-			if fired.CompareAndSwap(false, true) {
+			if i == 0 {
 				cancel()
 			}
 		},
 	})
-	defer cancel()
 	var ran, skipped int
 	for i, res := range results {
 		switch {
@@ -133,11 +123,11 @@ func TestRunBatchContextCancel(t *testing.T) {
 			t.Fatalf("job %d: unexpected error %v", i, res.Err)
 		}
 	}
-	if ran == 0 {
-		t.Error("no job completed before the cancel")
+	if ran == 0 || ran > workers {
+		t.Errorf("%d jobs ran, want 1..%d (job 0 and those in flight at the cancel)", ran, workers)
 	}
-	if skipped == 0 {
-		t.Error("no job was skipped by the cancel")
+	if skipped != len(jobs)-ran {
+		t.Errorf("%d jobs skipped, want the other %d", skipped, len(jobs)-ran)
 	}
 }
 
@@ -152,19 +142,19 @@ func TestRunBatchPreCancelledSkipsEverything(t *testing.T) {
 	}
 }
 
+// TestRunBatchOnResultStreamsEveryJob: OnResult sees every job once, in
+// input order and one call at a time (the callback takes no lock, so
+// -race catches an overlap), with the result RunBatch returns for it.
 func TestRunBatchOnResultStreamsEveryJob(t *testing.T) {
 	jobs := batchJobs(t, 12)
-	var mu sync.Mutex
-	seen := make(map[int]agentring.JobResult)
+	var seen []agentring.JobResult
 	results := agentring.RunBatch(context.Background(), jobs, agentring.BatchOptions{
 		Workers: 4,
 		OnResult: func(i int, r agentring.JobResult) {
-			mu.Lock()
-			defer mu.Unlock()
-			if _, dup := seen[i]; dup {
-				t.Errorf("job %d reported twice", i)
+			if i != len(seen) {
+				t.Errorf("OnResult got job %d after %d jobs", i, len(seen))
 			}
-			seen[i] = r
+			seen = append(seen, r)
 		},
 	})
 	if len(seen) != len(jobs) {

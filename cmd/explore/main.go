@@ -31,7 +31,7 @@
 // report lines, one compact JSON object per line; report lines carry
 // no "type" field, so consumers filter on its presence. With -all and
 // -workers above 1, progress rows of the placements being explored
-// interleave.
+// interleave; each names its placement in "homes".
 //
 // -faults attaches a link failure/repair timeline (a named DynRing plan
 // — transient | churn | permanent — or a raw
@@ -178,6 +178,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			defer encMu.Unlock()
 			enc.Encode(progressJSON{
 				Type:      "progress",
+				Homes:     p.Homes,
 				States:    p.States,
 				Frontier:  p.Frontier,
 				CacheHits: p.CacheHits,
@@ -278,6 +279,7 @@ func printReport(out io.Writer, homes []int, rep agentring.ExploreReport) {
 // report rows by its "type" field.
 type progressJSON struct {
 	Type      string `json:"type"`
+	Homes     []int  `json:"homes"`
 	States    int64  `json:"states"`
 	Frontier  int64  `json:"frontier"`
 	CacheHits int64  `json:"cache_hits"`

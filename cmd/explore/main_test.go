@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -82,22 +83,44 @@ func splitNDJSON(t *testing.T, s string) (reports, progress []map[string]any) {
 	return reports, progress
 }
 
+// TestExploreAllJSONStreamsNDJSON: -all -json streams one report row
+// per placement, and every progress row names its placement, so the
+// interleaved rows of placements explored at once (-workers 2) can be
+// told apart. Each search emits a final snapshot, so every placement
+// has at least one progress row.
 func TestExploreAllJSONStreamsNDJSON(t *testing.T) {
-	var out bytes.Buffer
-	if err := run(context.Background(), []string{"-n", "4", "-all", "-json", "-alg", "logspace"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	reports, _ := splitNDJSON(t, out.String())
-	if len(reports) < 2 {
-		t.Fatalf("want one NDJSON report line per placement, got %d:\n%s", len(reports), out.String())
-	}
-	for i, raw := range reports {
-		homes, _ := raw["homes"].([]any)
-		if raw["algorithm"] != "logspace" || raw["n"] != float64(4) || len(homes) == 0 {
-			t.Errorf("report %d: %+v", i, raw)
+	for _, workers := range []string{"1", "2"} {
+		var out bytes.Buffer
+		if err := run(context.Background(), []string{"-n", "4", "-all", "-json", "-alg", "logspace", "-workers", workers}, &out); err != nil {
+			t.Fatal(err)
 		}
-		if _, ok := raw["report"].(map[string]any); !ok {
-			t.Errorf("report %d has no nested report object: %+v", i, raw)
+		reports, progress := splitNDJSON(t, out.String())
+		if len(reports) < 2 {
+			t.Fatalf("workers=%s: want one NDJSON report line per placement, got %d:\n%s", workers, len(reports), out.String())
+		}
+		placements := map[string]int{}
+		for i, raw := range reports {
+			homes, _ := raw["homes"].([]any)
+			if raw["algorithm"] != "logspace" || raw["n"] != float64(4) || len(homes) == 0 {
+				t.Errorf("workers=%s: report %d: %+v", workers, i, raw)
+			}
+			if _, ok := raw["report"].(map[string]any); !ok {
+				t.Errorf("workers=%s: report %d has no nested report object: %+v", workers, i, raw)
+			}
+			placements[fmt.Sprint(homes)] = 0
+		}
+		for i, raw := range progress {
+			homes := fmt.Sprint(raw["homes"])
+			if _, ok := placements[homes]; !ok {
+				t.Errorf("workers=%s: progress row %d names homes %s, no report row's: %+v", workers, i, homes, raw)
+				continue
+			}
+			placements[homes]++
+		}
+		for homes, rows := range placements {
+			if rows == 0 {
+				t.Errorf("workers=%s: placement %s has no progress row", workers, homes)
+			}
 		}
 	}
 }

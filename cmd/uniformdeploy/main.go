@@ -82,7 +82,7 @@ func run(args []string, out io.Writer) error {
 		// Project virtual-ring positions back onto the tree and report
 		// the coverage quality the deployment achieved there.
 		if treePos, perr := topo.TreeNodes(rep.Positions); perr == nil {
-			if worst, mean, cerr := topo.Tree().Coverage(dedupInts(treePos)); cerr == nil {
+			if worst, mean, cerr := topo.Tree().Coverage(treePos); cerr == nil {
 				fmt.Fprintf(out, "tree positions %v: worst coverage %d, mean %.2f\n", treePos, worst, mean)
 			}
 		}
@@ -105,16 +105,4 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("deployment not uniform: %s", rep.Why)
 	}
 	return nil
-}
-
-func dedupInts(v []int) []int {
-	seen := make(map[int]bool, len(v))
-	out := make([]int, 0, len(v))
-	for _, x := range v {
-		if !seen[x] {
-			seen[x] = true
-			out = append(out, x)
-		}
-	}
-	return out
 }

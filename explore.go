@@ -38,6 +38,9 @@ type Budget struct {
 // ExploreProgress is one live snapshot of a running exploration,
 // delivered to ExploreOptions.Progress.
 type ExploreProgress struct {
+	// Homes is the placement being explored (Config.Homes), so the
+	// snapshots of a sweep's concurrent searches can be told apart.
+	Homes []int `json:"homes"`
 	// States is the number of distinct global states expanded so far.
 	States int64 `json:"states"`
 	// Frontier is the number of schedule prefixes waiting on the
@@ -219,6 +222,7 @@ func Explore(ctx context.Context, alg Algorithm, cfg Config, opts ExploreOptions
 		emit := opts.Progress
 		progress = func(p explore.Progress) {
 			emit(ExploreProgress{
+				Homes:         cfg.Homes,
 				States:        p.States,
 				Frontier:      p.Frontier,
 				CacheHits:     p.CacheHits,

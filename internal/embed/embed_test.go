@@ -256,12 +256,16 @@ func TestCoverage(t *testing.T) {
 	if mean != 2.0 {
 		t.Errorf("mean = %v, want 2", mean)
 	}
-	worst, _, err = tree.Coverage([]int{0, 4})
+	worst, mean, err = tree.Coverage([]int{0, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if worst != 2 {
 		t.Errorf("worst with both ends = %d, want 2", worst)
+	}
+	// A repeated node seeds the search once: [0,0,4] reads as [0,4].
+	if w, m, err := tree.Coverage([]int{0, 0, 4}); err != nil || w != worst || m != mean {
+		t.Errorf("[0,0,4] reads worst %d mean %v (err %v), [0,4] worst %d mean %v", w, m, err, worst, mean)
 	}
 	if _, _, err := tree.Coverage(nil); err == nil {
 		t.Error("no agents must error")

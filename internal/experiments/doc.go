@@ -16,9 +16,11 @@
 //     churn, permanent) scaled to a substrate size, or a raw
 //     agentring.ParseFaults schedule.
 //   - AllPlacements / ExploreAllStream: exhaustive schedule-space
-//     sweeps over every initial placement, deduplicated up to rotation
-//     exactly when that is sound, streaming one row per placement
-//     (cmd/explore -all). FormatExploreRows renders them.
+//     sweeps over every initial placement, enumerated by one bitmask
+//     loop and deduplicated up to rotation exactly when that is sound,
+//     explored several at a time on the module's one batch pool
+//     (internal/pool) and streamed one row per placement in placement
+//     order (cmd/explore -all). FormatExploreRows renders them.
 //   - FitLinear / Correlation: the helpers the shape tests use to check
 //     that measured complexities grow as Table 1 predicts, rather than
 //     asserting constants; BarChart draws the sweep CLI's moves chart.

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 
 	"agentring"
 )
@@ -155,16 +156,5 @@ func Correlation(xs, ys []float64) (float64, error) {
 	if dx2 == 0 || dy2 == 0 {
 		return 0, fmt.Errorf("experiments: zero variance")
 	}
-	return num / sqrt(dx2*dy2), nil
-}
-
-func sqrt(v float64) float64 {
-	if v <= 0 {
-		return 0
-	}
-	x := v
-	for i := 0; i < 64; i++ {
-		x = (x + v/x) / 2
-	}
-	return x
+	return num / math.Sqrt(dx2*dy2), nil
 }

@@ -88,4 +88,19 @@ func TestCorrelation(t *testing.T) {
 	if _, err := Correlation(xs, []float64{1, 1, 1, 1, 1}); err == nil {
 		t.Error("zero variance must error")
 	}
+	// Proportional samples far from unit scale, whose dx²·dy² lies
+	// outside [1e-38, 1e38]: still r = 1.
+	for _, scale := range []float64{1e10, 1e-10} {
+		sx, sy := make([]float64, len(xs)), make([]float64, len(ys))
+		for i := range xs {
+			sx[i], sy[i] = xs[i]*scale, ys[i]*scale
+		}
+		r, err := Correlation(sx, sy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(r-1) > 1e-12 {
+			t.Errorf("scale %g: perfect correlation = %v, want 1", scale, r)
+		}
+	}
 }

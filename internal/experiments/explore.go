@@ -4,9 +4,9 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
 
 	"agentring"
+	"agentring/internal/pool"
 )
 
 // ExploreRow is one measured schedule-space exploration.
@@ -23,63 +23,20 @@ type ExploreRow struct {
 // isomorphic schedule spaces and exploring one representative per orbit
 // covers them all.
 func AllPlacements(n int) [][]int {
-	var out [][]int
-	for mask := 1; mask < 1<<n; mask++ {
-		canonical := true
-		for r := 1; r < n; r++ {
-			rot := (mask>>r | mask<<(n-r)) & (1<<n - 1)
-			if rot < mask {
-				canonical = false
-				break
-			}
-		}
-		if !canonical {
-			continue
-		}
-		var homes []int
-		for v := 0; v < n; v++ {
-			if mask&(1<<v) != 0 {
-				homes = append(homes, v)
-			}
-		}
-		out = append(out, homes)
-	}
-	return out
+	return placements(n, true)
 }
 
-// AllPlacementsDihedral is AllPlacements deduplicated up to the full
-// dihedral group: rotations and reflections of the node numbering.
-// Reflection is only a schedule-space symmetry for substrates whose
-// dynamics are mirror-invariant — which the explored ring families are
-// NOT in general: BiNative breaks chirality by electing its selection
-// circuit through port 0 (the forward direction), so mirrored biring
-// placements generate genuinely different searches (pinned by
-// TestBiNativeChirality). Use this enumeration only when per-placement
-// results need not transfer across the reflection (e.g. sampling
-// representative placements for cross-checks), never to claim orbit
-// coverage; coverage sweeps use AllPlacements.
-func AllPlacementsDihedral(n int) [][]int {
+// placements enumerates the non-empty sets of home nodes of an n-node
+// substrate in bitmask order, keeping only the least rotation of each
+// orbit when upToRotation is set.
+func placements(n int, upToRotation bool) [][]int {
 	var out [][]int
+next:
 	for mask := 1; mask < 1<<n; mask++ {
-		canonical := true
-		for r := 0; r < n && canonical; r++ {
-			rot := (mask>>r | mask<<(n-r)) & (1<<n - 1)
-			if r > 0 && rot < mask {
-				canonical = false
+		for r := 1; upToRotation && r < n; r++ {
+			if (mask>>r|mask<<(n-r))&(1<<n-1) < mask {
+				continue next
 			}
-			// The reflection v -> -v mod n of the rotated mask.
-			refl := 0
-			for v := 0; v < n; v++ {
-				if rot&(1<<v) != 0 {
-					refl |= 1 << ((n - v) % n)
-				}
-			}
-			if refl < mask {
-				canonical = false
-			}
-		}
-		if !canonical {
-			continue
 		}
 		var homes []int
 		for v := 0; v < n; v++ {
@@ -137,120 +94,31 @@ func ExploreAllStream(ctx context.Context, alg agentring.Algorithm, topology str
 	if n > maxAllNodes {
 		return nil, fmt.Errorf("substrate %s has %d nodes; exhaustive placement enumeration is capped at %d", topo, n, maxAllNodes)
 	}
-	var placements [][]int
-	if len(faults) == 0 && (topo.Kind() == agentring.KindRing || topo.Kind() == agentring.KindBiRing) {
-		placements = AllPlacements(n)
-	} else {
-		for mask := 1; mask < 1<<n; mask++ {
-			var homes []int
-			for v := 0; v < n; v++ {
-				if mask&(1<<v) != 0 {
-					homes = append(homes, v)
-				}
-			}
-			placements = append(placements, homes)
+	symmetric := len(faults) == 0 && (topo.Kind() == agentring.KindRing || topo.Kind() == agentring.KindBiRing)
+	all := placements(n, symmetric)
+	found := make([]*ExploreRow, len(all))
+	rows := make([]ExploreRow, 0, len(all))
+	err = pool.Run(ctx, len(all), opts.Workers, func(ctx context.Context, i int) error {
+		homes := all[i]
+		rep, err := agentring.Explore(ctx, alg, agentring.Config{Topology: topo, Homes: homes, Faults: faults}, opts)
+		if err != nil {
+			return fmt.Errorf("explore %s on %s homes=%v: %w", alg, topo, homes, err)
 		}
-	}
-	sw := &sweep{
-		placements: placements,
-		results:    make([]placementResult, len(placements)),
-		cancels:    make([]context.CancelFunc, len(placements)),
-		limit:      len(placements),
-		emit:       emit,
-		rows:       make([]ExploreRow, 0, len(placements)),
-		explore: func(ctx context.Context, homes []int) (*ExploreRow, error) {
-			rep, err := agentring.Explore(ctx, alg, agentring.Config{Topology: topo, Homes: homes, Faults: faults}, opts)
-			if err != nil {
-				return nil, fmt.Errorf("explore %s on %s homes=%v: %w", alg, topo, homes, err)
-			}
-			row := &ExploreRow{Algorithm: alg, N: n, Homes: homes, Report: rep}
-			if rep.Counterexample != nil {
-				return row, fmt.Errorf("explore %s on %s homes=%v: counterexample: %s",
-					alg, topo, homes, rep.Counterexample.Reason)
-			}
-			return row, nil
-		},
-	}
-	var wg sync.WaitGroup
-	for range min(opts.Workers, len(placements)) - 1 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sw.work(ctx)
-		}()
-	}
-	sw.work(ctx)
-	wg.Wait()
-	return sw.rows, sw.err
-}
-
-// sweep is the placement pool behind ExploreAllStream. Its fields past
-// explore are guarded by mu.
-type sweep struct {
-	placements [][]int
-	explore    func(context.Context, []int) (*ExploreRow, error)
-
-	mu      sync.Mutex
-	next    int // the next placement to start
-	limit   int // placements from limit on are never started
-	results []placementResult
-	cancels []context.CancelFunc
-	emitted int // placements handed to emit (or failed) so far
-	emit    func(ExploreRow)
-	rows    []ExploreRow
-	err     error
-}
-
-// placementResult is one finished placement: its row (nil when the
-// search failed or was cancelled) and its error (a counterexample, a
-// failed search or a cancellation; nil otherwise).
-type placementResult struct {
-	row  *ExploreRow
-	err  error
-	done bool
-}
-
-// work starts placements in order until none is left below the limit.
-// A failed placement lowers the limit to just past itself and cancels
-// the later placements already running.
-func (sw *sweep) work(ctx context.Context) {
-	for {
-		sw.mu.Lock()
-		i := sw.next
-		if i >= sw.limit {
-			sw.mu.Unlock()
-			return
+		found[i] = &ExploreRow{Algorithm: alg, N: n, Homes: homes, Report: rep}
+		if rep.Counterexample != nil {
+			return fmt.Errorf("explore %s on %s homes=%v: counterexample: %s",
+				alg, topo, homes, rep.Counterexample.Reason)
 		}
-		sw.next++
-		pctx, cancel := context.WithCancel(ctx)
-		sw.cancels[i] = cancel
-		sw.mu.Unlock()
-
-		row, err := sw.explore(pctx, sw.placements[i])
-		cancel()
-
-		sw.mu.Lock()
-		sw.results[i] = placementResult{row: row, err: err, done: true}
-		if err != nil && i+1 < sw.limit {
-			sw.limit = i + 1
-			for _, c := range sw.cancels[i+1 : sw.next] {
-				c()
+		return nil
+	}, func(i int) {
+		if r := found[i]; r != nil {
+			rows = append(rows, *r)
+			if emit != nil {
+				emit(*r)
 			}
 		}
-		// The lock is held across emit so that rows go out strictly in
-		// placement order and never concurrently.
-		for ; sw.emitted < sw.limit && sw.results[sw.emitted].done; sw.emitted++ {
-			r := sw.results[sw.emitted]
-			if r.row != nil {
-				sw.rows = append(sw.rows, *r.row)
-				if sw.emit != nil {
-					sw.emit(*r.row)
-				}
-			}
-			sw.err = r.err
-		}
-		sw.mu.Unlock()
-	}
+	})
+	return rows, err
 }
 
 // FormatExploreRows renders exploration rows as an aligned text table.

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"errors"
-	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -126,62 +125,15 @@ func TestExploreAllCancelReturnsPrefix(t *testing.T) {
 	}
 }
 
-// TestAllPlacementsDihedralSubset checks the dihedral enumeration
-// against a brute-force orbit computation: it must pick exactly one
-// representative per orbit of the full dihedral group acting on
-// non-empty placements, and be a subset of the rotation-only
-// representatives.
-func TestAllPlacementsDihedralSubset(t *testing.T) {
-	for n := 1; n <= 8; n++ {
-		rot := AllPlacements(n)
-		dih := AllPlacementsDihedral(n)
-		if len(dih) > len(rot) {
-			t.Fatalf("n=%d: %d dihedral representatives exceed %d rotational ones", n, len(dih), len(rot))
-		}
-		inRot := make(map[string]bool, len(rot))
-		for _, h := range rot {
-			inRot[fmt.Sprint(h)] = true
-		}
-		for _, h := range dih {
-			if !inRot[fmt.Sprint(h)] {
-				t.Errorf("n=%d: dihedral representative %v is not rotation-canonical", n, h)
-			}
-		}
-		// Brute force: count dihedral orbits over all non-empty masks.
-		seen := make(map[int]bool)
-		orbits := 0
-		for mask := 1; mask < 1<<n; mask++ {
-			if seen[mask] {
-				continue
-			}
-			orbits++
-			for r := 0; r < n; r++ {
-				rot := (mask>>r | mask<<(n-r)) & (1<<n - 1)
-				seen[rot] = true
-				refl := 0
-				for v := 0; v < n; v++ {
-					if rot&(1<<v) != 0 {
-						refl |= 1 << ((n - v) % n)
-					}
-				}
-				seen[refl] = true
-			}
-		}
-		if len(dih) != orbits {
-			t.Errorf("n=%d: %d dihedral representatives, brute force counts %d orbits", n, len(dih), orbits)
-		}
-	}
-}
-
-// TestBiNativeChirality pins the chirality asymmetry documented on
-// AllPlacementsDihedral: BiNative elects its selection circuit through
-// port 0 (the forward direction), so reflection is NOT a symmetry of
-// its schedule space — mirrored biring placements explore genuinely
-// different state sets. Both must still verify (the correctness claim
-// is reflection-symmetric; the search is not), but if the state counts
-// ever become equal, either the chirality was fixed (and
-// AllPlacementsDihedral's warning should be revisited) or the
-// canonicalization broke.
+// TestBiNativeChirality pins why placement sweeps deduplicate up to
+// rotation only, never reflection: BiNative elects its selection
+// circuit through port 0 (the forward direction), so reflection is NOT
+// a symmetry of its schedule space — mirrored biring placements explore
+// genuinely different state sets. Both must still verify (the
+// correctness claim is reflection-symmetric; the search is not), but if
+// the state counts ever become equal, either the chirality was fixed
+// (and a reflection-aware enumeration could halve biring sweeps) or the
+// search broke.
 func TestBiNativeChirality(t *testing.T) {
 	topo, err := agentring.ParseTopology("biring", 6)
 	if err != nil {

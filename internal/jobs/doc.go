@@ -3,9 +3,9 @@
 // JSON-serializable description of a single run, a sweep grid or a
 // schedule-space exploration; Compile resolves its names into
 // agentring configurations (substrate first, then placement, bounded in
-// total size), and Run executes the resulting Plan over
-// agentring.RunBatch's bounded worker pool, streaming finished cells in
-// grid order through its Hooks. A finished run is one CellResult row,
+// total size), and Run executes the resulting Plan on the module's one
+// batch pool (internal/pool), streaming finished cells in grid order
+// through its Hooks. A finished run is one CellResult row,
 // whether it came from the daemon, `agentring submit -local` or the
 // sweep CLI.
 //

@@ -5,12 +5,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"agentring"
+	"agentring/internal/pool"
 )
 
 // Admission and lookup errors, matchable with errors.Is.
@@ -48,7 +50,7 @@ func (s State) Final() bool {
 
 // Options tunes an Engine.
 type Options struct {
-	// Workers bounds each job's RunBatch worker pool; zero selects
+	// Workers bounds each job's batch worker pool; zero selects
 	// GOMAXPROCS.
 	Workers int
 	// Runners bounds how many jobs execute concurrently; zero selects 1
@@ -656,46 +658,43 @@ func Run(ctx context.Context, p Plan, workers int, h Hooks) (Result, error) {
 			cells[i].Config.TraceSink = sink
 		}
 	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	out := Result{Kind: p.kind, Cells: make([]CellResult, len(cells))}
-	var (
-		mu   sync.Mutex
-		done = make([]bool, len(cells))
-		next int
-	)
-	results := agentring.RunBatch(ctx, cells, agentring.BatchOptions{
-		Workers: workers,
-		OnResult: func(i int, r agentring.JobResult) {
-			if h.Progress != nil {
-				h.Progress()
-			}
-			// The lock is held across Cell so that calls come strictly
-			// in grid order, whatever order the pool finishes cells in,
-			// and never concurrently.
-			mu.Lock()
-			defer mu.Unlock()
-			out.Cells[i] = cellResult(i, r)
-			done[i] = true
-			for ; next < len(done) && done[next]; next++ {
-				if h.Cell != nil {
-					h.Cell(out.Cells[next])
-				}
-			}
-		},
+	errs := make([]error, len(cells))
+	// A cell fails the pool only when ctx is cancelled, and a cancelled
+	// batch returns ctx's error even if its last cell had finished.
+	pool.Run(ctx, len(cells), workers, func(ctx context.Context, i int) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		rep, err := agentring.Run(cells[i].Algorithm, cells[i].Config)
+		out.Cells[i] = cellResult(i, agentring.JobResult{Job: cells[i], Report: rep, Err: err})
+		errs[i] = err
+		if h.Progress != nil {
+			h.Progress()
+		}
+		return nil
+	}, func(i int) {
+		if h.Cell != nil {
+			h.Cell(out.Cells[i])
+		}
 	})
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
 	var firstErr error
 	failures := 0
-	for _, r := range results {
-		if r.Err != nil {
+	for _, err := range errs {
+		if err != nil {
 			failures++
 			if firstErr == nil {
-				firstErr = r.Err
+				firstErr = err
 			}
 		}
 	}
-	if failures == len(results) {
+	if failures == len(errs) {
 		// Every cell failed: the job itself is broken, not just flaky
 		// corners of a grid.
 		return Result{}, fmt.Errorf("all %d cells failed: %w", failures, firstErr)
@@ -704,7 +703,7 @@ func Run(ctx context.Context, p Plan, workers int, h Hooks) (Result, error) {
 }
 
 // noteProgress bumps the job's done counter and publishes a progress
-// event. Called concurrently from RunBatch workers.
+// event. Called concurrently from the batch pool's workers.
 func (e *Engine) noteProgress(j *job) {
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -3,6 +3,7 @@ package jobs
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -128,14 +129,19 @@ func TestExploreWorkersSpecCoversSameSpace(t *testing.T) {
 
 // TestExploreJobEmitsProgressEvents: explore jobs publish "progress"
 // events carrying live search snapshots (at minimum the final one),
-// so daemon clients can watch a long search instead of a silent gap
-// between "started" and "done".
+// each naming the placement searched, so daemon clients can watch a
+// long search instead of a silent gap between "started" and "done".
 func TestExploreJobEmitsProgressEvents(t *testing.T) {
 	e := New(Options{})
 	defer e.Close()
 	events, cancel := e.Subscribe(4096)
 	defer cancel()
-	snap, err := e.Submit("c1", Spec{Kind: KindExplore, Algorithm: "native", N: 6, K: 2, Workload: "clustered"})
+	spec := Spec{Kind: KindExplore, Algorithm: "native", N: 6, K: 2, Workload: "clustered"}
+	plan, err := Compile(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := e.Submit("c1", spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,6 +156,9 @@ func TestExploreJobEmitsProgressEvents(t *testing.T) {
 			if ev.Type == "progress" && ev.JobID == snap.ID && ev.Explore != nil {
 				if ev.Explore.States < 0 || ev.Explore.Replays <= 0 {
 					t.Fatalf("implausible snapshot: %+v", ev.Explore)
+				}
+				if !slices.Equal(ev.Explore.Homes, plan.Explore.Homes) {
+					t.Fatalf("snapshot names homes %v, the job explores %v", ev.Explore.Homes, plan.Explore.Homes)
 				}
 				progress++
 			}

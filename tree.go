@@ -93,7 +93,7 @@ func RunOnTree(alg Algorithm, t *Tree, root int, agentNodes []int, cfg Config) (
 	if err != nil {
 		return TreeReport{}, err
 	}
-	worst, mean, err := t.inner.Coverage(dedup(treePos))
+	worst, mean, err := t.inner.Coverage(treePos)
 	if err != nil {
 		return TreeReport{}, fmt.Errorf("%w: %v", ErrConfig, err)
 	}
@@ -104,16 +104,4 @@ func RunOnTree(alg Algorithm, t *Tree, root int, agentNodes []int, cfg Config) (
 		WorstCoverage:   worst,
 		MeanCoverage:    mean,
 	}, nil
-}
-
-func dedup(v []int) []int {
-	seen := make(map[int]bool, len(v))
-	out := make([]int, 0, len(v))
-	for _, x := range v {
-		if !seen[x] {
-			seen[x] = true
-			out = append(out, x)
-		}
-	}
-	return out
 }
