@@ -171,11 +171,20 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		encMu    sync.Mutex
 		enc      = json.NewEncoder(out)
 		progress func(agentring.ExploreProgress)
+		// failed is set once an -all sweep has written the report row
+		// of a placement with a counterexample. No later placement's
+		// row follows it, but the placements still running when it
+		// failed report progress until they see their cancellation:
+		// those rows are dropped, so the stream ends on the failing row.
+		failed bool
 	)
 	if *jsonFlag {
 		progress = func(p agentring.ExploreProgress) {
 			encMu.Lock()
 			defer encMu.Unlock()
+			if failed {
+				return
+			}
 			enc.Encode(progressJSON{
 				Type:      "progress",
 				Homes:     p.Homes,
@@ -205,6 +214,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 				if encErr == nil {
 					encErr = enc.Encode(exploreJSONRow(r))
 				}
+				failed = r.Report.Counterexample != nil
 			}
 		}
 		rows, exploreErr := experiments.ExploreAllStream(ctx, plan.Algorithm, *topoSpec, *n, plan.Explore.Faults, opts, emit)

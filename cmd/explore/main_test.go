@@ -125,6 +125,34 @@ func TestExploreAllJSONStreamsNDJSON(t *testing.T) {
 	}
 }
 
+// TestExploreAllJSONEndsOnCounterexample: a failing -all sweep's
+// NDJSON ends on the failing placement's report row. The placements
+// explored alongside it are cancelled and may still report progress,
+// which must not follow that row. Whether one does depends on timing,
+// so the sweep runs 20 times.
+func TestExploreAllJSONEndsOnCounterexample(t *testing.T) {
+	for i := 0; i < 20; i++ {
+		var out bytes.Buffer
+		err := run(context.Background(), []string{"-n", "8", "-all", "-json", "-alg", "naive", "-workers", "4"}, &out)
+		if err == nil || !strings.Contains(err.Error(), "counterexample") {
+			t.Fatalf("run %d: error = %v, want the counterexample", i, err)
+		}
+		lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+		var last struct {
+			Type   string `json:"type"`
+			Report struct {
+				Counterexample any `json:"counterexample"`
+			} `json:"report"`
+		}
+		if err := json.Unmarshal([]byte(lines[len(lines)-1]), &last); err != nil {
+			t.Fatalf("run %d: last line is not a JSON object: %v", i, err)
+		}
+		if last.Type != "" || last.Report.Counterexample == nil {
+			t.Fatalf("run %d: the stream ends on %s, want the counterexample's report row", i, lines[len(lines)-1])
+		}
+	}
+}
+
 func TestExploreAllPlacements(t *testing.T) {
 	var out bytes.Buffer
 	if err := run(context.Background(), []string{"-n", "4", "-all", "-alg", "logspace"}, &out); err != nil {

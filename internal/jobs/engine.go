@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -644,19 +643,21 @@ func Run(ctx context.Context, p Plan, workers int, h Hooks) (Result, error) {
 	}
 
 	cells := p.Cells
-	if limit := int64(p.traceEvents); limit > 0 && h.Trace != nil {
+	var (
+		limit   = int64(p.traceEvents)
+		emitted atomic.Int64
+		sink    agentring.TraceSink
+	)
+	if limit > 0 && h.Trace != nil {
 		// Bounded by the spec's cap so a million-step sweep cannot flood
-		// subscribers. The counter is shared across cells and workers.
-		var emitted atomic.Int64
-		sink := agentring.TraceFunc(func(ev agentring.TraceEvent) {
-			if emitted.Add(1) <= limit {
+		// subscribers. The counter is shared across cells and workers;
+		// once the cap is spent an event costs a read of it, and a cell
+		// that starts then runs without a sink.
+		sink = agentring.TraceFunc(func(ev agentring.TraceEvent) {
+			if emitted.Load() < limit && emitted.Add(1) <= limit {
 				h.Trace(ev)
 			}
 		})
-		cells = slices.Clone(cells)
-		for i := range cells {
-			cells[i].Config.TraceSink = sink
-		}
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -669,7 +670,11 @@ func Run(ctx context.Context, p Plan, workers int, h Hooks) (Result, error) {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		rep, err := agentring.Run(cells[i].Algorithm, cells[i].Config)
+		cfg := cells[i].Config
+		if sink != nil && emitted.Load() < limit {
+			cfg.TraceSink = sink
+		}
+		rep, err := agentring.Run(cells[i].Algorithm, cfg)
 		out.Cells[i] = cellResult(i, agentring.JobResult{Job: cells[i], Report: rep, Err: err})
 		errs[i] = err
 		if h.Progress != nil {

@@ -7,6 +7,7 @@ import (
 	"maps"
 	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -419,42 +420,49 @@ func TestCancelRunningJobStopsBetweenCells(t *testing.T) {
 	}
 }
 
+// TestEventsStreamProgressAndTraces runs the sweep on one worker and on
+// two, whose cells share the trace cap.
 func TestEventsStreamProgressAndTraces(t *testing.T) {
-	e := New(Options{Workers: 1})
-	defer e.Close()
-	events, cancel := e.Subscribe(4096)
-	defer cancel()
-	spec := sweepSpec()
-	spec.TraceEvents = 50
-	snap, err := e.Submit("c1", spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitFinal(t, e, snap.ID)
-	// Drain what the bus delivered so far.
-	seen := map[string]int{}
-	timeout := time.After(10 * time.Second)
-	for seen["done"] == 0 {
-		select {
-		case ev := <-events:
-			seen[ev.Type]++
-			if ev.Type == "trace" {
-				if ev.Trace == nil || ev.Trace.Kind == "" {
-					t.Fatalf("trace event without payload: %+v", ev)
+	for _, workers := range []int{1, 2} {
+		t.Run("workers="+strconv.Itoa(workers), func(t *testing.T) {
+			e := New(Options{Workers: workers})
+			defer e.Close()
+			events, cancel := e.Subscribe(4096)
+			defer cancel()
+			spec := sweepSpec()
+			spec.TraceEvents = 50
+			snap, err := e.Submit("c1", spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitFinal(t, e, snap.ID)
+			// Drain what the bus delivered so far.
+			seen := map[string]int{}
+			timeout := time.After(10 * time.Second)
+			for seen["done"] == 0 {
+				select {
+				case ev := <-events:
+					seen[ev.Type]++
+					if ev.Type == "trace" {
+						if ev.Trace == nil || ev.Trace.Kind == "" {
+							t.Fatalf("trace event without payload: %+v", ev)
+						}
+					}
+				case <-timeout:
+					t.Fatalf("no done event; saw %v", seen)
 				}
 			}
-		case <-timeout:
-			t.Fatalf("no done event; saw %v", seen)
-		}
-	}
-	if seen["queued"] == 0 || seen["started"] == 0 {
-		t.Errorf("missing lifecycle events: %v", seen)
-	}
-	if seen["progress"] != snap.Total {
-		t.Errorf("progress events = %d, want %d", seen["progress"], snap.Total)
-	}
-	if seen["trace"] == 0 || seen["trace"] > 50 {
-		t.Errorf("trace events = %d, want 1..50", seen["trace"])
+			if seen["queued"] == 0 || seen["started"] == 0 {
+				t.Errorf("missing lifecycle events: %v", seen)
+			}
+			if seen["progress"] != snap.Total {
+				t.Errorf("progress events = %d, want %d", seen["progress"], snap.Total)
+			}
+			// The sweep's first cell alone emits more events than the cap.
+			if seen["trace"] != 50 {
+				t.Errorf("trace events = %d, want the cap of 50", seen["trace"])
+			}
+		})
 	}
 }
 

@@ -183,6 +183,7 @@ func (e *Engine) DecisionPoint() []Choice {
 	e.applyDueFaults()
 	if !e.listed {
 		e.choices = e.enabledChoices(e.choices[:0])
+		e.relist(0, len(e.choices))
 		e.listed = true
 	}
 	for len(e.choices) == 0 && e.faultIdx < len(e.faults) {

@@ -22,17 +22,24 @@ type referee struct {
 	decisions int
 }
 
-// check compares the list with a rebuild, and DecisionPoint's return
-// with the list: the list itself, then the adversary's moves, or a
-// forced repair alone.
+// check compares the list with a rebuild, the engine's lookup of each
+// agent's entry with the agent's place in the rebuild, and
+// DecisionPoint's return with the list: the list itself, then the
+// adversary's moves, or a forced repair alone.
 func (r *referee) check(choices []sim.Choice) {
 	r.t.Helper()
 	listed, ok := sim.ChoiceList(r.e)
 	if !ok {
 		r.t.Fatalf("decision %d: the choice list is stale at a decision point", r.decisions)
 	}
-	if rebuilt := sim.RebuiltChoices(r.e); !slices.Equal(listed, rebuilt) {
+	rebuilt := sim.RebuiltChoices(r.e)
+	if !slices.Equal(listed, rebuilt) {
 		r.t.Fatalf("decision %d (step %d): patched list %v, rebuilt %v", r.decisions, r.e.Steps(), listed, rebuilt)
+	}
+	for id, i := range sim.ListIndexes(r.e) {
+		if want := slices.IndexFunc(rebuilt, func(c sim.Choice) bool { return c.Agent == id }); i != want {
+			r.t.Fatalf("decision %d (step %d): agent %d found at %d, listed at %d in %v", r.decisions, r.e.Steps(), id, i, want, rebuilt)
+		}
 	}
 	n := len(listed)
 	forced := n > 0 && len(choices) == 1 && choices[0].Kind == sim.ChoiceRepair
@@ -214,9 +221,11 @@ func mustTree(t *testing.T) sim.Topology {
 // TestChoiceListMatchesRebuild is the referee of the patched choice
 // list: at every decision point the list the engine keeps current
 // across atomic actions must equal the list enabledChoices rebuilds
-// from the bitsets, and DecisionPoint must return it (followed only by
-// the adversary's moves). It covers every site that patches the list —
-// an enqueue onto an empty link, a dequeue, a resident's home
+// from the bitsets, the engine must find each listed agent's entry at
+// its index through the agent's recorded slot and report every other
+// agent unlisted, and DecisionPoint must return the list (followed
+// only by the adversary's moves). It covers every site that patches
+// the list — an enqueue onto an empty link, a dequeue, a resident's home
 // activation on substrates whose nodes have several in-edges or none, a
 // wake, a broadcast that makes an agent wakeable, and SetEdgeState from
 // fault schedules (force-fired batches included), the online adversary

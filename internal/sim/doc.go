@@ -83,13 +83,17 @@
 // then in-edge, then wakes by agent), and each of the six places that
 // change what is enabled — an enqueue onto an empty link, a dequeue, a
 // resident's first home activation, a wake, a broadcast that makes an
-// agent wakeable, and SetEdgeState — finds its one entry by binary
-// search and inserts, removes or re-heads it. An arrival that drains
-// its link leaves its entry's slot to the rest of its action, so an
-// agent moving on to the next empty link re-keys that slot in place.
-// A decision therefore costs O(log k) to find, plus at most a move of
-// the list's tail, not the O(k) bitset walk a rebuild takes, and a
-// repeat DecisionPoint is a slice return. Restore and the round-robin fast path do not patch: they
+// agent wakeable, and SetEdgeState — inserts, removes or re-heads its
+// one entry. Each agent has at most one entry, and every entry that
+// lands in the list records its index per agent, so an existing entry
+// is found through its agent in O(1) (listIndex); only a new entry is
+// placed by binary search on the key. An arrival that drains its link
+// leaves its entry's slot to the rest of its action, so an agent
+// moving on to the next empty link re-keys that slot in place. A
+// decision therefore costs O(1) to find its entries, plus at most a
+// search for a new one and a move of the list's tail, not the O(k)
+// bitset walk a rebuild takes, and a repeat DecisionPoint is a slice
+// return. Restore and the round-robin fast path do not patch: they
 // mark the list stale, and the next DecisionPoint rebuilds it once
 // (enabledChoices, which TestChoiceListMatchesRebuild also uses as the
 // oracle of every patch). BenchmarkSteadyStateRandom gates this path.

@@ -75,13 +75,14 @@ type Options struct {
 // Other schedulers pick from the enabled-choice list, which the engine
 // keeps current across atomic actions instead of rebuilding it: each
 // action changes at most a few entries, and every site that changes
-// what is enabled patches its entry in place, found by binary search on
-// the list's ordering key (choiceKey). Under the default round-robin
-// scheduler the engine skips the list entirely: the ready bitset holds
-// exactly the enabled agents once every agent has started, and the
-// round-robin pick is a cyclic next-set-bit query (see Run). After that
-// fast path, and after a Restore, the list is stale and the next
-// DecisionPoint rebuilds it once from the bitsets.
+// what is enabled patches its entry in place. The list is ordered by
+// one key per choice (choiceKey), and an existing entry is found
+// through its agent, which has at most one (listIndex). Under the
+// default round-robin scheduler the engine skips the list entirely:
+// the ready bitset holds exactly the enabled agents once every agent
+// has started, and the round-robin pick is a cyclic next-set-bit query
+// (see Run). After that fast path, and after a Restore, the list is
+// stale and the next DecisionPoint rebuilds it once from the bitsets.
 //
 // The edge set can be made dynamic: Options.Faults (or SetEdgeState)
 // fails and repairs individual directed edges between atomic actions,
@@ -120,10 +121,12 @@ type Engine struct {
 	// and the round-robin fast path change the configuration without
 	// patching and clear listed; the next DecisionPoint then rebuilds
 	// the list from the bitsets (enabledChoices). It is not part of
-	// engineState: a checkpoint restores the bitsets it is rebuilt from.
+	// engineState: a checkpoint restores the bitsets it is rebuilt from,
+	// and the rebuild records at anew.
 	choices []Choice
 	listed  bool
-	vacated int // the slot of the executing arrival's entry, -1 when none (see dequeue)
+	vacated int     // the slot of the executing arrival's entry, -1 when none (see dequeue)
+	at      []int32 // per agent: the index its entry last landed at (see listIndex)
 
 	// The step-ordered fault schedule (engineState.faultIdx is its
 	// cursor) and the online adversary's immutable budget with the
@@ -355,6 +358,7 @@ func NewEngine(t Topology, homes []ring.NodeID, programs []Program, opts Options
 		apis:     make([]apiState, k),
 		choices:  make([]Choice, 0, 2*k),
 		vacated:  -1,
+		at:       make([]int32, k),
 	}
 	e.layout(n, k, m, opts.TrackState, opts.Adversary != nil)
 	if len(opts.Faults) > 0 {
@@ -534,7 +538,7 @@ func (e *Engine) enabledChoices(out []Choice) []Choice {
 func (e *Engine) choiceKey(c *Choice) int {
 	switch {
 	case c.Kind == ChoiceWake:
-		return e.wakeKey(c.Agent)
+		return e.et.n + e.et.edges() + c.Agent
 	case c.Edge < 0:
 		return e.homeKey(int(c.Node))
 	default:
@@ -542,13 +546,8 @@ func (e *Engine) choiceKey(c *Choice) int {
 	}
 }
 
-// homeKey is choiceKey of the home activation at node v, arrivalKey
-// that of the arrival on rank r.
-func (e *Engine) homeKey(v int) int    { return int(e.et.inStart[v]) + v }
-func (e *Engine) arrivalKey(r int) int { return r + int(e.et.rankDest[r]) + 1 }
-
-// wakeKey is choiceKey of agent id's wake.
-func (e *Engine) wakeKey(id int) int { return e.et.n + e.et.edges() + id }
+// homeKey is choiceKey of the home activation at node v.
+func (e *Engine) homeKey(v int) int { return int(e.et.inStart[v]) + v }
 
 // homeChoice is the first activation of the resident pending at node v.
 func (e *Engine) homeChoice(v int) Choice {
@@ -561,9 +560,29 @@ func (e *Engine) homePending(v ring.NodeID) bool {
 	return e.initNodes.count > 0 && e.initPending[v] != -1
 }
 
-// listFind returns the index of the first listed choice whose key is at
-// least key, and whether that choice's key is key.
-func (e *Engine) listFind(key int) (int, bool) {
+// listIndex returns the index of agent id's listed choice, or -1 when
+// it has none. Each agent has at most one enabled action, and every
+// entry that lands in the list records its index in at, so the record
+// is trusted exactly when the entry there still names the agent and is
+// not the vacated slot: the records of agents that left the list need
+// no clearing.
+func (e *Engine) listIndex(id int) int {
+	if i := int(e.at[id]); i < len(e.choices) && e.choices[i].Agent == id && i != e.vacated {
+		return i
+	}
+	return -1
+}
+
+// relist records where the entries of the list from lo to hi stand.
+func (e *Engine) relist(lo, hi int) {
+	for i, c := range e.choices[lo:hi] {
+		e.at[c.Agent] = int32(lo + i)
+	}
+}
+
+// listFind returns where a new choice with the given key belongs: the
+// index of the first listed choice whose key is not below it.
+func (e *Engine) listFind(key int) int {
 	lo, hi := 0, len(e.choices)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -573,7 +592,7 @@ func (e *Engine) listFind(key int) (int, bool) {
 			hi = mid
 		}
 	}
-	return lo, lo < len(e.choices) && e.choiceKey(&e.choices[lo]) == key
+	return lo
 }
 
 // listInsert adds c to the list at its key's position. The list never
@@ -582,13 +601,15 @@ func (e *Engine) listFind(key int) (int, bool) {
 // deleted (see dequeue), and the first insert takes it over: in place
 // when c's key falls between the slot's neighbours, as it does when the
 // agent moves on to the next empty link, and otherwise by shifting the
-// entries in between by one.
+// entries in between by one. Either way it records where every entry
+// it moved now stands.
 func (e *Engine) listInsert(c Choice) {
 	key := e.choiceKey(&c)
 	s, i := e.choices, e.vacated
 	if i < 0 {
-		j, _ := e.listFind(key)
+		j := e.listFind(key)
 		e.choices = slices.Insert(s, j, c)
+		e.relist(j, len(e.choices))
 		return
 	}
 	e.vacated = -1
@@ -596,20 +617,25 @@ func (e *Engine) listInsert(c Choice) {
 	if i > 0 && key < e.choiceKey(&s[i-1]) || i+1 < len(s) && e.choiceKey(&s[i+1]) < key {
 		// The stale entry keeps its old key, so the search still sees a
 		// sorted list.
-		if j, _ = e.listFind(key); j > i {
+		if j = e.listFind(key); j > i {
 			j--
 			copy(s[i:j], s[i+1:j+1])
+			e.relist(i, j)
 		} else {
 			copy(s[j+1:i+1], s[j:i])
+			e.relist(j+1, i+1)
 		}
 	}
 	s[j] = c
+	e.at[c.Agent] = int32(j)
 }
 
-// listRemove drops the choice with the given key, if it is listed.
-func (e *Engine) listRemove(key int) {
-	if i, ok := e.listFind(key); ok {
+// listRemove drops agent id's choice, if it is listed, and records
+// where the entries the deletion shifted now stand.
+func (e *Engine) listRemove(id int) {
+	if i := e.listIndex(id); i >= 0 {
 		e.choices = slices.Delete(e.choices, i, i+1)
+		e.relist(i, len(e.choices))
 	}
 }
 
@@ -668,7 +694,7 @@ func (e *Engine) dequeue(r int) int {
 		e.ready.add(int(e.qhead[r]))
 	}
 	if e.listed {
-		if i, ok := e.listFind(e.arrivalKey(r)); ok {
+		if i := e.listIndex(int(id)); i >= 0 {
 			if h := e.qhead[r]; h == -1 {
 				// The entry leaves the list, but its slot stays until the
 				// action ends (activateArrival): a move onto an empty
@@ -677,7 +703,9 @@ func (e *Engine) dequeue(r int) int {
 				// the list in between.
 				e.vacated = i
 			} else {
+				// The successor takes the entry over.
 				e.choices[i].Agent = int(h)
+				e.at[h] = int32(i)
 			}
 		}
 	}
@@ -737,7 +765,7 @@ func (e *Engine) activate(c Choice) error {
 				// The home activation leaves the list, and the arrivals
 				// it suppressed take its place.
 				v := int(c.Node)
-				e.listRemove(e.homeKey(v))
+				e.listRemove(c.Agent)
 				for r := int(e.et.inStart[v]); r < int(e.et.inStart[v+1]); r++ {
 					if e.qhead[r] != -1 {
 						e.listArrival(r)
@@ -768,9 +796,11 @@ func (e *Engine) activateArrival(id, r int) error {
 	e.inRank[id] = int32(r)
 	e.traceEvent(id, "arrive", "")
 	err := e.finishAction(id, false)
-	if i := e.vacated; i >= 0 { // the agent did not take its slot over
+	if e.vacated >= 0 {
+		// Nothing took the slot over, so the entry there still names
+		// the agent and goes once the slot is no longer vacated.
 		e.vacated = -1
-		e.choices = slices.Delete(e.choices, i, i+1)
+		e.listRemove(id)
 	}
 	return err
 }
@@ -781,7 +811,7 @@ func (e *Engine) activateWake(id int) error {
 	e.wakeable.remove(id)
 	e.ready.remove(id)
 	if e.listed {
-		e.listRemove(e.wakeKey(id))
+		e.listRemove(id)
 	}
 	e.traceEvent(id, "wake", "")
 	return e.finishAction(id, true)

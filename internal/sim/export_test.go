@@ -33,3 +33,14 @@ func MailOutsideWakeable(e *Engine) int {
 // compares.
 func ChoiceList(e *Engine) ([]Choice, bool) { return e.choices, e.listed }
 func RebuiltChoices(e *Engine) []Choice     { return e.enabledChoices(nil) }
+
+// ListIndexes returns, per agent, the index at which the engine finds
+// the agent's listed choice through its recorded slot, or -1 where it
+// reports the agent unlisted.
+func ListIndexes(e *Engine) []int {
+	out := make([]int, len(e.at))
+	for id := range out {
+		out[id] = e.listIndex(id)
+	}
+	return out
+}

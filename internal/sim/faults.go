@@ -120,7 +120,7 @@ func (e *Engine) SetEdgeState(from ring.NodeID, port int, up bool) error {
 		if h := e.qhead[r]; h != -1 {
 			e.ready.remove(int(h))
 			if e.listed {
-				e.listRemove(e.arrivalKey(r))
+				e.listRemove(int(h))
 			}
 		}
 	}
