@@ -78,8 +78,8 @@ type ExploreOptions struct {
 	// budget that already breaks the algorithm.
 	Adversary *AdversaryBudget
 	// Progress, if non-nil, receives periodic snapshots of the running
-	// search (at the first expansion after every 200ms, plus a final
-	// one). It is called on the searching goroutine, between
+	// search (at the first expansion 200ms or more after the previous
+	// snapshot, plus a final one). It is called on the searching goroutine, between
 	// expansions, so it should be cheap. A sweep exploring several
 	// placements at once (Workers > 1) calls it from each of their
 	// searches, concurrently. No calls happen after Explore returns.

@@ -7,6 +7,7 @@ import (
 	"math"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"agentring/internal/ring"
@@ -127,10 +128,12 @@ type Options struct {
 	// reduction.
 	DisableReduction bool
 	// Progress, if non-nil, receives periodic snapshots of the running
-	// search (at the first pop after every 200ms, plus one final
-	// snapshot as the search finishes). It is called on the searching
-	// goroutine, between expansions, so a slow callback stalls the
-	// search. No snapshots are delivered after Explore returns.
+	// search: at the first pop 200ms or more after the search started
+	// or after the previous snapshot returned, plus one final snapshot
+	// as the search finishes. It is called on the searching goroutine,
+	// between expansions, so a slow callback stalls the search (and
+	// the next snapshot falls due 200ms after it returns). No snapshots
+	// are delivered after Explore returns.
 	Progress func(Progress)
 }
 
@@ -336,9 +339,8 @@ func run(ctx context.Context, setup Setup, opts Options, rankSrc []int32, bounda
 		x.deadline, x.deadlineAbort = end, abortBudget
 	}
 	if opts.Progress != nil {
-		t := time.NewTicker(progressInterval)
-		defer t.Stop()
-		x.tick = t.C
+		x.progress = time.AfterFunc(progressInterval, func() { x.due.Store(true) })
+		defer x.progress.Stop()
 	}
 
 	x.stack = append(x.stack, rootItem)
@@ -432,11 +434,14 @@ type explorer struct {
 
 	// What poll watches: the context's done channel, the search's
 	// deadline (zero when it has none) with the abort reason it stands
-	// for, and the Progress ticker (nil without Progress).
+	// for, and whether a Progress snapshot is due. The progress timer
+	// (nil without Progress) sets due from its own goroutine; poll
+	// clears it and re-arms the timer after each snapshot.
 	done          <-chan struct{}
 	deadline      time.Time
 	deadlineAbort int
-	tick          <-chan time.Time
+	progress      *time.Timer
+	due           atomic.Bool
 
 	// stopped makes the search unwind at its next check; abort says why
 	// when the reason is a budget or the context.
@@ -523,8 +528,9 @@ func (x *explorer) search() {
 
 // poll stops the search when its context is done or its deadline has
 // passed, and emits a Progress snapshot when one is due. The search
-// calls it at every pop, so a stop lands at the next pop without a
-// timer or a second goroutine.
+// calls it at every pop, so a stop lands at the next pop. A due
+// snapshot costs one atomic load per pop: the channel receive a ticker
+// needs takes the timer's lock and reads the clock.
 func (x *explorer) poll() {
 	select {
 	case <-x.done:
@@ -534,12 +540,10 @@ func (x *explorer) poll() {
 			x.stop(x.deadlineAbort)
 		}
 	}
-	if x.tick != nil {
-		select {
-		case <-x.tick:
-			x.opts.Progress(x.snapshot())
-		default:
-		}
+	if x.due.Load() {
+		x.due.Store(false)
+		x.opts.Progress(x.snapshot())
+		x.progress.Reset(progressInterval)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -185,10 +186,16 @@ type Engine struct {
 	subs       map[int]*subscriber
 	subSeq     int
 	runners    sync.WaitGroup
+	// run executes a job's plan: Run, or a stand-in a test injects.
+	run func(context.Context, Plan, int, Hooks) (Result, error)
 }
 
 // New starts an engine with Options.Runners executor goroutines.
 func New(opts Options) *Engine {
+	return newEngine(opts, Run)
+}
+
+func newEngine(opts Options, run func(context.Context, Plan, int, Hooks) (Result, error)) *Engine {
 	if opts.MaxQueue <= 0 {
 		opts.MaxQueue = 64
 	}
@@ -204,6 +211,7 @@ func New(opts Options) *Engine {
 		subs:       make(map[int]*subscriber),
 		unfinished: make(map[string]int),
 		final:      make(map[State]int),
+		run:        run,
 	}
 	e.cond = sync.NewCond(&e.mu)
 	for i := 0; i < opts.Runners; i++ {
@@ -567,7 +575,7 @@ func (e *Engine) runLoop() {
 		e.publishLocked(Event{Type: "started", JobID: j.id, Job: snapPtr(j)})
 		e.mu.Unlock()
 
-		result, err := Run(ctx, j.plan, e.opts.Workers, e.hooks(j))
+		result, err := e.runContained(ctx, j)
 		cancelled := ctx.Err() != nil
 		cancel()
 
@@ -588,6 +596,20 @@ func (e *Engine) runLoop() {
 		e.cond.Broadcast()
 		e.mu.Unlock()
 	}
+}
+
+// runContained runs job j's plan. A panic in it (in the search, its
+// property, or a cell, which the batch pool hands back to this
+// goroutine once the batch has wound down) fails the job, with the
+// panic value and stack as its error, instead of taking the engine and
+// every queued job down.
+func (e *Engine) runContained(ctx context.Context, j *job) (res Result, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("job panicked: %v\n%s", r, debug.Stack())
+		}
+	}()
+	return e.run(ctx, j.plan, e.opts.Workers, e.hooks(j))
 }
 
 // Hooks are a running plan's windows onto its progress; nil hooks are

@@ -147,6 +147,65 @@ func TestAllCellsFailedFailsBothWays(t *testing.T) {
 	}
 }
 
+// TestPanickingJobFailsAlone injects a panicking plan, once panicking on
+// the runner's goroutine and once in every cell, which the batch pool
+// runs on two goroutines: the job fails with the panic value and the
+// stack in its error, its final event is published, and the runner goes
+// on to run the next job to done.
+func TestPanickingJobFailsAlone(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		workers int
+		inCells bool
+	}{{"runner goroutine", 1, false}, {"cells on two goroutines", 2, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			calls := 0 // read and written on the engine's one runner goroutine
+			e := newEngine(Options{Workers: tc.workers}, func(ctx context.Context, p Plan, workers int, h Hooks) (Result, error) {
+				if calls++; calls == 1 {
+					if !tc.inCells {
+						panic("injected fault")
+					}
+					h.Progress = func() { panic("injected fault") }
+				}
+				return Run(ctx, p, workers, h)
+			})
+			defer e.Close()
+			events, cancel := e.Subscribe(1024)
+			defer cancel()
+			bad, err := e.Submit("c1", sweepSpec())
+			if err != nil {
+				t.Fatal(err)
+			}
+			good, err := e.Submit("c1", sweepSpec())
+			if err != nil {
+				t.Fatal(err)
+			}
+			final := waitFinal(t, e, bad.ID)
+			if final.State != StateFailed || !strings.HasPrefix(final.Error, "job panicked: injected fault\n") ||
+				!strings.Contains(final.Error, "runContained") {
+				t.Fatalf("panicking job ended %s with %q, want failed with the panic value and stack", final.State, final.Error)
+			}
+			if got := waitFinal(t, e, good.ID); got.State != StateDone {
+				t.Fatalf("next job ended %s (%s), want done", got.State, got.Error)
+			}
+			timeout := time.After(10 * time.Second)
+			for {
+				select {
+				case ev := <-events:
+					if ev.JobID == bad.ID && ev.Type == string(StateFailed) {
+						if ev.Job == nil || ev.Job.Error != final.Error {
+							t.Fatalf("failed event carries %+v, want the job's error", ev.Job)
+						}
+						return
+					}
+				case <-timeout:
+					t.Fatal("no failed event for the panicking job")
+				}
+			}
+		})
+	}
+}
+
 func TestExploreJob(t *testing.T) {
 	e := New(Options{})
 	defer e.Close()

@@ -7,6 +7,8 @@ package pool
 
 import (
 	"context"
+	"fmt"
+	"runtime/debug"
 	"sync"
 )
 
@@ -26,6 +28,12 @@ import (
 // cancelled, and none of them reaches done; task i and every task
 // before it still reach done. Run returns once every task it started
 // and every done call have returned.
+//
+// A task that panics fails the batch the same way, except that it does
+// not reach done either. Once every task Run started and every done
+// call have returned, Run panics on the calling goroutine with the
+// first such panic's value and the stack of the goroutine it happened
+// on, so its caller can recover a panic from any task.
 func Run(ctx context.Context, n, workers int, task func(ctx context.Context, i int) error, done func(i int)) error {
 	b := &batch{limit: n, finished: make([]bool, n), cancels: make([]context.CancelFunc, n)}
 	var wg sync.WaitGroup
@@ -38,7 +46,30 @@ func Run(ctx context.Context, n, workers int, task func(ctx context.Context, i i
 	}
 	b.work(ctx, task, done)
 	wg.Wait()
+	if b.panicked != nil {
+		panic(b.panicked)
+	}
 	return b.err
+}
+
+// taskPanic is a task's panic, carried to Run's caller.
+type taskPanic struct {
+	value any
+	stack []byte // of the goroutine the task panicked on
+}
+
+func (p *taskPanic) Error() string {
+	return fmt.Sprintf("%v\n\n%s", p.value, p.stack)
+}
+
+// call runs task i and returns a panic in it as a *taskPanic error.
+func call(ctx context.Context, task func(context.Context, int) error, i int) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = &taskPanic{value: r, stack: debug.Stack()}
+		}
+	}()
+	return task(ctx, i)
 }
 
 // batch is the state one Run shares between its goroutines, guarded by
@@ -52,6 +83,7 @@ type batch struct {
 	finished  []bool               // finished[i]: task i has returned
 	cancels   []context.CancelFunc // the running tasks' cancels; nil once a task returns
 	err       error                // the failure that set limit
+	panicked  *taskPanic           // the first task panic, re-raised by Run
 }
 
 // work starts tasks in index order until none is left below the limit.
@@ -68,7 +100,7 @@ func (b *batch) work(ctx context.Context, task func(context.Context, int) error,
 		b.cancels[i] = cancel
 		b.mu.Unlock()
 
-		err := task(tctx, i)
+		err := call(tctx, task, i)
 		cancel()
 
 		b.mu.Lock()
@@ -80,6 +112,12 @@ func (b *batch) work(ctx context.Context, task func(context.Context, int) error,
 					c()
 				}
 			}
+		}
+		if p, ok := err.(*taskPanic); ok {
+			if b.panicked == nil {
+				b.panicked = p
+			}
+			b.limit = min(b.limit, i)
 		}
 		if !b.reporting {
 			// One goroutine at a time hands the finished tasks next in

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -107,6 +108,49 @@ func TestRunContract(t *testing.T) {
 		}
 		if i := slices.Index(started, fail); !slices.Equal(cancelled, started[i+1:]) {
 			t.Errorf("cancelled %v, want every later started task %v", cancelled, started[i+1:])
+		}
+	})
+
+	t.Run("a task's panic reaches the caller once the batch winds down", func(t *testing.T) {
+		caller := goroutineID()
+		for _, onCaller := range []bool{false, true} {
+			// Two tasks, one on each goroutine (neither finishes before
+			// both have started): the one on the panicking side panics,
+			// the other is still running when it does.
+			var (
+				bothStarted sync.WaitGroup
+				panicked    atomic.Int32
+				finished    atomic.Bool
+				seen        []int
+			)
+			bothStarted.Add(2)
+			recovered := func() (r any) {
+				defer func() { r = recover() }()
+				Run(context.Background(), 2, 2, func(_ context.Context, i int) error {
+					bothStarted.Done()
+					bothStarted.Wait()
+					if (goroutineID() == caller) == onCaller {
+						panicked.Store(int32(i))
+						panic("task fault")
+					}
+					time.Sleep(20 * time.Millisecond)
+					finished.Store(true)
+					return nil
+				}, func(i int) { seen = append(seen, i) })
+				return nil
+			}()
+			err, ok := recovered.(error)
+			if !ok || !strings.HasPrefix(err.Error(), "task fault\n") || !strings.Contains(err.Error(), "goroutine ") {
+				t.Fatalf("panic on the caller's goroutine %v: Run panicked with %v, want the task's value and stack", onCaller, recovered)
+			}
+			if !finished.Load() {
+				t.Errorf("panic on the caller's goroutine %v: Run panicked while the other task still ran", onCaller)
+			}
+			// The task before the panicking one reaches done; the
+			// panicking one does not.
+			if want := []int{0}[:panicked.Load()]; !slices.Equal(seen, want) {
+				t.Errorf("panic on the caller's goroutine %v: done saw %v, want %v", onCaller, seen, want)
+			}
 		}
 	})
 

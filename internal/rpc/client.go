@@ -7,6 +7,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 
 	"agentring/internal/jobs"
@@ -63,51 +64,30 @@ func (c *Client) readLoop() {
 	sc := bufio.NewScanner(c.nc)
 	sc.Buffer(make([]byte, 64<<10), maxLine)
 	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		// Distinguish response from notification by the presence of an id.
-		var probe struct {
-			ID     *json.RawMessage `json:"id"`
-			Method string           `json:"method"`
-		}
-		if err := json.Unmarshal(line, &probe); err != nil {
-			continue // not ours to crash on; skip the malformed line
-		}
-		if probe.ID == nil && probe.Method != "" {
-			var n Notification
-			if json.Unmarshal(line, &n) == nil {
+		n, id, resp := parseLine(sc.Bytes())
+		switch {
+		case n != nil:
+			select {
+			case c.events <- *n:
+			default:
+				// Slow consumer: shed the oldest to keep the loop live.
 				select {
-				case c.events <- n:
+				case <-c.events:
 				default:
-					// Slow consumer: shed the oldest to keep the loop live.
-					select {
-					case <-c.events:
-					default:
-					}
-					select {
-					case c.events <- n:
-					default:
-					}
+				}
+				select {
+				case c.events <- *n:
+				default:
 				}
 			}
-			continue
-		}
-		var resp Response
-		if err := json.Unmarshal(line, &resp); err != nil || resp.ID == nil {
-			continue
-		}
-		var id int
-		if err := json.Unmarshal(*resp.ID, &id); err != nil {
-			continue
-		}
-		c.mu.Lock()
-		ch, ok := c.pending[id]
-		delete(c.pending, id)
-		c.mu.Unlock()
-		if ok {
-			ch <- resp
+		case resp != nil:
+			c.mu.Lock()
+			ch, ok := c.pending[id]
+			delete(c.pending, id)
+			c.mu.Unlock()
+			if ok {
+				ch <- *resp
+			}
 		}
 	}
 	err := sc.Err()
@@ -123,6 +103,59 @@ func (c *Client) readLoop() {
 	c.mu.Unlock()
 	close(c.events)
 	close(c.done)
+}
+
+// envelope is every member an incoming line can carry, decoded in one
+// pass. ID is a pointer so that a null id reads as absent, as it does
+// in Response. Error stays raw until the line is known to be a
+// response: a notification line is delivered whatever its error member
+// holds.
+type envelope struct {
+	JSONRPC string           `json:"jsonrpc"`
+	ID      *json.RawMessage `json:"id"`
+	Method  string           `json:"method"`
+	Params  json.RawMessage  `json:"params"`
+	Result  json.RawMessage  `json:"result"`
+	Error   json.RawMessage  `json:"error"`
+}
+
+// parseLine decodes one line once and routes it: an id-less line with a
+// method is a notification, a line with an integer id is the response
+// to the call with that id, and anything else (malformed JSON, a member
+// of the wrong type, a missing or non-integer id) is skipped, with both
+// results nil.
+func parseLine(line []byte) (*Notification, int, *Response) {
+	var env envelope
+	if json.Unmarshal(line, &env) != nil {
+		return nil, 0, nil
+	}
+	if env.ID == nil {
+		if env.Method == "" {
+			return nil, 0, nil
+		}
+		return &Notification{JSONRPC: env.JSONRPC, Method: env.Method, Params: env.Params}, 0, nil
+	}
+	// A JSON integer that fits an int, as json.Unmarshal into an int
+	// would accept it; the raw bytes are one valid JSON value, so a
+	// string, a fraction or an exponent fails here as it does there.
+	id, err := strconv.Atoi(string(*env.ID))
+	if err != nil {
+		return nil, 0, nil
+	}
+	resp := &Response{JSONRPC: env.JSONRPC, ID: env.ID, Result: env.Result}
+	if env.Error != nil {
+		// Repeated error members merge into one object as the decoder
+		// meets them, so the object comes from the whole line; only an
+		// error response pays this second pass.
+		var e struct {
+			Error *Error `json:"error"`
+		}
+		if json.Unmarshal(line, &e) != nil {
+			return nil, 0, nil
+		}
+		resp.Error = e.Error
+	}
+	return nil, id, resp
 }
 
 // Call performs one request/response round trip. A non-nil result is
@@ -176,6 +209,11 @@ func (c *Client) Call(method string, params, result any) error {
 		return resp.Error
 	}
 	if result != nil && len(resp.Result) > 0 {
+		if raw, ok := result.(*json.RawMessage); ok {
+			// The line's one decode already holds these bytes.
+			*raw = resp.Result
+			return nil
+		}
 		return json.Unmarshal(resp.Result, result)
 	}
 	return nil

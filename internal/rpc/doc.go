@@ -17,4 +17,14 @@
 // The full method list, parameter shapes and error-code table live in
 // docs/PROTOCOL.md; ProtocolVersion is surfaced by daemon.status so
 // clients can negotiate compatibility.
+//
+// Each line costs one encode and one decode. The server marshals a
+// result or event payload once and appends the fixed envelope around
+// those bytes, which yields json.Marshal of the Response or
+// Notification envelope byte for byte. A subscription's pump sends the
+// events already waiting in its channel, in publish order, as one
+// write of at most about pumpBatch bytes. The Client decodes each line
+// once into one envelope and routes it by the presence of an id: a
+// notification goes to Events, a response to the Call waiting on its
+// integer id, and anything else is skipped.
 package rpc

@@ -294,26 +294,62 @@ func (c *serverConn) subscribe(p subscribeParams) subscribeResult {
 	c.subs[id] = cancel
 	c.smu.Unlock()
 
-	go func() {
-		for ev := range ch {
-			if p.Job != "" && ev.JobID != p.Job {
-				continue
-			}
-			method := "event.job"
-			if ev.Type == "trace" {
-				method = "event.trace"
-			}
-			if err := c.writeNotification(method, ev); err != nil {
-				// Dead connection: unsubscribe so the engine stops feeding
-				// this channel, then drain it until cancel closes it.
-				cancel()
-				for range ch {
+	go c.pump(ch, p.Job, cancel)
+	return subscribeResult{Subscription: id}
+}
+
+// pumpBatch caps the bytes a subscription's pump gathers for one write.
+const pumpBatch = 64 << 10
+
+// pump forwards a subscription's events, only job's when job is set, as
+// event.job / event.trace notifications. The events already waiting in
+// ch join the one that woke the pump, in publish order, and go out as
+// one write once the channel is empty or the batch holds pumpBatch
+// bytes.
+func (c *serverConn) pump(ch <-chan jobs.Event, job string, cancel func()) {
+	var batch []byte
+	for ev := range ch {
+		batch = batch[:0]
+		var err error
+		for {
+			if job == "" || ev.JobID == job {
+				if batch, err = appendEvent(batch, ev); err != nil {
+					break
 				}
-				return
+			}
+			if len(batch) >= pumpBatch {
+				break
+			}
+			var ok bool
+			select {
+			case ev, ok = <-ch:
+			default:
+			}
+			if !ok {
+				break
 			}
 		}
-	}()
-	return subscribeResult{Subscription: id}
+		if len(batch) > 0 {
+			if werr := c.write(batch); err == nil {
+				err = werr
+			}
+		}
+		if err != nil {
+			// A dead connection (or an event that does not encode):
+			// unsubscribe so the engine stops feeding this channel, then
+			// drain it until cancel closes it.
+			cancel()
+			for range ch {
+			}
+			return
+		}
+		if cap(batch) > 4*pumpBatch {
+			// Swollen by a huge event (a snapshot echoing a long homes
+			// list); let it go rather than hold it for the subscription's
+			// life.
+			batch = nil
+		}
+	}
 }
 
 func unmarshalParams(raw json.RawMessage, into any) *Error {
@@ -348,36 +384,71 @@ func engineError(err error) *Error {
 }
 
 func (c *serverConn) writeResult(id *json.RawMessage, result any) {
-	raw, err := json.Marshal(result)
+	line, err := resultLine(id, result)
 	if err != nil {
 		c.writeError(id, &Error{Code: CodeInternal, Message: err.Error()})
 		return
 	}
-	c.writeLine(Response{JSONRPC: "2.0", ID: id, Result: raw})
+	c.write(line)
 }
 
 func (c *serverConn) writeError(id *json.RawMessage, rpcErr *Error) {
-	c.writeLine(Response{JSONRPC: "2.0", ID: id, Error: rpcErr})
+	line, err := json.Marshal(Response{JSONRPC: "2.0", ID: id, Error: rpcErr})
+	if err != nil {
+		return
+	}
+	c.write(append(line, '\n'))
 }
 
-func (c *serverConn) writeNotification(method string, params any) error {
-	raw, err := json.Marshal(params)
+// resultLine is the response line answering id with result: json.Marshal
+// of the Response envelope plus a newline, byte for byte. The result's
+// own json.Marshal bytes are already compact and HTML-escaped, which is
+// all the envelope's encoder would do to them again, so the envelope is
+// assembled around them instead.
+func resultLine(id *json.RawMessage, result any) ([]byte, error) {
+	raw, err := json.Marshal(result)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	return c.writeLine(Notification{JSONRPC: "2.0", Method: method, Params: raw})
+	var rawID []byte
+	if id != nil {
+		// The client's id, compacted and escaped as the envelope's
+		// encoder writes it.
+		if rawID, err = json.Marshal(id); err != nil {
+			return nil, err
+		}
+	}
+	line := make([]byte, 0, len(raw)+len(rawID)+64) // 64: room for the envelope
+	line = append(line, `{"jsonrpc":"2.0"`...)
+	if id != nil {
+		line = append(append(line, `,"id":`...), rawID...)
+	}
+	line = append(append(line, `,"result":`...), raw...)
+	return append(line, "}\n"...), nil
 }
 
-// writeLine emits one NDJSON line under the connection write lock, so
-// responses and notifications from pump goroutines never interleave.
-func (c *serverConn) writeLine(msg any) error {
-	line, err := json.Marshal(msg)
+// appendEvent appends the notification line carrying ev, event.trace for
+// a trace event and event.job for the rest, assembled as resultLine is:
+// json.Marshal of the Notification envelope plus a newline.
+func appendEvent(dst []byte, ev jobs.Event) ([]byte, error) {
+	params, err := json.Marshal(ev)
 	if err != nil {
-		return err
+		return dst, err
 	}
-	line = append(line, '\n')
+	method := "event.job"
+	if ev.Type == "trace" {
+		method = "event.trace"
+	}
+	dst = append(append(dst, `{"jsonrpc":"2.0","method":"`...), method...)
+	dst = append(append(dst, `","params":`...), params...)
+	return append(dst, "}\n"...), nil
+}
+
+// write puts whole lines on the connection under its write lock, so
+// responses and the pumps' batches never interleave.
+func (c *serverConn) write(lines []byte) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	_, err = c.nc.Write(line)
+	_, err := c.nc.Write(lines)
 	return err
 }

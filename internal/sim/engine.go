@@ -832,13 +832,14 @@ func (e *Engine) finishAction(id int, wasStaying bool) error {
 		e.apis[id].inbox = mb
 		e.mailbox[id] = nil
 		if e.track {
+			e.apis[id].inboxHash = e.mailHash[id]
 			e.mailHash[id] = 0
 		}
 	}
 
 	act := e.stepAgent(id)
 	// Unconsumed messages vanish at the end of the atomic action.
-	e.apis[id].inbox = nil
+	e.apis[id].inbox, e.apis[id].inboxHash = nil, 0
 	var err error
 	switch act.Kind {
 	case ActionMove:
@@ -938,6 +939,10 @@ type apiState struct {
 	e     *Engine
 	id    int
 	inbox []Message
+	// inboxHash is the delivered mailbox's digest (the agent's mailHash
+	// at delivery, under TrackState): Broadcast already hashed each
+	// payload into it, so Messages folds it whole.
+	inboxHash uint64
 }
 
 var _ API = (*apiState)(nil)
@@ -1035,14 +1040,10 @@ func (p *apiState) Broadcast(msg Message) {
 // Messages implements API.
 func (p *apiState) Messages() []Message {
 	out := p.inbox
-	p.inbox = nil
 	if p.e.track {
-		h := fold(fold(p.e.obsHash[p.id], opMessages), uint64(len(out)))
-		for _, m := range out {
-			h = fold(h, hashPayload(m))
-		}
-		p.e.obsHash[p.id] = h
+		p.e.obsHash[p.id] = fold(fold(fold(p.e.obsHash[p.id], opMessages), uint64(len(out))), p.inboxHash)
 	}
+	p.inbox, p.inboxHash = nil, 0
 	return out
 }
 
