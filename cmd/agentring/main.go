@@ -62,23 +62,14 @@ func run(args []string, out io.Writer) error {
 		return errors.New("missing command")
 	}
 	cmd, rest := args[0], args[1:]
+	if q, ok := queries[cmd]; ok {
+		return runQuery(cmd, q, rest, out)
+	}
 	switch cmd {
 	case "submit":
 		return cmdSubmit(rest, out)
-	case "status":
-		return cmdStatus(rest, out)
-	case "list":
-		return cmdList(rest, out)
-	case "result":
-		return cmdResult(rest, out)
-	case "cancel":
-		return cmdCancel(rest, out)
 	case "watch":
 		return cmdWatch(rest, out)
-	case "daemon-status":
-		return cmdDaemonStatus(rest, out)
-	case "drain":
-		return cmdDrain(rest, out)
 	case "help", "-h", "-help", "--help":
 		fmt.Fprintln(out, usage)
 		return nil
@@ -92,6 +83,64 @@ func common(fs *flag.FlagSet) (socket *string, jsonOut *bool) {
 	socket = fs.String("socket", rpc.DefaultSocket(), "daemon unix socket path")
 	jsonOut = fs.Bool("json", false, "machine-readable JSON output")
 	return
+}
+
+// query is a subcommand that makes one call and prints its result.
+type query struct {
+	method  string
+	takesID bool // the one argument is a job id, sent as {"id":...}
+	// render prints the result for humans; -json prints the daemon's
+	// bytes instead.
+	render func(out io.Writer, raw json.RawMessage) error
+}
+
+var queries = map[string]query{
+	"status":        {"job.status", true, printSnapshot},
+	"list":          {"job.list", false, printList},
+	"result":        {"job.result", true, printIndentedRaw},
+	"cancel":        {"job.cancel", true, printSnapshot},
+	"daemon-status": {"daemon.status", false, printDaemonStatus},
+	"drain": {"daemon.drain", false, func(out io.Writer, _ json.RawMessage) error {
+		_, err := fmt.Fprintln(out, "daemon draining")
+		return err
+	}},
+}
+
+// runQuery runs query q as subcommand name: parse its flags and job id,
+// dial, call, print.
+func runQuery(name string, q query, args []string, out io.Writer) error {
+	fs := flag.NewFlagSet(name, flag.ContinueOnError)
+	socket, jsonOut := common(fs)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	var params any
+	if q.takesID {
+		if fs.NArg() != 1 {
+			return errors.New("expected exactly one job id argument")
+		}
+		params = map[string]string{"id": fs.Arg(0)}
+	}
+	cl, err := dial(*socket)
+	if err != nil {
+		return err
+	}
+	defer cl.Close()
+	var raw json.RawMessage
+	if err := cl.Call(q.method, params, &raw); err != nil {
+		return err
+	}
+	return show(out, raw, *jsonOut, q.render)
+}
+
+// show prints a result: the daemon's bytes verbatim under -json (the
+// byte-identity contract), render's rendering otherwise.
+func show(out io.Writer, raw json.RawMessage, jsonOut bool, render func(io.Writer, json.RawMessage) error) error {
+	if jsonOut {
+		_, err := fmt.Fprintf(out, "%s\n", raw)
+		return err
+	}
+	return render(out, raw)
 }
 
 // dial connects and verifies the daemon speaks our protocol revision,
@@ -215,7 +264,7 @@ func cmdSubmit(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	return printJSONRaw(out, raw, *jsonOut)
+	return show(out, raw, *jsonOut, printIndentedRaw)
 }
 
 func waitFinal(cl *rpc.Client, id string) (jobs.Snapshot, error) {
@@ -229,108 +278,6 @@ func waitFinal(cl *rpc.Client, id string) (jobs.Snapshot, error) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-}
-
-func cmdStatus(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("status", flag.ContinueOnError)
-	socket, jsonOut := common(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	id, err := oneArg(fs, "job id")
-	if err != nil {
-		return err
-	}
-	cl, err := dial(*socket)
-	if err != nil {
-		return err
-	}
-	defer cl.Close()
-	snap, err := cl.Status(id)
-	if err != nil {
-		return err
-	}
-	if *jsonOut {
-		return printJSONValue(out, snap, true)
-	}
-	fmt.Fprintln(out, formatSnapshot(snap))
-	return nil
-}
-
-func cmdList(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("list", flag.ContinueOnError)
-	socket, jsonOut := common(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	cl, err := dial(*socket)
-	if err != nil {
-		return err
-	}
-	defer cl.Close()
-	snaps, err := cl.List()
-	if err != nil {
-		return err
-	}
-	if *jsonOut {
-		return printJSONValue(out, snaps, true)
-	}
-	if len(snaps) == 0 {
-		fmt.Fprintln(out, "no jobs")
-		return nil
-	}
-	for _, s := range snaps {
-		fmt.Fprintln(out, formatSnapshot(s))
-	}
-	return nil
-}
-
-func cmdResult(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("result", flag.ContinueOnError)
-	socket, jsonOut := common(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	id, err := oneArg(fs, "job id")
-	if err != nil {
-		return err
-	}
-	cl, err := dial(*socket)
-	if err != nil {
-		return err
-	}
-	defer cl.Close()
-	raw, err := cl.RawResult(id)
-	if err != nil {
-		return err
-	}
-	return printJSONRaw(out, raw, *jsonOut)
-}
-
-func cmdCancel(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("cancel", flag.ContinueOnError)
-	socket, jsonOut := common(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	id, err := oneArg(fs, "job id")
-	if err != nil {
-		return err
-	}
-	cl, err := dial(*socket)
-	if err != nil {
-		return err
-	}
-	defer cl.Close()
-	snap, err := cl.Cancel(id)
-	if err != nil {
-		return err
-	}
-	if *jsonOut {
-		return printJSONValue(out, snap, true)
-	}
-	fmt.Fprintln(out, formatSnapshot(snap))
-	return nil
 }
 
 func cmdWatch(args []string, out io.Writer) error {
@@ -381,23 +328,43 @@ func cmdWatch(args []string, out io.Writer) error {
 	return nil
 }
 
-func cmdDaemonStatus(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("daemon-status", flag.ContinueOnError)
-	socket, jsonOut := common(fs)
-	if err := fs.Parse(args); err != nil {
+func printSnapshot(out io.Writer, raw json.RawMessage) error {
+	var s jobs.Snapshot
+	if err := json.Unmarshal(raw, &s); err != nil {
 		return err
 	}
-	cl, err := dial(*socket)
-	if err != nil {
+	_, err := fmt.Fprintln(out, formatSnapshot(s))
+	return err
+}
+
+func printList(out io.Writer, raw json.RawMessage) error {
+	var snaps []jobs.Snapshot
+	if err := json.Unmarshal(raw, &snaps); err != nil {
 		return err
 	}
-	defer cl.Close()
-	st, err := cl.DaemonStatus()
-	if err != nil {
+	if len(snaps) == 0 {
+		fmt.Fprintln(out, "no jobs")
+		return nil
+	}
+	for _, s := range snaps {
+		fmt.Fprintln(out, formatSnapshot(s))
+	}
+	return nil
+}
+
+// printIndentedRaw re-indents a JSON result for humans.
+func printIndentedRaw(out io.Writer, raw json.RawMessage) error {
+	var v any
+	if err := json.Unmarshal(raw, &v); err != nil {
 		return err
 	}
-	if *jsonOut {
-		return printJSONValue(out, st, true)
+	return printIndented(out, v)
+}
+
+func printDaemonStatus(out io.Writer, raw json.RawMessage) error {
+	var st rpc.DaemonStatus
+	if err := json.Unmarshal(raw, &st); err != nil {
+		return err
 	}
 	var stats jobs.Stats
 	if err := json.Unmarshal(st.Stats, &stats); err != nil {
@@ -412,49 +379,6 @@ func cmdDaemonStatus(args []string, out io.Writer) error {
 	}
 	fmt.Fprintln(out)
 	return nil
-}
-
-func cmdDrain(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("drain", flag.ContinueOnError)
-	socket, jsonOut := common(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	cl, err := dial(*socket)
-	if err != nil {
-		return err
-	}
-	defer cl.Close()
-	if err := cl.Drain(); err != nil {
-		return err
-	}
-	if *jsonOut {
-		fmt.Fprintln(out, `{"draining":true}`)
-	} else {
-		fmt.Fprintln(out, "daemon draining")
-	}
-	return nil
-}
-
-func oneArg(fs *flag.FlagSet, what string) (string, error) {
-	if fs.NArg() != 1 {
-		return "", fmt.Errorf("expected exactly one %s argument", what)
-	}
-	return fs.Arg(0), nil
-}
-
-// printJSONRaw emits the daemon's bytes verbatim with -json (the
-// byte-identity contract) and re-indented for humans otherwise.
-func printJSONRaw(out io.Writer, raw json.RawMessage, compact bool) error {
-	if compact {
-		_, err := fmt.Fprintf(out, "%s\n", raw)
-		return err
-	}
-	var v any
-	if err := json.Unmarshal(raw, &v); err != nil {
-		return err
-	}
-	return printIndented(out, v)
 }
 
 func printJSONValue(out io.Writer, v any, compact bool) error {

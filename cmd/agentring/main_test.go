@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net"
 	"os"
 	"path/filepath"
@@ -239,6 +240,101 @@ func TestCancelAndDaemonStatus(t *testing.T) {
 	}
 }
 
+// resultText is how `result` prints the result of a native run on the
+// 8-ring from homes 0 and 3: re-indented, its keys sorted.
+const resultText = `{
+  "cells": [
+    {
+      "algorithm": "native(k)",
+      "gaps": [
+        4,
+        4
+      ],
+      "homes": [
+        0,
+        3
+      ],
+      "index": 0,
+      "k": 2,
+      "max_moves": 17,
+      "messages": 0,
+      "n": 8,
+      "peak_bits": 24,
+      "peak_words": 8,
+      "positions": [
+        0,
+        4
+      ],
+      "rounds": 0,
+      "seed": 1,
+      "steps": 27,
+      "symmetry_degree": 1,
+      "topology": "ring(8)",
+      "total_moves": 25,
+      "uniform": true
+    }
+  ],
+  "kind": "run"
+}
+`
+
+// TestQueryOutputs holds what the one-call subcommands print: each
+// human rendering, and under -json the daemon's result bytes, which
+// equal json.Marshal of the decoded result.
+func TestQueryOutputs(t *testing.T) {
+	socket := startDaemon(t)
+	query := func(args ...string) string {
+		t.Helper()
+		var out bytes.Buffer
+		if err := run(append([]string{args[0], "-socket", socket}, args[1:]...), &out); err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		return out.String()
+	}
+	if got := query("list"); got != "no jobs\n" {
+		t.Errorf("list of no jobs: %q", got)
+	}
+	query("submit", "-wait", "-kind", "run", "-alg", "native", "-n", "8", "-homes", "0,3")
+	for _, args := range [][]string{{"status", "j1"}, {"list"}, {"cancel", "j1"}} {
+		if got, want := query(args...), "j1   run     native     done  1/1\n"; got != want {
+			t.Errorf("%v printed %q, want %q", args, got, want)
+		}
+	}
+	if got := query("result", "j1"); got != resultText {
+		t.Errorf("result printed\n%s\nwant\n%s", got, resultText)
+	}
+	status := fmt.Sprintf("agentringd/0.1 protocol 1 pid %d on %s\njobs: 0 queued, 0 running, 1 done, 0 failed, 0 cancelled\nevents: 0 subscriber(s), 0 dropped", os.Getpid(), socket)
+	if got := query("daemon-status"); got != status+"\n" {
+		t.Errorf("daemon-status printed %q, want %q", got, status+"\n")
+	}
+	for _, tc := range []struct {
+		args []string
+		into any
+	}{
+		{[]string{"status", "-json", "j1"}, new(jobs.Snapshot)},
+		{[]string{"list", "-json"}, new([]jobs.Snapshot)},
+		{[]string{"result", "-json", "j1"}, new(jobs.Result)},
+		{[]string{"cancel", "-json", "j1"}, new(jobs.Snapshot)},
+		{[]string{"daemon-status", "-json"}, new(rpc.DaemonStatus)},
+		{[]string{"drain", "-json"}, new(map[string]bool)},
+	} {
+		got := query(tc.args...)
+		if err := json.Unmarshal([]byte(got), tc.into); err != nil {
+			t.Fatalf("%v printed %q: %v", tc.args, got, err)
+		}
+		want, err := json.Marshal(tc.into)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != string(want)+"\n" {
+			t.Errorf("%v printed %q, want %q", tc.args, got, want)
+		}
+	}
+	if got := query("drain"); got != "daemon draining\n" {
+		t.Errorf("drain printed %q", got)
+	}
+}
+
 func TestSpecFlagOverridesFieldFlags(t *testing.T) {
 	socket := startDaemon(t)
 	var out bytes.Buffer
@@ -261,14 +357,21 @@ func TestErrorsSurface(t *testing.T) {
 	if err := run([]string{"status", "-socket", socket, "j999"}, &bytes.Buffer{}); err == nil {
 		t.Error("status of unknown job must error")
 	}
-	if err := run([]string{"frobnicate"}, &bytes.Buffer{}); err == nil {
-		t.Error("unknown command must error")
+	for _, cmd := range []string{"status", "result", "cancel"} {
+		err := run([]string{cmd, "-socket", socket}, &bytes.Buffer{})
+		if err == nil || err.Error() != "expected exactly one job id argument" {
+			t.Errorf("%s without a job id: %v", cmd, err)
+		}
+	}
+	err := run([]string{"frobnicate"}, &bytes.Buffer{})
+	if err == nil || err.Error() != `unknown command "frobnicate" (try 'agentring help')` {
+		t.Errorf("unknown command: %v", err)
 	}
 	if err := run([]string{}, &bytes.Buffer{}); err == nil {
 		t.Error("missing command must error")
 	}
-	err := run([]string{"daemon-status", "-socket", "/nonexistent/never.sock"}, &bytes.Buffer{})
-	if err == nil || !strings.Contains(err.Error(), "is agentringd running") {
+	err = run([]string{"daemon-status", "-socket", "/nonexistent/never.sock"}, &bytes.Buffer{})
+	if err == nil || !strings.HasPrefix(err.Error(), "dial /nonexistent/never.sock: ") || !strings.HasSuffix(err.Error(), " (is agentringd running?)") {
 		t.Errorf("dial failure message: %v", err)
 	}
 	args := append([]string{"submit", "-socket", socket, "-kind", "sweep", "-alg", "bogus"}, "-ns", "16", "-ks", "2")

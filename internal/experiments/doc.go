@@ -21,8 +21,8 @@
 //     explored several at a time on the module's one batch pool
 //     (internal/pool) and streamed one row per placement in placement
 //     order (cmd/explore -all). FormatExploreRows renders them.
-//   - FitLinear / Correlation: the helpers the shape tests use to check
-//     that measured complexities grow as Table 1 predicts, rather than
+//   - Correlation: the helper the shape tests use to check that
+//     measured complexities grow as Table 1 predicts, rather than
 //     asserting constants; BarChart draws the sweep CLI's moves chart.
 //
 // The Table 1 claims are pinned by this package's tests, which run job

@@ -109,30 +109,6 @@ func (s Spec) Config() (agentring.Config, error) {
 	return agentring.Config{N: s.N, Homes: homes, Seed: s.Seed}, nil
 }
 
-// FitLinear returns the least-squares slope and intercept of y against
-// x — used to check that measured complexities grow with the predicted
-// shape (e.g. total moves against k*n should be near-linear).
-func FitLinear(xs, ys []float64) (slope, intercept float64, err error) {
-	if len(xs) != len(ys) || len(xs) < 2 {
-		return 0, 0, fmt.Errorf("experiments: need >= 2 paired samples")
-	}
-	var sx, sy, sxx, sxy float64
-	for i := range xs {
-		sx += xs[i]
-		sy += ys[i]
-		sxx += xs[i] * xs[i]
-		sxy += xs[i] * ys[i]
-	}
-	nf := float64(len(xs))
-	den := nf*sxx - sx*sx
-	if den == 0 {
-		return 0, 0, fmt.Errorf("experiments: degenerate x values")
-	}
-	slope = (nf*sxy - sx*sy) / den
-	intercept = (sy - slope*sx) / nf
-	return slope, intercept, nil
-}
-
 // Correlation returns the Pearson correlation coefficient between xs
 // and ys.
 func Correlation(xs, ys []float64) (float64, error) {

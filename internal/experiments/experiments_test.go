@@ -49,24 +49,6 @@ func TestNameTables(t *testing.T) {
 	}
 }
 
-func TestFitLinear(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	ys := []float64{3, 5, 7, 9} // y = 2x + 1
-	slope, intercept, err := FitLinear(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(slope-2) > 1e-9 || math.Abs(intercept-1) > 1e-9 {
-		t.Errorf("fit = (%v, %v), want (2, 1)", slope, intercept)
-	}
-	if _, _, err := FitLinear([]float64{1}, []float64{2}); err == nil {
-		t.Error("single sample must error")
-	}
-	if _, _, err := FitLinear([]float64{2, 2}, []float64{1, 5}); err == nil {
-		t.Error("degenerate xs must error")
-	}
-}
-
 func TestCorrelation(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	ys := []float64{2, 4, 6, 8, 10}

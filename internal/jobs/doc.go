@@ -12,9 +12,10 @@
 // The resident Engine adds a priority FIFO queue, per-job cancellation,
 // progress counters, per-client quotas, max-queue-depth admission
 // control, an event bus for live progress and trace streaming, and
-// graceful drain. The package is deliberately transport-free:
-// internal/rpc exposes the Engine over JSON-RPC 2.0, and the same
-// Compile and Run serve in-process callers (Execute, the CLIs and the
-// daemon-vs-direct equivalence tests), which is what makes a daemon
-// job's result byte-identical to running the spec directly.
+// graceful drain; it keeps the last 1,024 finished jobs queryable and
+// forgets the oldest-finished first. The package is deliberately
+// transport-free: internal/rpc exposes the Engine over JSON-RPC 2.0,
+// and the same Compile and Run serve in-process callers (Execute, the
+// CLIs and the daemon-vs-direct equivalence tests), which is what makes
+// a daemon job's result byte-identical to running the spec directly.
 package jobs

@@ -1,12 +1,15 @@
 package jobs
 
 import (
-	"container/heap"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"runtime"
 	"runtime/debug"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -142,20 +145,14 @@ func unixMilli(t time.Time) int64 {
 	return t.UnixMilli()
 }
 
-// jobHeap orders queued jobs by (priority desc, submission seq asc):
-// a priority FIFO.
-type jobHeap []*job
+// keepFinished is how many finished jobs an engine keeps queryable; the
+// oldest-finished is forgotten first, so a resident daemon's job table
+// stays bounded however many jobs it runs.
+const keepFinished = 1024
 
-func (h jobHeap) Len() int { return len(h) }
-func (h jobHeap) Less(i, j int) bool {
-	if h[i].priority != h[j].priority {
-		return h[i].priority > h[j].priority
-	}
-	return h[i].seq < h[j].seq
-}
-func (h jobHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *jobHeap) Push(x any)   { *h = append(*h, x.(*job)) }
-func (h *jobHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
+// maxSubscribeBuffer caps a subscriber's channel, whose size a client
+// names over the wire.
+const maxSubscribeBuffer = 1 << 16
 
 type subscriber struct {
 	ch      chan Event
@@ -168,13 +165,16 @@ type subscriber struct {
 type Engine struct {
 	opts Options
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	seq     int
-	jobs    map[string]*job
-	order   []*job
-	queue   jobHeap
-	queued  int
+	mu   sync.Mutex
+	cond *sync.Cond
+	seq  int
+	// jobs holds every live job and the retained finished ones;
+	// retained lists the latter, oldest-finished first.
+	jobs     map[string]*job
+	retained []*job
+	// queue holds the queued jobs in run order: priority descending,
+	// FIFO within a priority.
+	queue   []*job
 	running int
 	// unfinished counts each client's queued and running jobs (a client
 	// with none has no entry); final counts the jobs in each final
@@ -261,9 +261,8 @@ func (e *Engine) Submit(client string, spec Spec) (Snapshot, error) {
 		submitted: time.Now(),
 	}
 	e.jobs[j.id] = j
-	e.order = append(e.order, j)
-	heap.Push(&e.queue, j)
-	e.queued++
+	at := sort.Search(len(e.queue), func(i int) bool { return e.queue[i].priority < j.priority })
+	e.queue = slices.Insert(e.queue, at, j)
 	e.unfinished[client]++
 	e.publishLocked(Event{Type: "queued", JobID: j.id, Job: snapPtr(j)})
 	e.cond.Signal()
@@ -276,8 +275,8 @@ func (e *Engine) admitLocked(client string) error {
 	if e.draining || e.closed {
 		return ErrDraining
 	}
-	if e.queued >= e.opts.MaxQueue {
-		return fmt.Errorf("%w (%d queued)", ErrQueueFull, e.queued)
+	if len(e.queue) >= e.opts.MaxQueue {
+		return fmt.Errorf("%w (%d queued)", ErrQueueFull, len(e.queue))
 	}
 	if load := e.unfinished[client]; load >= e.opts.ClientQuota {
 		return fmt.Errorf("%w (%d unfinished)", ErrQuota, load)
@@ -286,7 +285,8 @@ func (e *Engine) admitLocked(client string) error {
 }
 
 // finishLocked moves j into the final state and its client's and the
-// census's counts with it.
+// census's counts with it, and retains it in place of the
+// oldest-finished job once keepFinished are retained.
 func (e *Engine) finishLocked(j *job, state State) {
 	j.state = state
 	j.finished = time.Now()
@@ -294,6 +294,12 @@ func (e *Engine) finishLocked(j *job, state State) {
 	e.final[state]++
 	if e.unfinished[j.client]--; e.unfinished[j.client] == 0 {
 		delete(e.unfinished, j.client)
+	}
+	e.retained = append(e.retained, j)
+	if len(e.retained) > keepFinished {
+		delete(e.jobs, e.retained[0].id)
+		e.retained[0] = nil
+		e.retained = e.retained[1:]
 	}
 }
 
@@ -308,12 +314,14 @@ func (e *Engine) Status(id string) (Snapshot, error) {
 	return j.snapshot(), nil
 }
 
-// List returns every known job's snapshot in submission order.
+// List returns the snapshots of the live jobs and the retained finished
+// ones, in submission order.
 func (e *Engine) List() []Snapshot {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	out := make([]Snapshot, len(e.order))
-	for i, j := range e.order {
+	known := slices.SortedFunc(maps.Values(e.jobs), func(a, b *job) int { return cmp.Compare(a.seq, b.seq) })
+	out := make([]Snapshot, len(known))
+	for i, j := range known {
 		out[i] = j.snapshot()
 	}
 	return out
@@ -353,7 +361,8 @@ func (e *Engine) Cancel(id string) (Snapshot, error) {
 	}
 	switch j.state {
 	case StateQueued:
-		e.finishQueuedLocked(j, StateCancelled, "cancelled while queued")
+		e.queue = slices.DeleteFunc(e.queue, func(q *job) bool { return q == j })
+		e.finishQueuedLocked(j, "cancelled while queued")
 	case StateRunning:
 		if j.cancel != nil {
 			j.cancel()
@@ -362,25 +371,32 @@ func (e *Engine) Cancel(id string) (Snapshot, error) {
 	return j.snapshot(), nil
 }
 
-// finishQueuedLocked retires a job straight out of the queue (cancel or
-// drain): the heap entry is removed lazily by the runner loop.
-func (e *Engine) finishQueuedLocked(j *job, state State, msg string) {
-	e.finishLocked(j, state)
+// finishQueuedLocked cancels a job its caller took out of the queue.
+func (e *Engine) finishQueuedLocked(j *job, msg string) {
+	e.finishLocked(j, StateCancelled)
 	j.err = msg
-	e.queued--
-	e.publishLocked(Event{Type: string(state), JobID: j.id, Job: snapPtr(j)})
-	e.cond.Broadcast()
+	e.publishLocked(Event{Type: string(StateCancelled), JobID: j.id, Job: snapPtr(j)})
+}
+
+// cancelQueueLocked cancels every queued job, in run order.
+func (e *Engine) cancelQueueLocked(msg string) {
+	for _, j := range e.queue {
+		e.finishQueuedLocked(j, msg)
+	}
+	e.queue = nil
 }
 
 // Subscribe registers an event listener with the given channel buffer
-// (<=0 selects 256). The bus never blocks on a subscriber: events that
-// do not fit the buffer are dropped and counted, so a stalled or
-// disconnected client cannot wedge the fan-out. Call the returned
-// cancel function to unsubscribe (the channel is then closed).
+// (<=0 selects 256; maxSubscribeBuffer caps it). The bus never blocks
+// on a subscriber: events that do not fit the buffer are dropped and
+// counted, so a stalled or disconnected client cannot wedge the
+// fan-out. Call the returned cancel function to unsubscribe (the
+// channel is then closed).
 func (e *Engine) Subscribe(buffer int) (<-chan Event, func()) {
 	if buffer <= 0 {
 		buffer = 256
 	}
+	buffer = min(buffer, maxSubscribeBuffer)
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.subSeq++
@@ -395,18 +411,6 @@ func (e *Engine) Subscribe(buffer int) (<-chan Event, func()) {
 			close(s.ch)
 		}
 	}
-}
-
-// Dropped returns the total number of events dropped across all current
-// subscribers (a fan-out health indicator surfaced by daemon.status).
-func (e *Engine) Dropped() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	total := 0
-	for _, s := range e.subs {
-		total += s.dropped
-	}
-	return total
 }
 
 func (e *Engine) publishLocked(ev Event) {
@@ -450,7 +454,7 @@ func (e *Engine) Stats() Stats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	st := Stats{
-		Queued:      e.queued,
+		Queued:      len(e.queue),
 		Running:     e.running,
 		Done:        e.final[StateDone],
 		Failed:      e.final[StateFailed],
@@ -481,11 +485,7 @@ func (e *Engine) Drain(ctx context.Context) {
 		return
 	}
 	e.draining = true
-	for _, j := range e.order {
-		if j.state == StateQueued {
-			e.finishQueuedLocked(j, StateCancelled, "cancelled by drain")
-		}
-	}
+	e.cancelQueueLocked("cancelled by drain")
 	e.publishLocked(Event{Type: "drain"})
 	e.mu.Unlock()
 
@@ -504,11 +504,7 @@ func (e *Engine) Drain(ctx context.Context) {
 		// Deadline passed: cancel whatever is still running and wait for
 		// the runners to wind it down (between-cell latency).
 		e.mu.Lock()
-		for _, j := range e.order {
-			if j.state == StateRunning && j.cancel != nil {
-				j.cancel()
-			}
-		}
+		e.cancelRunningLocked()
 		e.mu.Unlock()
 		<-finished
 	}
@@ -525,16 +521,8 @@ func (e *Engine) Close() {
 	}
 	e.draining = true
 	e.closed = true
-	for _, j := range e.order {
-		switch j.state {
-		case StateQueued:
-			e.finishQueuedLocked(j, StateCancelled, "cancelled by shutdown")
-		case StateRunning:
-			if j.cancel != nil {
-				j.cancel()
-			}
-		}
-	}
+	e.cancelQueueLocked("cancelled by shutdown")
+	e.cancelRunningLocked()
 	e.cond.Broadcast()
 	e.mu.Unlock()
 	e.runners.Wait()
@@ -544,6 +532,15 @@ func (e *Engine) Close() {
 		close(s.ch)
 	}
 	e.mu.Unlock()
+}
+
+// cancelRunningLocked cancels every running job's context.
+func (e *Engine) cancelRunningLocked() {
+	for _, j := range e.jobs {
+		if j.state == StateRunning && j.cancel != nil {
+			j.cancel()
+		}
+	}
 }
 
 // runLoop is one executor goroutine: pop the highest-priority queued
@@ -559,18 +556,12 @@ func (e *Engine) runLoop() {
 			e.mu.Unlock()
 			return
 		}
-		j := heap.Pop(&e.queue).(*job)
-		if j.state != StateQueued {
-			// Cancelled (or drained) while queued; its heap entry is
-			// removed lazily here.
-			e.mu.Unlock()
-			continue
-		}
+		j := e.queue[0]
+		e.queue = slices.Delete(e.queue, 0, 1)
 		ctx, cancel := context.WithCancel(context.Background())
 		j.state = StateRunning
 		j.started = time.Now()
 		j.cancel = cancel
-		e.queued--
 		e.running++
 		e.publishLocked(Event{Type: "started", JobID: j.id, Job: snapPtr(j)})
 		e.mu.Unlock()

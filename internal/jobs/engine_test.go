@@ -206,6 +206,47 @@ func TestPanickingJobFailsAlone(t *testing.T) {
 	}
 }
 
+// TestFinishedJobsAreForgottenOldestFirst runs keepFinished+10 jobs
+// through a stub plan: the engine keeps the last keepFinished of them
+// queryable, forgets the oldest-finished, and still counts every one.
+func TestFinishedJobsAreForgottenOldestFirst(t *testing.T) {
+	e := newEngine(Options{Workers: 1, MaxQueue: 2 * keepFinished, ClientQuota: 2 * keepFinished}, func(ctx context.Context, p Plan, workers int, h Hooks) (Result, error) {
+		return Result{Kind: p.kind}, nil
+	})
+	defer e.Close()
+	total := keepFinished + 10
+	var ids []string
+	for range total {
+		snap, err := e.Submit("c1", Spec{Kind: KindRun, Algorithm: "native", N: 8, K: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, snap.ID)
+	}
+	waitFinal(t, e, ids[total-1])
+	list := e.List()
+	if len(list) != keepFinished {
+		t.Fatalf("List holds %d jobs, want %d", len(list), keepFinished)
+	}
+	for i, s := range list {
+		if s.ID != ids[10+i] {
+			t.Fatalf("List[%d] is %s, want %s: the last %d jobs in submission order", i, s.ID, ids[10+i], keepFinished)
+		}
+	}
+	if _, err := e.Status(ids[0]); !errors.Is(err, ErrNotFound) {
+		t.Errorf("status of the oldest job: err = %v, want ErrNotFound", err)
+	}
+	if _, err := e.Cancel(ids[9]); !errors.Is(err, ErrNotFound) {
+		t.Errorf("cancel of a forgotten job: err = %v, want ErrNotFound", err)
+	}
+	if res, err := e.Result(ids[total-1]); err != nil || res.Kind != KindRun {
+		t.Errorf("result of the newest job: %+v, %v", res, err)
+	}
+	if got := e.Stats(); got.Done != total || got.Queued != 0 {
+		t.Errorf("Stats %+v, want %d done and none queued", got, total)
+	}
+}
+
 func TestExploreJob(t *testing.T) {
 	e := New(Options{})
 	defer e.Close()
@@ -542,7 +583,7 @@ func TestSlowSubscriberDropsInsteadOfWedging(t *testing.T) {
 	if final.State != StateDone {
 		t.Fatalf("job ended %s with a stalled subscriber", final.State)
 	}
-	if e.Dropped() == 0 {
+	if e.Stats().Dropped == 0 {
 		t.Error("no events recorded as dropped despite a full 1-slot buffer")
 	}
 }

@@ -162,14 +162,6 @@ func parseLine(line []byte) (*Notification, int, *Response) {
 // filled from the response payload; protocol-level failures come back
 // as *Error (switch on Code).
 func (c *Client) Call(method string, params, result any) error {
-	var rawParams json.RawMessage
-	if params != nil {
-		b, err := json.Marshal(params)
-		if err != nil {
-			return err
-		}
-		rawParams = b
-	}
 	c.mu.Lock()
 	if c.err != nil {
 		err := c.err
@@ -182,15 +174,13 @@ func (c *Client) Call(method string, params, result any) error {
 	c.pending[id] = ch
 	c.mu.Unlock()
 
-	rawID := json.RawMessage(fmt.Sprintf("%d", id))
-	line, err := json.Marshal(Request{JSONRPC: "2.0", ID: &rawID, Method: method, Params: rawParams})
-	if err != nil {
-		return err
+	rawID := json.RawMessage(strconv.Itoa(id))
+	line, err := appendLine(nil, &rawID, method, "params", params)
+	if err == nil {
+		c.wmu.Lock()
+		_, err = c.nc.Write(line)
+		c.wmu.Unlock()
 	}
-	line = append(line, '\n')
-	c.wmu.Lock()
-	_, err = c.nc.Write(line)
-	c.wmu.Unlock()
 	if err != nil {
 		c.mu.Lock()
 		delete(c.pending, id)

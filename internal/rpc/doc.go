@@ -18,9 +18,12 @@
 // docs/PROTOCOL.md; ProtocolVersion is surfaced by daemon.status so
 // clients can negotiate compatibility.
 //
-// Each line costs one encode and one decode. The server marshals a
-// result or event payload once and appends the fixed envelope around
-// those bytes, which yields json.Marshal of the Response or
+// The server's methods are one table, methods, from name to handler;
+// each handler takes its params already decoded into its own type.
+// Every line, in both directions, is written by one appender,
+// appendLine: it marshals the payload (a request's params, a result, an
+// error or an event) once and appends the fixed envelope around those
+// bytes, which yields json.Marshal of the Request, Response or
 // Notification envelope byte for byte. A subscription's pump sends the
 // events already waiting in its channel, in publish order, as one
 // write of at most about pumpBatch bytes. The Client decodes each line

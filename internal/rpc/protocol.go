@@ -3,6 +3,7 @@ package rpc
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 )
 
 // ProtocolVersion is the wire protocol revision, surfaced by
@@ -79,6 +80,45 @@ type Notification struct {
 	JSONRPC string          `json:"jsonrpc"`
 	Method  string          `json:"method"`
 	Params  json.RawMessage `json:"params,omitempty"`
+}
+
+// appendLine appends the line of a Request, Response or Notification
+// envelope to dst: json.Marshal of the envelope plus a newline, byte for
+// byte, with payload under member ("params", "result" or "error"). A nil
+// id, an empty method and a nil payload are left out, as their omitempty
+// tags leave them out. The payload is marshalled once and its bytes,
+// already compact and HTML-escaped, are appended as they are; only the
+// id and the method go through json.Marshal on their own, since a peer
+// may send an id with spaces and a caller may name any method. On error
+// dst is returned unchanged.
+func appendLine(dst []byte, id *json.RawMessage, method, member string, payload any) ([]byte, error) {
+	var rawID, rawMethod, raw []byte
+	var err error
+	if id != nil {
+		if rawID, err = json.Marshal(id); err != nil {
+			return dst, err
+		}
+	}
+	if method != "" {
+		rawMethod, _ = json.Marshal(method) // a string always encodes
+	}
+	if payload != nil {
+		if raw, err = json.Marshal(payload); err != nil {
+			return dst, err
+		}
+	}
+	dst = slices.Grow(dst, len(rawID)+len(rawMethod)+len(member)+len(raw)+38) // 38: the envelope's own bytes
+	dst = append(dst, `{"jsonrpc":"2.0"`...)
+	if rawID != nil {
+		dst = append(append(dst, `,"id":`...), rawID...)
+	}
+	if rawMethod != nil {
+		dst = append(append(dst, `,"method":`...), rawMethod...)
+	}
+	if raw != nil {
+		dst = append(append(append(append(dst, `,"`...), member...), `":`...), raw...)
+	}
+	return append(dst, "}\n"...), nil
 }
 
 // DaemonStatus is the daemon.status result.

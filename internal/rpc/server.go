@@ -137,38 +137,61 @@ func (c *serverConn) serve() {
 	sc := bufio.NewScanner(c.nc)
 	sc.Buffer(make([]byte, 64<<10), maxLine)
 	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
+		out, drain := c.reply(sc.Bytes())
+		if out != nil {
+			c.write(out)
 		}
-		var req Request
-		if err := json.Unmarshal(line, &req); err != nil {
-			c.writeError(nil, &Error{Code: CodeParseError, Message: "parse error: " + err.Error()})
-			continue
-		}
-		if req.JSONRPC != "2.0" || req.Method == "" {
-			c.writeError(req.ID, &Error{Code: CodeInvalidRequest, Message: `invalid request: need "jsonrpc":"2.0" and a method`})
-			continue
-		}
-		result, rpcErr := c.dispatch(req)
-		if req.ID == nil {
-			// Client-side notifications get no response by JSON-RPC rules.
-			continue
-		}
-		if rpcErr != nil {
-			c.writeError(req.ID, rpcErr)
-			continue
-		}
-		c.writeResult(req.ID, result)
-		if req.Method == "daemon.drain" {
+		if drain {
 			// Signal only after the response is on the wire, so the
 			// requesting client sees its ack before shutdown can close the
 			// connection out from under it.
 			c.srv.signalDrain()
 		}
 	}
-	// Scanner errors (including client disconnect) just end the
-	// connection; cancelSubs above unwedges any pump goroutines.
+	// Scanner errors (a line past maxLine, a client disconnect) just end
+	// the connection; cancelSubs above unwedges any pump goroutines.
+}
+
+// reply answers one request line: the response line to write, nil for
+// a blank line or a valid request without an id (a JSON-RPC
+// notification gets no response), and whether the line was an answered
+// daemon.drain.
+func (c *serverConn) reply(line []byte) (out []byte, drain bool) {
+	if len(line) == 0 {
+		return nil, false
+	}
+	var req Request
+	if err := json.Unmarshal(line, &req); err != nil {
+		return errorLine(nil, &Error{Code: CodeParseError, Message: "parse error: " + err.Error()}), false
+	}
+	if req.JSONRPC != "2.0" || req.Method == "" {
+		return errorLine(req.ID, &Error{Code: CodeInvalidRequest, Message: `invalid request: need "jsonrpc":"2.0" and a method`}), false
+	}
+	var result any
+	var rpcErr *Error
+	if h, ok := methods[req.Method]; ok {
+		result, rpcErr = h(c, req.Params)
+	} else {
+		rpcErr = &Error{Code: CodeMethodNotFound, Message: fmt.Sprintf("unknown method %q", req.Method)}
+	}
+	if req.ID == nil {
+		return nil, false
+	}
+	if rpcErr != nil {
+		return errorLine(req.ID, rpcErr), false
+	}
+	out, err := appendLine(nil, req.ID, "", "result", result)
+	if err != nil {
+		return errorLine(req.ID, &Error{Code: CodeInternal, Message: err.Error()}), false
+	}
+	return out, req.Method == "daemon.drain"
+}
+
+// errorLine is the error response line answering id, or nil when rpcErr
+// does not encode.
+func errorLine(id *json.RawMessage, rpcErr *Error) []byte {
+	out, _ := appendLine(nil, id, "", "error", rpcErr)
+	return out
 }
 
 func (c *serverConn) cancelSubs() {
@@ -198,95 +221,86 @@ type subscribeResult struct {
 	Subscription int `json:"subscription"`
 }
 
-func (c *serverConn) dispatch(req Request) (any, *Error) {
-	eng := c.srv.Engine
-	switch req.Method {
-	case "job.submit":
-		var spec jobs.Spec
-		if err := unmarshalParams(req.Params, &spec); err != nil {
-			return nil, err
-		}
-		snap, err := eng.Submit(c.client, spec)
-		if err != nil {
-			return nil, engineError(err)
-		}
-		return snap, nil
-	case "job.status":
-		var p idParams
-		if err := unmarshalParams(req.Params, &p); err != nil {
-			return nil, err
-		}
-		snap, err := eng.Status(p.ID)
-		if err != nil {
-			return nil, engineError(err)
-		}
-		return snap, nil
-	case "job.list":
-		return eng.List(), nil
-	case "job.result":
-		var p idParams
-		if err := unmarshalParams(req.Params, &p); err != nil {
-			return nil, err
-		}
-		res, err := eng.Result(p.ID)
-		if err != nil {
-			return nil, engineError(err)
-		}
-		return res, nil
-	case "job.cancel":
-		var p idParams
-		if err := unmarshalParams(req.Params, &p); err != nil {
-			return nil, err
-		}
-		snap, err := eng.Cancel(p.ID)
-		if err != nil {
-			return nil, engineError(err)
-		}
-		return snap, nil
-	case "events.subscribe":
-		var p subscribeParams
-		if err := unmarshalParams(req.Params, &p); err != nil {
-			return nil, err
-		}
-		return c.subscribe(p), nil
-	case "events.unsubscribe":
-		var p subscribeResult
-		if err := unmarshalParams(req.Params, &p); err != nil {
-			return nil, err
-		}
-		c.smu.Lock()
-		cancel, ok := c.subs[p.Subscription]
-		delete(c.subs, p.Subscription)
-		c.smu.Unlock()
-		if !ok {
-			return nil, &Error{Code: CodeNoSubscription, Message: fmt.Sprintf("no subscription %d", p.Subscription)}
-		}
-		cancel()
-		return map[string]bool{"ok": true}, nil
-	case "daemon.status":
-		stats, err := json.Marshal(eng.Stats())
-		if err != nil {
-			return nil, &Error{Code: CodeInternal, Message: err.Error()}
-		}
-		return DaemonStatus{
-			Protocol: ProtocolVersion,
-			Version:  Version,
-			PID:      os.Getpid(),
-			Socket:   c.srv.Socket,
-			Stats:    stats,
-		}, nil
-	case "daemon.drain":
-		// The drain signal itself fires in serve(), after this method's
+// handler answers one method on conn c from the request's raw params.
+type handler func(c *serverConn, params json.RawMessage) (any, *Error)
+
+// methods is the daemon's JSON-RPC surface, one row per method of
+// docs/PROTOCOL.md. A method whose params are a json.RawMessage accepts
+// and ignores any params.
+var methods = map[string]handler{
+	"job.submit": handle(func(c *serverConn, spec jobs.Spec) (any, error) {
+		return c.srv.Engine.Submit(c.client, spec)
+	}),
+	"job.status": handle(func(c *serverConn, p idParams) (any, error) {
+		return c.srv.Engine.Status(p.ID)
+	}),
+	"job.list": handle(func(c *serverConn, _ json.RawMessage) (any, error) {
+		return c.srv.Engine.List(), nil
+	}),
+	"job.result": handle(func(c *serverConn, p idParams) (any, error) {
+		return c.srv.Engine.Result(p.ID)
+	}),
+	"job.cancel": handle(func(c *serverConn, p idParams) (any, error) {
+		return c.srv.Engine.Cancel(p.ID)
+	}),
+	"events.subscribe":   handle((*serverConn).subscribe),
+	"events.unsubscribe": handle((*serverConn).unsubscribe),
+	"daemon.status":      handle((*serverConn).daemonStatus),
+	"daemon.drain": handle(func(*serverConn, json.RawMessage) (any, error) {
+		// The drain signal itself fires in serve, after this method's
 		// response has been written.
 		return map[string]bool{"draining": true}, nil
-	default:
-		return nil, &Error{Code: CodeMethodNotFound, Message: fmt.Sprintf("unknown method %q", req.Method)}
+	}),
+}
+
+// handle adapts f to a handler: absent params decode to P's zero value,
+// params that do not decode into P are invalid params, and f's error
+// maps to its protocol code.
+func handle[P any](f func(*serverConn, P) (any, error)) handler {
+	return func(c *serverConn, raw json.RawMessage) (any, *Error) {
+		var p P
+		if len(raw) > 0 {
+			if err := json.Unmarshal(raw, &p); err != nil {
+				return nil, &Error{Code: CodeInvalidParams, Message: "invalid params: " + err.Error()}
+			}
+		}
+		result, err := f(c, p)
+		if err != nil {
+			return nil, engineError(err)
+		}
+		return result, nil
 	}
+}
+
+func (c *serverConn) unsubscribe(p subscribeResult) (any, error) {
+	c.smu.Lock()
+	cancel, ok := c.subs[p.Subscription]
+	delete(c.subs, p.Subscription)
+	c.smu.Unlock()
+	if !ok {
+		return nil, &Error{Code: CodeNoSubscription, Message: fmt.Sprintf("no subscription %d", p.Subscription)}
+	}
+	cancel()
+	return map[string]bool{"ok": true}, nil
+}
+
+func (c *serverConn) daemonStatus(json.RawMessage) (any, error) {
+	stats, err := json.Marshal(c.srv.Engine.Stats())
+	if err != nil {
+		return nil, err
+	}
+	return DaemonStatus{
+		Protocol: ProtocolVersion,
+		Version:  Version,
+		PID:      os.Getpid(),
+		Socket:   c.srv.Socket,
+		Stats:    stats,
+	}, nil
 }
 
 // subscribe registers an engine listener and starts the pump goroutine
 // that forwards its events as event.job / event.trace notifications.
-func (c *serverConn) subscribe(p subscribeParams) subscribeResult {
+func (c *serverConn) subscribe(p subscribeParams) (any, error) {
 	ch, cancel := c.srv.Engine.Subscribe(p.Buffer)
 	c.smu.Lock()
 	c.subSeq++
@@ -295,7 +309,7 @@ func (c *serverConn) subscribe(p subscribeParams) subscribeResult {
 	c.smu.Unlock()
 
 	go c.pump(ch, p.Job, cancel)
-	return subscribeResult{Subscription: id}
+	return subscribeResult{Subscription: id}, nil
 }
 
 // pumpBatch caps the bytes a subscription's pump gathers for one write.
@@ -313,7 +327,11 @@ func (c *serverConn) pump(ch <-chan jobs.Event, job string, cancel func()) {
 		var err error
 		for {
 			if job == "" || ev.JobID == job {
-				if batch, err = appendEvent(batch, ev); err != nil {
+				method := "event.job"
+				if ev.Type == "trace" {
+					method = "event.trace"
+				}
+				if batch, err = appendLine(batch, nil, method, "params", ev); err != nil {
 					break
 				}
 			}
@@ -352,19 +370,13 @@ func (c *serverConn) pump(ch <-chan jobs.Event, job string, cancel func()) {
 	}
 }
 
-func unmarshalParams(raw json.RawMessage, into any) *Error {
-	if len(raw) == 0 {
-		return nil
-	}
-	if err := json.Unmarshal(raw, into); err != nil {
-		return &Error{Code: CodeInvalidParams, Message: "invalid params: " + err.Error()}
-	}
-	return nil
-}
-
 // engineError maps jobs engine errors onto the protocol's application
-// error codes.
+// error codes; an *Error, such as a handler's own CodeNoSubscription,
+// passes through unchanged.
 func engineError(err error) *Error {
+	if rpcErr, ok := err.(*Error); ok {
+		return rpcErr
+	}
 	code := CodeInternal
 	switch {
 	case errors.Is(err, jobs.ErrNotFound):
@@ -381,67 +393,6 @@ func engineError(err error) *Error {
 		code = CodeInvalidSpec
 	}
 	return &Error{Code: code, Message: err.Error()}
-}
-
-func (c *serverConn) writeResult(id *json.RawMessage, result any) {
-	line, err := resultLine(id, result)
-	if err != nil {
-		c.writeError(id, &Error{Code: CodeInternal, Message: err.Error()})
-		return
-	}
-	c.write(line)
-}
-
-func (c *serverConn) writeError(id *json.RawMessage, rpcErr *Error) {
-	line, err := json.Marshal(Response{JSONRPC: "2.0", ID: id, Error: rpcErr})
-	if err != nil {
-		return
-	}
-	c.write(append(line, '\n'))
-}
-
-// resultLine is the response line answering id with result: json.Marshal
-// of the Response envelope plus a newline, byte for byte. The result's
-// own json.Marshal bytes are already compact and HTML-escaped, which is
-// all the envelope's encoder would do to them again, so the envelope is
-// assembled around them instead.
-func resultLine(id *json.RawMessage, result any) ([]byte, error) {
-	raw, err := json.Marshal(result)
-	if err != nil {
-		return nil, err
-	}
-	var rawID []byte
-	if id != nil {
-		// The client's id, compacted and escaped as the envelope's
-		// encoder writes it.
-		if rawID, err = json.Marshal(id); err != nil {
-			return nil, err
-		}
-	}
-	line := make([]byte, 0, len(raw)+len(rawID)+64) // 64: room for the envelope
-	line = append(line, `{"jsonrpc":"2.0"`...)
-	if id != nil {
-		line = append(append(line, `,"id":`...), rawID...)
-	}
-	line = append(append(line, `,"result":`...), raw...)
-	return append(line, "}\n"...), nil
-}
-
-// appendEvent appends the notification line carrying ev, event.trace for
-// a trace event and event.job for the rest, assembled as resultLine is:
-// json.Marshal of the Notification envelope plus a newline.
-func appendEvent(dst []byte, ev jobs.Event) ([]byte, error) {
-	params, err := json.Marshal(ev)
-	if err != nil {
-		return dst, err
-	}
-	method := "event.job"
-	if ev.Type == "trace" {
-		method = "event.trace"
-	}
-	dst = append(append(dst, `{"jsonrpc":"2.0","method":"`...), method...)
-	dst = append(append(dst, `","params":`...), params...)
-	return append(dst, "}\n"...), nil
 }
 
 // write puts whole lines on the connection under its write lock, so

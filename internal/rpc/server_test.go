@@ -5,9 +5,14 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"maps"
 	"net"
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -323,5 +328,74 @@ func TestDrainOverRPC(t *testing.T) {
 	// Drain is idempotent over the wire.
 	if err := cl.Drain(); err != nil {
 		t.Fatalf("second drain: %v", err)
+	}
+}
+
+// TestLongLineClosesOnlyItsConnection: a request line longer than
+// maxLine ends its own connection, and the daemon goes on answering a
+// client connected before it and one connected after.
+func TestLongLineClosesOnlyItsConnection(t *testing.T) {
+	cl, _, srv := startServer(t, jobs.Options{Workers: 1})
+	nc, r := dialRaw(t, srv.Socket)
+	go nc.Write(bytes.Repeat([]byte("x"), maxLine+1)) // fails once the server hangs up
+	if line, err := r.ReadBytes('\n'); err == nil {
+		t.Fatalf("a line past maxLine got %q, want the connection closed", line)
+	}
+	if _, err := cl.DaemonStatus(); err != nil {
+		t.Fatalf("the other connection: %v", err)
+	}
+	cl2, err := Dial(srv.Socket)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl2.Close()
+	if _, err := cl2.DaemonStatus(); err != nil {
+		t.Fatalf("a new connection: %v", err)
+	}
+}
+
+// protocolDoc returns docs/PROTOCOL.md.
+func protocolDoc(t testing.TB) string {
+	t.Helper()
+	doc, err := os.ReadFile("../../docs/PROTOCOL.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(doc)
+}
+
+// protocolCodes returns the error codes docs/PROTOCOL.md's table lists.
+func protocolCodes(t testing.TB) map[int]bool {
+	t.Helper()
+	codes := map[int]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^\| (-?\d+) \|`).FindAllStringSubmatch(protocolDoc(t), -1) {
+		code, err := strconv.Atoi(m[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		codes[code] = true
+	}
+	if len(codes) == 0 {
+		t.Fatal("docs/PROTOCOL.md lists no error codes")
+	}
+	return codes
+}
+
+// TestMethodsMatchProtocolDoc: every method in the server's table has a
+// "### `name`" section under docs/PROTOCOL.md's "## Methods", and every
+// such section names a method in the table.
+func TestMethodsMatchProtocolDoc(t *testing.T) {
+	_, section, ok := strings.Cut(protocolDoc(t), "\n## Methods\n")
+	if !ok {
+		t.Fatal("docs/PROTOCOL.md has no Methods section")
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	var documented []string
+	for _, m := range regexp.MustCompile("(?m)^### `([^`]*)`$").FindAllStringSubmatch(section, -1) {
+		documented = append(documented, m[1])
+	}
+	slices.Sort(documented)
+	if served := slices.Sorted(maps.Keys(methods)); !slices.Equal(served, documented) {
+		t.Errorf("the server serves %q, docs/PROTOCOL.md documents %q", served, documented)
 	}
 }

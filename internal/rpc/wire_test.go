@@ -5,8 +5,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -99,16 +103,16 @@ func refereeResponse(t testing.TB, id string, result any, rpcErr *Error) []byte 
 //	go test ./internal/rpc -run '^$' -fuzz '^FuzzClientLine$' -fuzztime 30s
 func FuzzClientLine(f *testing.F) {
 	done := jobs.Snapshot{ID: "j1", Spec: jobs.Spec{Kind: jobs.KindRun, Algorithm: "native", N: 8, K: 2}, State: jobs.StateDone, Done: 1, Total: 1}
-	jobLine, err := appendEvent(nil, jobs.Event{Type: "done", JobID: "j1", Job: &done})
+	jobLine, err := appendLine(nil, nil, "event.job", "params", jobs.Event{Type: "done", JobID: "j1", Job: &done})
 	if err != nil {
 		f.Fatal(err)
 	}
-	traceLine, err := appendEvent(nil, jobs.Event{Type: "trace", JobID: "j1", Trace: &agentring.TraceEvent{Step: 3, Agent: 1, Node: 4, Kind: "move", Detail: "via port 1"}})
+	traceLine, err := appendLine(nil, nil, "event.trace", "params", jobs.Event{Type: "trace", JobID: "j1", Trace: &agentring.TraceEvent{Step: 3, Agent: 1, Node: 4, Kind: "move", Detail: "via port 1"}})
 	if err != nil {
 		f.Fatal(err)
 	}
 	id := json.RawMessage("3")
-	resultLine, err := resultLine(&id, done)
+	resultLine, err := appendLine(nil, &id, "", "result", done)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -290,6 +294,163 @@ func TestWireBytesMatchEnvelope(t *testing.T) {
 	if want := refereeResponse(t, "", nil, &Error{Code: CodeParseError, Message: "parse error: " + parseErr.Error()}); !bytes.Equal(got, want) {
 		t.Errorf("parse error:\n got %s want %s", got, want)
 	}
+}
+
+// TestCallLinesMatchEnvelope holds every request line Call writes to
+// the referee the client used before it assembled lines around the
+// params: json.Marshal of the params, then of the Request envelope
+// holding them, plus a newline. The calls cover params of several
+// shapes (raw JSON with spaces, HTML characters, U+2028, a typed nil),
+// no params, and method names json.Marshal escapes.
+func TestCallLinesMatchEnvelope(t *testing.T) {
+	dir, err := os.MkdirTemp("", "ar")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { os.RemoveAll(dir) })
+	ln, err := net.Listen("unix", filepath.Join(dir, "d.sock"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	cl, err := Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	nc, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	r := bufio.NewReader(nc)
+
+	for i, tc := range []struct {
+		method string
+		params any
+	}{
+		{"job.status", idParams{ID: "j1"}},
+		{"job.list", nil},
+		{"job.submit", sweepSpec()},
+		{"events.subscribe", json.RawMessage(`{ "buffer" : 8, "job" : "a<b>&c" }`)},
+		{"job.cancel", (*idParams)(nil)},
+		{"a<b>&c\u2028\"\\\t", map[string]any{"k": "\u2028<>&", "x": 1.5}},
+		{"\xff\x00", []int{}},
+	} {
+		id := json.RawMessage(strconv.Itoa(i + 1))
+		var raw json.RawMessage
+		if tc.params != nil {
+			if raw, err = json.Marshal(tc.params); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := json.Marshal(Request{JSONRPC: "2.0", ID: &id, Method: tc.method, Params: raw})
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() { done <- cl.Call(tc.method, tc.params, nil) }()
+		got, err := r.ReadBytes('\n')
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, append(want, '\n')) {
+			t.Errorf("call %d (%q):\n got %s want %s", i+1, tc.method, got, want)
+		}
+		if _, err := nc.Write([]byte(`{"jsonrpc":"2.0","id":` + string(id) + `,"result":true}` + "\n")); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-done; err != nil {
+			t.Fatalf("call %d: %v", i+1, err)
+		}
+	}
+}
+
+// FuzzServerLine feeds request lines to reply, the function serve runs
+// on every line, against an engine drained first, so a job.submit
+// answers 1004 and no job runs. On every input reply must not panic,
+// and: a blank line or a valid request without an id gets no reply; a
+// line that does not decode as a request gets a parse error without an
+// id; an invalid request gets -32600 under its id, if it has one; and
+// any other line gets exactly one reply line, with the request's id and
+// either a result or an error code docs/PROTOCOL.md lists. parseLine
+// routes a reply under an integer id as the response to that id. Run
+// it as the CI fuzz job does:
+//
+//	go test ./internal/rpc -run '^$' -fuzz '^FuzzServerLine$' -fuzztime 30s
+func FuzzServerLine(f *testing.F) {
+	codes := protocolCodes(f)
+	eng := jobs.New(jobs.Options{Workers: 1})
+	f.Cleanup(eng.Close)
+	eng.Drain(context.Background())
+	srvEnd, cliEnd := net.Pipe()
+	f.Cleanup(func() {
+		srvEnd.Close()
+		cliEnd.Close()
+	})
+	go io.Copy(io.Discard, cliEnd) // a pump's writes, should any event come
+	c := &serverConn{srv: NewServer(eng, "fuzz.sock"), nc: srvEnd, client: "conn-1", subs: make(map[int]func())}
+
+	for name := range methods {
+		f.Add([]byte(`{"jsonrpc":"2.0","id":1,"method":"` + name + `","params":{"id":"j1"}}`))
+	}
+	for _, seed := range []string{
+		`{"jsonrpc":"2.0","id":2,"method":"job.status","params":{"id":7}}`,
+		`{"jsonrpc":"2.0","id":3,"method":"events.unsubscribe","params":[1]}`,
+		`{"jsonrpc":"2.0","id":4,"method":"no.such.method"}`,
+		`{"id":5,"method":"daemon.status"}`,
+		`{"jsonrpc":"2.0","id":null,"method":"daemon.status"}`,
+		`{"jsonrpc":"2.0","id":"<a>&\u2028","method":"job.list","params":"x"}`,
+		`{"jsonrpc":"2.0","id":6,"method":"events.subscribe","params":{"buffer":1000000000000000}}`,
+		`{"jsonrpc":"2.0","id":7,`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, line []byte) {
+		defer c.cancelSubs()
+		out, _ := c.reply(line)
+		var req Request
+		decodeErr := json.Unmarshal(line, &req)
+		valid := decodeErr == nil && req.JSONRPC == "2.0" && req.Method != ""
+		if len(line) == 0 || valid && req.ID == nil {
+			if out != nil {
+				t.Fatalf("line %q got %q, want no reply", line, out)
+			}
+			return
+		}
+		if len(out) == 0 || bytes.IndexByte(out, '\n') != len(out)-1 {
+			t.Fatalf("line %q got %q, want one reply line", line, out)
+		}
+		var resp Response
+		if err := json.Unmarshal(out, &resp); err != nil {
+			t.Fatalf("line %q got %q: %v", line, out, err)
+		}
+		var wantID []byte
+		if decodeErr == nil && req.ID != nil {
+			wantID, _ = json.Marshal(req.ID)
+		}
+		gotID := []byte(nil)
+		if resp.ID != nil {
+			gotID = *resp.ID
+		}
+		switch {
+		case !bytes.Equal(gotID, wantID):
+			t.Fatalf("line %q got %q, want id %s", line, out, wantID)
+		case decodeErr != nil && (resp.Error == nil || resp.Error.Code != CodeParseError):
+			t.Fatalf("line %q got %q, want a parse error", line, out)
+		case decodeErr == nil && !valid && (resp.Error == nil || resp.Error.Code != CodeInvalidRequest):
+			t.Fatalf("line %q got %q, want an invalid request error", line, out)
+		case (resp.Result == nil) == (resp.Error == nil):
+			t.Fatalf("line %q got %q, want a result or an error", line, out)
+		case resp.Error != nil && !codes[resp.Error.Code]:
+			t.Fatalf("line %q got %q: code %d is not in docs/PROTOCOL.md", line, out, resp.Error.Code)
+		}
+		if id, err := strconv.Atoi(string(gotID)); err == nil {
+			if n, routed, presp := parseLine(out); n != nil || presp == nil || routed != id {
+				t.Fatalf("line %q got %q, which parseLine routes as (%+v, %d, %+v)", line, out, n, routed, presp)
+			}
+		}
+	})
 }
 
 // recordingConn is a connection end that hands a copy of every write

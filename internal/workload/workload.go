@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"agentring/internal/ring"
 	"agentring/internal/seq"
@@ -137,7 +138,7 @@ func randomComposition(nf, kf int, rng *rand.Rand) []int {
 	for i := range chosen {
 		chosen[i]++
 	}
-	sortInts(chosen)
+	slices.Sort(chosen)
 	gaps := make([]int, kf)
 	prev := 0
 	for i, c := range chosen {
@@ -146,14 +147,6 @@ func randomComposition(nf, kf int, rng *rand.Rand) []int {
 	}
 	gaps[kf-1] = nf - prev
 	return gaps
-}
-
-func sortInts(v []int) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
 }
 
 // TwoClusters splits k agents into two contiguous groups on opposite
