@@ -419,6 +419,9 @@ func formatEvent(ev jobs.Event) string {
 			line += " " + t.Detail
 		}
 		return line
+	case ev.Explore != nil:
+		p := ev.Explore
+		return fmt.Sprintf("%s %s states=%d pruned=%d frontier=%d", ev.JobID, ev.Type, p.States, p.Pruned, p.Frontier)
 	case ev.Job != nil:
 		return fmt.Sprintf("%s %s %d/%d", ev.Job.ID, ev.Type, ev.Job.Done, ev.Job.Total)
 	default:

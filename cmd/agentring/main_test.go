@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"agentring"
 	"agentring/internal/jobs"
 	"agentring/internal/rpc"
 )
@@ -230,7 +231,7 @@ func TestCancelAndDaemonStatus(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := out.String()
-	if !strings.Contains(s, "protocol 1") || !strings.Contains(s, "jobs:") {
+	if !strings.Contains(s, "protocol 2") || !strings.Contains(s, "jobs:") {
 		t.Errorf("daemon-status output: %q", s)
 	}
 
@@ -303,7 +304,7 @@ func TestQueryOutputs(t *testing.T) {
 	if got := query("result", "j1"); got != resultText {
 		t.Errorf("result printed\n%s\nwant\n%s", got, resultText)
 	}
-	status := fmt.Sprintf("agentringd/0.1 protocol 1 pid %d on %s\njobs: 0 queued, 0 running, 1 done, 0 failed, 0 cancelled\nevents: 0 subscriber(s), 0 dropped", os.Getpid(), socket)
+	status := fmt.Sprintf("agentringd/0.1 protocol 2 pid %d on %s\njobs: 0 queued, 0 running, 1 done, 0 failed, 0 cancelled\nevents: 0 subscriber(s), 0 dropped", os.Getpid(), socket)
 	if got := query("daemon-status"); got != status+"\n" {
 		t.Errorf("daemon-status printed %q, want %q", got, status+"\n")
 	}
@@ -377,6 +378,28 @@ func TestErrorsSurface(t *testing.T) {
 	args := append([]string{"submit", "-socket", socket, "-kind", "sweep", "-alg", "bogus"}, "-ns", "16", "-ks", "2")
 	if err := run(args, &bytes.Buffer{}); err == nil {
 		t.Error("bad algorithm must surface the daemon's invalid-spec error")
+	}
+}
+
+// TestFormatEvent holds the line watch prints for each kind of event:
+// an explore job's progress names the job and reads the search's
+// ledger.
+func TestFormatEvent(t *testing.T) {
+	snap := &jobs.Snapshot{ID: "j2", Done: 1, Total: 4}
+	explore := &agentring.ExploreProgress{Homes: []int{0, 1}, Frontier: 5}
+	explore.States, explore.Pruned = 120, 37
+	for _, tc := range []struct {
+		ev   jobs.Event
+		want string
+	}{
+		{jobs.Event{Type: "progress", JobID: "j1", Explore: explore}, "j1 progress states=120 pruned=37 frontier=5"},
+		{jobs.Event{Type: "progress", JobID: "j2", Job: snap}, "j2 progress 1/4"},
+		{jobs.Event{Type: "trace", JobID: "j3", Trace: &agentring.TraceEvent{Step: 12, Agent: 0, Node: 3, Kind: "move", Detail: "3->4"}}, "j3 trace step=12 agent=0 node=3 move 3->4"},
+		{jobs.Event{Type: "drain"}, "drain"},
+	} {
+		if got := formatEvent(tc.ev); got != tc.want {
+			t.Errorf("formatEvent(%+v) = %q, want %q", tc.ev, got, tc.want)
+		}
 	}
 }
 

@@ -27,8 +27,16 @@
 // -duration bounds wall-clock time: on expiry the report says
 // complete=false rather than erroring. Ctrl-C aborts the search and
 // still prints the partial report. Under -json, running searches also
-// stream progress rows ({"type":"progress",...}) interleaved with the
-// report lines, one compact JSON object per line; report lines carry
+// stream progress rows interleaved with the report lines, one compact
+// JSON object per line:
+//
+//	{"type":"progress","homes":[0,1],"states":…,"pruned":…,"sleep_skips":…,
+//	 "replays":…,"steps_replayed":…,"terminals":…,"distinct_terminals":…,
+//	 "truncated":…,"deepest":…,"frontier":…,"elapsed":…}
+//
+// The counters are the report's ledger so far (a search's last row
+// carries its report's), frontier is the number of work items waiting
+// on the search's stack and elapsed is nanoseconds. Report lines carry
 // no "type" field, so consumers filter on its presence. With -all and
 // -workers above 1, progress rows of the placements being explored
 // interleave; each names its placement in "homes".
@@ -147,7 +155,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		MaxStates:     *states,
 		MaxTotalMoves: *moves,
 		MaxDurationMS: int((*duration + time.Millisecond - 1) / time.Millisecond), // rounded up: a positive budget stays on
-		Workers:       *workers,
 	}
 	if !*all {
 		homes, err := jobs.ParseInts(*homesCSV)
@@ -185,21 +192,16 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			if failed {
 				return
 			}
-			enc.Encode(progressJSON{
-				Type:      "progress",
-				Homes:     p.Homes,
-				States:    p.States,
-				Frontier:  p.Frontier,
-				CacheHits: p.CacheHits,
-				Replays:   p.Replays,
-				ElapsedMS: p.Elapsed.Milliseconds(),
-			})
+			enc.Encode(struct {
+				Type string `json:"type"`
+				agentring.ExploreProgress
+			}{"progress", p})
 		}
 	}
 
 	if *all {
 		opts := plan.Options
-		opts.Progress = progress
+		opts.Workers, opts.Progress = *workers, progress
 		var (
 			emit   func(experiments.ExploreRow)
 			encErr error
@@ -283,18 +285,6 @@ func printReport(out io.Writer, homes []int, rep agentring.ExploreReport) {
 			fmt.Fprintf(out, "  worst outage: tolerates the full %s budget\n", rep.Adversary)
 		}
 	}
-}
-
-// progressJSON is one live-progress NDJSON line, distinguished from
-// report rows by its "type" field.
-type progressJSON struct {
-	Type      string `json:"type"`
-	Homes     []int  `json:"homes"`
-	States    int64  `json:"states"`
-	Frontier  int64  `json:"frontier"`
-	CacheHits int64  `json:"cache_hits"`
-	Replays   int64  `json:"replays"`
-	ElapsedMS int64  `json:"elapsed_ms"`
 }
 
 // exploreRowJSON is one -all NDJSON line, with stable field names.

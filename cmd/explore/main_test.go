@@ -125,6 +125,42 @@ func TestExploreAllJSONStreamsNDJSON(t *testing.T) {
 	}
 }
 
+// TestExploreAllJSONProgressCarriesLedger: under -all -json, each
+// placement's last progress row carries its report row's nine counters
+// (the search's final snapshot is its report's ledger), and elapsed is
+// in nanoseconds.
+func TestExploreAllJSONProgressCarriesLedger(t *testing.T) {
+	var out bytes.Buffer
+	if err := run(context.Background(), []string{"-n", "5", "-all", "-json", "-workers", "2"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	reports, progress := splitNDJSON(t, out.String())
+	last := map[string]map[string]any{}
+	for _, p := range progress {
+		last[fmt.Sprint(p["homes"])] = p
+	}
+	counters := []string{"states", "pruned", "sleep_skips", "replays", "steps_replayed",
+		"terminals", "distinct_terminals", "truncated", "deepest"}
+	for _, r := range reports {
+		homes := fmt.Sprint(r["homes"])
+		p, ok := last[homes]
+		if !ok {
+			t.Fatalf("placement %s has no progress row", homes)
+		}
+		rep := r["report"].(map[string]any)
+		for _, c := range counters {
+			if p[c] == nil || p[c] != rep[c] {
+				t.Errorf("placement %s: last progress row's %s = %v, report's %v", homes, c, p[c], rep[c])
+			}
+		}
+		// No search finishes within a microsecond, so a nanosecond
+		// count reads at least 1000 where milliseconds would read 0.
+		if el, _ := p["elapsed"].(float64); el < 1000 || p["elapsed_ms"] != nil {
+			t.Errorf("placement %s: elapsed %v, want nanoseconds: %v", homes, p["elapsed"], p)
+		}
+	}
+}
+
 // TestExploreAllJSONEndsOnCounterexample: a failing -all sweep's
 // NDJSON ends on the failing placement's report row. The placements
 // explored alongside it are cancelled and may still report progress,

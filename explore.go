@@ -35,27 +35,17 @@ type Budget struct {
 	MaxDuration time.Duration
 }
 
+// ExploreStats is the search's ledger, the counters ExploreReport and
+// every ExploreProgress snapshot carry: states, pruned, sleep_skips,
+// replays, steps_replayed, terminals, distinct_terminals, truncated and
+// deepest.
+type ExploreStats = explore.Stats
+
 // ExploreProgress is one live snapshot of a running exploration,
-// delivered to ExploreOptions.Progress.
-type ExploreProgress struct {
-	// Homes is the placement being explored (Config.Homes), so the
-	// snapshots of a sweep's concurrent searches can be told apart.
-	Homes []int `json:"homes"`
-	// States is the number of distinct global states expanded so far.
-	States int64 `json:"states"`
-	// Frontier is the number of schedule prefixes waiting on the
-	// search's stack.
-	Frontier int64 `json:"frontier"`
-	// CacheHits counts replays that converged onto an already-explored
-	// state.
-	CacheHits int64 `json:"cache_hits"`
-	// Replays and StepsReplayed measure the search's real cost so far.
-	Replays       int64 `json:"replays"`
-	StepsReplayed int64 `json:"steps_replayed"`
-	// Elapsed is the wall-clock time since the search started, in
-	// nanoseconds (time.Duration's native JSON encoding).
-	Elapsed time.Duration `json:"elapsed"`
-}
+// delivered to ExploreOptions.Progress: the placement explored (Homes),
+// the ledger so far, the stack's size (Frontier) and the elapsed wall
+// clock.
+type ExploreProgress = explore.Progress
 
 // ExploreOptions tunes a schedule-space exploration: a Budget plus
 // search knobs.
@@ -79,10 +69,11 @@ type ExploreOptions struct {
 	Adversary *AdversaryBudget
 	// Progress, if non-nil, receives periodic snapshots of the running
 	// search (at the first expansion 200ms or more after the previous
-	// snapshot, plus a final one). It is called on the searching goroutine, between
-	// expansions, so it should be cheap. A sweep exploring several
-	// placements at once (Workers > 1) calls it from each of their
-	// searches, concurrently. No calls happen after Explore returns.
+	// snapshot, plus a final one whose ledger is the report's). It is
+	// called on the searching goroutine, between expansions, so it
+	// should be cheap. A sweep exploring several placements at once
+	// (Workers > 1) calls it from each of their searches, concurrently.
+	// No calls happen after Explore returns.
 	Progress func(ExploreProgress)
 }
 
@@ -117,24 +108,9 @@ type ExploreReport struct {
 	// syntax (empty when the search ran without one).
 	Adversary string `json:"adversary,omitempty"`
 
-	// States counts distinct global states expanded; Pruned counts
-	// replays that converged onto an already-explored state; SleepSkips
-	// counts interleavings suppressed by the partial-order reduction.
-	States     int `json:"states"`
-	Pruned     int `json:"pruned"`
-	SleepSkips int `json:"sleep_skips"`
-	// Replays counts engine replays and StepsReplayed their total
-	// atomic actions — the search's real cost.
-	Replays       int   `json:"replays"`
-	StepsReplayed int64 `json:"steps_replayed"`
-	// Terminals counts quiescent leaves reached; DistinctTerminals the
-	// distinct terminal configurations among them.
-	Terminals         int `json:"terminals"`
-	DistinctTerminals int `json:"distinct_terminals"`
-	// Truncated counts branches cut by the Budget (MaxDepth, MaxStates
-	// or MaxDuration); Deepest is the longest schedule expanded.
-	Truncated int `json:"truncated"`
-	Deepest   int `json:"deepest"`
+	// ExploreStats is the search's ledger: what the verdict cost
+	// (Truncated counts the branches the Budget cut).
+	ExploreStats
 	// Complete reports that the whole schedule space was covered within
 	// the bounds: every interleaving from the initial configuration is
 	// accounted for, up to commuting reorderings and converged states.
@@ -217,21 +193,6 @@ func Explore(ctx context.Context, alg Algorithm, cfg Config, opts ExploreOptions
 		}
 		adv = &nb
 	}
-	var progress func(explore.Progress)
-	if opts.Progress != nil {
-		emit := opts.Progress
-		progress = func(p explore.Progress) {
-			emit(ExploreProgress{
-				Homes:         cfg.Homes,
-				States:        p.States,
-				Frontier:      p.Frontier,
-				CacheHits:     p.CacheHits,
-				Replays:       p.Replays,
-				StepsReplayed: p.StepsReplayed,
-				Elapsed:       p.Elapsed,
-			})
-		}
-	}
 	// search runs one exploration under the given adversary budget; the
 	// worst-outage probe reruns it with smaller ones.
 	search := func(ab *sim.AdversaryBudget, progress func(explore.Progress)) (explore.Report, error) {
@@ -257,26 +218,18 @@ func Explore(ctx context.Context, alg Algorithm, cfg Config, opts ExploreOptions
 	if adv != nil {
 		advSim = adv.simBudget()
 	}
-	rep, err := search(advSim, progress)
+	rep, err := search(advSim, opts.Progress)
 	if err != nil && ctx.Err() == nil {
 		return ExploreReport{}, fmt.Errorf("%w: %v", ErrConfig, err)
 	}
 	out := ExploreReport{
-		Algorithm:         alg.String(),
-		Topology:          topologyName(cfg),
-		N:                 cfg.N,
-		K:                 k,
-		Faults:            FormatFaults(cfg.Faults),
-		States:            rep.States,
-		Pruned:            rep.Pruned,
-		SleepSkips:        rep.SleepSkips,
-		Replays:           rep.Replays,
-		StepsReplayed:     rep.StepsReplayed,
-		Terminals:         rep.Terminals,
-		DistinctTerminals: rep.DistinctTerminals,
-		Truncated:         rep.Truncated,
-		Deepest:           rep.Deepest,
-		Complete:          rep.Complete,
+		Algorithm:    alg.String(),
+		Topology:     topologyName(cfg),
+		N:            cfg.N,
+		K:            k,
+		Faults:       FormatFaults(cfg.Faults),
+		ExploreStats: rep.Stats,
+		Complete:     rep.Complete,
 	}
 	if cex := rep.Counterexample; cex != nil {
 		out.Counterexample = &ExploreCounterexample{

@@ -1,8 +1,11 @@
 package agentring_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -161,7 +164,47 @@ func TestExploreProgressCallback(t *testing.T) {
 		t.Fatal("no progress snapshots delivered")
 	}
 	final := snaps[len(snaps)-1]
-	if final.States != int64(rep.States) {
-		t.Errorf("final snapshot states=%d, report states=%d", final.States, rep.States)
+	if final.Stats != rep.ExploreStats {
+		t.Errorf("final snapshot's ledger %+v, report's %+v", final.Stats, rep.ExploreStats)
+	}
+	if !slices.Equal(final.Homes, []int{0, 2, 4}) {
+		t.Errorf("final snapshot names homes %v", final.Homes)
+	}
+}
+
+// TestExploreReportKeyOrder pins the member order of a marshalled
+// ExploreReport: the embedded ledger's nine counters stand between the
+// configuration echo and the verdict, in the order reports have always
+// been written.
+func TestExploreReportKeyOrder(t *testing.T) {
+	rep := agentring.ExploreReport{
+		Algorithm: "naive", Topology: "ring(8)", N: 8, K: 5, Faults: "1:2:down", Adversary: "1/3",
+		Counterexample: &agentring.ExploreCounterexample{Reason: "x"},
+		WorstOutage:    &agentring.WorstOutage{Breaks: true},
+	}
+	b, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.Token() // the opening brace
+	for dec.More() {
+		key, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, key.(string))
+		var skip json.RawMessage
+		if err := dec.Decode(&skip); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := []string{"algorithm", "topology", "n", "k", "faults", "adversary",
+		"states", "pruned", "sleep_skips", "replays", "steps_replayed",
+		"terminals", "distinct_terminals", "truncated", "deepest",
+		"complete", "counterexample", "worst_outage"}
+	if !slices.Equal(keys, want) {
+		t.Errorf("keys %v\nwant %v", keys, want)
 	}
 }

@@ -3,6 +3,7 @@ package explore
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -290,33 +291,55 @@ func TestCancelFromPropertyStopsAtNextPop(t *testing.T) {
 }
 
 // TestProgressSnapshots: a Progress callback receives periodic
-// snapshots whose counters grow monotonically, plus a final snapshot
-// agreeing with the returned report.
+// snapshots whose counters grow monotonically, each naming the
+// placement, plus a final snapshot whose ledger is the report's: after
+// a complete search, and after a MaxDuration stop, where the report's
+// Truncated counts the abandoned stack.
 func TestProgressSnapshots(t *testing.T) {
 	saved := progressInterval
 	progressInterval = time.Millisecond
 	defer func() { progressInterval = saved }()
 
-	var snaps []Progress
-	rep, err := Explore(context.Background(), Setup{
-		N:        6,
-		Homes:    []ring.NodeID{0, 2, 4},
-		Programs: alg1Factory(3),
-	}, Options{Progress: func(p Progress) { snaps = append(snaps, p) }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snaps) == 0 {
-		t.Fatal("no progress snapshots delivered")
-	}
-	for i := 1; i < len(snaps); i++ {
-		if snaps[i].States < snaps[i-1].States || snaps[i].Replays < snaps[i-1].Replays {
-			t.Fatalf("snapshot %d went backwards: %+v after %+v", i, snaps[i], snaps[i-1])
-		}
-	}
-	final := snaps[len(snaps)-1]
-	if final.States != int64(rep.States) || final.Replays != int64(rep.Replays) {
-		t.Errorf("final snapshot %+v disagrees with report states=%d replays=%d",
-			final, rep.States, rep.Replays)
+	for _, tc := range []struct {
+		name  string
+		setup Setup
+		opts  Options
+	}{
+		{"complete", Setup{N: 6, Homes: []ring.NodeID{0, 2, 4}, Programs: alg1Factory(3)}, Options{}},
+		// Pausing walkers keep the search slow enough that a 5ms budget
+		// expires mid-run (as in TestMaxDurationTruncates).
+		{"max-duration", Setup{N: 13, Homes: []ring.NodeID{0, 4, 8}, Programs: pausingWalkers(3, 6)}, Options{MaxDuration: 5 * time.Millisecond}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var snaps []Progress
+			tc.opts.Progress = func(p Progress) { snaps = append(snaps, p) }
+			rep, err := Explore(context.Background(), tc.setup, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(snaps) == 0 {
+				t.Fatal("no progress snapshots delivered")
+			}
+			for i, p := range snaps {
+				if !slices.EqualFunc(p.Homes, tc.setup.Homes, func(a int, b ring.NodeID) bool { return a == int(b) }) {
+					t.Fatalf("snapshot %d names homes %v, the search explores %v", i, p.Homes, tc.setup.Homes)
+				}
+				if i > 0 && (p.States < snaps[i-1].States || p.Replays < snaps[i-1].Replays) {
+					t.Fatalf("snapshot %d went backwards: %+v after %+v", i, p, snaps[i-1])
+				}
+			}
+			final := snaps[len(snaps)-1]
+			if final.Stats != rep.Stats {
+				t.Errorf("final snapshot's ledger %+v, report's %+v", final.Stats, rep.Stats)
+			}
+			if tc.opts.MaxDuration > 0 {
+				if rep.Complete || final.Frontier == 0 || rep.Truncated < final.Frontier {
+					t.Errorf("budget stop: complete=%v truncated=%d frontier=%d, want an abandoned stack counted in Truncated",
+						rep.Complete, rep.Truncated, final.Frontier)
+				}
+			} else if !rep.Complete || final.Frontier != 0 {
+				t.Errorf("complete=%v frontier=%d, want a complete search with an empty stack", rep.Complete, final.Frontier)
+			}
+		})
 	}
 }

@@ -1,14 +1,5 @@
 package explore
 
-// stats is the search's scoreboard, the counters Report and Progress
-// read.
-type stats struct {
-	states, pruned, sleepSkips, replays int
-	terminals, distinctTerminals        int
-	truncated, deepest                  int
-	stepsReplayed                       int64
-}
-
 // cacheShards is the number of cache partitions. A shard doubles on its
 // own, so a growing cache copies 1/64 of itself at a time and never
 // holds a whole old table next to its doubled successor, which at the
@@ -122,7 +113,7 @@ const (
 )
 
 // visit applies the cache discipline to one replayed state and updates
-// the scoreboard. It returns the outcome, the sleep set the expansion
+// the ledger. It returns the outcome, the sleep set the expansion
 // runs under, the awake set that restricts it (zero for an unrestricted
 // expansion), and whether this visit is the first to see the key as a
 // terminal — the one visit allowed to run the property check, so each
@@ -141,18 +132,18 @@ const (
 // the earlier subtree, keep the unrestricted expansion under H & Z.
 //
 // MaxStates is an exact bound on the states counter.
-func (c *stateCache) visit(key uint64, depth int, sleep sleepSet, terminal bool, maxStates int, st *stats) (visitOutcome, sleepSet, sleepSet, bool) {
+func (c *stateCache) visit(key uint64, depth int, sleep sleepSet, terminal bool, maxStates int, st *Stats) (visitOutcome, sleepSet, sleepSet, bool) {
 	s := &c.shards[key%cacheShards]
 	var sl *cacheSlot
 	if s.slots != nil {
 		sl = s.slot(key)
 	}
 	if sl == nil || !sl.entry.used {
-		if st.states >= maxStates {
-			st.truncated++
+		if st.States >= maxStates {
+			st.Truncated++
 			return visitTruncated, 0, 0, false
 		}
-		st.states++
+		st.States++
 		if 4*(s.count+1) > 3*len(s.slots) {
 			s.grow()
 			sl = s.slot(key)
@@ -161,16 +152,16 @@ func (c *stateCache) visit(key uint64, depth int, sleep sleepSet, terminal bool,
 		sl.key = key
 		sl.entry = cacheEntry{depth: int32(depth), sleep: sleep, terminal: terminal, used: true}
 		if terminal {
-			st.terminals++
-			st.distinctTerminals++
+			st.Terminals++
+			st.DistinctTerminals++
 		}
 		return visitExpand, sleep, 0, terminal
 	}
 	entry := &sl.entry
 	if int(entry.depth) <= depth && entry.sleep&^sleep == 0 {
-		st.pruned++
+		st.Pruned++
 		if terminal {
-			st.terminals++
+			st.Terminals++
 		}
 		return visitPruned, 0, 0, false
 	}
@@ -183,7 +174,7 @@ func (c *stateCache) visit(key uint64, depth int, sleep sleepSet, terminal bool,
 	entry.sleep &= sleep
 	first := false
 	if terminal {
-		st.terminals++
+		st.Terminals++
 		// The key determines the configuration, so a revisited terminal
 		// key was terminal on first visit too; first stays false and the
 		// property is not re-checked. The defensive update keeps the
@@ -191,7 +182,7 @@ func (c *stateCache) visit(key uint64, depth int, sleep sleepSet, terminal bool,
 		first = !entry.terminal
 		if first {
 			entry.terminal = true
-			st.distinctTerminals++
+			st.DistinctTerminals++
 		}
 	}
 	return visitExpand, entry.sleep, awake, first

@@ -15,13 +15,13 @@ import (
 // misses have doubled it, so its size stays within [entries, 2·entries).
 func BenchmarkCacheVisit(b *testing.B) {
 	for _, entries := range []int{1_000, 100_000, 1_000_000} {
-		fill := func(c *stateCache, st *stats, from, to int) {
+		fill := func(c *stateCache, st *Stats, from, to int) {
 			for i := from; i < to; i++ {
 				c.visit(mix64(uint64(i)+1), 1, 0, false, math.MaxInt, st)
 			}
 		}
 		b.Run(fmt.Sprintf("hit/entries=%d", entries), func(b *testing.B) {
-			c, st := newStateCache(), &stats{}
+			c, st := newStateCache(), &Stats{}
 			defer c.release()
 			fill(c, st, 0, entries)
 			b.ReportAllocs()
@@ -31,7 +31,7 @@ func BenchmarkCacheVisit(b *testing.B) {
 			}
 		})
 		b.Run(fmt.Sprintf("miss/entries=%d", entries), func(b *testing.B) {
-			c, st := newStateCache(), &stats{}
+			c, st := newStateCache(), &Stats{}
 			defer func() { c.release() }()
 			fill(c, st, 0, entries)
 			next := entries
@@ -41,7 +41,7 @@ func BenchmarkCacheVisit(b *testing.B) {
 				if next == 2*entries {
 					b.StopTimer()
 					c.release()
-					c, st = newStateCache(), &stats{}
+					c, st = newStateCache(), &Stats{}
 					fill(c, st, 0, entries)
 					next = entries
 					b.StartTimer()
@@ -57,7 +57,7 @@ func BenchmarkCacheVisit(b *testing.B) {
 // where Linux maps the tables outside the Go heap, and requires every
 // key to survive each doubling and release to drop every table.
 func TestCacheGrowsIntoMappedTables(t *testing.T) {
-	c, st := newStateCache(), &stats{}
+	c, st := newStateCache(), &Stats{}
 	const keys = 80_000 // about 1,250 a shard, past 3/4 of 1,024 slots in each
 	for pass, want := range []visitOutcome{visitExpand, visitPruned} {
 		for i := range keys {

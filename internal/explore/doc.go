@@ -229,4 +229,15 @@
 // mechanically checked proof over the entire schedule space of that
 // initial configuration. Budgets (states, depth, wall clock) truncate
 // honestly: the abandoned frontier is counted and Complete is false.
+//
+// # The ledger
+//
+// Stats is the one declaration of the search's counters. The search
+// increments its fields in place; Report embeds it, and every Progress
+// snapshot carries a copy, so the final snapshot, taken after a budget
+// stop has folded the abandoned stack into Truncated, is exactly the
+// report's ledger (TestProgressSnapshots). Replays counts expansions
+// plus the from-root replays that confirm a counterexample, and
+// StepsReplayed counts the atomic actions those applied: on a
+// counterexample-free search, one per expansion but the root's.
 package explore

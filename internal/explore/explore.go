@@ -130,30 +130,54 @@ type Options struct {
 	// Progress, if non-nil, receives periodic snapshots of the running
 	// search: at the first pop 200ms or more after the search started
 	// or after the previous snapshot returned, plus one final snapshot
-	// as the search finishes. It is called on the searching goroutine,
-	// between expansions, so a slow callback stalls the search (and
-	// the next snapshot falls due 200ms after it returns). No snapshots
-	// are delivered after Explore returns.
+	// as the search finishes, whose ledger is the report's. It is
+	// called on the searching goroutine, between expansions, so a slow
+	// callback stalls the search (and the next snapshot falls due 200ms
+	// after it returns). No snapshots are delivered after Explore
+	// returns.
 	Progress func(Progress)
+}
+
+// Stats is the search's ledger: the one declaration of its counters,
+// which the search increments in place and which Progress snapshots
+// and the Report carry as they are. The JSON names are the report's.
+type Stats struct {
+	// States counts distinct canonical states expanded; Pruned counts
+	// reached states that converged onto an already-explored one.
+	States int `json:"states"`
+	Pruned int `json:"pruned"`
+	// SleepSkips counts transitions suppressed by the sleep-set
+	// reduction.
+	SleepSkips int `json:"sleep_skips"`
+	// Replays counts expansions plus the from-root replays that confirm
+	// a counterexample; StepsReplayed counts the atomic actions those
+	// applied.
+	Replays       int   `json:"replays"`
+	StepsReplayed int64 `json:"steps_replayed"`
+	// Terminals counts quiescent leaves reached (with repetition);
+	// DistinctTerminals counts distinct terminal configurations.
+	Terminals         int `json:"terminals"`
+	DistinctTerminals int `json:"distinct_terminals"`
+	// Truncated counts branches cut by MaxDepth, MaxStates or
+	// MaxDuration; Deepest is the longest prefix expanded.
+	Truncated int `json:"truncated"`
+	Deepest   int `json:"deepest"`
 }
 
 // Progress is one live snapshot of a running search.
 type Progress struct {
-	// States is the number of distinct canonical states expanded so far.
-	States int64
+	// Homes is the placement being explored (Setup.Homes), so the
+	// snapshots of searches running at once can be told apart.
+	Homes []int `json:"homes"`
+	// Stats is the ledger so far; the final snapshot's equals the
+	// report's.
+	Stats
 	// Frontier is the number of work items waiting on the search's
 	// stack.
-	Frontier int64
-	// CacheHits counts reached states pruned by the canonical-state
-	// cache.
-	CacheHits int64
-	// SleepSkips counts transitions suppressed by the reduction.
-	SleepSkips int64
-	// Replays and StepsReplayed measure the search's real cost so far.
-	Replays       int64
-	StepsReplayed int64
-	// Elapsed is the wall-clock time since the search started.
-	Elapsed time.Duration
+	Frontier int `json:"frontier"`
+	// Elapsed is the wall-clock time since the search started, in
+	// nanoseconds on the wire (time.Duration's JSON encoding).
+	Elapsed time.Duration `json:"elapsed"`
 }
 
 // Counterexample is a concrete schedule defeating the checked property.
@@ -200,26 +224,7 @@ func (c *Counterexample) String() string {
 
 // Report summarizes one exploration.
 type Report struct {
-	// States counts distinct canonical states expanded; Pruned counts
-	// reached states that converged onto an already-explored one.
-	States int
-	Pruned int
-	// SleepSkips counts transitions suppressed by the sleep-set
-	// reduction.
-	SleepSkips int
-	// Replays counts expansions plus the from-root replays that confirm
-	// a counterexample; StepsReplayed counts the atomic actions they
-	// executed (the search's real cost).
-	Replays       int
-	StepsReplayed int64
-	// Terminals counts quiescent leaves reached (with repetition);
-	// DistinctTerminals counts distinct terminal configurations.
-	Terminals         int
-	DistinctTerminals int
-	// Truncated counts branches cut by MaxDepth, MaxStates or
-	// MaxDuration; Deepest is the longest prefix expanded.
-	Truncated int
-	Deepest   int
+	Stats
 	// Complete is true when the search covered the entire schedule
 	// space: nothing truncated and no early stop on a counterexample or
 	// an expired budget.
@@ -345,6 +350,11 @@ func run(ctx context.Context, setup Setup, opts Options, rankSrc []int32, bounda
 
 	x.stack = append(x.stack, rootItem)
 	x.search()
+	if x.abort == abortBudget {
+		// The abandoned stack is cut search, same as a depth or state
+		// bound; fold it in so the ledger owns up to the missing work.
+		x.st.Truncated += len(x.stack)
+	}
 	if opts.Progress != nil {
 		opts.Progress(x.snapshot())
 	}
@@ -373,6 +383,10 @@ func newExplorer(setup Setup, opts Options, rankSrc []int32, boundary map[int]bo
 		boundary: boundary,
 		cache:    newStateCache(),
 		start:    time.Now(),
+		homes:    make([]int, len(setup.Homes)),
+	}
+	for i, h := range setup.Homes {
+		x.homes[i] = int(h)
 	}
 	eng, err := x.newEngine()
 	if err != nil {
@@ -391,30 +405,16 @@ func (x *explorer) stop(reason int) {
 	x.stopped = true
 }
 
-// report assembles the finished search's Report from the scoreboard.
+// report assembles the finished search's Report around its ledger.
+// Every item a budget stop cuts is counted in Truncated, so a budget
+// that expired after the last expansion cut nothing: that search is
+// complete.
 func (x *explorer) report() Report {
-	rep := Report{
-		States:            x.st.states,
-		Pruned:            x.st.pruned,
-		SleepSkips:        x.st.sleepSkips,
-		Replays:           x.st.replays,
-		StepsReplayed:     x.st.stepsReplayed,
-		Terminals:         x.st.terminals,
-		DistinctTerminals: x.st.distinctTerminals,
-		Truncated:         x.st.truncated,
-		Deepest:           x.st.deepest,
-		Counterexample:    x.cex,
+	return Report{
+		Stats:          x.st,
+		Complete:       x.st.Truncated == 0 && x.cex == nil && x.abort != abortCtx,
+		Counterexample: x.cex,
 	}
-	if x.abort == abortBudget {
-		// The abandoned stack is cut search, same as a depth or state
-		// bound; fold it in so the report owns up to the missing work.
-		rep.Truncated += len(x.stack)
-	}
-	// Every item a budget stop cuts is counted in Truncated, so a budget
-	// that expired after the last expansion cut nothing: that search is
-	// complete.
-	rep.Complete = rep.Truncated == 0 && x.cex == nil && x.abort != abortCtx
-	return rep
 }
 
 type explorer struct {
@@ -429,7 +429,7 @@ type explorer struct {
 	boundary map[int]bool
 
 	cache *stateCache
-	st    stats
+	st    Stats
 	start time.Time
 
 	// What poll watches: the context's done channel, the search's
@@ -467,6 +467,8 @@ type explorer struct {
 
 	cex *Counterexample
 	err error
+
+	homes []int // Setup.Homes, as Progress carries them
 }
 
 // item is one unit of search work: one transition out of a branch —
@@ -586,8 +588,8 @@ func (x *explorer) replay(prefix []int) (*sim.Controlled, sim.Result, error) {
 		return nil, sim.Result{}, fmt.Errorf("%w: %v", ErrSetup, err)
 	}
 	res, err := eng.Run()
-	x.st.replays++
-	x.st.stepsReplayed += int64(res.Steps)
+	x.st.Replays++
+	x.st.StepsReplayed += int64(res.Steps)
 	return ctrl, res, err
 }
 
@@ -657,7 +659,7 @@ func (x *explorer) makeChildren(enabled []sim.Choice, sleep, awake sleepSet, dep
 	done := sleep
 	for i, c := range enabled {
 		if c.Agent >= 0 && sleep.has(c.Agent) {
-			x.st.sleepSkips++
+			x.st.SleepSkips++
 			continue
 		}
 		if awake != 0 && (c.Agent < 0 || !awake.has(c.Agent)) {
@@ -736,11 +738,11 @@ func (x *explorer) expand(it item) {
 				x.confirmCex(slices.Clone(path))
 				return
 			}
-			x.st.stepsReplayed++
+			x.st.StepsReplayed++
 		}
 		enabled := eng.DecisionPoint()
-		x.st.replays++
-		x.st.deepest = max(x.st.deepest, depth)
+		x.st.Replays++
+		x.st.Deepest = max(x.st.Deepest, depth)
 		quiesced := len(enabled) == 0
 		if !quiesced && eng.Steps() >= eng.StepLimit() {
 			// Run would abort this schedule with ErrStepLimit at the same
@@ -777,7 +779,7 @@ func (x *explorer) expand(it item) {
 			return
 		}
 		if depth >= x.opts.MaxDepth {
-			x.st.truncated++
+			x.st.Truncated++
 			return
 		}
 
@@ -816,7 +818,7 @@ func (x *explorer) halted() bool {
 		return false
 	}
 	if x.abort == abortBudget {
-		x.st.truncated++
+		x.st.Truncated++
 	}
 	return true
 }
@@ -854,17 +856,9 @@ func (x *explorer) confirmCex(prefix []int) {
 	x.foundCex(prefix, ctrl, res, why)
 }
 
-// snapshot assembles one Progress from the live counters.
+// snapshot assembles one Progress around the live ledger.
 func (x *explorer) snapshot() Progress {
-	return Progress{
-		States:        int64(x.st.states),
-		Frontier:      int64(len(x.stack)),
-		CacheHits:     int64(x.st.pruned),
-		SleepSkips:    int64(x.st.sleepSkips),
-		Replays:       int64(x.st.replays),
-		StepsReplayed: x.st.stepsReplayed,
-		Elapsed:       time.Since(x.start),
-	}
+	return Progress{Homes: x.homes, Stats: x.st, Frontier: len(x.stack), Elapsed: time.Since(x.start)}
 }
 
 // mix64 finalizes a 64-bit value with the splitmix64 avalanche, used to

@@ -222,15 +222,17 @@ func TestExploreFaultSearchShape(t *testing.T) {
 		t.Fatalf("transient fault reported a counterexample:\n%s", first.Counterexample)
 	}
 	want := Report{
-		States:            13,
-		Pruned:            2,
-		SleepSkips:        4,
-		Replays:           16,
-		StepsReplayed:     15,
-		Terminals:         1,
-		DistinctTerminals: 1,
-		Deepest:           6,
-		Complete:          true,
+		Stats: Stats{
+			States:            13,
+			Pruned:            2,
+			SleepSkips:        4,
+			Replays:           16,
+			StepsReplayed:     15,
+			Terminals:         1,
+			DistinctTerminals: 1,
+			Deepest:           6,
+		},
+		Complete: true,
 	}
 	if first != want {
 		t.Fatalf("fault search shape drifted:\ngot  %+v\nwant %+v", first, want)

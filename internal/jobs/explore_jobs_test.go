@@ -2,7 +2,6 @@ package jobs
 
 import (
 	"errors"
-	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -88,49 +87,11 @@ func TestExploreDurationBudgetTruncates(t *testing.T) {
 	}
 }
 
-// TestExploreWorkersSpecCoversSameSpace: a spec carrying workers is
-// still accepted and echoed in its snapshot, and the search reports the
-// same as without it, every field included.
-func TestExploreWorkersSpecCoversSameSpace(t *testing.T) {
-	e := New(Options{Runners: 2})
-	defer e.Close()
-	run := func(workers int) *agentring.ExploreReport {
-		t.Helper()
-		spec := Spec{Kind: KindExplore, Algorithm: "native", N: 7, K: 3, Workload: "clustered", Workers: workers}
-		snap, err := e.Submit("c1", spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		final := waitFinal(t, e, snap.ID)
-		if final.State != StateDone {
-			t.Fatalf("workers=%d: ended %s: %s", workers, final.State, final.Error)
-		}
-		if final.Spec.Workers != workers {
-			t.Fatalf("snapshot echoes workers=%d, submitted %d", final.Spec.Workers, workers)
-		}
-		res, err := e.Result(snap.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Explore == nil {
-			t.Fatal("no explore report")
-		}
-		return res.Explore
-	}
-	seq := run(0)
-	par := run(4)
-	if !reflect.DeepEqual(seq, par) {
-		t.Errorf("workers changed the report:\n%+v\n%+v", seq, par)
-	}
-	if !seq.Complete || !par.Complete {
-		t.Errorf("incomplete: seq=%v par=%v", seq.Complete, par.Complete)
-	}
-}
-
 // TestExploreJobEmitsProgressEvents: explore jobs publish "progress"
 // events carrying live search snapshots (at minimum the final one),
 // each naming the placement searched, so daemon clients can watch a
 // long search instead of a silent gap between "started" and "done".
+// The last snapshot's ledger is the result's.
 func TestExploreJobEmitsProgressEvents(t *testing.T) {
 	e := New(Options{})
 	defer e.Close()
@@ -146,8 +107,12 @@ func TestExploreJobEmitsProgressEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFinal(t, e, snap.ID)
+	res, err := e.Result(snap.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
 	timeout := time.After(10 * time.Second)
-	progress := 0
+	var last *agentring.ExploreProgress
 	for {
 		select {
 		case ev := <-events:
@@ -160,16 +125,19 @@ func TestExploreJobEmitsProgressEvents(t *testing.T) {
 				if !slices.Equal(ev.Explore.Homes, plan.Explore.Homes) {
 					t.Fatalf("snapshot names homes %v, the job explores %v", ev.Explore.Homes, plan.Explore.Homes)
 				}
-				progress++
+				last = ev.Explore
 			}
 			if ev.Type == "done" {
-				if progress == 0 {
+				if last == nil {
 					t.Fatal("no search-snapshot progress events before done")
+				}
+				if last.Stats != res.Explore.ExploreStats {
+					t.Fatalf("last snapshot's ledger %+v, result's %+v", last.Stats, res.Explore.ExploreStats)
 				}
 				return
 			}
 		case <-timeout:
-			t.Fatalf("no done event; saw %d progress events", progress)
+			t.Fatal("no done event")
 		}
 	}
 }

@@ -27,10 +27,9 @@ const (
 	KindSweep Kind = "sweep"
 	// KindExplore model-checks one configuration's schedule space
 	// (agentring.Explore). Explorations are single-cell; the job context
-	// reaches into the search, so job.cancel stops an exploration at the
-	// next frontier pop of any worker (after at most one expansion per
-	// worker), and the search streams "progress" events carrying live
-	// explorer counters.
+	// reaches into the search, so job.cancel stops an exploration at its
+	// next pop (after at most one more expansion), and the search
+	// streams "progress" events carrying its live ledger.
 	KindExplore Kind = "explore"
 )
 
@@ -76,12 +75,6 @@ type Spec struct {
 	MaxStates     int `json:"max_states,omitempty"`
 	MaxTotalMoves int `json:"max_total_moves,omitempty"`
 	MaxDurationMS int `json:"max_duration_ms,omitempty"`
-	// Workers is accepted and echoed for KindExplore specs but has no
-	// effect: a job explores one placement, and one search runs on one
-	// goroutine, so its report is the same for every value. (Run/sweep
-	// parallelism is the engine's worker pool; sweeps over placements
-	// parallelize across them in experiments.ExploreAllStream.)
-	Workers int `json:"workers,omitempty"`
 	// Priority orders the queue: higher runs earlier, FIFO within a
 	// priority.
 	Priority int `json:"priority,omitempty"`
@@ -186,7 +179,6 @@ func Compile(s Spec) (Plan, error) {
 			MaxTotalMoves: s.MaxTotalMoves,
 			MaxDuration:   time.Duration(s.MaxDurationMS) * time.Millisecond,
 		},
-		Workers: s.Workers,
 	}
 	if s.Adversary != "" {
 		if s.Faults != "" {

@@ -19,7 +19,9 @@
 // clients can negotiate compatibility.
 //
 // The server's methods are one table, methods, from name to handler;
-// each handler takes its params already decoded into its own type.
+// each handler takes its params already decoded into its own type. A
+// line that is not JSON is answered -32700 without an id; JSON that is
+// not request-shaped is answered -32600 under the id it carries.
 // Every line, in both directions, is written by one appender,
 // appendLine: it marshals the payload (a request's params, a result, an
 // error or an event) once and appends the fixed envelope around those

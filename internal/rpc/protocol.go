@@ -10,7 +10,7 @@ import (
 // daemon.status; a client refuses to talk to a daemon whose protocol it
 // does not know. Bump on any incompatible change to methods, parameter
 // shapes, or error codes, and record the change in docs/PROTOCOL.md.
-const ProtocolVersion = 1
+const ProtocolVersion = 2
 
 // Version is the daemon implementation version string (informational;
 // compatibility is negotiated on ProtocolVersion alone).

@@ -155,13 +155,20 @@ func (c *serverConn) serve() {
 // reply answers one request line: the response line to write, nil for
 // a blank line or a valid request without an id (a JSON-RPC
 // notification gets no response), and whether the line was an answered
-// daemon.drain.
+// daemon.drain. A line that is not JSON gets a parse error without an
+// id; JSON that is not request-shaped (a member of the wrong type, or
+// no object at all) gets an invalid request error under the id it
+// carries, which Unmarshal reads past the mismatch.
 func (c *serverConn) reply(line []byte) (out []byte, drain bool) {
 	if len(line) == 0 {
 		return nil, false
 	}
 	var req Request
 	if err := json.Unmarshal(line, &req); err != nil {
+		var typeErr *json.UnmarshalTypeError
+		if errors.As(err, &typeErr) {
+			return errorLine(req.ID, &Error{Code: CodeInvalidRequest, Message: "invalid request: " + err.Error()}), false
+		}
 		return errorLine(nil, &Error{Code: CodeParseError, Message: "parse error: " + err.Error()}), false
 	}
 	if req.JSONRPC != "2.0" || req.Method == "" {

@@ -370,12 +370,13 @@ func TestCallLinesMatchEnvelope(t *testing.T) {
 // on every line, against an engine drained first, so a job.submit
 // answers 1004 and no job runs. On every input reply must not panic,
 // and: a blank line or a valid request without an id gets no reply; a
-// line that does not decode as a request gets a parse error without an
-// id; an invalid request gets -32600 under its id, if it has one; and
-// any other line gets exactly one reply line, with the request's id and
-// either a result or an error code docs/PROTOCOL.md lists. parseLine
-// routes a reply under an integer id as the response to that id. Run
-// it as the CI fuzz job does:
+// line that is not JSON gets a parse error without an id; JSON that
+// does not decode as a request, and an invalid request, get -32600
+// under the id the line carries, if it has one; and any other line
+// gets exactly one reply line, with the request's id and either a
+// result or an error code docs/PROTOCOL.md lists. parseLine routes a
+// reply under an integer id as the response to that id. Run it as the
+// CI fuzz job does:
 //
 //	go test ./internal/rpc -run '^$' -fuzz '^FuzzServerLine$' -fuzztime 30s
 func FuzzServerLine(f *testing.F) {
@@ -403,6 +404,10 @@ func FuzzServerLine(f *testing.F) {
 		`{"jsonrpc":"2.0","id":"<a>&\u2028","method":"job.list","params":"x"}`,
 		`{"jsonrpc":"2.0","id":6,"method":"events.subscribe","params":{"buffer":1000000000000000}}`,
 		`{"jsonrpc":"2.0","id":7,`,
+		`{"jsonrpc":"2.0","id":8,"method":5}`,
+		`{"jsonrpc":2,"id":9,"method":"daemon.status"}`,
+		`[1]`,
+		`0`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -410,6 +415,7 @@ func FuzzServerLine(f *testing.F) {
 		defer c.cancelSubs()
 		out, _ := c.reply(line)
 		var req Request
+		isJSON := json.Valid(line)
 		decodeErr := json.Unmarshal(line, &req)
 		valid := decodeErr == nil && req.JSONRPC == "2.0" && req.Method != ""
 		if len(line) == 0 || valid && req.ID == nil {
@@ -426,7 +432,7 @@ func FuzzServerLine(f *testing.F) {
 			t.Fatalf("line %q got %q: %v", line, out, err)
 		}
 		var wantID []byte
-		if decodeErr == nil && req.ID != nil {
+		if isJSON && req.ID != nil {
 			wantID, _ = json.Marshal(req.ID)
 		}
 		gotID := []byte(nil)
@@ -436,9 +442,9 @@ func FuzzServerLine(f *testing.F) {
 		switch {
 		case !bytes.Equal(gotID, wantID):
 			t.Fatalf("line %q got %q, want id %s", line, out, wantID)
-		case decodeErr != nil && (resp.Error == nil || resp.Error.Code != CodeParseError):
+		case !isJSON && (resp.Error == nil || resp.Error.Code != CodeParseError):
 			t.Fatalf("line %q got %q, want a parse error", line, out)
-		case decodeErr == nil && !valid && (resp.Error == nil || resp.Error.Code != CodeInvalidRequest):
+		case isJSON && !valid && (resp.Error == nil || resp.Error.Code != CodeInvalidRequest):
 			t.Fatalf("line %q got %q, want an invalid request error", line, out)
 		case (resp.Result == nil) == (resp.Error == nil):
 			t.Fatalf("line %q got %q, want a result or an error", line, out)
@@ -451,6 +457,34 @@ func FuzzServerLine(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestNonRequestLinesAnsweredUnderTheirID holds the reply bytes for
+// lines that are not request-shaped: JSON whose members have the wrong
+// type gets -32600 under the id it carries (or without one when it has
+// none), and only a line that is not JSON gets -32700 without an id.
+// None of them reaches a method, so the connection needs no engine.
+func TestNonRequestLinesAnsweredUnderTheirID(t *testing.T) {
+	c := &serverConn{}
+	for _, tc := range []struct{ line, want string }{
+		{`{"jsonrpc":"2.0","id":8,"method":5}`,
+			`{"jsonrpc":"2.0","id":8,"error":{"code":-32600,"message":"invalid request: json: cannot unmarshal number into Go struct field Request.method of type string"}}`},
+		{`{"jsonrpc":2,"id":"a<b>","method":"daemon.status"}`,
+			`{"jsonrpc":"2.0","id":"a\u003cb\u003e","error":{"code":-32600,"message":"invalid request: json: cannot unmarshal number into Go struct field Request.jsonrpc of type string"}}`},
+		{`{"jsonrpc":"2.0","method":5}`,
+			`{"jsonrpc":"2.0","error":{"code":-32600,"message":"invalid request: json: cannot unmarshal number into Go struct field Request.method of type string"}}`},
+		{`[1]`,
+			`{"jsonrpc":"2.0","error":{"code":-32600,"message":"invalid request: json: cannot unmarshal array into Go value of type rpc.Request"}}`},
+		{`0`,
+			`{"jsonrpc":"2.0","error":{"code":-32600,"message":"invalid request: json: cannot unmarshal number into Go value of type rpc.Request"}}`},
+		{`{"jsonrpc":"2.0","id":8,"method":5`,
+			`{"jsonrpc":"2.0","error":{"code":-32700,"message":"parse error: unexpected end of JSON input"}}`},
+	} {
+		out, drain := c.reply([]byte(tc.line))
+		if string(out) != tc.want+"\n" || drain {
+			t.Errorf("line %s:\n got %s want %s", tc.line, out, tc.want)
+		}
+	}
 }
 
 // recordingConn is a connection end that hands a copy of every write

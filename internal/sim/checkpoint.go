@@ -13,13 +13,13 @@ import "fmt"
 // slice.
 //
 // A Checkpoint is engine-independent: Restore accepts it on any engine
-// built with the same topology, homes, programs, and options — which is
-// how the explorer's work-stealing frontier ships checkpoints between
-// workers, each owning its own engine. CheckpointTo lays a checkpoint
-// out on its first capture (or the first from an engine of another
-// shape) and reuses every backing slice after that, so a pooled
-// Checkpoint reaches zero steady-state allocations once its mail and
-// frame buffers have grown to fit.
+// built with the same topology, homes, programs, and options. The
+// explorer captures one per branch of its search and restores it on
+// its one resident engine. CheckpointTo lays a checkpoint out on its
+// first capture (or the first from an engine of another shape) and
+// reuses every backing slice after that, so a pooled Checkpoint
+// reaches zero steady-state allocations once its mail and frame
+// buffers have grown to fit.
 //
 // Not captured (documented limits, all irrelevant to replay-driven
 // search): scheduler state (Controlled/RoundRobin cursors live outside

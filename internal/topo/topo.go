@@ -74,12 +74,6 @@ func NewTorus(rows, cols int) (*Torus, error) {
 	return &Torus{rows: rows, cols: cols}, nil
 }
 
-// Rows returns the number of rows.
-func (t *Torus) Rows() int { return t.rows }
-
-// Cols returns the number of columns.
-func (t *Torus) Cols() int { return t.cols }
-
 // Size implements sim.Topology.
 func (t *Torus) Size() int { return t.rows * t.cols }
 
