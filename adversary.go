@@ -29,45 +29,7 @@ import (
 // Adversary moves are atomic actions: each fail or repair occupies one
 // decision in the schedule and advances the step counter.
 // ExploreOptions.Adversary and Config.Faults are mutually exclusive.
-type AdversaryBudget struct {
-	// MaxConcurrent is the maximum number of simultaneously failed
-	// links. Must be >= 1.
-	MaxConcurrent int `json:"max_concurrent"`
-	// RepairWithin forces a failed link's repair once it has been down
-	// for this many atomic actions. Must be >= 1.
-	RepairWithin int `json:"repair_within"`
-	// MaxTotal bounds the number of fail moves across a schedule; zero
-	// selects MaxConcurrent.
-	MaxTotal int `json:"max_total"`
-}
-
-// normalize validates the budget and fills defaults, mirroring the
-// engine's rules so misconfigurations surface as ErrConfig before a
-// search starts.
-func (b AdversaryBudget) normalize() (AdversaryBudget, error) {
-	if b.MaxConcurrent < 1 {
-		return b, fmt.Errorf("%w: adversary max concurrent %d, want >= 1", ErrConfig, b.MaxConcurrent)
-	}
-	if b.RepairWithin < 1 {
-		return b, fmt.Errorf("%w: adversary repair-within %d, want >= 1 (permanent failures are Config.Faults territory)", ErrConfig, b.RepairWithin)
-	}
-	if b.MaxTotal < 0 {
-		return b, fmt.Errorf("%w: adversary max total %d, want >= 0", ErrConfig, b.MaxTotal)
-	}
-	if b.MaxTotal == 0 {
-		b.MaxTotal = b.MaxConcurrent
-	}
-	return b, nil
-}
-
-// simBudget converts to the engine's form.
-func (b AdversaryBudget) simBudget() *sim.AdversaryBudget {
-	return &sim.AdversaryBudget{
-		MaxConcurrent: b.MaxConcurrent,
-		RepairWithin:  b.RepairWithin,
-		MaxTotal:      b.MaxTotal,
-	}
-}
+type AdversaryBudget = sim.AdversaryBudget
 
 // ParseAdversary parses a command-line style adversary budget:
 //
@@ -90,8 +52,11 @@ func ParseAdversary(spec string) (AdversaryBudget, error) {
 		}
 		vals[i] = v
 	}
-	b := AdversaryBudget{MaxConcurrent: vals[0], RepairWithin: vals[1], MaxTotal: vals[2]}
-	return b.normalize()
+	b, err := AdversaryBudget{MaxConcurrent: vals[0], RepairWithin: vals[1], MaxTotal: vals[2]}.Normalized()
+	if err != nil {
+		return b, fmt.Errorf("%w: %v", ErrConfig, err)
+	}
+	return b, nil
 }
 
 // FormatAdversary renders the budget in the ParseAdversary syntax,

@@ -164,24 +164,13 @@ type Config struct {
 // TraceEvent is one streamed execution event (see Config.TraceSink).
 // Agent events carry the acting agent's index; link mutations from a
 // fault schedule carry Agent == -1 and name the edge's tail node.
-type TraceEvent struct {
-	Step   int    `json:"step"`
-	Agent  int    `json:"agent"`
-	Node   int    `json:"node"`
-	Kind   string `json:"kind"` // arrive, wake, move, await, halt, token, broadcast, link-down, link-up
-	Detail string `json:"detail,omitempty"`
-}
+type TraceEvent = sim.Event
 
 // TraceSink receives execution events as they happen.
-type TraceSink interface {
-	Record(TraceEvent)
-}
+type TraceSink = sim.TraceSink
 
 // TraceFunc adapts a function to the TraceSink interface.
-type TraceFunc func(TraceEvent)
-
-// Record implements TraceSink.
-func (f TraceFunc) Record(ev TraceEvent) { f(ev) }
+type TraceFunc = sim.FuncSink
 
 // ErrConfig is wrapped by all configuration errors from Run.
 var ErrConfig = errors.New("agentring: invalid configuration")
@@ -221,10 +210,6 @@ func Run(alg Algorithm, cfg Config) (Report, error) {
 	if k < 1 {
 		return Report{}, fmt.Errorf("%w: no agents", ErrConfig)
 	}
-	homes := make([]ring.NodeID, k)
-	for i, h := range cfg.Homes {
-		homes[i] = ring.NodeID(h)
-	}
 	programs, err := buildPrograms(alg, cfg, n, k)
 	if err != nil {
 		return Report{}, err
@@ -242,21 +227,17 @@ func Run(alg Algorithm, cfg Config) (Report, error) {
 		sink = trace
 	}
 	if cfg.TraceSink != nil {
-		public := cfg.TraceSink
-		stream := sim.FuncSink(func(ev sim.Event) {
-			public.Record(TraceEvent{Step: ev.Step, Agent: ev.Agent, Node: int(ev.Node), Kind: ev.Kind, Detail: ev.Detail})
-		})
 		if trace != nil {
-			sink = sim.TeeSink{trace, stream}
+			sink = sim.TeeSink{trace, cfg.TraceSink}
 		} else {
-			sink = stream
+			sink = cfg.TraceSink
 		}
 	}
-	engine, err := sim.NewEngine(st, homes, programs, sim.Options{
+	engine, err := sim.NewEngine(st, cfg.Homes, programs, sim.Options{
 		Scheduler: sched,
 		MaxSteps:  cfg.MaxSteps,
 		Sink:      sink,
-		Faults:    faultSchedule(cfg.Faults),
+		Faults:    cfg.Faults,
 	})
 	if err != nil {
 		return Report{}, fmt.Errorf("%w: %v", ErrConfig, err)

@@ -19,14 +19,12 @@ func spacetime(out io.Writer, n, k int, algName string, seed int64, rows int) er
 	if n > 200 {
 		return fmt.Errorf("spacetime rendering is limited to n <= 200 (got %d)", n)
 	}
-	homesInt, err := agentring.RandomHomes(n, k, seed)
+	homes, err := agentring.RandomHomes(n, k, seed)
 	if err != nil {
 		return err
 	}
-	homes := make([]ring.NodeID, k)
 	programs := make([]sim.Program, k)
-	for i, h := range homesInt {
-		homes[i] = ring.NodeID(h)
+	for i := range programs {
 		switch algName {
 		case "native":
 			programs[i], err = core.NewAlg1(core.KnowAgents, k)

@@ -1,6 +1,7 @@
 package agentring_test
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -9,9 +10,9 @@ import (
 	"testing"
 )
 
-// nonTestGoFiles maps every package directory of the module to its
-// non-test .go files.
-func nonTestGoFiles(t *testing.T) map[string][]string {
+// goFiles maps every package directory of the module to its .go
+// files, _test.go files only when tests is set.
+func goFiles(t *testing.T, tests bool) map[string][]string {
 	t.Helper()
 	pkgDirs := map[string][]string{}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -25,7 +26,7 @@ func nonTestGoFiles(t *testing.T) map[string][]string {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+		if !strings.HasSuffix(path, ".go") || !tests && strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
 		dir := filepath.Dir(path)
@@ -48,7 +49,7 @@ func nonTestGoFiles(t *testing.T) map[string][]string {
 // this test, and therefore CI, until they are documented.
 func TestEveryPackageHasPackageDocs(t *testing.T) {
 	fset := token.NewFileSet()
-	for dir, files := range nonTestGoFiles(t) {
+	for dir, files := range goFiles(t, false) {
 		documented := false
 		for _, file := range files {
 			f, err := parser.ParseFile(fset, file, nil, parser.ParseComments|parser.PackageClauseOnly)
@@ -74,7 +75,7 @@ func TestEveryPackageHasPackageDocs(t *testing.T) {
 func TestReferenceIsTestOnly(t *testing.T) {
 	const ref = "agentring/internal/reference"
 	fset := token.NewFileSet()
-	for dir, files := range nonTestGoFiles(t) {
+	for dir, files := range goFiles(t, false) {
 		if filepath.ToSlash(dir) == "internal/reference" {
 			continue
 		}
@@ -89,6 +90,46 @@ func TestReferenceIsTestOnly(t *testing.T) {
 					t.Errorf("%s imports %s, which only tests may import", file, ref)
 				}
 			}
+		}
+	}
+}
+
+// TestNodeIDIsBenchOnly keeps node ids plain ints. The ring.NodeID
+// alias remains only because the benchmark harness (bench/) names it,
+// so no other Go file of the module, tests included, may name it.
+func TestNodeIDIsBenchOnly(t *testing.T) {
+	const ring = `"agentring/internal/ring"`
+	fset := token.NewFileSet()
+	for dir, files := range goFiles(t, true) {
+		if d := filepath.ToSlash(dir); d == "bench" || d == "internal/ring" {
+			continue
+		}
+		for _, file := range files {
+			f, err := parser.ParseFile(fset, file, nil, 0)
+			if err != nil {
+				t.Errorf("%s: %v", file, err)
+				continue
+			}
+			name := ""
+			for _, imp := range f.Imports {
+				if imp.Path.Value == ring {
+					name = "ring"
+					if imp.Name != nil {
+						name = imp.Name.Name
+					}
+				}
+			}
+			if name == "" {
+				continue
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "NodeID" {
+					if x, ok := sel.X.(*ast.Ident); ok && x.Name == name {
+						t.Errorf("%s: names %s.NodeID; node ids are plain ints outside bench/", fset.Position(sel.Pos()), name)
+					}
+				}
+				return true
+			})
 		}
 	}
 }

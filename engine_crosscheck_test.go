@@ -28,7 +28,7 @@ import (
 // crosscheckConfig is the golden configuration of TestGoldenDeterminism.
 const crosscheckN = 36
 
-var crosscheckHomes = []ring.NodeID{0, 3, 4, 11, 17, 25}
+var crosscheckHomes = []int{0, 3, 4, 11, 17, 25}
 
 // crosscheckPrograms builds one fresh program per agent, mirroring the
 // facade's per-algorithm construction.
@@ -124,7 +124,7 @@ func runBoth(t *testing.T, top sim.Topology, alg, sched string, faults sim.Fault
 		trace     string
 		key       uint64
 		hashes    []uint64
-		positions []ring.NodeID
+		positions []int
 		agents    []sim.AgentReport
 		sent      int
 		steps     int

@@ -3,37 +3,21 @@ package agentring
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"agentring/internal/explore"
-	"agentring/internal/ring"
 	"agentring/internal/sim"
 )
 
-// Budget bounds one schedule-space exploration. Every field is a pure
-// budget: exhausting it stops the search where it is and reports
-// Complete == false (with the cut branches counted in Truncated); none
-// of them is an error. The zero value selects generous defaults for
-// MaxDepth and MaxStates and leaves the rest unbounded.
-type Budget struct {
-	// MaxDepth bounds the length of an explored schedule (decisions per
-	// execution); zero selects a generous default.
-	MaxDepth int
-	// MaxStates bounds the number of distinct global states expanded;
-	// zero selects a generous default.
-	MaxStates int
-	// MaxSteps is the per-replay engine step bound (0 = automatic); a
-	// schedule that exceeds it is reported as a counterexample.
-	MaxSteps int
-	// MaxTotalMoves, if positive, turns any reached state whose total
-	// move count exceeds it into a counterexample — a mechanical check
-	// of the paper's move-complexity bounds along every schedule.
-	MaxTotalMoves int
-	// MaxDuration, if positive, bounds the search's wall-clock time.
-	// When it expires the report is truncated, not an error — unlike a
-	// context deadline, which aborts with the context's error.
-	MaxDuration time.Duration
-}
+// Budget bounds one schedule-space exploration. MaxDepth, MaxStates
+// and MaxDuration truncate the search: exhausting one reports Complete
+// == false, with the cut branches counted in Truncated, and no error
+// (unlike a context deadline, which aborts with the context's error).
+// MaxSteps and MaxTotalMoves are checked bounds: a schedule that passes
+// one is reported as a counterexample, which makes MaxTotalMoves a
+// mechanical check of the paper's move-complexity bounds along every
+// schedule. The zero value selects generous defaults for MaxDepth,
+// MaxStates and MaxSteps and leaves the rest unbounded.
+type Budget = explore.Budget
 
 // ExploreStats is the search's ledger, the counters ExploreReport and
 // every ExploreProgress snapshot carry: states, pruned, sleep_skips,
@@ -173,10 +157,6 @@ func Explore(ctx context.Context, alg Algorithm, cfg Config, opts ExploreOptions
 	if k < 1 {
 		return ExploreReport{}, fmt.Errorf("%w: no agents", ErrConfig)
 	}
-	homes := make([]ring.NodeID, k)
-	for i, h := range cfg.Homes {
-		homes[i] = ring.NodeID(h)
-	}
 	// Validate eagerly (duplicate homes, unknown algorithm) so setup
 	// mistakes surface as ErrConfig before the search starts.
 	if _, err := buildPrograms(alg, cfg, n, k); err != nil {
@@ -187,38 +167,27 @@ func Explore(ctx context.Context, alg Algorithm, cfg Config, opts ExploreOptions
 		if len(cfg.Faults) > 0 {
 			return ExploreReport{}, fmt.Errorf("%w: Adversary and Config.Faults are mutually exclusive", ErrConfig)
 		}
-		nb, nerr := opts.Adversary.normalize()
-		if nerr != nil {
-			return ExploreReport{}, nerr
+		nb, err := opts.Adversary.Normalized()
+		if err != nil {
+			return ExploreReport{}, fmt.Errorf("%w: %v", ErrConfig, err)
 		}
 		adv = &nb
 	}
 	// search runs one exploration under the given adversary budget; the
 	// worst-outage probe reruns it with smaller ones.
-	search := func(ab *sim.AdversaryBudget, progress func(explore.Progress)) (explore.Report, error) {
+	search := func(ab *AdversaryBudget, progress func(ExploreProgress)) (explore.Report, error) {
 		return explore.Explore(ctx, explore.Setup{
 			N:         n,
 			Topology:  st,
-			Homes:     homes,
-			Faults:    faultSchedule(cfg.Faults),
+			Homes:     cfg.Homes,
+			Faults:    cfg.Faults,
 			Adversary: ab,
 			Programs: func() ([]sim.Program, error) {
 				return buildPrograms(alg, cfg, n, k)
 			},
-		}, explore.Options{
-			MaxDepth:      opts.Budget.MaxDepth,
-			MaxStates:     opts.Budget.MaxStates,
-			MaxSteps:      opts.Budget.MaxSteps,
-			MaxTotalMoves: opts.Budget.MaxTotalMoves,
-			MaxDuration:   opts.Budget.MaxDuration,
-			Progress:      progress,
-		})
+		}, explore.Options{Budget: opts.Budget, Progress: progress})
 	}
-	var advSim *sim.AdversaryBudget
-	if adv != nil {
-		advSim = adv.simBudget()
-	}
-	rep, err := search(advSim, opts.Progress)
+	rep, err := search(adv, opts.Progress)
 	if err != nil && ctx.Err() == nil {
 		return ExploreReport{}, fmt.Errorf("%w: %v", ErrConfig, err)
 	}
@@ -235,7 +204,7 @@ func Explore(ctx context.Context, alg Algorithm, cfg Config, opts ExploreOptions
 		out.Counterexample = &ExploreCounterexample{
 			Prefix:    cex.Prefix,
 			Reason:    cex.Reason,
-			Positions: toInts(cex.Positions),
+			Positions: cex.Positions,
 			Trace:     cex.String(),
 		}
 	}
@@ -260,7 +229,7 @@ func Explore(ctx context.Context, alg Algorithm, cfg Config, opts ExploreOptions
 // tolerated, consistent with how incomplete searches report everywhere
 // else. The full-budget search already broke, so the ascent terminates
 // at MaxConcurrent at the latest without re-running it.
-func worstOutageProbe(adv AdversaryBudget, breaks bool, search func(*sim.AdversaryBudget, func(explore.Progress)) (explore.Report, error)) *WorstOutage {
+func worstOutageProbe(adv AdversaryBudget, breaks bool, search func(*AdversaryBudget, func(ExploreProgress)) (explore.Report, error)) *WorstOutage {
 	wo := &WorstOutage{
 		Breaks:        breaks,
 		MinConcurrent: -1,
@@ -272,9 +241,9 @@ func worstOutageProbe(adv AdversaryBudget, breaks bool, search func(*sim.Adversa
 	}
 	wo.MinConcurrent = adv.MaxConcurrent
 	for kp := 0; kp < adv.MaxConcurrent; kp++ {
-		var ab *sim.AdversaryBudget
+		var ab *AdversaryBudget
 		if kp > 0 {
-			ab = &sim.AdversaryBudget{MaxConcurrent: kp, RepairWithin: adv.RepairWithin, MaxTotal: adv.MaxTotal}
+			ab = &AdversaryBudget{MaxConcurrent: kp, RepairWithin: adv.RepairWithin, MaxTotal: adv.MaxTotal}
 		}
 		rep, err := search(ab, nil)
 		if err != nil {

@@ -142,20 +142,31 @@ func TestExploreAdversaryExcludesFaults(t *testing.T) {
 	}
 }
 
-// TestExploreAdversaryBadBudget: budget validation happens at the
-// facade boundary, wrapped in ErrConfig.
+// TestExploreAdversaryBadBudget: one validator checks a budget, and
+// its errors read the same whether ParseAdversary or Explore meets the
+// budget, each wrapped in ErrConfig.
 func TestExploreAdversaryBadBudget(t *testing.T) {
-	for _, budget := range []agentring.AdversaryBudget{
-		{MaxConcurrent: 0, RepairWithin: 3},
-		{MaxConcurrent: 1, RepairWithin: 0},
-		{MaxConcurrent: 1, RepairWithin: 2, MaxTotal: -1},
+	for _, tc := range []struct {
+		spec   string
+		budget agentring.AdversaryBudget
+		want   string
+	}{
+		{"0/3", agentring.AdversaryBudget{MaxConcurrent: 0, RepairWithin: 3},
+			"agentring: invalid configuration: adversary max concurrent 0, want >= 1"},
+		{"1/0", agentring.AdversaryBudget{MaxConcurrent: 1, RepairWithin: 0},
+			"agentring: invalid configuration: adversary repair-within 0, want >= 1 (permanent failures are Config.Faults territory)"},
+		{"1/3/-1", agentring.AdversaryBudget{MaxConcurrent: 1, RepairWithin: 3, MaxTotal: -1},
+			"agentring: invalid configuration: adversary max total -1, want >= 0"},
 	} {
-		b := budget
-		_, err := agentring.Explore(context.Background(), agentring.Native,
+		_, parseErr := agentring.ParseAdversary(tc.spec)
+		b := tc.budget
+		_, exploreErr := agentring.Explore(context.Background(), agentring.Native,
 			agentring.Config{N: 3, Homes: []int{0}},
 			agentring.ExploreOptions{Adversary: &b})
-		if !errors.Is(err, agentring.ErrConfig) {
-			t.Fatalf("budget %+v: err = %v, want ErrConfig", budget, err)
+		for who, err := range map[string]error{"ParseAdversary": parseErr, "Explore": exploreErr} {
+			if !errors.Is(err, agentring.ErrConfig) || err.Error() != tc.want {
+				t.Errorf("%s(%s): err = %v, want %q wrapping ErrConfig", who, tc.spec, err, tc.want)
+			}
 		}
 	}
 }

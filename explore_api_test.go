@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"slices"
 	"strings"
 	"sync"
@@ -123,6 +124,29 @@ func TestExploreMaxDurationTruncates(t *testing.T) {
 	}
 	if rep.Truncated == 0 {
 		t.Error("no truncated branches in a budget-expired report")
+	}
+}
+
+// TestExploreMaxStepsCounterexample: Budget.MaxSteps is a checked
+// bound, not a truncation. The first schedule to reach it without
+// quiescing is the counterexample, and the search stops there without
+// an error. On the 4-ring with homes 0 and 1 that schedule takes choice
+// 0 at each of its m decisions.
+func TestExploreMaxStepsCounterexample(t *testing.T) {
+	for m := 1; m <= 3; m++ {
+		rep, err := agentring.Explore(context.Background(), agentring.Native,
+			agentring.Config{N: 4, Homes: []int{0, 1}},
+			agentring.ExploreOptions{Budget: agentring.Budget{MaxSteps: m}})
+		if err != nil {
+			t.Fatalf("MaxSteps %d: %v", m, err)
+		}
+		if rep.Complete {
+			t.Errorf("MaxSteps %d: report claims complete coverage", m)
+		}
+		want := fmt.Sprintf("sim: step limit exceeded before quiescence (limit %d)", m)
+		if cex := rep.Counterexample; cex == nil || cex.Reason != want || !slices.Equal(cex.Prefix, make([]int, m)) {
+			t.Errorf("MaxSteps %d: counterexample %+v, want reason %q and a prefix of %d zeros", m, cex, want, m)
+		}
 	}
 }
 

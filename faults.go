@@ -5,7 +5,6 @@ import (
 	"strconv"
 	"strings"
 
-	"agentring/internal/ring"
 	"agentring/internal/sim"
 )
 
@@ -27,18 +26,7 @@ import (
 // Setting an edge to its current state is a no-op: no epoch advance, no
 // trace event. An all-links-up schedule is therefore byte-identical to
 // running without one.
-type FaultEvent struct {
-	// Step is the atomic-action count at which the event fires.
-	Step int `json:"step"`
-	// From and Port name the directed edge by its tail node and
-	// out-port — the same addressing an agent's move through a port uses.
-	// On the default unidirectional ring every node has the single
-	// out-port 0.
-	From int `json:"from"`
-	Port int `json:"port"`
-	// Up is the edge's new state: false fails the link, true repairs it.
-	Up bool `json:"up"`
-}
+type FaultEvent = sim.FaultEvent
 
 // ParseFaults parses a command-line style fault schedule: a
 // comma-separated list of events, each
@@ -104,16 +92,4 @@ func FormatFaults(events []FaultEvent) string {
 		parts[i] = fmt.Sprintf("%d:%s:%s", ev.Step, edge, state)
 	}
 	return strings.Join(parts, ",")
-}
-
-// faultSchedule converts the public event list to the engine's form.
-func faultSchedule(events []FaultEvent) sim.FaultSchedule {
-	if len(events) == 0 {
-		return nil
-	}
-	fs := make(sim.FaultSchedule, len(events))
-	for i, ev := range events {
-		fs[i] = sim.FaultEvent{Step: ev.Step, From: ring.NodeID(ev.From), Port: ev.Port, Up: ev.Up}
-	}
-	return fs
 }

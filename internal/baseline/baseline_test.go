@@ -18,7 +18,7 @@ func TestNewFirstFitValidation(t *testing.T) {
 	}
 }
 
-func runFirstFit(t *testing.T, n int, homes []ring.NodeID, seed int64) sim.Result {
+func runFirstFit(t *testing.T, n int, homes []int, seed int64) sim.Result {
 	t.Helper()
 	programs := make([]sim.Program, len(homes))
 	for i := range programs {

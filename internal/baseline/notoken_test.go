@@ -10,7 +10,7 @@ import (
 	"agentring/internal/verify"
 )
 
-func runNoToken(t *testing.T, n int, homes []ring.NodeID, sched sim.Scheduler) sim.Result {
+func runNoToken(t *testing.T, n int, homes []int, sched sim.Scheduler) sim.Result {
 	t.Helper()
 	programs := make([]sim.Program, len(homes))
 	for i := range programs {
@@ -48,7 +48,7 @@ func TestNewNoTokenValidation(t *testing.T) {
 // program does.
 func TestNoTokenGapMultisetInvariantUnderSync(t *testing.T) {
 	n := 24
-	homes := []ring.NodeID{0, 1, 2, 3} // clustered: gaps {1,1,1,21}
+	homes := []int{0, 1, 2, 3} // clustered: gaps {1,1,1,21}
 	initial := verify.Gaps(n, homes)
 	sort.Ints(initial)
 
@@ -70,9 +70,9 @@ func TestNoTokenGapMultisetInvariantUnderSync(t *testing.T) {
 // attributable to the missing tokens, not to the configuration.
 func TestNoTokenAlwaysHalts(t *testing.T) {
 	for _, n := range []int{6, 12, 30} {
-		homes := make([]ring.NodeID, 3)
+		homes := make([]int, 3)
 		for i := range homes {
-			homes[i] = ring.NodeID(i)
+			homes[i] = i
 		}
 		res := runNoToken(t, n, homes, sim.NewSynchronous())
 		if !res.AllHalted() {

@@ -13,7 +13,7 @@ import (
 
 // runAlg1 executes Algorithm 1 on the given configuration and returns
 // the result.
-func runAlg1(t *testing.T, n int, homes []ring.NodeID, know Knowledge, sched sim.Scheduler) sim.Result {
+func runAlg1(t *testing.T, n int, homes []int, know Knowledge, sched sim.Scheduler) sim.Result {
 	t.Helper()
 	value := len(homes)
 	if know == KnowNodes {
@@ -50,7 +50,7 @@ func TestNewAlg1Validation(t *testing.T) {
 
 func TestAlg1Fig2(t *testing.T) {
 	// n=16, k=4 as in Fig 2, from a scattered start.
-	homes := []ring.NodeID{0, 1, 5, 11}
+	homes := []int{0, 1, 5, 11}
 	res := runAlg1(t, 16, homes, KnowAgents, nil)
 	if err := verify.CheckDefinition1(16, res); err != nil {
 		t.Fatal(err)
@@ -62,7 +62,7 @@ func TestAlg1Fig4BaseAndTargets(t *testing.T) {
 	// use gaps (1,2,3,1,2,3) on a 12-ring (symmetry degree 2, matching
 	// the figure's structure of two identical halves). Every agent must
 	// end on a distinct target with uniform gaps of 2.
-	homes := []ring.NodeID{0, 1, 3, 6, 7, 9}
+	homes := []int{0, 1, 3, 6, 7, 9}
 	res := runAlg1(t, 12, homes, KnowAgents, nil)
 	if err := verify.CheckDefinition1(12, res); err != nil {
 		t.Fatal(err)
@@ -79,7 +79,7 @@ func TestAlg1Fig4BaseAndTargets(t *testing.T) {
 }
 
 func TestAlg1KnowledgeOfNEquivalent(t *testing.T) {
-	homes := []ring.NodeID{2, 5, 6, 13, 17}
+	homes := []int{2, 5, 6, 13, 17}
 	resK := runAlg1(t, 20, homes, KnowAgents, sim.NewRoundRobin())
 	resN := runAlg1(t, 20, homes, KnowNodes, sim.NewRoundRobin())
 	if err := verify.CheckDefinition1(20, resK); err != nil {
@@ -99,7 +99,7 @@ func TestAlg1KnowledgeOfNEquivalent(t *testing.T) {
 
 func TestAlg1UnevenDivision(t *testing.T) {
 	// n=10, k=3: target gaps 3,3,4.
-	homes := []ring.NodeID{0, 1, 2}
+	homes := []int{0, 1, 2}
 	res := runAlg1(t, 10, homes, KnowAgents, nil)
 	if err := verify.CheckDefinition1(10, res); err != nil {
 		t.Fatal(err)
@@ -107,7 +107,7 @@ func TestAlg1UnevenDivision(t *testing.T) {
 }
 
 func TestAlg1SingleAgent(t *testing.T) {
-	res := runAlg1(t, 7, []ring.NodeID{3}, KnowAgents, nil)
+	res := runAlg1(t, 7, []int{3}, KnowAgents, nil)
 	if err := verify.CheckDefinition1(7, res); err != nil {
 		t.Fatal(err)
 	}
@@ -116,9 +116,9 @@ func TestAlg1SingleAgent(t *testing.T) {
 func TestAlg1FullRing(t *testing.T) {
 	// k == n: everyone is already on a distinct node with gap 1;
 	// distance sequence all-1s, symmetry degree k.
-	homes := make([]ring.NodeID, 6)
+	homes := make([]int, 6)
 	for i := range homes {
-		homes[i] = ring.NodeID(i)
+		homes[i] = i
 	}
 	res := runAlg1(t, 6, homes, KnowAgents, nil)
 	if err := verify.CheckDefinition1(6, res); err != nil {
@@ -127,14 +127,14 @@ func TestAlg1FullRing(t *testing.T) {
 }
 
 func TestAlg1AllSchedulers(t *testing.T) {
-	homes := []ring.NodeID{0, 2, 3, 9, 10, 15}
+	homes := []int{0, 2, 3, 9, 10, 15}
 	scheds := map[string]func() sim.Scheduler{
 		"roundrobin":  func() sim.Scheduler { return sim.NewRoundRobin() },
 		"random":      func() sim.Scheduler { return sim.NewRandom(5) },
 		"synchronous": func() sim.Scheduler { return sim.NewSynchronous() },
 		"adversarial": func() sim.Scheduler { return sim.NewAdversarial(7) },
 	}
-	var nodes []ring.NodeID
+	var nodes []int
 	for name, mk := range scheds {
 		t.Run(name, func(t *testing.T) {
 			res := runAlg1(t, 18, homes, KnowAgents, mk())

@@ -19,7 +19,7 @@ import (
 // for the default). The frame must call the selection hook at the same
 // points the reference does, so the two runs must report identical
 // SelectionStats sequences and outcomes.
-func runAlg2Instrumented(t *testing.T, n int, homes []ring.NodeID, sched func() sim.Scheduler) (sim.Result, []core.SelectionStats) {
+func runAlg2Instrumented(t *testing.T, n int, homes []int, sched func() sim.Scheduler) (sim.Result, []core.SelectionStats) {
 	t.Helper()
 	run := func(coroutines bool) (sim.Result, []core.SelectionStats) {
 		var stats []core.SelectionStats
@@ -114,7 +114,7 @@ func TestAlg2SymmetricAllLeadersInOneSubPhase(t *testing.T) {
 	// Fully symmetric configuration: every active agent has the same ID
 	// in sub-phase 1, so everyone becomes a leader after exactly one
 	// sub-phase.
-	homes := []ring.NodeID{0, 5, 10, 15}
+	homes := []int{0, 5, 10, 15}
 	res, stats := runAlg2Instrumented(t, 20, homes, nil)
 	if err := verify.CheckDefinition1(20, res); err != nil {
 		t.Fatal(err)

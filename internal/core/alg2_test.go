@@ -13,7 +13,7 @@ import (
 	"agentring/internal/workload"
 )
 
-func runAlg2(t *testing.T, n int, homes []ring.NodeID, sched sim.Scheduler) sim.Result {
+func runAlg2(t *testing.T, n int, homes []int, sched sim.Scheduler) sim.Result {
 	t.Helper()
 	res, err := tryAlg2(n, homes, sched)
 	if err != nil {
@@ -22,7 +22,7 @@ func runAlg2(t *testing.T, n int, homes []ring.NodeID, sched sim.Scheduler) sim.
 	return res
 }
 
-func tryAlg2(n int, homes []ring.NodeID, sched sim.Scheduler) (sim.Result, error) {
+func tryAlg2(n int, homes []int, sched sim.Scheduler) (sim.Result, error) {
 	programs := make([]sim.Program, len(homes))
 	for i := range programs {
 		p, err := NewAlg2(len(homes))
@@ -50,7 +50,7 @@ func TestAlg2Fig5BaseNodeConditions(t *testing.T) {
 	// of three homes per 6-node arc. Homes at 0,1,3, 6,7,9, 12,13,15
 	// give gap sequence (1,2,3)^3: base nodes are the homes of the
 	// agents starting each arc.
-	homes := []ring.NodeID{0, 1, 3, 6, 7, 9, 12, 13, 15}
+	homes := []int{0, 1, 3, 6, 7, 9, 12, 13, 15}
 	res := runAlg2(t, 18, homes, nil)
 	if err := verify.CheckDefinition1(18, res); err != nil {
 		t.Fatal(err)
@@ -66,13 +66,13 @@ func TestAlg2Fig6IDDerivation(t *testing.T) {
 	// 2 (gap 3) is the unique minimum and survives; the others become
 	// followers. Agent 2 then finds itself alone: a single base node at
 	// node 9. Final deployment must be uniform.
-	homes := []ring.NodeID{0, 5, 9}
+	homes := []int{0, 5, 9}
 	res := runAlg2(t, 12, homes, nil)
 	if err := verify.CheckDefinition1(12, res); err != nil {
 		t.Fatal(err)
 	}
 	// Base node = home of agent 2 (node 9): targets 9, 1, 5.
-	want := map[ring.NodeID]bool{9: true, 1: true, 5: true}
+	want := map[int]bool{9: true, 1: true, 5: true}
 	for i, a := range res.Agents {
 		if !want[a.Node] {
 			t.Errorf("agent %d halted at %d, want one of {9,1,5}", i, a.Node)
@@ -81,7 +81,7 @@ func TestAlg2Fig6IDDerivation(t *testing.T) {
 }
 
 func TestAlg2SingleAgent(t *testing.T) {
-	res := runAlg2(t, 9, []ring.NodeID{4}, nil)
+	res := runAlg2(t, 9, []int{4}, nil)
 	if err := verify.CheckDefinition1(9, res); err != nil {
 		t.Fatal(err)
 	}
@@ -90,16 +90,16 @@ func TestAlg2SingleAgent(t *testing.T) {
 func TestAlg2TwoAgentsDiametric(t *testing.T) {
 	// Fully symmetric pair: identical IDs in sub-phase 1, both become
 	// leaders, two base nodes.
-	res := runAlg2(t, 10, []ring.NodeID{0, 5}, nil)
+	res := runAlg2(t, 10, []int{0, 5}, nil)
 	if err := verify.CheckDefinition1(10, res); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestAlg2FullRing(t *testing.T) {
-	homes := make([]ring.NodeID, 5)
+	homes := make([]int, 5)
 	for i := range homes {
-		homes[i] = ring.NodeID(i)
+		homes[i] = i
 	}
 	res := runAlg2(t, 5, homes, nil)
 	if err := verify.CheckDefinition1(5, res); err != nil {
@@ -109,7 +109,7 @@ func TestAlg2FullRing(t *testing.T) {
 
 func TestAlg2UnevenDivision(t *testing.T) {
 	// n=11, k=3: gaps must be 4,4,3 in some order.
-	res := runAlg2(t, 11, []ring.NodeID{0, 1, 2}, nil)
+	res := runAlg2(t, 11, []int{0, 1, 2}, nil)
 	if err := verify.CheckDefinition1(11, res); err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestAlg2Clustered(t *testing.T) {
 }
 
 func TestAlg2AllSchedulers(t *testing.T) {
-	homes := []ring.NodeID{0, 2, 3, 9, 10, 15}
+	homes := []int{0, 2, 3, 9, 10, 15}
 	scheds := map[string]func() sim.Scheduler{
 		"roundrobin":  func() sim.Scheduler { return sim.NewRoundRobin() },
 		"random":      func() sim.Scheduler { return sim.NewRandom(21) },
@@ -277,7 +277,7 @@ func TestAlg2CheckpointRestoresSubPhase(t *testing.T) {
 	// next active node) is the unique minimum, so it stays active into
 	// sub-phase 2 while the others become followers.
 	const n = 8
-	homes := []ring.NodeID{0, 1, 3}
+	homes := []int{0, 1, 3}
 	type run struct {
 		eng   *sim.Engine
 		spies []*alg2Spy

@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"agentring/internal/ring"
 	"agentring/internal/sim"
 	"agentring/internal/verify"
 )
@@ -15,7 +14,7 @@ import (
 // prefix-sum equality these agents reject every correction whose sender
 // is deep into its patrol; the modular acceptance restores Lemma 5.
 func TestRelaxedNearlyFullRingRegression(t *testing.T) {
-	homes := []ring.NodeID{1, 12, 23, 9, 26, 5, 27, 13, 15, 0, 14, 19, 4, 8, 2, 28, 22, 3, 11, 24, 20, 21, 18, 16, 25, 10, 7}
+	homes := []int{1, 12, 23, 9, 26, 5, 27, 13, 15, 0, 14, 19, 4, 8, 2, 28, 22, 3, 11, 24, 20, 21, 18, 16, 25, 10, 7}
 	n := 29
 	for seed := int64(0); seed < 8; seed++ {
 		res, err := tryRelaxed(n, homes, sim.NewRandom(17+seed))

@@ -11,13 +11,13 @@ import (
 
 // subsets enumerates all non-empty subsets of {0..n-1} as sorted position
 // slices.
-func subsets(n int) [][]ring.NodeID {
-	var out [][]ring.NodeID
+func subsets(n int) [][]int {
+	var out [][]int
 	for mask := 1; mask < 1<<n; mask++ {
-		var s []ring.NodeID
+		var s []int
 		for v := 0; v < n; v++ {
 			if mask&(1<<v) != 0 {
-				s = append(s, ring.NodeID(v))
+				s = append(s, v)
 			}
 		}
 		out = append(out, s)

@@ -17,10 +17,10 @@ func TestWorkloadAlgorithmMatrix(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	type wl struct {
 		name  string
-		homes func(n, k int) ([]ring.NodeID, error)
+		homes func(n, k int) ([]int, error)
 	}
 	workloads := []wl{
-		{"random", func(n, k int) ([]ring.NodeID, error) { return workload.Random(n, k, rng) }},
+		{"random", func(n, k int) ([]int, error) { return workload.Random(n, k, rng) }},
 		{"clustered", workload.Clustered},
 		{"uniform", workload.Uniform},
 		{"two-clusters", workload.TwoClusters},

@@ -9,7 +9,7 @@ import (
 	"agentring/internal/workload"
 )
 
-func runNaive(t *testing.T, n int, homes []ring.NodeID) sim.Result {
+func runNaive(t *testing.T, n int, homes []int) sim.Result {
 	t.Helper()
 	programs := make([]sim.Program, len(homes))
 	for i := range programs {
@@ -30,7 +30,7 @@ func runNaive(t *testing.T, n int, homes []ring.NodeID) sim.Result {
 func TestNaiveSucceedsOnIsolatedAperiodicRing(t *testing.T) {
 	// On a plain aperiodic ring the estimate is eventually correct and
 	// the naive algorithm coincides with Algorithm 1's deployment.
-	homes := []ring.NodeID{0, 1, 5, 7, 8, 10}
+	homes := []int{0, 1, 5, 7, 8, 10}
 	res := runNaive(t, 12, homes)
 	if err := verify.CheckDefinition1(12, res); err != nil {
 		t.Fatal(err)
@@ -47,7 +47,7 @@ func TestNaiveSucceedsOnIsolatedAperiodicRing(t *testing.T) {
 // without knowledge of k or n".
 func TestImpossibilityPumping(t *testing.T) {
 	baseN := 12
-	baseHomes := []ring.NodeID{0, 1, 5, 7, 8, 10} // aperiodic gaps (1,4,2,1,2,2)
+	baseHomes := []int{0, 1, 5, 7, 8, 10} // aperiodic gaps (1,4,2,1,2,2)
 
 	// Sanity: the algorithm solves R.
 	resR := runNaive(t, baseN, baseHomes)
@@ -89,7 +89,7 @@ func TestImpossibilityPumping(t *testing.T) {
 // size.
 func TestRelaxedSolvesThePumpedRing(t *testing.T) {
 	baseN := 12
-	baseHomes := []ring.NodeID{0, 1, 5, 7, 8, 10}
+	baseHomes := []int{0, 1, 5, 7, 8, 10}
 	bigN, bigHomes, err := workload.Pumped(baseN, baseHomes, 5, 5)
 	if err != nil {
 		t.Fatal(err)

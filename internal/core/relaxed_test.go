@@ -11,7 +11,7 @@ import (
 	"agentring/internal/workload"
 )
 
-func runRelaxed(t *testing.T, n int, homes []ring.NodeID, sched sim.Scheduler) sim.Result {
+func runRelaxed(t *testing.T, n int, homes []int, sched sim.Scheduler) sim.Result {
 	t.Helper()
 	res, err := tryRelaxed(n, homes, sched)
 	if err != nil {
@@ -20,7 +20,7 @@ func runRelaxed(t *testing.T, n int, homes []ring.NodeID, sched sim.Scheduler) s
 	return res
 }
 
-func tryRelaxed(n int, homes []ring.NodeID, sched sim.Scheduler) (sim.Result, error) {
+func tryRelaxed(n int, homes []int, sched sim.Scheduler) (sim.Result, error) {
 	programs := make([]sim.Program, len(homes))
 	for i := range programs {
 		programs[i] = NewRelaxed()
@@ -46,7 +46,7 @@ func TestNewRelaxedAblationValidation(t *testing.T) {
 }
 
 func TestRelaxedSingleAgent(t *testing.T) {
-	res := runRelaxed(t, 6, []ring.NodeID{2}, nil)
+	res := runRelaxed(t, 6, []int{2}, nil)
 	if err := verify.CheckDefinition2(6, res); err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestRelaxedSingleAgent(t *testing.T) {
 
 func TestRelaxedAperiodicSimple(t *testing.T) {
 	// Aperiodic gaps (1,4,2,1,2,2) from Fig 1(a).
-	homes := []ring.NodeID{0, 1, 5, 7, 8, 10}
+	homes := []int{0, 1, 5, 7, 8, 10}
 	res := runRelaxed(t, 12, homes, nil)
 	if err := verify.CheckDefinition2(12, res); err != nil {
 		t.Fatal(err)
@@ -93,7 +93,7 @@ func TestRelaxedFig11PeriodicRing(t *testing.T) {
 	// (2,4)^2 — every agent estimates N=6 (half the truth) yet uniform
 	// deployment still holds because the misestimates are globally
 	// consistent.
-	homes := []ring.NodeID{0, 2, 6, 8}
+	homes := []int{0, 2, 6, 8}
 	res := runRelaxed(t, 12, homes, nil)
 	if err := verify.CheckDefinition2(12, res); err != nil {
 		t.Fatal(err)

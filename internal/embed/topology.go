@@ -1,9 +1,5 @@
 package embed
 
-import (
-	"agentring/internal/ring"
-)
-
 // TreeTopology exposes a Tree as a native engine substrate (an instance
 // of the simulator's Topology interface): node v has one bidirectional
 // port per incident tree edge, numbered in sorted-neighbor order, so
@@ -30,15 +26,15 @@ func (t *Tree) Topology() *TreeTopology { return &TreeTopology{t: t} }
 func (tt *TreeTopology) Size() int { return tt.t.n }
 
 // Degree implements the simulator's Topology interface.
-func (tt *TreeTopology) Degree(v ring.NodeID) int { return len(tt.t.adj[v]) }
+func (tt *TreeTopology) Degree(v int) int { return len(tt.t.adj[v]) }
 
 // Neighbor implements the simulator's Topology interface.
-func (tt *TreeTopology) Neighbor(v ring.NodeID, port int) ring.NodeID {
+func (tt *TreeTopology) Neighbor(v, port int) int {
 	nb := tt.t.adj[v]
 	if port < 0 || port >= len(nb) {
 		return -1
 	}
-	return ring.NodeID(nb[port])
+	return nb[port]
 }
 
 // EulerRing is the embedding's virtual ring as an engine substrate:
@@ -49,15 +45,15 @@ func (tt *TreeTopology) Neighbor(v ring.NodeID, port int) ring.NodeID {
 // Running a ring algorithm on it is the Section 5 reduction executed
 // end-to-end through the real engine's topology layer.
 type EulerRing struct {
-	next []ring.NodeID
+	next []int
 }
 
 // RingTopology returns the virtual-ring substrate of the embedding.
 func (e *Embedding) RingTopology() *EulerRing {
 	n := len(e.Tour)
-	next := make([]ring.NodeID, n)
+	next := make([]int, n)
 	for i := range next {
-		next[i] = ring.NodeID((i + 1) % n)
+		next[i] = (i + 1) % n
 	}
 	return &EulerRing{next: next}
 }
@@ -66,10 +62,10 @@ func (e *Embedding) RingTopology() *EulerRing {
 func (er *EulerRing) Size() int { return len(er.next) }
 
 // Degree implements the simulator's Topology interface.
-func (er *EulerRing) Degree(ring.NodeID) int { return 1 }
+func (er *EulerRing) Degree(int) int { return 1 }
 
 // Neighbor implements the simulator's Topology interface.
-func (er *EulerRing) Neighbor(v ring.NodeID, port int) ring.NodeID {
+func (er *EulerRing) Neighbor(v, port int) int {
 	if port != 0 {
 		return -1
 	}

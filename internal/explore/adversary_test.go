@@ -10,7 +10,6 @@ import (
 
 	"agentring/internal/core"
 	"agentring/internal/reference"
-	"agentring/internal/ring"
 	"agentring/internal/sim"
 	"agentring/internal/workload"
 )
@@ -73,15 +72,15 @@ func TestAdversaryCrossCheckBruteForce(t *testing.T) {
 	budget := &sim.AdversaryBudget{MaxConcurrent: 1, RepairWithin: repairWithin, MaxTotal: 1}
 	cases := []struct {
 		n     int
-		homes []ring.NodeID
+		homes []int
 	}{
-		{3, []ring.NodeID{0}},
-		{3, []ring.NodeID{0, 1}},
-		{3, []ring.NodeID{0, 2}},
-		{3, []ring.NodeID{0, 1, 2}},
-		{4, []ring.NodeID{0, 2}},
-		{4, []ring.NodeID{0, 1}},
-		{4, []ring.NodeID{0, 1, 2, 3}},
+		{3, []int{0}},
+		{3, []int{0, 1}},
+		{3, []int{0, 2}},
+		{3, []int{0, 1, 2}},
+		{4, []int{0, 2}},
+		{4, []int{0, 1}},
+		{4, []int{0, 1, 2, 3}},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -125,8 +124,8 @@ func TestAdversaryCrossCheckBruteForce(t *testing.T) {
 				for s := 0; s <= srep.Deepest+repairWithin; s++ {
 					for w := 1; w <= repairWithin; w++ {
 						faults := sim.FaultSchedule{
-							{Step: s, From: ring.NodeID(v), Port: 0, Up: false},
-							{Step: s + w, From: ring.NodeID(v), Port: 0, Up: true},
+							{Step: s, From: v, Port: 0, Up: false},
+							{Step: s + w, From: v, Port: 0, Up: true},
 						}
 						frep, err := Explore(context.Background(),
 							Setup{N: tc.n, Homes: tc.homes, Programs: factory, Faults: faults, Property: brute.property},
@@ -163,11 +162,11 @@ func TestAdversaryReductionAndModeConsistency(t *testing.T) {
 	budget := &sim.AdversaryBudget{MaxConcurrent: 2, RepairWithin: 2, MaxTotal: 2}
 	setups := []struct {
 		n     int
-		homes []ring.NodeID
+		homes []int
 	}{
-		{3, []ring.NodeID{0, 1}},
-		{4, []ring.NodeID{0, 2}},
-		{4, []ring.NodeID{0, 1, 2}},
+		{3, []int{0, 1}},
+		{4, []int{0, 2}},
+		{4, []int{0, 1, 2}},
 	}
 	for _, sc := range setups {
 		sc := sc
@@ -215,7 +214,7 @@ func TestAdversaryReductionAndModeConsistency(t *testing.T) {
 // lexicographically least counterexample is fault-free — the adversary
 // search must converge on exactly the static one.
 func TestAdversaryCounterexampleDeterministic(t *testing.T) {
-	n, homes, err := workload.Pumped(1, []ring.NodeID{0}, 5, 3)
+	n, homes, err := workload.Pumped(1, []int{0}, 5, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +268,7 @@ func TestAdversaryCexRendersFaultMoves(t *testing.T) {
 // TestAdversaryExcludesFixedFaults pins the mutual-exclusion check.
 func TestAdversaryExcludesFixedFaults(t *testing.T) {
 	_, err := Explore(context.Background(), Setup{
-		N: 3, Homes: []ring.NodeID{0}, Programs: alg1Factory(1),
+		N: 3, Homes: []int{0}, Programs: alg1Factory(1),
 		Faults:    sim.FaultSchedule{{Step: 1, From: 0}},
 		Adversary: &sim.AdversaryBudget{MaxConcurrent: 1, RepairWithin: 1},
 	}, Options{})

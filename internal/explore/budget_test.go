@@ -37,14 +37,14 @@ func TestEdgeIndependenceSound(t *testing.T) {
 			// neighbor actions conflicted; under edge-FIFO independence the
 			// backward-walking pair commutes.
 			name:      "biring-adjacent",
-			setup:     Setup{Topology: biring, Homes: []ring.NodeID{0, 1}, Programs: racyPrograms([]int{1, 1}, []int{1}, 0)},
+			setup:     Setup{Topology: biring, Homes: []int{0, 1}, Programs: racyPrograms([]int{1, 1}, []int{1}, 0)},
 			wantSkips: true,
 		},
 		{
 			// Token race through a shared node reached over different
 			// links — dependent actions the reduction must keep ordered.
 			name:  "biring-shared-node",
-			setup: Setup{Topology: biring, Homes: []ring.NodeID{0, 2}, Programs: racyPrograms([]int{1, 1}, []int{0}, 0)},
+			setup: Setup{Topology: biring, Homes: []int{0, 2}, Programs: racyPrograms([]int{1, 1}, []int{0}, 0)},
 		},
 	}
 	for _, tc := range cases {
@@ -79,9 +79,9 @@ func TestMaxDurationTruncates(t *testing.T) {
 	// reliably expires mid-run.
 	rep, err := Explore(context.Background(), Setup{
 		N:        13,
-		Homes:    []ring.NodeID{0, 4, 8},
+		Homes:    []int{0, 4, 8},
 		Programs: pausingWalkers(3, 6),
-	}, Options{MaxDuration: 5 * time.Millisecond})
+	}, Options{Budget: Budget{MaxDuration: 5 * time.Millisecond}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,9 +110,9 @@ func TestBudgetStopCountsPoppedItem(t *testing.T) {
 	x, root, err := newExplorer(Setup{
 		N:        5,
 		Topology: top,
-		Homes:    []ring.NodeID{0, 2},
+		Homes:    []int{0, 2},
 		Programs: walkers(walker{route: []int{0, 0}}, walker{route: []int{0}}),
-	}, Options{MaxDepth: DefaultMaxDepth, MaxStates: DefaultMaxStates}, rankSrc, nil)
+	}, Options{Budget: Budget{MaxDepth: DefaultMaxDepth, MaxStates: DefaultMaxStates}}, rankSrc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,10 +139,10 @@ func TestBudgetStopAfterLastExpansion(t *testing.T) {
 	x, root, err := newExplorer(Setup{
 		N:        5,
 		Topology: top,
-		Homes:    []ring.NodeID{0, 2},
+		Homes:    []int{0, 2},
 		Programs: walkers(walker{route: []int{0, 0}}, walker{route: []int{0}}),
 		Property: func(sim.Result) string { return "" },
-	}, Options{MaxDepth: DefaultMaxDepth, MaxStates: DefaultMaxStates}, rankSrc, nil)
+	}, Options{Budget: Budget{MaxDepth: DefaultMaxDepth, MaxStates: DefaultMaxStates}}, rankSrc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,9 +171,9 @@ func TestBudgetStopCountsInPlaceChild(t *testing.T) {
 	x, root, err := newExplorer(Setup{
 		N:        5,
 		Topology: top,
-		Homes:    []ring.NodeID{0},
+		Homes:    []int{0},
 		Programs: func() ([]sim.Program, error) { return []sim.Program{stoppingWalker{stop: stop}}, nil },
-	}, Options{MaxDepth: DefaultMaxDepth, MaxStates: DefaultMaxStates}, rankSrc, nil)
+	}, Options{Budget: Budget{MaxDepth: DefaultMaxDepth, MaxStates: DefaultMaxStates}}, rankSrc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestContextCancelAborts(t *testing.T) {
 	// the search must still be running when the 5ms deadline fires.
 	rep, err := Explore(ctx, Setup{
 		N:        13,
-		Homes:    []ring.NodeID{0, 4, 8},
+		Homes:    []int{0, 4, 8},
 		Programs: pausingWalkers(3, 6),
 	}, Options{})
 	if err == nil {
@@ -254,7 +254,7 @@ func TestCancelFromPropertyStopsAtNextPop(t *testing.T) {
 	search := func(ctx context.Context, property func(sim.Result) string) (Report, error) {
 		return Explore(ctx, Setup{
 			N:        8,
-			Homes:    []ring.NodeID{0, 1, 2, 3, 5},
+			Homes:    []int{0, 1, 2, 3, 5},
 			Programs: alg2Factory(5),
 			Property: property,
 		}, Options{})
@@ -305,10 +305,10 @@ func TestProgressSnapshots(t *testing.T) {
 		setup Setup
 		opts  Options
 	}{
-		{"complete", Setup{N: 6, Homes: []ring.NodeID{0, 2, 4}, Programs: alg1Factory(3)}, Options{}},
+		{"complete", Setup{N: 6, Homes: []int{0, 2, 4}, Programs: alg1Factory(3)}, Options{}},
 		// Pausing walkers keep the search slow enough that a 5ms budget
 		// expires mid-run (as in TestMaxDurationTruncates).
-		{"max-duration", Setup{N: 13, Homes: []ring.NodeID{0, 4, 8}, Programs: pausingWalkers(3, 6)}, Options{MaxDuration: 5 * time.Millisecond}},
+		{"max-duration", Setup{N: 13, Homes: []int{0, 4, 8}, Programs: pausingWalkers(3, 6)}, Options{Budget: Budget{MaxDuration: 5 * time.Millisecond}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var snaps []Progress
@@ -321,7 +321,7 @@ func TestProgressSnapshots(t *testing.T) {
 				t.Fatal("no progress snapshots delivered")
 			}
 			for i, p := range snaps {
-				if !slices.EqualFunc(p.Homes, tc.setup.Homes, func(a int, b ring.NodeID) bool { return a == int(b) }) {
+				if !slices.Equal(p.Homes, tc.setup.Homes) {
 					t.Fatalf("snapshot %d names homes %v, the search explores %v", i, p.Homes, tc.setup.Homes)
 				}
 				if i > 0 && (p.States < snaps[i-1].States || p.Replays < snaps[i-1].Replays) {

@@ -180,7 +180,7 @@ func TestCheckpointReplayCrossCheck(t *testing.T) {
 	for algName, alg := range algs {
 		for tlName, faults := range crosscheckTimelines() {
 			t.Run(algName+"/"+tlName, func(t *testing.T) {
-				setup := Setup{N: 4, Homes: []ring.NodeID{0, 1}, Programs: alg.frames, Faults: faults}
+				setup := Setup{N: 4, Homes: []int{0, 1}, Programs: alg.frames, Faults: faults}
 				ref := fromRootReferee(t, setup, refFactory(t, 2, alg.ref))
 				rep, err := Explore(context.Background(), setup, Options{})
 				if err != nil {
@@ -207,7 +207,7 @@ func TestCheckpointReplayCrossCheck(t *testing.T) {
 // replayed from the initial configuration, must end in the reported
 // failing terminal.
 func TestCheckpointReplayCrossCheckPumped(t *testing.T) {
-	n, homes, err := workload.Pumped(1, []ring.NodeID{0}, 5, 3)
+	n, homes, err := workload.Pumped(1, []int{0}, 5, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,7 +41,7 @@ type Factory func() ([]sim.Program, error)
 // bitmasks), and a program factory.
 type Setup struct {
 	N        int
-	Homes    []ring.NodeID
+	Homes    []int
 	Programs Factory
 	// Topology, if non-nil, replaces the default N-node unidirectional
 	// ring. Topologies must be immutable: one value is shared across
@@ -99,14 +99,18 @@ type Setup struct {
 	Property func(res sim.Result) string
 }
 
-// Options bounds and tunes the search.
-type Options struct {
+// Budget bounds one search. MaxDepth, MaxStates and MaxDuration
+// truncate it: exhausting one stops the search where it is and reports
+// Complete == false, with the cut branches counted in Truncated, and
+// no error. MaxSteps and MaxTotalMoves are checked bounds instead: a
+// schedule that passes one is reported as a counterexample. The zero
+// value selects DefaultMaxDepth, DefaultMaxStates and the engine's
+// default step bound, and leaves the rest unbounded.
+type Budget struct {
 	// MaxDepth bounds the length of a decision prefix; branches at the
-	// bound are truncated (counted, never expanded). Zero selects
-	// DefaultMaxDepth.
+	// bound are truncated (counted, never expanded).
 	MaxDepth int
-	// MaxStates bounds the number of distinct states expanded. Zero
-	// selects DefaultMaxStates.
+	// MaxStates bounds the number of distinct states expanded.
 	MaxStates int
 	// MaxSteps is the per-execution engine step bound (0 = engine
 	// default). Schedules that hit it produce a counterexample.
@@ -116,12 +120,17 @@ type Options struct {
 	// the paper's move-complexity bounds along every schedule.
 	MaxTotalMoves int
 	// MaxDuration, if positive, bounds the search's wall-clock time.
-	// Like MaxStates it is a budget, not an error: when it expires the
-	// search stops where it is and reports Complete == false, with the
-	// abandoned frontier counted as truncated branches. The search
-	// reads the clock each time it pops an item, so the stop lands at
-	// the next pop.
+	// When it expires the search stops where it is, with the abandoned
+	// frontier counted as truncated branches: unlike a context
+	// deadline, which aborts with the context's error, it is no error.
+	// The search reads the clock each time it pops an item, so the stop
+	// lands at the next pop.
 	MaxDuration time.Duration
+}
+
+// Options bounds and tunes the search.
+type Options struct {
+	Budget
 	// DisableReduction turns off the sleep-set reduction, leaving only
 	// canonical-state caching. The reachable state set is identical;
 	// only the work to cover it changes. Used to cross-check the
@@ -191,7 +200,7 @@ type Counterexample struct {
 	// agent program error, or an exceeded bound.
 	Reason string
 	// Positions are the agents' final nodes in the failing state.
-	Positions []ring.NodeID
+	Positions []int
 	// Result is the engine result of the failing replay.
 	Result sim.Result
 }
@@ -383,10 +392,6 @@ func newExplorer(setup Setup, opts Options, rankSrc []int32, boundary map[int]bo
 		boundary: boundary,
 		cache:    newStateCache(),
 		start:    time.Now(),
-		homes:    make([]int, len(setup.Homes)),
-	}
-	for i, h := range setup.Homes {
-		x.homes[i] = int(h)
 	}
 	eng, err := x.newEngine()
 	if err != nil {
@@ -467,8 +472,6 @@ type explorer struct {
 
 	cex *Counterexample
 	err error
-
-	homes []int // Setup.Homes, as Progress carries them
 }
 
 // item is one unit of search work: one transition out of a branch —
@@ -858,7 +861,7 @@ func (x *explorer) confirmCex(prefix []int) {
 
 // snapshot assembles one Progress around the live ledger.
 func (x *explorer) snapshot() Progress {
-	return Progress{Homes: x.homes, Stats: x.st, Frontier: len(x.stack), Elapsed: time.Since(x.start)}
+	return Progress{Homes: x.setup.Homes, Stats: x.st, Frontier: len(x.stack), Elapsed: time.Since(x.start)}
 }
 
 // mix64 finalizes a 64-bit value with the splitmix64 avalanche, used to
@@ -911,10 +914,10 @@ func (x *explorer) independent(a, b sim.Choice) bool {
 	if a.Node == b.Node {
 		return false
 	}
-	if a.Edge >= 0 && ring.NodeID(x.rankSrc[a.Edge]) == b.Node {
+	if a.Edge >= 0 && int(x.rankSrc[a.Edge]) == b.Node {
 		return false
 	}
-	if b.Edge >= 0 && ring.NodeID(x.rankSrc[b.Edge]) == a.Node {
+	if b.Edge >= 0 && int(x.rankSrc[b.Edge]) == a.Node {
 		return false
 	}
 	return true

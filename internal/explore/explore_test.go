@@ -18,13 +18,13 @@ import (
 
 // subsets enumerates all non-empty subsets of {0..n-1} as sorted
 // position slices.
-func subsets(n int) [][]ring.NodeID {
-	var out [][]ring.NodeID
+func subsets(n int) [][]int {
+	var out [][]int
 	for mask := 1; mask < 1<<n; mask++ {
-		var s []ring.NodeID
+		var s []int
 		for v := 0; v < n; v++ {
 			if mask&(1<<v) != 0 {
-				s = append(s, ring.NodeID(v))
+				s = append(s, v)
 			}
 		}
 		out = append(out, s)
@@ -234,7 +234,7 @@ func TestExhaustiveCleanAlgorithms(t *testing.T) {
 // the estimate-then-halt strategy has a schedule — found automatically —
 // that ends in a non-uniform terminal configuration.
 func TestNaiveHaltingTheorem5(t *testing.T) {
-	n, homes, err := workload.Pumped(1, []ring.NodeID{0}, 5, 3)
+	n, homes, err := workload.Pumped(1, []int{0}, 5, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func TestReductionConsistency(t *testing.T) {
 			timelines:
 				for tl, faults := range crosscheckTimelines() {
 					for _, e := range faults {
-						if int(e.From) >= n {
+						if e.From >= n {
 							continue timelines
 						}
 					}
@@ -344,7 +344,7 @@ func TestReductionConsistency(t *testing.T) {
 			}
 		}
 	}
-	for _, homes := range [][]ring.NodeID{{0, 2, 4}, {0, 1, 2, 3}, {0, 1, 4}} {
+	for _, homes := range [][]int{{0, 2, 4}, {0, 1, 2, 3}, {0, 1, 4}} {
 		cells = append(cells, cell{
 			label:     fmt.Sprintf("alg2 n=5 homes=%v static", homes),
 			setup:     Setup{N: 5, Homes: homes, Programs: alg2Factory(len(homes))},
@@ -393,8 +393,8 @@ func TestReductionConsistency(t *testing.T) {
 // TestDepthTruncation checks that the depth bound truncates instead of
 // mislabeling unfinished branches.
 func TestDepthTruncation(t *testing.T) {
-	homes := []ring.NodeID{0, 3}
-	rep, err := Explore(context.Background(), Setup{N: 6, Homes: homes, Programs: alg1Factory(2)}, Options{MaxDepth: 3})
+	homes := []int{0, 3}
+	rep, err := Explore(context.Background(), Setup{N: 6, Homes: homes, Programs: alg1Factory(2)}, Options{Budget: Budget{MaxDepth: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,8 +412,8 @@ func TestDepthTruncation(t *testing.T) {
 // TestMoveBoundCounterexample checks that an unreachable move bound
 // surfaces as a counterexample with a concrete schedule.
 func TestMoveBoundCounterexample(t *testing.T) {
-	homes := []ring.NodeID{0, 3}
-	rep, err := Explore(context.Background(), Setup{N: 6, Homes: homes, Programs: alg1Factory(2)}, Options{MaxTotalMoves: 2})
+	homes := []int{0, 3}
+	rep, err := Explore(context.Background(), Setup{N: 6, Homes: homes, Programs: alg1Factory(2)}, Options{Budget: Budget{MaxTotalMoves: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,17 +429,17 @@ func TestMoveBoundCounterexample(t *testing.T) {
 // not counterexamples. That includes more than 64 agents, one more than
 // the agent-bitmask sleep sets can name.
 func TestExploreSetupErrors(t *testing.T) {
-	homes65 := make([]ring.NodeID, 65)
+	homes65 := make([]int, 65)
 	for i := range homes65 {
-		homes65[i] = ring.NodeID(i)
+		homes65[i] = i
 	}
 	cases := []struct {
 		name  string
 		setup Setup
 	}{
-		{"nil factory", Setup{N: 4, Homes: []ring.NodeID{0}}},
-		{"zero-node ring", Setup{N: 0, Homes: []ring.NodeID{0}, Programs: alg1Factory(1)}},
-		{"duplicate homes", Setup{N: 4, Homes: []ring.NodeID{0, 0}, Programs: alg1Factory(2)}},
+		{"nil factory", Setup{N: 4, Homes: []int{0}}},
+		{"zero-node ring", Setup{N: 0, Homes: []int{0}, Programs: alg1Factory(1)}},
+		{"duplicate homes", Setup{N: 4, Homes: []int{0, 0}, Programs: alg1Factory(2)}},
 		{"65 agents", Setup{N: 65, Homes: homes65, Programs: alg1Factory(65)}},
 	}
 	for _, tc := range cases {

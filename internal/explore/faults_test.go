@@ -18,7 +18,7 @@ import (
 func TestExploreTransientFaultNativeDeploys(t *testing.T) {
 	rep, err := Explore(context.Background(), Setup{
 		N:        4,
-		Homes:    []ring.NodeID{0, 1},
+		Homes:    []int{0, 1},
 		Programs: alg1Factory(2),
 		Faults: sim.FaultSchedule{
 			{Step: 1, From: 2, Port: 0, Up: false},
@@ -66,7 +66,7 @@ func TestFaultReductionConsistency(t *testing.T) {
 	for i, faults := range schedules {
 		setup := Setup{
 			N:        4,
-			Homes:    []ring.NodeID{0, 1},
+			Homes:    []int{0, 1},
 			Programs: alg1Factory(2),
 			Faults:   faults,
 		}
@@ -106,7 +106,7 @@ func TestExplorePermanentFaultCounterexampleReplays(t *testing.T) {
 	faults := sim.FaultSchedule{{Step: 1, From: 2, Port: 0, Up: false}}
 	setup := Setup{
 		N:        4,
-		Homes:    []ring.NodeID{0, 1},
+		Homes:    []int{0, 1},
 		Programs: alg1Factory(2),
 		Faults:   faults,
 	}
@@ -191,7 +191,7 @@ func TestExploreFaultSearchShape(t *testing.T) {
 	ws := []walker{{route: []int{0, 0}}, {route: []int{0, 0}}}
 	setup := Setup{
 		N:        6,
-		Homes:    []ring.NodeID{0, 3},
+		Homes:    []int{0, 3},
 		Programs: walkers(ws...),
 		Faults: sim.FaultSchedule{
 			{Step: 2, From: 1, Port: 0, Up: false},

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"agentring/internal/embed"
-	"agentring/internal/ring"
 	"agentring/internal/sim"
 	"agentring/internal/topo"
 )
@@ -79,7 +78,7 @@ func TestSleepSetSoundOnMultiPort(t *testing.T) {
 			name: "biring",
 			setup: Setup{
 				Topology: biring,
-				Homes:    []ring.NodeID{0, 1},
+				Homes:    []int{0, 1},
 				Programs: racyPrograms([]int{1, 1}, []int{0}, 0),
 			},
 		},
@@ -90,7 +89,7 @@ func TestSleepSetSoundOnMultiPort(t *testing.T) {
 			name: "tree",
 			setup: Setup{
 				Topology: tree.Topology(),
-				Homes:    []ring.NodeID{0, 2},
+				Homes:    []int{0, 2},
 				Programs: racyPrograms([]int{0}, []int{0}, 0),
 			},
 		},
@@ -100,7 +99,7 @@ func TestSleepSetSoundOnMultiPort(t *testing.T) {
 			name: "torus",
 			setup: Setup{
 				Topology: torus,
-				Homes:    []ring.NodeID{0, 4},
+				Homes:    []int{0, 4},
 				Programs: racyPrograms([]int{0}, []int{1}, 1),
 			},
 		},
@@ -132,7 +131,7 @@ func TestSleepSetSoundOnMultiPort(t *testing.T) {
 			finals := make(map[int]bool)
 			probe := tc.setup
 			probe.Property = func(res sim.Result) string {
-				finals[int(res.Positions()[0])] = true
+				finals[res.Positions()[0]] = true
 				return ""
 			}
 			if _, err := Explore(context.Background(), probe, Options{DisableReduction: true}); err != nil {
@@ -141,7 +140,7 @@ func TestSleepSetSoundOnMultiPort(t *testing.T) {
 			for node := range finals {
 				setup := tc.setup
 				setup.Property = func(res sim.Result) string {
-					if int(res.Positions()[0]) == node {
+					if res.Positions()[0] == node {
 						return fmt.Sprintf("agent 0 reached forbidden node %d", node)
 					}
 					return ""

@@ -26,7 +26,7 @@ func alg2(k int) factory {
 func relaxed() (sim.Program, error) { return core.NewRelaxed(), nil }
 
 // build makes one program from mk per home.
-func build(t *testing.T, homeIDs []ring.NodeID, mk factory) []sim.Program {
+func build(t *testing.T, homeIDs []int, mk factory) []sim.Program {
 	t.Helper()
 	programs := make([]sim.Program, len(homeIDs))
 	for i := range programs {
@@ -40,13 +40,9 @@ func build(t *testing.T, homeIDs []ring.NodeID, mk factory) []sim.Program {
 }
 
 // runNet runs one program from mk per home on netsim.
-func runNet(t *testing.T, n int, homeIDs []ring.NodeID, mk factory) sim.Result {
+func runNet(t *testing.T, n int, homes []int, mk factory) sim.Result {
 	t.Helper()
-	homes := make([]int, len(homeIDs))
-	for i, h := range homeIDs {
-		homes[i] = int(h)
-	}
-	res, err := Run(n, homes, build(t, homeIDs, mk), testTimeout)
+	res, err := Run(n, homes, build(t, homes, mk), testTimeout)
 	if err != nil {
 		t.Fatalf("netsim n=%d homes=%v: %v", n, homes, err)
 	}
@@ -56,7 +52,7 @@ func runNet(t *testing.T, n int, homeIDs []ring.NodeID, mk factory) sim.Result {
 // runBoth runs the algorithm's reference body ref per home on the
 // engine (internal/reference, the semantics of record), and one program
 // from mk per home on netsim, which steps the algorithm's frames.
-func runBoth(t *testing.T, n int, homeIDs []ring.NodeID, ref reference.Func, mk factory) (engine, net sim.Result) {
+func runBoth(t *testing.T, n int, homeIDs []int, ref reference.Func, mk factory) (engine, net sim.Result) {
 	t.Helper()
 	programs := make([]sim.Program, len(homeIDs))
 	for i := range programs {
@@ -196,7 +192,7 @@ func TestRelaxedMachineFig9(t *testing.T) {
 
 // TestAlg2MachineFig5 replays the base-node-conditions example.
 func TestAlg2MachineFig5(t *testing.T) {
-	homeIDs := []ring.NodeID{0, 1, 3, 6, 7, 9, 12, 13, 15}
+	homeIDs := []int{0, 1, 3, 6, 7, 9, 12, 13, 15}
 	if err := verify.CheckDefinition1(18, runNet(t, 18, homeIDs, alg2(len(homeIDs)))); err != nil {
 		t.Fatalf("fig5: %v", err)
 	}

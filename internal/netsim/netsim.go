@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"agentring/internal/memmeter"
-	"agentring/internal/ring"
 	"agentring/internal/sim"
 )
 
@@ -177,7 +176,7 @@ func Run(n int, homes []int, programs []sim.Program, timeout time.Duration) (sim
 		MailboxesEmpty: true,
 	}
 	for id, h := range homes {
-		res.Agents[id] = sim.AgentReport{Home: ring.NodeID(h), Status: sim.StatusInTransit}
+		res.Agents[id] = sim.AgentReport{Home: h, Status: sim.StatusInTransit}
 	}
 	for _, nd := range nodes {
 		res.Tokens[nd.idx] = nd.tokens
@@ -188,7 +187,7 @@ func Run(n int, homes []int, programs []sim.Program, timeout time.Duration) (sim
 			} else if len(r.mailbox) > 0 {
 				res.MailboxesEmpty = false
 			}
-			res.Agents[id] = sim.AgentReport{Home: ring.NodeID(homes[id]), Node: ring.NodeID(nd.idx), Moves: r.env.moves, Status: status}
+			res.Agents[id] = sim.AgentReport{Home: homes[id], Node: nd.idx, Moves: r.env.moves, Status: status}
 			res.TotalMoves += r.env.moves
 		}
 	}

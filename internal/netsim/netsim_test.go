@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"agentring/internal/ring"
 	"agentring/internal/sim"
 )
 
@@ -116,7 +115,7 @@ func TestWalkersQuiesce(t *testing.T) {
 		if a.Status != sim.StatusHalted {
 			t.Errorf("agent %d %v, want halted", i, a.Status)
 		}
-		if int(a.Node) != want[i] {
+		if a.Node != want[i] {
 			t.Errorf("agent %d at %d, want %d", i, a.Node, want[i])
 		}
 	}
@@ -178,7 +177,7 @@ func TestTimeout(t *testing.T) {
 }
 
 func TestTokenRelease(t *testing.T) {
-	res := runNet(t, 5, []ring.NodeID{1, 3}, alg1(2))
+	res := runNet(t, 5, []int{1, 3}, alg1(2))
 	if res.Tokens[1] != 1 || res.Tokens[3] != 1 {
 		t.Errorf("tokens = %v", res.Tokens)
 	}

@@ -23,7 +23,7 @@ func (f stepFrame) LoadState([]int) int         { return 0 }
 // engine's StateKey.
 func runFailing(t *testing.T, prog sim.Program) (string, sim.Status, uint64) {
 	t.Helper()
-	e, err := sim.NewEngine(ring.MustNew(4), []ring.NodeID{0}, []sim.Program{prog}, sim.Options{TrackState: true})
+	e, err := sim.NewEngine(ring.MustNew(4), []int{0}, []sim.Program{prog}, sim.Options{TrackState: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestAdapterLifecycle(t *testing.T) {
 			api.Move()
 			return boom
 		}
-		e, err := sim.NewEngine(ring.MustNew(4), []ring.NodeID{0, 2},
+		e, err := sim.NewEngine(ring.MustNew(4), []int{0, 2},
 			[]sim.Program{Program(t, park), Program(t, park)}, sim.Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -117,7 +117,7 @@ func TestAdapterLifecycle(t *testing.T) {
 		if unwound != 0 {
 			t.Fatalf("%d bodies unwound before the test's cleanup", unwound)
 		}
-		e, err = sim.NewEngine(ring.MustNew(4), []ring.NodeID{0}, []sim.Program{Program(t, fail)}, sim.Options{})
+		e, err = sim.NewEngine(ring.MustNew(4), []int{0}, []sim.Program{Program(t, fail)}, sim.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,7 +10,7 @@ import (
 	"agentring/internal/workload"
 )
 
-func build(t *testing.T, n int, homes []ring.NodeID) *sim.Engine {
+func build(t *testing.T, n int, homes []int) *sim.Engine {
 	t.Helper()
 	programs := make([]sim.Program, len(homes))
 	for i := range programs {
@@ -34,7 +34,7 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestRendezvousGathersOnAperiodicRing(t *testing.T) {
-	homes := []ring.NodeID{0, 1, 5, 7, 8, 10} // aperiodic gaps
+	homes := []int{0, 1, 5, 7, 8, 10} // aperiodic gaps
 	e := build(t, 12, homes)
 	res, err := e.Run()
 	if err != nil {
@@ -53,7 +53,7 @@ func TestRendezvousGathersOnAperiodicRing(t *testing.T) {
 
 func TestRendezvousFailsOnPeriodicRing(t *testing.T) {
 	// Gaps (1,2,3)^2: periodic, rendezvous impossible.
-	homes := []ring.NodeID{0, 1, 3, 6, 7, 9}
+	homes := []int{0, 1, 3, 6, 7, 9}
 	e := build(t, 12, homes)
 	if _, err := e.Run(); !errors.Is(err, ErrSymmetric) {
 		t.Errorf("error = %v, want ErrSymmetric", err)

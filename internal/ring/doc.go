@@ -15,8 +15,10 @@
 //
 // # Invariants
 //
-// NodeID is the canonical 0..n-1 numbering used across the whole
-// module. Neighbor's single port wraps from v_{n-1} back to v_0
+// Nodes are ints in the canonical 0..n-1 numbering used across the
+// whole module; agents never see them (the ring is anonymous), so the
+// numbering exists only for the simulator and tests. Neighbor's single
+// port wraps from v_{n-1} back to v_0
 // (TestNextWrapsAround), and DistanceSequence implements the cyclic
 // geometry the algorithms reason with: its gaps sum to n for any
 // placement (TestDistanceSequenceSumsToN). Tokens are indelible engine

@@ -5,10 +5,10 @@ import (
 	"fmt"
 )
 
-// NodeID identifies a node by its index v_i in the canonical numbering
-// v_0 .. v_{n-1}. Nodes are anonymous to agents: algorithms never see a
-// NodeID; the identifier exists only for the simulator and tests.
-type NodeID int
+// NodeID is a node's index v_i in the canonical numbering v_0 ..
+// v_{n-1}, which the module spells int. The alias remains only because
+// the benchmark harness (bench/) still names it.
+type NodeID = int
 
 var (
 	// ErrTooSmall is returned when a ring of fewer than one node is requested.
@@ -47,16 +47,16 @@ func (r *Ring) Size() int { return r.n }
 // Degree returns the out-degree of v. A unidirectional ring has exactly
 // one outgoing link per node, which makes *Ring the port-0-only instance
 // of the simulator's Topology interface.
-func (r *Ring) Degree(NodeID) int { return 1 }
+func (r *Ring) Degree(int) int { return 1 }
 
 // Neighbor returns the node reached from v via the given out-port. The
 // only port of a unidirectional ring is 0, the forward link to
 // (v+1) mod n (the only direction agents can move in).
-func (r *Ring) Neighbor(v NodeID, port int) NodeID {
+func (r *Ring) Neighbor(v, port int) int {
 	if port != 0 {
 		return -1 // rejected by the engine's edge validation
 	}
-	return NodeID((int(v) + 1) % r.n)
+	return (v + 1) % r.n
 }
 
 // DistanceSequence returns the gaps between consecutive occupied
@@ -64,14 +64,14 @@ func (r *Ring) Neighbor(v NodeID, port int) NodeID {
 // positions in strictly increasing ring order from some origin. It is a
 // convenience for building the distance sequence of an initial
 // configuration.
-func DistanceSequence(n int, positions []NodeID) ([]int, error) {
+func DistanceSequence(n int, positions []int) ([]int, error) {
 	k := len(positions)
 	if k == 0 {
 		return nil, errors.New("ring: no positions")
 	}
-	seen := make(map[NodeID]bool, k)
+	seen := make(map[int]bool, k)
 	for _, p := range positions {
-		if p < 0 || int(p) >= n {
+		if p < 0 || p >= n {
 			return nil, fmt.Errorf("ring: position %d out of range [0,%d)", p, n)
 		}
 		if seen[p] {
@@ -81,9 +81,9 @@ func DistanceSequence(n int, positions []NodeID) ([]int, error) {
 	}
 	// Walk the ring from positions[0] forward, collecting occupied nodes
 	// in ring order.
-	ordered := make([]NodeID, 0, k)
+	ordered := make([]int, 0, k)
 	for step := 0; step < n; step++ {
-		v := NodeID((int(positions[0]) + step) % n)
+		v := (positions[0] + step) % n
 		if seen[v] {
 			ordered = append(ordered, v)
 		}
@@ -91,7 +91,7 @@ func DistanceSequence(n int, positions []NodeID) ([]int, error) {
 	gaps := make([]int, k)
 	for i := range ordered {
 		next := ordered[(i+1)%k]
-		gap := (int(next) - int(ordered[i]) + n) % n
+		gap := (next - ordered[i] + n) % n
 		if gap == 0 { // single agent: full circle
 			gap = n
 		}

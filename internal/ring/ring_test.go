@@ -27,9 +27,9 @@ func TestNewSingleNode(t *testing.T) {
 
 func TestNextWrapsAround(t *testing.T) {
 	r := MustNew(5)
-	want := []NodeID{1, 2, 3, 4, 0}
+	want := []int{1, 2, 3, 4, 0}
 	for i := 0; i < 5; i++ {
-		if got := r.Neighbor(NodeID(i), 0); got != want[i] {
+		if got := r.Neighbor(i, 0); got != want[i] {
 			t.Errorf("Neighbor(%d, 0) = %d, want %d", i, got, want[i])
 		}
 	}
@@ -41,7 +41,7 @@ func TestNextWrapsAround(t *testing.T) {
 func TestDistanceSequence(t *testing.T) {
 	// Fig 1(a)-style: positions with gaps (1,4,2,1,2,2) on a 12-ring
 	// starting at node 0: 0,1,5,7,8,10.
-	gaps, err := DistanceSequence(12, []NodeID{0, 1, 5, 7, 8, 10})
+	gaps, err := DistanceSequence(12, []int{0, 1, 5, 7, 8, 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestDistanceSequence(t *testing.T) {
 func TestDistanceSequenceUnorderedInput(t *testing.T) {
 	// Same set, scrambled: sequence must start from positions[0] and
 	// follow ring order.
-	gaps, err := DistanceSequence(12, []NodeID{5, 0, 10, 7, 1, 8})
+	gaps, err := DistanceSequence(12, []int{5, 0, 10, 7, 1, 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestDistanceSequenceUnorderedInput(t *testing.T) {
 }
 
 func TestDistanceSequenceSingleAgent(t *testing.T) {
-	gaps, err := DistanceSequence(8, []NodeID{3})
+	gaps, err := DistanceSequence(8, []int{3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,13 +76,13 @@ func TestDistanceSequenceErrors(t *testing.T) {
 	if _, err := DistanceSequence(5, nil); err == nil {
 		t.Error("empty positions must error")
 	}
-	if _, err := DistanceSequence(5, []NodeID{1, 1}); err == nil {
+	if _, err := DistanceSequence(5, []int{1, 1}); err == nil {
 		t.Error("duplicate positions must error")
 	}
-	if _, err := DistanceSequence(5, []NodeID{7}); err == nil {
+	if _, err := DistanceSequence(5, []int{7}); err == nil {
 		t.Error("out-of-range position must error")
 	}
-	if _, err := DistanceSequence(5, []NodeID{-1}); err == nil {
+	if _, err := DistanceSequence(5, []int{-1}); err == nil {
 		t.Error("negative position must error")
 	}
 }
@@ -90,10 +90,10 @@ func TestDistanceSequenceErrors(t *testing.T) {
 func TestDistanceSequenceSumsToN(t *testing.T) {
 	f := func(nRaw uint8, posRaw []uint8) bool {
 		n := int(nRaw%60) + 1
-		seen := make(map[NodeID]bool)
-		var positions []NodeID
+		seen := make(map[int]bool)
+		var positions []int
 		for _, p := range posRaw {
-			v := NodeID(int(p) % n)
+			v := int(p) % n
 			if !seen[v] {
 				seen[v] = true
 				positions = append(positions, v)

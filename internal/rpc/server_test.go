@@ -181,6 +181,13 @@ func TestErrorCodes(t *testing.T) {
 	_, err = cl.Submit(jobs.Spec{Kind: jobs.KindRun, Algorithm: "no-such-algorithm", N: 8, K: 2})
 	check(err, CodeInvalidSpec)
 
+	// A bad adversary budget reads as the facade words it.
+	_, err = cl.Submit(jobs.Spec{Kind: jobs.KindExplore, Algorithm: "native", N: 4, Homes: []int{0, 2}, Adversary: "0/3"})
+	check(err, CodeInvalidSpec)
+	if want := "jobs: invalid spec: agentring: invalid configuration: adversary max concurrent 0, want >= 1"; err.(*Error).Message != want {
+		t.Errorf("bad adversary budget: message %q, want %q", err.(*Error).Message, want)
+	}
+
 	err = cl.Call("no.such.method", nil, nil)
 	check(err, CodeMethodNotFound)
 

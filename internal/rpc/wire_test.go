@@ -6,10 +6,12 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"maps"
 	"net"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -163,6 +165,25 @@ func TestParseLineMatchesReferee(t *testing.T) {
 		wantN, wantID, wantResp := refereeLine([]byte(line))
 		if !reflect.DeepEqual(n, wantN) || id != wantID || !reflect.DeepEqual(resp, wantResp) {
 			t.Errorf("line %s routed as (%+v, %d, %+v), the referee routes it as (%+v, %d, %+v)", line, n, id, resp, wantN, wantID, wantResp)
+		}
+	}
+}
+
+// TestTraceEventLineBytes pins an event.trace line byte for byte: its
+// trace member is the engine's event under the names and order
+// docs/PROTOCOL.md gives, and an empty detail is left out.
+func TestTraceEventLineBytes(t *testing.T) {
+	for _, tc := range []struct{ detail, params string }{
+		{"via port 1", `{"type":"trace","job_id":"j1","trace":{"step":3,"agent":1,"node":4,"kind":"move","detail":"via port 1"}}`},
+		{"", `{"type":"trace","job_id":"j1","trace":{"step":3,"agent":1,"node":4,"kind":"move"}}`},
+	} {
+		ev := jobs.Event{Type: "trace", JobID: "j1", Trace: &agentring.TraceEvent{Step: 3, Agent: 1, Node: 4, Kind: "move", Detail: tc.detail}}
+		line, err := appendLine(nil, nil, "event.trace", "params", ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := `{"jsonrpc":"2.0","method":"event.trace","params":` + tc.params + "}\n"; string(line) != want {
+			t.Errorf("event.trace line\n got %s\nwant %s", line, want)
 		}
 	}
 }
@@ -392,7 +413,8 @@ func FuzzServerLine(f *testing.F) {
 	go io.Copy(io.Discard, cliEnd) // a pump's writes, should any event come
 	c := &serverConn{srv: NewServer(eng, "fuzz.sock"), nc: srvEnd, client: "conn-1", subs: make(map[int]func())}
 
-	for name := range methods {
+	// Sorted, so each seed#i names the same request line on every run.
+	for _, name := range slices.Sorted(maps.Keys(methods)) {
 		f.Add([]byte(`{"jsonrpc":"2.0","id":1,"method":"` + name + `","params":{"id":"j1"}}`))
 	}
 	for _, seed := range []string{

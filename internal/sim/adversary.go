@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"fmt"
-
-	"agentring/internal/ring"
-)
+import "fmt"
 
 // AdversaryBudget turns the edge set into an online decision surface:
 // instead of replaying a fixed FaultSchedule, an engine built with
@@ -48,25 +44,27 @@ type AdversaryBudget struct {
 	// MaxConcurrent is the maximum number of simultaneously failed
 	// links. Must be >= 1 (a zero-budget adversary is just the static
 	// engine; pass nil instead).
-	MaxConcurrent int
+	MaxConcurrent int `json:"max_concurrent"`
 	// RepairWithin forces a failed link's repair once it has been down
 	// for this many atomic actions. Must be >= 1.
-	RepairWithin int
+	RepairWithin int `json:"repair_within"`
 	// MaxTotal bounds the number of fail moves across the whole
 	// schedule; zero selects MaxConcurrent.
-	MaxTotal int
+	MaxTotal int `json:"max_total"`
 }
 
-// normalized validates the budget and fills defaults.
-func (b AdversaryBudget) normalized() (AdversaryBudget, error) {
+// Normalized validates the budget and fills defaults. It is the one
+// check of a budget: the engine wraps its error in ErrBadSetup, the
+// public API in its configuration error.
+func (b AdversaryBudget) Normalized() (AdversaryBudget, error) {
 	if b.MaxConcurrent < 1 {
-		return b, fmt.Errorf("%w: adversary MaxConcurrent %d, want >= 1", ErrBadSetup, b.MaxConcurrent)
+		return b, fmt.Errorf("adversary max concurrent %d, want >= 1", b.MaxConcurrent)
 	}
 	if b.RepairWithin < 1 {
-		return b, fmt.Errorf("%w: adversary RepairWithin %d, want >= 1 (permanent failures need a FaultSchedule)", ErrBadSetup, b.RepairWithin)
+		return b, fmt.Errorf("adversary repair-within %d, want >= 1 (permanent failures are Config.Faults territory)", b.RepairWithin)
 	}
 	if b.MaxTotal < 0 {
-		return b, fmt.Errorf("%w: adversary MaxTotal %d, want >= 0", ErrBadSetup, b.MaxTotal)
+		return b, fmt.Errorf("adversary max total %d, want >= 0", b.MaxTotal)
 	}
 	if b.MaxTotal == 0 {
 		b.MaxTotal = b.MaxConcurrent
@@ -83,9 +81,9 @@ func (e *Engine) Adversary() *AdversaryBudget { return e.adv }
 // normalized budget, the stamps' initial -1, and the rank -> (source
 // node, out-port) tables adversary choices are built from.
 func (e *Engine) initAdversary(b AdversaryBudget) error {
-	nb, err := b.normalized()
+	nb, err := b.Normalized()
 	if err != nil {
-		return err
+		return fmt.Errorf("%w: %v", ErrBadSetup, err)
 	}
 	if len(e.faults) > 0 {
 		return fmt.Errorf("%w: Options.Adversary and Options.Faults are mutually exclusive", ErrBadSetup)
@@ -98,7 +96,7 @@ func (e *Engine) initAdversary(b AdversaryBudget) error {
 		e.advDownAt[i] = -1
 	}
 	for v := 0; v < e.et.n; v++ {
-		for p := 0; p < e.et.outDegree(ring.NodeID(v)); p++ {
+		for p := 0; p < e.et.outDegree(v); p++ {
 			r := e.et.rank[int(e.et.start[v])+p]
 			e.advSrc[r] = int32(v)
 			e.advPort[r] = int32(p)
@@ -140,17 +138,17 @@ func (e *Engine) adversaryChoices() []Choice {
 	if e.downCount > 0 {
 		for r := e.down.next(0); r != -1; r = e.down.next(r + 1) {
 			if e.steps-int(e.advDownAt[r]) >= e.adv.RepairWithin {
-				return append(out[nAgents:], Choice{Kind: ChoiceRepair, Agent: -1, Node: ring.NodeID(e.advSrc[r]), Edge: r})
+				return append(out[nAgents:], Choice{Kind: ChoiceRepair, Agent: -1, Node: int(e.advSrc[r]), Edge: r})
 			}
 		}
 		for r := e.down.next(0); r != -1; r = e.down.next(r + 1) {
-			out = append(out, Choice{Kind: ChoiceRepair, Agent: -1, Node: ring.NodeID(e.advSrc[r]), Edge: r})
+			out = append(out, Choice{Kind: ChoiceRepair, Agent: -1, Node: int(e.advSrc[r]), Edge: r})
 		}
 	}
 	if nAgents > 0 && e.advFails < e.adv.MaxTotal && e.downCount < e.adv.MaxConcurrent {
 		for r := 0; r < e.et.edges(); r++ {
 			if !e.edgeDown(r) {
-				out = append(out, Choice{Kind: ChoiceFail, Agent: -1, Node: ring.NodeID(e.advSrc[r]), Edge: r})
+				out = append(out, Choice{Kind: ChoiceFail, Agent: -1, Node: int(e.advSrc[r]), Edge: r})
 			}
 		}
 	}
@@ -188,5 +186,5 @@ func (e *Engine) activateAdversary(c Choice) error {
 		e.advFails++
 		e.advDownAt[r] = int32(e.steps + 1)
 	}
-	return e.SetEdgeState(ring.NodeID(e.advSrc[r]), int(e.advPort[r]), up)
+	return e.SetEdgeState(int(e.advSrc[r]), int(e.advPort[r]), up)
 }

@@ -13,7 +13,7 @@ import (
 func advSetup(t *testing.T, b AdversaryBudget) *Engine {
 	t.Helper()
 	e, err := NewEngine(ring.MustNew(5),
-		[]ring.NodeID{0, 2, 3},
+		[]int{0, 2, 3},
 		[]Program{&chatty{hops: 6}, &chatty{hops: 4}, &listener{want: 3}},
 		Options{TrackState: true, Adversary: &b})
 	if err != nil {
@@ -24,7 +24,7 @@ func advSetup(t *testing.T, b AdversaryBudget) *Engine {
 
 func TestAdversaryBudgetValidation(t *testing.T) {
 	mk := func(b AdversaryBudget) error {
-		_, err := NewEngine(ring.MustNew(4), []ring.NodeID{0}, []Program{&chatty{hops: 2}},
+		_, err := NewEngine(ring.MustNew(4), []int{0}, []Program{&chatty{hops: 2}},
 			Options{Adversary: &b})
 		return err
 	}
@@ -47,7 +47,7 @@ func TestAdversaryBudgetValidation(t *testing.T) {
 		t.Fatalf("normalized budget = %+v, want MaxTotal defaulted to 2", e.Adversary())
 	}
 	// An engine without an adversary reports none.
-	plain, err := NewEngine(ring.MustNew(4), []ring.NodeID{0}, []Program{&chatty{hops: 2}}, Options{})
+	plain, err := NewEngine(ring.MustNew(4), []int{0}, []Program{&chatty{hops: 2}}, Options{})
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
@@ -57,7 +57,7 @@ func TestAdversaryBudgetValidation(t *testing.T) {
 }
 
 func TestAdversaryExcludesFaultSchedule(t *testing.T) {
-	_, err := NewEngine(ring.MustNew(4), []ring.NodeID{0}, []Program{&chatty{hops: 2}},
+	_, err := NewEngine(ring.MustNew(4), []int{0}, []Program{&chatty{hops: 2}},
 		Options{
 			Faults:    FaultSchedule{{Step: 1, From: 0}},
 			Adversary: &AdversaryBudget{MaxConcurrent: 1, RepairWithin: 1},
@@ -288,7 +288,7 @@ func TestAdversaryQuiescenceHasAllLinksUp(t *testing.T) {
 func TestAdversaryRunScheduler(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		e, err := NewEngine(ring.MustNew(5),
-			[]ring.NodeID{0, 2, 3},
+			[]int{0, 2, 3},
 			[]Program{&chatty{hops: 6}, &chatty{hops: 4}, &listener{want: 3}},
 			Options{
 				TrackState: true,
@@ -327,7 +327,7 @@ func TestAdversaryUnderEveryScheduler(t *testing.T) {
 		{"adversarial", NewAdversarial(DefaultAdversaryBound)},
 	} {
 		e, err := NewEngine(ring.MustNew(6),
-			[]ring.NodeID{0, 3},
+			[]int{0, 3},
 			[]Program{walker(1 << 20), walker(1 << 20)},
 			Options{
 				Scheduler: sc.s,

@@ -87,7 +87,7 @@ func (f *listenerFrame) LoadState(buf []int) int {
 func cpSetup(t *testing.T) *Engine {
 	t.Helper()
 	e, err := NewEngine(ring.MustNew(6),
-		[]ring.NodeID{0, 2, 4},
+		[]int{0, 2, 4},
 		[]Program{&chatty{hops: 7}, &chatty{hops: 5}, &listener{want: 3}},
 		Options{
 			TrackState: true,
@@ -228,7 +228,7 @@ func TestStateKeyAllocationFree(t *testing.T) {
 // whose agents save no more than a counter.
 func TestCheckpointablePredicate(t *testing.T) {
 	for _, e := range []*Engine{cpSetup(t), func() *Engine {
-		e, err := NewEngine(ring.MustNew(4), []ring.NodeID{0}, []Program{walker(3)}, Options{})
+		e, err := NewEngine(ring.MustNew(4), []int{0}, []Program{walker(3)}, Options{})
 		if err != nil {
 			t.Fatalf("NewEngine: %v", err)
 		}
@@ -247,7 +247,7 @@ func TestRestoreRejectsShapeMismatch(t *testing.T) {
 	src := cpSetup(t)
 	cp := src.Checkpoint()
 	other, err := NewEngine(ring.MustNew(5),
-		[]ring.NodeID{0, 2, 4},
+		[]int{0, 2, 4},
 		[]Program{&chatty{hops: 7}, &chatty{hops: 5}, &listener{want: 3}},
 		Options{TrackState: true})
 	if err != nil {
@@ -257,7 +257,7 @@ func TestRestoreRejectsShapeMismatch(t *testing.T) {
 		t.Errorf("Restore into different ring size: err = %v, want ErrBadSetup", err)
 	}
 	untracked, err := NewEngine(ring.MustNew(6),
-		[]ring.NodeID{0, 2, 4},
+		[]int{0, 2, 4},
 		[]Program{&chatty{hops: 7}, &chatty{hops: 5}, &listener{want: 3}},
 		Options{})
 	if err != nil {
@@ -279,7 +279,7 @@ func TestRestoreRejectsOtherAdversary(t *testing.T) {
 	adv := advSetup(t, AdversaryBudget{MaxConcurrent: 1, RepairWithin: 3})
 	plain := func() *Engine {
 		e, err := NewEngine(ring.MustNew(5),
-			[]ring.NodeID{0, 2, 3},
+			[]int{0, 2, 3},
 			[]Program{&chatty{hops: 6}, &chatty{hops: 4}, &listener{want: 3}},
 			Options{TrackState: true})
 		if err != nil {
@@ -338,7 +338,7 @@ func TestDecisionPointMatchesRun(t *testing.T) {
 	// the identical enabled sets and reach the identical configuration.
 	ctrl := NewControlled(picks)
 	e, err := NewEngine(ring.MustNew(6),
-		[]ring.NodeID{0, 2, 4},
+		[]int{0, 2, 4},
 		[]Program{&chatty{hops: 7}, &chatty{hops: 5}, &listener{want: 3}},
 		Options{
 			TrackState: true,
@@ -400,7 +400,7 @@ func TestRestoredDecisionPointAppliesDirectly(t *testing.T) {
 			name: "forced fault batch",
 			build: func(t *testing.T) *Engine {
 				t.Helper()
-				e, err := NewEngine(ring.MustNew(3), []ring.NodeID{0}, []Program{&chatty{hops: 4}}, Options{
+				e, err := NewEngine(ring.MustNew(3), []int{0}, []Program{&chatty{hops: 4}}, Options{
 					TrackState: true,
 					Faults:     FaultSchedule{{Step: 1, From: 0}, {Step: 5, From: 0, Up: true}},
 				})

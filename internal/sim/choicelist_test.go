@@ -94,9 +94,9 @@ func (p *roamer) LoadState(buf []int) int {
 // no arrival to displace.
 type funnel struct{}
 
-func (funnel) Size() int              { return 7 }
-func (funnel) Degree(ring.NodeID) int { return 1 }
-func (funnel) Neighbor(v ring.NodeID, _ int) ring.NodeID {
+func (funnel) Size() int      { return 7 }
+func (funnel) Degree(int) int { return 1 }
+func (funnel) Neighbor(v, _ int) int {
 	if v < 4 {
 		return 4
 	}
@@ -151,7 +151,7 @@ func listSchedulers() map[string]func() sim.Scheduler {
 // listCase is one engine the referee watches.
 type listCase struct {
 	top   sim.Topology
-	homes []ring.NodeID
+	homes []int
 	alg   string
 	opts  sim.Options
 }
@@ -233,7 +233,7 @@ func mustTree(t *testing.T) sim.Topology {
 // marks it stale: Restore into the same and into a fresh engine, and a
 // round-robin Run handing over to the step API.
 func TestChoiceListMatchesRebuild(t *testing.T) {
-	ringHomes := []ring.NodeID{0, 3, 4, 11, 17, 25}
+	ringHomes := []int{0, 3, 4, 11, 17, 25}
 	scheds := listSchedulers()
 
 	t.Run("algorithms", func(t *testing.T) {
@@ -254,11 +254,11 @@ func TestChoiceListMatchesRebuild(t *testing.T) {
 		subs := []struct {
 			name  string
 			top   sim.Topology
-			homes []ring.NodeID
+			homes []int
 		}{
-			{"torus", mustTorus(t, 4, 5), []ring.NodeID{0, 1, 5, 6, 7, 12}},
-			{"tree", mustTree(t), []ring.NodeID{0, 1, 2, 4, 6, 7}},
-			{"funnel", funnel{}, []ring.NodeID{0, 1, 2, 3, 5}},
+			{"torus", mustTorus(t, 4, 5), []int{0, 1, 5, 6, 7, 12}},
+			{"tree", mustTree(t), []int{0, 1, 2, 4, 6, 7}},
+			{"funnel", funnel{}, []int{0, 1, 2, 3, 5}},
 		}
 		for _, sub := range subs {
 			for name, mk := range scheds {
@@ -311,7 +311,7 @@ func TestChoiceListMatchesRebuild(t *testing.T) {
 					if alg == "binative" {
 						top = mustBiRing(t, 12)
 					}
-					c := listCase{top: top, homes: []ring.NodeID{0, 1, 5, 6}, alg: alg, opts: sim.Options{Adversary: &b}}
+					c := listCase{top: top, homes: []int{0, 1, 5, 6}, alg: alg, opts: sim.Options{Adversary: &b}}
 					// Every fourth decision takes the last choice, the
 					// highest fail or repair when the adversary offers
 					// one; the others take agent actions, so a failed
@@ -413,12 +413,12 @@ func TestChoiceListMatchesRebuild(t *testing.T) {
 				// Between atomic actions, fail the link out of a node some
 				// agent just reached, and repair every failed link a few
 				// actions later.
-				var down []ring.NodeID
+				var down []int
 				observe := func(e *sim.Engine) {
 					s := e.Steps()
 					switch {
 					case s%6 == 1:
-						v := ring.NodeID((s * 5) % 36)
+						v := (s * 5) % 36
 						if err := e.SetEdgeState(v, 0, false); err != nil {
 							t.Fatal(err)
 						}

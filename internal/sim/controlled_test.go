@@ -10,7 +10,7 @@ import (
 // stops the run exactly at the next decision point, records the enabled
 // set there, and leaves the configuration inspectable.
 func TestControlledStopsAtDecisionPoint(t *testing.T) {
-	homes := []ring.NodeID{0, 2}
+	homes := []int{0, 2}
 	ctrl := NewControlled([]int{0, 1, 1})
 	e, err := NewEngine(ring.MustNew(4), homes, []Program{walker(3), walker(3)}, Options{Scheduler: ctrl})
 	if err != nil {
@@ -43,7 +43,7 @@ func TestControlledStopsAtDecisionPoint(t *testing.T) {
 // TestControlledReplayDeterminism checks the core replay property: the
 // same prefix always reaches the same configuration and enabled set.
 func TestControlledReplayDeterminism(t *testing.T) {
-	homes := []ring.NodeID{0, 2, 4}
+	homes := []int{0, 2, 4}
 	run := func(prefix []int) (Configuration, []Choice) {
 		ctrl := NewControlled(prefix)
 		e, err := NewEngine(ring.MustNew(6), homes,
@@ -87,7 +87,7 @@ func TestTrackStateDistinguishesHistories(t *testing.T) {
 	for _, steps := range []int{1, 1 + n} {
 		prefix := make([]int, steps)
 		ctrl := NewControlled(prefix)
-		e, err := NewEngine(ring.MustNew(n), []ring.NodeID{0},
+		e, err := NewEngine(ring.MustNew(n), []int{0},
 			[]Program{walker(3 * n)}, Options{Scheduler: ctrl, TrackState: true})
 		if err != nil {
 			t.Fatal(err)
@@ -109,7 +109,7 @@ func TestTrackStateDistinguishesHistories(t *testing.T) {
 // TestTrackStateOffByDefault pins that the hashes stay out of snapshots
 // unless requested.
 func TestTrackStateOffByDefault(t *testing.T) {
-	e, err := NewEngine(ring.MustNew(4), []ring.NodeID{0}, []Program{walker(2)}, Options{})
+	e, err := NewEngine(ring.MustNew(4), []int{0}, []Program{walker(2)}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

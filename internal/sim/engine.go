@@ -7,7 +7,6 @@ import (
 	"slices"
 
 	"agentring/internal/memmeter"
-	"agentring/internal/ring"
 )
 
 // Exported engine errors, matchable with errors.Is.
@@ -109,7 +108,7 @@ type Engine struct {
 	// them flattened instead of copying engineState's way. A mailbox is
 	// non-nil exactly while its agent is in wakeable: Broadcast sets
 	// both, a wake clears both, and arrivals carry no mail.
-	home    []ring.NodeID
+	home    []int
 	mailbox [][]Message
 	frame   []Frame    // every agent's frame, built by its Program
 	apis    []apiState // the per-agent API arena (one backing array)
@@ -155,7 +154,7 @@ type engineState struct {
 	// reads node/status/qrank/qnext and the queue links; everything an
 	// activation rarely touches (meter, error) sits in separate arrays
 	// so it stays out of the touched cache lines.
-	node     []ring.NodeID // current (or last) node
+	node     []int // current (or last) node
 	status   []Status
 	inRank   []int32 // arrival rank of the last traversed edge, -1 before the first move
 	qrank    []int32 // rank of the queue the agent occupies, -1 when staying
@@ -274,7 +273,7 @@ func (s *engineState) layout(n, k, m int, track, adv bool) {
 	}
 	s.i32, s.u64 = a32.arena, a64.arena
 	s.tokens = make([]int, n)
-	s.node = make([]ring.NodeID, k)
+	s.node = make([]int, k)
 	s.status = make([]Status, k)
 	s.meter = make([]memmeter.Meter, k)
 	s.agentErr = make([]error, k)
@@ -299,7 +298,7 @@ func (c *carver[T]) take(l int) []T {
 // nodes and per-agent programs on the given topology (pass a *ring.Ring
 // for the paper's unidirectional ring). Tokens are engine state,
 // released by the programs themselves.
-func NewEngine(t Topology, homes []ring.NodeID, programs []Program, opts Options) (*Engine, error) {
+func NewEngine(t Topology, homes []int, programs []Program, opts Options) (*Engine, error) {
 	if t == nil {
 		return nil, fmt.Errorf("%w: nil topology", ErrBadSetup)
 	}
@@ -321,9 +320,9 @@ func NewEngine(t Topology, homes []ring.NodeID, programs []Program, opts Options
 	if k > n {
 		return nil, fmt.Errorf("%w: %d agents exceed %d nodes", ErrBadSetup, k, n)
 	}
-	seen := make(map[ring.NodeID]bool, k)
+	seen := make(map[int]bool, k)
 	for i, h := range homes {
-		if h < 0 || int(h) >= n {
+		if h < 0 || h >= n {
 			return nil, fmt.Errorf("%w: home %d out of range", ErrBadSetup, h)
 		}
 		if seen[h] {
@@ -352,7 +351,7 @@ func NewEngine(t Topology, homes []ring.NodeID, programs []Program, opts Options
 		sink:     opts.Sink,
 		observer: opts.Observer,
 		track:    opts.TrackState,
-		home:     make([]ring.NodeID, k),
+		home:     make([]int, k),
 		mailbox:  make([][]Message, k),
 		frame:    make([]Frame, k),
 		apis:     make([]apiState, k),
@@ -394,7 +393,7 @@ func NewEngine(t Topology, homes []ring.NodeID, programs []Program, opts Options
 		// which on the ring coincides with sitting at the head of the
 		// node's single link FIFO.
 		e.initPending[homes[i]] = int32(i)
-		e.initNodes.add(int(homes[i]))
+		e.initNodes.add(homes[i])
 		if e.track {
 			e.rekeyAgent(i)
 		}
@@ -511,7 +510,7 @@ func (e *Engine) runFast(rr *RoundRobin) error {
 func (e *Engine) enabledChoices(out []Choice) []Choice {
 	v := e.initNodes.next(0)
 	for r := e.occupied.next(0); r != -1; r = e.occupied.next(r + 1) {
-		c := Choice{Kind: ChoiceArrival, Agent: int(e.qhead[r]), Node: ring.NodeID(e.et.rankDest[r]), Edge: r}
+		c := Choice{Kind: ChoiceArrival, Agent: int(e.qhead[r]), Node: int(e.et.rankDest[r]), Edge: r}
 		for ; v != -1 && e.homeKey(v) < e.choiceKey(&c); v = e.initNodes.next(v + 1) {
 			out = append(out, e.homeChoice(v))
 		}
@@ -540,9 +539,9 @@ func (e *Engine) choiceKey(c *Choice) int {
 	case c.Kind == ChoiceWake:
 		return e.et.n + e.et.edges() + c.Agent
 	case c.Edge < 0:
-		return e.homeKey(int(c.Node))
+		return e.homeKey(c.Node)
 	default:
-		return c.Edge + int(c.Node) + 1
+		return c.Edge + c.Node + 1
 	}
 }
 
@@ -551,12 +550,12 @@ func (e *Engine) homeKey(v int) int { return int(e.et.inStart[v]) + v }
 
 // homeChoice is the first activation of the resident pending at node v.
 func (e *Engine) homeChoice(v int) Choice {
-	return Choice{Kind: ChoiceArrival, Agent: int(e.initPending[v]), Node: ring.NodeID(v), Edge: -1}
+	return Choice{Kind: ChoiceArrival, Agent: int(e.initPending[v]), Node: v, Edge: -1}
 }
 
 // homePending reports whether node v's resident has yet to act, which
 // suppresses the link arrivals into v.
-func (e *Engine) homePending(v ring.NodeID) bool {
+func (e *Engine) homePending(v int) bool {
 	return e.initNodes.count > 0 && e.initPending[v] != -1
 }
 
@@ -642,7 +641,7 @@ func (e *Engine) listRemove(id int) {
 // listArrival lists the arrival of the rank-r edge's head, unless the
 // edge is down or a resident pending at its destination suppresses it.
 func (e *Engine) listArrival(r int) {
-	c := Choice{Kind: ChoiceArrival, Agent: int(e.qhead[r]), Node: ring.NodeID(e.et.rankDest[r]), Edge: r}
+	c := Choice{Kind: ChoiceArrival, Agent: int(e.qhead[r]), Node: int(e.et.rankDest[r]), Edge: r}
 	if !e.edgeDown(r) && !e.homePending(c.Node) {
 		e.listInsert(c)
 	}
@@ -756,15 +755,15 @@ func (e *Engine) activate(c Choice) error {
 			// First activation out of the home buffer: a residency, not
 			// a link traversal (ArrivalPort stays -1), which unblocks
 			// link arrivals into the node.
-			if int(c.Node) >= len(e.initPending) || e.initPending[c.Node] != int32(c.Agent) {
+			if c.Node >= len(e.initPending) || e.initPending[c.Node] != int32(c.Agent) {
 				return fmt.Errorf("%w: init choice desynchronized", ErrBadSetup)
 			}
 			e.initPending[c.Node] = -1
-			e.initNodes.remove(int(c.Node))
+			e.initNodes.remove(c.Node)
 			if e.listed {
 				// The home activation leaves the list, and the arrivals
 				// it suppressed take its place.
-				v := int(c.Node)
+				v := c.Node
 				e.listRemove(c.Agent)
 				for r := int(e.et.inStart[v]); r < int(e.et.inStart[v+1]); r++ {
 					if e.qhead[r] != -1 {
@@ -792,7 +791,7 @@ func (e *Engine) activate(c Choice) error {
 // one atomic action at the destination.
 func (e *Engine) activateArrival(id, r int) error {
 	e.dequeue(r)
-	e.node[id] = ring.NodeID(e.et.rankDest[r])
+	e.node[id] = int(e.et.rankDest[r])
 	e.inRank[id] = int32(r)
 	e.traceEvent(id, "arrive", "")
 	err := e.finishAction(id, false)
@@ -888,7 +887,7 @@ func (e *Engine) finishAction(id int, wasStaying bool) error {
 func (e *Engine) rekeyAgent(id int) {
 	node := -1
 	if e.status[id] != StatusInTransit {
-		node = int(e.node[id])
+		node = e.node[id]
 	}
 	t := agentTerm(id, e.status[id], node, fold(e.obsHash[id], e.mailHash[id]))
 	e.key ^= e.aterm[id] ^ t
@@ -970,7 +969,7 @@ func (p *apiState) ArrivalPort() int {
 
 // ReleaseToken implements API.
 func (p *apiState) ReleaseToken() {
-	v := int(p.e.node[p.id])
+	v := p.e.node[p.id]
 	if p.e.track {
 		p.e.obsHash[p.id] = fold(p.e.obsHash[p.id], opRelease)
 		t := p.e.tokens[v]

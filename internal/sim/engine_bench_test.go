@@ -13,7 +13,7 @@ import (
 // fully constructed (but not yet run) n-node engine with k walkers and
 // reports it as bytes/node — the gated memory-growth metric of the
 // million-node benchmarks. Measured outside the timed region.
-func reportEngineFootprint(b *testing.B, n, k, walk int, homes []ring.NodeID) {
+func reportEngineFootprint(b *testing.B, n, k, walk int, homes []int) {
 	b.Helper()
 	_, fp := memmeter.HeapFootprint(func() any {
 		programs := make([]Program, k)
@@ -45,9 +45,9 @@ func BenchmarkSteadyState(b *testing.B) {
 			if n >= 1000000 && testing.Short() {
 				b.Skip("million-node row skipped in -short mode")
 			}
-			homes := make([]ring.NodeID, k)
+			homes := make([]int, k)
 			for i := range homes {
-				homes[i] = ring.NodeID(i * (n / k))
+				homes[i] = i * (n / k)
 			}
 			var steps int
 			b.ReportAllocs()
@@ -109,9 +109,9 @@ func BenchmarkSteadyStateXL(b *testing.B) {
 		if testing.Short() {
 			b.Skip("ten-million-node row skipped in -short mode")
 		}
-		homes := make([]ring.NodeID, k)
+		homes := make([]int, k)
 		for i := range homes {
-			homes[i] = ring.NodeID(i * (n / k))
+			homes[i] = i * (n / k)
 		}
 		var steps int
 		b.ReportAllocs()
@@ -148,9 +148,9 @@ func BenchmarkSteadyStateXL(b *testing.B) {
 func steadyState(b *testing.B, t Topology, k int, mkSched func(i int) Scheduler, mkProgram func() Program) {
 	b.Helper()
 	n := t.Size()
-	homes := make([]ring.NodeID, k)
+	homes := make([]int, k)
 	for i := range homes {
-		homes[i] = ring.NodeID(i * (n / k))
+		homes[i] = i * (n / k)
 	}
 	var steps int
 	b.ReportAllocs()
@@ -190,13 +190,13 @@ func BenchmarkSteadyStateDynRing(b *testing.B) {
 		const k = 100
 		walk := 2 * n / k
 		b.Run(fmt.Sprintf("n=%d/k=%d", n, k), func(b *testing.B) {
-			homes := make([]ring.NodeID, k)
+			homes := make([]int, k)
 			for i := range homes {
-				homes[i] = ring.NodeID(i * (n / k))
+				homes[i] = i * (n / k)
 			}
 			faults := FaultSchedule{
-				{Step: 10, From: ring.NodeID(n / 2), Port: 0, Up: false},
-				{Step: 60, From: ring.NodeID(n / 2), Port: 0, Up: true},
+				{Step: 10, From: n / 2, Port: 0, Up: false},
+				{Step: 60, From: n / 2, Port: 0, Up: true},
 			}
 			var steps int
 			b.ReportAllocs()

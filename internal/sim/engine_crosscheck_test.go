@@ -48,7 +48,7 @@ func crosscheckEngine(t *testing.T, ref bool) *sim.Engine {
 			reference.Program(t, listenerRef(3)),
 		}
 	}
-	e, err := sim.NewEngine(ring.MustNew(6), []ring.NodeID{0, 2, 4}, programs,
+	e, err := sim.NewEngine(ring.MustNew(6), []int{0, 2, 4}, programs,
 		sim.Options{
 			TrackState: true,
 			Faults: sim.FaultSchedule{

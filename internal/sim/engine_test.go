@@ -31,7 +31,7 @@ func (w *walkerProgram) LoadState(buf []int) int {
 	return 1
 }
 
-func run(t *testing.T, n int, homes []ring.NodeID, programs []Program, opts Options) (Result, *ring.Ring) {
+func run(t *testing.T, n int, homes []int, programs []Program, opts Options) (Result, *ring.Ring) {
 	t.Helper()
 	r := ring.MustNew(n)
 	e, err := NewEngine(r, homes, programs, opts)
@@ -51,17 +51,17 @@ func TestNewEngineValidation(t *testing.T) {
 	tests := []struct {
 		name     string
 		ring     *ring.Ring
-		homes    []ring.NodeID
+		homes    []int
 		programs []Program
 	}{
-		{"nil ring", nil, []ring.NodeID{0}, []Program{noop}},
+		{"nil ring", nil, []int{0}, []Program{noop}},
 		{"no agents", r, nil, nil},
-		{"mismatched lengths", r, []ring.NodeID{0, 1}, []Program{noop}},
-		{"too many agents", ring.MustNew(2), []ring.NodeID{0, 1, 0}, []Program{noop, noop, noop}},
-		{"duplicate homes", r, []ring.NodeID{1, 1}, []Program{noop, noop}},
-		{"home out of range", r, []ring.NodeID{9}, []Program{noop}},
-		{"negative home", r, []ring.NodeID{-1}, []Program{noop}},
-		{"nil program", r, []ring.NodeID{0}, []Program{nil}},
+		{"mismatched lengths", r, []int{0, 1}, []Program{noop}},
+		{"too many agents", ring.MustNew(2), []int{0, 1, 0}, []Program{noop, noop, noop}},
+		{"duplicate homes", r, []int{1, 1}, []Program{noop, noop}},
+		{"home out of range", r, []int{9}, []Program{noop}},
+		{"negative home", r, []int{-1}, []Program{noop}},
+		{"nil program", r, []int{0}, []Program{nil}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -73,12 +73,12 @@ func TestNewEngineValidation(t *testing.T) {
 }
 
 func TestSingleAgentWalksAndHalts(t *testing.T) {
-	res, _ := run(t, 5, []ring.NodeID{1}, []Program{walker(7)}, Options{})
+	res, _ := run(t, 5, []int{1}, []Program{walker(7)}, Options{})
 	a := res.Agents[0]
 	if a.Moves != 7 {
 		t.Errorf("moves = %d, want 7", a.Moves)
 	}
-	if a.Node != ring.NodeID((1+7)%5) {
+	if a.Node != int((1+7)%5) {
 		t.Errorf("final node = %d, want %d", a.Node, (1+7)%5)
 	}
 	if a.Status != StatusHalted {
@@ -98,7 +98,7 @@ func TestFIFONoOvertaking(t *testing.T) {
 	// to 0's position) must never change sign. We sample positions via a
 	// trace.
 	trace := NewTrace(10000)
-	res, _ := run(t, 8, []ring.NodeID{0, 1},
+	res, _ := run(t, 8, []int{0, 1},
 		[]Program{walker(20), walker(20)},
 		Options{Scheduler: NewRandom(42), Sink: trace})
 	if res.TotalMoves != 40 {
@@ -120,7 +120,7 @@ func TestFIFONoOvertaking(t *testing.T) {
 	// home-buffer pop counts as agent 1's first "arrival" at node 1). At
 	// agent 0's home node 0, agent 0 is allowed one extra arrival (its
 	// initial one).
-	arrivals := map[int]map[ring.NodeID]int{0: {}, 1: {}}
+	arrivals := map[int]map[int]int{0: {}, 1: {}}
 	for _, ev := range trace.Events() {
 		if ev.Kind != "arrive" {
 			continue
@@ -140,7 +140,7 @@ func TestFIFONoOvertaking(t *testing.T) {
 }
 
 func TestMoveCountingPerAgent(t *testing.T) {
-	res, _ := run(t, 10, []ring.NodeID{0, 5, 7},
+	res, _ := run(t, 10, []int{0, 5, 7},
 		[]Program{walker(3), walker(0), walker(11)}, Options{Scheduler: NewRandom(7)})
 	want := []int{3, 0, 11}
 	for i, a := range res.Agents {
@@ -158,7 +158,7 @@ func TestSynchronousRoundsMatchLongestWalk(t *testing.T) {
 	// one move per round, so rounds == the longest walk length (+1 for
 	// the initial activation round in which it also moves).
 	sched := NewSynchronous()
-	res, _ := run(t, 16, []ring.NodeID{0, 8}, []Program{walker(12), walker(5)}, Options{Scheduler: sched})
+	res, _ := run(t, 16, []int{0, 8}, []Program{walker(12), walker(5)}, Options{Scheduler: sched})
 	if res.Rounds == 0 {
 		t.Fatal("rounds not reported")
 	}
@@ -221,7 +221,7 @@ func TestSchedulersAllQuiesce(t *testing.T) {
 	}
 	for name, mk := range scheds {
 		t.Run(name, func(t *testing.T) {
-			res, _ := run(t, 12, []ring.NodeID{0, 1, 6},
+			res, _ := run(t, 12, []int{0, 1, 6},
 				[]Program{walker(24), walker(17), walker(3)}, Options{Scheduler: mk()})
 			if !res.AllHalted() {
 				t.Error("agents did not all halt")
@@ -236,7 +236,7 @@ func TestSchedulersAllQuiesce(t *testing.T) {
 func TestTraceRecordsAndBounds(t *testing.T) {
 	trace := NewTrace(8)
 	r := ring.MustNew(4)
-	e, err := NewEngine(r, []ring.NodeID{0}, []Program{walker(10)}, Options{Sink: trace})
+	e, err := NewEngine(r, []int{0}, []Program{walker(10)}, Options{Sink: trace})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,9 +255,9 @@ func TestTraceRecordsAndBounds(t *testing.T) {
 }
 
 func TestResultPositionsAndMaxMoves(t *testing.T) {
-	res, _ := run(t, 6, []ring.NodeID{0, 3}, []Program{walker(2), walker(9)}, Options{})
+	res, _ := run(t, 6, []int{0, 3}, []Program{walker(2), walker(9)}, Options{})
 	pos := res.Positions()
-	if pos[0] != 2 || pos[1] != ring.NodeID((3+9)%6) {
+	if pos[0] != 2 || pos[1] != int((3+9)%6) {
 		t.Errorf("positions = %v", pos)
 	}
 	if res.MaxMoves() != 9 {
@@ -269,7 +269,7 @@ func TestDeterminismWithSeededRandom(t *testing.T) {
 	runOnce := func() Result {
 		r := ring.MustNew(9)
 		progs := []Program{walker(13), walker(8), walker(21)}
-		e, err := NewEngine(r, []ring.NodeID{0, 2, 5}, progs, Options{Scheduler: NewRandom(1234)})
+		e, err := NewEngine(r, []int{0, 2, 5}, progs, Options{Scheduler: NewRandom(1234)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,8 +3,6 @@ package sim
 import (
 	"fmt"
 	"slices"
-
-	"agentring/internal/ring"
 )
 
 // FaultEvent schedules one link-state mutation: at the first decision
@@ -20,13 +18,14 @@ import (
 type FaultEvent struct {
 	// Step is the atomic-action count at which the mutation fires: the
 	// event applies once the engine has executed at least Step actions.
-	Step int
+	Step int `json:"step"`
 	// From and Port name the directed edge (the out-port at its tail),
-	// exactly as an ActionMove through Port at From would select it.
-	From ring.NodeID
-	Port int
+	// exactly as an ActionMove through Port at From would select it. On
+	// the unidirectional ring every node has the single out-port 0.
+	From int `json:"from"`
+	Port int `json:"port"`
 	// Up is the edge's new state: false fails the link, true repairs it.
-	Up bool
+	Up bool `json:"up"`
 }
 
 // FaultSchedule is a deterministic sequence of link mutations, ordered
@@ -61,7 +60,7 @@ func (fs FaultSchedule) validate(et *edgeTable) error {
 		if ev.Step < 0 {
 			return fmt.Errorf("%w: fault event %d has negative step %d", ErrBadSetup, i, ev.Step)
 		}
-		if ev.From < 0 || int(ev.From) >= et.n {
+		if ev.From < 0 || ev.From >= et.n {
 			return fmt.Errorf("%w: fault event %d from node %d out of range", ErrBadSetup, i, ev.From)
 		}
 		if deg := et.outDegree(ev.From); ev.Port < 0 || ev.Port >= deg {
@@ -92,8 +91,8 @@ func (fs FaultSchedule) sorted() FaultSchedule {
 //
 // A failed edge freezes its FIFO queue (see FaultSchedule); the epoch
 // counter advances by one per effective mutation.
-func (e *Engine) SetEdgeState(from ring.NodeID, port int, up bool) error {
-	if from < 0 || int(from) >= e.et.n {
+func (e *Engine) SetEdgeState(from, port int, up bool) error {
+	if from < 0 || from >= e.et.n {
 		return fmt.Errorf("%w: edge-state node %d out of range", ErrBadSetup, from)
 	}
 	if deg := e.et.outDegree(from); port < 0 || port >= deg {
@@ -140,8 +139,8 @@ func (e *Engine) SetEdgeState(from ring.NodeID, port int, up bool) error {
 
 // EdgeUp reports whether the directed edge leaving from through port is
 // currently up.
-func (e *Engine) EdgeUp(from ring.NodeID, port int) (bool, error) {
-	if from < 0 || int(from) >= e.et.n {
+func (e *Engine) EdgeUp(from, port int) (bool, error) {
+	if from < 0 || from >= e.et.n {
 		return false, fmt.Errorf("%w: edge-state node %d out of range", ErrBadSetup, from)
 	}
 	if deg := e.et.outDegree(from); port < 0 || port >= deg {

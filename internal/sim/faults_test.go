@@ -24,7 +24,7 @@ func TestFaultScheduleValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := NewEngine(r, []ring.NodeID{0}, []Program{walker(1)}, Options{
+			_, err := NewEngine(r, []int{0}, []Program{walker(1)}, Options{
 				Faults: FaultSchedule{tc.ev},
 			})
 			if !errors.Is(err, ErrBadSetup) {
@@ -36,7 +36,7 @@ func TestFaultScheduleValidation(t *testing.T) {
 
 // TestSetEdgeStateValidation rejects out-of-range mutations at runtime.
 func TestSetEdgeStateValidation(t *testing.T) {
-	e, err := NewEngine(ring.MustNew(4), []ring.NodeID{0}, []Program{walker(1)}, Options{})
+	e, err := NewEngine(ring.MustNew(4), []int{0}, []Program{walker(1)}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestSetEdgeStateValidation(t *testing.T) {
 // fault-free run does.
 func TestFailedLinkFreezesAgent(t *testing.T) {
 	const n = 6
-	homes := []ring.NodeID{0, 3}
+	homes := []int{0, 3}
 	mk := func() []Program { return []Program{walker(6), walker(6)} }
 
 	run := func(faults FaultSchedule) Result {
@@ -98,7 +98,7 @@ func TestFailedLinkFreezesAgent(t *testing.T) {
 // contents are reported intact.
 func TestPermanentFailureFreezesForever(t *testing.T) {
 	const n = 4
-	e, err := NewEngine(ring.MustNew(n), []ring.NodeID{0}, []Program{walker(4)}, Options{
+	e, err := NewEngine(ring.MustNew(n), []int{0}, []Program{walker(4)}, Options{
 		Faults: FaultSchedule{{Step: 0, From: 2, Port: 0, Up: false}},
 	})
 	if err != nil {
@@ -136,7 +136,7 @@ func TestPermanentFailureFreezesForever(t *testing.T) {
 // quiesce early (the repair step is far beyond the reachable count).
 func TestFastForwardAppliesPendingRepairs(t *testing.T) {
 	const n = 4
-	e, err := NewEngine(ring.MustNew(n), []ring.NodeID{0}, []Program{walker(4)}, Options{
+	e, err := NewEngine(ring.MustNew(n), []int{0}, []Program{walker(4)}, Options{
 		Faults: FaultSchedule{
 			{Step: 0, From: 2, Port: 0, Up: false},
 			{Step: 1 << 20, From: 2, Port: 0, Up: true},
@@ -165,7 +165,7 @@ func TestFastForwardAppliesPendingRepairs(t *testing.T) {
 // all-links-up schedule reproduces the static run byte-identically.
 func TestNoOpMutationsAreInvisible(t *testing.T) {
 	const n = 6
-	homes := []ring.NodeID{0, 3}
+	homes := []int{0, 3}
 	run := func(faults FaultSchedule) (Result, string) {
 		t.Helper()
 		tr := NewTrace(1 << 16)
@@ -203,7 +203,7 @@ func TestNoOpMutationsAreInvisible(t *testing.T) {
 // link-down / link-up events carrying agent -1 and the edge's tail.
 func TestLinkEventsTraced(t *testing.T) {
 	tr := NewTrace(1 << 16)
-	e, err := NewEngine(ring.MustNew(4), []ring.NodeID{0}, []Program{walker(4)}, Options{
+	e, err := NewEngine(ring.MustNew(4), []int{0}, []Program{walker(4)}, Options{
 		Faults: FaultSchedule{
 			{Step: 1, From: 2, Port: 0, Up: false},
 			{Step: 2, From: 2, Port: 0, Up: true},
@@ -242,7 +242,7 @@ func TestLinkEventsTraced(t *testing.T) {
 // distinction. All-up configurations keep their static keys.
 func TestDownEdgesChangeConfigurationKey(t *testing.T) {
 	mk := func() *Engine {
-		e, err := NewEngine(ring.MustNew(4), []ring.NodeID{0}, []Program{walker(2)}, Options{TrackState: true})
+		e, err := NewEngine(ring.MustNew(4), []int{0}, []Program{walker(2)}, Options{TrackState: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -278,7 +278,7 @@ func TestDownEdgesChangeConfigurationKey(t *testing.T) {
 // violate any model invariant.
 func TestAuditorAcceptsFaultyRun(t *testing.T) {
 	aud := NewAuditor()
-	e, err := NewEngine(ring.MustNew(6), []ring.NodeID{0, 3}, []Program{walker(6), walker(6)}, Options{
+	e, err := NewEngine(ring.MustNew(6), []int{0, 3}, []Program{walker(6), walker(6)}, Options{
 		Faults: FaultSchedule{
 			{Step: 2, From: 4, Port: 0, Up: false},
 			{Step: 30, From: 4, Port: 0, Up: true},

@@ -21,7 +21,7 @@ func (f stepFrame) LoadState([]int) int       { return 0 }
 // engine's StateKey.
 func runFailing(t *testing.T, prog Program) (string, Status, uint64) {
 	t.Helper()
-	e, err := NewEngine(ring.MustNew(4), []ring.NodeID{0}, []Program{prog}, Options{TrackState: true})
+	e, err := NewEngine(ring.MustNew(4), []int{0}, []Program{prog}, Options{TrackState: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ func TestMoveViaInvalidPortFailsAgent(t *testing.T) {
 		api.MoveVia(1) // the ring has only port 0
 		return nil
 	})
-	e, err := sim.NewEngine(ring.MustNew(4), []ring.NodeID{0}, []sim.Program{bad}, sim.Options{})
+	e, err := sim.NewEngine(ring.MustNew(4), []int{0}, []sim.Program{bad}, sim.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestBiRingZigzagAndArrivalPort(t *testing.T) {
 		}
 		return nil
 	})
-	e, err := sim.NewEngine(mustBiRing(t, 5), []ring.NodeID{2}, []sim.Program{prog}, sim.Options{})
+	e, err := sim.NewEngine(mustBiRing(t, 5), []int{2}, []sim.Program{prog}, sim.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,15 +93,15 @@ func TestRotorWalkTraversesTreeEulerCircuit(t *testing.T) {
 		}
 		return nil
 	})
-	visited := make(map[ring.NodeID]bool)
+	visited := make(map[int]bool)
 	obs := func(cfg sim.Configuration) {
 		for v, q := range cfg.InTransit {
 			if len(q) > 0 {
-				visited[ring.NodeID(v)] = true
+				visited[v] = true
 			}
 		}
 	}
-	e, err := sim.NewEngine(tree.Topology(), []ring.NodeID{0}, []sim.Program{rotor}, sim.Options{Observer: obs})
+	e, err := sim.NewEngine(tree.Topology(), []int{0}, []sim.Program{rotor}, sim.Options{Observer: obs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestRotorWalkTraversesTreeEulerCircuit(t *testing.T) {
 		t.Errorf("rotor walk made %d moves, want %d", res.Agents[0].Moves, 2*(n-1))
 	}
 	for v := 0; v < n; v++ {
-		if !visited[ring.NodeID(v)] {
+		if !visited[v] {
 			t.Errorf("rotor walk never headed toward node %d", v)
 		}
 	}
@@ -133,7 +133,7 @@ func TestPerEdgeQueuesAreIndependent(t *testing.T) {
 	// decision 0 starts agent 0, decision 1 starts agent 1 (its home
 	// activation sits at index 1 of the merged choice list).
 	ctrl := sim.NewControlled([]int{0, 1})
-	e, err := sim.NewEngine(mustBiRing(t, 3), []ring.NodeID{0, 2}, []sim.Program{fwd, bwd}, sim.Options{Scheduler: ctrl})
+	e, err := sim.NewEngine(mustBiRing(t, 3), []int{0, 2}, []sim.Program{fwd, bwd}, sim.Options{Scheduler: ctrl})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestHomeBufferBlocksMultiPortVisitors(t *testing.T) {
 		}
 		return 0
 	})
-	e, err := sim.NewEngine(mustBiRing(t, 3), []ring.NodeID{0, 1}, []sim.Program{resident, visitor}, sim.Options{Scheduler: prefer})
+	e, err := sim.NewEngine(mustBiRing(t, 3), []int{0, 1}, []sim.Program{resident, visitor}, sim.Options{Scheduler: prefer})
 	if err != nil {
 		t.Fatal(err)
 	}

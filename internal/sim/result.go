@@ -1,18 +1,14 @@
 package sim
 
-import (
-	"slices"
-
-	"agentring/internal/ring"
-)
+import "slices"
 
 // AgentReport is the per-agent outcome of a run.
 type AgentReport struct {
 	// Home is the agent's initial node.
-	Home ring.NodeID
+	Home int
 	// Node is the node the agent occupies (or was last at, if it somehow
 	// remained in transit) when the run ended.
-	Node ring.NodeID
+	Node int
 	// Moves counts the agent's link traversals.
 	Moves int
 	// Status is the agent's final lifecycle state.
@@ -62,8 +58,8 @@ type Result struct {
 }
 
 // Positions returns each agent's final node.
-func (r Result) Positions() []ring.NodeID {
-	out := make([]ring.NodeID, len(r.Agents))
+func (r Result) Positions() []int {
+	out := make([]int, len(r.Agents))
 	for i, a := range r.Agents {
 		out[i] = a.Node
 	}

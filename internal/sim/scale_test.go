@@ -14,10 +14,10 @@ func TestEngineScale(t *testing.T) {
 		t.Skip("scale test skipped in -short mode")
 	}
 	const n, k = 4096, 128
-	homes := make([]ring.NodeID, k)
+	homes := make([]int, k)
 	programs := make([]Program, k)
 	for i := range homes {
-		homes[i] = ring.NodeID(i * (n / k))
+		homes[i] = i * (n / k)
 		programs[i] = walker(2 * n / k)
 	}
 	r := ring.MustNew(n)
@@ -49,10 +49,10 @@ func TestEngineScaleMillion(t *testing.T) {
 		t.Skip("million-node smoke skipped in -short mode")
 	}
 	const n, k = 1000000, 100
-	homes := make([]ring.NodeID, k)
+	homes := make([]int, k)
 	programs := make([]Program, k)
 	for i := range homes {
-		homes[i] = ring.NodeID(i * (n / k))
+		homes[i] = i * (n / k)
 		programs[i] = walker(2 * n / k)
 	}
 	r := ring.MustNew(n)

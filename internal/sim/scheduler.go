@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"math/rand"
-
-	"agentring/internal/ring"
-)
+import "math/rand"
 
 // ChoiceKind distinguishes the ways an atomic action can be enabled:
 // the two agent actions, plus the adversary's link moves when the
@@ -35,8 +31,8 @@ const (
 // Choice is one enabled atomic action the scheduler may pick.
 type Choice struct {
 	Kind  ChoiceKind
-	Agent int         // engine-internal agent index; -1 for adversary moves
-	Node  ring.NodeID // arrival destination, the node a waking agent stays at, or an adversary move's edge tail
+	Agent int // engine-internal agent index; -1 for adversary moves
+	Node  int // arrival destination, the node a waking agent stays at, or an adversary move's edge tail
 	// Edge identifies the link FIFO an arrival pops, or the directed
 	// edge an adversary move mutates (an engine-internal directed-edge
 	// id; multi-port topologies can have several distinct queues toward

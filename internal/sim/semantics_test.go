@@ -32,7 +32,7 @@ func TestTokenReleaseIsPermanentAndCounted(t *testing.T) {
 		}
 		return nil
 	})
-	res, _ := run(t, 3, []ring.NodeID{0}, []sim.Program{prog}, sim.Options{})
+	res, _ := run(t, 3, []int{0}, []sim.Program{prog}, sim.Options{})
 	if res.Tokens[0] != 1 || res.Tokens[1] != 0 || res.Tokens[2] != 0 {
 		t.Errorf("result tokens = %v", res.Tokens)
 	}
@@ -59,7 +59,7 @@ func TestHomeNodeFirstAction(t *testing.T) {
 	// Adversarial scheduler tries hard to run agent 1 late; the incoming
 	// home buffer must still order agent 1's start before agent 0's
 	// arrival at node 1 (FIFO on the link into node 1).
-	run(t, 4, []ring.NodeID{0, 1}, []sim.Program{fast, slow}, sim.Options{Scheduler: sim.NewAdversarial(3)})
+	run(t, 4, []int{0, 1}, []sim.Program{fast, slow}, sim.Options{Scheduler: sim.NewAdversarial(3)})
 	if sawToken {
 		t.Error("agent 1 was not first to act at its own home node")
 	}
@@ -87,7 +87,7 @@ func TestBroadcastAndAwait(t *testing.T) {
 		api.Broadcast("hello")
 		return nil
 	})
-	res, _ := run(t, 5, []ring.NodeID{1, 3}, []sim.Program{waiter, sender}, sim.Options{})
+	res, _ := run(t, 5, []int{1, 3}, []sim.Program{waiter, sender}, sim.Options{})
 	if got != "hello" {
 		t.Errorf("message = %v, want hello", got)
 	}
@@ -118,7 +118,7 @@ func TestBroadcastDoesNotReachInTransitAgents(t *testing.T) {
 	// yields Move (into queue to node 1), broadcaster broadcasts at node
 	// 1 with nobody staying there.
 	sched := sim.NewRoundRobin()
-	res, _ := run(t, 3, []ring.NodeID{0, 1}, []sim.Program{bystander, broadcaster}, sim.Options{Scheduler: sched})
+	res, _ := run(t, 3, []int{0, 1}, []sim.Program{bystander, broadcaster}, sim.Options{Scheduler: sched})
 	if received {
 		t.Error("in-transit agent received a broadcast")
 	}
@@ -145,7 +145,7 @@ func TestUnreadMessagesAreConsumed(t *testing.T) {
 		api.Broadcast("noise")
 		return nil
 	})
-	res, _ := run(t, 4, []ring.NodeID{0, 1}, []sim.Program{mover, pesterer}, sim.Options{})
+	res, _ := run(t, 4, []int{0, 1}, []sim.Program{mover, pesterer}, sim.Options{})
 	if !res.MailboxesEmpty {
 		t.Error("mailboxes not empty at quiescence")
 	}
@@ -174,7 +174,7 @@ func TestAwaitReturnsCurrentActionMessagesWithoutSuspending(t *testing.T) {
 		api.Broadcast("c")
 		return nil
 	})
-	res, _ := run(t, 2, []ring.NodeID{0, 1}, []sim.Program{waiter, sender}, sim.Options{})
+	res, _ := run(t, 2, []int{0, 1}, []sim.Program{waiter, sender}, sim.Options{})
 	select {
 	case <-woke:
 	default:
@@ -196,7 +196,7 @@ func TestSuspendedQuiescence(t *testing.T) {
 		api.AwaitMessages() // never woken
 		return nil
 	})
-	res, _ := run(t, 6, []ring.NodeID{0, 3}, []sim.Program{suspend, suspend}, sim.Options{})
+	res, _ := run(t, 6, []int{0, 3}, []sim.Program{suspend, suspend}, sim.Options{})
 	if !res.AllSuspended() {
 		t.Error("expected all agents suspended")
 	}
@@ -215,7 +215,7 @@ func TestProgramErrorAbortsRun(t *testing.T) {
 		return boom
 	})
 	r := ring.MustNew(3)
-	e, err := sim.NewEngine(r, []ring.NodeID{0}, []sim.Program{bad}, sim.Options{})
+	e, err := sim.NewEngine(r, []int{0}, []sim.Program{bad}, sim.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestProgramPanicBecomesError(t *testing.T) {
 		panic("kaboom")
 	})
 	r := ring.MustNew(3)
-	e, err := sim.NewEngine(r, []ring.NodeID{0}, []sim.Program{bad}, sim.Options{})
+	e, err := sim.NewEngine(r, []int{0}, []sim.Program{bad}, sim.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestStepLimit(t *testing.T) {
 		}
 	})
 	r := ring.MustNew(4)
-	e, err := sim.NewEngine(r, []ring.NodeID{0}, []sim.Program{pingpong}, sim.Options{MaxSteps: 50})
+	e, err := sim.NewEngine(r, []int{0}, []sim.Program{pingpong}, sim.Options{MaxSteps: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestAgentsHereSeesWaitingAndHalted(t *testing.T) {
 		return nil
 	})
 	// Round-robin: agents 0(sitter@1),1(waiter@2),2(observer@0).
-	run(t, 5, []ring.NodeID{1, 2, 0}, []sim.Program{sitter, waiterDone, observer}, sim.Options{})
+	run(t, 5, []int{1, 2, 0}, []sim.Program{sitter, waiterDone, observer}, sim.Options{})
 	if len(counts) != 2 || counts[0] != 1 || counts[1] != 1 {
 		t.Errorf("observer counts = %v, want [1 1]", counts)
 	}
@@ -287,7 +287,7 @@ func TestHaltedAgentsIgnoreBroadcasts(t *testing.T) {
 		api.Broadcast("wake up")
 		return nil
 	})
-	res, _ := run(t, 3, []ring.NodeID{1, 0}, []sim.Program{sitter, sender}, sim.Options{})
+	res, _ := run(t, 3, []int{1, 0}, []sim.Program{sitter, sender}, sim.Options{})
 	if res.MessagesDelivered != 0 {
 		t.Errorf("delivered = %d, want 0 (recipient halted)", res.MessagesDelivered)
 	}
@@ -302,7 +302,7 @@ func TestMeterSurfacesInResult(t *testing.T) {
 		api.Meter().Shrink(10)
 		return nil
 	})
-	res, _ := run(t, 2, []ring.NodeID{0}, []sim.Program{prog}, sim.Options{})
+	res, _ := run(t, 2, []int{0}, []sim.Program{prog}, sim.Options{})
 	if res.Agents[0].PeakWords != 17 {
 		t.Errorf("peak words = %d, want 17", res.Agents[0].PeakWords)
 	}
@@ -320,7 +320,7 @@ func TestSnapshotShape(t *testing.T) {
 		return nil
 	})
 	r := ring.MustNew(4)
-	e, err := sim.NewEngine(r, []ring.NodeID{1}, []sim.Program{prog}, sim.Options{
+	e, err := sim.NewEngine(r, []int{1}, []sim.Program{prog}, sim.Options{
 		Observer: func(c sim.Configuration) { snaps = append(snaps, c) },
 	})
 	if err != nil {
@@ -366,7 +366,7 @@ func TestAuditorPassesCleanRuns(t *testing.T) {
 		return nil
 	})}
 	r := ring.MustNew(7)
-	e, err := sim.NewEngine(r, []ring.NodeID{0, 2, 5}, progs, sim.Options{
+	e, err := sim.NewEngine(r, []int{0, 2, 5}, progs, sim.Options{
 		Observer:  aud.Observe,
 		Scheduler: sim.NewRandom(8),
 	})
@@ -420,7 +420,7 @@ func TestNoGoroutineLeak(t *testing.T) {
 	}
 	for i := 0; i < 50; i++ {
 		scoped(fmt.Sprintf("stepwise/%d", i), 1, func(t *testing.T) {
-			e, err := sim.NewEngine(ring.MustNew(3), []ring.NodeID{0}, []sim.Program{reference.Program(t, parked)}, sim.Options{})
+			e, err := sim.NewEngine(ring.MustNew(3), []int{0}, []sim.Program{reference.Program(t, parked)}, sim.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -445,7 +445,7 @@ func TestNoGoroutineLeak(t *testing.T) {
 					return nil
 				}),
 			}
-			run(t, 9, []ring.NodeID{0, 3, 6}, progs, sim.Options{})
+			run(t, 9, []int{0, 3, 6}, progs, sim.Options{})
 		})
 	}
 	if n := parkedBodies(); n != 0 {

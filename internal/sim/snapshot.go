@@ -3,8 +3,6 @@ package sim
 import (
 	"fmt"
 	"slices"
-
-	"agentring/internal/ring"
 )
 
 // Configuration is a full snapshot of the global configuration
@@ -213,13 +211,13 @@ func (c Configuration) Key() uint64 {
 // Options.Observer and call Err at the end.
 type Auditor struct {
 	prev    *Configuration
-	haltPos map[int]ring.NodeID
+	haltPos map[int]int
 	err     error
 }
 
 // NewAuditor returns an auditor ready to observe a run.
 func NewAuditor() *Auditor {
-	return &Auditor{haltPos: make(map[int]ring.NodeID)}
+	return &Auditor{haltPos: make(map[int]int)}
 }
 
 // Observe implements Observer.
@@ -381,11 +379,11 @@ func inSomeQueue(queues [][]int, id int) bool {
 	return false
 }
 
-func stayingNode(staying [][]int, id int) ring.NodeID {
+func stayingNode(staying [][]int, id int) int {
 	for v, agents := range staying {
 		for _, x := range agents {
 			if x == id {
-				return ring.NodeID(v)
+				return v
 			}
 		}
 	}

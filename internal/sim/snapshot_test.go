@@ -127,7 +127,7 @@ func TestAuditorSingleNodeRingReentry(t *testing.T) {
 	aud := NewAuditor()
 	prog := walker(3)
 	r := ring.MustNew(1)
-	e, err := NewEngine(r, []ring.NodeID{0}, []Program{prog}, Options{Observer: aud.Observe})
+	e, err := NewEngine(r, []int{0}, []Program{prog}, Options{Observer: aud.Observe})
 	if err != nil {
 		t.Fatal(err)
 	}

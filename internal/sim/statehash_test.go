@@ -141,10 +141,10 @@ var stateKeySink uint64
 func BenchmarkStateKey(b *testing.B) {
 	for _, c := range []struct{ n, k int }{{8, 4}, {64, 16}, {512, 64}} {
 		b.Run(fmt.Sprintf("n=%d/k=%d", c.n, c.k), func(b *testing.B) {
-			homes := make([]ring.NodeID, c.k)
+			homes := make([]int, c.k)
 			programs := make([]Program, c.k)
 			for i := range homes {
-				homes[i] = ring.NodeID(i * (c.n / c.k))
+				homes[i] = i * (c.n / c.k)
 				programs[i] = walker(c.n)
 			}
 			e, err := NewEngine(ring.MustNew(c.n), homes, programs, Options{TrackState: true})
@@ -186,10 +186,10 @@ var stepAPICases = []struct {
 // n*k/2 decisions, leaves links in transit and walkers halted.
 func stepAPIEngine(b *testing.B, n, k int, adv *AdversaryBudget, decisions int) *Engine {
 	b.Helper()
-	homes := make([]ring.NodeID, k)
+	homes := make([]int, k)
 	programs := make([]Program, k)
 	for i := range homes {
-		homes[i] = ring.NodeID(i * n / k)
+		homes[i] = i * n / k
 		programs[i] = walker(n)
 	}
 	e, err := NewEngine(ring.MustNew(n), homes, programs, Options{TrackState: true, Adversary: adv})

@@ -1,15 +1,11 @@
 package sim
 
-import (
-	"fmt"
-
-	"agentring/internal/ring"
-)
+import "fmt"
 
 // Topology is the static substrate an Engine runs on: a finite directed
 // graph given by node count, per-node out-degree, and a port-indexed
-// neighbor map. Nodes are identified by ring.NodeID (the canonical
-// 0..n-1 numbering); ports number a node's outgoing links 0..Degree-1.
+// neighbor map. Nodes are ints in the canonical 0..n-1 numbering;
+// ports number a node's outgoing links 0..Degree-1.
 //
 // Implementations must be immutable once handed to an engine: the
 // engine materializes the whole edge set at construction (so the
@@ -23,10 +19,10 @@ type Topology interface {
 	// Size returns n, the number of nodes.
 	Size() int
 	// Degree returns the out-degree of v (the number of ports).
-	Degree(v ring.NodeID) int
+	Degree(v int) int
 	// Neighbor returns the head of v's port-th outgoing link. It is
 	// consulted only for 0 <= port < Degree(v).
-	Neighbor(v ring.NodeID, port int) ring.NodeID
+	Neighbor(v, port int) int
 }
 
 // edgeTable is the engine's flattened, validated form of a Topology:
@@ -62,7 +58,7 @@ func buildEdgeTable(t Topology) (*edgeTable, error) {
 	et := &edgeTable{n: n, start: make([]int32, n+1)}
 	m := 0
 	for v := 0; v < n; v++ {
-		d := t.Degree(ring.NodeID(v))
+		d := t.Degree(v)
 		if d < 0 {
 			return nil, fmt.Errorf("%w: node %d has out-degree %d", ErrBadSetup, v, d)
 		}
@@ -73,8 +69,8 @@ func buildEdgeTable(t Topology) (*edgeTable, error) {
 	et.dest = make([]int32, m)
 	for v := 0; v < n; v++ {
 		for p := 0; int32(p) < et.start[v+1]-et.start[v]; p++ {
-			w := t.Neighbor(ring.NodeID(v), p)
-			if w < 0 || int(w) >= n {
+			w := t.Neighbor(v, p)
+			if w < 0 || w >= n {
 				return nil, fmt.Errorf("%w: neighbor(%d, %d) = %d out of range", ErrBadSetup, v, p, w)
 			}
 			et.dest[et.start[v]+int32(p)] = int32(w)
@@ -144,6 +140,6 @@ func RankSources(t Topology) ([]int32, error) {
 func (et *edgeTable) edges() int { return len(et.dest) }
 
 // outDegree returns the out-degree of v.
-func (et *edgeTable) outDegree(v ring.NodeID) int {
+func (et *edgeTable) outDegree(v int) int {
 	return int(et.start[v+1] - et.start[v])
 }

@@ -3,8 +3,6 @@ package sim
 import (
 	"fmt"
 	"strings"
-
-	"agentring/internal/ring"
 )
 
 // Event is one recorded engine occurrence. Agent events carry the
@@ -12,11 +10,11 @@ import (
 // a fault schedule or Engine.SetEdgeState) carry Agent == -1 and name
 // the edge by its tail node and out-port.
 type Event struct {
-	Step   int
-	Agent  int // acting agent, or -1 for link mutations
-	Node   ring.NodeID
-	Kind   string // arrive, wake, move, await, halt, token, broadcast, link-down, link-up
-	Detail string
+	Step   int    `json:"step"`
+	Agent  int    `json:"agent"` // acting agent, or -1 for link mutations
+	Node   int    `json:"node"`
+	Kind   string `json:"kind"` // arrive, wake, move, await, halt, token, broadcast, link-down, link-up
+	Detail string `json:"detail,omitempty"`
 }
 
 // String implements fmt.Stringer.

@@ -18,7 +18,7 @@ func TestSinkSeesWhatTraceRecords(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e, err := NewEngine(r, []ring.NodeID{0, 1}, []Program{walker(5), walker(5)}, opts)
+		e, err := NewEngine(r, []int{0, 1}, []Program{walker(5), walker(5)}, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,7 +56,7 @@ func TestTeeSinkFeedsBoth(t *testing.T) {
 	}
 	trace := NewTrace(10000)
 	var streamed []Event
-	e, err := NewEngine(r, []ring.NodeID{0}, []Program{walker(4)},
+	e, err := NewEngine(r, []int{0}, []Program{walker(4)},
 		Options{Sink: TeeSink{trace, FuncSink(func(ev Event) { streamed = append(streamed, ev) })}})
 	if err != nil {
 		t.Fatal(err)

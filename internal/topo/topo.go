@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-
-	"agentring/internal/ring"
 )
 
 // ErrBadShape rejects impossible substrate dimensions.
@@ -32,15 +30,15 @@ func (b *BiRing) Size() int { return b.n }
 
 // Degree implements sim.Topology: every node has a forward and a
 // backward link.
-func (b *BiRing) Degree(ring.NodeID) int { return 2 }
+func (b *BiRing) Degree(int) int { return 2 }
 
 // Neighbor implements sim.Topology.
-func (b *BiRing) Neighbor(v ring.NodeID, port int) ring.NodeID {
+func (b *BiRing) Neighbor(v, port int) int {
 	switch port {
 	case 0:
-		return ring.NodeID((int(v) + 1) % b.n)
+		return (v + 1) % b.n
 	case 1:
-		return ring.NodeID((int(v) - 1 + b.n) % b.n)
+		return (v - 1 + b.n) % b.n
 	default:
 		return -1
 	}
@@ -78,16 +76,16 @@ func NewTorus(rows, cols int) (*Torus, error) {
 func (t *Torus) Size() int { return t.rows * t.cols }
 
 // Degree implements sim.Topology.
-func (t *Torus) Degree(ring.NodeID) int { return 2 }
+func (t *Torus) Degree(int) int { return 2 }
 
 // Neighbor implements sim.Topology.
-func (t *Torus) Neighbor(v ring.NodeID, port int) ring.NodeID {
+func (t *Torus) Neighbor(v, port int) int {
 	n := t.rows * t.cols
 	switch port {
 	case 0: // east, wrapping into the next row at row's end
-		return ring.NodeID((int(v) + 1) % n)
+		return (v + 1) % n
 	case 1: // south: same column, next row
-		return ring.NodeID((int(v) + t.cols) % n)
+		return (v + t.cols) % n
 	default:
 		return -1
 	}

@@ -1,10 +1,6 @@
 package topo
 
-import (
-	"testing"
-
-	"agentring/internal/ring"
-)
+import "testing"
 
 func TestBiRingNeighbors(t *testing.T) {
 	if _, err := NewBiRing(0); err == nil {
@@ -18,19 +14,19 @@ func TestBiRingNeighbors(t *testing.T) {
 		t.Errorf("size = %d", b.Size())
 	}
 	for v := 0; v < 5; v++ {
-		if d := b.Degree(ring.NodeID(v)); d != 2 {
+		if d := b.Degree(v); d != 2 {
 			t.Errorf("degree(%d) = %d", v, d)
 		}
-		fwd := b.Neighbor(ring.NodeID(v), 0)
-		bwd := b.Neighbor(ring.NodeID(v), 1)
-		if int(fwd) != (v+1)%5 {
+		fwd := b.Neighbor(v, 0)
+		bwd := b.Neighbor(v, 1)
+		if fwd != (v+1)%5 {
 			t.Errorf("forward(%d) = %d", v, fwd)
 		}
-		if int(bwd) != (v+4)%5 {
+		if bwd != (v+4)%5 {
 			t.Errorf("backward(%d) = %d", v, bwd)
 		}
 		// The two directions are mutual inverses.
-		if b.Neighbor(fwd, 1) != ring.NodeID(v) || b.Neighbor(bwd, 0) != ring.NodeID(v) {
+		if b.Neighbor(fwd, 1) != v || b.Neighbor(bwd, 0) != v {
 			t.Errorf("ports at %d are not inverse", v)
 		}
 	}
@@ -50,7 +46,7 @@ func TestTorusPortZeroIsHamiltonian(t *testing.T) {
 		}
 		n := tor.Size()
 		seen := make([]bool, n)
-		v := ring.NodeID(0)
+		v := int(0)
 		for i := 0; i < n; i++ {
 			if seen[v] {
 				t.Fatalf("torus %dx%d: node %d revisited after %d hops", dims[0], dims[1], v, i)
@@ -71,13 +67,13 @@ func TestTorusSouthPort(t *testing.T) {
 	}
 	for r := 0; r < 3; r++ {
 		for c := 0; c < 4; c++ {
-			v := ring.NodeID(r*4 + c)
+			v := r*4 + c
 			if d := tor.Degree(v); d != 2 {
 				t.Errorf("degree(%d) = %d", v, d)
 			}
 			south := tor.Neighbor(v, 1)
 			wantRow, wantCol := (r+1)%3, c
-			if int(south) != wantRow*4+wantCol {
+			if south != wantRow*4+wantCol {
 				t.Errorf("south(%d,%d) = node %d, want (%d,%d)", r, c, south, wantRow, wantCol)
 			}
 		}

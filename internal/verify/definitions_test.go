@@ -4,14 +4,13 @@ import (
 	"strings"
 	"testing"
 
-	"agentring/internal/ring"
 	"agentring/internal/sim"
 )
 
 func haltedResult(nodes ...int) sim.Result {
 	res := sim.Result{QueuesEmpty: true, MailboxesEmpty: true}
 	for _, v := range nodes {
-		res.Agents = append(res.Agents, sim.AgentReport{Node: ringID(v), Status: sim.StatusHalted})
+		res.Agents = append(res.Agents, sim.AgentReport{Node: v, Status: sim.StatusHalted})
 	}
 	return res
 }
@@ -19,7 +18,7 @@ func haltedResult(nodes ...int) sim.Result {
 func suspendedResult(nodes ...int) sim.Result {
 	res := sim.Result{QueuesEmpty: true, MailboxesEmpty: true}
 	for _, v := range nodes {
-		res.Agents = append(res.Agents, sim.AgentReport{Node: ringID(v), Status: sim.StatusWaiting})
+		res.Agents = append(res.Agents, sim.AgentReport{Node: v, Status: sim.StatusWaiting})
 	}
 	return res
 }
@@ -79,7 +78,3 @@ func TestCheckDefinition2Rejections(t *testing.T) {
 		t.Errorf("non-uniform accepted: %v", err)
 	}
 }
-
-// ringID adapts an int to the ring.NodeID type without importing the
-// package at every call site.
-func ringID(v int) ring.NodeID { return ring.NodeID(v) }

@@ -2,25 +2,21 @@ package verify
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
-	"agentring/internal/ring"
 	"agentring/internal/sim"
 )
 
 // Gaps returns the sorted cyclic gaps between the given positions on an
 // n-ring. Positions must be distinct; duplicates yield a zero gap, which
 // the uniformity check rejects anyway.
-func Gaps(n int, positions []ring.NodeID) []int {
+func Gaps(n int, positions []int) []int {
 	k := len(positions)
 	if k == 0 {
 		return nil
 	}
-	sorted := make([]int, k)
-	for i, p := range positions {
-		sorted[i] = int(p)
-	}
-	sort.Ints(sorted)
+	sorted := slices.Clone(positions)
+	slices.Sort(sorted)
 	gaps := make([]int, k)
 	for i := 0; i < k; i++ {
 		next := sorted[(i+1)%k]
@@ -36,13 +32,13 @@ func Gaps(n int, positions []ring.NodeID) []int {
 // IsUniform reports whether positions satisfy the uniform-deployment
 // condition on an n-ring: distinct nodes with every adjacent gap equal
 // to ⌊n/k⌋ or ⌈n/k⌉. With k = 1 the single agent is trivially uniform.
-func IsUniform(n int, positions []ring.NodeID) bool {
+func IsUniform(n int, positions []int) bool {
 	return ExplainNonUniform(n, positions) == ""
 }
 
 // ExplainNonUniform returns "" when positions are uniformly deployed,
 // or a human-readable reason otherwise (for test diagnostics).
-func ExplainNonUniform(n int, positions []ring.NodeID) string {
+func ExplainNonUniform(n int, positions []int) string {
 	k := len(positions)
 	if k == 0 {
 		return "no agents"
@@ -50,9 +46,9 @@ func ExplainNonUniform(n int, positions []ring.NodeID) string {
 	if k > n {
 		return fmt.Sprintf("%d agents exceed %d nodes", k, n)
 	}
-	seen := make(map[ring.NodeID]bool, k)
+	seen := make(map[int]bool, k)
 	for _, p := range positions {
-		if p < 0 || int(p) >= n {
+		if p < 0 || p >= n {
 			return fmt.Sprintf("position %d out of range", p)
 		}
 		if seen[p] {

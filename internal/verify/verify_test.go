@@ -5,24 +5,14 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
-
-	"agentring/internal/ring"
 )
 
-func ids(v ...int) []ring.NodeID {
-	out := make([]ring.NodeID, len(v))
-	for i, x := range v {
-		out[i] = ring.NodeID(x)
-	}
-	return out
-}
-
 func TestGaps(t *testing.T) {
-	got := Gaps(16, ids(0, 4, 8, 12))
+	got := Gaps(16, []int{0, 4, 8, 12})
 	if want := []int{4, 4, 4, 4}; !reflect.DeepEqual(got, want) {
 		t.Errorf("Gaps = %v, want %v", got, want)
 	}
-	got = Gaps(10, ids(7, 2))
+	got = Gaps(10, []int{7, 2})
 	if want := []int{5, 5}; !reflect.DeepEqual(got, want) {
 		t.Errorf("Gaps = %v, want %v", got, want)
 	}
@@ -30,7 +20,7 @@ func TestGaps(t *testing.T) {
 		t.Errorf("Gaps(empty) = %v, want nil", got)
 	}
 	// Single agent: full-circle gap.
-	got = Gaps(9, ids(4))
+	got = Gaps(9, []int{4})
 	if want := []int{9}; !reflect.DeepEqual(got, want) {
 		t.Errorf("Gaps single = %v, want %v", got, want)
 	}
@@ -39,40 +29,40 @@ func TestGaps(t *testing.T) {
 func TestIsUniformFig2(t *testing.T) {
 	// Fig 2: n=16, k=4, d=4 (the figure caption says d=3 counting
 	// intermediate nodes; gaps in our convention are n/k=4).
-	if !IsUniform(16, ids(0, 4, 8, 12)) {
+	if !IsUniform(16, []int{0, 4, 8, 12}) {
 		t.Error("Fig 2 configuration must be uniform")
 	}
-	if IsUniform(16, ids(0, 4, 8, 13)) {
+	if IsUniform(16, []int{0, 4, 8, 13}) {
 		t.Error("perturbed Fig 2 must not be uniform")
 	}
 }
 
 func TestIsUniformUnevenDivision(t *testing.T) {
 	// n=10, k=3: gaps must be two 3s and one 4.
-	if !IsUniform(10, ids(0, 3, 6)) {
+	if !IsUniform(10, []int{0, 3, 6}) {
 		t.Error("(0,3,6) on 10-ring must be uniform (gaps 3,3,4)")
 	}
-	if !IsUniform(10, ids(1, 4, 8)) {
+	if !IsUniform(10, []int{1, 4, 8}) {
 		t.Error("(1,4,8) on 10-ring must be uniform (gaps 3,4,3)")
 	}
-	if IsUniform(10, ids(0, 5, 6)) {
+	if IsUniform(10, []int{0, 5, 6}) {
 		t.Error("(0,5,6) has a gap of 5")
 	}
 	// Correct gap multiset has exactly n mod k wide gaps: (0,3,7) has
 	// gaps 3,4,3 -> fine; (0,4,8)? gaps 4,4,2 -> reject.
-	if IsUniform(10, ids(0, 4, 8)) {
+	if IsUniform(10, []int{0, 4, 8}) {
 		t.Error("(0,4,8) has gaps 4,4,2")
 	}
 }
 
 func TestIsUniformRejectsDuplicates(t *testing.T) {
-	if IsUniform(8, ids(1, 1)) {
+	if IsUniform(8, []int{1, 1}) {
 		t.Error("duplicate positions must not be uniform")
 	}
 }
 
 func TestIsUniformSingleAgent(t *testing.T) {
-	if !IsUniform(7, ids(3)) {
+	if !IsUniform(7, []int{3}) {
 		t.Error("single agent is trivially uniform")
 	}
 }
@@ -80,14 +70,14 @@ func TestIsUniformSingleAgent(t *testing.T) {
 func TestExplainNonUniformMessages(t *testing.T) {
 	cases := []struct {
 		n   int
-		pos []ring.NodeID
+		pos []int
 	}{
 		{5, nil},
-		{2, ids(0, 1, 1)},
-		{8, ids(9)},
-		{8, ids(-1)},
-		{8, ids(3, 3)},
-		{8, ids(0, 1)},
+		{2, []int{0, 1, 1}},
+		{8, []int{9}},
+		{8, []int{-1}},
+		{8, []int{3, 3}},
+		{8, []int{0, 1}},
 	}
 	for _, c := range cases {
 		if why := ExplainNonUniform(c.n, c.pos); why == "" {
@@ -103,18 +93,18 @@ func TestIsUniformInvariantUnderRotation(t *testing.T) {
 		shift := int(shiftRaw) % n
 		rng := rand.New(rand.NewSource(int64(nRaw)*7919 + int64(kRaw)))
 		// Build a uniform placement, then rotate: must stay uniform.
-		pos := make([]ring.NodeID, k)
+		pos := make([]int, k)
 		start := rng.Intn(n)
 		for i := 0; i < k; i++ {
 			off := i*(n/k) + min(i, n%k)
-			pos[i] = ring.NodeID((start + off) % n)
+			pos[i] = (start + off) % n
 		}
 		if !IsUniform(n, pos) {
 			return false
 		}
-		rot := make([]ring.NodeID, k)
+		rot := make([]int, k)
 		for i, p := range pos {
-			rot[i] = ring.NodeID((int(p) + shift) % n)
+			rot[i] = (p + shift) % n
 		}
 		return IsUniform(n, rot)
 	}
@@ -126,10 +116,10 @@ func TestIsUniformInvariantUnderRotation(t *testing.T) {
 func TestGapsSumToN(t *testing.T) {
 	f := func(nRaw uint8, posRaw []uint8) bool {
 		n := int(nRaw%50) + 1
-		seen := map[ring.NodeID]bool{}
-		var pos []ring.NodeID
+		seen := map[int]bool{}
+		var pos []int
 		for _, p := range posRaw {
-			v := ring.NodeID(int(p) % n)
+			v := int(p) % n
 			if !seen[v] {
 				seen[v] = true
 				pos = append(pos, v)

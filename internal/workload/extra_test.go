@@ -40,7 +40,7 @@ func TestGeometric(t *testing.T) {
 		t.Fatal(err)
 	}
 	distinct(t, 64, homes)
-	want := []ring.NodeID{0, 1, 3, 7, 15}
+	want := []int{0, 1, 3, 7, 15}
 	for i := range want {
 		if homes[i] != want[i] {
 			t.Fatalf("homes = %v, want %v", homes, want)

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"slices"
 
-	"agentring/internal/ring"
 	"agentring/internal/seq"
 )
 
@@ -21,43 +20,42 @@ func validate(n, k int) error {
 
 // Random places k agents on distinct uniformly random nodes of an
 // n-ring.
-func Random(n, k int, rng *rand.Rand) ([]ring.NodeID, error) {
+func Random(n, k int, rng *rand.Rand) ([]int, error) {
 	if err := validate(n, k); err != nil {
 		return nil, err
 	}
-	perm := rng.Perm(n)
-	homes := make([]ring.NodeID, k)
-	for i := 0; i < k; i++ {
-		homes[i] = ring.NodeID(perm[i])
-	}
+	// A fresh k-entry slice, so a placement does not pin the n-entry
+	// permutation.
+	homes := make([]int, k)
+	copy(homes, rng.Perm(n))
 	return homes, nil
 }
 
 // Clustered packs k agents contiguously starting at node 0 — the Fig 3
 // configuration that forces Ω(kn) total moves when k ≤ n/4: about a
 // quarter of the agents must cross to the opposite quarter of the ring.
-func Clustered(n, k int) ([]ring.NodeID, error) {
+func Clustered(n, k int) ([]int, error) {
 	if err := validate(n, k); err != nil {
 		return nil, err
 	}
-	homes := make([]ring.NodeID, k)
+	homes := make([]int, k)
 	for i := range homes {
-		homes[i] = ring.NodeID(i)
+		homes[i] = i
 	}
 	return homes, nil
 }
 
 // Uniform places k agents already uniformly (gaps ⌊n/k⌋ or ⌈n/k⌉): the
 // symmetry degree is k when n ≡ 0 (mod k).
-func Uniform(n, k int) ([]ring.NodeID, error) {
+func Uniform(n, k int) ([]int, error) {
 	if err := validate(n, k); err != nil {
 		return nil, err
 	}
-	homes := make([]ring.NodeID, k)
+	homes := make([]int, k)
 	for i := range homes {
 		// i-th target of the canonical schedule with a single base at 0.
 		off := i*(n/k) + min(i, n%k)
-		homes[i] = ring.NodeID(off)
+		homes[i] = off
 	}
 	return homes, nil
 }
@@ -67,7 +65,7 @@ func Uniform(n, k int) ([]ring.NodeID, error) {
 // k/l >= 1, and enough room for an aperiodic fundamental gap pattern
 // (if k/l == 1 the fundamental is a single gap, trivially aperiodic).
 // The fundamental pattern is randomized via rng.
-func PeriodicWithDegree(n, k, l int, rng *rand.Rand) ([]ring.NodeID, error) {
+func PeriodicWithDegree(n, k, l int, rng *rand.Rand) ([]int, error) {
 	if err := validate(n, k); err != nil {
 		return nil, err
 	}
@@ -83,10 +81,10 @@ func PeriodicWithDegree(n, k, l int, rng *rand.Rand) ([]ring.NodeID, error) {
 		return nil, err
 	}
 	gaps := seq.Repeat(fund, l)
-	homes := make([]ring.NodeID, k)
+	homes := make([]int, k)
 	at := 0
 	for i := range homes {
-		homes[i] = ring.NodeID(at)
+		homes[i] = at
 		at += gaps[i]
 	}
 	if at != n {
@@ -152,7 +150,7 @@ func randomComposition(nf, kf int, rng *rand.Rand) []int {
 // TwoClusters splits k agents into two contiguous groups on opposite
 // sides of the ring — a shape with symmetry degree up to 2 that
 // stresses the base-node tie-breaking.
-func TwoClusters(n, k int) ([]ring.NodeID, error) {
+func TwoClusters(n, k int) ([]int, error) {
 	if err := validate(n, k); err != nil {
 		return nil, err
 	}
@@ -160,12 +158,12 @@ func TwoClusters(n, k int) ([]ring.NodeID, error) {
 	if half+(k-half) > n/2 {
 		return nil, fmt.Errorf("%w: clusters of %d do not fit", ErrBadShape, k)
 	}
-	homes := make([]ring.NodeID, 0, k)
+	homes := make([]int, 0, k)
 	for i := 0; i < half; i++ {
-		homes = append(homes, ring.NodeID(i))
+		homes = append(homes, i)
 	}
 	for i := 0; i < k-half; i++ {
-		homes = append(homes, ring.NodeID(n/2+i))
+		homes = append(homes, n/2+i)
 	}
 	return homes, nil
 }
@@ -173,17 +171,17 @@ func TwoClusters(n, k int) ([]ring.NodeID, error) {
 // Geometric places agents with geometrically growing gaps (1, 2, 4, …
 // as far as they fit), a maximally asymmetric configuration (symmetry
 // degree 1 for k >= 2).
-func Geometric(n, k int) ([]ring.NodeID, error) {
+func Geometric(n, k int) ([]int, error) {
 	if err := validate(n, k); err != nil {
 		return nil, err
 	}
-	homes := make([]ring.NodeID, k)
+	homes := make([]int, k)
 	at, gap := 0, 1
 	for i := 0; i < k; i++ {
 		if at >= n {
 			return nil, fmt.Errorf("%w: geometric gaps overflow n=%d at agent %d", ErrBadShape, n, i)
 		}
-		homes[i] = ring.NodeID(at)
+		homes[i] = at
 		at += gap
 		if gap < n/4+1 {
 			gap *= 2
@@ -196,12 +194,12 @@ func Geometric(n, k int) ([]ring.NodeID, error) {
 // containing a 4-times-repeated subsequence, so one agent misestimates
 // the ring size and must be corrected during the patrolling phase.
 // The gap sequence is (11, 1, 3, 1, 3, 1, 3, 1, 3).
-func Fig9() (n int, homes []ring.NodeID) {
+func Fig9() (n int, homes []int) {
 	gaps := []int{11, 1, 3, 1, 3, 1, 3, 1, 3}
-	homes = make([]ring.NodeID, len(gaps))
+	homes = make([]int, len(gaps))
 	at := 0
 	for i := range gaps {
-		homes[i] = ring.NodeID(at)
+		homes[i] = at
 		at += gaps[i]
 	}
 	return at, homes
@@ -211,15 +209,15 @@ func Fig9() (n int, homes []ring.NodeID) {
 // configuration (n nodes, homes) it returns a ring of (copies+pad)*n
 // nodes where the home pattern is repeated `copies` times over the
 // first copies*n nodes and the remaining pad*n nodes are empty.
-func Pumped(n int, homes []ring.NodeID, copies, pad int) (int, []ring.NodeID, error) {
+func Pumped(n int, homes []int, copies, pad int) (int, []int, error) {
 	if copies < 1 || pad < 0 {
 		return 0, nil, fmt.Errorf("%w: copies=%d pad=%d", ErrBadShape, copies, pad)
 	}
 	bigN := (copies + pad) * n
-	out := make([]ring.NodeID, 0, copies*len(homes))
+	out := make([]int, 0, copies*len(homes))
 	for c := 0; c < copies; c++ {
 		for _, h := range homes {
-			out = append(out, ring.NodeID(c*n+int(h)))
+			out = append(out, c*n+h)
 		}
 	}
 	return bigN, out, nil

@@ -10,11 +10,11 @@ import (
 	"agentring/internal/verify"
 )
 
-func distinct(t *testing.T, n int, homes []ring.NodeID) {
+func distinct(t *testing.T, n int, homes []int) {
 	t.Helper()
-	seen := make(map[ring.NodeID]bool)
+	seen := make(map[int]bool)
 	for _, h := range homes {
-		if h < 0 || int(h) >= n {
+		if h < 0 || h >= n {
 			t.Fatalf("home %d out of range [0,%d)", h, n)
 		}
 		if seen[h] {
@@ -56,7 +56,7 @@ func TestClustered(t *testing.T) {
 	}
 	distinct(t, 100, homes)
 	for i, h := range homes {
-		if int(h) != i {
+		if h != i {
 			t.Fatalf("clustered home %d = %d, want %d", i, h, i)
 		}
 	}
@@ -145,7 +145,7 @@ func TestFig9(t *testing.T) {
 }
 
 func TestPumped(t *testing.T) {
-	base := []ring.NodeID{0, 1, 5}
+	base := []int{0, 1, 5}
 	n, homes, err := Pumped(8, base, 3, 2)
 	if err != nil {
 		t.Fatal(err)

@@ -118,28 +118,20 @@ func buildReport(alg Algorithm, cfg Config, res sim.Result, trace *sim.Trace) Re
 		PeakBits:          res.MaxPeakWords() * memmeter.BitsPerWord(cfg.N),
 		Epoch:             res.Epoch,
 	}
-	homes := make([]ring.NodeID, len(cfg.Homes))
-	for i, h := range cfg.Homes {
-		homes[i] = ring.NodeID(h)
-	}
-	if gaps, err := ring.DistanceSequence(cfg.N, homes); err == nil {
+	if gaps, err := ring.DistanceSequence(cfg.N, cfg.Homes); err == nil {
 		rep.SymmetryDegree = seq.SymmetryDegree(gaps)
 	}
-	positions := res.Positions()
-	rep.Positions = make([]int, len(positions))
-	for i, p := range positions {
-		rep.Positions[i] = int(p)
-	}
-	rep.Gaps = verify.Gaps(cfg.N, positions)
-	rep.Why = verify.ExplainNonUniform(cfg.N, positions)
+	rep.Positions = res.Positions()
+	rep.Gaps = verify.Gaps(cfg.N, rep.Positions)
+	rep.Why = verify.ExplainNonUniform(cfg.N, rep.Positions)
 	rep.Uniform = rep.Why == ""
 	rep.Definition1 = verify.CheckDefinition1(cfg.N, res) == nil
 	rep.Definition2 = verify.CheckDefinition2(cfg.N, res) == nil
 	rep.Agents = make([]AgentOutcome, len(res.Agents))
 	for i, a := range res.Agents {
 		rep.Agents[i] = AgentOutcome{
-			Home:      int(a.Home),
-			Node:      int(a.Node),
+			Home:      a.Home,
+			Node:      a.Node,
 			Moves:     a.Moves,
 			PeakWords: a.PeakWords,
 			Halted:    a.Status == sim.StatusHalted,
@@ -155,26 +147,14 @@ func buildReport(alg Algorithm, cfg Config, res sim.Result, trace *sim.Trace) Re
 // IsUniform reports whether the given positions are uniformly deployed
 // on an n-ring (exported convenience over the internal checker).
 func IsUniform(n int, positions []int) bool {
-	return explainInts(n, positions) == ""
-}
-
-func explainInts(n int, positions []int) string {
-	ids := make([]ring.NodeID, len(positions))
-	for i, p := range positions {
-		ids[i] = ring.NodeID(p)
-	}
-	return verify.ExplainNonUniform(n, ids)
+	return verify.ExplainNonUniform(n, positions) == ""
 }
 
 // SymmetryDegree returns the symmetry degree l of an initial placement:
 // the number of times its distance sequence repeats an aperiodic
 // pattern (1 = asymmetric, k = already uniform with n ≡ 0 mod k).
 func SymmetryDegree(n int, homes []int) (int, error) {
-	ids := make([]ring.NodeID, len(homes))
-	for i, p := range homes {
-		ids[i] = ring.NodeID(p)
-	}
-	gaps, err := ring.DistanceSequence(n, ids)
+	gaps, err := ring.DistanceSequence(n, homes)
 	if err != nil {
 		return 0, fmt.Errorf("%w: %v", ErrConfig, err)
 	}
@@ -187,7 +167,7 @@ func RandomHomes(n, k int, seed int64) ([]int, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrConfig, err)
 	}
-	return toInts(homes), nil
+	return homes, nil
 }
 
 // ClusteredHomes packs k agents contiguously from node 0 (the Fig 3
@@ -197,7 +177,7 @@ func ClusteredHomes(n, k int) ([]int, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrConfig, err)
 	}
-	return toInts(homes), nil
+	return homes, nil
 }
 
 // UniformHomes places k agents already uniformly.
@@ -206,7 +186,7 @@ func UniformHomes(n, k int) ([]int, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrConfig, err)
 	}
-	return toInts(homes), nil
+	return homes, nil
 }
 
 // PeriodicHomes builds an initial configuration with symmetry degree
@@ -216,28 +196,16 @@ func PeriodicHomes(n, k, l int, seed int64) ([]int, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrConfig, err)
 	}
-	return toInts(homes), nil
+	return homes, nil
 }
 
 // PumpedHomes builds the Theorem 5 construction: the base placement
 // repeated `copies` times followed by pad empty copies' worth of nodes.
 // It returns the pumped ring size and homes.
 func PumpedHomes(n int, homes []int, copies, pad int) (int, []int, error) {
-	ids := make([]ring.NodeID, len(homes))
-	for i, p := range homes {
-		ids[i] = ring.NodeID(p)
-	}
-	bigN, bigHomes, err := workload.Pumped(n, ids, copies, pad)
+	bigN, bigHomes, err := workload.Pumped(n, homes, copies, pad)
 	if err != nil {
 		return 0, nil, fmt.Errorf("%w: %v", ErrConfig, err)
 	}
-	return bigN, toInts(bigHomes), nil
-}
-
-func toInts(v []ring.NodeID) []int {
-	out := make([]int, len(v))
-	for i, x := range v {
-		out[i] = int(x)
-	}
-	return out
+	return bigN, bigHomes, nil
 }

@@ -173,29 +173,6 @@ func (t *Topology) String() string {
 	}
 }
 
-// RandomHomes places k agents on distinct uniformly random nodes of the
-// topology.
-func (t *Topology) RandomHomes(k int, seed int64) ([]int, error) {
-	return RandomHomes(t.Size(), k, seed)
-}
-
-// ClusteredHomes packs k agents contiguously from node 0.
-func (t *Topology) ClusteredHomes(k int) ([]int, error) {
-	return ClusteredHomes(t.Size(), k)
-}
-
-// UniformHomes places k agents already uniformly along the node order
-// (the port-0 Hamiltonian cycle).
-func (t *Topology) UniformHomes(k int) ([]int, error) {
-	return UniformHomes(t.Size(), k)
-}
-
-// PeriodicHomes builds an initial configuration with symmetry degree
-// exactly l along the node order (requires l | k and l | size).
-func (t *Topology) PeriodicHomes(k, l int, seed int64) ([]int, error) {
-	return PeriodicHomes(t.Size(), k, l, seed)
-}
-
 // TreeHomes maps distinct tree nodes to their virtual-ring homes (the
 // first Euler visit of each node). Tree topologies only.
 func (t *Topology) TreeHomes(treeNodes []int) ([]int, error) {

@@ -171,7 +171,7 @@ func TestTorusRunUniformAlongHamiltonianCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	homes, err := topo.ClusteredHomes(8)
+	homes, err := agentring.ClusteredHomes(topo.Size(), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
