@@ -129,8 +129,7 @@ type ExploreReport struct {
 // and a terminal state with agents frozen on a never-repaired link is a
 // counterexample. Step-indexed mutations localize, rather than disable,
 // the reduction: sleep sets stratify around the depths where a fault
-// fires, and state convergence is only recognized between equal-length
-// schedules — fault searches cover the same space with more replays.
+// fires, so fault searches cover the same space with more replays.
 //
 // ExploreOptions.Adversary goes further: the fault set becomes a choice
 // of the schedule itself, and the search branches over every failure

@@ -155,69 +155,6 @@ func TestBudgetStopAfterLastExpansion(t *testing.T) {
 	}
 }
 
-// TestBudgetStopCountsInPlaceChild lands a budget stop in the middle of
-// an in-place descent. One agent on a 5-ring gives every state exactly
-// one child, so the whole search runs inside the root item's expansion
-// and nothing is ever pushed: the child the stop cuts off was never on
-// the stack, and expand must count it itself.
-func TestBudgetStopCountsInPlaceChild(t *testing.T) {
-	top := ring.MustNew(5)
-	rankSrc, err := sim.RankSources(top)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var x *explorer
-	stop := func() { x.stop(abortBudget) } // what poll does once MaxDuration has expired
-	x, root, err := newExplorer(Setup{
-		N:        5,
-		Topology: top,
-		Homes:    []int{0},
-		Programs: func() ([]sim.Program, error) { return []sim.Program{stoppingWalker{stop: stop}}, nil },
-	}, Options{Budget: Budget{MaxDepth: DefaultMaxDepth, MaxStates: DefaultMaxStates}}, rankSrc, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x.expand(root)
-	rep := x.report()
-	if rep.Complete || rep.Truncated < 1 {
-		t.Fatalf("budget stop mid-descent: Complete=%v Truncated=%d, want false and >= 1", rep.Complete, rep.Truncated)
-	}
-	// The stop fires in the action reaching the third state; the descent
-	// must end there, before the walker's last two states.
-	if rep.States != 3 {
-		t.Fatalf("States = %d, want 3: the descent must stop where the budget expired", rep.States)
-	}
-}
-
-// stoppingWalker walks three links forward and calls stop as it makes
-// its second move.
-type stoppingWalker struct{ stop func() }
-
-func (s stoppingWalker) Frame() sim.Frame { return &stoppingFrame{stop: s.stop} }
-
-type stoppingFrame struct {
-	stop  func()
-	moved int
-}
-
-func (f *stoppingFrame) Step(sim.API) sim.Action {
-	if f.moved == 3 {
-		return sim.Action{Kind: sim.ActionDone}
-	}
-	f.moved++
-	if f.moved == 2 {
-		f.stop()
-	}
-	return sim.Action{Kind: sim.ActionMove}
-}
-
-func (f *stoppingFrame) SaveState(buf []int) []int { return append(buf, f.moved) }
-
-func (f *stoppingFrame) LoadState(buf []int) int {
-	f.moved = buf[0]
-	return 1
-}
-
 // TestContextCancelAborts: cancelling the context mid-search returns
 // the context error with a partial report instead of hanging or
 // claiming completeness.

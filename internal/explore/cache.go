@@ -5,9 +5,8 @@ package explore
 // holds a whole old table next to its doubled successor, which at the
 // last doubling of one flat table would be half as much memory again.
 // The shard index is the key's low shardBits bits, and a shard's table
-// probes from the bits above them. Keys need no further hashing: they
-// are already avalanche hashes (sim state keys, or mix64-finalized
-// depth tags under faults).
+// probes from the bits above them. Keys need no further hashing: sim
+// state keys are already avalanche hashes.
 const (
 	shardBits   = 6
 	cacheShards = 1 << shardBits
@@ -23,17 +22,15 @@ const minShardSlots = 8
 // collector's 4 MB minimum heap goal, where mapping adds resident pages.
 const mapMinSlots = 2048
 
-// cacheEntry records how a canonical state was last explored: the
-// shallowest depth it was expanded at, the agents asleep in every visit
-// so far (the intersection of their sleep sets), and whether it is a
-// quiescent terminal. A revisit is redundant iff it is no shallower and
-// its sleep set holds every agent the stored one does. The entry packs
-// into 16 bytes, used included (it sits in the padding), which keeps
-// the cache — the bulk of a large search's memory — small; depth fits
-// in an int32 because Explore caps MaxDepth there.
+// cacheEntry records how a canonical state was explored: the agents
+// asleep in every visit so far (the intersection of their sleep sets),
+// and whether it is a quiescent terminal. It stores no depth, because
+// the key fixes it (see visit). A revisit is redundant iff its sleep set
+// holds every agent the stored one does. The entry packs into 16 bytes,
+// used included, which keeps the cache — the bulk of a large search's
+// memory — small; six of them are padding.
 type cacheEntry struct {
 	sleep    sleepSet
-	depth    int32
 	terminal bool
 	used     bool // the slot holds a state, so key 0 needs no sentinel
 }
@@ -78,10 +75,9 @@ func (s *cacheShard) grow() {
 }
 
 // stateCache is the canonical-state cache, sharded by key: a visit
-// touches exactly one shard. Entries are only ever weakened (depth
-// lowered, sleep set shrunk), and the visits of a key run one after
-// another, so each transition out of it is handed to exactly one of
-// them (see visit).
+// touches exactly one shard. Entries are only ever weakened (sleep set
+// shrunk), and the visits of a key run one after another, so each
+// transition out of it is handed to exactly one of them (see visit).
 type stateCache struct {
 	shards [cacheShards]cacheShard
 }
@@ -120,19 +116,23 @@ const (
 // terminal configuration is judged exactly once no matter how many
 // schedules reach it.
 //
-// A revisit that is no shallower than the stored entry but does not
-// subsume it (its sleep set Z misses some agents of the stored set H)
-// follows Godefroid's state-caching rule: the earlier visits explored
-// every enabled transition outside H, so this visit owes only the
-// awake set H &^ Z — the transitions all of them slept and this one
-// does not — and runs under the sleep set H & Z, which is also what the
-// entry keeps. The visits of one key run one after another, so their
-// awake sets are disjoint and each (state, transition) pair is expanded
-// at most once. Shallower revisits, which matter only when MaxDepth cut
-// the earlier subtree, keep the unrestricted expansion under H & Z.
+// A revisit that the stored entry does not subsume (its sleep set Z
+// misses some agents of the stored set H) follows Godefroid's
+// state-caching rule: the earlier visits explored every enabled
+// transition outside H, so this visit owes only the awake set H &^ Z —
+// the transitions all of them slept and this one does not — and runs
+// under the sleep set H & Z, which is also what the entry keeps. The
+// visits of one key run one after another, so their awake sets are
+// disjoint and each (state, transition) pair is expanded at most once.
+//
+// Every visit of a key is at the key's one depth: under TrackState,
+// equal keys have equal depth up to 64-bit collisions (sim's package
+// doc, "State identity"), so a revisit never sees a subtree that
+// MaxDepth cut shorter than its own, and never a different fixed-fault
+// suffix.
 //
 // MaxStates is an exact bound on the states counter.
-func (c *stateCache) visit(key uint64, depth int, sleep sleepSet, terminal bool, maxStates int, st *Stats) (visitOutcome, sleepSet, sleepSet, bool) {
+func (c *stateCache) visit(key uint64, sleep sleepSet, terminal bool, maxStates int, st *Stats) (visitOutcome, sleepSet, sleepSet, bool) {
 	s := &c.shards[key%cacheShards]
 	var sl *cacheSlot
 	if s.slots != nil {
@@ -150,7 +150,7 @@ func (c *stateCache) visit(key uint64, depth int, sleep sleepSet, terminal bool,
 		}
 		s.count++
 		sl.key = key
-		sl.entry = cacheEntry{depth: int32(depth), sleep: sleep, terminal: terminal, used: true}
+		sl.entry = cacheEntry{sleep: sleep, terminal: terminal, used: true}
 		if terminal {
 			st.Terminals++
 			st.DistinctTerminals++
@@ -158,19 +158,14 @@ func (c *stateCache) visit(key uint64, depth int, sleep sleepSet, terminal bool,
 		return visitExpand, sleep, 0, terminal
 	}
 	entry := &sl.entry
-	if int(entry.depth) <= depth && entry.sleep&^sleep == 0 {
+	if entry.sleep&^sleep == 0 {
 		st.Pruned++
 		if terminal {
 			st.Terminals++
 		}
 		return visitPruned, 0, 0, false
 	}
-	var awake sleepSet
-	if depth < int(entry.depth) {
-		entry.depth = int32(depth)
-	} else {
-		awake = entry.sleep &^ sleep
-	}
+	awake := entry.sleep &^ sleep
 	entry.sleep &= sleep
 	first := false
 	if terminal {

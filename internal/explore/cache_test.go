@@ -8,6 +8,19 @@ import (
 	"testing"
 )
 
+// spread turns a counter into a synthetic state key: the splitmix64
+// finalizer, an avalanche hash like the engine's keys, so the cache's
+// shard and probe bits come out evenly distributed.
+func spread(i int) uint64 {
+	v := uint64(i) + 1
+	v ^= v >> 30
+	v *= 0xbf58476d1ce4e5b9
+	v ^= v >> 27
+	v *= 0x94d049bb133111eb
+	v ^= v >> 31
+	return v
+}
+
 // BenchmarkCacheVisit times one stateCache.visit against a cache of the
 // given size. A hit revisits a stored key that the stored entry
 // subsumes (the pruned path); a miss inserts a new key, growth
@@ -17,7 +30,7 @@ func BenchmarkCacheVisit(b *testing.B) {
 	for _, entries := range []int{1_000, 100_000, 1_000_000} {
 		fill := func(c *stateCache, st *Stats, from, to int) {
 			for i := from; i < to; i++ {
-				c.visit(mix64(uint64(i)+1), 1, 0, false, math.MaxInt, st)
+				c.visit(spread(i), 0, false, math.MaxInt, st)
 			}
 		}
 		b.Run(fmt.Sprintf("hit/entries=%d", entries), func(b *testing.B) {
@@ -27,7 +40,7 @@ func BenchmarkCacheVisit(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c.visit(mix64(uint64(i%entries)+1), 2, 0, false, math.MaxInt, st)
+				c.visit(spread(i%entries), 0, false, math.MaxInt, st)
 			}
 		})
 		b.Run(fmt.Sprintf("miss/entries=%d", entries), func(b *testing.B) {
@@ -46,7 +59,7 @@ func BenchmarkCacheVisit(b *testing.B) {
 					next = entries
 					b.StartTimer()
 				}
-				c.visit(mix64(uint64(next)+1), 1, 0, false, math.MaxInt, st)
+				c.visit(spread(next), 0, false, math.MaxInt, st)
 				next++
 			}
 		})
@@ -61,7 +74,7 @@ func TestCacheGrowsIntoMappedTables(t *testing.T) {
 	const keys = 80_000 // about 1,250 a shard, past 3/4 of 1,024 slots in each
 	for pass, want := range []visitOutcome{visitExpand, visitPruned} {
 		for i := range keys {
-			if out, _, _, _ := c.visit(mix64(uint64(i)+1), 1, 0, false, math.MaxInt, st); out != want {
+			if out, _, _, _ := c.visit(spread(i), 0, false, math.MaxInt, st); out != want {
 				t.Fatalf("pass %d, key %d: outcome %v, want %v", pass, i, out, want)
 			}
 		}

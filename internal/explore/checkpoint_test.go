@@ -2,7 +2,9 @@ package explore
 
 import (
 	"context"
+	"errors"
 	"slices"
+	"strings"
 	"testing"
 
 	"agentring/internal/core"
@@ -95,6 +97,11 @@ type refereeReport struct {
 // cache subsumption and no sleep sets. Terminals are judged by the
 // paper's predicate (empty links, uniform positions), and like the
 // explorer it stops at the first violation.
+//
+// The referee also guards the invariant the explorer's cache rests on
+// (sim's package doc, "State identity"): equal keys have equal depth.
+// It fails the test as soon as one key is reached at two depths, so
+// its own depth-qualified identity never hides a break.
 func fromRootReferee(t *testing.T, setup Setup, ref Factory) refereeReport {
 	t.Helper()
 	type stateID struct {
@@ -105,6 +112,7 @@ func fromRootReferee(t *testing.T, setup Setup, ref Factory) refereeReport {
 	if setup.Topology != nil {
 		n = setup.Topology.Size()
 	}
+	depthOf := make(map[uint64]int)
 	seen := make(map[stateID]bool)
 	var rep refereeReport
 	var visit func(prefix []int) bool // false stops the search
@@ -114,6 +122,11 @@ func fromRootReferee(t *testing.T, setup Setup, ref Factory) refereeReport {
 			// A program failure or step-limit overrun defeats the schedule.
 			rep.violation = true
 			return false
+		}
+		if d, ok := depthOf[key]; !ok {
+			depthOf[key] = len(prefix)
+		} else if d != len(prefix) {
+			t.Fatalf("key %#x reached at depths %d and %d", key, d, len(prefix))
 		}
 		id := stateID{key: key}
 		if len(setup.Faults) > 0 {
@@ -203,9 +216,9 @@ func TestCheckpointReplayCrossCheck(t *testing.T) {
 
 // TestCheckpointReplayCrossCheckPumped covers the remaining verdict
 // shape — a property violation on a fault-free substrate (the pumped
-// ring defeats the naive estimator): the counterexample's prefix,
-// replayed from the initial configuration, must end in the reported
-// failing terminal.
+// ring defeats the naive estimator): the search must agree with the
+// from-root referee, and the counterexample's prefix, replayed from the
+// initial configuration, must end in the reported failing terminal.
 func TestCheckpointReplayCrossCheckPumped(t *testing.T) {
 	n, homes, err := workload.Pumped(1, []int{0}, 5, 3)
 	if err != nil {
@@ -216,11 +229,13 @@ func TestCheckpointReplayCrossCheckPumped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ref := refFactory(t, len(homes), reference.Naive())
+	checkAgainstReferee(t, "search", rep, fromRootReferee(t, setup, ref))
 	cex := rep.Counterexample
 	if cex == nil {
 		t.Fatal("no counterexample on the pumped ring")
 	}
-	ctrl, res, _, err := replayFromRoot(t, setup, refFactory(t, len(homes), reference.Naive()), cex.Prefix)
+	ctrl, res, _, err := replayFromRoot(t, setup, ref, cex.Prefix)
 	if err != nil {
 		t.Fatalf("replaying the counterexample: %v", err)
 	}
@@ -233,4 +248,49 @@ func TestCheckpointReplayCrossCheckPumped(t *testing.T) {
 			t.Fatalf("decision %d replays as %+v, counterexample says %+v", i, got, cex.Schedule[i])
 		}
 	}
+}
+
+// TestCheckpointReplayDivergenceFails holds confirmCex to its last
+// check: a violation that the checkpointed search detects and a
+// from-root replay does not reproduce is a checkpoint/replay
+// divergence, reported as an error and never as a counterexample. The
+// frames here break the SaveState contract by dropping a word, so a
+// restored engine runs them from a state no execution reaches.
+func TestCheckpointReplayDivergenceFails(t *testing.T) {
+	programs := func() ([]sim.Program, error) {
+		return []sim.Program{forgetfulWalker{}, forgetfulWalker{}}, nil
+	}
+	rep, err := Explore(context.Background(), Setup{N: 6, Homes: []int{0, 3}, Programs: programs}, Options{})
+	if !errors.Is(err, ErrSetup) || !strings.Contains(err.Error(), "checkpoint/replay divergence") {
+		t.Fatalf("err = %v (report %+v), want a checkpoint/replay divergence", err, rep)
+	}
+}
+
+// forgetfulWalker moves forward twice and halts. Its frame counts its
+// actions in a second word that SaveState drops, so after a restore the
+// count keeps whatever the frame's last execution left there, and the
+// agent's next Step fails it.
+type forgetfulWalker struct{}
+
+func (forgetfulWalker) Frame() sim.Frame { return &forgetfulFrame{} }
+
+type forgetfulFrame struct{ moved, actions int }
+
+func (f *forgetfulFrame) Step(sim.API) sim.Action {
+	if f.actions != f.moved {
+		return sim.Action{Kind: sim.ActionDone, Err: errors.New("lost count of its actions")}
+	}
+	f.actions++
+	if f.moved == 2 {
+		return sim.Action{Kind: sim.ActionDone}
+	}
+	f.moved++
+	return sim.Action{Kind: sim.ActionMove}
+}
+
+func (f *forgetfulFrame) SaveState(buf []int) []int { return append(buf, f.moved) }
+
+func (f *forgetfulFrame) LoadState(buf []int) int {
+	f.moved = buf[0]
+	return 1
 }

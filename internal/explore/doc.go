@@ -27,11 +27,12 @@
 //     configuration plus the per-agent observation-history hashes that
 //     Options.TrackState maintains; the engine keeps it current
 //     incrementally, so reading it costs O(1) per expansion), and a
-//     state already explored at the same or shallower depth with the
-//     same or fewer suppressed transitions is pruned — converged
-//     branches are never re-expanded, and a revisit that does wake
-//     suppressed transitions expands only those (the revisit rule
-//     below). The cache is 64 shards chosen by the key's low six bits;
+//     state already explored with the same or fewer suppressed
+//     transitions is pruned — converged branches are never
+//     re-expanded, and a revisit that does wake suppressed transitions
+//     expands only those (the revisit rule below). The key fixes the
+//     state's depth (see "One key, one depth"), so the cache stores
+//     none. The cache is 64 shards chosen by the key's low six bits;
 //     a shard is a flat open-addressed table of 24-byte slots (key plus
 //     16-byte entry) probed linearly from the key's remaining bits and
 //     doubled at 3/4 load, so the cache's memory is exactly its slot
@@ -58,17 +59,17 @@
 // # The revisit rule (sleep sets with state caching)
 //
 // A cache entry keeps the intersection H of the sleep sets of every
-// visit so far. A revisit with sleep set Z that is no shallower than
-// the entry is pruned when H ⊆ Z. Otherwise it follows Godefroid's
-// state-caching algorithm (P. Godefroid, Partial-Order Methods for the
-// Verification of Concurrent Systems, LNCS 1032, 1996; P. Godefroid,
-// G. J. Holzmann and D. Pirottin, "State-space caching revisited",
-// FMSD 1995): the entry becomes H ∩ Z, and the visit expands only the
-// awake set H \ Z — the transitions every earlier visit slept and this
-// one does not. Each child's sleep set is built, as on a first visit,
-// from H ∩ Z and the awake siblings pushed before it; the transitions
-// earlier visits explored, agent actions and adversary moves alike, are
-// neither re-pushed nor added to the new children's sleep sets.
+// visit so far. A revisit with sleep set Z is pruned when H ⊆ Z.
+// Otherwise it follows Godefroid's state-caching algorithm (P.
+// Godefroid, Partial-Order Methods for the Verification of Concurrent
+// Systems, LNCS 1032, 1996; P. Godefroid, G. J. Holzmann and D.
+// Pirottin, "State-space caching revisited", FMSD 1995): the entry
+// becomes H ∩ Z, and the visit expands only the awake set H \ Z — the
+// transitions every earlier visit slept and this one does not. Each
+// child's sleep set is built, as on a first visit, from H ∩ Z and the
+// awake siblings pushed before it; the transitions earlier visits
+// explored, agent actions and adversary moves alike, are neither
+// re-pushed nor added to the new children's sleep sets.
 //
 // Soundness: the visits of one state run one after another, so their
 // awake sets are disjoint; across all of them the explored transitions
@@ -78,15 +79,29 @@
 // leaving the earlier-explored transitions out of the new children's
 // sleep sets lets those subtrees take the exchanged orders the earlier
 // ones suppressed, which is Godefroid's argument that every reachable
-// state is still visited. Shallower revisits — which matter only when
-// MaxDepth cut the earlier subtree — keep the unrestricted expansion
-// under H ∩ Z, as first visits do under their own sleep set.
-// Each (state, transition) pair is therefore expanded at most once
-// outside shallower revisits, so the reduced search expands no more
-// items than the reduction-free one, which expands
-// every pair of every reachable state; TestReductionConsistency checks
-// that bound together with equal coverage over every small placement,
-// algorithm and fault mode.
+// state is still visited. The rule has no depth exception: every visit
+// of a state is at the same depth, so MaxDepth cuts a revisit's subtree
+// exactly where it cut the earlier ones. Each (state, transition) pair
+// is therefore expanded at most once, so the reduced search expands no
+// more items than the reduction-free one, which expands every pair of
+// every reachable state; TestReductionConsistency checks that bound
+// together with equal coverage over every small placement, algorithm
+// and fault mode.
+//
+// # One key, one depth
+//
+// Under Options.TrackState, equal state keys have equal depth, up to
+// 64-bit collisions. Every atomic action changes its agent's
+// observation history or halts it (sim's package doc, "State
+// identity"), so a key fixes each agent's action count; under an
+// adversary it also holds the fail count and the down set, which fix
+// the adversary's move count: the fails plus the repairs, fails − down.
+// The depth is the sum of those counts. So the search stores and
+// compares no depth: cache entries hold none, a fixed fault timeline,
+// whose pending suffix is a function of depth, needs no depth folded
+// into the key, and under an adversary equal keys at different depths
+// never occur. The from-root referee of TestCheckpointReplayCrossCheck
+// and its siblings fails the test on any key it reaches at two depths.
 //
 // # Checkpoints
 //
@@ -161,21 +176,19 @@
 // Setup.Faults attaches a link failure/repair timeline applied
 // identically in every execution, so the checker enumerates all agent
 // interleavings around a fixed fault schedule. Because fault steps are
-// indexed by atomic-action count (== decision depth), two of the static
-// search's assumptions fail, and the search compensates:
-//
-//   - swapping two adjacent actions is only state-preserving when no
-//     mutation fires between them, so the sleep-set reduction runs
-//     depth-stratified: at any depth where the next action fires a
-//     scheduled fault, children start from empty sleep sets and no
-//     sibling commutation is recorded. Away from those boundary depths
-//     the reduction applies in full — the fault state is then identical
-//     in both interleavings, and frozen-link enabledness is a function
-//     of that shared state. TestFaultReductionConsistency cross-checks
-//     the stratified reduction against reduction-free searches;
-//   - a configuration's future depends on the pending fault suffix,
-//     i.e. on the depth, so cache keys additionally fold the depth and
-//     convergence is only recognized between equal-length prefixes.
+// indexed by atomic-action count (== decision depth), swapping two
+// adjacent actions is only state-preserving when no mutation fires
+// between them, so the sleep-set reduction runs depth-stratified: at
+// any depth where the next action fires a scheduled fault, children
+// start from empty sleep sets and no sibling commutation is recorded.
+// Away from those boundary depths the reduction applies in full — the
+// fault state is then identical in both interleavings, and frozen-link
+// enabledness is a function of that shared state.
+// TestFaultReductionConsistency cross-checks the stratified reduction
+// against reduction-free searches. A configuration's future also
+// depends on the pending fault suffix, a function of depth, but the
+// state key already fixes the depth (see "One key, one depth"), so
+// fault searches cache on the plain key.
 //
 // A quiescent terminal with agents frozen on a never-repaired link
 // fails the default property ("frozen in transit"), which is how a
@@ -192,26 +205,28 @@
 // and forces repair of any link down RepairWithin actions), and the
 // search explores every interleaving of faults and moves. A complete
 // counterexample-free search is then a proof against *every* outage
-// pattern within the budget, not one timeline. The two fixed-schedule
-// compensations invert:
+// pattern within the budget, not one timeline. Two rules adapt the
+// search:
 //
-//   - sleep sets: adversary moves commute with nothing, so any node
-//     whose enabled set contains a repair choice (i.e. some link is
-//     down) is a boundary — children start with empty sleep sets and
-//     no commutation is recorded there, and adversary-move children
-//     always start empty. Where all links are up the static per-edge
-//     independence argument applies unchanged; the incoming sleep set
-//     at a boundary is empty by construction because sleep entries
-//     only propagate along agent actions out of all-links-up states.
+//   - sleep sets: adversary moves commute with nothing (a fail
+//     disables the pop it targets, a repair re-enables it), so they
+//     never enter a sleep set, and a child reached by one starts with
+//     an empty sleep set. Agent actions keep the static reduction
+//     everywhere, down links included. No agent action changes the
+//     down set, the outage stamps or the fail count, so whether a
+//     decision point is a forced repair depends only on those and the
+//     step count — equal after two independent agent actions in either
+//     order. A forced repair is the one way an agent action can
+//     disable a sleeping one, and only for that decision: the forced
+//     node's one child is an adversary move, whose child starts with
+//     an empty sleep set.
 //     TestAdversaryReductionAndModeConsistency cross-checks reduced and
 //     reduction-free searches against the from-root referee;
-//   - cache keys: there is no pending timeline, so nothing depends on
-//     absolute depth. A state's future is the visible configuration
-//     plus the adversary's relative state, which sim.Engine.StateKey
-//     folds directly (spent fail count, per-down-link age in rank
-//     order) — the explorer caches on that key with no depth fold and
-//     keeps full cross-depth convergence, which is what makes the
-//     augmented space tractable.
+//   - cache keys: there is no pending timeline. A state's future is
+//     the visible configuration plus the adversary's relative state,
+//     which sim.Engine.StateKey folds directly (spent fail count,
+//     per-down-link age in rank order), and the explorer caches on
+//     that key as it stands.
 //
 // TestAdversaryCrossCheckBruteForce referees the whole construction
 // against brute force: the adversary search's set of reachable

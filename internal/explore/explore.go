@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -51,44 +50,28 @@ type Setup struct {
 	// execution (sim.Options.Faults), so the checker enumerates all agent
 	// interleavings around a fixed failure/repair timeline. Fault steps
 	// are indexed by atomic-action count, which equals the decision
-	// depth, making the schedule a deterministic function of depth — and
-	// that fact reshapes two of the static search's ingredients:
-	//
-	//   - a configuration's future depends on the pending fault suffix,
-	//     i.e. on how many actions have executed, not just on the
-	//     visible state; state-cache keys therefore additionally fold
-	//     the depth, so convergence is only recognized between prefixes
-	//     of equal length;
-	//   - swapping two adjacent actions is only state-preserving when no
-	//     mutation fires between them, so the sleep-set reduction runs
-	//     depth-stratified: at any depth where the next action's step
-	//     count fires a scheduled fault, children start with empty sleep
-	//     sets and no sibling commutation is recorded. Away from those
-	//     boundary depths the reduction applies in full (fault state is
-	//     then identical in both interleavings, and frozen-link
-	//     enabledness is a function of that shared state).
+	// depth, so swapping two adjacent actions is only state-preserving
+	// when no mutation fires between them: the sleep-set reduction runs
+	// depth-stratified. At any depth where the next action's step count
+	// fires a scheduled fault, children start with empty sleep sets and
+	// no sibling commutation is recorded. Away from those boundary depths
+	// the reduction applies in full (fault state is then identical in
+	// both interleavings, and frozen-link enabledness is a function of
+	// that shared state). A state's future also depends on the pending
+	// fault suffix, a function of depth, which the state key already
+	// fixes (see doc.go, "One key, one depth").
 	Faults sim.FaultSchedule
 	// Adversary, if non-nil, replaces the fixed fault timeline with an
 	// online adversary (sim.Options.Adversary): fail and repair moves
 	// become choices at every decision point, so the search quantifies
 	// over every failure pattern the budget admits instead of one
-	// schedule. Mutually exclusive with Faults. The static search's two
-	// fault adaptations invert here:
-	//
-	//   - cache keys fold no depth: the adversary state a configuration
-	//     carries (spent fails, relative outage ages) is part of
-	//     Engine.StateKey, and together with the visible state it fully
-	//     determines the future — equal keys at different depths really
-	//     do converge;
-	//   - the sleep-set reduction stratifies on *link state* rather than
-	//     depth: at any node where a link is down (equivalently, where a
-	//     repair choice is enabled), agent actions age the outage and can
-	//     flip the next decision point into a forced repair, so adjacent
-	//     exchanges are not enabledness-preserving there — children start
-	//     with empty sleep sets and no commutation is recorded. Children
-	//     reached by an adversary move likewise start empty. Away from
-	//     down links the reduction applies in full, because agent actions
-	//     touch no adversary state while every link is up.
+	// schedule. Mutually exclusive with Faults. The adversary's state
+	// (spent fails, relative outage ages) is part of Engine.StateKey,
+	// and together with the visible state it determines the future.
+	// Adversary moves commute with nothing: they never enter a sleep
+	// set, and children reached by one start with an empty sleep set.
+	// Agent actions need no stratification here (see doc.go, "The online
+	// adversary").
 	Adversary *sim.AdversaryBudget
 	// Property checks a quiescent terminal state, returning "" when it
 	// is acceptable and a human-readable violation otherwise. Nil
@@ -201,8 +184,6 @@ type Counterexample struct {
 	Reason string
 	// Positions are the agents' final nodes in the failing state.
 	Positions []int
-	// Result is the engine result of the failing replay.
-	Result sim.Result
 }
 
 // String renders the counterexample as a replayable schedule listing.
@@ -267,7 +248,6 @@ func Explore(ctx context.Context, setup Setup, opts Options) (Report, error) {
 	if opts.MaxDepth <= 0 {
 		opts.MaxDepth = DefaultMaxDepth
 	}
-	opts.MaxDepth = min(opts.MaxDepth, math.MaxInt32) // cache entries store depths as int32
 	if opts.MaxStates <= 0 {
 		opts.MaxStates = DefaultMaxStates
 	}
@@ -618,14 +598,13 @@ func (x *explorer) foundCex(prefix []int, ctrl *sim.Controlled, res sim.Result, 
 		Schedule:  schedule,
 		Reason:    reason,
 		Positions: res.Positions(),
-		Result:    res,
 	}
 	x.stopped = true
 }
 
 // makeChildren builds the stack items for the unsuppressed enabled
 // choices of a node being expanded, applying the sleep-set reduction
-// and its fault-boundary stratification. A non-zero awake set restricts
+// and its fixed-fault stratification. A non-zero awake set restricts
 // the expansion to those agents: the node is a revisit whose other
 // transitions an earlier visit already explored (stateCache.visit).
 // Each child names its choice by index into enabled; expand attaches
@@ -636,23 +615,9 @@ func (x *explorer) makeChildren(enabled []sim.Choice, sleep, awake sleepSet, dep
 	// At a fault boundary the children's executions fire a mutation, so
 	// no commutation across it may be recorded; inherited suppressions
 	// still apply (their exchanges happened at shallower, checked
-	// depths), but children start from empty sleep sets. Under an
-	// adversary the boundary is any node with a down link (detected by
-	// an enabled repair choice): agent actions there age the outage and
-	// can flip the next decision point into a forced repair, so adjacent
-	// exchanges are not enabledness-preserving. Incoming sleep sets at
-	// such nodes are empty by construction — the edge into them was
-	// either an adversary move (empty by the rule below) or came from a
-	// node that was itself a boundary.
+	// depths), but children start from empty sleep sets. An adversary
+	// needs no boundary: see doc.go, "The online adversary".
 	boundary := x.boundary[depth+1]
-	if x.setup.Adversary != nil && !boundary {
-		for _, c := range enabled {
-			if c.Kind == sim.ChoiceRepair {
-				boundary = true
-				break
-			}
-		}
-	}
 	children := x.kids[:0]
 	// done is what a child's sleep set draws on: the agents asleep here
 	// and the siblings this expansion has already pushed. Transitions an
@@ -754,22 +719,16 @@ func (x *explorer) expand(it item) {
 			return
 		}
 
-		key := eng.StateKey()
-		if len(x.setup.Faults) > 0 {
-			// With faults, the pending mutation suffix is a function of the
-			// depth; fold it into the key so only equal-length prefixes can
-			// converge (see Setup.Faults).
-			key = mix64(key ^ (uint64(depth) + 1))
-		}
-		// Check the move bound before caching: move counts are
-		// path-dependent (excluded from the state key), so the check must
-		// see every reached state — including quiescent terminals and
-		// pruned revisits.
+		// Check the move bound before caching, so the check sees every
+		// reached state, quiescent terminals and pruned revisits included.
+		// The key fixes the move count too (each move folds opMove into
+		// its agent's history), so a revisit never fails the bound where
+		// its first visit passed it.
 		if x.opts.MaxTotalMoves > 0 && eng.TotalMoves() > x.opts.MaxTotalMoves {
 			x.confirmCex(slices.Clone(path))
 			return
 		}
-		outcome, nodeSleep, awake, firstTerminal := x.cache.visit(key, depth, sleep, quiesced, x.opts.MaxStates, &x.st)
+		outcome, nodeSleep, awake, firstTerminal := x.cache.visit(eng.StateKey(), sleep, quiesced, x.opts.MaxStates, &x.st)
 		if outcome != visitExpand {
 			return
 		}
@@ -806,16 +765,12 @@ func (x *explorer) expand(it item) {
 		c = enabled[children[0].idx]
 		sleep = children[0].sleep
 		path = append(path, children[0].idx)
-		if x.halted() {
-			return
-		}
 	}
 }
 
-// halted reports whether the search has been stopped. The expansion it
-// cuts off — a popped item, or a first child never pushed — is counted
-// as truncated when the stop is an expired budget, like the items left
-// on the stack.
+// halted reports whether the search has been stopped. The popped item
+// it cuts off is counted as truncated when the stop is an expired
+// budget, like the items left on the stack.
 func (x *explorer) halted() bool {
 	if !x.stopped {
 		return false
@@ -862,17 +817,6 @@ func (x *explorer) confirmCex(prefix []int) {
 // snapshot assembles one Progress around the live ledger.
 func (x *explorer) snapshot() Progress {
 	return Progress{Homes: x.setup.Homes, Stats: x.st, Frontier: len(x.stack), Elapsed: time.Since(x.start)}
-}
-
-// mix64 finalizes a 64-bit value with the splitmix64 avalanche, used to
-// separate depth-tagged cache keys from the raw configuration keys.
-func mix64(v uint64) uint64 {
-	v ^= v >> 30
-	v *= 0xbf58476d1ce4e5b9
-	v ^= v >> 27
-	v *= 0x94d049bb133111eb
-	v ^= v >> 31
-	return v
 }
 
 // independent reports whether two enabled atomic actions commute, using

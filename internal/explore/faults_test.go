@@ -165,18 +165,15 @@ func TestExplorePermanentFaultCounterexampleReplays(t *testing.T) {
 // caching or replay behaviour surfaces here before it can silently
 // alter coverage.
 //
-// A note on the depth-keyed cache this exercises: with TrackState on,
-// two prefixes of *different* lengths are not known to ever produce
-// equal configuration keys (every non-final atomic action folds at
-// least one opcode into the acting agent's history hash, and the final
-// one changes its visible status), so the depth fold in the cache key
-// is a defensive guarantee — the pending fault suffix is a function of
-// depth, and the fold makes cross-depth merging impossible rather than
-// merely unobserved. The golden values also pin the depth-stratified
-// sleep-set reduction: SleepSkips is nonzero because the reduction now
-// runs under faults, suspended only across the depths where a fault
-// event fires (soundness cross-checked by
-// TestFaultReductionConsistency). They pin the cache's revisit rule as
+// The fault search caches on the plain state key: with TrackState on,
+// equal keys have equal depth (doc.go, "One key, one depth"), so the
+// states the cache merges share their pending fault suffix, and the
+// from-root referee below fails on any key it reaches at two depths.
+// The golden values pin the depth-stratified sleep-set reduction:
+// SleepSkips is nonzero because the reduction runs under faults,
+// suspended only across the depths where a fault event fires
+// (soundness cross-checked by TestFaultReductionConsistency). They pin
+// the cache's revisit rule as
 // well: the search revisits one state (via decisions 1 1 0) whose first
 // visit slept agent 0, and the revisit pushes only agent 0's action,
 // because the first visit already explored agent 1's. Re-pushing that

@@ -172,6 +172,17 @@
 // FuzzStateKey (fuzzed choices, checkpoints, restores and fresh-engine
 // resumes) compare StateKey with Snapshot().Key().
 //
+// Under TrackState a key also fixes the depth, the number of atomic
+// actions executed, up to 64-bit collisions. Every agent action changes
+// the actor's observation hash or halts it: stepAgent folds opMove or
+// opAwait after the action's observations, and ActionDone changes the
+// status, after which the agent never acts again. So an agent's term
+// fixes how many actions it has taken. Under an adversary the key also
+// holds the spent fails and the down set, which fix the adversary's
+// moves: the fails, plus the repairs, which number the fails minus the
+// links still down. The schedule-space explorer relies on this: its
+// cache stores no depth (internal/explore, "One key, one depth").
+//
 // # Dynamic topologies
 //
 // Options.Faults (or Engine.SetEdgeState) fails and repairs individual
